@@ -24,7 +24,6 @@ from repro.harness.reporting import si
 from repro.harness.runner import KERNELS, simulate
 from repro.harness.tables import render_table1, render_table2, table1, table2
 from repro.obs import audit_trace
-from repro.sim import ENGINES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,15 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(on --backend procs: a freshly forked OS process)"
     )
 
-    engine_help = (
-        "event core: 'slotted' (preallocated slot arrays, the default) or "
-        "'classic' (per-event objects); both produce bit-identical runs"
-    )
-
     run = sub.add_parser("run", help="simulate one kernel at one scale")
     run.add_argument("kernel", choices=KERNELS)
     run.add_argument("--places", type=int, default=32)
-    run.add_argument("--engine", choices=sorted(ENGINES), default=None, help=engine_help)
     run.add_argument(
         "--stats", action="store_true", help="print the metrics snapshot after the result"
     )
@@ -95,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="run one kernel with event tracing and audit the trace")
     trace.add_argument("kernel", choices=KERNELS)
     trace.add_argument("--places", type=int, default=32)
-    trace.add_argument("--engine", choices=sorted(ENGINES), default=None, help=engine_help)
     trace.add_argument("--chaos", default=None, metavar="SPEC", help=chaos_help)
     trace.add_argument("--resilient", action="store_true", help=resilient_help)
     trace.add_argument("--out", default=None, help="trace output path (default trace_<kernel>_<places>)")
@@ -215,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scripts to execute under forced detection",
     )
     race.add_argument("--places", type=int, default=4)
-    race.add_argument("--engine", choices=sorted(ENGINES), default=None, help=engine_help)
     race.add_argument(
         "--full-sim",
         action="store_true",
@@ -239,8 +230,7 @@ def main(argv=None, out=sys.stdout) -> int:
             return _run_backend(args, out)
         try:
             result = simulate(
-                args.kernel, args.places, chaos=args.chaos, resilient=args.resilient,
-                engine=args.engine,
+                args.kernel, args.places, chaos=args.chaos, resilient=args.resilient
             )
         except ChaosError as exc:
             print(f"error: bad --chaos spec: {exc}", file=out)
@@ -307,7 +297,7 @@ def main(argv=None, out=sys.stdout) -> int:
         try:
             result = simulate(
                 args.kernel, args.places, trace=True, chaos=args.chaos,
-                resilient=args.resilient, engine=args.engine,
+                resilient=args.resilient,
             )
         except ChaosError as exc:
             print(f"error: bad --chaos spec: {exc}", file=out)
@@ -381,13 +371,6 @@ def _run_backend(args, out) -> int:
             file=out,
         )
         return 2
-    if args.engine is not None and args.backend == "procs":
-        print(
-            "error: --engine selects the simulator's event core and does not "
-            "apply to --backend procs",
-            file=out,
-        )
-        return 2
     try:
         if args.backend == "procs":
             backend = get_backend(
@@ -395,7 +378,7 @@ def _run_backend(args, out) -> int:
                 chaos=args.chaos, resilient=args.resilient,
             )
         else:
-            backend = get_backend(args.backend, engine=args.engine)
+            backend = get_backend(args.backend)
         run = backend.run(args.kernel, args.places)
     except ChaosError as exc:
         print(f"error: bad --chaos spec: {exc}", file=out)
@@ -606,16 +589,13 @@ def _cmd_race(args, out) -> int:
             label = f"{target}@{args.places}"
             try:
                 if args.full_sim:
-                    result = simulate(
-                        target, args.places, engine=args.engine, race=True
-                    )
+                    result = simulate(target, args.places, race=True)
                     races = result.extra["race"].races
                 else:
                     from repro.kernels.portable import build_program
                     from repro.runtime.runtime import ApgasRuntime
 
-                    kwargs = {} if args.engine is None else {"engine": args.engine}
-                    rt = ApgasRuntime(places=args.places, race=True, **kwargs)
+                    rt = ApgasRuntime(places=args.places, race=True)
                     rt.run(build_program(target, args.places))
                     races = rt.race.races
             except (KernelError, DeadPlaceError) as exc:

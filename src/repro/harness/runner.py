@@ -23,7 +23,6 @@ def make_runtime(
     config: Optional[MachineConfig] = None,
     trace: bool = False,
     chaos: Optional[str] = None,
-    engine: Optional[str] = None,
     race: bool = False,
     **overrides,
 ) -> ApgasRuntime:
@@ -31,16 +30,14 @@ def make_runtime(
 
     ``trace=True`` enables the event tracer (``rt.obs.trace``); ``chaos``
     takes a fault-injection spec string (see :class:`repro.chaos.ChaosSpec`)
-    and switches the transport into resilient mode.  ``engine`` picks the
-    event core (``slotted`` | ``classic``; None = default).  ``race=True``
-    turns on the dynamic determinacy-race detector (``rt.race``).
+    and switches the transport into resilient mode.  ``race=True`` turns on
+    the dynamic determinacy-race detector (``rt.race``).
     """
     cfg = config or MachineConfig()
     if overrides:
         cfg = cfg.with_(**overrides)
     return ApgasRuntime(
-        places=places, config=cfg, obs=Observability(trace=trace), chaos=chaos,
-        engine=engine, race=race,
+        places=places, config=cfg, obs=Observability(trace=trace), chaos=chaos, race=race,
     )
 
 
@@ -55,7 +52,6 @@ def simulate(
     trace: bool = False,
     chaos: Optional[str] = None,
     resilient: bool = False,
-    engine: Optional[str] = None,
     race: bool = False,
     **kwargs,
 ) -> KernelResult:
@@ -80,7 +76,7 @@ def simulate(
                 f"--resilient supports {sorted(RESILIENT_KERNELS)}"
             )
         kwargs["resilient"] = True
-    rt = make_runtime(places, config, trace=trace, chaos=chaos, engine=engine, race=race)
+    rt = make_runtime(places, config, trace=trace, chaos=chaos, race=race)
     result = runner(rt, **kwargs)
     result.extra["metrics"] = rt.obs.metrics.snapshot()
     if trace:

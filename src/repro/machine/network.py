@@ -247,7 +247,7 @@ class Network:
         t = self._fast_delivery_time(src_place, dst_place, nbytes)
         event = SimEvent(name=self._name_msg)
         now = self.engine._now
-        self.engine.schedule_fire(t - now if t > now else 0.0, event.trigger)
+        self.engine.post(t - now if t > now else 0.0, event.trigger)
         return event
 
     def _fast_delivery_time(self, src_place: int, dst_place: int, nbytes: float) -> float:
@@ -325,42 +325,22 @@ class Network:
         ejection.reservations += 1
         return t + hop_total
 
-    def transfer_notify(self, src_place: int, dst_place: int, nbytes: float, callback) -> bool:
-        """Fast-path MSG transfer that schedules ``callback`` directly at the
-        delivery time — no :class:`SimEvent` is allocated at all.
-
-        Returns False (doing nothing) when the transfer is not fast-path
-        eligible; the caller must then fall back to :meth:`transfer`.  When it
-        runs, the network-visible effects are bit-identical to
-        :meth:`transfer`: same counters, same reservations, same route-cache
-        touches, same engine sequence-number consumption (one scheduled entry).
-        """
-        if (
-            self.chaos is not None
-            or self._tracer.enabled
-            or not 0 <= src_place < self._n_places
-            or not 0 <= dst_place < self._n_places
-        ):
-            return False
-        if nbytes < 0:
-            raise TransportError(f"negative transfer size {nbytes!r}")
-        t = self._fast_delivery_time(src_place, dst_place, nbytes)
-        now = self.engine._now
-        self.engine.schedule_fire(t - now if t > now else 0.0, callback)
-        return True
-
     def transfer_call(self, src_place: int, dst_place: int, nbytes: float, fn, a, b) -> bool:
-        """:meth:`transfer_notify` with the delivery callback held as
-        ``(fn, a, b)`` instead of a closure.
+        """Fast-path MSG transfer that posts ``fn(a, b)`` directly at the
+        delivery time — no :class:`SimEvent`, no closure.
 
         The hottest send path in the simulator: active-message posts go
-        through here so that on the slotted core a message in flight costs
-        zero allocations — the payload rides in the engine's slot arrays.
-        Eligibility, arithmetic, and engine sequence-number consumption are
-        identical to :meth:`transfer_notify`; the :meth:`_fast_delivery_time`
-        body is transcribed inline (one call frame per message is measurable
-        at this call count), and the zero-overhead suite holds the two copies
-        to the same reservations, counters, and delivery times.
+        through here so that a message in flight costs no per-message
+        objects beyond the engine's argument tuple.  Returns False (doing
+        nothing) when the transfer is not fast-path eligible; the caller must
+        then fall back to :meth:`transfer`.  When it runs, the
+        network-visible effects are bit-identical to :meth:`transfer`: same
+        counters, same reservations, same route-cache touches, same engine
+        sequence-number consumption (one posted entry).  The
+        :meth:`_fast_delivery_time` body is transcribed inline (one call
+        frame per message is measurable at this call count), and the
+        zero-overhead suite holds the two copies to the same reservations,
+        counters, and delivery times.
         """
         if (
             self.chaos is not None
@@ -396,7 +376,7 @@ class Network:
             resource.busy_until = t
             resource.total_busy += dur
             resource.reservations += 1
-            engine.schedule_call2(t - now if t > now else 0.0, fn, a, b)
+            engine.post(t - now if t > now else 0.0, fn, a, b)
             return True
         if m_on:
             link_count.value += 1
@@ -439,7 +419,7 @@ class Network:
         ejection.total_busy += occ
         ejection.reservations += 1
         t += hop_total
-        engine.schedule_call2(t - now if t > now else 0.0, fn, a, b)
+        engine.post(t - now if t > now else 0.0, fn, a, b)
         return True
 
     def transfer(
@@ -571,7 +551,7 @@ class Network:
         chaos = self.chaos
         if chaos is None:
             event = SimEvent(name=self._delivery_names[kind])
-            self.engine.schedule_fire(max(0.0, time - self.engine.now), event.trigger)
+            self.engine.post(max(0.0, time - self.engine.now), event.trigger)
             return event
         # under chaos a delivery can race a place failure, and a duplicated
         # transfer fires the same event a second time

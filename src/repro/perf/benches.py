@@ -2,10 +2,9 @@
 
 Two suites, mirroring the two layers the fast-path work targets:
 
-* ``sim`` (-> ``BENCH_sim.json``): microbenchmarks of the classic engine's
-  event loop (heap timers, batched zero-delay dispatch, cancel-churn
-  compaction), the slotted core's fast paths (freelist churn, batched
-  payload-call dispatch, interned-handle timers), the transport's send/ack
+* ``sim`` (-> ``BENCH_sim.json``): microbenchmarks of the event core
+  (heap timers, batched zero-delay dispatch, payload ``post`` through the
+  slot freelist, cancel-churn compaction), the transport's send/ack
   round-trip path, and FINISH_DENSE's coalescing windows.  These localize a
   regression to a subsystem.
 * ``kernels`` (-> ``BENCH_kernels.json``): whole-stack macro runs of UTS
@@ -33,34 +32,56 @@ def _noop() -> None:
 
 
 def _bench_engine_timers(n: int = 200_000) -> float:
-    """Heap-path throughput: ``n`` fire-and-forget timers at scattered delays."""
+    """Heap-path throughput: ``n`` fire-and-forget timers at scattered delays.
+
+    A zero-argument ``post`` queues the bare callable: the entry is just
+    ``(time, seq, callback)`` — no slot, no handle object.
+    """
     from repro.sim.engine import Engine
 
     eng = Engine()
-    schedule = eng.schedule_fire
+    post = eng.post
     for i in range(n):
         # Knuth-hash the index into a delay so pushes interleave with pops
-        schedule(((i * 2654435761) % 997 + 1) * 1e-6, _noop)
+        post(((i * 2654435761) % 997 + 1) * 1e-6, _noop)
     eng.run()
     return eng.events_executed
 
 
 def _bench_engine_ready(n: int = 200_000) -> float:
-    """Zero-delay dispatch throughput: a self-reposting ``call_soon`` chain."""
+    """Batched zero-delay dispatch: a self-reposting payload ``post`` chain.
+
+    The ready list is drained by cursor in same-timestamp batches; the
+    payload argument rides in the slot table, not a closure.
+    """
     from repro.sim.engine import Engine
 
     eng = Engine()
-    remaining = n
 
-    def tick() -> None:
-        nonlocal remaining
-        remaining -= 1
-        if remaining > 0:
-            eng.call_soon_fire(tick)
+    def tick(remaining: int) -> None:
+        if remaining > 1:
+            eng.post(0.0, tick, remaining - 1)
 
-    eng.call_soon_fire(tick)
+    eng.post(0.0, tick, n)
     eng.run()
     return n
+
+
+def _bench_engine_post(n: int = 200_000) -> float:
+    """Slot alloc/free churn through the freelist: payload timers at
+    scattered delays.
+
+    Steady state keeps a few hundred slots in flight, so every ``post`` pops
+    a recycled slot and every dispatch pushes it back.
+    """
+    from repro.sim.engine import Engine
+
+    eng = Engine()
+    post = eng.post
+    for i in range(n):
+        post(((i * 2654435761) % 997 + 1) * 1e-6, _noop1, i)
+    eng.run()
+    return eng.events_executed
 
 
 def _bench_engine_cancel_churn(waves: int = 100, batch: int = 1000) -> float:
@@ -79,67 +100,11 @@ def _bench_engine_cancel_churn(waves: int = 100, batch: int = 1000) -> float:
         for h in handles[: batch * 9 // 10]:
             h.cancel()
         if i + 1 < waves:
-            eng.schedule_fire(1e-4, lambda: wave(i + 1))
+            eng.post(1e-4, wave, i + 1)
 
     wave(0)
     eng.run()
     return waves * batch
-
-
-# -- slotted-core microbenchmarks ----------------------------------------------
-
-
-def _bench_slotted_churn(n: int = 200_000) -> float:
-    """Slot alloc/free churn through the freelist: timers at scattered delays.
-
-    Steady state keeps a few hundred slots in flight, so every schedule pops
-    a recycled slot and every dispatch pushes it back — the allocation-free
-    regime the slotted core exists for.
-    """
-    from repro.sim.slotted import SlottedEngine
-
-    eng = SlottedEngine()
-    schedule = eng.schedule_call
-    for i in range(n):
-        schedule(((i * 2654435761) % 997 + 1) * 1e-6, _noop1, i)
-    eng.run()
-    return eng.events_executed
-
-
-def _bench_slotted_batch(n: int = 200_000) -> float:
-    """Batched zero-delay dispatch: a self-reposting payload-call chain.
-
-    The ready list is drained by cursor in same-timestamp batches; the
-    payload argument rides in the slot table, so the whole chain allocates
-    nothing per event.
-    """
-    from repro.sim.slotted import SlottedEngine
-
-    eng = SlottedEngine()
-
-    def tick(remaining: int) -> None:
-        if remaining > 1:
-            eng.call_soon_call(tick, remaining - 1)
-
-    eng.call_soon_call(tick, n)
-    eng.run()
-    return n
-
-
-def _bench_slotted_fire(n: int = 200_000) -> float:
-    """Interned-handle scheduling: ``schedule_fire`` heap timers.
-
-    Fire-and-forget callers share one conceptual never-cancelled handle, so
-    the entry is just ``(time, seq, callback)`` — no slot, no handle object.
-    """
-    from repro.sim.slotted import SlottedEngine
-
-    eng = SlottedEngine()
-    schedule = eng.schedule_fire
-    for i in range(n):
-        schedule(((i * 2654435761) % 997 + 1) * 1e-6, _noop)
-    eng.run()
-    return eng.events_executed
 
 
 def _noop1(_a) -> None:
@@ -258,24 +223,10 @@ BENCHES: list[Bench] = [
         params={"waves": 100, "batch": 1000},
     ),
     Bench(
-        name="slotted.churn@200k",
+        name="engine.post@200k",
         suite="sim",
         unit="events/s",
-        fn=_bench_slotted_churn,
-        params={"n": 200_000},
-    ),
-    Bench(
-        name="slotted.batch@200k",
-        suite="sim",
-        unit="events/s",
-        fn=_bench_slotted_batch,
-        params={"n": 200_000},
-    ),
-    Bench(
-        name="slotted.fire@200k",
-        suite="sim",
-        unit="events/s",
-        fn=_bench_slotted_fire,
+        fn=_bench_engine_post,
         params={"n": 200_000},
     ),
     Bench(

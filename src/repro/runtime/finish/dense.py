@@ -104,7 +104,7 @@ class FinishDense(BaseFinish):
         router.buffered += count
         if not router.flush_scheduled:
             router.flush_scheduled = True
-            self.rt.engine.schedule_call(self.COALESCE_WINDOW, self._flush, router)
+            self.rt.engine.post(self.COALESCE_WINDOW, self._flush, router)
 
     def _flush(self, router: _Router) -> None:
         router.flush_scheduled = False

@@ -89,7 +89,6 @@ class ApgasRuntime:
         workers_per_place: int = 1,
         obs: Optional[Observability] = None,
         chaos: Optional[object] = None,
-        engine: Optional[object] = None,
         race: bool = False,
     ) -> None:
         """``workers_per_place`` models ``X10_NTHREADS``: the paper runs one
@@ -101,10 +100,7 @@ class ApgasRuntime:
         :class:`~repro.chaos.ChaosSpec` (or its ``parse`` text form) enabling
         deterministic fault injection; the transport then runs in resilient
         mode and the runtime survives — or fails structurally on — place
-        deaths.  ``engine`` selects the event core: an engine-name string
-        (``"slotted"`` | ``"classic"``, see :func:`repro.sim.make_engine`), an
-        already-built engine instance, or None for the default core.
-        ``race`` enables the dynamic determinacy-race detector
+        deaths.  ``race`` enables the dynamic determinacy-race detector
         (:mod:`repro.runtime.racedetect`): vector clocks at fork/join/at/
         finish edges plus happens-before checks on every ``ctx.store``
         access; off by default with zero overhead beyond one attribute test
@@ -114,10 +110,7 @@ class ApgasRuntime:
         self.workers_per_place = workers_per_place
         self.config = config if config is not None else MachineConfig()
         self.obs = obs if obs is not None else Observability()
-        if engine is None or isinstance(engine, str):
-            self.engine = make_engine(engine) if engine else make_engine()
-        else:
-            self.engine = engine
+        self.engine = make_engine()
         #: the scheduling seam (see :mod:`repro.xrt.backend`): this runtime's
         #: clock is the virtual-time engine itself; the procs backend swaps a
         #: wall-clock loop into the same slot
@@ -318,7 +311,7 @@ class ApgasRuntime:
             if inline:
                 self._run_plain(activity)
             else:
-                self.engine.call_soon_call(self._run_plain, activity)
+                self.engine.post(0.0, self._run_plain, activity)
             return activity
 
         def runner():
@@ -539,7 +532,7 @@ class ApgasRuntime:
         clock: Optional[object] = None,
     ) -> None:
         if self.chaos is None and not self._is_genfunc(fn):
-            self.engine.call_soon_call2(self._eval_here_plain, place, (fn, args, event, clock))
+            self.engine.post(0.0, self._eval_here_plain, place, (fn, args, event, clock))
             return
 
         def runner():

@@ -22,39 +22,21 @@ Concepts
 from repro.sim.engine import Engine
 from repro.sim.events import SimEvent
 from repro.sim.process import Process, Timeout
-from repro.sim.slotted import SlottedEngine
 from repro.sim.store import Store
 from repro.sim.rng import RngStream
 
-#: selectable event cores behind the same ``Clock`` surface.  ``slotted`` is
-#: the default hot path; ``classic`` is the object-based fallback the
-#: differential harness (tests/sim/test_engine_equivalence.py) checks it
-#: against, event for event.
-ENGINES = {"classic": Engine, "slotted": SlottedEngine}
 
-DEFAULT_ENGINE = "slotted"
-
-
-def make_engine(name: str = DEFAULT_ENGINE):
-    """Instantiate an event core by name (``slotted`` | ``classic``)."""
-    try:
-        cls = ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; choose from {sorted(ENGINES)}"
-        ) from None
-    return cls()
+def make_engine() -> Engine:
+    """The event core every runtime runs on."""
+    return Engine()
 
 
 __all__ = [
     "Engine",
-    "SlottedEngine",
     "SimEvent",
     "Process",
     "Timeout",
     "Store",
     "RngStream",
-    "ENGINES",
-    "DEFAULT_ENGINE",
     "make_engine",
 ]

@@ -1,37 +1,81 @@
-"""The discrete-event engine: a virtual clock and an ordered event heap."""
+"""The discrete-event engine: a virtual clock over a slotted event core.
+
+Events execute in ``(time, seq)`` order, where ``seq`` is one shared monotone
+sequence number consumed by every scheduling call.  At millions of events per
+run the allocator, not the heap, dominates, so per-event state lives in
+preallocated parallel arrays instead of per-event objects:
+
+``_kind / _fn / _args / _gen``
+    one slot per in-flight event that needs state: the dispatch kind (free /
+    payload call / cancellable / cancelled), the target callable, the payload
+    argument tuple, and a generation counter that makes late ``cancel()``
+    calls on recycled slots harmless.  Slots are recycled through a LIFO
+    freelist, so steady-state scheduling never allocates.
+
+``_heap``
+    ``(time, seq, target)`` triples ordered by ``(time, seq)`` — ``seq`` is
+    unique, so the target field never participates in comparisons.  The target
+    is a slot index, or the bare callable for a zero-argument
+    :meth:`Engine.post`, which needs no per-event state at all.
+
+``_ready``
+    zero-delay events as a flat ``[seq, target, seq, target, ...]`` list
+    drained by a cursor over index ranges — no tuples, no ``popleft``, and no
+    per-event time bookkeeping, because of the invariant below.
+
+*The ready invariant.*  Every unconsumed ready entry was appended at the
+current virtual time: a zero delay stamps ``now``, and time only advances
+when the ready queue is empty.  Bounded runs preserve it by pushing the
+not-yet-run entry back onto the heap.  The only way a heap entry can precede
+a ready entry is therefore a *smaller sequence number at the current
+instant* — a timer whose delay underflowed to the present — which the drain
+loop checks per event with one float compare.
+
+The order itself is pinned from outside: the golden-trace corpus
+(``tests/sim/golden_traces``) fixes every kernel's trace digest and event
+count, and ``tests/perf/test_engine_property.py`` replays random tapes against
+a sort-by-``(time, submission)`` oracle.
+"""
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.errors import DeadlockError, SimulationError, StepLimitError
 
+#: slot kinds (the ``kind`` column of the slot table)
+_K_FREE = 0  #: on the freelist
+_K_CALL = 1  #: dispatch as ``fn(*args)``
+_K_HANDLE = 2  #: dispatch as ``fn()``; cancellable through a :class:`Handle`
+_K_CANCELLED = 3  #: cancelled before dispatch; reclaimed when its entry surfaces
+
 
 class Handle:
-    """A cancellable reference to a scheduled callback."""
+    """A cancellable reference to a scheduled callback.
 
-    __slots__ = ("cancelled", "_engine")
+    The handle pins ``(slot, generation)`` at creation time; the engine bumps
+    a slot's generation when recycling it, so cancelling a handle whose event
+    already ran touches nothing.
+    """
 
-    def __init__(self, engine: Optional["Engine"] = None) -> None:
+    __slots__ = ("cancelled", "_engine", "_slot", "_gen")
+
+    def __init__(self, engine: "Engine", slot: int, gen: int) -> None:
         self.cancelled = False
-        # cleared once the entry leaves the queues, so a late cancel() of an
-        # already-executed handle cannot skew the engine's cancelled count
         self._engine = engine
+        self._slot = slot
+        self._gen = gen
 
     def cancel(self) -> None:
         if self.cancelled:
             return
         self.cancelled = True
         engine = self._engine
-        if engine is not None:
+        slot = self._slot
+        if engine._gen[slot] == self._gen and engine._kind[slot] == _K_HANDLE:
+            engine._kind[slot] = _K_CANCELLED
             engine._note_cancelled()
-
-
-#: shared handle for fire-and-forget scheduling: nobody holds a reference to
-#: it, so it can never be cancelled, and one instance serves every entry
-_LIVE = Handle()
 
 
 class Engine:
@@ -41,32 +85,34 @@ class Engine:
     increasing sequence number breaks ties), which makes runs fully
     deterministic.
 
-    Two implementation details keep the loop fast without changing that
-    contract:
-
-    * *Batched zero-delay dispatch.*  Zero-delay events (``call_soon`` and the
-      process-step trampolines, a large fraction of all traffic) go to a FIFO
-      ready queue instead of the heap; the main loop merges the two by
-      ``(time, seq)``, so the observable order is exactly what a single heap
-      would produce, at O(1) instead of O(log n) per ready event.
-    * *Lazy-deletion compaction.*  Cancelling a handle only marks it; the heap
-      entry is reclaimed when popped.  Workloads that arm-and-cancel timers in
-      bulk (the resilient transport's retransmit timers) would otherwise grow
-      the heap without bound, so once cancelled entries exceed half the queue
-      (and a small floor) the engine rebuilds the heap without them — O(live)
-      amortized, and heap size stays proportional to live events.
+    *Lazy-deletion compaction.*  Cancelling a handle only marks its slot; the
+    queue entry is reclaimed when it surfaces.  Workloads that arm-and-cancel
+    timers in bulk (the resilient transport's retransmit timers) would
+    otherwise grow the heap without bound, so once cancelled entries exceed
+    half the queue (and a small floor) the engine rebuilds the queues without
+    them — O(live) amortized, and heap size stays proportional to live events.
     """
 
     #: below this many cancelled entries compaction is never attempted
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Handle, Callable[[], None]]] = []
-        #: zero-delay entries in FIFO (= (time, seq)) order
-        self._ready: deque[tuple[float, int, Handle, Callable[[], None]]] = deque()
+        # -- the slot table (parallel arrays + freelist; doubles when full) ----
+        capacity = 256
+        self._kind: list[int] = [0] * capacity
+        self._fn: list[Optional[Callable]] = [None] * capacity
+        self._args: list[Optional[tuple]] = [None] * capacity
+        self._gen: list[int] = [0] * capacity
+        #: LIFO freelist: recently vacated slots are reused first (cache-warm)
+        self._free: list[int] = list(range(capacity - 1, -1, -1))
+        # -- the two queues ----------------------------------------------------
+        self._heap: list[tuple] = []
+        #: flat [seq, target, seq, target, ...]; consumed prefix ends at _rc
+        self._ready: list = []
+        self._rc = 0
         self._now = 0.0
         self._seq = 0
-        #: cancelled handles still occupying a queue slot
+        #: cancelled entries still occupying a queue position
         self._cancelled = 0
         #: number of callbacks executed so far (useful for complexity tests)
         self.events_executed = 0
@@ -75,6 +121,43 @@ class Engine:
         #: processes currently blocked on an effect; used for deadlock reports
         self._blocked: dict[int, Any] = {}
 
+    # -- slot management ----------------------------------------------------------
+
+    def _grow(self) -> int:
+        """Double the slot table; returns a fresh slot."""
+        n = len(self._kind)
+        self._kind.extend([0] * n)
+        self._fn.extend([None] * n)
+        self._args.extend([None] * n)
+        self._gen.extend([0] * n)
+        self._free.extend(range(2 * n - 1, n, -1))
+        return n
+
+    def _take(self, tgt) -> tuple:
+        """Vacate a surfaced entry's slot; returns its ``(fn, args)``.
+
+        ``fn`` is None for a cancelled entry.  The non-hot-path twin of the
+        dispatch inlined in :meth:`run`.
+        """
+        if type(tgt) is not int:
+            return tgt, ()
+        k = self._kind[tgt]
+        fn = self._fn[tgt]
+        self._kind[tgt] = 0
+        self._fn[tgt] = None
+        self._free.append(tgt)
+        if k == _K_CALL:
+            args = self._args[tgt]
+            self._args[tgt] = None
+            return fn, args
+        self._gen[tgt] += 1
+        if k == _K_CANCELLED:
+            self._cancelled -= 1
+            return None, ()
+        return fn, ()
+
+    # -- clock surface ------------------------------------------------------------
+
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
@@ -82,81 +165,64 @@ class Engine:
 
     def pending_events(self) -> int:
         """Queue slots currently occupied (live + not-yet-reclaimed cancelled)."""
-        return len(self._heap) + len(self._ready)
+        return len(self._heap) + (len(self._ready) - self._rc) // 2
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Handle:
         """Run ``callback`` ``delay`` seconds from now; returns a cancellable handle."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        handle = Handle(self)
-        self._seq += 1
+        free = self._free
+        slot = free.pop() if free else self._grow()
+        self._kind[slot] = _K_HANDLE
+        self._fn[slot] = callback
+        handle = Handle(self, slot, self._gen[slot])
+        self._seq = seq = self._seq + 1
         if delay == 0.0:
-            self._ready.append((self._now, self._seq, handle, callback))
+            ready = self._ready
+            ready.append(seq)
+            ready.append(slot)
         else:
-            heapq.heappush(self._heap, (self._now + delay, self._seq, handle, callback))
+            heapq.heappush(self._heap, (self._now + delay, seq, slot))
         return handle
 
     def call_soon(self, callback: Callable[[], None]) -> Handle:
         """Schedule ``callback`` at the current time, after already-queued events."""
-        handle = Handle(self)
-        self._seq += 1
-        self._ready.append((self._now, self._seq, handle, callback))
-        return handle
+        return self.schedule(0.0, callback)
 
-    def schedule_fire(self, delay: float, callback: Callable[[], None]) -> None:
-        """:meth:`schedule` for callers that never cancel.
+    def post(self, delay: float, fn: Callable, *args: Any) -> None:
+        """Fire-and-forget ``fn(*args)`` after ``delay`` seconds.
 
-        Identical ordering semantics — the entry takes the next sequence
-        number exactly as :meth:`schedule` would — but no per-call
-        :class:`Handle` is allocated (the shared never-cancelled one fills the
-        slot).  The hot path for message deliveries and process wake-ups.
+        For callers that never cancel (message deliveries, process wake-ups).
+        Consumes exactly one sequence number, like :meth:`schedule`.  With no
+        arguments the callable itself is the queue entry (no slot, no
+        handle); otherwise the arguments ride in the slot table instead of a
+        closure cell.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        self._seq += 1
-        if delay == 0.0:
-            self._ready.append((self._now, self._seq, _LIVE, callback))
+        if args:
+            free = self._free
+            target = free.pop() if free else self._grow()
+            self._kind[target] = _K_CALL
+            self._fn[target] = fn
+            self._args[target] = args
         else:
-            heapq.heappush(self._heap, (self._now + delay, self._seq, _LIVE, callback))
+            target = fn
+        self._seq = seq = self._seq + 1
+        if delay == 0.0:
+            ready = self._ready
+            ready.append(seq)
+            ready.append(target)
+        else:
+            heapq.heappush(self._heap, (self._now + delay, seq, target))
 
-    def call_soon_fire(self, callback: Callable[[], None]) -> None:
-        """:meth:`call_soon` without a cancellation handle (see :meth:`schedule_fire`)."""
-        self._seq += 1
-        self._ready.append((self._now, self._seq, _LIVE, callback))
-
-    # -- payload-call scheduling --------------------------------------------------
-    #
-    # The argument-carrying twins of schedule_fire/call_soon_fire.  The slotted
-    # core (repro.sim.slotted) stores the arguments in its parallel payload
-    # arrays; here they ride a closure, so callers can target one API on either
-    # engine.  Ordering semantics are identical: each call consumes exactly one
-    # sequence number, exactly like the no-argument variants.
-
-    def schedule_call(self, delay: float, fn: Callable, a: Any) -> None:
-        """Fire-and-forget ``fn(a)`` after ``delay`` seconds."""
-        self.schedule_fire(delay, lambda: fn(a))
-
-    def schedule_call2(self, delay: float, fn: Callable, a: Any, b: Any) -> None:
-        """Fire-and-forget ``fn(a, b)`` after ``delay`` seconds."""
-        self.schedule_fire(delay, lambda: fn(a, b))
-
-    def call_soon_call(self, fn: Callable, a: Any) -> None:
-        """Zero-delay :meth:`schedule_call`."""
-        self._seq += 1
-        self._ready.append((self._now, self._seq, _LIVE, lambda: fn(a)))
-
-    def call_soon_call2(self, fn: Callable, a: Any, b: Any) -> None:
-        """Zero-delay :meth:`schedule_call2`."""
-        self._seq += 1
-        self._ready.append((self._now, self._seq, _LIVE, lambda: fn(a, b)))
-
-    # -- lazy deletion ---------------------------------------------------------
+    # -- lazy deletion ------------------------------------------------------------
 
     def _note_cancelled(self) -> None:
         self._cancelled += 1
         if (
             self._cancelled > self.COMPACT_MIN_CANCELLED
-            and 2 * self._cancelled > len(self._heap) + len(self._ready)
+            and 2 * self._cancelled > self.pending_events()
         ):
             self._compact()
 
@@ -164,22 +230,35 @@ class Engine:
         """Rebuild the queues without cancelled entries.
 
         Entries carry unique ``(time, seq)`` keys, so filtering preserves the
-        execution order exactly; surviving handles keep their queue slots.
-        The queue objects are mutated in place so :meth:`run`'s local
-        references stay valid across a compaction.
+        execution order exactly.  Both queue objects are mutated in place so
+        :meth:`run`'s local references stay valid across a compaction; the
+        ready cursor is folded away (the consumed prefix is dropped too).
         """
+        kinds = self._kind
         heap = self._heap
-        heap[:] = [e for e in heap if not e[2].cancelled]
+        live = []
+        for entry in heap:
+            tgt = entry[2]
+            if type(tgt) is int and kinds[tgt] == _K_CANCELLED:
+                self._take(tgt)
+            else:
+                live.append(entry)
+        heap[:] = live
         heapq.heapify(heap)
         ready = self._ready
-        if any(e[2].cancelled for e in ready):
-            live = [e for e in ready if not e[2].cancelled]
-            ready.clear()
-            ready.extend(live)
-        self._cancelled = 0
+        out = []
+        for i in range(self._rc, len(ready), 2):
+            tgt = ready[i + 1]
+            if type(tgt) is int and kinds[tgt] == _K_CANCELLED:
+                self._take(tgt)
+            else:
+                out.append(ready[i])
+                out.append(tgt)
+        ready[:] = out
+        self._rc = 0
         self.compactions += 1
 
-    # -- blocked-process registry (populated by Process) ---------------------
+    # -- blocked-process registry (populated by Process) --------------------------
 
     def _note_blocked(self, process: Any) -> None:
         self._blocked[id(process)] = process
@@ -187,7 +266,7 @@ class Engine:
     def _note_unblocked(self, process: Any) -> None:
         self._blocked.pop(id(process), None)
 
-    # -- main loop ------------------------------------------------------------
+    # -- main loop ----------------------------------------------------------------
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the queues drain (or virtual time passes ``until``).
@@ -198,86 +277,135 @@ class Engine:
         callbacks have executed in total — the hang guard for chaos tests.
         Returns the final virtual time.
         """
+        if until is not None or max_events is not None:
+            return self._run_bounded(until, max_events)
+        # the common drain-everything call: no bound checks per event, slot
+        # dispatch inlined, and the executed-events counter flushed once
         heap = self._heap
         ready = self._ready
+        kinds = self._kind
+        fns = self._fn
+        argv = self._args
+        gens = self._gen
+        free_append = self._free.append
         pop = heapq.heappop
-        popleft = ready.popleft
-        if until is None and max_events is None:
-            # the common drain-everything call: no bound checks per event,
-            # and the executed-events counter is flushed once per batch
-            executed = 0
-            try:
-                while heap or ready:
-                    if ready:
-                        if heap:
-                            entry = heap[0]
-                            front = ready[0]
-                            if entry[0] < front[0] or (entry[0] == front[0] and entry[1] < front[1]):
-                                entry = pop(heap)
-                            else:
-                                entry = popleft()
+        now = self._now
+        executed = 0
+        try:
+            while True:
+                rc = self._rc
+                if rc < len(ready):
+                    if heap:
+                        h = heap[0]
+                        if h[0] <= now and h[1] < ready[rc]:
+                            # a timer whose delay underflowed to the present:
+                            # it precedes the ready batch by sequence number
+                            fn, args = self._take(pop(heap)[2])
+                            if fn is not None:
+                                now = self._now = h[0]
+                                executed += 1
+                                fn(*args)
+                            continue
+                    self._rc = rc + 2
+                    tgt = ready[rc + 1]
+                    if type(tgt) is int:
+                        k = kinds[tgt]
+                        fn = fns[tgt]
+                        kinds[tgt] = 0
+                        fns[tgt] = None
+                        free_append(tgt)
+                        if k == 1:  # _K_CALL
+                            args = argv[tgt]
+                            argv[tgt] = None
+                            executed += 1
+                            fn(*args)
                         else:
-                            entry = popleft()
+                            gens[tgt] += 1
+                            if k == 2:  # _K_HANDLE
+                                executed += 1
+                                fn()
+                            else:  # _K_CANCELLED
+                                self._cancelled -= 1
                     else:
-                        entry = pop(heap)
-                    handle = entry[2]
-                    if handle.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    handle._engine = None
-                    self._now = entry[0]
-                    executed += 1
-                    entry[3]()
-            finally:
-                self.events_executed += executed
-            if self._blocked:
-                raise DeadlockError(self._blocked.values())
-            return self._now
-        while heap or ready:
-            # merge the two queues by (time, seq): the ready queue is FIFO in
-            # exactly that order, so comparing fronts suffices
-            if ready:
-                if heap:
-                    entry = heap[0]
-                    front = ready[0]
-                    if entry[0] < front[0] or (entry[0] == front[0] and entry[1] < front[1]):
-                        entry = pop(heap)
+                        executed += 1
+                        tgt()
+                elif heap:
+                    if rc:
+                        del ready[:]
+                        self._rc = 0
+                    entry = pop(heap)
+                    tgt = entry[2]
+                    if type(tgt) is int:
+                        k = kinds[tgt]
+                        fn = fns[tgt]
+                        kinds[tgt] = 0
+                        fns[tgt] = None
+                        free_append(tgt)
+                        if k == 1:  # _K_CALL
+                            args = argv[tgt]
+                            argv[tgt] = None
+                            now = self._now = entry[0]
+                            executed += 1
+                            fn(*args)
+                        else:
+                            gens[tgt] += 1
+                            if k == 2:  # _K_HANDLE
+                                now = self._now = entry[0]
+                                executed += 1
+                                fn()
+                            else:  # _K_CANCELLED
+                                self._cancelled -= 1
                     else:
-                        entry = popleft()
+                        now = self._now = entry[0]
+                        executed += 1
+                        tgt()
                 else:
-                    entry = popleft()
-            else:
+                    break
+        finally:
+            self.events_executed += executed
+        if self._blocked:
+            raise DeadlockError(self._blocked.values())
+        return self._now
+
+    def _run_bounded(self, until: Optional[float], max_events: Optional[int]) -> float:
+        """:meth:`run` with per-event bound checks; an entry that may not run
+        yet goes back onto the heap so the caller can resume later."""
+        heap = self._heap
+        ready = self._ready
+        kinds = self._kind
+        pop = heapq.heappop
+        while True:
+            rc = self._rc
+            if rc < len(ready):
+                # every unconsumed ready entry sits at the current time: merge
+                # by (time, seq) against the heap front
+                entry = (self._now, ready[rc], ready[rc + 1])
+                if heap and heap[0] < entry:
+                    entry = pop(heap)
+                else:
+                    self._rc = rc + 2
+            elif heap:
+                if rc:
+                    del ready[:]
+                    self._rc = 0
                 entry = pop(heap)
-            time, _seq, handle, callback = entry
-            if handle.cancelled:
-                self._cancelled -= 1
+            else:
+                break
+            time, _seq, tgt = entry
+            if type(tgt) is int and kinds[tgt] == _K_CANCELLED:
+                self._take(tgt)
                 continue
             if until is not None and time > until:
-                # put it back: the caller may resume the run later
                 heapq.heappush(heap, entry)
                 self._now = until
                 return self._now
             if max_events is not None and self.events_executed >= max_events:
                 heapq.heappush(heap, entry)
                 raise StepLimitError(max_events, self._now)
-            handle._engine = None
             self._now = time
             self.events_executed += 1
-            callback()
+            fn, args = self._take(tgt)
+            fn(*args)
         if self._blocked and until is None:
             raise DeadlockError(self._blocked.values())
         return self._now
-
-    def peek(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if the queues are empty."""
-        best: Optional[float] = None
-        for time, _seq, handle, _cb in self._heap:
-            if not handle.cancelled:
-                best = time
-                break
-        for time, _seq, handle, _cb in self._ready:
-            if not handle.cancelled:
-                if best is None or time < best:
-                    best = time
-                break
-        return best

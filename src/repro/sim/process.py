@@ -68,7 +68,7 @@ class Process:
             # default, or the child would run inside its creator's frame.
             self._resume()
         else:
-            engine.call_soon_fire(self._resume)
+            engine.post(0.0, self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done.fired else "running"
@@ -139,14 +139,14 @@ class Process:
 
     def _dispatch(self, effect: Any) -> None:
         if effect is None:
-            self.engine.call_soon_fire(self._resume)
+            self.engine.post(0.0, self._resume)
             return
         if isinstance(effect, Timeout):
             value = effect.value
             if value is None:
-                self.engine.schedule_fire(effect.delay, self._resume)
+                self.engine.post(effect.delay, self._resume)
             else:
-                self.engine.schedule_call(effect.delay, self._step, value)
+                self.engine.post(effect.delay, self._step, value)
             return
         if isinstance(effect, Process):
             effect = effect.done

@@ -5,17 +5,16 @@ mailboxes (:class:`~repro.sim.store.Store`), events
 (:class:`~repro.sim.events.SimEvent`), and the finish protocols — drives
 execution through a narrow scheduling interface:
 
-======================  ========================================================
-``now``                 the clock reading (virtual seconds or wall seconds)
-``schedule(dt, cb)``    run ``cb`` after ``dt`` clock seconds (cancellable)
-``call_soon(cb)``       run ``cb`` at the current time, after queued work
-``schedule_fire`` /     the same without allocating a cancellation handle
-``call_soon_fire``
-``schedule_call[2]`` /  fire-and-forget with one or two payload arguments —
-``call_soon_call[2]``   closure-free on the slotted core, a closure elsewhere
-``_note_blocked`` /     blocked-process registry (deadlock / idleness report)
+========================  ======================================================
+``now``                   the clock reading (virtual seconds or wall seconds)
+``schedule(dt, cb)``      run ``cb`` after ``dt`` clock seconds (cancellable)
+``call_soon(cb)``         ``schedule(0.0, cb)``: at the current time, after
+                          queued work
+``post(dt, fn, *args)``   fire-and-forget ``fn(*args)`` after ``dt`` seconds:
+                          no cancellation handle, no closure for the arguments
+``_note_blocked`` /       blocked-process registry (deadlock / idleness report)
 ``_note_unblocked``
-======================  ========================================================
+========================  ======================================================
 
 :class:`Clock` names that interface.  The discrete-event
 :class:`~repro.sim.engine.Engine` is the *virtual-time* implementation (one
@@ -49,17 +48,7 @@ class Clock(Protocol):
 
     def call_soon(self, callback: Callable[[], None]): ...
 
-    def schedule_fire(self, delay: float, callback: Callable[[], None]) -> None: ...
-
-    def call_soon_fire(self, callback: Callable[[], None]) -> None: ...
-
-    def schedule_call(self, delay: float, fn: Callable, a: Any) -> None: ...
-
-    def schedule_call2(self, delay: float, fn: Callable, a: Any, b: Any) -> None: ...
-
-    def call_soon_call(self, fn: Callable, a: Any) -> None: ...
-
-    def call_soon_call2(self, fn: Callable, a: Any, b: Any) -> None: ...
+    def post(self, delay: float, fn: Callable, *args: Any) -> None: ...
 
 
 class WallClock:
@@ -116,10 +105,6 @@ class SimBackend(ExecutionBackend):
 
     name = "sim"
 
-    def __init__(self, engine: Optional[str] = None) -> None:
-        #: event-core name (``slotted`` | ``classic``); None = the default
-        self.engine = engine
-
     def run(self, kernel: str, places: int, **params: Any) -> BackendRun:
         from repro.kernels.portable import build_program
         from repro.machine.config import MachineConfig
@@ -127,9 +112,7 @@ class SimBackend(ExecutionBackend):
         from repro.runtime.runtime import ApgasRuntime
 
         main = build_program(kernel, places, **params)
-        engine = params.pop("engine", self.engine)
-        kwargs = {} if engine is None else {"engine": engine}
-        rt = ApgasRuntime(places=places, config=MachineConfig(), obs=Observability(), **kwargs)
+        rt = ApgasRuntime(places=places, config=MachineConfig(), obs=Observability())
         t0 = time.perf_counter()
         result = rt.run(main)
         wall = time.perf_counter() - t0

@@ -329,9 +329,9 @@ def run_procs_program(
                         continue
                     conn.send_frame((wire.PING, 0, place, state["hb_seq"]))
                 state["hb_seq"] += 1
-                loop.schedule_fire(heartbeat_interval, _hb_tick)
+                loop.post(heartbeat_interval, _hb_tick)
 
-            loop.schedule_fire(heartbeat_interval, _hb_tick)
+            loop.post(heartbeat_interval, _hb_tick)
 
         if spec is not None:
             def _fire_kill(place: int) -> None:
@@ -348,7 +348,7 @@ def run_procs_program(
                 # _mark_dead path as any organic death
 
             for place, t in spec.kills:
-                loop.schedule_call(max(t, 0.0), _fire_kill, place)
+                loop.post(max(t, 0.0), _fire_kill, place)
 
         root = prt.open_finish(Pragma.DEFAULT, name="root")
         main_process = prt.spawn_local(main, (), root, name="main")

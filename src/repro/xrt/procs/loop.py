@@ -2,11 +2,11 @@
 
 One of these runs per place process.  It provides the same scheduling surface
 as the discrete-event :class:`~repro.sim.engine.Engine` — ``now``,
-``schedule``, ``call_soon``, the ``_fire`` variants, and the blocked-process
-registry — so :class:`~repro.sim.process.Process`,
-:class:`~repro.sim.store.Store`, and :class:`~repro.sim.events.SimEvent` run
-on it unmodified.  On top of that it pumps this place's socket(s): readable
-frames are dispatched to registered handlers, writable buffers are drained.
+``schedule``, ``call_soon``, ``post``, and the blocked-process registry — so
+:class:`~repro.sim.process.Process`, :class:`~repro.sim.store.Store`, and
+:class:`~repro.sim.events.SimEvent` run on it unmodified.  On top of that it
+pumps this place's socket(s): readable frames are dispatched to registered
+handlers, writable buffers are drained.
 
 The loop interleaves callback batches with socket polls so a program that
 spins on cooperative yields (``yield None`` / zero timeouts) cannot starve
@@ -68,21 +68,6 @@ class PlaceLoop:
     def now(self) -> float:
         return self._clock.now
 
-    def call_soon_fire(self, callback: Callable[[], None]) -> None:
-        self._ready.append(callback)
-
-    def call_soon(self, callback: Callable[[], None]) -> _TimerHandle:
-        handle = _TimerHandle()
-        self._ready.append(lambda: None if handle.cancelled else callback())
-        return handle
-
-    def schedule_fire(self, delay: float, callback: Callable[[], None]) -> None:
-        if delay <= 0:
-            self._ready.append(callback)
-            return
-        self._timer_seq += 1
-        heapq.heappush(self._timers, (self.now + delay, self._timer_seq, None, callback))
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> _TimerHandle:
         handle = _TimerHandle()
         if delay <= 0:
@@ -92,19 +77,18 @@ class PlaceLoop:
         heapq.heappush(self._timers, (self.now + delay, self._timer_seq, handle, callback))
         return handle
 
-    # payload-call variants of the Clock surface: the slotted sim core stores
-    # the arguments in its slot table; on a wall clock a closure is fine
-    def schedule_call(self, delay: float, fn: Callable, a) -> None:
-        self.schedule_fire(delay, lambda: fn(a))
+    def call_soon(self, callback: Callable[[], None]) -> _TimerHandle:
+        return self.schedule(0.0, callback)
 
-    def schedule_call2(self, delay: float, fn: Callable, a, b) -> None:
-        self.schedule_fire(delay, lambda: fn(a, b))
-
-    def call_soon_call(self, fn: Callable, a) -> None:
-        self._ready.append(lambda: fn(a))
-
-    def call_soon_call2(self, fn: Callable, a, b) -> None:
-        self._ready.append(lambda: fn(a, b))
+    def post(self, delay: float, fn: Callable, *args) -> None:
+        """Fire-and-forget ``fn(*args)``: no handle; on a wall clock the
+        arguments can ride a closure."""
+        callback = (lambda: fn(*args)) if args else fn
+        if delay <= 0:
+            self._ready.append(callback)
+            return
+        self._timer_seq += 1
+        heapq.heappush(self._timers, (self.now + delay, self._timer_seq, None, callback))
 
     def _note_blocked(self, process) -> None:
         self._blocked.add(process)

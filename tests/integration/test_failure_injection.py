@@ -18,8 +18,7 @@ from repro.sim.events import SimEvent
 def _drop_nth_transfer(n):
     """Patched Network entry points that swallow the nth transfer entirely.
 
-    All three message paths are covered: the event-returning
-    :meth:`transfer`, the fire-and-forget :meth:`transfer_notify` fast path,
+    Both message paths are covered: the event-returning :meth:`transfer`
     and the closure-free :meth:`transfer_call` payload path share one
     counter, so "the nth message" means the nth logical send regardless of
     route.
@@ -27,7 +26,6 @@ def _drop_nth_transfer(n):
     from repro.machine.network import TransferKind
 
     original = Network.transfer
-    original_notify = Network.transfer_notify
     original_call = Network.transfer_call
     state = {"count": 0}
 
@@ -37,20 +35,14 @@ def _drop_nth_transfer(n):
             return SimEvent(name="dropped")  # never fires: the message is lost
         return original(net, src, dst, nbytes, kind, tlb_factor)
 
-    def patched_notify(net, src, dst, nbytes, callback):
-        state["count"] += 1
-        if state["count"] == n:
-            return True  # claimed but never scheduled: the message is lost
-        return original_notify(net, src, dst, nbytes, callback)
-
     def patched_call(net, src, dst, nbytes, fn, a, b):
         state["count"] += 1
         if state["count"] == n:
             return True  # claimed but never scheduled: the message is lost
         return original_call(net, src, dst, nbytes, fn, a, b)
 
-    patches = (patched, patched_notify, patched_call)
-    originals = (original, original_notify, original_call)
+    patches = (patched, patched_call)
+    originals = (original, original_call)
     return patches, originals
 
 
@@ -68,11 +60,11 @@ def run_with_drop(n, program_places=8):
         yield f.wait()
 
     patches, originals = _drop_nth_transfer(n)
-    Network.transfer, Network.transfer_notify, Network.transfer_call = patches
+    Network.transfer, Network.transfer_call = patches
     try:
         rt.run(main)
     finally:
-        Network.transfer, Network.transfer_notify, Network.transfer_call = originals
+        Network.transfer, Network.transfer_call = originals
 
 
 def test_lost_spawn_message_detected_as_deadlock():

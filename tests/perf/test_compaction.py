@@ -4,27 +4,21 @@ The resilient transport arms a retransmit timer per send and cancels it on
 the ack — under chaos that is millions of arm-then-cancel pairs.  With pure
 lazy deletion the heap would grow monotonically with cancelled corpses; the
 engine therefore rebuilds once cancelled entries exceed half the queue (past
-a small floor).  These tests pin the trigger condition and the bound — on
-both event cores: the slotted core's lazy deletion marks the slot's kind
-column and reclaims the slot on compaction or surfacing, but the observable
-policy (trigger point, floor, residual bound) is the same contract.
+a small floor).  Lazy deletion marks the slot's kind column and reclaims the
+slot on compaction or surfacing; these tests pin the observable policy
+(trigger point, floor, residual bound).
 """
 
-import pytest
-
-from repro.sim import ENGINES
-
-CORES = sorted(ENGINES)
+from repro.sim import Engine
 
 
 def _noop():
     pass
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_compaction_triggers_past_half_cancelled(core):
-    eng = ENGINES[core]()
-    floor = ENGINES[core].COMPACT_MIN_CANCELLED
+def test_compaction_triggers_past_half_cancelled():
+    eng = Engine()
+    floor = Engine.COMPACT_MIN_CANCELLED
     handles = [eng.schedule(1.0, _noop) for _ in range(1000)]
     live = [eng.schedule(2.0, _noop) for _ in range(10)]
     assert eng.compactions == 0
@@ -36,25 +30,23 @@ def test_compaction_triggers_past_half_cancelled(core):
     assert eng.pending_events() <= len(live) + floor
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_no_compaction_below_floor(core):
+def test_no_compaction_below_floor():
     """A handful of cancels must not pay a rebuild: floor guards small queues."""
-    eng = ENGINES[core]()
-    handles = [eng.schedule(1.0, _noop) for _ in range(ENGINES[core].COMPACT_MIN_CANCELLED)]
+    eng = Engine()
+    handles = [eng.schedule(1.0, _noop) for _ in range(Engine.COMPACT_MIN_CANCELLED)]
     for h in handles:
         h.cancel()
     assert eng.compactions == 0
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_heap_bounded_under_retry_churn(core):
+def test_heap_bounded_under_retry_churn():
     """The chaos-retry shape: arm a batch, ack (cancel) most, repeat.
 
     100k timers pass through with ~100 ever live; the queue must stay near
     one wave's size (corpses reclaimed between waves), nowhere near the
     100k peak pure lazy deletion would reach.
     """
-    eng = ENGINES[core]()
+    eng = Engine()
     peak = 0
     for _wave in range(100):
         batch = [eng.schedule(1.0 + _wave, _noop) for _ in range(1000)]
@@ -67,24 +59,22 @@ def test_heap_bounded_under_retry_churn(core):
     assert eng.pending_events() == 0
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_cancelled_entries_in_ready_queue_are_reclaimed(core):
+def test_cancelled_entries_in_ready_queue_are_reclaimed():
     """Zero-delay (ready-queue) entries are compacted too, not just the heap."""
-    eng = ENGINES[core]()
+    eng = Engine()
     handles = [eng.call_soon(_noop) for _ in range(200)]
     for h in handles:
         h.cancel()
     assert eng.compactions >= 1
-    assert eng.pending_events() <= ENGINES[core].COMPACT_MIN_CANCELLED
+    assert eng.pending_events() <= Engine.COMPACT_MIN_CANCELLED
     eng.run()  # the pop path reclaims whatever the floor left behind
     assert eng.pending_events() == 0
     assert eng.events_executed == 0
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_compaction_during_run_preserves_order(core):
+def test_compaction_during_run_preserves_order():
     """Cancelling from inside a callback (the ack path) keeps the log in order."""
-    eng = ENGINES[core]()
+    eng = Engine()
     log = []
     victims = [eng.schedule(5.0, _noop) for _ in range(200)]
 

@@ -1,14 +1,12 @@
-"""Seeded property tests for the event cores' ordering contract.
+"""Seeded property tests for the event core's ordering contract.
 
-Both engines — the classic object-based :class:`~repro.sim.engine.Engine` and
-the slotted array-of-struct :class:`~repro.sim.slotted.SlottedEngine` —
-promise the same contract: events fire in ``(time, scheduling-order)`` order,
-runs are deterministic, and cancelled handles are invisible — they change
-neither the relative order of the surviving events nor the final virtual
-time.  The fast paths (ready-queue batching, fire-and-forget scheduling,
-payload slots, lazy-deletion compaction) must all preserve this, so each seed
-replays a random tape of schedule / call_soon / payload-call / cancel
-operations on each core and checks the execution log against an oracle.
+:class:`~repro.sim.engine.Engine` promises: events fire in ``(time,
+scheduling-order)`` order, runs are deterministic, and cancelled handles are
+invisible — they change neither the relative order of the surviving events
+nor the final virtual time.  The fast paths (ready-queue batching, slotless
+zero-argument posts, payload slots, lazy-deletion compaction) must all
+preserve this, so each seed replays a random tape of schedule / call_soon /
+post / cancel operations and checks the execution log against an oracle.
 
 Tapes are drawn from :class:`~repro.sim.rng.RngStream` (Philox, keyed by the
 seed) — no wall clock, no global random state — so a failing seed replays
@@ -17,19 +15,18 @@ identically everywhere.
 
 import pytest
 
-from repro.sim import ENGINES, RngStream
+from repro.sim import Engine, RngStream
 
 SEEDS = range(10)
-CORES = sorted(ENGINES)
 
 
 def _random_tape(seed, n_ops=600):
     """A reproducible operation tape: (kind, delay) with interleaved cancels.
 
-    ``kind`` is "schedule" / "soon" / "call" / "cancel"; "call" ops exercise
-    the payload-slot path (closure-free argument passing); cancels target a
-    random earlier cancellable op (possibly one already cancelled — a no-op,
-    also legal).
+    ``kind`` is "schedule" / "soon" / "post" / "cancel"; "post" ops exercise
+    the fire-and-forget path with 0 to 3 arguments; cancels target a random
+    earlier cancellable op (possibly one already cancelled — a no-op, also
+    legal).
     """
     rng = RngStream(seed, "engine-property-tape").generator
     tape = []
@@ -45,8 +42,8 @@ def _random_tape(seed, n_ops=600):
             tape.append(("soon", None))
             cancellable.append(i)
         elif roll < 0.75:
-            # payload-slot scheduling: fire-and-forget, not cancellable
-            tape.append(("call", float(rng.random()) * 1e-5 if rng.random() < 0.5 else 0.0))
+            # fire-and-forget, not cancellable
+            tape.append(("post", float(rng.random()) * 1e-5 if rng.random() < 0.5 else 0.0))
         elif cancellable:
             tape.append(("cancel", int(cancellable[int(rng.integers(0, len(cancellable)))])))
         else:
@@ -55,14 +52,14 @@ def _random_tape(seed, n_ops=600):
     return tape
 
 
-def _play(core, tape, skip_cancelled=False):
-    """Run a tape on ``core``; returns (log of executed op indices+times, final time).
+def _play(tape, skip_cancelled=False):
+    """Run a tape; returns (log of executed op indices+times, final time).
 
     With ``skip_cancelled`` the ops that the tape later cancels are never
     scheduled at all — the oracle for "cancelled handles are invisible".
     """
     cancelled_ops = {op for kind, op in tape if kind == "cancel"}
-    eng = ENGINES[core]()
+    eng = Engine()
     log = []
     handles = {}
     for i, (kind, arg) in enumerate(tape):
@@ -73,21 +70,26 @@ def _play(core, tape, skip_cancelled=False):
             continue
         elif kind == "schedule":
             handles[i] = eng.schedule(arg, lambda i=i: log.append((i, eng.now)))
-        elif kind == "call":
-            # the argument rides in the slot table (slotted) / a closure cell
-            # (classic); execution order must be unaffected either way
-            eng.schedule_call(arg, lambda i: log.append((i, eng.now)), i)
+        elif kind == "post":
+            # 0 arguments queue the bare callable, 1-3 ride in the slot
+            # table; execution order must be unaffected either way
+            extra = tuple(range(i % 4))
+
+            def fire(*got, i=i, extra=extra):
+                assert got == extra
+                log.append((i, eng.now))
+
+            eng.post(arg, fire, *extra)
         else:
             handles[i] = eng.call_soon(lambda i=i: log.append((i, eng.now)))
     final = eng.run()
     return log, final
 
 
-@pytest.mark.parametrize("core", CORES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_execution_order_matches_time_then_submission_oracle(core, seed):
+def test_execution_order_matches_time_then_submission_oracle(seed):
     tape = _random_tape(seed)
-    log, _final = _play(core, tape)
+    log, _final = _play(tape)
     # oracle: live entries sorted by (fire time, submission index) — Python's
     # sort is stable, so equal times keep tape order
     cancelled = {op for kind, op in tape if kind == "cancel"}
@@ -101,41 +103,30 @@ def test_execution_order_matches_time_then_submission_oracle(core, seed):
     assert [i for i, _t in log] == [i for _t, i in expected]
 
 
-@pytest.mark.parametrize("core", CORES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_runs_are_deterministic(core, seed):
+def test_runs_are_deterministic(seed):
     tape = _random_tape(seed)
-    assert _play(core, tape) == _play(core, tape)
+    assert _play(tape) == _play(tape)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_cores_agree_on_every_tape(seed):
-    """The differential property: both cores execute a tape identically —
-    same op order, same fire times, same final virtual time."""
-    tape = _random_tape(seed)
-    assert _play("classic", tape) == _play("slotted", tape)
-
-
-@pytest.mark.parametrize("core", CORES)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_cancelled_handles_are_invisible(core, seed):
+def test_cancelled_handles_are_invisible(seed):
     """Same tape with cancelled ops never scheduled: same log, same final time."""
     tape = _random_tape(seed)
-    log_lazy, final_lazy = _play(core, tape)
-    log_skip, final_skip = _play(core, tape, skip_cancelled=True)
+    log_lazy, final_lazy = _play(tape)
+    log_skip, final_skip = _play(tape, skip_cancelled=True)
     assert [i for i, _t in log_lazy] == [i for i, _t in log_skip]
     assert [t for _i, t in log_lazy] == [t for _i, t in log_skip]
     assert final_lazy == final_skip
 
 
-@pytest.mark.parametrize("core", CORES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_mid_run_scheduling_is_deterministic(core, seed):
+def test_mid_run_scheduling_is_deterministic(seed):
     """Callbacks that schedule and cancel more work replay identically."""
 
     def run():
         rng = RngStream(seed, "engine-property-midrun").generator
-        eng = ENGINES[core]()
+        eng = Engine()
         log = []
         live = []
 

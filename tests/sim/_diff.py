@@ -1,7 +1,7 @@
-"""Shared machinery for the differential engine tests.
+"""Shared machinery for the golden-trace and race-free replay tests.
 
 One kernel run is reduced to a *fingerprint*: the canonical trace digest plus
-every observable the equivalence contract covers (result fields, checksum,
+every observable the determinism contract covers (result fields, checksum,
 finish control traffic, engine event count, and the full deterministic
 metrics rendering).  Two runs are equivalent iff their fingerprints are
 equal — there is no tolerance anywhere, the comparison is bit-exact.
@@ -14,7 +14,7 @@ import hashlib
 from repro.harness.runner import simulate
 
 #: every kernel of the paper's evaluation, at a place count small enough that
-#: the whole differential matrix (8 kernels x 2 engines) runs in CI
+#: the whole matrix runs in CI
 KERNEL_PLACES = {
     "stream": 8,
     "randomaccess": 8,
@@ -36,18 +36,18 @@ def canonical_digest(tracer) -> str:
     return h.hexdigest()
 
 
-#: session cache: runs are deterministic, so the equivalence and golden-trace
-#: tests can share one simulation per (kernel, places, engine)
+#: session cache: runs are deterministic, so the golden-trace and race-free
+#: tests can share one simulation per (kernel, places)
 _CACHE: dict = {}
 
 
-def run_fingerprint(kernel: str, places: int, engine: str) -> dict:
-    """Run ``kernel`` on ``engine`` and reduce the run to comparable facts."""
-    key = (kernel, places, engine)
+def run_fingerprint(kernel: str, places: int) -> dict:
+    """Run ``kernel`` traced and reduce the run to comparable facts."""
+    key = (kernel, places)
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
-    result = simulate(kernel, places, trace=True, engine=engine)
+    result = simulate(kernel, places, trace=True)
     metrics = result.extra["metrics"]
     fp = _CACHE[key] = {
         "kernel": kernel,

@@ -92,13 +92,3 @@ def test_events_executed_counter():
         eng.schedule(1.0, lambda: None)
     eng.run()
     assert eng.events_executed == 7
-
-
-def test_peek_returns_next_event_time():
-    eng = Engine()
-    assert eng.peek() is None
-    h = eng.schedule(4.0, lambda: None)
-    eng.schedule(6.0, lambda: None)
-    assert eng.peek() == 4.0
-    h.cancel()
-    assert eng.peek() == 6.0

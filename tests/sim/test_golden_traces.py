@@ -1,12 +1,12 @@
 """The golden trace corpus: canonical run digests, committed.
 
-The differential harness (``test_engine_equivalence``) proves the two event
-cores agree *with each other*; this suite pins what they agree *on*.  Every
-kernel's canonical trace digest, result, checksum, control-message counts,
-and metrics digest at a small place count are committed under
-``tests/sim/golden_traces/`` — a regression that changes event order, modeled
-time, protocol traffic, or results anywhere in the stack shows up as a golden
-diff even if it changes both engines in lockstep.
+Every kernel's canonical trace digest, result, checksum, control-message
+counts, executed-event count, and metrics digest at a small place count are
+committed under ``tests/sim/golden_traces/`` — a regression that changes event
+order, modeled time, protocol traffic, or results anywhere in the stack shows
+up as a golden diff.  This corpus is the event core's behavioural reference:
+a change to how events get onto or off the clock must leave every file here
+byte-identical.
 
 Intentional changes regenerate the corpus with::
 
@@ -33,15 +33,12 @@ def _golden_path(kernel: str, places: int) -> Path:
 @pytest.mark.parametrize("kernel", sorted(KERNEL_PLACES))
 def test_kernel_matches_golden(kernel, request):
     places = KERNEL_PLACES[kernel]
-    classic = golden_form(run_fingerprint(kernel, places, engine="classic"))
-    slotted = golden_form(run_fingerprint(kernel, places, engine="slotted"))
+    fp = golden_form(run_fingerprint(kernel, places))
     path = _golden_path(kernel, places)
 
     if request.config.getoption("--write-golden"):
-        # both engines must already agree before a golden may be (re)written
-        assert slotted == classic, f"{kernel}: engines diverge; fix that first"
         GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(json.dumps(classic, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(fp, indent=2, sort_keys=True) + "\n")
         return
 
     assert path.exists(), (
@@ -49,12 +46,11 @@ def test_kernel_matches_golden(kernel, request):
         "`pytest tests/sim/test_golden_traces.py --write-golden`"
     )
     golden = json.loads(path.read_text())
-    for name, fp in (("classic", classic), ("slotted", slotted)):
-        for key in golden:
-            assert fp.get(key) == golden[key], (
-                f"{kernel}@{places} on the {name} engine: {key} diverged from "
-                "the committed golden (intentional? regenerate with --write-golden)"
-            )
+    for key in golden:
+        assert fp.get(key) == golden[key], (
+            f"{kernel}@{places}: {key} diverged from the committed golden "
+            "(intentional? regenerate with --write-golden)"
+        )
 
 
 def test_corpus_has_no_strays():

@@ -85,52 +85,6 @@ def test_requires_subcommand():
         run_cli()
 
 
-# -- engine selection ----------------------------------------------------------
-
-
-def test_run_engine_flag_gives_identical_results_on_both_cores():
-    code, slotted = run_cli("run", "uts", "--places", "8", "--engine", "slotted")
-    assert code == 0
-    code, classic = run_cli("run", "uts", "--places", "8", "--engine", "classic")
-    assert code == 0
-    assert slotted == classic
-    assert "checksum" in slotted
-
-
-def test_run_rejects_unknown_engine():
-    with pytest.raises(SystemExit):
-        run_cli("run", "uts", "--engine", "turbo")
-
-
-def test_run_engine_flag_applies_to_sim_backend():
-    code, text = run_cli(
-        "run", "stream", "--places", "4", "--backend", "sim", "--engine", "classic"
-    )
-    assert code == 0
-    assert "checksum" in text
-
-
-def test_run_engine_flag_rejected_for_procs_backend():
-    code, text = run_cli(
-        "run", "stream", "--places", "2", "--backend", "procs", "--engine", "classic"
-    )
-    assert code == 2
-    assert "--engine" in text and "procs" in text
-
-
-def test_trace_engine_flag_produces_identical_traces(tmp_path):
-    texts = []
-    for core in ("classic", "slotted"):
-        path = tmp_path / f"{core}.jsonl"
-        code, text = run_cli(
-            "trace", "uts", "--places", "4", "--engine", core,
-            "--out", str(path), "--format", "jsonl", "--no-audit",
-        )
-        assert code == 0
-        texts.append(path.read_text())
-    assert texts[0] == texts[1]
-
-
 # -- error paths ---------------------------------------------------------------
 
 

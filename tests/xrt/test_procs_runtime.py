@@ -18,7 +18,8 @@ from repro.errors import (
     ProcsTimeoutError,
 )
 from repro.runtime.finish.pragmas import Pragma
-from repro.xrt.backend import WallClock, get_backend
+from repro.sim import Engine
+from repro.xrt.backend import Clock, WallClock, get_backend
 from repro.xrt.procs import run_procs_program
 from repro.xrt.procs.finishproc import HomeFinish, ProxyFinish, resolve_finish
 from repro.xrt.procs.loop import PlaceLoop
@@ -34,6 +35,21 @@ def test_wall_clock_starts_near_zero_and_advances():
     assert clock.now >= first
 
 
+# -- the Clock seam -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("clock_cls", [Engine, PlaceLoop])
+def test_clock_surface_is_exactly_three_scheduling_calls(clock_cls):
+    clock = clock_cls()
+    assert isinstance(clock, Clock)
+    surface = {
+        name
+        for name in dir(clock)
+        if not name.startswith("_") and name.startswith(("schedule", "call_soon", "post"))
+    }
+    assert surface == {"schedule", "call_soon", "post"}
+
+
 # -- PlaceLoop scheduling ----------------------------------------------------------
 
 
@@ -45,9 +61,9 @@ def _drain(loop):
 def test_loop_call_soon_runs_in_order():
     loop = PlaceLoop()
     seen = []
-    loop.call_soon_fire(lambda: seen.append(1))
-    loop.call_soon_fire(lambda: seen.append(2))
-    loop.call_soon_fire(loop.stop)
+    loop.post(0.0, lambda: seen.append(1))
+    loop.post(0.0, seen.append, 2)
+    loop.post(0.0, loop.stop)
     _drain(loop)
     assert seen == [1, 2]
 
@@ -55,8 +71,8 @@ def test_loop_call_soon_runs_in_order():
 def test_loop_timers_fire_in_due_order():
     loop = PlaceLoop()
     seen = []
-    loop.schedule_fire(0.02, lambda: seen.append("later"))
-    loop.schedule_fire(0.005, lambda: (seen.append("sooner"), loop.schedule_fire(0.03, loop.stop)))
+    loop.post(0.02, seen.append, "later")
+    loop.post(0.005, lambda: (seen.append("sooner"), loop.post(0.03, loop.stop)))
     _drain(loop)
     assert seen == ["sooner", "later"]
 
@@ -77,7 +93,7 @@ def test_loop_call_soon_cancellation():
     seen = []
     handle = loop.call_soon(lambda: seen.append("cancelled"))
     handle.cancel()
-    loop.call_soon_fire(loop.stop)
+    loop.post(0.0, loop.stop)
     _drain(loop)
     assert seen == []
 
@@ -85,9 +101,9 @@ def test_loop_call_soon_cancellation():
 def test_loop_nonpositive_delay_runs_immediately():
     loop = PlaceLoop()
     seen = []
-    loop.schedule_fire(0.0, lambda: seen.append("zero"))
-    loop.schedule_fire(-1.0, lambda: seen.append("negative"))
-    loop.call_soon_fire(loop.stop)
+    loop.post(0.0, lambda: seen.append("zero"))
+    loop.post(-1.0, lambda: seen.append("negative"))
+    loop.post(0.0, loop.stop)
     _drain(loop)
     assert seen == ["zero", "negative"]
 
