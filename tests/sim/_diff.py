@@ -26,6 +26,14 @@ KERNEL_PLACES = {
     "bc": 4,  # the graph build dominates wall time; 4 places keeps it honest
 }
 
+#: the matrix above fits in one 32-core octant, so it sends shared-memory
+#: messages only; these run on ``MachineConfig.small()`` (4 cores/octant) and
+#: cross octants: route-cache misses and LL/LR/D link reservations
+CROSS_OCTANT_PLACES = {
+    "uts": 64,
+    "randomaccess": 64,
+}
+
 
 def canonical_digest(tracer) -> str:
     """SHA-256 over the tracer's canonical JSONL export (order-sensitive)."""
@@ -41,13 +49,13 @@ def canonical_digest(tracer) -> str:
 _CACHE: dict = {}
 
 
-def run_fingerprint(kernel: str, places: int) -> dict:
+def run_fingerprint(kernel: str, places: int, config=None) -> dict:
     """Run ``kernel`` traced and reduce the run to comparable facts."""
-    key = (kernel, places)
+    key = (kernel, places, config)
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
-    result = simulate(kernel, places, trace=True)
+    result = simulate(kernel, places, config=config, trace=True)
     metrics = result.extra["metrics"]
     fp = _CACHE[key] = {
         "kernel": kernel,
