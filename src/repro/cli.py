@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.errors import ChaosError, DeadPlaceError, KernelError
+from repro.errors import ChaosError, DeadPlaceError, KernelError, PlaceError
 from repro.harness.figures import figure1_panel, render_panel
 from repro.harness.reporting import si
 from repro.harness.runner import KERNELS, simulate
@@ -235,7 +235,7 @@ def main(argv=None, out=sys.stdout) -> int:
         except ChaosError as exc:
             print(f"error: bad --chaos spec: {exc}", file=out)
             return 2
-        except KernelError as exc:
+        except (KernelError, PlaceError) as exc:
             print(f"error: {exc}", file=out)
             return 2
         except DeadPlaceError as exc:
@@ -302,7 +302,7 @@ def main(argv=None, out=sys.stdout) -> int:
         except ChaosError as exc:
             print(f"error: bad --chaos spec: {exc}", file=out)
             return 2
-        except KernelError as exc:
+        except (KernelError, PlaceError) as exc:
             print(f"error: {exc}", file=out)
             return 2
         except DeadPlaceError as exc:
@@ -383,7 +383,7 @@ def _run_backend(args, out) -> int:
     except ChaosError as exc:
         print(f"error: bad --chaos spec: {exc}", file=out)
         return 2
-    except KernelError as exc:
+    except (KernelError, PlaceError) as exc:
         print(f"error: {exc}", file=out)
         return 2
     except ProcsTimeoutError as exc:
@@ -598,7 +598,7 @@ def _cmd_race(args, out) -> int:
                     rt = ApgasRuntime(places=args.places, race=True)
                     rt.run(build_program(target, args.places))
                     races = rt.race.races
-            except (KernelError, DeadPlaceError) as exc:
+            except (KernelError, PlaceError, DeadPlaceError) as exc:
                 print(f"error: {label}: {exc}", file=out)
                 return 2
         else:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import PlaceError, ReproError
+from repro.errors import PlaceError
 from repro.machine.config import MachineConfig
 
 
@@ -28,10 +28,10 @@ class Topology:
 
     def __init__(self, config: MachineConfig, places: int) -> None:
         if places < 1:
-            raise ReproError(f"need at least one place, got {places}")
+            raise PlaceError(f"need at least one place, got {places}")
         max_places = config.usable_octants * config.cores_per_octant
         if places > max_places:
-            raise ReproError(
+            raise PlaceError(
                 f"{places} places exceed the machine's {max_places} usable cores"
             )
         self.config = config

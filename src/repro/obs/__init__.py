@@ -4,9 +4,8 @@ The subsystem has three parts, threaded through every layer of the stack
 (sim -> machine -> xrt -> runtime -> glb -> harness -> cli):
 
 * :mod:`repro.obs.metrics` — a registry of named counters/gauges/histograms
-  with per-place and per-protocol labels.  The legacy ad-hoc stats classes
-  (``NetworkStats``, ``RuntimeStats``, ``GlbStats``) are now views over this
-  registry; their accessor surface is unchanged.
+  with per-place and per-protocol labels, the single source of every
+  traffic and activity count.
 * :mod:`repro.obs.trace` — an event tracer recording simulated-time spans and
   messages, exporting JSONL and Chrome ``trace_event`` timelines.
 * :mod:`repro.obs.audit` — a protocol auditor checking paper invariants

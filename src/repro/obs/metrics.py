@@ -156,33 +156,6 @@ class Histogram:
         return out
 
 
-class _Null:
-    """Shared no-op instrument handed out by a disabled registry."""
-
-    __slots__ = ()
-    name = "<disabled>"
-    labels: dict = {}
-    value = 0
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def bind(self, fn) -> None:
-        pass
-
-    def observe(self, x: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> None:
-        return None
-
-
-_NULL = _Null()
-
-
 @dataclass
 class Sample:
     """One (name, labels, value) triple of a snapshot."""
@@ -255,18 +228,14 @@ class MetricsRegistry:
 
     ``counter(name, **labels)`` returns the same :class:`Counter` every call
     with the same name and labels; components register at construction time
-    and increment a held reference afterwards.  A disabled registry hands out
-    a shared null instrument so instrumented code needs no branches.
+    and increment a held reference afterwards.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         #: name -> {canonical labels -> instrument}
         self._series: dict[str, dict[tuple, Any]] = {}
 
     def _get(self, cls, name: str, labels: dict, **kw):
-        if not self.enabled:
-            return _NULL
         series = self._series.setdefault(name, {})
         key = _canon(labels)
         inst = series.get(key)

@@ -8,7 +8,7 @@ from repro.runtime.finish import Pragma, make_finish
 from repro.runtime.finish.analysis import classify_function, suggest
 from repro.runtime.globalref import Cell, GlobalRef
 from repro.runtime.place import PlaceRuntime
-from repro.runtime.runtime import ApgasRuntime, RuntimeStats
+from repro.runtime.runtime import ApgasRuntime
 from repro.runtime.team import Team
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "PlaceGroup",
     "PlaceRuntime",
     "Pragma",
-    "RuntimeStats",
     "Team",
     "broadcast_spawn",
     "classify_function",

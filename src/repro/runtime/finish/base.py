@@ -82,7 +82,6 @@ class BaseFinish:
         #: bytes of protocol state held at the home place (diagnostics)
         self.home_space_bytes = 0
         metrics = rt.obs.metrics
-        self._m_on = metrics.enabled
         #: death accounting (tokens, live-activity census) only matters when
         #: fault injection can kill a place; without chaos it is pure overhead
         self._track_live = rt.chaos is not None
@@ -242,9 +241,8 @@ class BaseFinish:
         """
         self.ctl_messages += 1
         self.ctl_bytes += nbytes
-        if self._m_on:
-            self._c_ctl_messages.value += 1
-            self._c_ctl_bytes.value += nbytes
+        self._c_ctl_messages.value += 1
+        self._c_ctl_bytes.value += nbytes
         tracer = self._tracer
         if tracer.enabled:
             tracer.instant(

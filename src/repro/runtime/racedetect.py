@@ -144,7 +144,6 @@ class RaceDetector:
         self.races: list[RaceReport] = []
         self._seen: set = set()
         metrics = rt.obs.metrics
-        self._m_on = metrics.enabled
         self._c_accesses = metrics.counter("race.accesses")
         self._c_races = metrics.counter("race.violations")
         if _FORCED:
@@ -235,8 +234,7 @@ class RaceDetector:
     def record(self, place: int, key, op: str, clock: VectorClock,
                path: str, line: int) -> None:
         """Check one access against the key's history, then record it."""
-        if self._m_on:
-            self._c_accesses.value += 1
+        self._c_accesses.value += 1
         state = self._keys.get((place, key))
         if state is None:
             state = self._keys[(place, key)] = _KeyState()
@@ -264,8 +262,7 @@ class RaceDetector:
         if dedup in self._seen:
             return
         self._seen.add(dedup)
-        if self._m_on:
-            self._c_races.value += 1
+        self._c_races.value += 1
         self.races.append(
             RaceReport(kind, place, key, prior, current, self.rt.engine.now)
         )

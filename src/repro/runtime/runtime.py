@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.chaos import ChaosInjector, ChaosSpec
@@ -30,29 +31,12 @@ from repro.xrt import (
 _reply_ids = itertools.count(1)
 
 
-class RuntimeStats:
-    """Counters a completed run exposes for analysis and tests.
-
-    Folded into the :mod:`repro.obs` metrics registry: a read-only view over
-    the ``runtime.*`` series with the legacy attribute surface.
-    """
-
-    __slots__ = ("_metrics",)
-
-    def __init__(self, metrics) -> None:
-        self._metrics = metrics
-
-    @property
-    def activities_spawned(self) -> int:
-        return int(self._metrics.value("runtime.activities_spawned"))
-
-    @property
-    def remote_spawns(self) -> int:
-        return int(self._metrics.value("runtime.remote_spawns"))
-
-    @property
-    def remote_evals(self) -> int:
-        return int(self._metrics.value("runtime.remote_evals"))
+def _settle(event: SimEvent, payload, is_error: bool) -> None:
+    """Fire an ``at`` result event with the value, or the shipped exception."""
+    if is_error:
+        event.fail(payload)
+    else:
+        event.trigger(payload)
 
 
 class ApgasRuntime:
@@ -150,11 +134,9 @@ class ApgasRuntime:
         #: function object -> is-generator-function (spawn fast-path dispatch)
         self._genfunc_cache: dict = {}
         metrics = self.obs.metrics
-        self._m_on = metrics.enabled
         self._c_activities = metrics.counter("runtime.activities_spawned")
         self._c_remote_spawns = metrics.counter("runtime.remote_spawns")
         self._c_remote_evals = metrics.counter("runtime.remote_evals")
-        self.stats = RuntimeStats(metrics)
         #: the determinacy-race detector, or None (the zero-overhead default)
         self.race: Optional[racedetect.RaceDetector] = (
             racedetect.RaceDetector(self)
@@ -249,8 +231,7 @@ class ApgasRuntime:
         if self.is_dead(dst):
             raise DeadPlaceError(dst, detected_by=f"spawn@{src}", detail="async to a dead place")
         finish.fork(src, dst)
-        if self._m_on:
-            self._c_remote_spawns.value += 1
+        self._c_remote_spawns.value += 1
         size = nbytes if nbytes is not None else estimate_nbytes(args)
         token = finish.spawn_departed(src, dst)
         # ``clock`` (the race detector's fork snapshot) rides in the message
@@ -265,9 +246,7 @@ class ApgasRuntime:
             return  # written off by a place death; its fork is already settled
         # The delivery event *is* the asynchrony of ``at (p) async``: the body
         # may run right here rather than through one more zero-delay hop.
-        self._start_activity(
-            dst, fn, args, finish, name, allow_plain=True, inline=True, clock=clock
-        )
+        self._start_activity(dst, fn, args, finish, name, inline=True, clock=clock)
 
     def _is_genfunc(self, fn: Callable) -> bool:
         key = getattr(fn, "__func__", fn)
@@ -283,140 +262,114 @@ class ApgasRuntime:
         args: tuple,
         finish: BaseFinish,
         name: str,
-        allow_plain: bool = False,
         inline: bool = False,
         clock: Optional[dict] = None,
     ) -> Activity:
+        """Start ``fn`` at ``place`` under ``finish``.
+
+        ``inline`` callers (message delivery) already sit inside a scheduled
+        event, the asynchrony the spawn requires, so the first step may run
+        right here; synchronous callers (``spawn_local``) defer one step or
+        the child would run inside its parent's frame.
+        """
         activity = Activity(place, fn, args, finish, name)
         if clock is not None and self.race is not None:
             # a remotely-shipped fork snapshot: install before the body can
             # run (the inline plain path below executes it immediately)
             self.race.adopt(activity, clock)
-        if self._m_on:
-            self._c_activities.value += 1
+        self._c_activities.value += 1
         self.place(place).activities_run += 1
-        tracer = self.obs.trace
         if (
-            allow_plain
+            inline
             and self.chaos is None
-            and not tracer.enabled
+            and not self.obs.trace.enabled
             and not self._is_genfunc(fn)
         ):
             # Plain-function body on a reliable fabric with tracing off: skip
-            # the generator/Process machinery entirely.  ``inline`` callers
-            # (message delivery) already sit inside a scheduled event — the
-            # asynchrony the spawn requires — so the body runs right here;
-            # synchronous callers (``spawn_local``) must defer one step or the
-            # child would run inside its parent's frame.
-            if inline:
-                self._run_plain(activity)
-            else:
-                self.engine.post(0.0, self._run_plain, activity)
+            # the generator/Process machinery entirely.
+            self._run_plain(activity)
             return activity
-
-        def runner():
-            ctx = ActivityContext(self, activity)
-            if tracer.enabled:
-                tracer.span_begin(
-                    activity.name, "activity", place, self.engine.now,
-                    id=activity.id, finish=finish.name,
-                )
-            vanished = False
-            try:
-                result = fn(ctx, *args)
-                if inspect.isgenerator(result):
-                    result = yield from result
-                return result
-            except GeneratorExit:
-                # the hosting place failed mid-activity: it vanishes without
-                # joining — exactly the silence the finish layer must detect
-                vanished = True
-                raise
-            except DeadPlaceError as exc:
-                # Structured delivery: a place-death error escaping an
-                # activity belongs to the governing finish, not the engine.
-                # If the finish already failed (its collective or remote peer
-                # died at kill time), the waiters hold the error and this is
-                # an absorbed straggler.  Otherwise — e.g. a survivor whose
-                # own finish had no stake at the dead place, like a broadcast
-                # root whose subtree died — fail the finish now so its
-                # waiters re-raise, letting the enclosing scope decide
-                # whether the death is fatal.  Either way, fall through to
-                # the straggler join below.
-                if finish.failed is None:
-                    finish._fail(exc)
-            finally:
-                if not vanished:
-                    if tracer.enabled:
-                        tracer.span_end(
-                            activity.name, "activity", place, self.engine.now, id=activity.id
-                        )
-                    if len(activity.finish_stack) != 1:
-                        raise ApgasError(
-                            f"activity {activity.name} terminated inside an open finish scope"
-                        )
-                    if self.race is not None:
-                        self.race.on_join(activity)
-                    finish.join(place)
-
         # Delivery-driven starts on a reliable fabric run their first step
-        # inside the delivery event, mirroring the plain fast path so traced
-        # and untraced runs execute the same number of engine events.
+        # inside the delivery event, mirroring the plain path so traced and
+        # untraced runs execute the same number of engine events.
         activity.process = Process(
-            self.engine, runner(), name=activity.name,
+            self.engine, self._drive(activity), name=activity.name,
             immediate=inline and self.chaos is None,
         )
         self._track_process(place, activity.process)
         return activity
 
     def _run_plain(self, activity: Activity) -> None:
-        """The scheduled step of a plain-function activity (no chaos/trace)."""
-        place = activity.place
-        fn = activity.fn
-        finish = activity.governing_finish
-        ctx = ActivityContext(self, activity)
+        """Run a plain-function activity to completion (no chaos, no trace)."""
         try:
-            result = fn(ctx, *activity.args)
+            result = activity.fn(ActivityContext(self, activity), *activity.args)
         except BaseException:
-            if len(activity.finish_stack) != 1:
-                raise ApgasError(
-                    f"activity {activity.name} terminated inside an open finish scope"
-                )
-            if self.race is not None:
-                self.race.on_join(activity)
-            finish.join(place)
+            self._join_activity(activity)
             raise
         if inspect.isgenerator(result):
             # a non-generator callable handed back a generator body after
             # all; fall back to driving it as a process
-            def drive():
-                vanished = False
-                try:
-                    value = yield from result
-                    return value
-                except GeneratorExit:
-                    vanished = True
-                    raise
-                finally:
-                    if not vanished:
-                        if len(activity.finish_stack) != 1:
-                            raise ApgasError(
-                                f"activity {activity.name} terminated inside "
-                                "an open finish scope"
-                            )
-                        if self.race is not None:
-                            self.race.on_join(activity)
-                        finish.join(place)
-
-            activity.process = Process(self.engine, drive(), name=activity.name)
+            activity.process = Process(
+                self.engine, self._drive(activity, result), name=activity.name
+            )
             return
+        self._join_activity(activity)
+
+    def _drive(self, activity: Activity, body=None):
+        """The process body of an activity: trace span, the body itself,
+        structured death delivery, epilogue.  ``body`` is the generator a
+        plain start already obtained from ``fn``; otherwise ``fn`` is called
+        here."""
+        place = activity.place
+        finish = activity.governing_finish
+        tracer = self.obs.trace
+        if tracer.enabled:
+            tracer.span_begin(
+                activity.name, "activity", place, self.engine.now,
+                id=activity.id, finish=finish.name,
+            )
+        vanished = False
+        try:
+            if body is None:
+                body = activity.fn(ActivityContext(self, activity), *activity.args)
+            if inspect.isgenerator(body):
+                body = yield from body
+            return body
+        except GeneratorExit:
+            # the hosting place failed mid-activity: it vanishes without
+            # joining — exactly the silence the finish layer must detect
+            vanished = True
+            raise
+        except DeadPlaceError as exc:
+            # Structured delivery: a place-death error escaping an
+            # activity belongs to the governing finish, not the engine.
+            # If the finish already failed (its collective or remote peer
+            # died at kill time), the waiters hold the error and this is
+            # an absorbed straggler.  Otherwise — e.g. a survivor whose
+            # own finish had no stake at the dead place, like a broadcast
+            # root whose subtree died — fail the finish now so its
+            # waiters re-raise, letting the enclosing scope decide
+            # whether the death is fatal.  Either way, fall through to
+            # the straggler join below.
+            if finish.failed is None:
+                finish._fail(exc)
+        finally:
+            if not vanished:
+                if tracer.enabled:
+                    tracer.span_end(
+                        activity.name, "activity", place, self.engine.now, id=activity.id
+                    )
+                self._join_activity(activity)
+
+    def _join_activity(self, activity: Activity) -> None:
+        """The activity epilogue: scope check, race join edge, finish join."""
         if len(activity.finish_stack) != 1:
             raise ApgasError(
                 f"activity {activity.name} terminated inside an open finish scope"
             )
         if self.race is not None:
             self.race.on_join(activity)
-        finish.join(place)
+        activity.governing_finish.join(activity.place)
 
     def _track_process(self, place: int, process: Process) -> None:
         """Remember which place hosts the process (chaos only: a place death
@@ -442,8 +395,7 @@ class ApgasRuntime:
     ) -> SimEvent:
         """The activity shifts to ``dst``, evaluates, and the result ships back."""
         self.place(dst)
-        if self._m_on:
-            self._c_remote_evals.value += 1
+        self._c_remote_evals.value += 1
         result_event = SimEvent(name=f"at({dst})")
         if self.is_dead(dst):
             result_event.fail(
@@ -451,8 +403,11 @@ class ApgasRuntime:
             )
             return result_event
         if src == dst:
-            # `at (here)` degenerates to a direct call
-            self._eval_here(dst, fn, args, src, result_event, clock)
+            # `at (here)` degenerates to a direct call, one step later so the
+            # body does not run inside its caller's frame
+            self.engine.post(
+                0.0, self._evaluate, dst, fn, args, clock, partial(_settle, result_event)
+            )
             return result_event
         reply_id = next(_reply_ids)
         self._replies[reply_id] = (result_event, dst)
@@ -462,121 +417,52 @@ class ApgasRuntime:
 
     def _on_eval(self, dst: int, body) -> None:
         fn, args, reply_to, reply_id, clock = body
-        if self.chaos is None and not self._is_genfunc(fn):
-            # Plain-function body on a reliable fabric: the delivery event we
-            # are already inside provides the shift to ``dst``, so evaluate
-            # now and ship the value straight home, skipping the
-            # generator/Process machinery entirely.
-            self._eval_plain(dst, body)
-            return
 
-        def runner():
-            # the shifted activity evaluates at dst, then the value travels home
-            shifted = Activity(dst, fn, args, self._ungoverned, name=f"at-eval@{dst}")
-            if self.race is not None:
-                self.race.share(shifted, clock)
-            ctx = ActivityContext(self, shifted)
-            try:
-                result = fn(ctx, *args)
-                if inspect.isgenerator(result):
-                    result = yield from result
-            except GeneratorExit:
-                raise  # killed place: no reply; the caller learns through _replies
-            except BaseException as exc:  # ship the exception home
-                self._send_reply(dst, reply_to, reply_id, exc, is_error=True)
-                return
-            self._send_reply(dst, reply_to, reply_id, result, is_error=False)
+        def ship_home(payload, is_error):
+            self._send_reply(dst, reply_to, reply_id, payload, is_error)
 
-        self._track_process(
-            dst,
-            Process(
-                self.engine, runner(), name=f"at-eval@{dst}",
-                immediate=self.chaos is None,
-            ),
-        )
+        if self.chaos is None:
+            # reliable fabric: the delivery event we are already inside
+            # provides the shift to ``dst``, so evaluate now
+            self._evaluate(dst, fn, args, clock, ship_home)
+        else:
+            self.engine.post(0.0, self._evaluate, dst, fn, args, clock, ship_home)
 
-    def _eval_plain(self, dst: int, body) -> None:
-        """The scheduled step of a plain-function remote eval (no chaos)."""
-        fn, args, reply_to, reply_id, clock = body
-        shifted = Activity(dst, fn, args, self._ungoverned, name=f"at-eval@{dst}")
-        if self.race is not None:
-            self.race.share(shifted, clock)
-        ctx = ActivityContext(self, shifted)
-        try:
-            result = fn(ctx, *args)
-        except BaseException as exc:  # ship the exception home
-            self._send_reply(dst, reply_to, reply_id, exc, is_error=True)
-            return
-        if inspect.isgenerator(result):
-            # a non-generator callable handed back a generator body after
-            # all; drive it as a process and reply when it finishes
-            def drive():
-                try:
-                    value = yield from result
-                except BaseException as exc:
-                    self._send_reply(dst, reply_to, reply_id, exc, is_error=True)
-                    return
-                self._send_reply(dst, reply_to, reply_id, value, is_error=False)
+    def _evaluate(self, place: int, fn: Callable, args: tuple, clock, deliver) -> None:
+        """Evaluate an ``at`` body at ``place``, then ``deliver(payload,
+        is_error)`` its value or the exception it raised.
 
-            Process(self.engine, drive(), name=f"at-eval@{dst}")
-            return
-        self._send_reply(dst, reply_to, reply_id, result, is_error=False)
-
-    def _eval_here(
-        self,
-        place: int,
-        fn: Callable,
-        args: tuple,
-        src: int,
-        event: SimEvent,
-        clock: Optional[object] = None,
-    ) -> None:
-        if self.chaos is None and not self._is_genfunc(fn):
-            self.engine.post(0.0, self._eval_here_plain, place, (fn, args, event, clock))
-            return
-
-        def runner():
-            shifted = Activity(place, fn, args, self._ungoverned, name=f"at-eval@{place}")
-            if self.race is not None:
-                self.race.share(shifted, clock)
-            ctx = ActivityContext(self, shifted)
-            try:
-                result = fn(ctx, *args)
-                if inspect.isgenerator(result):
-                    result = yield from result
-            except GeneratorExit:
-                raise  # killed place: the event stays unfired, like its host
-            except BaseException as exc:
-                event.fail(exc)
-                return
-            event.trigger(result)
-
-        self._track_process(place, Process(self.engine, runner(), name=f"at-eval@{place}"))
-
-    def _eval_here_plain(self, place: int, packed) -> None:
-        """The scheduled step of a plain-function local eval (no chaos)."""
-        fn, args, event, clock = packed
+        Always called from inside a scheduled event.  A plain-function body
+        skips the generator/Process machinery entirely; a blocking body is
+        driven as a process at ``place`` whose first step runs right here.
+        """
         shifted = Activity(place, fn, args, self._ungoverned, name=f"at-eval@{place}")
         if self.race is not None:
             self.race.share(shifted, clock)
-        ctx = ActivityContext(self, shifted)
         try:
-            result = fn(ctx, *args)
+            result = fn(ActivityContext(self, shifted), *args)
         except BaseException as exc:
-            event.fail(exc)
+            deliver(exc, True)
             return
-        if inspect.isgenerator(result):
-            def drive():
-                try:
-                    value = yield from result
-                except BaseException as exc:
-                    event.fail(exc)
-                    return
-                event.trigger(value)
+        if not inspect.isgenerator(result):
+            deliver(result, False)
+            return
 
-            Process(self.engine, drive(), name=f"at-eval@{place}")
-            return
-        event.trigger(result)
+        def drive():
+            try:
+                value = yield from result
+            except GeneratorExit:
+                # killed place: nothing is delivered; a remote caller learns
+                # through _replies
+                raise
+            except BaseException as exc:
+                deliver(exc, True)
+                return
+            deliver(value, False)
+
+        self._track_process(
+            place, Process(self.engine, drive(), name=shifted.name, immediate=True)
+        )
 
     def _send_reply(self, src: int, dst: int, reply_id: int, payload, is_error: bool) -> None:
         self.transport.post_args(
@@ -589,10 +475,7 @@ class ApgasRuntime:
         if entry is None:
             return  # already failed by a place death; the late reply is moot
         event, _eval_place = entry
-        if is_error:
-            event.fail(payload)
-        else:
-            event.trigger(payload)
+        _settle(event, payload, is_error)
 
     # -- asynchronous bulk copies (Array.asyncCopy) ------------------------------------------
 

@@ -24,7 +24,7 @@ This package mirrors that structure:
 """
 
 from repro.xrt.serialization import estimate_nbytes
-from repro.xrt.transport import Message, Transport
+from repro.xrt.transport import Transport
 from repro.xrt.pami import PamiTransport
 from repro.xrt.mpi import MpiTransport
 from repro.xrt.sockets import SocketsTransport
@@ -33,7 +33,6 @@ from repro.xrt.collectives import CollectiveOp, Collectives
 
 __all__ = [
     "estimate_nbytes",
-    "Message",
     "Transport",
     "PamiTransport",
     "MpiTransport",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import DeadPlaceError, TransportError
@@ -13,18 +12,6 @@ from repro.machine.topology import Topology
 from repro.obs import Observability
 from repro.sim.engine import Engine
 from repro.sim.events import SimEvent
-from repro.xrt.timerwheel import TimerWheel
-
-
-@dataclass(slots=True)
-class Message:
-    """An active message: on delivery the destination runs ``handler(dst, body)``."""
-
-    src: int
-    dst: int
-    handler: str
-    body: Any = None
-    nbytes: int = 16
 
 
 class _Reliability:
@@ -59,10 +46,6 @@ class _Reliability:
         self._c_dup_suppressed = metrics.counter("transport.dup_suppressed")
         self._c_delivered = metrics.counter("transport.delivered")
         self._tracer = transport.obs.trace
-        #: retransmit timers ride a timer wheel: same-deadline timers share
-        #: one engine event, and the common arm-then-ack pattern never
-        #: touches the engine heap at all
-        self._timers = TimerWheel(transport.engine)
 
     def transfer(self, src: int, dst: int, nbytes: float) -> SimEvent:
         """Ship ``nbytes`` src -> dst; the event fires on the first delivery
@@ -90,7 +73,9 @@ class _Reliability:
         state = self._pending.get(seq)
         if state is None:
             return
-        state["handle"] = self._timers.schedule(
+        # almost every timer is cancelled by its ack; the engine's lazy
+        # deletion with compaction keeps the dead entries bounded
+        state["handle"] = self.transport.engine.schedule(
             state["rto"], lambda: self._on_timeout(src, dst, nbytes, seq, done)
         )
 
@@ -205,7 +190,6 @@ class Transport:
         self.topology = topology
         self.obs = obs if obs is not None else Observability()
         self._tracer = self.obs.trace
-        self._m_on = self.obs.metrics.enabled
         self.chaos = chaos
         self.network = Network(engine, config, topology, obs=self.obs, chaos=chaos)
         self._handlers: dict[str, Callable[[int, Any], None]] = {}
@@ -220,17 +204,6 @@ class Transport:
     def reliable(self) -> bool:
         return self._reliability is not None
 
-    @property
-    def messages_sent(self) -> int:
-        """Logical active messages sent (one per :meth:`send` call).
-
-        A read of the ``xrt.messages`` registry series — the single source of
-        truth.  Wire-level retransmissions and chaos duplicates count only at
-        the network layer (``net.messages``), so the two views measure
-        different layers and neither can drift from the registry.
-        """
-        return int(self.obs.metrics.total("xrt.messages"))
-
     # -- handler registry ---------------------------------------------------------
 
     def register_handler(self, name: str, fn: Callable[[int, Any], None]) -> None:
@@ -238,77 +211,20 @@ class Transport:
             raise TransportError(f"handler {name!r} already registered")
         self._handlers[name] = fn
 
-    def handler(self, name: str) -> Callable[[int, Any], None]:
-        try:
-            return self._handlers[name]
-        except KeyError:
-            raise TransportError(f"no handler registered for {name!r}") from None
-
     # -- sending --------------------------------------------------------------------
 
-    def _count_send(self, handler: str, src: int, dst: int, nbytes: float) -> None:
-        counter = self._send_counters.get(handler)
-        if counter is None:
-            counter = self._send_counters[handler] = self.obs.metrics.counter(
-                "xrt.messages", handler=handler
-            )
-        if self._m_on:
-            counter.value += 1
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.instant(
-                "xrt.send",
-                "message",
-                src,
-                self.engine.now,
-                src=src,
-                dst=dst,
-                handler=handler,
-                nbytes=nbytes,
-            )
-
-    def send(self, msg: Message) -> SimEvent:
-        """Send an active message; the returned event fires after the handler ran.
-
-        In resilient mode the handler runs exactly once per logical send, no
-        matter what the fabric drops or duplicates; the event still fires
-        after that (first) handler execution.
-        """
-        fn = self.handler(msg.handler)  # fail fast on unknown handlers
-        self._count_send(msg.handler, msg.src, msg.dst, msg.nbytes)
-        delivered = self.reliable_transfer(msg.src, msg.dst, self._wire_bytes(msg))
-        done = SimEvent(name=f"am:{msg.handler}")
-
-        def on_delivery(event):
-            try:
-                event.value
-            except BaseException as exc:
-                done.fail(exc)  # dead destination: the handler never runs
-                return
-            fn(msg.dst, msg.body)
-            done.trigger()
-
-        delivered.add_callback(on_delivery)
-        return done
-
-    def post(self, msg: Message) -> None:
-        """Fire-and-forget :meth:`send`: the handler still runs exactly once
-        on delivery, but no completion event is allocated.
-
-        Failure semantics match an ignored :meth:`send` result: a dead
-        destination silently swallows the message (the finish layer detects
-        the loss through its own accounting, not through the transport).
-        """
-        self.post_args(msg.src, msg.dst, msg.handler, msg.body, msg.nbytes)
-
     def post_args(self, src: int, dst: int, handler: str, body: Any, nbytes: float = 16) -> None:
-        """:meth:`post` without the :class:`Message` envelope.
+        """Send an active message, fire and forget: ``handler(dst, body)``
+        runs at ``dst`` exactly once on delivery.
 
-        The hot path for remote spawns, finish control traffic, and mailbox
-        items — the callers that never await the send and would otherwise
-        build a message object just to have it unpacked one frame later.  On
-        a reliable fabric with tracing off, delivery is a single scheduled
-        payload call: no Message, no SimEvent, no closure.
+        The one send call, under remote spawns and evals, finish control
+        traffic and mailbox items.  A dead destination silently swallows the
+        message (the finish layer detects the loss through its own
+        accounting, not through the transport).  ``nbytes`` is scaled by the
+        transport's ``software_overhead_factor``: software-heavy transports
+        behave as if each message were bigger.  On a reliable fabric with
+        tracing off, delivery is a single scheduled payload call: no
+        SimEvent, no closure.
         """
         fn = self._handlers.get(handler)
         if fn is None:
@@ -318,8 +234,7 @@ class Transport:
             counter = self._send_counters[handler] = self.obs.metrics.counter(
                 "xrt.messages", handler=handler
             )
-        if self._m_on:
-            counter.value += 1
+        counter.value += 1
         if self._tracer.enabled:
             self._tracer.instant(
                 "xrt.send",
@@ -352,7 +267,3 @@ class Transport:
         if self._reliability is not None:
             return self._reliability.transfer(src, dst, nbytes)
         return self.network.transfer(src, dst, nbytes, kind=TransferKind.MSG)
-
-    def _wire_bytes(self, msg: Message) -> float:
-        # software-heavy transports behave as if each message were bigger
-        return msg.nbytes * self.software_overhead_factor

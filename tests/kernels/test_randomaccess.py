@@ -64,11 +64,10 @@ def test_double_run_returns_table_to_initial():
 def test_updates_touch_remote_places():
     rt = make_rt(places=8)
     run_randomaccess(rt, table_words_per_place=128, updates_per_place=256, verify=False)
-    from repro.machine import TransferKind
-
-    assert rt.network.stats.messages[TransferKind.GUPS] > 0
-    # most updates target other octants (7/8 of the table is remote)
-    assert rt.network.stats.by_link_class is not None
+    metrics = rt.obs.metrics
+    assert metrics.value("net.messages", kind="gups") > 0
+    # half of the table sits on the other octant
+    assert metrics.total("net.link_messages") > metrics.value("net.link_messages", link="shm")
 
 
 def test_non_power_of_two_table_rejected():

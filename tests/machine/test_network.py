@@ -125,10 +125,11 @@ def test_stats_counters():
     net.transfer(0, 4, 100, kind=TransferKind.MSG)
     net.transfer(0, 8, 200, kind=TransferKind.RDMA)
     eng.run()
-    assert net.stats.messages[TransferKind.MSG] == 1
-    assert net.stats.messages[TransferKind.RDMA] == 1
-    assert net.stats.total_bytes() == 300
-    assert net.stats.total_messages() == 2
+    metrics = net.obs.metrics
+    assert metrics.value("net.messages", kind="msg") == 1
+    assert metrics.value("net.messages", kind="rdma") == 1
+    assert metrics.total("net.bytes") == 300
+    assert metrics.total("net.messages") == 2
 
 
 def test_negative_size_rejected():

@@ -66,12 +66,13 @@ def test_latency_lower_bounds(transfers):
 @settings(max_examples=50, deadline=None)
 def test_stats_account_every_transfer(transfers):
     net, _ = run_transfers(transfers)
-    assert net.stats.total_messages() == len(transfers)
-    assert net.stats.total_bytes() == sum(t[2] for t in transfers)
-    by_kind = {k: 0 for k in TransferKind}
+    metrics = net.obs.metrics
+    assert metrics.total("net.messages") == len(transfers)
+    assert metrics.total("net.bytes") == sum(t[2] for t in transfers)
+    by_kind = {k.value: 0 for k in TransferKind}
     for _, _, _, kind in transfers:
-        by_kind[kind] += 1
-    assert net.stats.messages == by_kind
+        by_kind[kind.value] += 1
+    assert metrics.by_label("net.messages", "kind") == by_kind
 
 
 @given(transfer_strategy)

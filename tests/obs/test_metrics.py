@@ -67,16 +67,6 @@ def test_value_default_when_absent():
     assert m.total("never.registered") == 0
 
 
-def test_disabled_registry_is_noop():
-    m = MetricsRegistry(enabled=False)
-    c = m.counter("x")
-    c.inc(100)
-    m.gauge("y").set(5)
-    m.histogram("z").observe(1)
-    assert m.value("x") == 0
-    assert m.snapshot().samples == []
-
-
 def test_snapshot_is_plain_data_and_queryable():
     m = MetricsRegistry()
     m.counter("a.msgs", place=0).inc(2)

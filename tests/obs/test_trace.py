@@ -39,10 +39,10 @@ def test_traced_run_records_spans_and_messages():
     # activity spans come in matched begin/end pairs
     begins = [e for e in tr.category("activity") if e.ph == "b"]
     ends = [e for e in tr.category("activity") if e.ph == "e"]
-    assert len(begins) == len(ends) == rt.stats.activities_spawned
+    assert len(begins) == len(ends) == rt.obs.metrics.value("runtime.activities_spawned")
     assert {e.id for e in begins} == {e.id for e in ends}
     # every transfer and every finish control message is recorded
-    assert len(tr.named("net.transfer")) == rt.network.stats.total_messages()
+    assert len(tr.named("net.transfer")) == rt.obs.metrics.total("net.messages")
     assert len(tr.named("finish.ctl")) >= 3  # one per remote termination
     # timestamps are simulated time: monotone per event order is not required,
     # but all must lie within the run

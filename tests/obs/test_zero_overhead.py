@@ -6,38 +6,42 @@ event count, same event order (witnessed by identical schedules and
 results), same answers.
 """
 
+import pytest
+
 from repro.glb import GlbConfig
 from repro.harness.runner import simulate
 from repro.machine import MachineConfig
-from repro.obs import Observability
 from repro.runtime import ApgasRuntime
 
 
-def test_uts_bitwise_identical_with_tracing():
-    from repro.kernels.uts import run_uts
+#: every kernel at a place count that crosses octants on the 4-core-per-octant
+#: machine, so the route cache and all four link classes are in play
+CROSS_OCTANT = {
+    "uts": (64, {}),
+    "randomaccess": (64, {}),
+    "hpl": (16, {}),
+    "kmeans": (16, {}),
+    "smithwaterman": (16, {}),
+    "fft": (16, {}),
+    "stream": (16, {}),
+    # the graph build dominates bc's wall time and its traffic does not
+    # depend on the graph, so a small one keeps tier-1 fast
+    "bc": (8, {"scale": 8}),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(CROSS_OCTANT))
+def test_traced_equals_untraced(kernel):
+    """Holds the two shapes that differ with tracing equal: plain-function
+    versus process activity start, ``transfer_call`` versus ``SimEvent``
+    delivery.  The full metrics rendering covers every counter of every
+    layer, ``sim.events_executed`` included."""
+
+    places, kwargs = CROSS_OCTANT[kernel]
 
     def run(trace):
-        rt = ApgasRuntime(
-            places=16, config=MachineConfig.small(), obs=Observability(trace=trace)
-        )
-        r = run_uts(rt, depth=7, glb_config=GlbConfig(chunk_items=128, seed=3))
-        return (
-            r.sim_time,
-            r.value,
-            r.extra["glb"].processed_per_place,
-            r.extra["glb"].steal_attempts,
-            rt.engine.events_executed,
-        )
-
-    plain = run(trace=False)
-    traced = run(trace=True)
-    assert plain == traced
-
-
-def test_kmeans_bitwise_identical_with_tracing():
-    def run(trace):
-        r = simulate("kmeans", 8, trace=trace)
-        return r.sim_time, r.value, r.verified
+        r = simulate(kernel, places, config=MachineConfig.small(), trace=trace, **kwargs)
+        return r.sim_time, r.value, r.verified, r.extra["metrics"].render()
 
     assert run(False) == run(True)
 
@@ -95,18 +99,12 @@ def test_resilient_mode_without_faults_same_results():
     assert run(None) == run("seed=0")
 
 
-def test_legacy_stats_views_track_registry():
+def test_glb_stats_track_registry():
     from repro.kernels.uts import run_uts
 
     rt = ApgasRuntime(places=8, config=MachineConfig.small())
     r = run_uts(rt, depth=6, glb_config=GlbConfig(chunk_items=64))
     m = rt.obs.metrics
-    # RuntimeStats view
-    assert rt.stats.activities_spawned == m.value("runtime.activities_spawned")
-    assert rt.stats.remote_spawns == m.value("runtime.remote_spawns")
-    # NetworkStats view
-    assert rt.network.stats.total_messages() == m.total("net.messages")
-    assert rt.network.stats.total_bytes() == m.total("net.bytes")
     # GlbStats snapshot agrees with the per-place registry series
     glb = r.extra["glb"]
     assert glb.total_processed == sum(m.by_label("glb.processed", "place").values())

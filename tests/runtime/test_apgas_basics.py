@@ -130,7 +130,7 @@ def test_remote_eval_at_here_is_direct():
         return value
 
     assert rt.run(main) == 0
-    assert rt.stats.remote_evals == 1
+    assert rt.obs.metrics.value("runtime.remote_evals") == 1
 
 
 def test_remote_eval_propagates_exception():
@@ -249,8 +249,8 @@ def test_stats_counters():
         yield f.wait()
 
     rt.run(main)
-    assert rt.stats.remote_spawns == 4
-    assert rt.stats.activities_spawned == 6  # main + 4 remote + 1 local
+    assert rt.obs.metrics.value("runtime.remote_spawns") == 4
+    assert rt.obs.metrics.value("runtime.activities_spawned") == 6  # main + 4 remote + 1 local
 
 
 def test_independent_places_compute_in_parallel():

@@ -211,10 +211,8 @@ def test_dense_coalescing_reduces_network_messages():
     fin = spawn_everywhere(rt, Pragma.FINISH_DENSE)
     # 63 joins reported, but each non-home hop is either shm (free NIC-wise)
     # or an aggregated per-octant message
-    network_msgs = rt.network.stats.by_link_class
-    from repro.machine import LinkClass
-
-    non_shm = sum(v for k, v in network_msgs.items() if k is not LinkClass.SHM)
+    network_msgs = rt.obs.metrics.by_label("net.link_messages", "link")
+    non_shm = sum(v for link, v in network_msgs.items() if link != "shm")
     assert fin.quiescent
     # without coalescing each of the 60 off-octant joins would cross the
     # network individually (plus 60 spawn messages); coalescing caps the

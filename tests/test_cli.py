@@ -88,6 +88,34 @@ def test_requires_subcommand():
 # -- error paths ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "places, message",
+    [
+        ("0", "need at least one place"),
+        ("-3", "need at least one place"),
+        ("55681", "exceed the machine's 55680 usable cores"),
+    ],
+    ids=["zero", "negative", "too-many"],
+)
+def test_bad_places_is_a_structured_error(places, message):
+    for argv in (
+        ("run", "uts"),
+        ("run", "uts", "--backend", "sim"),
+        ("trace", "uts", "--no-audit"),
+        ("race", "uts"),
+        ("race", "uts", "--full-sim"),
+    ):
+        code, text = run_cli(*argv, "--places", places)
+        assert code == 2, argv
+        assert text.startswith("error:") and message in text, argv
+
+
+def test_bad_places_on_procs_backend_is_a_structured_error():
+    code, text = run_cli("run", "uts", "--backend", "procs", "--places", "0")
+    assert code == 2
+    assert text.startswith("error:") and "need at least one place" in text
+
+
 def test_run_with_malformed_chaos_spec_exits_2():
     code, text = run_cli("run", "stream", "--places", "4", "--chaos", "drop=banana")
     assert code == 2

@@ -51,7 +51,6 @@ def test_xrt_exports():
         CollectiveOp,
         MemRegion,
         MemoryRegistry,
-        Message,
         MpiTransport,
         PamiTransport,
         RdmaEngine,

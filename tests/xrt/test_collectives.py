@@ -57,7 +57,7 @@ def test_emulated_message_count_barrier():
     coll.run(CollectiveOp.BARRIER, members)
     eng.run()
     # dissemination barrier: n * ceil(log2 n) messages
-    assert coll.transport.network.stats.total_messages() == 16 * 4
+    assert coll.transport.obs.metrics.total("net.messages") == 16 * 4
 
 
 def test_emulated_broadcast_message_count():
@@ -65,14 +65,14 @@ def test_emulated_broadcast_message_count():
     coll.run(CollectiveOp.BROADCAST, list(range(16)), nbytes=64)
     eng.run()
     # binomial tree delivers to n-1 members, one message each
-    assert coll.transport.network.stats.total_messages() == 15
+    assert coll.transport.obs.metrics.total("net.messages") == 15
 
 
 def test_emulated_alltoall_message_count():
     eng, coll = make(emulated=True)
     coll.run(CollectiveOp.ALLTOALL, list(range(8)), nbytes=64)
     eng.run()
-    assert coll.transport.network.stats.total_messages() == 8 * 7
+    assert coll.transport.obs.metrics.total("net.messages") == 8 * 7
 
 
 def test_single_member_is_trivial():

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import TransportError
 from repro.machine import MachineConfig, Topology
 from repro.sim import Engine
-from repro.xrt import Message, PamiTransport, SocketsTransport
+from repro.xrt import PamiTransport, SocketsTransport
 
 
 def make_transport(cls=PamiTransport, places=16):
@@ -18,25 +18,15 @@ def test_handler_runs_at_destination_with_body():
     eng, tr = make_transport()
     seen = []
     tr.register_handler("greet", lambda dst, body: seen.append((dst, body)))
-    tr.send(Message(src=0, dst=9, handler="greet", body={"x": 1}))
+    tr.post_args(0, 9, "greet", {"x": 1})
     eng.run()
     assert seen == [(9, {"x": 1})]
-
-
-def test_send_event_fires_after_handler():
-    eng, tr = make_transport()
-    seen = []
-    tr.register_handler("h", lambda dst, body: seen.append("handler"))
-    done = tr.send(Message(src=0, dst=4, handler="h"))
-    done.add_callback(lambda e: seen.append("done"))
-    eng.run()
-    assert seen == ["handler", "done"]
 
 
 def test_unknown_handler_fails_fast():
     _, tr = make_transport()
     with pytest.raises(TransportError, match="no handler"):
-        tr.send(Message(src=0, dst=1, handler="nope"))
+        tr.post_args(0, 1, "nope", None)
 
 
 def test_duplicate_handler_rejected():
@@ -50,9 +40,9 @@ def test_messages_counted():
     eng, tr = make_transport()
     tr.register_handler("h", lambda d, b: None)
     for i in range(5):
-        tr.send(Message(src=0, dst=4, handler="h"))
+        tr.post_args(0, 4, "h", None)
     eng.run()
-    assert tr.messages_sent == 5
+    assert tr.obs.metrics.value("xrt.messages", handler="h") == 5
 
 
 def test_pami_capabilities():
@@ -66,8 +56,8 @@ def test_sockets_capabilities_and_cost():
     assert not sockets.supports_rdma and not sockets.supports_hw_collectives
     pami.register_handler("h", lambda d, b: None)
     sockets.register_handler("h", lambda d, b: None)
-    pami.send(Message(src=0, dst=4, handler="h"))
-    sockets.send(Message(src=0, dst=4, handler="h"))
+    pami.post_args(0, 4, "h", None)
+    sockets.post_args(0, 4, "h", None)
     eng_p.run()
     eng_s.run()
     assert eng_s.now > 3 * eng_p.now  # sockets pay a much larger software path
