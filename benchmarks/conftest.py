@@ -1,4 +1,4 @@
-"""Shared helpers for the benchmark harness.
+"""The paper-figure benchmark files (their shared helpers live in ``_util.py``).
 
 Every ``bench_fig1_*`` file regenerates one panel of the paper's Figure 1;
 ``bench_table1``/``bench_table2`` regenerate the two tables; the
@@ -6,26 +6,3 @@ Every ``bench_fig1_*`` file regenerates one panel of the paper's Figure 1;
 Each benchmark prints the regenerated rows next to the paper's values — run
 with ``-s`` to see them — and asserts the reproduction tolerances.
 """
-
-import pytest
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Measure one execution of ``fn`` (simulations are deterministic, so a
-    single round is exact) and return its result."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def model_per_core(panel, cores):
-    """The model's per-core value at a given core count in a figure panel."""
-    for c, _value, per_core, source in panel["rows"]:
-        if c == cores and source == "model":
-            return per_core
-    raise AssertionError(f"no model row at {cores} cores")
-
-
-def sim_per_core(panel, cores):
-    for c, _value, per_core, source in panel["rows"]:
-        if c == cores and source == "sim":
-            return per_core
-    raise AssertionError(f"no sim row at {cores} cores")

@@ -5,8 +5,9 @@ The recorder patches :meth:`FinishScope.__enter__` so every finish opened
 during a simulation remembers where it was opened (file, line — the same
 coordinates the static analyzer reports) and which forks it governed.  The
 checker then classifies each recorded site statically and replays the
-recorded fork sequence through the *suggested* implementation's
-``validate_fork``: a suggestion the runtime would reject with
+recorded fork sequence through the *suggested* pragma's entry in
+:data:`~repro.runtime.finish.pragmas.FORK_RULES`, the rule both finish cores
+enforce: a suggestion the runtime would reject with
 :class:`~repro.errors.PragmaError` is a disagreement.  This is the
 "suggestions agree with runtime validation" acceptance gate run over all
 shipped kernels.
@@ -24,8 +25,7 @@ from repro.analyze.infer import Inference, SiteClassification
 from repro.analyze.sourcemodel import Program
 from repro.errors import PragmaError
 from repro.runtime import activity
-from repro.runtime.finish import _IMPLEMENTATIONS
-from repro.runtime.finish.pragmas import Pragma
+from repro.runtime.finish.pragmas import FORK_RULES, Pragma
 
 
 @dataclass
@@ -71,28 +71,19 @@ def record_finish_sites() -> Iterator[list]:
         activity.FinishScope.__enter__ = orig_enter
 
 
-class _ShadowFinish:
-    """The minimal state validate_fork implementations read."""
-
-    def __init__(self, home: int, name: str) -> None:
-        self.home = home
-        self.name = name
-        self.total_forks = 0
-
-
 def replay(pragma: Pragma, home: int, forks: list, name: str = "replay") -> Optional[str]:
-    """Drive the fork sequence through ``pragma``'s validation.
+    """Drive the fork sequence through ``pragma``'s legality rule.
 
     Returns None on success, or the PragmaError message on rejection.
     """
-    cls = _IMPLEMENTATIONS[pragma]
-    shadow = _ShadowFinish(home, name)
-    for src, dst in forks:
+    rule = FORK_RULES.get(pragma)
+    if rule is None:
+        return None
+    for total_forks, (_src, dst) in enumerate(forks):
         try:
-            cls.validate_fork(shadow, src, dst)
+            rule(name, home, total_forks, dst)
         except PragmaError as exc:
             return str(exc)
-        shadow.total_forks += 1
     return None
 
 

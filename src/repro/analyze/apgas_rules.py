@@ -4,7 +4,7 @@ Each rule targets a failure mode the runtime or the paper calls out:
 
 ========  ==========================  ==============================================
 APG101    pragma-mismatch             annotation provably violates its own
-                                      validate_fork contract (PragmaError at runtime)
+                                      FORK_RULES entry (PragmaError at runtime)
 APG102    escaping-activity           a task handle outlives its governing finish
 APG103    blocking-call-in-activity   a real blocking call inside a simulated activity
 APG104    mutable-capture             remote body mutates a captured local (race hazard)

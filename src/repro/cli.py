@@ -10,7 +10,6 @@
     python -m repro.cli figure stream               # one Figure 1 panel
     python -m repro.cli tables                      # Tables 1 and 2
     python -m repro.cli report                      # the whole EXPERIMENTS body
-    python -m repro.cli perf --quick --check        # wall-clock benches vs baseline
 """
 
 from __future__ import annotations
@@ -18,7 +17,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.errors import ChaosError, DeadPlaceError, KernelError, PlaceError
+from repro.errors import (
+    ChaosError,
+    DeadPlaceError,
+    KernelError,
+    PlaceError,
+    ProcsError,
+    ProcsTimeoutError,
+    ResilientError,
+)
 from repro.harness.figures import figure1_panel, render_panel
 from repro.harness.reporting import si
 from repro.harness.runner import KERNELS, simulate
@@ -134,40 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("tables", help="regenerate Tables 1 and 2")
     sub.add_parser("report", help="regenerate the full EXPERIMENTS body")
 
-    perf = sub.add_parser(
-        "perf",
-        help="wall-clock benchmarks of the simulator itself (BENCH_sim/BENCH_kernels)",
-    )
-    perf.add_argument(
-        "--suite",
-        choices=("sim", "kernels", "all"),
-        default="all",
-        help="which suite to run (default: all)",
-    )
-    perf.add_argument(
-        "--quick",
-        action="store_true",
-        help="skip full-only benches (uts@1024); the CI mode",
-    )
-    perf.add_argument("--repeats", type=int, default=3, help="timed runs per bench (min is reported)")
-    perf.add_argument("--out-dir", default=".", help="where to write BENCH_*.json (default: cwd)")
-    perf.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against committed baselines and exit 1 on regression",
-    )
-    perf.add_argument(
-        "--baseline-dir",
-        default=".",
-        help="directory holding baseline BENCH_*.json (default: cwd)",
-    )
-    perf.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed fractional slowdown before --check fails (default 0.2)",
-    )
-
     analyze = sub.add_parser(
         "analyze",
         help="static analysis: infer finish pragmas and lint for APGAS anti-patterns",
@@ -232,17 +205,8 @@ def main(argv=None, out=sys.stdout) -> int:
             result = simulate(
                 args.kernel, args.places, chaos=args.chaos, resilient=args.resilient
             )
-        except ChaosError as exc:
-            print(f"error: bad --chaos spec: {exc}", file=out)
-            return 2
-        except (KernelError, PlaceError) as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        except DeadPlaceError as exc:
-            print(f"kernel        : {args.kernel}", file=out)
-            print(f"places        : {args.places}", file=out)
-            print(f"failed        : {exc}", file=out)
-            return 1
+        except _RUN_ERRORS as exc:
+            return _report_run_error(args, exc, out)
         print(f"kernel        : {result.kernel}", file=out)
         print(f"places        : {result.places}", file=out)
         print(f"simulated time: {result.sim_time:.6f} s", file=out)
@@ -287,9 +251,8 @@ def main(argv=None, out=sys.stdout) -> int:
             report = run_conformance(
                 args.kernel, args.places, deadline=args.deadline
             )
-        except KernelError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
+        except _RUN_ERRORS as exc:
+            return _report_run_error(args, exc, out)
         print(report.render(), file=out)
         return 0 if report.conformant else 1
 
@@ -299,17 +262,8 @@ def main(argv=None, out=sys.stdout) -> int:
                 args.kernel, args.places, trace=True, chaos=args.chaos,
                 resilient=args.resilient,
             )
-        except ChaosError as exc:
-            print(f"error: bad --chaos spec: {exc}", file=out)
-            return 2
-        except (KernelError, PlaceError) as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        except DeadPlaceError as exc:
-            print(f"kernel        : {args.kernel}", file=out)
-            print(f"places        : {args.places}", file=out)
-            print(f"failed        : {exc}", file=out)
-            return 1
+        except _RUN_ERRORS as exc:
+            return _report_run_error(args, exc, out)
         tracer = result.extra["trace"]
         ext = "json" if args.format == "chrome" else "jsonl"
         path = args.out or f"trace_{args.kernel}_{args.places}.{ext}"
@@ -347,9 +301,6 @@ def main(argv=None, out=sys.stdout) -> int:
     if args.command == "serve":
         return _cmd_serve(args, out)
 
-    if args.command == "perf":
-        return _cmd_perf(args, out)
-
     if args.command == "analyze":
         return _cmd_analyze(args, out)
 
@@ -359,15 +310,44 @@ def main(argv=None, out=sys.stdout) -> int:
     raise AssertionError("unreachable")
 
 
+#: what a kernel run (``run``, ``run --backend``, ``trace``, ``conform``) can
+#: raise that is not a bug: the user's input (a bad chaos spec, kernel
+#: parameter or place count), or a run that started and then died or ran out
+#: of time
+_USAGE_ERRORS = (ChaosError, KernelError, PlaceError)
+_RUN_ERRORS = _USAGE_ERRORS + (ProcsError, DeadPlaceError, ResilientError)
+
+
+def _report_run_error(args, exc, out) -> int:
+    """Print one of :data:`_RUN_ERRORS` and return its exit code: an
+    ``error:`` line and 2 for a usage error, the kernel/places block and 1
+    for a failed run."""
+    if isinstance(exc, _USAGE_ERRORS):
+        what = "bad --chaos spec: " if isinstance(exc, ChaosError) else ""
+        print(f"error: {what}{exc}", file=out)
+        return 2
+    verdict = "timed out" if isinstance(exc, ProcsTimeoutError) else "failed"
+    print(f"kernel        : {args.kernel}", file=out)
+    print(f"places        : {args.places}", file=out)
+    print(f"{verdict:<14}: {exc}", file=out)
+    return 1
+
+
 def _run_backend(args, out) -> int:
     """``repro run <kernel> --backend {sim,procs}``: one portable-program run."""
-    from repro.errors import ProcsError, ProcsTimeoutError, ResilientError
     from repro.xrt.backend import get_backend
 
     if (args.chaos or args.resilient) and args.backend != "procs":
         print(
             "error: on --backend runs, --chaos and --resilient are implemented "
             "only for --backend procs (real process kills and respawns)",
+            file=out,
+        )
+        return 2
+    if args.stats and args.backend == "procs":
+        print(
+            "error: --stats is implemented only for --backend sim (the procs "
+            "backend has no metrics registry to snapshot)",
             file=out,
         )
         return 2
@@ -380,22 +360,8 @@ def _run_backend(args, out) -> int:
         else:
             backend = get_backend(args.backend)
         run = backend.run(args.kernel, args.places)
-    except ChaosError as exc:
-        print(f"error: bad --chaos spec: {exc}", file=out)
-        return 2
-    except (KernelError, PlaceError) as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    except ProcsTimeoutError as exc:
-        print(f"kernel        : {args.kernel}", file=out)
-        print(f"places        : {args.places}", file=out)
-        print(f"timed out     : {exc}", file=out)
-        return 1
-    except (ProcsError, DeadPlaceError, ResilientError) as exc:
-        print(f"kernel        : {args.kernel}", file=out)
-        print(f"places        : {args.places}", file=out)
-        print(f"failed        : {exc}", file=out)
-        return 1
+    except _RUN_ERRORS as exc:
+        return _report_run_error(args, exc, out)
     print(f"kernel        : {run.kernel}", file=out)
     print(f"places        : {run.places}", file=out)
     print(f"backend       : {run.backend}", file=out)
@@ -429,11 +395,13 @@ def _run_backend(args, out) -> int:
     if nodes is not None:
         print(f"nodes         : {nodes}", file=out)
     print(f"checksum      : {run.checksum}", file=out)
+    if args.stats:
+        _print_metrics(run.extra["metrics"], out)
     return 0
 
 
 def _print_metrics(snap, out) -> None:
-    """The ``--stats`` block shared by ``run`` and ``serve``."""
+    """The ``--stats`` block shared by ``run``, ``run --backend sim`` and ``serve``."""
     print(file=out)
     print("-- metrics --", file=out)
     print(f"network msgs  : {int(snap.total('net.messages'))}", file=out)
@@ -615,89 +583,6 @@ def _cmd_race(args, out) -> int:
         else:
             print(f"{label}: clean", file=out)
     return 1 if total else 0
-
-
-def _cmd_perf(args, out) -> int:
-    """Run the wall-clock suites; write BENCH_*.json; optionally gate on baselines.
-
-    Exit codes: 0 — ran (and, with ``--check``, no regression); 1 — at least
-    one bench regressed past tolerance; 2 — usage error (bad tolerance,
-    missing baseline file with ``--check``).
-    """
-    import os
-
-    from repro.perf import (
-        DEFAULT_TOLERANCE,
-        compare_to_baseline,
-        load_results,
-        render_results,
-        run_suite,
-        write_results,
-    )
-
-    if args.tolerance is not None and not 0.0 <= args.tolerance < 1.0:
-        print(f"error: --tolerance must be in [0, 1), got {args.tolerance}", file=out)
-        return 2
-    if args.repeats < 1:
-        print(f"error: --repeats must be >= 1, got {args.repeats}", file=out)
-        return 2
-
-    suites = ("sim", "kernels") if args.suite == "all" else (args.suite,)
-
-    # load baselines up front so --check with out-dir == baseline-dir compares
-    # against the committed content, not the file this run is about to write
-    baselines = {}
-    if args.check:
-        for suite in suites:
-            path = os.path.join(args.baseline_dir, f"BENCH_{suite}.json")
-            if not os.path.exists(path):
-                print(f"error: --check needs a baseline at {path}", file=out)
-                return 2
-            try:
-                baselines[suite] = load_results(path)
-            except (ValueError, KeyError, TypeError) as exc:
-                print(f"error: unreadable baseline {path}: {exc}", file=out)
-                return 2
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    regressed = False
-    for suite in suites:
-        print(f"suite {suite}{' (quick)' if args.quick else ''}:", file=out)
-        results = run_suite(
-            suite,
-            quick=args.quick,
-            repeats=args.repeats,
-            log=lambda msg: print(msg, file=out),
-        )
-        base = baselines.get(suite)
-        print(render_results(results, base.results if base else None), file=out)
-        path = os.path.join(args.out_dir, f"BENCH_{suite}.json")
-        # each suite gates (and re-serializes) at its own tolerance; --tolerance
-        # overrides for this invocation only
-        if args.tolerance is not None:
-            tolerance = args.tolerance
-        elif base is not None:
-            tolerance = base.tolerance
-        else:
-            tolerance = DEFAULT_TOLERANCE
-        write_results(path, suite, results, quick=args.quick, tolerance=tolerance)
-        print(f"  -> {path}", file=out)
-        if args.check:
-            suite_regs = compare_to_baseline(results, base.results, tolerance)
-            for reg in suite_regs:
-                regressed = True
-                print(
-                    f"REGRESSION {reg.name}: {reg.value:,.0f} vs baseline "
-                    f"{reg.baseline:,.0f} ({reg.ratio:.2f}x, tolerance {tolerance:.0%})",
-                    file=out,
-                )
-            if not suite_regs:
-                print(f"  suite {suite}: within tolerance {tolerance:.0%}", file=out)
-    if args.check:
-        if regressed:
-            return 1
-        print("perf check passed", file=out)
-    return 0
 
 
 if __name__ == "__main__":

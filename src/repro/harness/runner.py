@@ -88,22 +88,6 @@ def simulate(
     return result
 
 
-def run_portable(kernel: str, places: int, backend: str = "sim", **params):
-    """Run the *portable* program for ``kernel`` on an execution backend.
-
-    Unlike :func:`simulate` — which runs the full simulator kernels with
-    modeled machine physics — this drives the backend-blind programs of
-    :mod:`repro.kernels.portable` through the execution seam
-    (:mod:`repro.xrt.backend`), on the simulator or on one OS process per
-    place.  Returns a :class:`~repro.xrt.backend.BackendRun`.
-    """
-    from repro.xrt.backend import get_backend
-
-    # launch-level keys (deadline / chaos / resilient / heartbeat_*) ride in
-    # through params; the procs backend pops them before kernel-param checks
-    return get_backend(backend).run(kernel, places, **params)
-
-
 def _stream(rt, **kw):
     from repro.kernels.stream import run_stream
 

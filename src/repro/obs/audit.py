@@ -168,10 +168,10 @@ def _check_pragma_shapes(events: list) -> AuditCheck:
     This is the dynamic face of the static analyzer's pragma-mismatch rule
     (APG101 in :mod:`repro.analyze.apgas_rules`): FINISH_ASYNC governs at
     most one activity, FINISH_HERE at most a two-activity round trip, and
-    FINISH_LOCAL never sees a remote join.  ``validate_fork`` raises on the
-    offending spawn at runtime; this check confirms from the trace alone
-    that no finish slipped past it (and gives replayed or hand-crafted
-    traces the same scrutiny).
+    FINISH_LOCAL never sees a remote join.  The pragma's ``FORK_RULES`` entry
+    raises on the offending spawn at runtime; this check confirms from the
+    trace alone that no finish slipped past it (and gives replayed or
+    hand-crafted traces the same scrutiny).
     """
     final: dict[int, TraceEvent] = {}
     for e in events:

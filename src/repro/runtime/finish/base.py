@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import DeadPlaceError, FinishError
-from repro.runtime.finish.pragmas import Pragma
+from repro.runtime.finish.pragmas import FORK_RULES, Pragma
 from repro.sim.events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,8 +39,8 @@ class BaseFinish:
     """Common fork/join accounting and control-message plumbing.
 
     Subclasses override :meth:`on_fork` / :meth:`on_join` to implement their
-    control-message behavior, and may override :meth:`validate_fork` to reject
-    concurrency patterns the pragma cannot govern.
+    control-message behavior; the concurrency patterns a pragma cannot govern
+    are rejected by its entry in :data:`~repro.runtime.finish.pragmas.FORK_RULES`.
     """
 
     pragma = Pragma.DEFAULT
@@ -85,9 +85,10 @@ class BaseFinish:
         #: death accounting (tokens, live-activity census) only matters when
         #: fault injection can kill a place; without chaos it is pure overhead
         self._track_live = rt.chaos is not None
-        #: virtual-dispatch guards: most protocols leave these hooks as the
-        #: base no-ops, and the fork path is hot enough that the call shows
-        self._has_validate = type(self).validate_fork is not BaseFinish.validate_fork
+        #: the pragma's legality rule, or None when it accepts any fork
+        self._fork_rule = FORK_RULES.get(self.pragma)
+        #: virtual-dispatch guard: most protocols leave this hook as the base
+        #: no-op, and the fork path is hot enough that the call shows
         self._has_on_fork = type(self).on_fork is not BaseFinish.on_fork
         metrics.counter("finish.opened", pragma=self.pragma.value).inc()
         self._c_ctl_messages = metrics.counter("finish.ctl_messages", pragma=self.pragma.value)
@@ -113,8 +114,9 @@ class BaseFinish:
         """An activity governed by this finish is being spawned src -> dst."""
         if self.failed is not None:
             raise self.failed
-        if self._has_validate:
-            self.validate_fork(src, dst)
+        rule = self._fork_rule
+        if rule is not None:
+            rule(self.name, self.home, self.total_forks, dst)
         self.pending += 1
         self.total_forks += 1
         if self._track_live:
@@ -171,9 +173,6 @@ class BaseFinish:
             self._live_at[place] = n - 1
 
     # -- protocol hooks ----------------------------------------------------------
-
-    def validate_fork(self, src: int, dst: int) -> None:
-        """Reject forks the pragma's pattern cannot govern."""
 
     def on_fork(self, src: int, dst: int) -> None:
         """Protocol bookkeeping at spawn time (no message: bookkeeping rides

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 
+from repro.errors import PragmaError
+
 
 class Pragma(enum.Enum):
     """Which termination-detection algorithm a ``finish`` should use."""
@@ -37,3 +39,46 @@ class Pragma(enum.Enum):
     #: graphs; control traffic is software-routed through per-node master
     #: places and coalesced
     FINISH_DENSE = "finish_dense"
+
+
+# -- the legality rulebook -----------------------------------------------------
+#
+# Which forks a specialized pragma can govern (paper Section 3.1), stated once
+# for every finish core: the simulator's protocols, the procs backend's home
+# finish and the analyzer's replay all call their pragma's ``FORK_RULES`` entry
+# before counting a fork.  A rule sees the finish's name and home, the number of forks
+# already counted and the new activity's destination, and raises
+# :class:`~repro.errors.PragmaError`.  Pragmas without an entry accept any fork.
+
+
+def _async_rule(name: str, home: int, total_forks: int, dst: int) -> None:
+    if total_forks >= 1:
+        raise PragmaError(
+            f"{name}: FINISH_ASYNC governs a single activity, "
+            "but a second one was spawned"
+        )
+
+
+def _here_rule(name: str, home: int, total_forks: int, dst: int) -> None:
+    if total_forks >= 2:
+        raise PragmaError(f"{name}: FINISH_HERE governs a round trip (two activities)")
+    if total_forks == 1 and dst != home:
+        raise PragmaError(
+            f"{name}: FINISH_HERE's second activity must return to the "
+            f"home place {home}, not {dst}"
+        )
+
+
+def _local_rule(name: str, home: int, total_forks: int, dst: int) -> None:
+    if dst != home:
+        raise PragmaError(
+            f"{name}: FINISH_LOCAL cannot govern a remote activity "
+            f"(spawn to place {dst}, home is {home})"
+        )
+
+
+FORK_RULES = {
+    Pragma.FINISH_ASYNC: _async_rule,
+    Pragma.FINISH_HERE: _here_rule,
+    Pragma.FINISH_LOCAL: _local_rule,
+}

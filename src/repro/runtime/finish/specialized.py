@@ -9,7 +9,6 @@ matrix is kept and messages shrink to a bare count.
 
 from __future__ import annotations
 
-from repro.errors import PragmaError
 from repro.runtime.finish.base import CTL_BYTES, BaseFinish
 from repro.runtime.finish.pragmas import Pragma
 
@@ -21,13 +20,6 @@ class FinishAsync(BaseFinish):
     """
 
     pragma = Pragma.FINISH_ASYNC
-
-    def validate_fork(self, src: int, dst: int) -> None:
-        if self.total_forks >= 1:
-            raise PragmaError(
-                f"{self.name}: FINISH_ASYNC governs a single activity, "
-                "but a second one was spawned"
-            )
 
     def on_join(self, place: int) -> None:
         if place == self.home:
@@ -45,17 +37,6 @@ class FinishHere(BaseFinish):
 
     pragma = Pragma.FINISH_HERE
 
-    def validate_fork(self, src: int, dst: int) -> None:
-        if self.total_forks >= 2:
-            raise PragmaError(
-                f"{self.name}: FINISH_HERE governs a round trip (two activities)"
-            )
-        if self.total_forks == 1 and dst != self.home:
-            raise PragmaError(
-                f"{self.name}: FINISH_HERE's second activity must return to the "
-                f"home place {self.home}, not {dst}"
-            )
-
     def on_join(self, place: int) -> None:
         if place == self.home:
             # the return leg terminated at home: nothing to report; the
@@ -69,13 +50,6 @@ class FinishLocal(BaseFinish):
     """A finish governing local activities only: a bare counter, no messages."""
 
     pragma = Pragma.FINISH_LOCAL
-
-    def validate_fork(self, src: int, dst: int) -> None:
-        if dst != self.home:
-            raise PragmaError(
-                f"{self.name}: FINISH_LOCAL cannot govern a remote activity "
-                f"(spawn to place {dst}, home is {self.home})"
-            )
 
     def on_join(self, place: int) -> None:
         pass  # purely local: quiescence is the counter hitting zero

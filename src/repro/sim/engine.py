@@ -116,7 +116,7 @@ class Engine:
         self._cancelled = 0
         #: number of callbacks executed so far (useful for complexity tests)
         self.events_executed = 0
-        #: total heap rebuilds (diagnostics; the perf suite reports it)
+        #: total heap rebuilds (diagnostics; the compaction tests read it)
         self.compactions = 0
         #: processes currently blocked on an effect; used for deadlock reports
         self._blocked: dict[int, Any] = {}

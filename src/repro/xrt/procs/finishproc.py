@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.errors import DeadPlaceError, PragmaError
-from repro.runtime.finish.pragmas import Pragma
+from repro.runtime.finish.pragmas import FORK_RULES, Pragma
 from repro.sim.events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,6 +59,7 @@ class HomeFinish:
         self.pragma = pragma
         self.fid: Fid = (self.home, prt.next_finish_seq())
         self.name = name or f"{pragma.value}#{self.fid}"
+        self._fork_rule = FORK_RULES.get(pragma)
         self.pending = 0
         self.total_forks = 0
         self.remote_joins = 0
@@ -76,30 +77,10 @@ class HomeFinish:
 
     # -- the governing-finish interface used by the runtime ---------------------
 
-    def validate_fork(self, src: int, dst: int) -> None:
-        if self.pragma is Pragma.FINISH_ASYNC and self.total_forks >= 1:
-            raise PragmaError(
-                f"{self.name}: FINISH_ASYNC governs a single activity, "
-                "but a second one was spawned"
-            )
-        if self.pragma is Pragma.FINISH_HERE:
-            if self.total_forks >= 2:
-                raise PragmaError(
-                    f"{self.name}: FINISH_HERE governs a round trip (two activities)"
-                )
-            if self.total_forks == 1 and dst != self.home:
-                raise PragmaError(
-                    f"{self.name}: FINISH_HERE's second activity must return to "
-                    f"the home place {self.home}, not {dst}"
-                )
-        if self.pragma is Pragma.FINISH_LOCAL and dst != self.home:
-            raise PragmaError(
-                f"{self.name}: FINISH_LOCAL cannot govern a remote activity "
-                f"(spawn to place {dst}, home is {self.home})"
-            )
-
     def on_fork(self, src: int, dst: int) -> None:
-        self.validate_fork(src, dst)
+        rule = self._fork_rule
+        if rule is not None:
+            rule(self.name, self.home, self.total_forks, dst)
         self.total_forks += 1
         self.pending += 1
         self.pending_by_place[dst] = self.pending_by_place.get(dst, 0) + 1

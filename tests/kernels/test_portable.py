@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from repro.errors import KernelError
-from repro.harness.runner import run_portable
 from repro.kernels.portable import PORTABLE_KERNELS, build_program
 from repro.sim.rng import RngStream
+from repro.xrt.backend import get_backend
 
 PLACES = 4
 
 
 def _run(kernel: str, places: int = PLACES, **params):
-    return run_portable(kernel, places, backend="sim", **params)
+    return get_backend("sim").run(kernel, places, **params)
 
 
 # -- registry ----------------------------------------------------------------------

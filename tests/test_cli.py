@@ -116,6 +116,46 @@ def test_bad_places_on_procs_backend_is_a_structured_error():
     assert text.startswith("error:") and "need at least one place" in text
 
 
+@pytest.mark.parametrize("places", ["0", "-3"])
+def test_conform_bad_places_is_a_structured_error(places):
+    code, text = run_cli("conform", "uts", "--places", places)
+    assert code == 2
+    assert text.startswith("error:") and "need at least one place" in text
+    assert "Traceback" not in text
+
+
+def test_conform_deadline_expiry_is_a_timed_out_block(monkeypatch):
+    """Portable uts@2 really does hit its deadline (ROADMAP item 2); tier-1
+    forks nothing, so the expiry is raised in place of the run."""
+    from repro.errors import ProcsTimeoutError
+    from repro.xrt import conformance
+
+    def expire(kernel, places, deadline=None):
+        raise ProcsTimeoutError(f"place loop exceeded its {deadline}s deadline")
+
+    monkeypatch.setattr(conformance, "run_conformance", expire)
+    code, text = run_cli("conform", "uts", "--places", "2", "--deadline", "0")
+    assert code == 1
+    assert "kernel        : uts" in text and "places        : 2" in text
+    assert "timed out     : place loop exceeded its 0.0s deadline" in text
+    assert "Traceback" not in text
+
+
+def test_backend_sim_stats_prints_metrics_snapshot():
+    code, text = run_cli("run", "uts", "--places", "4", "--backend", "sim", "--stats")
+    assert code == 0
+    assert "backend       : sim" in text
+    assert "-- metrics --" in text and "finish.ctl_messages" in text
+    assert "Traceback" not in text
+
+
+def test_backend_procs_rejects_stats_flag():
+    code, text = run_cli("run", "uts", "--places", "4", "--backend", "procs", "--stats")
+    assert code == 2
+    assert text.startswith("error:") and "--backend sim" in text
+    assert "Traceback" not in text
+
+
 def test_run_with_malformed_chaos_spec_exits_2():
     code, text = run_cli("run", "stream", "--places", "4", "--chaos", "drop=banana")
     assert code == 2
@@ -250,148 +290,21 @@ def test_trace_resilient_run_audits_epoch_consistency(tmp_path):
     assert "[PASS] resilient.epoch_consistency" in text
 
 
-# -- perf subcommand -----------------------------------------------------------
+# -- the retired perf suite ------------------------------------------------------
+#
+# benchmarks/e2e is the one wall-clock suite; the older `perf` subcommand and
+# its package must not come back beside it.
 
 
-def _tiny_benches(monkeypatch):
-    """Replace the catalog with near-instant benches so CLI tests stay fast.
+def test_perf_subcommand_and_package_are_gone():
+    import importlib
 
-    A short sleep keeps each run's duration stable enough that back-to-back
-    invocations agree within a loose tolerance.
-    """
-    import time
+    from repro.cli import build_parser
 
-    from repro.perf import benches
-
-    def work():
-        time.sleep(0.01)
-        return 100.0
-
-    catalog = [
-        benches.Bench(name="tiny.sim@1", suite="sim", unit="ops/s", fn=work),
-        benches.Bench(name="tiny.kern@1", suite="kernels", unit="ops/s", fn=work),
-    ]
-    monkeypatch.setattr(benches, "BENCHES", catalog)
-
-
-def test_perf_writes_both_bench_files(monkeypatch, tmp_path):
-    _tiny_benches(monkeypatch)
-    code, text = run_cli("perf", "--repeats", "1", "--out-dir", str(tmp_path))
-    assert code == 0
-    assert (tmp_path / "BENCH_sim.json").exists()
-    assert (tmp_path / "BENCH_kernels.json").exists()
-    assert "suite sim" in text and "suite kernels" in text
-
-
-def test_perf_check_passes_against_own_output(monkeypatch, tmp_path):
-    _tiny_benches(monkeypatch)
-    code, _ = run_cli("perf", "--repeats", "1", "--out-dir", str(tmp_path))
-    assert code == 0
-    code, text = run_cli(
-        "perf", "--repeats", "1", "--tolerance", "0.9",
-        "--out-dir", str(tmp_path), "--baseline-dir", str(tmp_path), "--check",
+    (subcommands,) = (
+        a.choices for a in build_parser()._actions if isinstance(a.choices, dict)
     )
-    assert code == 0
-    assert "perf check passed" in text
-
-
-def test_perf_check_fails_on_regression(monkeypatch, tmp_path):
-    import json
-
-    _tiny_benches(monkeypatch)
-    code, _ = run_cli("perf", "--repeats", "1", "--out-dir", str(tmp_path))
-    assert code == 0
-    # inflate the baseline so the rerun looks like a huge slowdown
-    for name in ("BENCH_sim.json", "BENCH_kernels.json"):
-        doc = json.loads((tmp_path / name).read_text())
-        for entry in doc["results"]:
-            entry["value"] *= 1e9
-        (tmp_path / name).write_text(json.dumps(doc))
-    code, text = run_cli(
-        "perf", "--repeats", "1",
-        "--out-dir", str(tmp_path), "--baseline-dir", str(tmp_path), "--check",
-    )
-    assert code == 1
-    assert "REGRESSION" in text
-
-
-def test_perf_check_with_missing_tolerance_baseline_exits_2(monkeypatch, tmp_path):
-    """A schema-v2 baseline that lost its per-suite tolerance is a usage
-    error — the gate must refuse to run, not fall back to a default."""
-    import json
-
-    _tiny_benches(monkeypatch)
-    code, _ = run_cli("perf", "--repeats", "1", "--out-dir", str(tmp_path))
-    assert code == 0
-    for name in ("BENCH_sim.json", "BENCH_kernels.json"):
-        doc = json.loads((tmp_path / name).read_text())
-        del doc["tolerance"]
-        (tmp_path / name).write_text(json.dumps(doc))
-    code, text = run_cli(
-        "perf", "--repeats", "1",
-        "--out-dir", str(tmp_path), "--baseline-dir", str(tmp_path), "--check",
-    )
-    assert code == 2
-    assert "tolerance" in text and "unreadable baseline" in text
-
-
-def test_perf_check_with_malformed_tolerance_baseline_exits_2(monkeypatch, tmp_path):
-    import json
-
-    _tiny_benches(monkeypatch)
-    code, _ = run_cli("perf", "--repeats", "1", "--out-dir", str(tmp_path))
-    assert code == 0
-    doc = json.loads((tmp_path / "BENCH_sim.json").read_text())
-    doc["tolerance"] = "twenty percent"
-    (tmp_path / "BENCH_sim.json").write_text(json.dumps(doc))
-    code, text = run_cli(
-        "perf", "--suite", "sim", "--repeats", "1",
-        "--out-dir", str(tmp_path), "--baseline-dir", str(tmp_path), "--check",
-    )
-    assert code == 2
-    assert "tolerance" in text
-
-
-def test_perf_check_uses_the_suite_tolerance_from_the_baseline(monkeypatch, tmp_path):
-    """Quick mode gates at the baseline's own tolerance, not the default."""
-    import json
-
-    _tiny_benches(monkeypatch)
-    code, _ = run_cli("perf", "--repeats", "1", "--out-dir", str(tmp_path))
-    assert code == 0
-    # a 1% gate plus an astronomically inflated baseline must regress even
-    # though the default 20% gate is never consulted
-    doc = json.loads((tmp_path / "BENCH_sim.json").read_text())
-    doc["tolerance"] = 0.01
-    for entry in doc["results"]:
-        entry["value"] *= 1e9
-    (tmp_path / "BENCH_sim.json").write_text(json.dumps(doc))
-    code, text = run_cli(
-        "perf", "--suite", "sim", "--repeats", "1",
-        "--out-dir", str(tmp_path), "--baseline-dir", str(tmp_path), "--check",
-    )
-    assert code == 1
-    assert "tolerance 1%" in text
-
-
-def test_perf_check_without_baseline_exits_2(tmp_path):
-    code, text = run_cli("perf", "--check", "--baseline-dir", str(tmp_path), "--out-dir", str(tmp_path))
-    assert code == 2
-    assert "needs a baseline" in text
-
-
-def test_perf_rejects_bad_tolerance(tmp_path):
-    code, text = run_cli("perf", "--tolerance", "1.5", "--out-dir", str(tmp_path))
-    assert code == 2
-    assert "--tolerance" in text
-
-
-def test_perf_rejects_bad_repeats(tmp_path):
-    code, text = run_cli("perf", "--repeats", "0", "--out-dir", str(tmp_path))
-    assert code == 2
-    assert "--repeats" in text
-
-
-def test_perf_rejects_unknown_suite():
-    with pytest.raises(SystemExit):
-        run_cli("perf", "--suite", "warp")
+    assert "perf" not in subcommands
+    assert len(subcommands) == 10
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(".perf", package="repro")

@@ -6,7 +6,7 @@ equal per-pragma finish control-message counts (see
 :mod:`repro.xrt.conformance` for exactly what is and is not compared).
 
 These fork real place processes, so they carry the ``procs`` marker and run
-in the dedicated ``xrt-procs`` CI job rather than the tier-1 gate
+in the procs step of the ``tests`` CI job rather than the tier-1 gate
 (``pytest -m procs tests/xrt`` runs them locally).
 """
 

@@ -5,8 +5,8 @@ traceback; a hung child must trip the launcher's wall-clock deadline; and in
 every case all place processes must be reaped — no orphans survive, which we
 verify against the live process table.
 
-These fork real place processes (``procs`` marker; run by the ``xrt-procs``
-CI job, or locally with ``pytest -m procs tests/xrt``).
+These fork real place processes (``procs`` marker; run by the procs step of
+the ``tests`` CI job, or locally with ``pytest -m procs tests/xrt``).
 """
 
 from __future__ import annotations

@@ -187,6 +187,47 @@ def test_finish_local_rejects_remote_spawn():
         fin.on_fork(0, 1)
 
 
+@pytest.mark.parametrize(
+    "pragma, forks, rejection",
+    [
+        (Pragma.FINISH_ASYNC, [(0, 2), (0, 3)], "single activity"),
+        (Pragma.FINISH_HERE, [(0, 2), (2, 0), (0, 1)], "round trip"),
+        (Pragma.FINISH_HERE, [(0, 2), (2, 3)], "return to the home place 0, not 3"),
+        (Pragma.FINISH_LOCAL, [(0, 0), (0, 1)], "remote activity"),
+        (Pragma.FINISH_ASYNC, [(0, 2)], None),
+        (Pragma.FINISH_HERE, [(0, 2), (2, 0)], None),
+        (Pragma.FINISH_LOCAL, [(0, 0), (0, 0)], None),
+    ],
+    ids=["async-second", "here-third", "here-not-home", "local-remote",
+         "async-legal", "here-legal", "local-legal"],
+)
+def test_fork_rulebook_is_one_for_sim_procs_and_replay(pragma, forks, rejection):
+    """The simulator's finish, the procs home finish and the analyzer's replay
+    enforce the same FORK_RULES entry: same verdict, same text after the
+    finish-name prefix, on the same fork of the sequence."""
+    from repro.analyze.agreement import replay
+    from repro.runtime import ApgasRuntime
+    from repro.runtime.finish import make_finish
+
+    def drive(fork):
+        for n, (src, dst) in enumerate(forks):
+            try:
+                fork(src, dst)
+            except PragmaError as exc:
+                return n, str(exc).split(": ", 1)[1]
+        return None
+
+    sim = drive(make_finish(ApgasRuntime(places=4), 0, pragma).fork)
+    procs = drive(HomeFinish(_runtime(), pragma).on_fork)
+    replayed = replay(pragma, 0, forks)
+    assert sim == procs
+    if rejection is None:
+        assert sim is None and replayed is None
+    else:
+        assert sim[0] == len(forks) - 1 and rejection in sim[1]
+        assert replayed.split(": ", 1)[1] == sim[1]
+
+
 def test_more_joins_than_forks_is_a_protocol_error():
     fin = HomeFinish(_runtime(), Pragma.DEFAULT)
     fin.on_fork(0, 0)
