@@ -60,9 +60,6 @@ class Access:
     via_at: bool = False        #: reached through a ``ctx.at`` body (place shifts)
     binding: Optional[str] = None  #: captured only: qualname of the binding scope
 
-    def coords(self) -> tuple:
-        return (self.path, self.line)
-
 
 def mutable_captures(scope: Scope, program: Program) -> dict[str, str]:
     """Names free in ``scope`` that an enclosing *function* scope binds to a

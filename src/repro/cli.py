@@ -15,6 +15,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.errors import (
@@ -199,6 +200,13 @@ def main(argv=None, out=sys.stdout) -> int:
         return 0
 
     if args.command == "run":
+        if args.deadline is not None and args.backend != "procs":
+            print(
+                "error: --deadline is implemented only for --backend procs "
+                "(a simulator run has no wall-clock budget to enforce)",
+                file=out,
+            )
+            return 2
         if args.backend is not None:
             return _run_backend(args, out)
         try:
@@ -257,6 +265,16 @@ def main(argv=None, out=sys.stdout) -> int:
         return 0 if report.conformant else 1
 
     if args.command == "trace":
+        ext = "json" if args.format == "chrome" else "jsonl"
+        path = args.out or f"trace_{args.kernel}_{args.places}.{ext}"
+        existed = os.path.exists(path)
+        try:
+            open(path, "a").close()  # fail now, not after the whole simulation
+        except OSError as exc:
+            print(f"error: cannot write the trace to {path}: {exc.strerror}", file=out)
+            return 2
+        if not existed:
+            os.remove(path)  # a run that then fails leaves nothing behind
         try:
             result = simulate(
                 args.kernel, args.places, trace=True, chaos=args.chaos,
@@ -265,8 +283,6 @@ def main(argv=None, out=sys.stdout) -> int:
         except _RUN_ERRORS as exc:
             return _report_run_error(args, exc, out)
         tracer = result.extra["trace"]
-        ext = "json" if args.format == "chrome" else "jsonl"
-        path = args.out or f"trace_{args.kernel}_{args.places}.{ext}"
         if args.format == "chrome":
             tracer.export_chrome(path)
         else:

@@ -57,8 +57,3 @@ class ScalingSeries:
     def per_core(self) -> list[Optional[float]]:
         """The per-core metric at each scale."""
         return [r.per_core for r in self.results]
-
-    def relative_efficiency(self, baseline_index: int = 0) -> list[float]:
-        """per-core metric relative to the series entry at ``baseline_index``."""
-        base = self.results[baseline_index].per_core
-        return [r.per_core / base if base else float("nan") for r in self.results]

@@ -44,10 +44,6 @@ def fft_six_step_reference(x: np.ndarray, n1: int, n2: int) -> np.ndarray:
     return D.T.reshape(-1)  # X[j2*n1 + j1] = D[j1, j2]
 
 
-def _fft_flops(rows: int, length: int) -> float:
-    return 5.0 * rows * length * math.log2(max(2, length))
-
-
 def run_fft(
     rt: ApgasRuntime,
     n1: int,

@@ -2,9 +2,11 @@
 
 The simulator's full kernels pass live objects (finish objects, closures,
 GLB fabric) through the in-process transport, which no real wire can carry.
-The programs here restrict themselves to the *portable* ``ctx`` subset —
-module-level activity functions, picklable arguments, mailbox messages,
-``ctx.store`` — and therefore run unmodified on the discrete-event simulator
+There is one ``ctx`` (:class:`~repro.runtime.activity.ActivityContext`) on
+both backends; *portable* only means that what a program hands it pickles —
+module-level activity functions, plain-data arguments, mailbox messages,
+state in ``ctx.store``.  The programs here therefore run unmodified on the
+discrete-event simulator
 (:class:`~repro.xrt.backend.SimBackend`) and on one-OS-process-per-place
 (:class:`~repro.xrt.backend.ProcsBackend`).  They reuse the simulator
 kernels' numerical cores, and their results are deterministic bit-for-bit

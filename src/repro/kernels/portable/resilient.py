@@ -5,10 +5,9 @@ live hook objects and a shared :class:`~repro.resilient.store.ResilientStore`
 through the in-process transport — none of which crosses an OS process
 boundary.  This module is its *portable* counterpart: the same epoch contract
 (commit at a tolerant dense finish, abort on a mid-epoch death, revive +
-restore + retry), rebuilt from the picklable ``ctx`` subset so it runs on the
-one-OS-process-per-place backend where a "place death" is a SIGKILLed
-process and "revive" forks a fresh one
-(:meth:`~repro.xrt.procs.runtime.ProcsContext.revive`).
+restore + retry), rebuilt from ``ctx`` calls whose arguments pickle so it runs
+on the one-OS-process-per-place backend where a "place death" is a SIGKILLed
+process and "revive" forks a fresh one (``ctx.revive``).
 
 The moving parts:
 
@@ -64,12 +63,6 @@ CKPT_BOX = "resil:ckpt"
 DEFAULT_MAX_ATTEMPTS = 8
 
 
-def _dead(ctx) -> tuple:
-    """Places ``ctx`` knows to be dead (empty tuple on backends without the probe)."""
-    probe = getattr(ctx, "dead_places", None)
-    return tuple(probe()) if callable(probe) else ()
-
-
 # -- member activities (module-level: they cross the wire by reference) ---------------
 
 
@@ -90,9 +83,11 @@ def _member_epoch(ctx, body: Callable, epoch: int, tag: str, attempt: int):
 
 def _member_restore(ctx, restore: Callable, committed_epoch: int, blob):
     """Roll this member back to the last committed epoch (``-1``: from scratch)."""
-    ack = getattr(ctx, "acknowledge_deaths", None)
-    if callable(ack):
-        ack()  # recovery handled the deaths; lift the messaging poison
+    if ctx.here != 0:
+        # every place the coordinator knew dead was revived before this step
+        # was spawned: lift the poison.  Place 0's member shares the
+        # coordinator's death set, and a death it forgot would never be revived
+        ctx.acknowledge_deaths()
     try:
         yield from drive_hook(restore(ctx, committed_epoch, blob))
     except DeadPlaceError:
@@ -112,7 +107,7 @@ def _wave(ctx, fn: Callable, args_by_place: Dict[int, tuple], name: str):
     failed = False
     with ctx.finish(Pragma.FINISH_DENSE, name=name) as f:
         f.tolerate_death = True
-        dead = set(_dead(ctx))
+        dead = set(ctx.dead_places())
         for place in ctx.places():
             if place in dead:
                 failed = True
@@ -125,7 +120,7 @@ def _wave(ctx, fn: Callable, args_by_place: Dict[int, tuple], name: str):
             except DeadPlaceError:
                 failed = True
     yield f.wait()
-    return not failed and not _dead(ctx)
+    return not failed and not ctx.dead_places()
 
 
 def _collect_blobs(ctx, attempt: int) -> Dict[int, Any]:
@@ -144,12 +139,9 @@ def _heal(ctx, restore: Callable, committed_epoch: int, committed: Dict[int, Any
           stats: dict, max_attempts: int):
     """Revive every dead place, then roll the whole world back to committed."""
     for _ in range(max_attempts):
-        for place in _dead(ctx):
-            ctx.revive(place)
+        for place in ctx.dead_places():
+            ctx.revive(place)  # forgets exactly this death: place 0 is un-poisoned
             stats["revivals"] += 1
-        ack = getattr(ctx, "acknowledge_deaths", None)
-        if callable(ack):
-            ack()  # place 0 must un-poison before it can spawn the wave
         args = {
             place: (restore, committed_epoch, committed.get(place))
             for place in ctx.places()
@@ -178,7 +170,7 @@ def run_resilient_epochs(ctx, epochs: int, body: Callable, restore: Callable,
     failures = 0
     epoch = 0
     while epoch < epochs:
-        if need_restore or _dead(ctx):
+        if need_restore or ctx.dead_places():
             yield from _heal(ctx, restore, committed_epoch, committed,
                              stats, max_attempts)
             need_restore = False

@@ -38,12 +38,6 @@ CHUNK = 512
 _IDLE_BACKOFF = 5e-4
 
 
-def _known_dead(ctx) -> tuple:
-    """Places ``ctx`` knows to be dead (procs backend; empty on the sim)."""
-    probe = getattr(ctx, "dead_places", None)
-    return tuple(probe()) if callable(probe) else ()
-
-
 def uts_loop(ctx, p: dict, ctl_box: str = "uts:ctl", abort_on_death: bool = False):
     """The drain/steal/terminate loop; returns this place's processed count.
 
@@ -80,7 +74,7 @@ def uts_loop(ctx, p: dict, ctl_box: str = "uts:ctl", abort_on_death: bool = Fals
 
     while not stop:
         if abort_on_death:
-            dead = _known_dead(ctx)
+            dead = ctx.dead_places()
             if dead:
                 raise DeadPlaceError(
                     dead[0], detected_by=f"uts worker @{me}",

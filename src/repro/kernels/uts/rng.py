@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from typing import Protocol, Union
+from typing import Union
 
 import numpy as np
 
@@ -32,16 +32,6 @@ _MASK_I = 0xFFFFFFFFFFFFFFFF
 _GAMMA_I = 0x9E3779B97F4A7C15
 _MIX1_I = 0xBF58476D1CE4E5B9
 _MIX2_I = 0x94D049BB133111EB
-
-
-class SplitRng(Protocol):
-    """What the UTS tree expansion needs from a splittable RNG."""
-
-    def root_state(self, seed: int): ...
-
-    def child_states(self, parent_state, lo: int, hi: int): ...
-
-    def num_children(self, states, q: float) -> np.ndarray: ...
 
 
 class SplitMixRng:

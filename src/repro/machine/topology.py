@@ -73,9 +73,6 @@ class Topology:
             octant=octant, drawer=within // self.config.octants_per_drawer, supernode=supernode
         )
 
-    def same_octant(self, a: int, b: int) -> bool:
-        return self.octant_of(a) == self.octant_of(b)
-
     def same_drawer_octants(self, oa: int, ob: int) -> bool:
         ca, cb = self.coord_of_octant(oa), self.coord_of_octant(ob)
         return ca.supernode == cb.supernode and ca.drawer == cb.drawer

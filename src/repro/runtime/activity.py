@@ -18,6 +18,36 @@ X10                    here
 ``here``               ``ctx.here``
 ``Place.places()``     ``ctx.places()``
 =====================  ==========================================
+
+This module is the only implementation of that surface.  It drives any runtime
+``rt`` that answers the seam below: :class:`~repro.runtime.runtime.ApgasRuntime`
+(every place in one process, virtual time) and
+:class:`~repro.xrt.procs.runtime.ProcsRuntime` (one OS process per place, wall
+time).  The finishes ``open_finish`` hands out answer ``fork(src, dst)``,
+``join(place)`` and ``wait()`` and carry ``rt``.
+
+=============================================================  ==============================
+the runtime seam                                               serves
+=============================================================  ==============================
+``engine``                                                     ``ctx.now`` (the clock)
+``n_places``                                                   ``ctx.places()``, ``n_places``
+``race``                                                       race hooks; ``None`` on procs
+``activity_ids``                                               an iterator: ``Activity.id``
+``place(p) -> PlaceRuntime``                                   ``store try_recv atomic when``
+``charge(place, dt) -> Timeout``                               ``ctx.compute`` (procs: a yield)
+``open_finish(home, pragma, name)``                            ``with ctx.finish(...)``
+``spawn_local(place, fn, args, finish, name) -> Activity``     ``ctx.async_``
+``spawn_remote(src, dst, fn, args, finish, nbytes, name)``     ``ctx.at_async``
+``remote_eval(src, dst, fn, args, nbytes) -> SimEvent``        ``ctx.at``
+``send_item(src, dst, mailbox, item, nbytes)``                 ``ctx.send``
+``recv(place, mailbox)``                                       ``ctx.recv``
+``async_copy(here, src, dst, finish, nbytes)``                 ``ctx.async_copy`` (RDMA only)
+``dead_places()``, ``acknowledge_deaths()``                    the ``ctx`` calls of those names
+``revive_place(p)``                                            ``ctx.revive(p)``
+=============================================================  ==============================
+
+``spawn_remote`` and ``remote_eval`` also take ``clock=``, the race detector's
+vector-clock snapshot.
 """
 
 from __future__ import annotations
@@ -40,7 +70,7 @@ class Activity:
 
     def __init__(self, place: int, fn: Callable, args: tuple, finish: BaseFinish, name: str = ""):
         # ids are per-runtime so two identical runs export identical traces
-        self.id = next(finish.rt._activity_ids)
+        self.id = next(finish.rt.activity_ids)
         self.place = place
         self.fn = fn
         self.args = args
@@ -64,6 +94,29 @@ class Activity:
         return self.finish_stack[-1]
 
 
+class _UngovernedFinish:
+    """Sentinel finish for shifted (`at`) evaluation bodies.
+
+    An ``at`` does not create a new task — the current activity moves — so its
+    body has no governing finish of its own.  Spawning an *ungoverned* async
+    inside an ``at`` body without opening a finish scope is an error.
+    """
+
+    home = -1
+
+    def __init__(self, rt) -> None:
+        self.rt = rt
+
+    def fork(self, src: int, dst: int) -> None:
+        raise ApgasError(
+            "cannot spawn an async inside an `at` body without opening a finish "
+            "scope: wrap it in `with ctx.finish(...)`"
+        )
+
+    def join(self, place: int) -> None:  # pragma: no cover - defensive
+        raise ApgasError("ungoverned finish cannot join")
+
+
 class FinishScope:
     """``with ctx.finish(...) as f:`` — push/pop a finish scope.
 
@@ -79,9 +132,7 @@ class FinishScope:
         self._finish: Optional[BaseFinish] = None
 
     def __enter__(self) -> BaseFinish:
-        from repro.runtime.finish import make_finish
-
-        self._finish = make_finish(self._ctx.rt, self._ctx.here, self._pragma, self._name)
+        self._finish = self._ctx.rt.open_finish(self._ctx.here, self._pragma, self._name)
         race = self._ctx.rt.race
         if race is not None:
             race.on_finish_open(self._finish, self._ctx.activity)
@@ -109,10 +160,6 @@ class ActivityContext:
     def here(self) -> int:
         """The current place (X10's ``here``)."""
         return self.activity.place
-
-    @property
-    def engine(self):
-        return self.rt.engine
 
     @property
     def now(self) -> float:
@@ -172,10 +219,7 @@ class ActivityContext:
             dt += mem_bytes / mem_bw
         if dt < 0:
             raise ApgasError(f"negative compute duration {dt!r}")
-        dt *= self.rt.jitter.factor(self.here)
-        now = self.rt.engine.now
-        end = self.rt.place(self.here).worker.reserve(now, dt)
-        return Timeout(end - now)
+        return self.rt.charge(self.here, dt)
 
     def sleep(self, seconds: float) -> Timeout:
         """Suspend without occupying the worker (pure waiting)."""
@@ -224,10 +268,6 @@ class ActivityContext:
         """Open a finish scope: ``with ctx.finish() as f: ...; yield f.wait()``."""
         return FinishScope(self, pragma, name)
 
-    @property
-    def current_finish(self) -> BaseFinish:
-        return self.activity.current_finish
-
     def async_copy(self, src, dst, nbytes: Optional[int] = None) -> None:
         """``Array.asyncCopy``: an RDMA bulk copy treated exactly as if it
         were an async — its termination is tracked by the enclosing finish,
@@ -252,11 +292,26 @@ class ActivityContext:
 
     def recv(self, mailbox: str):
         """Blocking receive from this place's ``mailbox``: yield the effect."""
-        return self.rt.place(self.here).mailbox(mailbox).get()
+        return self.rt.recv(self.here, mailbox)
 
     def try_recv(self, mailbox: str):
         """Non-blocking receive: ``(True, item)`` or ``(False, None)``."""
         return self.rt.place(self.here).mailbox(mailbox).try_get()
+
+    # -- resilience ---------------------------------------------------------------------
+
+    def dead_places(self) -> tuple:
+        """Places known (here, now) to be dead and not yet revived, sorted."""
+        return self.rt.dead_places()
+
+    def acknowledge_deaths(self) -> None:
+        """Forget the known deaths so messaging resumes; who may, and when:
+        :meth:`~repro.xrt.procs.runtime.ProcsRuntime.acknowledge_deaths`."""
+        self.rt.acknowledge_deaths()
+
+    def revive(self, place: int) -> None:
+        """Bring a dead place back as a fresh, empty host under the same id."""
+        self.rt.revive_place(place)
 
     # -- atomic / when ----------------------------------------------------------------
 

@@ -52,7 +52,7 @@ class PlaceRuntime:
             else MultiLaneResource(workers, f"workers[{place_id}]")
         )
         self.monitor = Monitor()
-        self._mailboxes: Dict[str, Store] = {}
+        self.mailboxes: Dict[str, Store] = {}
         #: place-local named state (``ctx.store``) — the portable programs'
         #: per-place heap, mirroring what a real place process keeps in its
         #: own address space (the procs backend gives each place a real one)
@@ -61,9 +61,9 @@ class PlaceRuntime:
         self.activities_run = 0
 
     def mailbox(self, name: str) -> Store:
-        box = self._mailboxes.get(name)
+        box = self.mailboxes.get(name)
         if box is None:
-            box = self._mailboxes[name] = Store(name=f"p{self.id}:{name}")
+            box = self.mailboxes[name] = Store(name=f"p{self.id}:{name}")
         return box
 
     def busy_time(self) -> float:

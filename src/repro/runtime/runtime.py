@@ -14,12 +14,12 @@ from repro.machine.noise import JitterModel
 from repro.machine.topology import Topology
 from repro.obs import Observability
 from repro.runtime import racedetect
-from repro.runtime.activity import Activity, ActivityContext
+from repro.runtime.activity import Activity, ActivityContext, _UngovernedFinish
 from repro.runtime.finish import BaseFinish, Pragma, make_finish
 from repro.runtime.place import PlaceRuntime
 from repro.sim import make_engine
 from repro.sim.events import SimEvent
-from repro.sim.process import Process
+from repro.sim.process import Process, Timeout
 from repro.xrt import (
     Collectives,
     MemoryRegistry,
@@ -94,11 +94,9 @@ class ApgasRuntime:
         self.workers_per_place = workers_per_place
         self.config = config if config is not None else MachineConfig()
         self.obs = obs if obs is not None else Observability()
+        #: the clock (see :mod:`repro.xrt.backend`): virtual time here; the
+        #: procs runtime has a wall-clock loop in the same slot
         self.engine = make_engine()
-        #: the scheduling seam (see :mod:`repro.xrt.backend`): this runtime's
-        #: clock is the virtual-time engine itself; the procs backend swaps a
-        #: wall-clock loop into the same slot
-        self.clock = self.engine
         self.obs.observe_engine(self.engine)
         self.topology = Topology(self.config, places)
         if chaos is None:
@@ -124,7 +122,7 @@ class ApgasRuntime:
         #: per-runtime id stream (module-global ids would leak across runs and
         #: make otherwise-identical runs export different traces)
         self._finish_ids = itertools.count(1)
-        self._activity_ids = itertools.count(1)
+        self.activity_ids = itertools.count(1)
         self._ungoverned = _UngovernedFinish(self)
         #: reply_id -> (event, evaluating place); the place lets a place death
         #: fail the outstanding evaluations it can never answer
@@ -166,9 +164,27 @@ class ApgasRuntime:
     def now(self) -> float:
         return self.engine.now
 
+    def charge(self, place: int, dt: float) -> Timeout:
+        """``ctx.compute``: ``dt`` jittered seconds on ``place``'s worker."""
+        dt *= self.jitter.factor(place)
+        now = self.engine.now
+        return Timeout(self.place(place).worker.reserve(now, dt) - now)
+
+    def open_finish(self, home: int, pragma: Pragma, name: str = "") -> BaseFinish:
+        return make_finish(self, home, pragma, name)
+
+    def recv(self, place: int, mailbox: str):
+        return self.place(place).mailbox(mailbox).get()
+
     def is_dead(self, place: int) -> bool:
         """True once fault injection failed ``place`` (always False without)."""
         return self.chaos is not None and self.chaos.is_dead(place)
+
+    def dead_places(self) -> tuple:
+        return tuple(sorted(self.chaos.dead_places)) if self.chaos is not None else ()
+
+    def acknowledge_deaths(self) -> None:
+        """Nothing to lift: the simulator keeps no poison set (``is_dead``)."""
 
     def live_activities(self, place: int) -> int:
         """Activities currently hosted at ``place``.
@@ -193,7 +209,7 @@ class ApgasRuntime:
         method.  ``max_events`` is the chaos tests' hang guard: the engine
         raises :class:`~repro.errors.StepLimitError` past that many callbacks.
         """
-        root = make_finish(self, 0, Pragma.DEFAULT, name="root")
+        root = self.open_finish(0, Pragma.DEFAULT, name="root")
         activity = self.spawn_local(0, main, args, root, name="main")
         self.engine.run(until=until, max_events=max_events)
         if activity.process is None or not activity.process.done.fired:
@@ -567,26 +583,3 @@ class ApgasRuntime:
     def _on_item(self, dst: int, body) -> None:
         mailbox, item = body
         self.place(dst).mailbox(mailbox).put(item)
-
-
-class _UngovernedFinish:
-    """Sentinel finish for shifted (`at`) evaluation bodies.
-
-    An ``at`` does not create a new task — the current activity moves — so its
-    body has no governing finish of its own.  Spawning an *ungoverned* async
-    inside an ``at`` body without opening a finish scope is an error.
-    """
-
-    home = -1
-
-    def __init__(self, rt: "ApgasRuntime") -> None:
-        self.rt = rt
-
-    def fork(self, src: int, dst: int) -> None:
-        raise ApgasError(
-            "cannot spawn an async inside an `at` body without opening a finish "
-            "scope: wrap it in `with ctx.finish(...)`"
-        )
-
-    def join(self, place: int) -> None:  # pragma: no cover - defensive
-        raise ApgasError("ungoverned finish cannot join")

@@ -63,7 +63,3 @@ class Store:
         getters, self._getters = self._getters, deque()
         for get in getters:
             get.event.fail(exc)
-
-    @property
-    def waiting_getters(self) -> int:
-        return len(self._getters)

@@ -9,12 +9,6 @@ thicker per-message software stack than PAMI.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.machine.config import MachineConfig
-from repro.machine.topology import Topology
-from repro.obs import Observability
-from repro.sim.engine import Engine
 from repro.xrt.transport import Transport
 
 
@@ -23,21 +17,5 @@ class MpiTransport(Transport):
     supports_hw_collectives = True
     name = "mpi"
     software_overhead_factor = 1.5
-
-    #: extra per-message MPI matching/progress cost on top of the fabric
-    MPI_SOFTWARE_LATENCY = 2.5e-6
-
-    def __init__(
-        self,
-        engine: Engine,
-        config: MachineConfig,
-        topology: Topology,
-        obs: Optional[Observability] = None,
-        chaos=None,
-        reliable: Optional[bool] = None,
-    ) -> None:
-        mpi_cost = config.with_(
-            software_latency=config.software_latency + self.MPI_SOFTWARE_LATENCY,
-            msg_injection_overhead=config.msg_injection_overhead * 1.5,
-        )
-        super().__init__(engine, mpi_cost, topology, obs=obs, chaos=chaos, reliable=reliable)
+    #: per-message MPI matching/progress cost
+    software_latency_extra = 2.5e-6

@@ -9,12 +9,11 @@ discrete-event simulator.  :func:`run_procs_program` is the entry point;
 
 from repro.xrt.procs.launcher import DEFAULT_DEADLINE, ProcsReport, run_procs_program
 from repro.xrt.procs.loop import PlaceLoop
-from repro.xrt.procs.runtime import ProcsContext, ProcsRuntime
+from repro.xrt.procs.runtime import ProcsRuntime
 
 __all__ = [
     "DEFAULT_DEADLINE",
     "PlaceLoop",
-    "ProcsContext",
     "ProcsReport",
     "ProcsRuntime",
     "run_procs_program",

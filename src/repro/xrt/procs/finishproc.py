@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Dict, Tuple
 from repro.errors import DeadPlaceError, PragmaError
 from repro.runtime.finish.pragmas import FORK_RULES, Pragma
 from repro.sim.events import SimEvent
+from repro.xrt.procs import wire
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.xrt.procs.runtime import ProcsRuntime
@@ -53,11 +54,12 @@ class HomeFinish:
     #: written off rather than fatal
     tolerate_death = False
 
-    def __init__(self, prt: "ProcsRuntime", pragma: Pragma, name: str = "") -> None:
-        self.prt = prt
-        self.home = prt.place_id
+    def __init__(self, rt: "ProcsRuntime", pragma: Pragma, name: str = "") -> None:
+        self.rt = rt
+        self.home = rt.place_id
         self.pragma = pragma
-        self.fid: Fid = (self.home, prt.next_finish_seq())
+        self.pragma_value = pragma.value
+        self.fid: Fid = (self.home, next(rt._finish_seq))
         self.name = name or f"{pragma.value}#{self.fid}"
         self._fork_rule = FORK_RULES.get(pragma)
         self.pending = 0
@@ -70,14 +72,14 @@ class HomeFinish:
         self._event = SimEvent(name=f"{self.name}.wait")
         # parity with the simulator's metrics: opening a finish registers its
         # pragma in the per-pragma ctl counts even if it never sends one
-        prt.ctl_by_pragma.setdefault(pragma.value, 0)
+        rt.ctl_by_pragma.setdefault(pragma.value, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<HomeFinish {self.name} pending={self.pending}>"
 
     # -- the governing-finish interface used by the runtime ---------------------
 
-    def on_fork(self, src: int, dst: int) -> None:
+    def fork(self, src: int, dst: int) -> None:
         rule = self._fork_rule
         if rule is not None:
             rule(self.name, self.home, self.total_forks, dst)
@@ -91,7 +93,7 @@ class HomeFinish:
         self.pending += 1
         self.pending_by_place[dst] = self.pending_by_place.get(dst, 0) + 1
 
-    def on_join(self, place: int) -> None:
+    def join(self, place: int) -> None:
         """A home-local activity terminated (no message, no ctl count)."""
         self._arrive(place)
 
@@ -127,7 +129,7 @@ class HomeFinish:
             return
         self.pending -= lost
         self.deaths_tolerated += 1
-        self.prt.deaths_tolerated += 1
+        self.rt.deaths_tolerated += 1
         if self.pending == 0 and not self._event.fired:
             self._event.trigger()
 
@@ -150,10 +152,10 @@ class ProxyFinish:
     of the spawn; joins send the one counted JOIN control message.
     """
 
-    __slots__ = ("prt", "fid", "pragma_value", "home")
+    __slots__ = ("rt", "fid", "pragma_value", "home")
 
-    def __init__(self, prt: "ProcsRuntime", fid: Fid, pragma_value: str, home: int) -> None:
-        self.prt = prt
+    def __init__(self, rt: "ProcsRuntime", fid: Fid, pragma_value: str, home: int) -> None:
+        self.rt = rt
         self.fid = fid
         self.pragma_value = pragma_value
         self.home = home
@@ -161,12 +163,15 @@ class ProxyFinish:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ProxyFinish {self.fid} home={self.home}>"
 
-    def on_fork(self, src: int, dst: int) -> None:
-        self.prt.send_fork_notice(self.home, self.fid, self.pragma_value, dst)
+    def fork(self, src: int, dst: int) -> None:
+        # uncounted: the sim's fork bookkeeping rides inside the spawn message
+        self.rt.send_frame((wire.FORK, src, self.home, (self.fid, self.pragma_value, dst)))
 
-    def on_join(self, place: int) -> None:
+    def join(self, place: int) -> None:
         # the counted control message: one per remotely terminating activity
-        self.prt.send_join(self.home, self.fid, self.pragma_value)
+        ctl = self.rt.ctl_by_pragma
+        ctl[self.pragma_value] = ctl.get(self.pragma_value, 0) + 1
+        self.rt.send_frame((wire.JOIN, place, self.home, (self.fid, self.pragma_value)))
 
     def wait(self) -> SimEvent:  # pragma: no cover - portable programs wait at home
         raise PragmaError(
@@ -174,12 +179,12 @@ class ProxyFinish:
         )
 
 
-def resolve_finish(prt: "ProcsRuntime", fid: Fid, pragma_value: str, home: int):
+def resolve_finish(rt: "ProcsRuntime", fid: Fid, pragma_value: str, home: int):
     """The governing finish for an activity arriving with ``(fid, pragma, home)``."""
-    if home == prt.place_id:
-        return prt.finishes[fid]
-    proxies: Dict[Fid, ProxyFinish] = prt.proxies
+    if home == rt.place_id:
+        return rt.finishes[fid]
+    proxies: Dict[Fid, ProxyFinish] = rt.proxies
     proxy = proxies.get(fid)
     if proxy is None:
-        proxy = proxies[fid] = ProxyFinish(prt, fid, pragma_value, home)
+        proxy = proxies[fid] = ProxyFinish(rt, fid, pragma_value, home)
     return proxy

@@ -310,7 +310,6 @@ def run_procs_program(
             if place in loop.conn_for:
                 return  # already alive
             loop.dead.discard(place)
-            prt.dead_places.discard(place)
             state["revivals"] += 1
             _fork_child(place, f"place-{place}-r{state['revivals']}")
 
@@ -350,8 +349,8 @@ def run_procs_program(
             for place, t in spec.kills:
                 loop.post(max(t, 0.0), _fire_kill, place)
 
-        root = prt.open_finish(Pragma.DEFAULT, name="root")
-        main_process = prt.spawn_local(main, (), root, name="main")
+        root = prt.open_finish(0, Pragma.DEFAULT, name="root")
+        main_process = prt.spawn_local(0, main, (), root, name="main").process
 
         def on_quiesce(_event) -> None:
             state["draining"] = True
@@ -369,7 +368,7 @@ def run_procs_program(
         result = main_process.done.value if main_process.done.fired else None
         ctl: Dict[str, int] = dict(prt.ctl_by_pragma)
         per_place = {0: {"ctl_by_pragma": dict(prt.ctl_by_pragma),
-                         "activities_run": prt.activities_run}}
+                         "activities_run": prt.place(0).activities_run}}
         tolerated = prt.deaths_tolerated
         for place, payload in done_reports.items():
             per_place[place] = payload
@@ -445,7 +444,7 @@ def _child_main(
     def on_exit(src: int, payload) -> None:
         conn.send_frame((wire.DONE, place, 0, {
             "ctl_by_pragma": dict(prt.ctl_by_pragma),
-            "activities_run": prt.activities_run,
+            "activities_run": prt.place(place).activities_run,
             "deaths_tolerated": prt.deaths_tolerated,
             "dropped": conn.dropped,
         }))

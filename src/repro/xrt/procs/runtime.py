@@ -1,96 +1,67 @@
-"""Per-process place runtime and the APGAS ``ctx`` surface for procs.
+"""Per-process place runtime: the procs side of the ``ctx`` runtime seam.
 
-:class:`ProcsContext` implements the *portable* subset of
-:class:`~repro.runtime.activity.ActivityContext` — the part whose arguments
-are plain picklable data — with identical semantics, so a portable program
-body cannot tell which backend is driving it.  Activities are the same
-generator :class:`~repro.sim.process.Process` machinery as the simulator,
-scheduled by the wall-clock :class:`~repro.xrt.procs.loop.PlaceLoop` instead
-of the virtual-time engine.
+There is one APGAS surface (:class:`~repro.runtime.activity.ActivityContext`)
+and one activity type.  :class:`ProcsRuntime` answers the seam tabled in
+:mod:`repro.runtime.activity` for the single place this OS process hosts, as
+:class:`~repro.runtime.runtime.ApgasRuntime` does for every simulated place;
+activities are the same generator :class:`~repro.sim.process.Process`
+machinery, scheduled by the wall-clock
+:class:`~repro.xrt.procs.loop.PlaceLoop` instead of the virtual-time engine.
 
-Differences under the hood, invisible to programs:
+What differs under the seam:
 
-* ``ctx.compute(...)`` charges no wall time — it is a cooperative yield point
-  (the real CPU cost *is* the compute).  ``ctx.sleep`` sleeps real seconds.
-* Remote operations pickle their function (by module reference) and
-  arguments; place-local state lives in ``ctx.store``, a genuinely private
-  per-process heap.
+* ``charge`` takes no wall time (the real CPU cost *is* the compute): it is a
+  cooperative yield point.  ``ctx.sleep`` sleeps real seconds.
+* Remote operations pickle their function (by module reference) and arguments:
+  a program is portable exactly when its arguments pickle.  ``ctx.store`` is a
+  genuinely private per-process heap.
+* A known place death poisons sends, spawns and blocking receives until it is
+  acknowledged or revived; there is no RDMA and no race detector.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.errors import ApgasError, DeadPlaceError, PlaceError, ProcsError
+from repro.runtime.activity import Activity, ActivityContext, _UngovernedFinish
 from repro.runtime.finish.pragmas import Pragma
-from repro.runtime.place import Monitor
+from repro.runtime.place import PlaceRuntime
 from repro.sim.events import SimEvent
 from repro.sim.process import Process, Timeout
-from repro.sim.store import Store
 from repro.xrt.procs import wire
 from repro.xrt.procs.finishproc import Fid, HomeFinish, resolve_finish
 from repro.xrt.procs.loop import PlaceLoop
 
 
-class ProcsActivity:
-    """One asynchronous task at this place (procs counterpart of Activity)."""
-
-    __slots__ = ("place", "fn", "args", "name", "finish_stack", "process")
-
-    def __init__(self, place: int, fn: Callable, args: tuple, finish, name: str = "") -> None:
-        self.place = place
-        self.fn = fn
-        self.args = args
-        self.name = name or f"{getattr(fn, '__name__', 'activity')}@{place}"
-        self.finish_stack = [finish]
-        self.process: Optional[Process] = None
-
-    @property
-    def current_finish(self):
-        return self.finish_stack[-1]
-
-
-class ProcsFinishScope:
-    """``with ctx.finish(...) as f:`` for the procs backend."""
-
-    def __init__(self, ctx: "ProcsContext", pragma: Pragma, name: str) -> None:
-        self._ctx = ctx
-        self._pragma = pragma
-        self._name = name
-        self._finish: Optional[HomeFinish] = None
-
-    def __enter__(self) -> HomeFinish:
-        self._finish = self._ctx.prt.open_finish(self._pragma, self._name)
-        self._ctx.activity.finish_stack.append(self._finish)
-        return self._finish
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        popped = self._ctx.activity.finish_stack.pop()
-        if popped is not self._finish:
-            raise ApgasError("finish scopes closed out of order")
-
-
 class ProcsRuntime:
     """The APGAS runtime of one place process."""
 
+    #: no determinacy-race detector over real processes
+    race = None
+
     def __init__(self, loop: PlaceLoop, place_id: int, n_places: int) -> None:
-        self.loop = loop
+        #: the clock: a wall-clock loop where the simulator has its engine
+        self.engine = loop
         self.place_id = place_id
         self.n_places = n_places
-        #: ``ctx.store`` — this process's private per-place heap
-        self.store: dict = {}
-        self.monitor = Monitor()
-        self._mailboxes: dict[str, Store] = {}
+        #: the one place this process hosts: ``ctx.store`` (a genuinely
+        #: private heap), its mailboxes and its atomic/when monitor
+        self._place = PlaceRuntime(place_id)
         self.finishes: dict[Fid, HomeFinish] = {}
         self.proxies: dict = {}
         self._finish_seq = itertools.count()
+        self.activity_ids = itertools.count(1)
+        self._ungoverned = _UngovernedFinish(self)
         self._reply_seq = itertools.count()
-        self._pending_replies: dict[int, SimEvent] = {}
-        self._reply_dst: dict[int, int] = {}
-        #: places this process knows to be dead and has not yet acknowledged
-        #: (via restore) or seen revived; poisons sends/spawns/blocking recvs
-        self.dead_places: set = set()
+        #: reply_id -> (event, evaluating place) of the remote evals in flight
+        self._replies: dict[int, tuple[SimEvent, int]] = {}
+        #: places this process knows to be dead and has neither acknowledged
+        #: nor revived; poisons sends/spawns/blocking recvs
+        self._dead: set = set()
         self.deaths_tolerated = 0
         #: installed by the launcher at place 0 only: fork a fresh OS process
         #: for a dead place and re-register it with the router
@@ -98,7 +69,6 @@ class ProcsRuntime:
         #: finish control messages *sent from this process*, by pragma value;
         #: the launcher sums these across places into the run report
         self.ctl_by_pragma: dict[str, int] = {}
-        self.activities_run = 0
         #: installed by the launcher / child bootstrap: ``fn(frame)`` hands a
         #: frame to the transport (direct conn at children, routing at place 0)
         self.send_frame: Callable[[wire.Frame], None] = _unwired
@@ -113,136 +83,140 @@ class ProcsRuntime:
         ):
             loop.register_handler(kind, handler)
 
-    # -- small helpers -----------------------------------------------------------
+    # -- the runtime seam (see repro.runtime.activity) ---------------------------
 
-    def next_finish_seq(self) -> int:
-        return next(self._finish_seq)
+    def place(self, place_id: int) -> PlaceRuntime:
+        if place_id != self.place_id:
+            raise PlaceError(f"place {place_id} is not hosted by place {self.place_id}'s process")
+        return self._place
 
-    def mailbox(self, name: str) -> Store:
-        box = self._mailboxes.get(name)
-        if box is None:
-            box = self._mailboxes[name] = Store(name=f"p{self.place_id}:{name}")
-        return box
+    def charge(self, place: int, dt: float) -> Timeout:
+        """A cooperative yield point: real CPU time is the real cost here, so
+        the modeled charge is not re-applied as wall sleep."""
+        return Timeout(0.0)
+
+    def open_finish(self, home: int, pragma: Pragma, name: str = "") -> HomeFinish:
+        """A finish homed here (``home`` is ``ctx.here``: this process's place)."""
+        fin = HomeFinish(self, pragma, name)
+        self.finishes[fin.fid] = fin
+        return fin
 
     def _check_place(self, place: int) -> None:
         if not 0 <= place < self.n_places:
             raise PlaceError(f"place {place} outside 0..{self.n_places - 1}")
-        if place in self.dead_places:
+        if place in self._dead:
             raise DeadPlaceError(
                 place, detected_by=f"place {self.place_id}",
                 detail="operation targets a dead place",
             )
 
-    def open_finish(self, pragma: Pragma, name: str = "") -> HomeFinish:
-        fin = HomeFinish(self, pragma, name)
-        self.finishes[fin.fid] = fin
-        return fin
-
-    # -- finish control messages -------------------------------------------------
-
-    def send_fork_notice(self, home: int, fid: Fid, pragma_value: str, dst: int) -> None:
-        # uncounted: the sim's fork bookkeeping rides inside the spawn message
-        self.send_frame((wire.FORK, self.place_id, home, (fid, pragma_value, dst)))
-
-    def send_join(self, home: int, fid: Fid, pragma_value: str) -> None:
-        self.ctl_by_pragma[pragma_value] = self.ctl_by_pragma.get(pragma_value, 0) + 1
-        self.send_frame((wire.JOIN, self.place_id, home, (fid, pragma_value)))
-
     # -- spawning ----------------------------------------------------------------
 
-    def spawn_local(self, fn: Callable, args: tuple, finish, name: str = "") -> Process:
-        finish.on_fork(self.place_id, self.place_id)
+    def spawn_local(self, place: int, fn: Callable, args: tuple, finish, name: str = "") -> Activity:
+        finish.fork(place, place)
         return self._start_activity(fn, args, finish, name)
 
-    def spawn_remote(self, dst: int, fn: Callable, args: tuple, finish, name: str = "") -> None:
+    def spawn_remote(
+        self, src: int, dst: int, fn: Callable, args: tuple, finish,
+        nbytes: Optional[int] = None, name: str = "", clock=None,
+    ) -> None:
         self._check_place(dst)
-        if dst == self.place_id:
-            self.spawn_local(fn, args, finish, name)
+        if dst == src:
+            self.spawn_local(dst, fn, args, finish, name)
             return
         # fork first (local count at home, FORK notice from elsewhere), then
         # the spawn; the router preserves this order end-to-end
-        finish.on_fork(self.place_id, dst)
-        fid, pragma_value, home = _finish_identity(finish)
-        self.send_frame((wire.SPAWN, self.place_id, dst, (fn, args, fid, pragma_value, home, name)))
+        finish.fork(src, dst)
+        self.send_frame(
+            (wire.SPAWN, src, dst, (fn, args, finish.fid, finish.pragma_value, finish.home, name))
+        )
 
-    def _start_activity(self, fn: Callable, args: tuple, finish, name: str = "") -> Process:
-        activity = ProcsActivity(self.place_id, fn, args, finish, name)
-        ctx = ProcsContext(self, activity)
-        self.activities_run += 1
+    def _start_activity(self, fn: Callable, args: tuple, finish, name: str = "") -> Activity:
+        activity = Activity(self.place_id, fn, args, finish, name)
+        self._place.activities_run += 1
+        activity.process = Process(self.engine, self._body(activity), name=activity.name)
+        return activity
 
-        def runner():
-            body = fn(ctx, *args)
-            if hasattr(body, "send"):
-                result = yield from body
-            else:
-                result = body
-                yield Timeout(0.0)
-            finish.on_join(self.place_id)
-            return result
+    def _body(self, activity: Activity):
+        """The process body of every activity here, spawned or ``at``-shifted.
 
-        activity.process = Process(self.loop, runner(), name=activity.name)
-        return activity.process
+        A plain function still takes one loop turn before it terminates; a
+        spawned activity then joins its governing finish (a shifted one has
+        none: it never terminated, it moved).
+        """
+        result = activity.fn(ActivityContext(self, activity), *activity.args)
+        if inspect.isgenerator(result):
+            result = yield from result
+        else:
+            yield Timeout(0.0)
+        if activity.governing_finish is not self._ungoverned:
+            if len(activity.finish_stack) != 1:
+                raise ApgasError(f"activity {activity.name} terminated inside an open finish scope")
+            activity.governing_finish.join(activity.place)
+        return result
 
     # -- remote evaluation (ctx.at) ----------------------------------------------
 
-    def remote_eval(self, dst: int, fn: Callable, args: tuple) -> SimEvent:
+    def remote_eval(
+        self, src: int, dst: int, fn: Callable, args: tuple,
+        nbytes: Optional[int] = None, clock=None,
+    ) -> SimEvent:
         self._check_place(dst)
-        event = SimEvent(name=f"at({dst}).reply")
-        if dst == self.place_id:
-            self._eval_into(fn, args, event)
-            return event
+        if dst == src:
+            return self._evaluate(fn, args, _caller_holds)
         reply_id = next(self._reply_seq)
-        self._pending_replies[reply_id] = event
-        self._reply_dst[reply_id] = dst
-        self.send_frame((wire.EVAL, self.place_id, dst, (fn, args, reply_id)))
+        event = SimEvent(name=f"at({dst}).reply")
+        self._replies[reply_id] = (event, dst)
+        self.send_frame((wire.EVAL, src, dst, (fn, args, reply_id)))
         return event
 
-    def _eval_into(self, fn: Callable, args: tuple, event: SimEvent) -> None:
-        """Run ``fn`` as a detached subtask; bridge its outcome into ``event``."""
-        activity = ProcsActivity(self.place_id, fn, args, _NO_FINISH, name=f"eval:{getattr(fn, '__name__', 'fn')}")
-        ctx = ProcsContext(self, activity)
+    def _evaluate(self, fn: Callable, args: tuple, deliver: Callable[[SimEvent], None]) -> SimEvent:
+        """Run an ``at`` body here as a shifted activity; return its outcome
+        event.  ``deliver(done)`` consumes the outcome, so a raising body
+        reaches the caller of ``ctx.at`` instead of crashing this place."""
+        shifted = Activity(self.place_id, fn, args, self._ungoverned, name=f"at-eval@{self.place_id}")
+        done = Process(self.engine, self._body(shifted), name=shifted.name).done
+        done.add_callback(deliver)
+        return done
 
-        def runner():
-            body = fn(ctx, *args)
-            if hasattr(body, "send"):
-                return (yield from body)
-            yield Timeout(0.0)
-            return body
-
-        process = Process(self.loop, runner(), name=activity.name)
-
-        def _bridge(done: SimEvent) -> None:
-            try:
-                value = done.value
-            except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
-                event.fail(exc)
-                return
-            event.trigger(value)
-
-        process.bookkeeping_callbacks += 1  # the bridge consumes crashes
-        process.done.add_callback(_bridge)
+    def async_copy(self, here: int, src, dst, finish, nbytes: Optional[int] = None) -> None:
+        raise ApgasError(
+            "transport 'procs' has no RDMA; asyncCopy falls back to plain "
+            "messages only on RDMA-capable fabrics"
+        )
 
     # -- messaging ----------------------------------------------------------------
 
-    def send_item(self, dst: int, mailbox: str, item: Any) -> None:
+    def send_item(
+        self, src: int, dst: int, mailbox: str, item: Any, nbytes: Optional[int] = None
+    ) -> None:
         self._check_place(dst)
-        if dst == self.place_id:
-            self.mailbox(mailbox).put(item)
+        if dst == src:
+            self._place.mailbox(mailbox).put(item)
             return
-        self.send_frame((wire.ITEM, self.place_id, dst, (mailbox, item)))
+        self.send_frame((wire.ITEM, src, dst, (mailbox, item)))
+
+    def recv(self, place: int, mailbox: str):
+        if self._dead:
+            # an unacknowledged death poisons blocking receives: the item this
+            # activity is waiting for may only ever come from the dead place
+            raise DeadPlaceError(
+                min(self._dead), detected_by=f"place {place} recv({mailbox!r})",
+                detail="unacknowledged place death poisons blocking receives",
+            )
+        return self._place.mailbox(mailbox).get()
 
     # -- frame handlers ------------------------------------------------------------
 
     def _on_spawn(self, src: int, payload) -> None:
         fn, args, fid, pragma_value, home, name = payload
-        finish = resolve_finish(self, fid, pragma_value, home)
-        self._start_activity(fn, args, finish, name)
+        self._start_activity(fn, args, resolve_finish(self, fid, pragma_value, home), name)
 
     def _on_fork(self, src: int, payload) -> None:
         fid, _pragma_value, dst = payload
         fin = self.finishes[fid]
         fin.on_remote_fork(dst)
-        if dst in self.dead_places:
+        if dst in self._dead:
             # the notice raced the death: the spawn it covers was (or will be)
             # blackholed, so write it off / fail through the normal contract
             fin.notify_place_death(dst)
@@ -253,9 +227,7 @@ class ProcsRuntime:
 
     def _on_eval(self, src: int, payload) -> None:
         fn, args, reply_id = payload
-        event = SimEvent(name=f"eval#{reply_id}")
-        event.add_callback(lambda ev: self._send_reply(src, reply_id, ev))
-        self._eval_into(fn, args, event)
+        self._evaluate(fn, args, partial(self._send_reply, src, reply_id))
 
     def _send_reply(self, dst: int, reply_id: int, event: SimEvent) -> None:
         try:
@@ -271,8 +243,7 @@ class ProcsRuntime:
 
     def _on_reply(self, src: int, payload) -> None:
         reply_id, value, is_error = payload
-        event = self._pending_replies.pop(reply_id)
-        self._reply_dst.pop(reply_id, None)
+        event, _eval_place = self._replies.pop(reply_id)
         if is_error:
             event.fail(value)
         else:
@@ -280,7 +251,7 @@ class ProcsRuntime:
 
     def _on_item(self, src: int, payload) -> None:
         mailbox, item = payload
-        self.mailbox(mailbox).put(item)
+        self._place.mailbox(mailbox).put(item)
 
     def _on_dead(self, src: int, payload) -> None:
         place, cause = payload
@@ -299,170 +270,54 @@ class ProcsRuntime:
         place fail, and every blocked mailbox getter re-raises rather than
         waiting on an item that can no longer arrive.
         """
-        if place in self.dead_places or place == self.place_id:
+        if place in self._dead or place == self.place_id:
             return
-        self.dead_places.add(place)
+        self._dead.add(place)
         detail = cause or "death notice from the router"
 
         for fin in list(self.finishes.values()):
             fin.notify_place_death(place, cause)
-        for reply_id in [r for r, d in self._reply_dst.items() if d == place]:
-            self._reply_dst.pop(reply_id, None)
-            event = self._pending_replies.pop(reply_id, None)
-            if event is not None and not event.fired:
+        for reply_id, (event, eval_place) in list(self._replies.items()):
+            if eval_place == place:
+                del self._replies[reply_id]
                 event.fail(DeadPlaceError(
                     place, detected_by=f"place {self.place_id} remote eval", detail=detail,
                 ))
-        for box in list(self._mailboxes.values()):
+        for box in list(self._place.mailboxes.values()):
             box.fail_getters(DeadPlaceError(
                 place, detected_by=f"place {self.place_id} mailbox {box.name!r}", detail=detail,
             ))
 
+    def dead_places(self) -> tuple:
+        """Places this process currently knows to be dead (sorted)."""
+        return tuple(sorted(self._dead))
+
     def acknowledge_deaths(self) -> None:
-        """Clear the death poison (restore paths, after recovery handled it)."""
-        self.dead_places.clear()
+        """Forget every known death: lift the poison so messaging resumes.
+
+        The invariant: a death is forgotten only after the place was revived.
+        A member place may call this when its restore step starts (the
+        coordinator spawned that step *after* reviving every place it knew
+        dead).  Place 0 never does: :meth:`revive_place` forgets exactly the
+        place it revived, so a death landing while a restore wave is in flight
+        stays known until the coordinator has respawned it.
+        """
+        self._dead.clear()
+
+    def revive_place(self, place: int) -> None:
+        """Fork a fresh OS process for a dead place, then forget the death."""
+        if self.respawn_place is None:
+            raise ProcsError(
+                "place revival is only available at the control place "
+                f"(place 0); place {self.place_id} cannot revive place {place}"
+            )
+        self.respawn_place(place)
+        self._dead.discard(place)
 
 
 def _unwired(frame) -> None:
     raise ProcsError("runtime not wired to a transport (send_frame unset)")
 
 
-def _finish_identity(finish) -> tuple:
-    """(fid, pragma_value, home) for either a HomeFinish or a ProxyFinish."""
-    if isinstance(finish, HomeFinish):
-        return finish.fid, finish.pragma.value, finish.home
-    return finish.fid, finish.pragma_value, finish.home
-
-
-class _NoFinish:
-    """Governs detached eval subtasks: ctx.at never involves a finish."""
-
-    def on_fork(self, src: int, dst: int) -> None:  # pragma: no cover - unused
-        pass
-
-    def on_join(self, place: int) -> None:
-        pass
-
-
-_NO_FINISH = _NoFinish()
-
-
-class ProcsContext:
-    """The APGAS API handed to activities in a place process.
-
-    Method-for-method compatible with the portable subset of
-    :class:`~repro.runtime.activity.ActivityContext`.
-    """
-
-    __slots__ = ("prt", "activity")
-
-    def __init__(self, prt: ProcsRuntime, activity: ProcsActivity) -> None:
-        self.prt = prt
-        self.activity = activity
-
-    # -- introspection -----------------------------------------------------------
-
-    @property
-    def here(self) -> int:
-        return self.activity.place
-
-    @property
-    def engine(self):
-        return self.prt.loop
-
-    @property
-    def now(self) -> float:
-        return self.prt.loop.now
-
-    def places(self) -> range:
-        return range(self.prt.n_places)
-
-    @property
-    def n_places(self) -> int:
-        return self.prt.n_places
-
-    @property
-    def store(self) -> dict:
-        return self.prt.store
-
-    # -- compute -------------------------------------------------------------------
-
-    def compute(self, seconds=None, flops=None, flop_rate=None,
-                mem_bytes=None, mem_bw=None) -> Timeout:
-        """A cooperative yield point: real CPU time is the real cost here, so
-        the modeled charge is not re-applied as wall sleep."""
-        return Timeout(0.0)
-
-    def sleep(self, seconds: float) -> Timeout:
-        return Timeout(seconds)
-
-    # -- spawning ----------------------------------------------------------------
-
-    def async_(self, fn: Callable, *args: Any, name: str = "") -> None:
-        self.prt.spawn_local(fn, args, self.activity.current_finish, name)
-
-    def at_async(self, place: int, fn: Callable, *args: Any,
-                 nbytes: Optional[int] = None, name: str = "") -> None:
-        self.prt.spawn_remote(place, fn, args, self.activity.current_finish, name)
-
-    def at(self, place: int, fn: Callable, *args: Any,
-           nbytes: Optional[int] = None) -> SimEvent:
-        return self.prt.remote_eval(place, fn, args)
-
-    # -- finish ---------------------------------------------------------------------
-
-    def finish(self, pragma: Pragma = Pragma.DEFAULT, name: str = "") -> ProcsFinishScope:
-        return ProcsFinishScope(self, pragma, name)
-
-    @property
-    def current_finish(self):
-        return self.activity.current_finish
-
-    # -- messaging ----------------------------------------------------------------
-
-    def send(self, place: int, mailbox: str, item: Any, nbytes: Optional[int] = None) -> None:
-        self.prt.send_item(place, mailbox, item)
-
-    def recv(self, mailbox: str):
-        if self.prt.dead_places:
-            # an unacknowledged death poisons blocking receives: the item this
-            # activity is waiting for may only ever come from the dead place
-            place = min(self.prt.dead_places)
-            raise DeadPlaceError(
-                place, detected_by=f"place {self.here} recv({mailbox!r})",
-                detail="unacknowledged place death poisons blocking receives",
-            )
-        return self.prt.mailbox(mailbox).get()
-
-    def try_recv(self, mailbox: str):
-        return self.prt.mailbox(mailbox).try_get()
-
-    # -- resilience (procs-specific; probed with getattr by resilient programs) -----
-
-    def dead_places(self) -> tuple:
-        """Places this process currently knows to be dead (sorted)."""
-        return tuple(sorted(self.prt.dead_places))
-
-    def acknowledge_deaths(self) -> None:
-        """Accept the deaths: clear the poison so normal messaging resumes."""
-        self.prt.acknowledge_deaths()
-
-    def revive(self, place: int) -> None:
-        """Respawn a fresh OS process for a dead place (place 0 only)."""
-        if self.prt.respawn_place is None:
-            raise ProcsError(
-                "place revival is only available at the control place "
-                f"(place 0); place {self.here} cannot revive place {place}"
-            )
-        self.prt.respawn_place(place)
-
-    # -- atomic / when ----------------------------------------------------------------
-
-    def atomic(self, fn: Callable[[], Any]) -> Any:
-        result = fn()
-        self.prt.monitor.notify_all()
-        return result
-
-    def when(self, predicate: Callable[[], bool]):
-        while not predicate():
-            yield self.prt.monitor.wait()
+def _caller_holds(done: SimEvent) -> None:
+    """``at (here)``: the caller yields ``done`` itself and re-raises from it."""

@@ -59,9 +59,6 @@ class MemoryRegistry:
         self._regions[region.region_id] = region
         return region
 
-    def deregister(self, region: MemRegion) -> None:
-        self._regions.pop(region.region_id, None)
-
     def is_registered(self, region: MemRegion) -> bool:
         return region.region_id in self._regions
 

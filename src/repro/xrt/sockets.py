@@ -8,12 +8,6 @@ expensive per message than PAMI.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.machine.config import MachineConfig
-from repro.machine.topology import Topology
-from repro.obs import Observability
-from repro.sim.engine import Engine
 from repro.xrt.transport import Transport
 
 
@@ -22,21 +16,5 @@ class SocketsTransport(Transport):
     supports_hw_collectives = False
     name = "sockets"
     software_overhead_factor = 4.0
-
-    #: extra per-message kernel/TCP time on top of the fabric costs
-    SOCKET_SOFTWARE_LATENCY = 15e-6
-
-    def __init__(
-        self,
-        engine: Engine,
-        config: MachineConfig,
-        topology: Topology,
-        obs: Optional[Observability] = None,
-        chaos=None,
-        reliable: Optional[bool] = None,
-    ) -> None:
-        kernel_cost = config.with_(
-            software_latency=config.software_latency + self.SOCKET_SOFTWARE_LATENCY,
-            msg_injection_overhead=config.msg_injection_overhead * 4,
-        )
-        super().__init__(engine, kernel_cost, topology, obs=obs, chaos=chaos, reliable=reliable)
+    #: per-message kernel/TCP time
+    software_latency_extra = 15e-6

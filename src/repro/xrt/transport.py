@@ -173,8 +173,11 @@ class Transport:
     supports_hw_collectives = False
     name = "base"
 
-    #: multiplier on per-message software cost relative to PAMI
+    #: multiplier on per-message software cost relative to PAMI (wire size
+    #: and injection overhead)
     software_overhead_factor = 1.0
+    #: seconds of per-message software latency on top of the fabric's
+    software_latency_extra = 0.0
 
     def __init__(
         self,
@@ -185,6 +188,12 @@ class Transport:
         chaos=None,
         reliable: Optional[bool] = None,
     ) -> None:
+        if self.software_latency_extra or self.software_overhead_factor != 1.0:
+            config = config.with_(
+                software_latency=config.software_latency + self.software_latency_extra,
+                msg_injection_overhead=config.msg_injection_overhead
+                * self.software_overhead_factor,
+            )
         self.engine = engine
         self.config = config
         self.topology = topology

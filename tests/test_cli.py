@@ -178,6 +178,29 @@ def test_trace_with_malformed_chaos_spec_exits_2(tmp_path):
     assert not (tmp_path / "t.json").exists()
 
 
+def test_trace_to_an_unwritable_path_is_refused_before_the_run(tmp_path, monkeypatch):
+    import repro.cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the simulation ran before --out was checked")
+
+    monkeypatch.setattr(repro.cli, "simulate", must_not_run)
+    code, text = run_cli(
+        "trace", "uts", "--places", "4", "--out", str(tmp_path / "missing-dir" / "x.json")
+    )
+    assert code == 2
+    assert text.startswith("error:") and text.count("\n") == 1
+    assert "missing-dir" in text and "Traceback" not in text
+
+
+@pytest.mark.parametrize("backend", [(), ("--backend", "sim")], ids=["full-sim", "backend-sim"])
+def test_run_refuses_deadline_without_backend_procs(backend):
+    code, text = run_cli("run", "uts", "--places", "4", "--deadline", "5", *backend)
+    assert code == 2
+    assert text.startswith("error:") and text.count("\n") == 1
+    assert "--backend procs" in text and "Traceback" not in text
+
+
 def test_run_stats_under_chaos_prints_both_sections():
     code, text = run_cli(
         "run", "stream", "--places", "4", "--stats", "--chaos", "seed=3,drop=0.05,rto=1e-4"

@@ -16,6 +16,7 @@ import pytest
 
 from repro.kernels.portable import PORTABLE_KERNELS
 from repro.xrt.conformance import assert_conformant, run_conformance
+from tests.xrt.test_procs_runtime import CTX_ROWS, ctx_outcomes
 
 pytestmark = pytest.mark.procs
 
@@ -76,3 +77,16 @@ def test_uts_totals_invariant_under_real_stealing():
     expected = sequential_count(UtsParams(depth=6, b0=4.0, seed=19))
     for run in report.runs:
         assert run.result["nodes"] == expected
+
+
+# -- one ctx, two runtimes: the table of tests/xrt/test_procs_runtime.py -----------
+
+
+@pytest.mark.parametrize("where", ["remote", "here"])
+@pytest.mark.parametrize("body,expected", [row[1:] for row in CTX_ROWS],
+                         ids=[row[0] for row in CTX_ROWS])
+def test_ctx_means_the_same_on_both_runtimes_two_places(body, expected, where):
+    """The caller of ``ctx.at`` sees the same value or the same exception on
+    the simulator and over two real processes — and no place crashes."""
+    sim, procs = ctx_outcomes(body, places=2, target=1 if where == "remote" else 0)
+    assert sim == procs == expected

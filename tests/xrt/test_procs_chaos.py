@@ -45,6 +45,9 @@ KILL_MATRIX = [
     ("stream", {}, "seed=3,kill=1@0.004"),
     ("uts", {"depth": 7}, "seed=1,kill=2@0.01"),
     ("uts", {"depth": 7}, "seed=4,kill=3@0.015"),
+    # a kill racing the very first restore wave: the death can land after the
+    # wave's spawns, when only place 0's death set still says "revive me"
+    ("kmeans", {}, "seed=5,kill=1@0.0"),
 ]
 
 

@@ -8,6 +8,8 @@ that forked children cannot report.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.errors import (
@@ -17,6 +19,7 @@ from repro.errors import (
     ProcsError,
     ProcsTimeoutError,
 )
+from repro.runtime.activity import Activity, ActivityContext
 from repro.runtime.finish.pragmas import Pragma
 from repro.sim import Engine
 from repro.xrt.backend import Clock, WallClock, get_backend
@@ -140,10 +143,10 @@ def test_home_finish_counts_and_quiesces():
     prt = _runtime()
     fin = HomeFinish(prt, Pragma.FINISH_SPMD)
     for dst in range(4):
-        fin.on_fork(0, dst)
+        fin.fork(0, dst)
     assert fin.pending == fin.total_forks == 4
     assert fin.pending_by_place == {0: 1, 1: 1, 2: 1, 3: 1}
-    fin.on_join(0)  # home-local join: free
+    fin.join(0)  # home-local join: free
     for src in (1, 2, 3):
         fin.on_remote_join(src)
     assert fin.pending == 0
@@ -165,26 +168,26 @@ def test_home_finish_empty_wait_fires_immediately():
 
 def test_finish_async_rejects_second_fork():
     fin = HomeFinish(_runtime(), Pragma.FINISH_ASYNC)
-    fin.on_fork(0, 2)
+    fin.fork(0, 2)
     with pytest.raises(PragmaError, match="single activity"):
-        fin.on_fork(0, 3)
+        fin.fork(0, 3)
 
 
 def test_finish_here_requires_return_home():
     fin = HomeFinish(_runtime(), Pragma.FINISH_HERE)
-    fin.on_fork(0, 2)
+    fin.fork(0, 2)
     with pytest.raises(PragmaError, match="return"):
-        fin.on_fork(2, 3)  # second leg must come home to place 0
-    fin.on_fork(2, 0)
+        fin.fork(2, 3)  # second leg must come home to place 0
+    fin.fork(2, 0)
     with pytest.raises(PragmaError, match="round trip"):
-        fin.on_fork(0, 1)
+        fin.fork(0, 1)
 
 
 def test_finish_local_rejects_remote_spawn():
     fin = HomeFinish(_runtime(), Pragma.FINISH_LOCAL)
-    fin.on_fork(0, 0)
+    fin.fork(0, 0)
     with pytest.raises(PragmaError, match="remote"):
-        fin.on_fork(0, 1)
+        fin.fork(0, 1)
 
 
 @pytest.mark.parametrize(
@@ -218,7 +221,7 @@ def test_fork_rulebook_is_one_for_sim_procs_and_replay(pragma, forks, rejection)
         return None
 
     sim = drive(make_finish(ApgasRuntime(places=4), 0, pragma).fork)
-    procs = drive(HomeFinish(_runtime(), pragma).on_fork)
+    procs = drive(HomeFinish(_runtime(), pragma).fork)
     replayed = replay(pragma, 0, forks)
     assert sim == procs
     if rejection is None:
@@ -230,10 +233,10 @@ def test_fork_rulebook_is_one_for_sim_procs_and_replay(pragma, forks, rejection)
 
 def test_more_joins_than_forks_is_a_protocol_error():
     fin = HomeFinish(_runtime(), Pragma.DEFAULT)
-    fin.on_fork(0, 0)
-    fin.on_join(0)
+    fin.fork(0, 0)
+    fin.join(0)
     with pytest.raises(PragmaError, match="more joins"):
-        fin.on_join(0)
+        fin.join(0)
 
 
 def test_proxy_finish_sends_fork_then_counted_join():
@@ -241,8 +244,8 @@ def test_proxy_finish_sends_fork_then_counted_join():
     sent = []
     prt.send_frame = sent.append
     proxy = ProxyFinish(prt, fid=(0, 5), pragma_value="finish_dense", home=0)
-    proxy.on_fork(2, 3)
-    proxy.on_join(2)
+    proxy.fork(2, 3)
+    proxy.join(2)
     kinds = [frame[0] for frame in sent]
     assert kinds == ["fork", "join"]
     assert all(frame[1] == 2 and frame[2] == 0 for frame in sent)
@@ -261,7 +264,7 @@ def test_proxy_finish_cannot_be_waited_on():
 
 def test_resolve_finish_home_vs_proxy():
     prt = _runtime(place_id=0)
-    fin = prt.open_finish(Pragma.DEFAULT)
+    fin = prt.open_finish(0, Pragma.DEFAULT)
     assert resolve_finish(prt, fin.fid, "default", home=0) is fin
 
     remote = _runtime(place_id=3)
@@ -273,7 +276,7 @@ def test_resolve_finish_home_vs_proxy():
 
 def test_finish_ids_never_collide():
     prt = _runtime()
-    fids = {prt.open_finish(Pragma.DEFAULT).fid for _ in range(10)}
+    fids = {prt.open_finish(0, Pragma.DEFAULT).fid for _ in range(10)}
     assert len(fids) == 10
 
 
@@ -282,8 +285,8 @@ def test_finish_ids_never_collide():
 
 def test_strict_finish_fails_with_dead_place_error_naming_the_place():
     fin = HomeFinish(_runtime(), Pragma.FINISH_SPMD)
-    fin.on_fork(0, 2)
-    fin.on_fork(0, 3)
+    fin.fork(0, 2)
+    fin.fork(0, 3)
     fin.notify_place_death(2)
     with pytest.raises(DeadPlaceError, match="place 2 is dead") as err:
         fin.wait().value
@@ -295,7 +298,7 @@ def test_tolerant_finish_writes_off_exactly_the_dead_places_share():
     fin = HomeFinish(prt, Pragma.FINISH_DENSE)
     fin.tolerate_death = True
     for dst in (1, 2, 2, 3):
-        fin.on_fork(0, dst)
+        fin.fork(0, dst)
     fin.notify_place_death(2)  # both of place 2's activities written off
     assert fin.pending == 2
     assert fin.deaths_tolerated == 1
@@ -308,7 +311,7 @@ def test_tolerant_finish_writes_off_exactly_the_dead_places_share():
 
 def test_death_of_place_with_no_pending_work_is_a_noop():
     fin = HomeFinish(_runtime(), Pragma.DEFAULT)
-    fin.on_fork(0, 1)
+    fin.fork(0, 1)
     fin.notify_place_death(3)  # nothing outstanding there
     assert fin.pending == 1
     fin.on_remote_join(1)
@@ -320,18 +323,18 @@ def test_on_place_dead_poisons_sends_and_clears_on_acknowledge():
     prt.send_frame = lambda frame: None
     prt.on_place_dead(2, "test kill")
     with pytest.raises(DeadPlaceError):
-        prt.send_item(2, "box", "item")
+        prt.send_item(0, 2, "box", "item")
     with pytest.raises(DeadPlaceError):
-        prt.spawn_remote(2, _single_place_eval, (1,), HomeFinish(prt, Pragma.DEFAULT))
+        prt.spawn_remote(0, 2, _single_place_eval, (1,), HomeFinish(prt, Pragma.DEFAULT))
     prt.acknowledge_deaths()
-    prt.send_item(2, "box", "item")  # poison lifted
+    prt.send_item(0, 2, "box", "item")  # poison lifted
 
 
 def test_on_place_dead_fails_pending_remote_evals_to_the_dead_place():
     prt = _runtime()
     prt.send_frame = lambda frame: None
-    event = prt.remote_eval(2, _single_place_eval, (1,))
-    bystander = prt.remote_eval(3, _single_place_eval, (1,))
+    event = prt.remote_eval(0, 2, _single_place_eval, (1,))
+    bystander = prt.remote_eval(0, 3, _single_place_eval, (1,))
     prt.on_place_dead(2, "test kill")
     with pytest.raises(DeadPlaceError):
         event.value
@@ -340,9 +343,9 @@ def test_on_place_dead_fails_pending_remote_evals_to_the_dead_place():
 
 def test_on_place_dead_fails_blocked_mailbox_getters_but_keeps_items():
     prt = _runtime()
-    box = prt.mailbox("data")
+    box = prt.place(0).mailbox("data")
     box.put("queued-before-death")
-    getter = prt.mailbox("waiting").get()
+    getter = prt.recv(0, "waiting")
     prt.on_place_dead(1, "test kill")
     with pytest.raises(DeadPlaceError):
         getter.event.value
@@ -354,10 +357,10 @@ def test_on_place_dead_fails_blocked_mailbox_getters_but_keeps_items():
 def test_on_place_dead_is_idempotent_and_ignores_self():
     prt = _runtime(place_id=2)
     prt.on_place_dead(2, "self")  # a process never outlives its own death
-    assert prt.dead_places == set()
+    assert prt.dead_places() == ()
     prt.on_place_dead(1, "first")
     prt.on_place_dead(1, "again")
-    assert prt.dead_places == {1}
+    assert prt.dead_places() == (1,)
 
 
 def test_raced_fork_notice_for_a_dead_place_is_written_off():
@@ -365,12 +368,54 @@ def test_raced_fork_notice_for_a_dead_place_is_written_off():
     # the runtime must count it and immediately write it off, not leak it
     prt = _runtime()
     prt.send_frame = lambda frame: None
-    fin = prt.open_finish(Pragma.FINISH_DENSE)
+    fin = prt.open_finish(0, Pragma.FINISH_DENSE)
     fin.tolerate_death = True
     prt.on_place_dead(3, "test kill")
     prt._on_fork(1, (fin.fid, "finish_dense", 3))
     assert fin.pending == 0
     assert fin.deaths_tolerated == 1
+
+
+def test_heal_revives_a_death_that_lands_mid_restore_wave():
+    """Regression for the ``kill=1@0.0`` hang (deterministic, no processes).
+
+    Place 1 dies after the restore wave spawned at it and before place 0's
+    own restore member has run.  The tolerant wave finish writes the lost
+    activity off, so only the death set still says place 1 needs reviving:
+    the place-0 member must not acknowledge it away, or ``_heal`` returns with
+    place 1 dead and un-respawned and the next epoch's SPAWN is blackholed.
+    """
+    from repro.kernels.portable.resilient import _heal
+    from repro.xrt.procs import wire
+
+    loop = PlaceLoop(deadline=10.0)
+    prt = ProcsRuntime(loop, place_id=0, n_places=4)
+    respawned = []
+    prt.respawn_place = respawned.append
+
+    def live_members_join(frame):
+        kind, _src, dst, payload = frame
+        if kind != wire.SPAWN or (dst == 1 and not respawned):
+            return  # place 1 is being killed: its SPAWN goes nowhere
+        fid, pragma_value = payload[2], payload[3]
+        loop.post(0.0, loop.dispatch, (wire.JOIN, dst, 0, (fid, pragma_value)))
+        if dst == 3 and not respawned:
+            # the wave's last spawn is out, place 0's member has not stepped
+            prt.on_place_dead(1, "test kill")
+
+    prt.send_frame = live_members_join
+    healed_with = []
+
+    def main(ctx):
+        stats = {"revivals": 0}
+        yield from _heal(ctx, lambda ctx, epoch, blob: None, -1, {}, stats, 8)
+        healed_with.append((list(respawned), ctx.dead_places(), stats["revivals"]))
+
+    root = prt.open_finish(0, Pragma.DEFAULT, name="root")
+    prt.spawn_local(0, main, (), root, name="main")
+    root.wait().add_callback(lambda _event: loop.stop())
+    loop.run()
+    assert healed_with == [([1], (), 1)]
 
 
 def test_context_revive_requires_the_control_place():
@@ -392,12 +437,37 @@ def test_context_dead_places_probe_and_recv_poison():
     assert ctx.dead_places() == ()
 
 
-def _context_of(prt: ProcsRuntime):
-    from repro.xrt.procs.runtime import ProcsActivity, ProcsContext
+def _death_is_named_then_revive_clears_it(ctx, place):
+    assert ctx.dead_places() == (place,)
+    ctx.revive(place)
+    assert ctx.dead_places() == ()
 
+
+def test_dead_places_and_revive_on_the_procs_runtime():
+    prt = _runtime()
+    respawned = []
+    prt.respawn_place = respawned.append
+    prt.on_place_dead(2, "test kill")
+    _death_is_named_then_revive_clears_it(_context_of(prt), 2)
+    assert respawned == [2]
+
+
+def test_dead_places_and_revive_on_the_simulator():
+    from repro.runtime import ApgasRuntime
+
+    def main(ctx):
+        assert ctx.dead_places() == ()
+        yield ctx.sleep(2e-3)
+        _death_is_named_then_revive_clears_it(ctx, 2)
+        ctx.acknowledge_deaths()  # nothing to lift on the simulator; must exist
+        return "checked"
+
+    assert ApgasRuntime(places=3, chaos="seed=0,kill=2@1e-3").run(main) == "checked"
+
+
+def _context_of(prt: ProcsRuntime) -> ActivityContext:
     fin = HomeFinish(prt, Pragma.DEFAULT)
-    activity = ProcsActivity(prt.place_id, _single_place_eval, (), fin)
-    return ProcsContext(prt, activity)
+    return ActivityContext(prt, Activity(prt.place_id, _single_place_eval, (), fin))
 
 
 # -- runtime wiring ----------------------------------------------------------------
@@ -406,19 +476,19 @@ def _context_of(prt: ProcsRuntime):
 def test_unwired_runtime_refuses_to_send():
     prt = _runtime()
     with pytest.raises(ProcsError, match="not wired"):
-        prt.send_item(1, "box", "item")
+        prt.send_item(0, 1, "box", "item")
 
 
 def test_send_item_checks_place_bounds():
     prt = _runtime(n_places=2)
     with pytest.raises(PlaceError):
-        prt.send_item(5, "box", "item")
+        prt.send_item(0, 5, "box", "item")
 
 
 def test_local_send_item_skips_the_wire():
     prt = _runtime()  # send_frame still unwired: a local put must not need it
-    prt.send_item(0, "box", "payload")
-    ok, item = prt.mailbox("box").try_get()
+    prt.send_item(0, 0, "box", "payload")
+    ok, item = prt.place(0).mailbox("box").try_get()
     assert ok and item == "payload"
 
 
@@ -475,3 +545,117 @@ def test_single_place_kernel_by_name():
     assert report.kernel == "stream"
     assert report.result["n_total"] == 256
     assert report.result["checksum"]
+
+
+# -- one ctx, two runtimes: the differential table ---------------------------------
+#
+# Each row is a tiny ``at`` body and what the caller of ``ctx.at`` must see on
+# *both* runtimes.  The places=1 rows fork nothing and run here, in tier-1;
+# tests/xrt/test_conformance.py runs the same table over 2 real processes.
+
+
+def _leaf(ctx):
+    return None
+
+
+def _ungoverned_async(ctx):
+    ctx.async_(_leaf)  # no finish open inside an `at` body
+
+
+def _compute_without_flop_rate(ctx):
+    yield ctx.compute(flops=1e6)
+
+
+def _negative_compute(ctx):
+    yield ctx.compute(seconds=-1.0)
+
+
+def _what_async_returns(ctx):
+    with ctx.finish() as f:
+        spawned = ctx.async_(_leaf)
+    yield f.wait()
+    return type(spawned).__name__
+
+
+def _async_copy(ctx):
+    with ctx.finish() as f:
+        ctx.async_copy(None, None)
+    yield f.wait()
+
+
+def _raise_plain(ctx):
+    raise ValueError("boom")
+
+
+def _raise_generator(ctx):
+    yield ctx.sleep(0.0)
+    raise ValueError("boom")
+
+
+def _mail_myself(ctx, value):
+    ctx.send(ctx.here, "diff:box", value)
+
+
+def _governed_async_and_messages(ctx):
+    with ctx.finish(Pragma.FINISH_LOCAL) as f:
+        ctx.async_(_mail_myself, 8)
+    yield f.wait()
+    return (yield ctx.recv("diff:box"))
+
+
+CTX_ROWS = [
+    ("ungoverned-async-in-at", _ungoverned_async, {"raised": "ApgasError"}),
+    ("compute-without-flop-rate", _compute_without_flop_rate, {"raised": "ApgasError"}),
+    ("negative-compute", _negative_compute, {"raised": "ApgasError"}),
+    ("async-returns-an-activity", _what_async_returns, {"returned": "Activity"}),
+    ("async-copy-without-rdma", _async_copy, {"raised": "ApgasError"}),
+    ("at-body-raises-plain", _raise_plain, {"raised": "ValueError"}),
+    ("at-body-raises-generator", _raise_generator, {"raised": "ValueError"}),
+    ("governed-async-send-recv", _governed_async_and_messages, {"returned": 8}),
+]
+
+
+def _probe_main(ctx, body, target):
+    """What the caller of ``ctx.at(target, body)`` sees, as plain data."""
+    try:
+        value = yield ctx.at(target, body)
+    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
+        return {"raised": type(exc).__name__}
+    return {"returned": value}
+
+
+def ctx_outcomes(body, places: int, target: int) -> tuple:
+    """``(simulator outcome, procs outcome)`` of one table row.
+
+    The simulator side runs over the sockets transport: like real processes
+    it has no RDMA, so ``async_copy`` must be refused the same way.
+    """
+    from repro.runtime import ApgasRuntime
+    from repro.xrt import SocketsTransport
+
+    main = functools.partial(_probe_main, body=body, target=target)
+    sim = ApgasRuntime(places=places, transport_cls=SocketsTransport).run(main)
+    procs = run_procs_program(main, places=places, deadline=20.0).result
+    return sim, procs
+
+
+@pytest.mark.parametrize("body,expected", [row[1:] for row in CTX_ROWS],
+                         ids=[row[0] for row in CTX_ROWS])
+def test_ctx_means_the_same_on_both_runtimes_single_place(body, expected):
+    sim, procs = ctx_outcomes(body, places=1, target=0)  # every `at` is at(here)
+    assert sim == procs == expected
+
+
+def _leaves_a_finish_open(ctx):
+    ctx.finish().__enter__()
+    yield ctx.sleep(0.0)
+
+
+def test_activity_ending_inside_an_open_finish_scope_is_refused_on_both():
+    from repro.errors import ApgasError
+    from repro.runtime import ApgasRuntime
+
+    with pytest.raises(ApgasError, match="inside an open finish scope"):
+        ApgasRuntime(places=1).run(_leaves_a_finish_open)
+    with pytest.raises(ApgasError, match="inside an open finish scope"):
+        run_procs_program(_leaves_a_finish_open, places=1, deadline=10.0)
