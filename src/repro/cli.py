@@ -381,38 +381,24 @@ def _run_backend(args, out) -> int:
     print(f"kernel        : {run.kernel}", file=out)
     print(f"places        : {run.places}", file=out)
     print(f"backend       : {run.backend}", file=out)
-    sim_time = run.extra.get("sim_time")
-    if sim_time is not None:
-        print(f"simulated time: {sim_time:.6f} s", file=out)
+    if run.sim_time is not None:
+        print(f"simulated time: {run.sim_time:.6f} s", file=out)
     print(f"wall time     : {run.wall_time:.3f} s", file=out)
     ctl = ", ".join(f"{k}={v}" for k, v in sorted(run.ctl_by_pragma.items()))
     print(f"finish ctl    : {ctl}", file=out)
     if run.backend == "procs":
-        print(
-            f"routed        : {run.extra['messages_routed']} messages, "
-            f"{run.extra['bytes_routed']} bytes",
-            file=out,
-        )
-    if "deaths" in run.extra:
-        deaths = run.extra["deaths"]
-        dead = ", ".join(f"{d['place']}@{d['time']:g}s" for d in deaths) or "none"
-        print(f"chaos         : {run.extra.get('chaos') or 'none'}", file=out)
-        print(
-            f"deaths        : {dead} "
-            f"({run.extra.get('deaths_tolerated', 0)} finish write-offs)",
-            file=out,
-        )
-        print(
-            f"recovery      : {run.extra.get('revivals', 0)} respawns, "
-            f"{run.extra.get('frames_dropped', 0)} frames dropped",
-            file=out,
-        )
+        print(f"routed        : {run.messages_routed} messages, {run.bytes_routed} bytes", file=out)
+    if args.chaos or args.resilient:
+        dead = ", ".join(f"{d['place']}@{d['time']:g}s" for d in run.deaths) or "none"
+        print(f"chaos         : {run.chaos or 'none'}", file=out)
+        print(f"deaths        : {dead} ({run.deaths_tolerated} finish write-offs)", file=out)
+        print(f"recovery      : {run.revivals} respawns, {run.frames_dropped} frames dropped", file=out)
     nodes = run.result.get("nodes") if isinstance(run.result, dict) else None
     if nodes is not None:
         print(f"nodes         : {nodes}", file=out)
     print(f"checksum      : {run.checksum}", file=out)
     if args.stats:
-        _print_metrics(run.extra["metrics"], out)
+        _print_metrics(run.metrics, out)
     return 0
 
 

@@ -7,14 +7,11 @@ from typing import Optional
 from repro.harness import paper_data
 from repro.harness.calibration import CLASS1
 from repro.harness.models import (
-    model_bc,
+    MODELS,
     model_fft,
     model_hpl,
-    model_kmeans,
     model_randomaccess,
-    model_smithwaterman,
     model_stream,
-    model_uts,
 )
 from repro.harness.reporting import render_table, si
 from repro.machine.config import MachineConfig
@@ -76,6 +73,7 @@ def render_table1(data: dict) -> str:
     )
 
 
+#: cores at scale per kernel; key order is Table 2's row order
 _AT_SCALE = {
     "hpl": 32768,
     "randomaccess": 32768,
@@ -87,17 +85,6 @@ _AT_SCALE = {
     "bc": 47040,
 }
 
-_MODELS = {
-    "hpl": model_hpl,
-    "randomaccess": model_randomaccess,
-    "fft": model_fft,
-    "stream": model_stream,
-    "uts": model_uts,
-    "kmeans": model_kmeans,
-    "smithwaterman": model_smithwaterman,
-    "bc": model_bc,
-}
-
 #: kernels whose metric is a run time (smaller is better)
 _TIME_KERNELS = {"kmeans", "smithwaterman"}
 
@@ -106,9 +93,9 @@ def table2(config: Optional[MachineConfig] = None) -> dict:
     """Relative efficiency at scale vs single-host performance (paper Table 2)."""
     cfg = config or MachineConfig()
     rows = []
-    for name, model in _MODELS.items():
-        one_host = model(cfg, 32)
-        at_scale = model(cfg, _AT_SCALE[name])
+    for name, cores in _AT_SCALE.items():
+        one_host = MODELS[name](cfg, 32)
+        at_scale = MODELS[name](cfg, cores)
         if name in _TIME_KERNELS:
             efficiency = one_host.value / at_scale.value
         else:

@@ -105,7 +105,9 @@ def build_smith_waterman(
 
     Fragments are sliced by group *rank* and the long sequence is sized by
     the group width, so the best score depends only on the parameters and
-    the width.
+    the width.  The paper's sizes are the defaults; the *actual* sequence
+    lengths bound the real DP at scale while time is charged for the modeled
+    sizes.
     """
     if min(short_len, long_per_place, iterations) < 1:
         raise KernelError("sequence lengths and iterations must be positive")
@@ -159,32 +161,8 @@ def build_smith_waterman(
     return main, finalize
 
 
-def run_smith_waterman(
-    rt: ApgasRuntime,
-    short_len: int = 4000,
-    long_per_place: int = 40_000,
-    iterations: int = 5,
-    seed: int = 0,
-    actual_short: Optional[int] = None,
-    actual_long: Optional[int] = None,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    group: Optional[PlaceGroup] = None,
-) -> KernelResult:
-    """Weak-scaling Smith-Waterman; the paper's sizes are the defaults.
-
-    The *actual* sequence lengths bound the real DP at scale while time is
-    charged for the modeled sizes.
-    """
-    main, finalize = build_smith_waterman(
-        rt,
-        short_len=short_len,
-        long_per_place=long_per_place,
-        iterations=iterations,
-        seed=seed,
-        actual_short=actual_short,
-        actual_long=actual_long,
-        calibration=calibration,
-        group=group,
-    )
+def run_smith_waterman(rt: ApgasRuntime, *args, **kwargs) -> KernelResult:
+    """Weak-scaling Smith-Waterman: build with :func:`build_smith_waterman`, run, finalize."""
+    main, finalize = build_smith_waterman(rt, *args, **kwargs)
     rt.run(main)
     return finalize()

@@ -47,6 +47,17 @@ def build_stream(
     ``finalize()`` computes the :class:`KernelResult` once it has run.
     Arrays are initialized by group *rank*, so the result depends only on
     the parameters and the group width — not on which places ran it.
+
+    ``elements_per_place`` sizes the *modeled* arrays (time charges);
+    ``actual_elements`` (default: capped at 65,536) sizes the real arrays the
+    kernel actually computes on and verifies — so at-scale runs do not
+    allocate terabytes.
+
+    With ``resilient`` each triad round is a checkpoint epoch.  The arrays
+    are recomputable from their init formulas and the triad is idempotent,
+    so recovery re-*initializes* a revived place's partition instead of
+    restoring bytes from replicas — only a tiny partition descriptor lives
+    in the store.
     """
     if elements_per_place < 1 or iterations < 1:
         raise KernelError("need at least one element and one iteration")
@@ -148,40 +159,8 @@ def build_stream(
     return main, finalize
 
 
-def run_stream(
-    rt: ApgasRuntime,
-    elements_per_place: int,
-    iterations: int = 10,
-    alpha: float = 3.0,
-    actual_elements: Optional[int] = None,
-    verify: bool = True,
-    resilient: bool = False,
-    respawn_delay: float = 2e-3,
-    group: Optional[PlaceGroup] = None,
-) -> KernelResult:
-    """Weak-scaling Stream Triad over ``group`` (default: all places of ``rt``).
-
-    ``elements_per_place`` sizes the *modeled* arrays (time charges);
-    ``actual_elements`` (default: capped at 65,536) sizes the real arrays the
-    kernel actually computes on and verifies — so at-scale runs do not
-    allocate terabytes.
-
-    With ``resilient`` each triad round is a checkpoint epoch.  The arrays
-    are recomputable from their init formulas and the triad is idempotent,
-    so recovery re-*initializes* a revived place's partition instead of
-    restoring bytes from replicas — only a tiny partition descriptor lives
-    in the store.
-    """
-    main, finalize = build_stream(
-        rt,
-        elements_per_place,
-        iterations=iterations,
-        alpha=alpha,
-        actual_elements=actual_elements,
-        verify=verify,
-        resilient=resilient,
-        respawn_delay=respawn_delay,
-        group=group,
-    )
+def run_stream(rt: ApgasRuntime, *args, **kwargs) -> KernelResult:
+    """Weak-scaling Stream Triad: build with :func:`build_stream`, run, finalize."""
+    main, finalize = build_stream(rt, *args, **kwargs)
     rt.run(main)
     return finalize()

@@ -37,6 +37,16 @@ def build_uts(
 
     The balancing fabric (workers, victim sets, lifelines) lives strictly
     inside the group; the node count depends only on the tree parameters.
+    The result is nodes/s aggregate and per core; ``extra`` carries the GLB
+    statistics and the exact node count.
+
+    ``time_dilation``: the paper's runs last 90-200 s — around 10^8 nodes per
+    place — which a Python tree expansion cannot reach wall-clock.  With
+    dilation k, each node is charged k times its calibrated cost, so a tree
+    k times smaller reproduces the paper's work-to-latency ratio exactly (the
+    steal/lifeline event structure is unchanged, only stretched).  Reported
+    rates are scaled back by k.  Used by the at-scale benchmarks and
+    documented in EXPERIMENTS.md.
     """
     params = UtsParams(b0=b0, depth=depth, seed=seed, rng_mode=rng_mode)
     config = glb_config or GlbConfig(chunk_items=4096)
@@ -85,46 +95,8 @@ def build_uts(
     return glb.main, finalize
 
 
-def run_uts(
-    rt: ApgasRuntime,
-    depth: int,
-    b0: float = 4.0,
-    seed: int = 19,
-    rng_mode: str = "splitmix",
-    glb_config: Optional[GlbConfig] = None,
-    steal_all_intervals: bool = True,
-    time_dilation: float = 1.0,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    resilient: bool = False,
-    respawn_delay: float = 2e-3,
-    group: Optional[PlaceGroup] = None,
-) -> KernelResult:
-    """Traverse one geometric tree across the places of ``group``.
-
-    Returns nodes/s aggregate and per core; ``extra`` carries the GLB
-    statistics and the exact node count.
-
-    ``time_dilation``: the paper's runs last 90-200 s — around 10^8 nodes per
-    place — which a Python tree expansion cannot reach wall-clock.  With
-    dilation k, each node is charged k times its calibrated cost, so a tree
-    k times smaller reproduces the paper's work-to-latency ratio exactly (the
-    steal/lifeline event structure is unchanged, only stretched).  Reported
-    rates are scaled back by k.  Used by the at-scale benchmarks and
-    documented in EXPERIMENTS.md.
-    """
-    main, finalize = build_uts(
-        rt,
-        depth,
-        b0=b0,
-        seed=seed,
-        rng_mode=rng_mode,
-        glb_config=glb_config,
-        steal_all_intervals=steal_all_intervals,
-        time_dilation=time_dilation,
-        calibration=calibration,
-        resilient=resilient,
-        respawn_delay=respawn_delay,
-        group=group,
-    )
+def run_uts(rt: ApgasRuntime, *args, **kwargs) -> KernelResult:
+    """Traverse one geometric tree: build with :func:`build_uts`, run, finalize."""
+    main, finalize = build_uts(rt, *args, **kwargs)
     rt.run(main)
     return finalize()

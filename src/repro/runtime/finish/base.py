@@ -100,7 +100,10 @@ class BaseFinish:
                 self.name, "finish", home, rt.engine.now,
                 id=self.finish_id, pragma=self.pragma.value, home=home,
             )
-        rt.register_finish(self)
+        if self._track_live:
+            # only a place death reads the table; without chaos it would just
+            # keep every finish of the run alive
+            rt.register_finish(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -179,8 +182,17 @@ class BaseFinish:
         inside the spawn message itself)."""
 
     def on_join(self, place: int) -> None:
-        """Send whatever termination reports the protocol requires."""
-        raise NotImplementedError
+        """Send whatever termination reports the protocol requires.
+
+        The specialized pragmas' rule, also what the auditor's
+        ``expected_ctl_bounds`` and procs' ``ProxyFinish.join`` state: one
+        count-only message per remotely terminating activity, nothing for a
+        home-local one.
+        """
+        if place == self.home:
+            return
+        self.report_pending()
+        self.send_ctl(place, self.home, CTL_BYTES, self.report_arrived)
 
     def holds_state_at(self, place: int) -> int:
         """Reports parked in protocol state at ``place`` (e.g. a coalescing

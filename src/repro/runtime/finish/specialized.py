@@ -9,7 +9,7 @@ matrix is kept and messages shrink to a bare count.
 
 from __future__ import annotations
 
-from repro.runtime.finish.base import CTL_BYTES, BaseFinish
+from repro.runtime.finish.base import BaseFinish
 from repro.runtime.finish.pragmas import Pragma
 
 
@@ -21,29 +21,17 @@ class FinishAsync(BaseFinish):
 
     pragma = Pragma.FINISH_ASYNC
 
-    def on_join(self, place: int) -> None:
-        if place == self.home:
-            return
-        self.report_pending()
-        self.send_ctl(place, self.home, CTL_BYTES, self.report_arrived)
-
 
 class FinishHere(BaseFinish):
     """A finish governing a round trip — the "get" idiom.
 
     E.g. ``h=here; finish at(p) async {S1; at(h) async S2;}``: one outgoing
-    activity whose continuation comes back to the home place.
+    activity whose continuation comes back to the home place.  The return
+    leg terminates at home and reports nothing; the outbound leg's report is
+    the only control message.
     """
 
     pragma = Pragma.FINISH_HERE
-
-    def on_join(self, place: int) -> None:
-        if place == self.home:
-            # the return leg terminated at home: nothing to report; the
-            # outbound leg's report below is the only control message
-            return
-        self.report_pending()
-        self.send_ctl(place, self.home, CTL_BYTES, self.report_arrived)
 
 
 class FinishLocal(BaseFinish):
@@ -65,9 +53,3 @@ class FinishSpmd(BaseFinish):
     """
 
     pragma = Pragma.FINISH_SPMD
-
-    def on_join(self, place: int) -> None:
-        if place == self.home:
-            return
-        self.report_pending()
-        self.send_ctl(place, self.home, CTL_BYTES, self.report_arrived)

@@ -24,17 +24,17 @@ Python process simulates every place); the procs backend's
 same interface, the generator-based process machinery — and therefore the
 APGAS programs built on it — runs unmodified on either.
 
-:class:`ExecutionBackend` is the program-level seam the differential
-conformance suite uses: ``get_backend(name).run(kernel, places)`` executes one
-portable kernel program and reports its result, checksum, and per-pragma
-finish control-message counts, whichever substrate ran it.
+:class:`BackendRun` is the one record of a portable run:
+``get_backend(name).run(kernel, places)`` executes one portable kernel program
+and reports its result, checksum, and per-pragma finish control-message
+counts, whichever substrate ran it (the differential conformance suite's seam).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Optional, Protocol, Union, runtime_checkable
 
 
 @runtime_checkable
@@ -76,34 +76,41 @@ class BackendRun:
     backend: str
     kernel: str
     places: int
-    #: the program's result payload (plain data: values, counts, checksum)
-    result: dict
+    #: the program's return value (plain data: values, counts, checksum)
+    result: Any
     #: wall-clock seconds the run took (for the sim backend this is real
     #: execution time of the simulation, not simulated time)
     wall_time: float
-    #: finish control messages sent, by pragma value — the conformance
-    #: suite's protocol-equality gate
+    #: finish control messages summed across every place, by pragma value —
+    #: the conformance suite's protocol-equality gate
     ctl_by_pragma: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
+    #: simulator only: simulated seconds and the metrics registry snapshot
+    sim_time: Optional[float] = None
+    metrics: Any = None
+    #: procs only: frames and bytes that crossed place 0's sockets (both
+    #: directions), and each place's own DONE report
+    messages_routed: int = 0
+    bytes_routed: int = 0
+    per_place: dict = field(default_factory=dict)
+    #: place deaths the router detected: [{"place", "cause", "time"}, ...]
+    deaths: list = field(default_factory=list)
+    #: fresh OS processes forked for dead places
+    revivals: int = 0
+    #: ``procs.wire.dropped``: frames queued after EOF plus frames the router
+    #: blackholed to/from dead places — nothing is ever *silently* lost
+    frames_dropped: int = 0
+    #: tolerant-finish write-offs summed across places
+    deaths_tolerated: int = 0
+    #: the chaos spec driving the run (one-line form), if any
+    chaos: Optional[str] = None
 
     @property
     def checksum(self) -> Optional[str]:
         return self.result.get("checksum")
 
 
-class ExecutionBackend:
-    """One way of executing a portable APGAS program over ``places`` places."""
-
-    name = "base"
-
-    def run(self, kernel: str, places: int, **params: Any) -> BackendRun:
-        raise NotImplementedError
-
-
-class SimBackend(ExecutionBackend):
+class SimBackend:
     """The discrete-event simulator: every place in one Python process."""
-
-    name = "sim"
 
     def run(self, kernel: str, places: int, **params: Any) -> BackendRun:
         from repro.kernels.portable import build_program
@@ -119,30 +126,24 @@ class SimBackend(ExecutionBackend):
         snap = rt.obs.metrics.snapshot()
         ctl = {k: int(v) for k, v in snap.by("finish.ctl_messages", "pragma").items()}
         return BackendRun(
-            backend=self.name,
+            backend="sim",
             kernel=kernel,
             places=places,
             result=result,
             wall_time=wall,
             ctl_by_pragma=ctl,
-            extra={"sim_time": rt.now, "metrics": snap},
+            sim_time=rt.now,
+            metrics=snap,
         )
 
 
-class ProcsBackend(ExecutionBackend):
+class ProcsBackend:
     """Real OS processes: one per place, messages over real sockets.
 
     ``chaos`` (a kill-only spec) and ``resilient`` turn on real fault
     injection and checkpoint/restore recovery — see
-    :func:`repro.xrt.procs.run_procs_program`; both may also be passed
-    per-run through ``params``.
+    :func:`repro.xrt.procs.run_procs_program`.
     """
-
-    name = "procs"
-
-    #: run_procs_program kwargs that may ride in through ``params``
-    _LAUNCH_KEYS = ("deadline", "chaos", "resilient",
-                    "heartbeat_interval", "heartbeat_timeout")
 
     def __init__(
         self,
@@ -160,45 +161,13 @@ class ProcsBackend(ExecutionBackend):
         kwargs = {"chaos": self.chaos, "resilient": self.resilient}
         if self.deadline is not None:
             kwargs["deadline"] = self.deadline
-        for key in self._LAUNCH_KEYS:
-            if key in params:
-                kwargs[key] = params.pop(key)
-        report = run_procs_program(kernel, places, params=params, **kwargs)
-        extra = {"messages_routed": report.messages_routed,
-                 "bytes_routed": report.bytes_routed}
-        if kwargs["chaos"] is not None or kwargs["resilient"]:
-            extra.update(
-                deaths=report.deaths,
-                revivals=report.revivals,
-                frames_dropped=report.frames_dropped,
-                deaths_tolerated=report.deaths_tolerated,
-                chaos=report.chaos,
-            )
-        return BackendRun(
-            backend=self.name,
-            kernel=kernel,
-            places=places,
-            result=report.result,
-            wall_time=report.wall_time,
-            ctl_by_pragma=dict(report.ctl_by_pragma),
-            extra=extra,
-        )
+        return run_procs_program(kernel, places, params=params, **kwargs)
 
 
-#: the backend registry; ``repro run --backend`` and the conformance suite
-#: resolve names through here
-BACKENDS: dict[str, type[ExecutionBackend]] = {
-    SimBackend.name: SimBackend,
-    ProcsBackend.name: ProcsBackend,
-}
-
-
-def get_backend(name: str, **kwargs: Any) -> ExecutionBackend:
+def get_backend(name: str, **kwargs: Any) -> Union[SimBackend, ProcsBackend]:
     """Instantiate a backend by name (``'sim'`` or ``'procs'``)."""
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
-        ) from None
-    return cls(**kwargs)
+    if name == "sim":
+        return SimBackend(**kwargs)
+    if name == "procs":
+        return ProcsBackend(**kwargs)
+    raise ValueError(f"unknown backend {name!r}; choose from ['procs', 'sim']")

@@ -154,7 +154,7 @@ def run_recovery_conformance(
     diffs.extend(
         f"{tag} result {d}" for d in deep_equal(reference.result, recovered.result)
     )
-    if not recovered.extra.get("deaths"):
+    if not recovered.deaths:
         diffs.append(f"{tag} chaos run saw no death: the kill never landed")
     return ConformanceReport(kernel=kernel, places=places, runs=runs, diffs=diffs)
 

@@ -7,14 +7,13 @@ discrete-event simulator.  :func:`run_procs_program` is the entry point;
 :mod:`repro.xrt.conformance` runs both backends and compares.
 """
 
-from repro.xrt.procs.launcher import DEFAULT_DEADLINE, ProcsReport, run_procs_program
+from repro.xrt.procs.launcher import DEFAULT_DEADLINE, run_procs_program
 from repro.xrt.procs.loop import PlaceLoop
 from repro.xrt.procs.runtime import ProcsRuntime
 
 __all__ = [
     "DEFAULT_DEADLINE",
     "PlaceLoop",
-    "ProcsReport",
     "ProcsRuntime",
     "run_procs_program",
 ]

@@ -44,12 +44,12 @@ import signal
 import socket
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 from repro.chaos.spec import ChaosSpec
 from repro.errors import PlaceError, ProcsError
 from repro.runtime.finish.pragmas import Pragma
+from repro.xrt.backend import BackendRun
 from repro.xrt.procs import wire
 from repro.xrt.procs.loop import PlaceLoop
 from repro.xrt.procs.runtime import ProcsRuntime
@@ -67,34 +67,6 @@ _REAP_GRACE = 2.0
 #: callback batches) is never a false positive
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
 DEFAULT_HEARTBEAT_TIMEOUT = 5.0
-
-
-@dataclass
-class ProcsReport:
-    """Everything one multi-process run reports back."""
-
-    kernel: str
-    places: int
-    #: the program's return value (plain data incl. ``checksum``)
-    result: Any
-    wall_time: float
-    #: finish control messages summed across every place, by pragma value
-    ctl_by_pragma: Dict[str, int] = field(default_factory=dict)
-    #: frames and bytes that crossed place 0's sockets (both directions)
-    messages_routed: int = 0
-    bytes_routed: int = 0
-    per_place: Dict[int, dict] = field(default_factory=dict)
-    #: place deaths the router detected: [{"place", "cause", "time"}, ...]
-    deaths: List[dict] = field(default_factory=list)
-    #: fresh OS processes forked for dead places
-    revivals: int = 0
-    #: ``procs.wire.dropped``: frames queued after EOF plus frames the router
-    #: blackholed to/from dead places — nothing is ever *silently* lost
-    frames_dropped: int = 0
-    #: tolerant-finish write-offs summed across places
-    deaths_tolerated: int = 0
-    #: the chaos spec driving the run (one-line form), if any
-    chaos: Optional[str] = None
 
 
 class _RouterLoop(PlaceLoop):
@@ -157,7 +129,7 @@ def run_procs_program(
     resilient: bool = False,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
-) -> ProcsReport:
+) -> BackendRun:
     """Run one portable program with one OS process per place.
 
     ``kernel`` is a portable kernel name (resolved through
@@ -383,7 +355,8 @@ def run_procs_program(
         dropped = (state["retired_dropped"] + loop.blackholed
                    + sum(c.dropped for c in live)
                    + sum(p.get("dropped", 0) for p in done_reports.values()))
-        return ProcsReport(
+        return BackendRun(
+            backend="procs",
             kernel=kernel_name,
             places=places,
             result=result,

@@ -50,17 +50,21 @@ class MemRegion:
 
 
 class MemoryRegistry:
-    """Tracks which (place, region) pairs are registered for RDMA."""
+    """Tracks which regions are registered for RDMA.
+
+    By id only (ids are never reused): the registry must not keep a region,
+    and the NumPy buffer behind it, alive after its owner dropped it.
+    """
 
     def __init__(self) -> None:
-        self._regions: dict[int, MemRegion] = {}
+        self._region_ids: set[int] = set()
 
     def register(self, region: MemRegion) -> MemRegion:
-        self._regions[region.region_id] = region
+        self._region_ids.add(region.region_id)
         return region
 
     def is_registered(self, region: MemRegion) -> bool:
-        return region.region_id in self._regions
+        return region.region_id in self._region_ids
 
     def check(self, region: MemRegion, place: int) -> None:
         if not self.is_registered(region):

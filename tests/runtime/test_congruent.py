@@ -1,5 +1,8 @@
 """Tests for the congruent memory allocator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,21 @@ def test_alloc_returns_registered_array():
     assert arr.place == 3
     assert arr.nbytes == 800
     assert arr.data.shape == (100,)
+
+
+def test_registry_does_not_keep_a_dropped_array_alive():
+    """Dropping a congruent array frees its region and its NumPy buffer while
+    the runtime lives on; a live array stays registered."""
+    rt = make_runtime()
+    alloc = CongruentAllocator(rt)
+    kept = alloc.alloc(1, shape=(1000,))
+    dropped = alloc.alloc(1, shape=(1000,))
+    region, buffer = weakref.ref(dropped.region), weakref.ref(dropped.data)
+    del dropped
+    gc.collect()
+    assert region() is None and buffer() is None
+    assert rt.registry.is_registered(kept.region)
+    rt.registry.check(kept.region, 1)
 
 
 def test_symmetric_allocation_same_addresses():

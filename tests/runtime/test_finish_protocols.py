@@ -1,5 +1,8 @@
 """Tests for the specialized finish implementations (paper Section 3.1)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import FinishError, PragmaError
@@ -260,3 +263,24 @@ def test_quiescence_requires_report_delivery_time():
     elapsed = rt.run(main)
     # at least two software latencies: spawn out + report back
     assert elapsed >= 2 * rt.config.software_latency
+
+
+# -- a finished finish is garbage, unless a place death could still need it --------
+
+
+def test_finish_is_collectable_after_a_fault_free_run():
+    """Only ``_on_place_death`` reads the runtime's finish table, and it is
+    subscribed only under chaos: a fault-free run must not keep its finishes."""
+    rt = make_runtime()
+    ref = weakref.ref(spawn_everywhere(rt, Pragma.FINISH_SPMD))
+    gc.collect()
+    assert ref() is None
+    assert not rt._finishes
+
+
+def test_finish_stays_listed_for_place_death_under_chaos():
+    rt = make_runtime(chaos="seed=0")
+    ref = weakref.ref(spawn_everywhere(rt, Pragma.FINISH_SPMD))
+    gc.collect()
+    assert ref() is not None
+    assert ref() in rt._finishes.values()

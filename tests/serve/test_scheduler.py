@@ -218,3 +218,19 @@ def test_metrics_record_latency_and_queue_depth():
         assert snap.get("serve.jobs", tenant=tenant, status="ok") == n
     depth = snap.get("serve.queue_depth")
     assert depth["count"] >= len(outcome.jobs)  # observed at arrival and release
+
+
+def test_finished_jobs_do_not_pin_their_arrays():
+    """The runtime outlives every job it served; a finished stream job's
+    registered regions (and the NumPy buffers behind them) must not."""
+    import gc
+
+    from repro.xrt.rdma import MemRegion
+
+    spec = spec_for(
+        [{"name": "a", "rate": 2000.0, "kernel_mix": MIX, "max_jobs": 20}], places=8
+    )
+    report, _outcome, _rt = run_scenario(spec)
+    assert report.completed == 20
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, MemRegion)]

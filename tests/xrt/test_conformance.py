@@ -39,7 +39,7 @@ def test_kernel_conformant_sim_vs_procs(kernel):
     assert sim.backend == "sim" and procs.backend == "procs"
     assert sim.checksum  # a kernel without a checksum would vacuously pass
     # the procs run really crossed process boundaries
-    assert procs.extra["messages_routed"] > 0
+    assert procs.messages_routed > 0
 
 
 def test_conformance_covers_every_finish_pragma():

@@ -95,9 +95,9 @@ def test_killed_run_recovers_to_fault_free_checksum(kernel, params, chaos):
     recovered = report.runs[1]
     # the recovery machinery really ran: a death was detected, a fresh OS
     # process was forked for the dead place, and the run still finished
-    assert recovered.extra["deaths"], "conformant but no death recorded?"
-    assert recovered.extra["revivals"] >= 1
-    assert recovered.extra["frames_dropped"] >= 0  # counted, never silent
+    assert recovered.deaths, "conformant but no death recorded?"
+    assert recovered.revivals >= 1
+    assert recovered.frames_dropped >= 0  # counted, never silent
     assert recovered.result["_resilient"]["revivals"] >= 1
     _assert_no_orphans(before)
 
@@ -107,7 +107,7 @@ def test_recovery_report_names_the_killed_place_and_signal():
         "kmeans", PLACES, chaos="seed=1,kill=2@0.002", deadline=DEADLINE
     )
     assert report.conformant, report.render()
-    deaths = report.runs[1].extra["deaths"]
+    deaths = report.runs[1].deaths
     assert any(d["place"] == 2 for d in deaths)
     assert any("SIGKILL" in d["cause"] for d in deaths)
 
@@ -115,8 +115,19 @@ def test_recovery_report_names_the_killed_place_and_signal():
 # -- strict mode: structured failure, never a deadline hang ------------------------
 
 
-@pytest.mark.parametrize("kernel,params,chaos", KILL_MATRIX[:3],
-                         ids=[f"{k}-{c}" for k, _, c in KILL_MATRIX[:3]])
+#: the strict rows.  Plain ``stream`` has often joined by 2 ms (its mid-run row
+#: raised in only 15 and 17 of 24 runs), and a wall-clock time cannot name a protocol
+#: state; ``kill=p@0.0`` can: the launcher queues the kill before ``main``'s
+#: first step, so the place is dead before any spawn to it can join.
+STRICT_MATRIX = [
+    ("kmeans", {}, "seed=1,kill=2@0.002"),
+    ("kmeans", {}, "seed=2,kill=3@0.005"),
+    ("stream", {}, "seed=1,kill=2@0.0"),
+]
+
+
+@pytest.mark.parametrize("kernel,params,chaos", STRICT_MATRIX,
+                         ids=[f"{k}-{c}" for k, _, c in STRICT_MATRIX])
 def test_strict_kill_fails_fast_naming_the_dead_place(kernel, params, chaos):
     """Without ``--resilient`` the same kill must surface as a structured
     DeadPlaceError/ProcsError naming place ``p`` — well before the deadline."""

@@ -22,7 +22,7 @@ from repro.errors import (
 from repro.runtime.activity import Activity, ActivityContext
 from repro.runtime.finish.pragmas import Pragma
 from repro.sim import Engine
-from repro.xrt.backend import Clock, WallClock, get_backend
+from repro.xrt.backend import BackendRun, Clock, WallClock, get_backend
 from repro.xrt.procs import run_procs_program
 from repro.xrt.procs.finishproc import HomeFinish, ProxyFinish, resolve_finish
 from repro.xrt.procs.loop import PlaceLoop
@@ -495,6 +495,38 @@ def test_local_send_item_skips_the_wire():
 def test_get_backend_unknown_name():
     with pytest.raises(ValueError, match="unknown backend"):
         get_backend("mpi")
+
+
+def test_one_record_per_portable_run():
+    """Both backends hand back a ``BackendRun``; what a backend does not
+    measure stays at the field's empty default."""
+    sim = get_backend("sim").run("stream", 2)
+    assert isinstance(sim, BackendRun) and sim.backend == "sim"
+    assert sim.sim_time > 0
+    assert sim.metrics.total("finish.ctl_messages") == sum(sim.ctl_by_pragma.values())
+    assert (sim.messages_routed, sim.bytes_routed, sim.revivals) == (0, 0, 0)
+    assert (sim.frames_dropped, sim.deaths_tolerated, sim.chaos) == (0, 0, None)
+    assert sim.per_place == {} and sim.deaths == []
+    assert not hasattr(sim, "extra")
+
+    procs = get_backend("procs").run("stream", 1)
+    assert isinstance(procs, BackendRun) and procs.backend == "procs"
+    assert procs.sim_time is None and procs.metrics is None
+    assert procs.checksum and set(procs.per_place) == {0}
+
+
+def test_procs_backend_returns_the_launchers_own_record(monkeypatch):
+    import repro.xrt.procs as procs_pkg
+
+    made = []
+
+    def spy(*args, **kwargs):
+        made.append(run_procs_program(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(procs_pkg, "run_procs_program", spy)
+    run = get_backend("procs", deadline=30.0).run("stream", 1)
+    assert run is made[0]
 
 
 def test_run_procs_rejects_zero_places():
