@@ -387,7 +387,8 @@ def _run_backend(args, out) -> int:
     ctl = ", ".join(f"{k}={v}" for k, v in sorted(run.ctl_by_pragma.items()))
     print(f"finish ctl    : {ctl}", file=out)
     if run.backend == "procs":
-        print(f"routed        : {run.messages_routed} messages, {run.bytes_routed} bytes", file=out)
+        print(f"routed        : {run.messages_routed} messages, {run.bytes_routed} bytes, "
+              f"{run.socket_writes} writes, {run.socket_reads} reads", file=out)
     if args.chaos or args.resilient:
         dead = ", ".join(f"{d['place']}@{d['time']:g}s" for d in run.deaths) or "none"
         print(f"chaos         : {run.chaos or 'none'}", file=out)

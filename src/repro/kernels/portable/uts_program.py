@@ -11,7 +11,8 @@ process boundary):
   bag one chunk at a time and polling a control mailbox;
 * idle places steal round-robin: a ``steal`` request is always answered,
   with ``loot`` (half of every interval — the paper's refined policy) or
-  ``empty``;
+  ``empty``; a victim never gives away its last piece, which is what keeps
+  two idle places from trading it forever;
 * termination is a count-based double wave: a token circulates the ring
   accumulating (loot sent, loot received, everyone idle); the root declares
   termination after two consecutive waves that are balanced, all-idle, and
@@ -89,6 +90,13 @@ def uts_loop(ctx, p: dict, ctl_box: str = "uts:ctl", abort_on_death: bool = Fals
             if kind == "steal":
                 thief = msg[1]
                 loot = None if bag.is_empty() else bag.split()
+                if loot is not None and bag.is_empty():
+                    # never hand over the last piece: a thief that gets it
+                    # serves the next steal before it works (step 1 runs
+                    # before step 2), so two idle places would pass it back
+                    # and forth forever
+                    bag.merge(loot)
+                    loot = None
                 if loot is None:
                     ctx.send(thief, ctl_box, ("empty",))
                 else:

@@ -88,9 +88,12 @@ class BackendRun:
     sim_time: Optional[float] = None
     metrics: Any = None
     #: procs only: frames and bytes that crossed place 0's sockets (both
-    #: directions), and each place's own DONE report
+    #: directions), the system calls that moved them (frames per write is the
+    #: coalescing ratio), and each place's own DONE report
     messages_routed: int = 0
     bytes_routed: int = 0
+    socket_writes: int = 0
+    socket_reads: int = 0
     per_place: dict = field(default_factory=dict)
     #: place deaths the router detected: [{"place", "cause", "time"}, ...]
     deaths: list = field(default_factory=list)

@@ -103,6 +103,18 @@ class _RouterLoop(PlaceLoop):
             self.route(frame)
 
 
+def _conn_counts(conn: wire.Conn) -> tuple:
+    """``(frames, bytes, dropped, writes, reads)`` of one of place 0's
+    connections, both directions summed where there are two."""
+    return (
+        conn.frames_sent + conn.decoder.frames_decoded,
+        conn.bytes_sent + conn.decoder.bytes_fed,
+        conn.dropped,
+        conn.writes,
+        conn.reads,
+    )
+
+
 def _child_status(proc) -> str:
     """Human-readable wait status: exit code or the signal that killed it."""
     if proc is None:
@@ -212,7 +224,8 @@ def run_procs_program(
         deaths: List[dict] = []
         state = {
             "draining": False, "revivals": 0, "hb_seq": 0,
-            "retired_msgs": 0, "retired_bytes": 0, "retired_dropped": 0,
+            # _conn_counts of the connections retired so far
+            "retired": (0, 0, 0, 0, 0),
         }
 
         def _maybe_finish_drain() -> None:
@@ -230,9 +243,7 @@ def run_procs_program(
             conn = loop.conn_for.pop(place, None)
             if conn is None:
                 return
-            state["retired_msgs"] += conn.frames_sent + conn.decoder.frames_decoded
-            state["retired_bytes"] += conn.bytes_sent + conn.decoder.bytes_fed
-            state["retired_dropped"] += conn.dropped
+            state["retired"] = tuple(map(sum, zip(state["retired"], _conn_counts(conn))))
             loop.drop_conn(conn)
 
         def _mark_dead(place: int, cause: str) -> None:
@@ -347,14 +358,9 @@ def run_procs_program(
             tolerated += payload.get("deaths_tolerated", 0)
             for pragma, count in payload.get("ctl_by_pragma", {}).items():
                 ctl[pragma] = ctl.get(pragma, 0) + count
-        live = list(loop.conn_for.values())
-        messages = state["retired_msgs"] + sum(
-            c.frames_sent + c.decoder.frames_decoded for c in live)
-        nbytes = state["retired_bytes"] + sum(
-            c.bytes_sent + c.decoder.bytes_fed for c in live)
-        dropped = (state["retired_dropped"] + loop.blackholed
-                   + sum(c.dropped for c in live)
-                   + sum(p.get("dropped", 0) for p in done_reports.values()))
+        messages, nbytes, dropped, writes, reads = map(
+            sum, zip(state["retired"], *map(_conn_counts, loop.conn_for.values())))
+        dropped += loop.blackholed + sum(p.get("dropped", 0) for p in done_reports.values())
         return BackendRun(
             backend="procs",
             kernel=kernel_name,
@@ -364,6 +370,8 @@ def run_procs_program(
             ctl_by_pragma=ctl,
             messages_routed=messages,
             bytes_routed=nbytes,
+            socket_writes=writes,
+            socket_reads=reads,
             per_place=per_place,
             deaths=deaths,
             revivals=state["revivals"],

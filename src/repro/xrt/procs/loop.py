@@ -6,7 +6,8 @@ as the discrete-event :class:`~repro.sim.engine.Engine` — ``now``,
 :class:`~repro.sim.process.Process`, :class:`~repro.sim.store.Store`, and
 :class:`~repro.sim.events.SimEvent` run on it unmodified.  On top of that it
 pumps this place's socket(s): readable frames are dispatched to registered
-handlers, writable buffers are drained.
+handlers, and every connection with queued frames is written once per tick,
+before the poll.
 
 The loop interleaves callback batches with socket polls so a program that
 spins on cooperative yields (``yield None`` / zero timeouts) cannot starve
@@ -30,6 +31,8 @@ _BATCH = 128
 
 #: longest sleep when fully idle; bounds deadline-check latency
 _IDLE_WAIT = 0.05
+
+_READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
 
 
 class _TimerHandle:
@@ -101,6 +104,7 @@ class PlaceLoop:
     def add_conn(self, conn: Conn) -> None:
         self._conns.append(conn)
         self._selector.register(conn.sock, selectors.EVENT_READ, conn)
+        conn.armed = selectors.EVENT_READ
 
     def drop_conn(self, conn: Conn) -> None:
         """Retire a connection mid-run (peer declared dead by the router).
@@ -116,6 +120,7 @@ class PlaceLoop:
             pass
         if conn in self._conns:
             self._conns.remove(conn)
+        conn.armed = 0
         conn.eof = True
         conn.close()
 
@@ -141,30 +146,44 @@ class PlaceLoop:
         return self._stopped
 
     def _poll(self, timeout: float) -> None:
-        # re-arm write interest to match each connection's buffer state
-        for conn in self._conns:
-            if conn.eof:
-                continue
-            events = selectors.EVENT_READ
+        # one write per connection per tick: everything the last callback batch
+        # queued leaves now, in queue order, and writability is awaited only
+        # for what the socket refused
+        for conn in tuple(self._conns):  # _drain may retire a connection
             if conn.wants_write:
-                events |= selectors.EVENT_WRITE
-            self._selector.modify(conn.sock, events, conn)
+                conn.pump_write()
+            if conn.eof:
+                if conn.armed:  # a write (here or in send_frame) hit EPIPE
+                    self._drain(conn)
+                continue
+            events = _READ_WRITE if conn.wants_write else selectors.EVENT_READ
+            if events != conn.armed:
+                self._selector.modify(conn.sock, events, conn)
+                conn.armed = events
         for key, mask in self._selector.select(timeout):
             conn: Conn = key.data
             if mask & selectors.EVENT_WRITE:
                 conn.pump_write()
-            # a write-side EPIPE sets conn.eof too; drain the read side
-            # regardless so frames the dead peer managed to send still land
             if (mask & selectors.EVENT_READ) or conn.eof:
-                for frame in conn.pump_read():
-                    self.on_frame(conn, frame)
-                if conn.eof:
-                    try:
-                        self._selector.unregister(conn.sock)
-                    except (KeyError, ValueError):  # pragma: no cover
-                        pass
-                    if self.on_eof is not None:
-                        self.on_eof(conn)
+                self._drain(conn)
+
+    def _drain(self, conn: Conn) -> None:
+        """Deliver what ``conn`` has received; on EOF retire it and report.
+
+        A write-side EPIPE sets ``conn.eof`` too, and the read side is drained
+        all the same, so frames the dead peer managed to send still land
+        before ``on_eof`` runs.
+        """
+        for frame in conn.pump_read():
+            self.on_frame(conn, frame)
+        if conn.eof:
+            try:
+                self._selector.unregister(conn.sock)
+            except (KeyError, ValueError):  # pragma: no cover
+                pass
+            conn.armed = 0
+            if self.on_eof is not None:
+                self.on_eof(conn)
 
     def on_frame(self, conn: Conn, frame: Frame) -> None:
         """Route or dispatch one decoded frame (overridden by the router)."""

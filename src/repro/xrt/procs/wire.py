@@ -1,7 +1,7 @@
 """Framed, non-blocking socket connections and the procs message kinds.
 
 Every message between place processes is one frame (see
-:func:`repro.xrt.serialization.encode_frame`) holding a 4-tuple
+:func:`repro.xrt.serialization.encode_frame_parts`) holding a 4-tuple
 ``(kind, src, dst, payload)``.  Topology is a star: each child place holds one
 connection to place 0, which routes child-to-child frames by ``dst``.  A
 single router gives a useful causal guarantee for the finish protocol: a FORK
@@ -12,9 +12,11 @@ before any JOIN that spawn can produce.
 from __future__ import annotations
 
 import socket
-from typing import Any, List, Tuple
+from collections import deque
+from itertools import islice
+from typing import Any, Deque, List, Tuple
 
-from repro.xrt.serialization import FrameDecoder, encode_frame
+from repro.xrt.serialization import OOB_MIN_BYTES, FrameDecoder, encode_frame_parts
 
 # -- message kinds ---------------------------------------------------------------
 
@@ -53,33 +55,63 @@ DEAD = "dead"
 
 Frame = Tuple[str, int, int, Any]
 
+#: asked of the kernel for both socket buffers (best effort: ``wmem_max``
+#: caps it), so a whole 1 MiB frame leaves in one ``sendmsg`` and none of it
+#: has to be copied to honour the sender's copy semantics
+_SOCKET_BUFFER_BYTES = 2 * 1024 * 1024
+
+#: parts per ``sendmsg`` (the platform's IOV_MAX is at least 1024)
+_MAX_IOV = 512
+
 
 class Conn:
     """One framed connection, non-blocking in both directions.
 
-    Reads go through a :class:`FrameDecoder` so partial frames are handled in
-    exactly one place; writes append to an outbound buffer that the owning
-    loop drains whenever the socket is writable.  Neither side can deadlock
-    the pair: a frame is never written with a blocking call.
+    Reads land where the :class:`FrameDecoder` wants them (``recv_into``), so
+    partial frames are handled in exactly one place and a large body is
+    received straight into the memory its arrays will own.  Writes queue the
+    parts of :func:`encode_frame_parts` and leave through ``sendmsg``: the
+    owning loop flushes each connection once per tick, before it selects, and
+    waits for writability only for what the socket refused.  Neither side can
+    deadlock the pair: a frame is never written with a blocking call.
+
+    Copy semantics hold for senders: :meth:`send_frame` returns owning every
+    byte it still has to write, so the caller may overwrite an array it just
+    sent.
     """
 
     __slots__ = (
         "sock", "peer", "decoder", "_out", "bytes_sent", "frames_sent", "dropped", "eof",
+        "writes", "reads", "armed",
     )
 
     def __init__(self, sock: socket.socket, peer: int) -> None:
         sock.setblocking(False)
+        for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+            try:
+                sock.setsockopt(socket.SOL_SOCKET, option, _SOCKET_BUFFER_BYTES)
+            except OSError:  # pragma: no cover - best effort; the host caps it
+                pass
         self.sock = sock
         #: the place on the other end (from place 0's view; -1 means "router")
         self.peer = peer
         self.decoder = FrameDecoder()
-        self._out = bytearray()
+        #: parts awaiting the socket, oldest first; all owned by this queue.
+        #: Small heads merge into a trailing ``bytearray``
+        self._out: Deque = deque()
         self.bytes_sent = 0
         self.frames_sent = 0
         #: frames queued after EOF — nothing is ever *silently* lost: every
         #: frame is either sent or counted here (``procs.wire.dropped``)
         self.dropped = 0
         self.eof = False
+        #: system calls that moved bytes; ``frames_sent / writes`` is the
+        #: coalescing ratio
+        self.writes = 0
+        self.reads = 0
+        #: selector event mask the owning loop has registered (the loop's
+        #: field; 0 once the loop has seen this connection's EOF)
+        self.armed = 0
 
     def fileno(self) -> int:
         return self.sock.fileno()
@@ -87,47 +119,76 @@ class Conn:
     # -- sending ---------------------------------------------------------------
 
     def send_frame(self, frame: Frame) -> None:
-        """Queue one frame; actual bytes move when the socket is writable."""
+        """Queue one frame.  Bytes move at the owning loop's next flush, except
+        that a frame borrowing the caller's memory is written at once and
+        whatever the kernel did not take is copied before returning."""
         if self.eof:
             self.dropped += 1
             return
-        data = encode_frame(frame)
-        self._out.extend(data)
+        parts = encode_frame_parts(frame)
+        head = parts[0]
+        nbytes = len(head)
+        out = self._out
+        # heads merge into the newest part while both are small, so a tick's
+        # control frames are one buffer and large bytes are never re-copied
+        tail = out[-1] if out and nbytes < OOB_MIN_BYTES else None
+        if type(tail) is bytearray:
+            tail += head
+        elif type(tail) is bytes and len(tail) < OOB_MIN_BYTES:
+            out[-1] = bytearray(tail) + head
+        else:
+            out.append(head)
         self.frames_sent += 1
-        self.bytes_sent += len(data)
+        borrowed = len(parts) - 1
+        if borrowed:
+            for part in parts[1:]:
+                out.append(part)
+                nbytes += len(part)
+            self.pump_write()
+            # the borrowed parts are the newest: own what is still queued
+            for i in range(max(0, len(out) - borrowed), len(out)):
+                out[i] = bytes(out[i])
+        self.bytes_sent += nbytes
 
     @property
     def wants_write(self) -> bool:
         return bool(self._out)
 
     def pump_write(self) -> None:
-        """Push buffered bytes out; stops at the first would-block."""
-        while self._out:
+        """Push queued parts out; stops at the first would-block."""
+        out = self._out
+        while out:
             try:
-                sent = self.sock.send(self._out)
+                sent = self.sock.sendmsg(islice(out, _MAX_IOV))
             except (BlockingIOError, InterruptedError):
                 return
             except OSError:
-                # peer gone mid-write (EPIPE after a SIGKILL): the buffered
-                # bytes can never be delivered — surface as EOF so the owner
-                # retires the connection; the loop drains the read side
-                # first, so frames the peer managed to send are not lost
+                # peer gone mid-write (EPIPE after a SIGKILL), or a blocking
+                # flush timed out: the queued bytes can never be delivered —
+                # surface as EOF so the owner retires the connection; the
+                # loop drains the read side first, so frames the peer managed
+                # to send are not lost
                 self.eof = True
-                self._out.clear()
+                out.clear()
                 return
-            if sent == 0:  # pragma: no cover - send() raises rather than 0
-                return
-            del self._out[:sent]
+            self.writes += 1
+            while sent:
+                part = out[0]
+                if sent >= len(part):
+                    sent -= len(part)
+                    out.popleft()
+                elif type(part) is bytearray:
+                    del part[:sent]  # the mergeable tail stays resizable
+                    break
+                else:
+                    out[0] = memoryview(part)[sent:]
+                    break
 
     def flush_blocking(self, timeout: float) -> None:
         """Best-effort synchronous drain (shutdown paths only)."""
         self.sock.settimeout(timeout)
         try:
-            while self._out:
-                sent = self.sock.send(self._out)
-                del self._out[:sent]
-        except OSError:
-            self._out.clear()
+            self.pump_write()
         finally:
             try:
                 self.sock.setblocking(False)
@@ -139,18 +200,25 @@ class Conn:
     def pump_read(self) -> List[Frame]:
         """Read whatever is available; return the frames completed by it."""
         frames: List[Frame] = []
+        decoder = self.decoder
         while True:
+            space = decoder.space()
             try:
-                chunk = self.sock.recv(65536)
+                n = self.sock.recv_into(space)
             except (BlockingIOError, InterruptedError):
                 return frames
-            except (ConnectionResetError, OSError):
+            except OSError:
                 self.eof = True
                 return frames
-            if not chunk:
+            if not n:
                 self.eof = True
                 return frames
-            frames.extend(self.decoder.feed(chunk))
+            self.reads += 1
+            frames += decoder.advance(n)
+            if n < len(space):
+                # a short read on a stream socket: the kernel's queue is
+                # empty, and asking again would only cost a would-block
+                return frames
 
     def close(self) -> None:
         try:

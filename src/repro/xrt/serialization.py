@@ -8,9 +8,11 @@ serves both execution backends:
   :func:`estimate_nbytes` estimates it for the Python values kernels actually
   ship around.
 * The **procs backend** (:mod:`repro.xrt.procs`) ships the data for real:
-  :func:`encode_frame` / :class:`FrameDecoder` implement the authoritative
-  wire format — a 4-byte big-endian length prefix followed by a pickled
-  payload — including reassembly of frames that arrive split across an
+  :func:`encode_frame_parts` / :class:`FrameDecoder` implement the
+  authoritative wire format — a 4-byte big-endian length prefix followed by a
+  pickled payload, with large contiguous buffers (NumPy arrays) carried *out
+  of band* behind the pickle so they are written from, and read into, their
+  own memory — including reassembly of frames that arrive split across an
   arbitrary number of partial socket reads.
 
 Where the estimate and the wire format disagree, **the wire format is
@@ -90,6 +92,14 @@ def _estimate(obj, nested: bool = True) -> int:
 
 
 # -- the authoritative wire format (the procs backend's view) --------------------
+#
+#   plain frame:        | !I length          | pickle                          |
+#   out-of-band frame:  | !I length | OOB    | table | pickle | buf0 | buf1 ...|
+#
+# ``length`` counts everything after the 4-byte prefix.  The table is
+# ``!I n_buffers, !I pickle_len, n_buffers x !I buffer_len`` and must add up to
+# ``length`` exactly.  A payload with no contiguous buffer of
+# :data:`OOB_MIN_BYTES` or more is a plain frame: header + protocol-5 pickle.
 
 #: length-prefix header: 4-byte big-endian unsigned frame length
 _HEADER = struct.Struct("!I")
@@ -99,66 +109,207 @@ HEADER_BYTES = _HEADER.size
 #: allocate gigabytes (64 MiB is far above any conformance payload)
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: top bit of the length prefix (free: lengths stop at MAX_FRAME_BYTES): the
+#: body starts with an out-of-band table
+_OOB_FLAG = 0x8000_0000
+_LENGTH_MASK = _OOB_FLAG - 1
+_TABLE_HEAD = struct.Struct("!II")
+
+#: contiguous buffers at least this large travel out of band; smaller ones
+#: stay inside the pickle, where one copy costs less than one more iovec
+OOB_MIN_BYTES = 16 * 1024
+
+#: out-of-band buffers start on this boundary of the received body, so the
+#: arrays that alias it are as aligned as freshly allocated ones
+_ALIGN = 16
+
+#: frames up to this size (header included) are parsed out of the decoder's
+#: reusable scratch; a larger body is read into a buffer of its own
+SCRATCH_BYTES = 64 * 1024
+
+
+def encode_frame_parts(obj) -> list:
+    """Encode one message as the byte parts of a self-delimiting frame.
+
+    ``parts[0]`` is ``bytes`` the caller owns (length prefix, table if any,
+    pickle); every further part is a ``memoryview`` that *borrows* the memory
+    of a buffer inside ``obj``, valid only while ``obj`` is unchanged.  Written
+    back to back the parts are the frame.
+    """
+    buffers: list = []
+
+    def out_of_band(buffer: pickle.PickleBuffer) -> bool:
+        view = buffer.raw()
+        if view.nbytes < OOB_MIN_BYTES:
+            return True  # the pickler serializes it in band
+        buffers.append(view)
+        return False
+
+    payload = pickle.dumps(obj, protocol=5, buffer_callback=out_of_band)
+    if not buffers:
+        _check_length(len(payload))
+        return [_HEADER.pack(len(payload)) + payload]
+    table_len = _TABLE_HEAD.size + HEADER_BYTES * len(buffers)
+    # zero bytes after the pickle's STOP opcode (the unpickler never reads
+    # them) put the first buffer on an _ALIGN boundary of the body
+    payload += bytes(-(table_len + len(payload)) % _ALIGN)
+    sizes = [view.nbytes for view in buffers]
+    length = table_len + len(payload) + sum(sizes)
+    _check_length(length)
+    table = struct.pack(f"!{2 + len(sizes)}I", len(sizes), len(payload), *sizes)
+    return [_HEADER.pack(length | _OOB_FLAG) + table + payload, *buffers]
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_FRAME_BYTES:
+        raise TransportError(
+            f"frame of {length} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
+        )
+
 
 def encode_frame(obj) -> bytes:
-    """Encode one message as a self-delimiting frame: length prefix + pickle."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_FRAME_BYTES:
-        raise TransportError(
-            f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
-        )
-    return _HEADER.pack(len(payload)) + payload
+    """Encode one message as one ``bytes`` frame (a copy of every part)."""
+    return b"".join(encode_frame_parts(obj))
 
 
 def wire_nbytes(obj) -> int:
-    """Actual size of ``obj`` on the wire (header + pickle) — authoritative."""
-    return HEADER_BYTES + len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+    """Actual size of ``obj`` on the wire (prefix + body) — authoritative."""
+    return sum(len(part) for part in encode_frame_parts(obj))
+
+
+def _decode_out_of_band(body: bytearray):
+    """Unpickle an out-of-band body; its arrays alias (and keep alive) ``body``."""
+    total = len(body)
+    n_buffers, pickle_len = _TABLE_HEAD.unpack_from(body) if total >= _TABLE_HEAD.size else (0, 0)
+    start = _TABLE_HEAD.size + HEADER_BYTES * n_buffers
+    # the table is read only once it is known to fit: a corrupt count must
+    # not size a format string
+    sizes = struct.unpack_from(f"!{n_buffers}I", body, _TABLE_HEAD.size) if start <= total else ()
+    if not sizes or start + pickle_len + sum(sizes) != total:
+        raise TransportError(
+            f"out-of-band table ({n_buffers} buffers, pickle of {pickle_len}) does not "
+            f"add up to its {total}-byte body: corrupt stream"
+        )
+    view = memoryview(body)
+    buffers = []
+    stop = start + pickle_len
+    for size in sizes:
+        buffers.append(view[stop : stop + size])
+        stop += size
+    return pickle.loads(view[start : start + pickle_len], buffers=buffers)
 
 
 class FrameDecoder:
     """Incremental frame reassembly over a byte stream.
 
-    Feed arbitrary chunks (single bytes, half headers, many frames at once);
-    complete decoded messages come out in order.  This is the receive side of
-    :func:`encode_frame` and the only place the procs backend parses bytes,
-    so partial-read handling lives in exactly one spot.
+    The receive side of :func:`encode_frame_parts` and the only place the
+    procs backend parses bytes, so partial-read handling lives in exactly one
+    spot.  A reader asks :meth:`space` where the next bytes should land,
+    writes there (``recv_into``) and reports how many with :meth:`advance`;
+    :meth:`feed` does the same for bytes that already sit somewhere else
+    (single bytes, half headers, many frames at once).  Frames that fit
+    :data:`SCRATCH_BYTES` are parsed out of one reusable scratch buffer; a
+    larger body is received straight into a ``bytearray`` of exactly its size,
+    and the arrays of an out-of-band body alias that ``bytearray``: they are
+    writable and nothing else refers to their memory.
     """
 
-    __slots__ = ("_buf", "_need", "bytes_fed", "frames_decoded")
+    __slots__ = ("_scratch", "_filled", "_body", "_body_filled", "_body_oob",
+                 "bytes_fed", "frames_decoded")
 
     def __init__(self) -> None:
-        self._buf = bytearray()
-        #: payload length of the frame under assembly (None: reading header)
-        self._need: int | None = None
+        self._scratch = memoryview(bytearray(SCRATCH_BYTES))
+        #: bytes of ``_scratch`` holding an incomplete frame (always from 0)
+        self._filled = 0
+        #: the large body under assembly, how much of it arrived, its flag
+        self._body: bytearray | None = None
+        self._body_filled = 0
+        self._body_oob = False
         self.bytes_fed = 0
         self.frames_decoded = 0
 
-    def feed(self, data: bytes) -> list:
-        """Absorb ``data``; return every message completed by it (maybe none)."""
-        self.bytes_fed += len(data)
-        self._buf.extend(data)
-        out = []
-        while True:
-            if self._need is None:
-                if len(self._buf) < HEADER_BYTES:
-                    break
-                (self._need,) = _HEADER.unpack(bytes(self._buf[:HEADER_BYTES]))
-                del self._buf[:HEADER_BYTES]
-                if self._need > MAX_FRAME_BYTES:
-                    raise TransportError(
-                        f"incoming frame claims {self._need} bytes "
-                        f"(> MAX_FRAME_BYTES {MAX_FRAME_BYTES}): corrupt stream"
-                    )
-            if len(self._buf) < self._need:
-                break
-            payload = bytes(self._buf[: self._need])
-            del self._buf[: self._need]
-            self._need = None
-            out.append(pickle.loads(payload))
-            self.frames_decoded += 1
+    def space(self) -> memoryview:
+        """Where the next received bytes belong (never empty)."""
+        if self._body is not None:
+            return memoryview(self._body)[self._body_filled :]
+        return self._scratch[self._filled :]
+
+    def advance(self, n: int) -> list:
+        """``n`` bytes were written into :meth:`space`; return the messages
+        they completed (maybe none)."""
+        self.bytes_fed += n
+        out: list = []
+        body = self._body
+        if body is not None:
+            self._body_filled += n
+            if self._body_filled == len(body):
+                self._body = None
+                out.append(_decode_out_of_band(body) if self._body_oob else pickle.loads(body))
+                self.frames_decoded += 1
+            return out
+        scratch = self._scratch
+        filled = self._filled + n
+        done = self._parse(scratch, filled, out)
+        rest = filled - done
+        if rest >= HEADER_BYTES:
+            (prefix,) = _HEADER.unpack_from(scratch, done)
+            length = prefix & _LENGTH_MASK
+            if HEADER_BYTES + length > SCRATCH_BYTES:
+                body = bytearray(length)
+                arrived = rest - HEADER_BYTES
+                body[:arrived] = scratch[done + HEADER_BYTES : filled]
+                self._body, self._body_filled = body, arrived
+                self._body_oob = prefix != length
+                rest = 0
+        if done and rest:
+            scratch[:rest] = scratch[done:filled]  # memoryview copies are memmove
+        self._filled = rest
         return out
+
+    def feed(self, data) -> list:
+        """Absorb ``data``; return every message completed by it (maybe none)."""
+        out: list = []
+        rest = memoryview(data)
+        if self._body is None and not self._filled:
+            # nothing half-assembled: whole frames are parsed where they are
+            done = self._parse(rest, len(rest), out)
+            self.bytes_fed += done
+            rest = rest[done:]
+        while rest:
+            space = self.space()
+            n = min(len(space), len(rest))
+            space[:n] = rest[:n]
+            rest = rest[n:]
+            out += self.advance(n)
+        return out
+
+    def _parse(self, buf, end: int, out: list) -> int:
+        """Decode the whole frames at the front of ``buf[:end]`` into ``out``;
+        return the offset of the first incomplete one."""
+        pos = 0
+        while end - pos >= HEADER_BYTES:
+            (prefix,) = _HEADER.unpack_from(buf, pos)
+            length = prefix & _LENGTH_MASK
+            if length > MAX_FRAME_BYTES:
+                raise TransportError(
+                    f"incoming frame claims {length} bytes "
+                    f"(> MAX_FRAME_BYTES {MAX_FRAME_BYTES}): corrupt stream"
+                )
+            start = pos + HEADER_BYTES
+            if end - start < length:
+                break
+            pos = start + length
+            if prefix == length:
+                out.append(pickle.loads(buf[start:pos]))
+            else:
+                # copied out: the arrays must own their memory, not the caller's
+                out.append(_decode_out_of_band(bytearray(buf[start:pos])))
+            self.frames_decoded += 1
+        return pos
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes buffered toward an incomplete frame."""
-        return len(self._buf)
+        """Bytes received toward an incomplete frame."""
+        if self._body is not None:
+            return HEADER_BYTES + self._body_filled
+        return self._filled

@@ -66,6 +66,58 @@ def test_uts_count_invariant_across_place_counts():
     assert len(set(totals.values())) == 1
 
 
+class _ScriptedCtx:
+    """The slice of ``ctx`` that ``uts_loop`` uses, with a scripted control
+    box: each inner list is what one control drain finds."""
+
+    def __init__(self, here: int, n_places: int, drains: list) -> None:
+        self.here, self.n_places = here, n_places
+        self._drains = [list(d) for d in drains]
+        self.sent: list = []
+
+    def try_recv(self, mailbox: str):
+        if self._drains and self._drains[0]:
+            return True, self._drains[0].pop(0)
+        return False, None
+
+    def send(self, dst: int, mailbox: str, item) -> None:
+        self.sent.append((dst, item))
+
+    def compute(self, seconds: float):
+        self._drains.pop(0)  # the loop yielded: the next drain is a new one
+        return None
+
+    sleep = compute
+
+
+def test_uts_victim_never_hands_over_its_last_piece():
+    """The 2-place livelock: a place that has just merged its only loot and
+    finds a steal waiting in the same drain used to give the piece straight
+    back, so two idle places traded the last intervals forever."""
+    from repro.kernels.portable.uts_program import uts_loop
+    from repro.kernels.uts.tree import UtsBag, UtsParams
+
+    p = {"b0": 4.0, "depth": 3, "seed": 19, "rng_mode": "splitmix"}
+    params = UtsParams(**p)
+    state, depth, lo, _hi = UtsBag.root(params).intervals[0]
+    singleton = [(state, depth, lo, lo + 1)]
+    expected = 0
+    reference = UtsBag(params, intervals=list(singleton))
+    while not reference.is_empty():
+        expected += reference.process(512)
+
+    ctx = _ScriptedCtx(here=1, n_places=2, drains=[
+        [("loot", list(singleton), 0), ("steal", 0)],
+        [("stop",)],
+    ])
+    loop = uts_loop(ctx, p)
+    with pytest.raises(StopIteration) as done:
+        while True:
+            next(loop)
+    assert ctx.sent == [(0, ("empty",))]
+    assert done.value.value == expected >= 1
+
+
 def test_kmeans_matches_sequential_reference():
     from repro.kernels.kmeans.kmeans import (
         generate_points,

@@ -30,10 +30,15 @@ _SMALL = {
 }
 
 
-@pytest.mark.parametrize("kernel", PORTABLE_KERNELS)
-def test_kernel_conformant_sim_vs_procs(kernel):
+#: every kernel at PLACES, and uts at 2: with two places each steals only
+#: from the other, the shape that once livelocked over the last piece
+_ROWS = [(kernel, PLACES) for kernel in PORTABLE_KERNELS] + [("uts", 2)]
+
+
+@pytest.mark.parametrize("kernel,places", _ROWS, ids=[f"{k}@{p}" for k, p in _ROWS])
+def test_kernel_conformant_sim_vs_procs(kernel, places):
     report = assert_conformant(
-        kernel, PLACES, deadline=DEADLINE, **_SMALL.get(kernel, {})
+        kernel, places, deadline=DEADLINE, **_SMALL.get(kernel, {})
     )
     sim, procs = report.runs
     assert sim.backend == "sim" and procs.backend == "procs"
@@ -76,6 +81,19 @@ def test_uts_totals_invariant_under_real_stealing():
     report = assert_conformant("uts", PLACES, deadline=DEADLINE, depth=6)
     expected = sequential_count(UtsParams(depth=6, b0=4.0, seed=19))
     for run in report.runs:
+        assert run.result["nodes"] == expected
+
+
+def test_uts_at_two_places_terminates_every_time():
+    """Ten in a row: the livelock hit about half of all runs, so ten clean
+    ones at a 5 s deadline are not luck."""
+    from repro.kernels.uts import sequential_count
+    from repro.kernels.uts.tree import UtsParams
+    from repro.xrt.procs import run_procs_program
+
+    expected = sequential_count(UtsParams(depth=7, b0=4.0, seed=19))
+    for _ in range(10):
+        run = run_procs_program("uts", 2, params={"depth": 7}, deadline=5)
         assert run.result["nodes"] == expected
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TransportError
+from repro.xrt.conformance import deep_equal
 from repro.xrt.procs import wire
 from repro.xrt.serialization import (
     HEADER_BYTES,
@@ -228,6 +229,198 @@ def test_conn_nonblocking_read_returns_empty():
     try:
         assert b.pump_read() == []  # nothing sent: would-block, not EOF
         assert not b.eof
+    finally:
+        a.close()
+        b.close()
+
+
+# -- seeded partial reads and writes through Conn ----------------------------------
+
+
+class _FakeSocket:
+    """One end of an in-memory stream whose system calls move a seeded random
+    number of bytes, from one to a megabyte, or refuse (``BlockingIOError``)."""
+
+    _CAPS = (1, 8, 64, 4096, 1 << 16, 1 << 20)
+
+    def __init__(self, rng: random.Random, stream: bytearray) -> None:
+        self.rng = rng
+        self.stream = stream
+        self.taken = 0  # bytes of ``stream`` the reader has consumed
+
+    def _quota(self) -> int:
+        if self.rng.random() < 0.15:
+            raise BlockingIOError
+        return self.rng.randint(1, self.rng.choice(self._CAPS))
+
+    def sendmsg(self, buffers) -> int:
+        quota = sent = self._quota()
+        for buf in buffers:
+            chunk = memoryview(buf)[:quota]
+            self.stream += chunk
+            quota -= len(chunk)
+        return sent - quota
+
+    def recv_into(self, space) -> int:
+        n = min(self._quota(), len(space), len(self.stream) - self.taken)
+        if n == 0:
+            raise BlockingIOError
+        space[:n] = memoryview(self.stream)[self.taken : self.taken + n]
+        self.taken += n
+        return n
+
+    def setblocking(self, flag) -> None: ...
+    def setsockopt(self, *args) -> None: ...
+    def close(self) -> None: ...
+
+
+def _array_cases(rng: np.random.Generator) -> list:
+    """Payloads on both sides of every branch of the out-of-band encoding."""
+    big = rng.random((512, 512))
+    return [
+        None,
+        rng.random(1),
+        rng.random(16 * 1024 // 8 - 1),  # 8 bytes under the threshold: in band
+        rng.random(16 * 1024 // 8),  # at the threshold: out of band
+        rng.random(1 << 17),  # 1 MiB
+        (rng.integers(0, 1 << 40, 1 << 14), "between", rng.random(1 << 13)),  # two large
+        np.asfortranarray(rng.random((96, 64))),
+        big[::3, 5:90],  # non-contiguous: pickled in band, whatever its size
+        np.empty((0, 3)),
+        rng.bytes(100 * 1024),  # a large body with no out-of-band part
+    ]
+
+
+def _seeded_frames(seed: int) -> list:
+    frames = _sample_frames(seed)
+    frames += [(wire.ITEM, 1, 0, ("case", case))
+               for case in _array_cases(np.random.default_rng(seed))]
+    random.Random(seed).shuffle(frames)
+    return frames
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_conn_survives_seeded_partial_reads_and_writes(block):
+    for seed in range(block * 25, block * 25 + 25):
+        rng = random.Random(seed)
+        frames = _seeded_frames(seed)
+        stream = bytearray()
+        tx = wire.Conn(_FakeSocket(rng, stream), peer=1)
+        rx = wire.Conn(_FakeSocket(rng, stream), peer=0)
+        received = []
+        for frame in frames:
+            tx.send_frame(frame)
+            if rng.random() < 0.5:
+                tx.pump_write()
+                received += rx.pump_read()
+        while tx.wants_write or len(received) < len(frames):
+            tx.pump_write()
+            received += rx.pump_read()
+        assert deep_equal(frames, received) == [], seed
+        assert tx.frames_sent == rx.decoder.frames_decoded == len(frames)
+        assert tx.bytes_sent == rx.decoder.bytes_fed == len(stream) \
+            == sum(wire_nbytes(f) for f in frames), seed
+        assert rx.decoder.pending_bytes == 0
+
+        # the same stream through feed(), in seeded chunks
+        dec, fed, pos = FrameDecoder(), [], 0
+        while pos < len(stream):
+            step = rng.randint(1, rng.choice(_FakeSocket._CAPS))
+            fed += dec.feed(bytes(stream[pos : pos + step]))
+            pos += step
+        assert deep_equal(frames, fed) == [], seed
+        assert dec.bytes_fed == len(stream) and dec.pending_bytes == 0
+
+
+def test_one_byte_feeds_decode_the_out_of_band_stream():
+    """Every split point of every header, table, pickle and buffer at once."""
+    frames = _seeded_frames(0)
+    stream = b"".join(encode_frame(f) for f in frames)
+    dec, out = FrameDecoder(), []
+    for i in range(len(stream)):
+        out += dec.feed(stream[i : i + 1])
+    assert deep_equal(frames, out) == []
+    assert dec.bytes_fed == len(stream) and dec.pending_bytes == 0
+
+
+def test_small_frames_are_byte_identical_to_header_plus_pickle():
+    """Only a contiguous buffer of 16 KiB or more changes the encoding."""
+    under = ("item", 1, 0, ("box", np.arange(16 * 1024 // 8 - 1, dtype=np.float64)))
+    data = encode_frame(under)
+    assert data == struct.pack("!I", len(data) - HEADER_BYTES) + pickle.dumps(under, protocol=5)
+    at = ("item", 1, 0, ("box", np.arange(16 * 1024 // 8, dtype=np.float64)))
+    (prefix,) = struct.unpack("!I", encode_frame(at)[:HEADER_BYTES])
+    assert prefix >> 31 == 1 and prefix & 0x7FFFFFFF == wire_nbytes(at) - HEADER_BYTES
+
+
+# -- what a naive zero-copy gets wrong ---------------------------------------------
+
+
+def test_sender_may_overwrite_an_array_right_after_send_frame():
+    """Copy semantics: the peer is not reading yet, so most of the 8 MiB is
+    still queued when the sender scribbles over its array."""
+    a_sock, b_sock = socket.socketpair()
+    a, b = wire.Conn(a_sock, peer=1), wire.Conn(b_sock, peer=0)
+    try:
+        payload = np.arange(1 << 20, dtype=np.float64)
+        a.send_frame((wire.ITEM, 0, 1, ("box", payload)))
+        assert a.wants_write  # the kernel cannot have taken 8 MiB
+        payload[:] = -1.0
+        received = []
+        while not received:
+            a.pump_write()
+            received += b.pump_read()
+        np.testing.assert_array_equal(received[0][3][1], np.arange(1 << 20, dtype=np.float64))
+    finally:
+        a.close()
+        b.close()
+
+
+@pytest.mark.parametrize("n", [1 << 12, 1 << 16], ids=["via-scratch", "own-body"])
+def test_received_arrays_are_writable_and_own_their_memory(n):
+    a_sock, b_sock = socket.socketpair()
+    a, b = wire.Conn(a_sock, peer=1), wire.Conn(b_sock, peer=0)
+    try:
+        received = []
+        for fill in (1.0, 2.0, 3.0):
+            a.send_frame((wire.REPLY, 1, 0, (0, np.full(n, fill), False)))
+            while len(received) < fill:
+                a.pump_write()
+                received += b.pump_read()
+        first, second, third = (frame[3][1] for frame in received)
+        assert first.flags.writeable and second.flags.writeable
+        first[:] = -1.0
+        second[:] = -2.0
+        assert (first == -1.0).all() and (second == -2.0).all() and (third == 3.0).all()
+    finally:
+        a.close()
+        b.close()
+
+
+def test_out_of_band_claims_are_checked_before_anything_is_allocated():
+    oob = 0x8000_0000
+    with pytest.raises(TransportError, match="MAX_FRAME_BYTES"):
+        FrameDecoder().feed(struct.pack("!I", oob | (MAX_FRAME_BYTES + 1)))
+    # a 24-byte body whose table claims a 4 GiB buffer, then one claiming 2**32 - 1 buffers
+    for table in (struct.pack("!III", 1, 4, 0xFFFF_FFFF), struct.pack("!III", 0xFFFF_FFFF, 4, 8)):
+        body = table + b"N." + bytes(10)
+        with pytest.raises(TransportError, match="add up"):
+            FrameDecoder().feed(struct.pack("!I", oob | len(body)) + body)
+
+
+# -- system calls are counted ------------------------------------------------------
+
+
+def test_a_tick_of_small_frames_is_one_write_and_one_read():
+    a_sock, b_sock = socket.socketpair()
+    a, b = wire.Conn(a_sock, peer=1), wire.Conn(b_sock, peer=0)
+    try:
+        for i in range(100):
+            a.send_frame((wire.JOIN, 1, 0, ((0, i), "finish_dense")))
+        a.pump_write()
+        assert (a.writes, a.frames_sent, a.wants_write) == (1, 100, False)
+        assert [frame[3][0] for frame in b.pump_read()] == [(0, i) for i in range(100)]
+        assert b.reads == 1
     finally:
         a.close()
         b.close()
