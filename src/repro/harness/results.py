@@ -7,8 +7,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
-def checksum_bytes(*chunks: bytes) -> str:
-    """Short stable digest of result payloads (fault-free equality gate)."""
+def checksum_bytes(*chunks) -> str:
+    """Short stable digest of result payloads (fault-free equality gate).
+
+    A chunk is anything with a contiguous buffer: ``bytes`` or a C-contiguous
+    array, which is hashed where it lies.
+    """
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)

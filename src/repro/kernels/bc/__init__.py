@@ -1,8 +1,16 @@
 """Betweenness Centrality on R-MAT graphs (Brandes' algorithm)."""
 
 from repro.kernels.bc.rmat import Graph, rmat_graph
-from repro.kernels.bc.brandes import brandes_betweenness
+from repro.kernels.bc.brandes import brandes_betweenness, single_source_dependencies
 from repro.kernels.bc.bc import run_bc
 from repro.kernels.bc.bc_glb import BcBag, run_bc_glb
 
-__all__ = ["BcBag", "Graph", "rmat_graph", "brandes_betweenness", "run_bc", "run_bc_glb"]
+__all__ = [
+    "BcBag",
+    "Graph",
+    "rmat_graph",
+    "brandes_betweenness",
+    "single_source_dependencies",
+    "run_bc",
+    "run_bc_glb",
+]

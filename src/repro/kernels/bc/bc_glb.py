@@ -18,7 +18,7 @@ from repro.errors import KernelError
 from repro.glb import Glb, GlbConfig, TaskBag
 from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.harness.results import KernelResult
-from repro.kernels.bc.brandes import _single_source_dependencies
+from repro.kernels.bc.brandes import single_source_dependencies
 from repro.kernels.bc.rmat import Graph, rmat_graph
 from repro.runtime.broadcast import PlaceGroup
 from repro.runtime.runtime import ApgasRuntime
@@ -39,7 +39,7 @@ class BcBag(TaskBag):
         batch, self.sources = self.sources[:take], self.sources[take:]
         cost = 0
         for s in batch:
-            delta, work = _single_source_dependencies(self.graph, int(s))
+            delta, work = single_source_dependencies(self.graph, int(s))
             self.accumulate(delta)
             cost += work
         self._last_cost = float(cost)

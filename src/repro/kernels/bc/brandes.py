@@ -36,7 +36,7 @@ def brandes_betweenness(
     work = 0
     src_list = range(n) if sources is None else sources
     for s in src_list:
-        delta, touched = _single_source_dependencies(graph, int(s))
+        delta, touched = single_source_dependencies(graph, int(s))
         centrality += delta
         work += touched
     if sources is None:
@@ -46,46 +46,46 @@ def brandes_betweenness(
     return centrality
 
 
-def _single_source_dependencies(graph: Graph, s: int):
+def single_source_dependencies(graph: Graph, s: int):
     """One BFS + dependency accumulation (the inner loop of Brandes).
+
+    Level-synchronous over whole levels: the CSR rows of a frontier are
+    gathered in one index expression, vertex-major, so the single
+    ``np.add.at`` per level adds the same terms in the same order as a
+    vertex-at-a-time sweep would and ``sigma``/``delta`` keep their bits.
+    The reverse sweep filters the expansions the forward sweep already made.
 
     Returns (dependency vector, edges touched).
     """
     n = graph.n
+    indptr, indices = graph.indptr, graph.indices
     dist = np.full(n, -1, dtype=np.int64)
     sigma = np.zeros(n)
     delta = np.zeros(n)
     dist[s] = 0
     sigma[s] = 1.0
     frontier = np.array([s], dtype=np.int64)
-    levels = [frontier]
+    expansions = []  # per level: (owning vertex, neighbour) of every CSR slot
     work = 0
-    # forward BFS, level-synchronous and vectorized over the frontier
     while len(frontier):
-        neigh_all = []
-        for v in frontier:
-            nbrs = graph.neighbors(v)
-            work += len(nbrs)
-            fresh = nbrs[dist[nbrs] == -1]  # all of these land on the next level
-            if len(fresh):
-                np.add.at(sigma, fresh, sigma[v])
-                neigh_all.append(fresh)
-        if neigh_all:
-            nxt = np.unique(np.concatenate(neigh_all))
-        else:
-            nxt = np.empty(0, dtype=np.int64)
-        if len(nxt):
-            dist[nxt] = dist[frontier[0]] + 1
-            levels.append(nxt)
-        frontier = nxt
-    # reverse accumulation
-    for level in reversed(levels[1:]):
-        for w in level:
-            nbrs = graph.neighbors(w)
-            work += len(nbrs)
-            preds = nbrs[dist[nbrs] == dist[w] - 1]
-            if len(preds):
-                share = (sigma[preds] / sigma[w]) * (1.0 + delta[w])
-                np.add.at(delta, preds, share)
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        slots = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+        owners, nbrs = np.repeat(frontier, counts), indices[slots]
+        expansions.append((owners, nbrs))
+        work += len(nbrs)
+        fresh = dist[nbrs] == -1  # all of these land on the next level
+        reached = nbrs[fresh]
+        np.add.at(sigma, reached, sigma[owners[fresh]])
+        frontier = np.unique(reached)
+        dist[frontier] = len(expansions)
+    # reverse accumulation, deepest level first
+    for level in range(len(expansions) - 1, 0, -1):
+        owners, nbrs = expansions[level]
+        work += len(nbrs)
+        back = dist[nbrs] == level - 1
+        w, preds = owners[back], nbrs[back]
+        np.add.at(delta, preds, (sigma[preds] / sigma[w]) * (1.0 + delta[w]))
     delta[s] = 0.0
     return delta, work

@@ -81,12 +81,13 @@ def run_fft(
     def transpose(ctx, local, rows_out, cols_out):
         """Global transpose of the distributed matrix (local shuffle +
         All-To-All + local shuffle)."""
-        blocks = [np.ascontiguousarray(local[:, q * rows_out : (q + 1) * rows_out]) for q in range(p)]
-        received = yield team.alltoall(ctx, blocks, nbytes_per_pair=wire_per_pair)
-        out = np.empty((rows_out, cols_out), dtype=np.complex128)
         rows_in = local.shape[0]
-        for q in range(p):
-            out[:, q * rows_in : (q + 1) * rows_in] = received[q].T
+        # block q = columns [q*rows_out, (q+1)*rows_out): one copy makes all p contiguous
+        blocks = np.ascontiguousarray(local.reshape(rows_in, p, rows_out).transpose(1, 0, 2))
+        received = yield team.alltoall(ctx, list(blocks), nbytes_per_pair=wire_per_pair)
+        out = np.empty((rows_out, cols_out), dtype=np.complex128)
+        # out[:, q*rows_in:(q+1)*rows_in] = received[q].T, all q in one copy
+        np.concatenate(received, axis=0, out=out.T)
         return out
 
     def body(ctx):

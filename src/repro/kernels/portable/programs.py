@@ -33,7 +33,7 @@ _TICK = 1e-6
 def _digest(*arrays) -> bytes:
     h = hashlib.sha256()
     for arr in arrays:
-        h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(np.ascontiguousarray(arr))  # hashed in place, no copy
     return h.digest()
 
 

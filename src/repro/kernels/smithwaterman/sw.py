@@ -35,35 +35,37 @@ def random_sequence(seed: int, name: str, length: int) -> np.ndarray:
 def sw_score(
     a: np.ndarray, b: np.ndarray, match: int = MATCH, mismatch: int = MISMATCH, gap: int = GAP
 ) -> int:
-    """Best local alignment score, anti-diagonal vectorized DP.
+    """Best local alignment score, one vector pass per row of the DP matrix.
 
-    ``H[i,j] = max(0, H[i-1,j-1]+s(a_i,b_j), H[i-1,j]-gap, H[i,j-1]-gap)``;
-    cells on one anti-diagonal are mutually independent, so each diagonal is
-    one vector operation.
+    ``H[i,j] = max(0, H[i-1,j-1]+s(a_i,b_j), H[i-1,j]-gap, H[i,j-1]-gap)``.
+    With ``E[j] = max(0, diag, vert)`` the in-row dependency unrolls to
+    ``H[i,j] = max_{k<=j} (E[k] - gap*(j-k))``, a prefix maximum of
+    ``E + gap*j``.  The score is symmetric in the two sequences, so rows run
+    over the shorter one; everything is integer arithmetic, hence exact.
     """
-    m, n = len(a), len(b)
-    if m == 0 or n == 0:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 0:
         return 0
-    best = 0
-    prev2 = np.zeros(m + 1)  # diagonal d-2, indexed by row i
-    prev = np.zeros(m + 1)  # diagonal d-1
-    for d in range(2, m + n + 1):
-        ilo = max(1, d - n)
-        ihi = min(m, d - 1)
-        i = np.arange(ilo, ihi + 1)
-        j = d - i
-        sub = np.where(a[i - 1] == b[j - 1], match, mismatch)
-        diag = prev2[i - 1] + sub
-        vert = prev[i - 1] - gap
-        horiz = prev[i] - gap
-        vals = np.maximum(0, np.maximum(diag, np.maximum(vert, horiz)))
-        cur = np.zeros(m + 1)
-        cur[ilo : ihi + 1] = vals
-        vmax = vals.max()
-        if vmax > best:
-            best = int(vmax)
-        prev2, prev = prev, cur
-    return best
+    n = len(b)
+    # one substitution row per distinct symbol of the short sequence (4 for DNA)
+    symbols, row_of = np.unique(a, return_inverse=True)
+    subs = np.where(np.asarray(b) == symbols[:, None], match, mismatch)
+    ramp = gap * np.arange(n + 1)
+    H = np.zeros(n + 1, dtype=np.int64)  # row i-1, then row i
+    E = np.zeros(n + 1, dtype=np.int64)  # E[0] stays H[i,0] = 0
+    vert = np.empty(n, dtype=np.int64)
+    top = np.zeros(n + 1, dtype=np.int64)  # column-wise maximum over the rows so far
+    for r in row_of:
+        np.add(H[:-1], subs[r], out=E[1:])
+        np.subtract(H[1:], gap, out=vert)
+        np.maximum(E[1:], vert, out=E[1:])
+        np.maximum(E, 0, out=E)
+        E += ramp
+        np.maximum.accumulate(E, out=H)
+        H -= ramp
+        np.maximum(top, H, out=top)
+    return int(top.max())
 
 
 def sw_score_reference(a, b, match: int = MATCH, mismatch: int = MISMATCH, gap: int = GAP) -> int:

@@ -143,7 +143,7 @@ def build_stream(
         total_bytes = BYTES_PER_ELEMENT * elements_per_place * iterations * n_places
         rate = total_bytes / t if t > 0 else 0.0
         checksum = checksum_bytes(
-            *(np.ascontiguousarray(arrays[p][0].data).tobytes() for p in places if p in arrays)
+            *(np.ascontiguousarray(arrays[p][0].data) for p in places if p in arrays)
         )
         return KernelResult(
             kernel="stream",

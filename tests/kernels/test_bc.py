@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KernelError
-from repro.kernels.bc import brandes_betweenness, rmat_graph, run_bc
+from repro.kernels.bc import brandes_betweenness, rmat_graph, run_bc, single_source_dependencies
 from repro.kernels.bc.rmat import graph_from_edges
 
+from tests.kernels.brandes_oracle import single_source_dependencies_per_vertex
 from tests.kernels.conftest import make_rt
 
 
@@ -115,6 +116,41 @@ def test_brandes_matches_networkx_random_graphs(seed):
     ours = brandes_betweenness(g)
     theirs = nx.betweenness_centrality(to_nx(g), normalized=False)
     np.testing.assert_allclose(ours, [theirs[v] for v in range(n)], atol=1e-8)
+
+
+def _assert_bit_equal_to_per_vertex_sweep(g, sources):
+    for s in sources:
+        delta, work = single_source_dependencies(g, int(s))
+        want_delta, want_work = single_source_dependencies_per_vertex(g, int(s))
+        # array_equal, not allclose: one np.add.at per level adds the same
+        # terms in the same order as one per vertex
+        assert np.array_equal(delta, want_delta), f"delta differs at source {s}"
+        assert work == want_work and type(work) is int, f"work differs at source {s}"
+
+
+@pytest.mark.parametrize("scale", [4, 5, 6, 7, 8])
+def test_whole_level_sweep_is_bit_equal_on_rmat(scale):
+    g = rmat_graph(scale=scale, seed=scale)
+    step = max(1, g.n // 64)  # every source up to scale 6, a stride above
+    _assert_bit_equal_to_per_vertex_sweep(g, range(0, g.n, step))
+
+
+def test_whole_level_sweep_is_bit_equal_on_disconnected_graph_and_isolated_source():
+    # two components, one isolated vertex (5) and a vertex with no row at the end (7)
+    g = graph_from_edges(8, [(0, 1), (1, 2), (0, 2), (2, 6), (3, 4)])
+    _assert_bit_equal_to_per_vertex_sweep(g, range(g.n))
+    delta, work = single_source_dependencies(g, 5)
+    assert not delta.any() and work == 0
+    _assert_bit_equal_to_per_vertex_sweep(graph_from_edges(3, []), range(3))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_whole_level_sweep_is_bit_equal_on_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    edges = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))]
+    _assert_bit_equal_to_per_vertex_sweep(graph_from_edges(n, edges), range(n))
 
 
 # -- distributed BC -----------------------------------------------------------------

@@ -25,6 +25,27 @@ def test_assign_and_accumulate_counts_points():
     np.testing.assert_allclose(sums[1], [1.0, 1.0])
 
 
+def test_assign_and_accumulate_is_bit_equal_to_the_textbook_formula():
+    """The in-place distance matrix picks the same labels, and the per-point
+    ``np.add.at`` adds the same terms in the same order, as the out-of-place
+    ``c_sq - 2 x.c`` form: sums and counts are equal, not close."""
+    for seed in range(5):
+        points = generate_points(seed, 0, 500, 7)
+        centroids = initial_centroids(seed, 9, 7)
+        centroids[4] = 50.0  # far from every point: an empty cluster
+        cross = points @ centroids.T
+        c_sq = np.einsum("kd,kd->k", centroids, centroids)
+        labels = np.argmin(c_sq[None, :] - 2.0 * cross, axis=1)
+        want_sums = np.zeros_like(centroids)
+        np.add.at(want_sums, labels, points)
+        want_counts = np.bincount(labels, minlength=9).astype(np.float64)
+        before = (points.copy(), centroids.copy())
+        sums, counts = assign_and_accumulate(points, centroids)
+        assert np.array_equal(sums, want_sums) and np.array_equal(counts, want_counts)
+        assert counts[4] == 0 and not sums[4].any()
+        assert np.array_equal(points, before[0]) and np.array_equal(centroids, before[1])
+
+
 def test_empty_cluster_keeps_centroid():
     centroids = np.array([[0.0, 0.0], [5.0, 5.0]])
     sums = np.array([[2.0, 2.0], [0.0, 0.0]])

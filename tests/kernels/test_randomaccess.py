@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import KernelError
 from repro.kernels.randomaccess import hpcc_advance, hpcc_starts, run_randomaccess
-from repro.kernels.randomaccess.hpcc_rng import _step, stream_slice, stream_slice_fast
+from repro.kernels.randomaccess.hpcc_rng import _PERIOD, _step, stream_slice, stream_slice_fast
 
 from tests.kernels.conftest import make_rt
 
@@ -41,6 +43,36 @@ def test_stream_slice_fast_equals_slow():
     slow = stream_slice(10, 200)
     fast = stream_slice_fast(10, 200, batch=7)
     np.testing.assert_array_equal(slow, fast)
+
+
+def test_starts_jumps_a_whole_array_at_once():
+    ns = [0, 1, 64, 123_456_789, _PERIOD - 1, _PERIOD, _PERIOD + 5, 2**63 + 1]
+    jumped = hpcc_starts(np.array(ns, dtype=object))
+    assert jumped.dtype == np.uint64
+    assert [int(x) for x in jumped] == [int(hpcc_starts(n)) for n in ns]
+    assert hpcc_starts(_PERIOD) == 1 and type(hpcc_starts(7)) is np.uint64
+
+
+_starts = st.one_of(
+    st.integers(0, 5000),
+    st.integers(0, _PERIOD),
+    st.integers(_PERIOD - 300, _PERIOD + 300),  # the lanes straddle the wrap-around
+)
+
+
+@given(_starts, st.integers(0, 300), st.one_of(st.none(), st.integers(1, 400)))
+@settings(max_examples=120, deadline=None)
+def test_stream_slice_fast_equals_slow_for_any_lane_split(start, count, batch):
+    """Covers count < batch, count % lanes != 0, count 0/1 and the default
+    (square-root) lane count."""
+    fast = stream_slice_fast(start, count) if batch is None else stream_slice_fast(start, count, batch)
+    assert fast.dtype == np.uint64
+    np.testing.assert_array_equal(fast, stream_slice(start, count))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 17, 4096, 4097])
+def test_stream_slice_fast_default_lanes_equal_one_lane(count):
+    np.testing.assert_array_equal(stream_slice_fast(12_345, count), stream_slice_fast(12_345, count, batch=1))
 
 
 def test_stream_slices_are_contiguous():

@@ -58,6 +58,27 @@ def test_vectorized_matches_reference(a, b):
     assert sw_score(a, b) == sw_score_reference(a, b)
 
 
+@given(seq, seq, st.integers(1, 5), st.integers(-4, 0), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_row_scan_matches_reference_for_any_scoring(a, b, match, mismatch, gap):
+    """The prefix-max row scan is exact integer arithmetic: equal to the loop
+    DP for every scoring, with either sequence the longer one."""
+    expected = sw_score_reference(a, b, match, mismatch, gap)
+    assert sw_score(a, b, match, mismatch, gap) == expected
+    assert sw_score(b, a, match, mismatch, gap) == expected
+
+
+@pytest.mark.parametrize("m,n", [(0, 0), (0, 1), (1, 0), (1, 1), (1, 9), (9, 1), (70, 13), (13, 70)])
+def test_row_scan_matches_reference_at_edge_lengths(m, n):
+    rng = np.random.default_rng(m * 100 + n)
+    a = rng.integers(0, 4, size=m).astype(np.int8)
+    b = rng.integers(0, 4, size=n).astype(np.int8)
+    for scoring in [(2, -1, 1), (3, -2, 2), (1, -1, 0), (5, -4, 3)]:
+        score = sw_score(a, b, *scoring)
+        assert score == sw_score_reference(a, b, *scoring)
+        assert type(score) is int
+
+
 @given(seq, seq)
 @settings(max_examples=40, deadline=None)
 def test_symmetry(a, b):

@@ -188,7 +188,7 @@ def test_parallel_efficiency_high():
     """Paper: 98% parallel efficiency at scale on geometric trees.
 
     time_dilation=100 reproduces the paper's work-to-latency regime (their
-    runs last 90-200 s; see run_uts docstring).
+    runs last 90-200 s; see the build_uts docstring).
     """
     rt = make_rt(places=64)
     result = run_uts(

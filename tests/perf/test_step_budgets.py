@@ -1,4 +1,5 @@
-"""Step-count complexity regressions: engine events per finish/broadcast idiom.
+"""Step-count complexity regressions: engine events per finish/broadcast idiom,
+and interpreter calls per invocation of the shared numeric cores (at the end).
 
 ``Engine.events_executed`` counts every callback the loop dispatched, so it
 is a wall-clock-free complexity measure: if a refactor adds a per-message
@@ -9,12 +10,19 @@ Budgets carry ~30% headroom over the measured counts at the time of writing
 a reason in the diff.
 """
 
+import sys
+
 import pytest
 
 from repro.harness.runner import make_runtime
+from repro.kernels.bc import rmat_graph, single_source_dependencies
+from repro.kernels.randomaccess.hpcc_rng import stream_slice, stream_slice_fast
+from repro.kernels.smithwaterman.sw import random_sequence, sw_score, sw_score_reference
 from repro.machine.config import MachineConfig
 from repro.runtime import Pragma
 from repro.runtime.broadcast import PlaceGroup, broadcast_spawn
+
+from tests.kernels.brandes_oracle import single_source_dependencies_per_vertex
 
 
 def _leaf(ctx):
@@ -108,3 +116,72 @@ def test_broadcast_event_budget_is_linear(places):
         f"broadcast@{places}: {events} events — more than 4/place means the "
         f"spawning tree or its termination detection went superlinear"
     )
+
+
+# -- numeric cores: interpreter calls per invocation ------------------------------------
+#
+# The cores the two kernel sets share are whole-array code: a call costs a
+# fixed number of NumPy calls per BFS level, per row of the short sequence or
+# per stream step, never one per vertex, per cell or per lane.  ``sys.setprofile``
+# counts every Python and C function call made under the core at a fixed
+# input, which no clock can blur; a Python loop over elements multiplies it.
+
+
+def _calls_under(fn, *args):
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _sw_case():
+    return sw_score, (random_sequence(0, "short", 64), random_sequence(0, "long", 448))
+
+
+def _brandes_case():
+    return single_source_dependencies, (rmat_graph(scale=8, seed=0), 0)
+
+
+def _stream_case():
+    return stream_slice_fast, (0, 4096)
+
+
+# measured when the budgets were set (NumPy 2.4): sw_score 98 (4,094 for the
+# anti-diagonal sweep it replaced), one Brandes source 160 (1,738 per-vertex),
+# stream_slice_fast 193, three per step of 64 lanes (6,470 with one scalar
+# jump per lane)
+_CORE_BUDGETS = {
+    "sw_score_64x448": (_sw_case, 130),
+    "brandes_source_scale8": (_brandes_case, 210),
+    "stream_slice_fast_4096": (_stream_case, 250),
+}
+
+
+@pytest.mark.parametrize("core", list(_CORE_BUDGETS))
+def test_numeric_core_call_budget(core):
+    case, budget = _CORE_BUDGETS[core]
+    fn, args = case()
+    calls = _calls_under(fn, *args)
+    assert calls <= budget, (
+        f"{core}: {calls} interpreter calls exceed the budget {budget} — "
+        f"a per-element or per-vertex Python loop is back in the core"
+    )
+
+
+def test_call_budgets_would_catch_the_loops_they_replaced():
+    """The meter is only a guard if the slow oracles trip it."""
+    _, (graph, source) = _brandes_case()
+    per_vertex = _calls_under(single_source_dependencies_per_vertex, graph, source)
+    assert per_vertex > 4 * _CORE_BUDGETS["brandes_source_scale8"][1]
+    assert _calls_under(stream_slice, 0, 4096) > 4 * _CORE_BUDGETS["stream_slice_fast_4096"][1]
+    _, sequences = _sw_case()
+    assert _calls_under(sw_score_reference, *sequences) > 4 * _CORE_BUDGETS["sw_score_64x448"][1]
