@@ -16,7 +16,14 @@ from typing import Optional
 
 from repro.errors import KernelError
 from repro.glb.bag import TaskBag
-from repro.kernels.uts.rng import make_rng
+from repro.kernels.uts.rng import RNG_MODES, make_rng
+
+#: largest accepted ``b0``.  ``q`` rounds to 1.0 (``log(q) == 0``: an empty
+#: tree behind a NumPy warning) only from ``b0`` ~ 2**53, but the SplitMix
+#: threshold table has ``floor(53 ln 2 / ln(1 + 1/b0)) < 36.74 * (b0 + 1)``
+#: entries (164 at the paper's ``b0 = 4``), so the limit sits where that is
+#: still small: at most 37,636 integers.
+MAX_B0 = 1024.0
 
 
 @dataclass(frozen=True)
@@ -29,10 +36,17 @@ class UtsParams:
     rng_mode: str = "splitmix"
 
     def __post_init__(self) -> None:
-        if self.b0 <= 1.0:
-            raise KernelError("geometric branching factor b0 must exceed 1")
+        if not 1.0 < self.b0 <= MAX_B0:  # also false for nan and inf
+            raise KernelError(
+                f"geometric branching factor b0 must exceed 1 and be at most "
+                f"{MAX_B0:g}, got {self.b0!r}"
+            )
         if self.depth < 1:
             raise KernelError("depth cut-off must be at least 1")
+        if self.rng_mode not in RNG_MODES:
+            raise KernelError(
+                f"unknown UTS rng mode {self.rng_mode!r}; use one of {RNG_MODES}"
+            )
 
     @property
     def q(self) -> float:
@@ -59,11 +73,9 @@ class UtsBag(TaskBag):
     @classmethod
     def root(cls, params: UtsParams, steal_all_intervals: bool = True) -> "UtsBag":
         """The whole tree: the root node plus the interval of its children."""
-        rng = make_rng(params.rng_mode)
-        state = rng.root_state(params.seed)
         bag = cls(params, bootstrap_nodes=1, steal_all_intervals=steal_all_intervals)
-        states = [state] if params.rng_mode == "sha1" else _as_array(state)
-        n = int(rng.num_children(states, params.q)[0])
+        state = bag.rng.root_state(params.seed)
+        n = int(bag.rng.num_children([state], params.q)[0])
         if n > 0:
             bag.intervals.append((state, 0, 0, n))
         return bag
@@ -77,24 +89,24 @@ class UtsBag(TaskBag):
         """Visit up to ``max_items`` nodes depth-first; returns nodes visited."""
         processed = self._bootstrap
         self._bootstrap = 0
-        params, rng, q = self.params, self.rng, self.params.q
-        while processed < max_items and self.intervals:
-            state, depth, lo, hi = self.intervals[-1]
-            take = min(hi - lo, max_items - processed)
-            if lo + take >= hi:
-                self.intervals.pop()
+        intervals, children = self.intervals, self.rng.children
+        cutoff, q = self.params.depth, self.params.q
+        while processed < max_items and intervals:
+            state, depth, lo, hi = intervals[-1]
+            end = lo + max_items - processed
+            if end >= hi:
+                end = hi
+                del intervals[-1]
             else:
-                self.intervals[-1] = (state, depth, lo + take, hi)
-            if depth + 1 < params.depth:  # the children may have children;
+                intervals[-1] = (state, depth, end, hi)
+            depth += 1
+            if depth < cutoff:  # the children may have children;
                 # below the cut-off visiting a node is just counting it, so
                 # the child states (a majority of the tree) are never derived
-                children = rng.child_states(state, lo, lo + take)
-                counts = rng.num_children(children, q)
-                push = self.intervals.append
-                for st, k in zip(children, counts.tolist()):
-                    if k > 0:
-                        push((st, depth + 1, 0, k))
-            processed += take
+                intervals += [
+                    (child, depth, 0, n) for child, n in children(state, lo, end, q) if n
+                ]
+            processed += end - lo
         return processed
 
     def split(self) -> Optional["UtsBag"]:
@@ -157,9 +169,3 @@ class UtsBag(TaskBag):
     def pending_lower_bound(self) -> int:
         """Nodes directly represented (children of pushed intervals)."""
         return sum(hi - lo for _, _, lo, hi in self.intervals) + self._bootstrap
-
-
-def _as_array(state):
-    import numpy as np
-
-    return np.asarray([state], dtype=np.uint64)

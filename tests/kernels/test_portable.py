@@ -118,6 +118,29 @@ def test_uts_victim_never_hands_over_its_last_piece():
     assert done.value.value == expected >= 1
 
 
+def test_uts_loot_frame_is_plain_ints_on_the_wire():
+    """What a steal reply costs on a real socket: ``("loot", intervals,
+    bootstrap)`` with SplitMix states as Python ints pickles to 20.4 bytes an
+    interval (30.2 when each state was an ``np.uint64`` scalar)."""
+    from repro.kernels.uts import SplitMixRng
+    from repro.kernels.uts.tree import UtsBag, UtsParams
+    from repro.xrt.procs import wire
+    from repro.xrt.serialization import FrameDecoder, encode_frame_parts
+
+    params = UtsParams(b0=4.0, depth=9, seed=19)
+    rng = SplitMixRng()
+    siblings = rng.children(rng.root_state(params.seed), 0, 64, params.q)
+    victim = UtsBag(params, [(st, 1, 0, 4 + i) for i, (st, _) in enumerate(siblings)])
+    loot = victim.split()
+    assert len(loot.intervals) == 64
+    frame = (wire.ITEM, 1, 0, ("uts:ctl", ("loot", loot.intervals, loot._bootstrap)))
+    data = b"".join(encode_frame_parts(frame))
+    assert FrameDecoder().feed(data) == [frame]
+    assert b"numpy" not in data
+    assert all(type(v) is int for interval in loot.intervals for v in interval)
+    assert len(data) < 24 * 64
+
+
 def test_kmeans_matches_sequential_reference():
     from repro.kernels.kmeans.kmeans import (
         generate_points,

@@ -15,8 +15,10 @@ from repro.kernels.uts import (
     run_uts,
     sequential_count,
 )
+from repro.kernels.uts.rng import _GAMMA, _MASK, _MIX1, _MIX2, _thresholds
 
 from tests.kernels.conftest import make_rt
+from tests.kernels.uts_oracle import int_intervals, process_oracle
 
 
 # -- RNGs ---------------------------------------------------------------------------
@@ -64,6 +66,92 @@ def test_branching_mean_approximates_b0(mode):
     assert abs(counts.mean() - b0) < 0.35
     # the long tail exists: some nodes have far more than b0 children
     assert counts.max() > 3 * b0
+
+
+@pytest.mark.parametrize("mode", ["splitmix", "sha1"])
+def test_children_are_the_array_forms_pairwise(mode):
+    """``children`` is ``child_states`` zipped with ``num_children``, as
+    plain Python values, on a range far wider than any sibling interval."""
+    rng = make_rng(mode)
+    root = rng.root_state(19)
+    states = rng.child_states(root, 3, 3000)
+    pairs = rng.children(root, 3, 3000, 0.8)
+    assert pairs == list(zip(list(states), rng.num_children(states, 0.8).tolist()))
+    assert {type(v) for pair in pairs for v in pair} <= {int, bytes}
+
+
+# -- the threshold table behind SplitMixRng.children ----------------------------------
+
+_DRAW_MAX = 2**53 - 1
+
+
+def _lookup(table, draws):
+    """``children``'s ``len(t) - bisect_right(t, m)`` on a whole array."""
+    return len(table) - np.searchsorted(np.asarray(table, dtype=np.uint64), draws, side="right")
+
+
+@pytest.mark.parametrize("b0", [1.3, 2.0, 3.0, 4.0, 8.0])
+def test_threshold_table_is_the_geometric_law(b0):
+    q = UtsParams(b0=b0).q
+    table = _thresholds(q)
+    law = SplitMixRng.num_children
+    # a million states over the whole 64-bit range
+    states = np.random.default_rng(int(b0 * 10)).integers(0, 2**64, 1_000_000, dtype=np.uint64)
+    np.testing.assert_array_equal(_lookup(table, states >> np.uint64(11)), law(states, q))
+    # every draw within 2,000 of a threshold (where a wrong table is wrong),
+    # and the ends of the domain
+    around = np.arange(-2000, 2001)
+    draws = (np.asarray(table, dtype=np.int64)[:, None] + around).ravel()
+    draws = np.unique(np.clip(np.append(draws, [0, 1, _DRAW_MAX]), 0, _DRAW_MAX)).astype(np.uint64)
+    np.testing.assert_array_equal(_lookup(table, draws), law(draws << np.uint64(11), q))
+    # one entry per branching factor the smallest draw can give
+    assert len(table) == law([0], q)[0] == law([1 << 11], q)[0]
+    # ascending, and tied only where the law itself skips a factor (the few
+    # smallest draws are further apart in log than one step of the law)
+    steps = np.diff(np.asarray(table, dtype=np.int64))
+    assert (steps >= 0).all()
+    (tied,) = np.nonzero(steps == 0)
+    at = np.asarray(table, dtype=np.uint64)[tied]
+    skipped = law((at - np.uint64(1)) << np.uint64(11), q) - law(at << np.uint64(11), q)
+    assert (skipped >= 2).all()
+
+
+def _unshift(z, s):
+    """Inverse of ``z ^= z >> s`` on 64 bits."""
+    out = z
+    for _ in range(64 // s):
+        out = z ^ (out >> s)
+    return out
+
+
+def _parent_of(state):
+    """A parent whose child 0 is ``state``: the SplitMix mix is a bijection."""
+    z = _unshift(state, 31)
+    z = _unshift((z * pow(_MIX2, -1, 2**64)) & _MASK, 27)
+    z = _unshift((z * pow(_MIX1, -1, 2**64)) & _MASK, 30)
+    return (z - _GAMMA) & _MASK
+
+
+@pytest.mark.parametrize("b0", [2.0, 4.0, 8.0])
+def test_children_draws_the_law_on_both_sides_of_every_threshold(b0):
+    """The scalar lookup itself, not a vectorised copy of it: child states are
+    steered onto the draws where the branching factor changes, which no random
+    state hits (164 draws out of 2**53)."""
+    q = UtsParams(b0=b0).q
+    rng = SplitMixRng()
+    draws = {max(0, min(_DRAW_MAX, t + d)) for t in _thresholds(q) for d in (-2, -1, 0, 1, 2)}
+    states = [(m << 11) | low for m in sorted(draws | {0, 1, _DRAW_MAX}) for low in (0, 0x7FF)]
+    got = [rng.children(_parent_of(st), 0, 1, q) for st in states]
+    assert got == [[pair] for pair in zip(states, rng.num_children(states, q).tolist())]
+    assert len({n for (_, n), in got}) > len(_thresholds(q)) // 2  # most factors drawn
+
+
+def test_threshold_table_is_small_and_built_once_per_q():
+    q = UtsParams(b0=4.0).q
+    assert len(_thresholds(q)) == 164
+    assert len(_thresholds(UtsParams(b0=1024.0).q)) == 37_636  # the largest accepted
+    assert _thresholds(q) is _thresholds(UtsParams(b0=4.0, depth=3).q)
+    assert all(type(t) is int for t in _thresholds(q))
 
 
 # -- the interval queue -----------------------------------------------------------------
@@ -145,6 +233,90 @@ def test_invalid_params_rejected():
         UtsParams(b0=1.0, depth=5)
     with pytest.raises(KernelError):
         UtsParams(b0=4.0, depth=0)
+
+
+@pytest.mark.parametrize("b0", [1e18, float(2**53), 1025.0, float("inf"), float("nan"), -4.0])
+def test_b0_without_a_usable_geometric_law_is_rejected(b0):
+    """From ``b0`` ~ 2**53 ``q`` rounds to 1.0 and ``log(q)`` to 0 (once: an
+    empty tree behind a NumPy warning); the limit sits far below that, where
+    the threshold table is still a few thousand integers."""
+    with pytest.raises(KernelError, match="b0.*" + repr(b0).replace("+", r"\+")):
+        UtsParams(b0=b0)
+
+
+def test_unknown_rng_mode_rejected_at_construction():
+    """Not later, inside ``make_rng`` (on procs: inside every place process)."""
+    with pytest.raises(KernelError, match="mersenne"):
+        UtsParams(rng_mode="mersenne")
+
+
+# -- the integer traversal against the array one it replaced ------------------------------
+
+
+def _assert_same(bag, ref, got=None, want=None):
+    assert got == want
+    assert bag.intervals == int_intervals(ref)
+    assert bag._bootstrap == ref._bootstrap
+    assert all(type(st) is int for st, _, _, _ in bag.intervals)
+
+
+@pytest.mark.parametrize("depth", [5, 6, 7, 8])
+@pytest.mark.parametrize("b0", [2.0, 3.0, 4.0, 8.0])
+def test_process_equals_the_array_oracle_after_every_call(b0, depth):
+    """Not the final count: the interval list, which is what split, loot and
+    steal order (and so every event count and golden trace) are made of."""
+    params = UtsParams(b0=b0, depth=depth, seed=19)
+    for chunk in (1, 7, 64, 512, 4096):
+        bag, ref = UtsBag.root(params), UtsBag.root(params)
+        _assert_same(bag, ref)
+        visited = 0
+        for _ in range(200):  # a prefix of the big trees, all of the small
+            got = bag.process(chunk)
+            _assert_same(bag, ref, got, process_oracle(ref, chunk))
+            visited += got
+            if bag.is_empty() or visited > 12_000:
+                break
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["process", "process", "split", "merge"]),
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.sampled_from([1, 7, 64, 512, 4096]),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(_OPS, st.sampled_from([2.0, 3.0, 4.0, 8.0]), st.integers(5, 8), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_any_interleaving_of_process_split_merge_equals_the_oracle(ops, b0, depth, refined):
+    params = UtsParams(b0=b0, depth=depth, seed=74)
+    bags = [UtsBag.root(params, steal_all_intervals=refined)]
+    refs = [UtsBag.root(params, steal_all_intervals=refined)]
+    for op, i, j, chunk in ops:
+        i, j = i % len(bags), j % len(bags)
+        if op == "process":
+            _assert_same(bags[i], refs[i], bags[i].process(chunk), process_oracle(refs[i], chunk))
+        elif op == "split":
+            loot, ref_loot = bags[i].split(), refs[i].split()
+            assert (loot is None) == (ref_loot is None)
+            if loot is not None:
+                bags.append(loot)
+                refs.append(ref_loot)
+        elif i != j:
+            bags[i].merge(bags.pop(j))
+            refs[i].merge(refs.pop(j))
+        for bag, ref in zip(bags, refs):
+            _assert_same(bag, ref)
+
+
+@pytest.mark.parametrize("seed,nodes", [(19, 205_011), (74, 208_390), (341, 214_834)])
+def test_depth_nine_trees_keep_their_committed_sizes(seed, nodes):
+    """The counts ``benchmarks/e2e/workloads.py`` pins its inputs on."""
+    assert drain(UtsBag.root(UtsParams(b0=4.0, depth=9, seed=seed)), 64) == nodes
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.integers(2, 5))

@@ -18,11 +18,13 @@ from repro.harness.runner import make_runtime
 from repro.kernels.bc import rmat_graph, single_source_dependencies
 from repro.kernels.randomaccess.hpcc_rng import stream_slice, stream_slice_fast
 from repro.kernels.smithwaterman.sw import random_sequence, sw_score, sw_score_reference
+from repro.kernels.uts import UtsBag, UtsParams
 from repro.machine.config import MachineConfig
 from repro.runtime import Pragma
 from repro.runtime.broadcast import PlaceGroup, broadcast_spawn
 
 from tests.kernels.brandes_oracle import single_source_dependencies_per_vertex
+from tests.kernels.uts_oracle import process_oracle
 
 
 def _leaf(ctx):
@@ -155,14 +157,32 @@ def _stream_case():
     return stream_slice_fast, (0, 4096)
 
 
+def _drain_uts(process):
+    """One depth-7 tree (12,937 nodes, 3,170 of them hashed) in chunks of 64."""
+    bag = UtsBag.root(UtsParams(b0=4.0, depth=7, seed=19))
+    while not bag.is_empty():
+        process(bag, 64)
+
+
+def _uts_case():
+    _drain_uts(UtsBag.process)  # the threshold table is built once per q
+    return _drain_uts, (UtsBag.process,)
+
+
 # measured when the budgets were set (NumPy 2.4): sw_score 98 (4,094 for the
 # anti-diagonal sweep it replaced), one Brandes source 160 (1,738 per-vertex),
 # stream_slice_fast 193, three per step of 64 lanes (6,470 with one scalar
-# jump per lane)
+# jump per lane), the UTS drain 5,872: one ``bisect_right`` per hashed node,
+# three calls per sibling interval, two per chunk, and not one NumPy dispatch
+# (15,386 through the array forms, ~11 dispatches per interval; 14,709 for the
+# ``process`` of PR 23).  This core is scalar, so its floor is a C call per
+# node and the array form is 2.0x the budget, not the 4x of the whole-array
+# cores; a call per node or a dispatch per interval added back overruns it.
 _CORE_BUDGETS = {
     "sw_score_64x448": (_sw_case, 130),
     "brandes_source_scale8": (_brandes_case, 210),
     "stream_slice_fast_4096": (_stream_case, 250),
+    "uts_process": (_uts_case, 7_600),
 }
 
 
@@ -185,3 +205,4 @@ def test_call_budgets_would_catch_the_loops_they_replaced():
     assert _calls_under(stream_slice, 0, 4096) > 4 * _CORE_BUDGETS["stream_slice_fast_4096"][1]
     _, sequences = _sw_case()
     assert _calls_under(sw_score_reference, *sequences) > 4 * _CORE_BUDGETS["sw_score_64x448"][1]
+    assert _calls_under(_drain_uts, process_oracle) > 1.8 * _CORE_BUDGETS["uts_process"][1]
