@@ -303,12 +303,13 @@ class BaseFinish:
 
     # -- place failure -------------------------------------------------------------
 
-    def notify_place_death(self, place: int) -> None:
+    def notify_place_death(self, place: int, cause: str = "") -> None:
         """A place died.  If this finish has a stake there — live activities,
         in-flight control messages, parked reports, or its home — it either
         fails with a structured :class:`~repro.errors.DeadPlaceError` or, when
         :attr:`tolerate_death` is set, writes the dead place's contribution
-        off and carries on with the survivors."""
+        off and carries on with the survivors.  ``cause`` (how the death was
+        detected, if known) is appended to the error's detail."""
         if self.failed is not None or self.quiescent:
             return
         self.on_place_death(place)
@@ -322,10 +323,11 @@ class BaseFinish:
         if not lost_live and not lost_reports and not lost_spawns:
             return
         if not self.tolerate_death:
+            detail = f"{lost_live} live activities, {lost_reports} unreported terminations lost"
             self._fail(DeadPlaceError(
                 place,
                 detected_by=self.name,
-                detail=f"{lost_live} live activities, {lost_reports} unreported terminations lost",
+                detail=f"{detail}; {cause}" if cause else detail,
             ))
             return
         # adoption: the dead place's activities and lost reports are settled

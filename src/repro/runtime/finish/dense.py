@@ -42,11 +42,11 @@ class FinishDense(BaseFinish):
 
     # -- routing --------------------------------------------------------------
 
-    def notify_place_death(self, place: int) -> None:
+    def notify_place_death(self, place: int, cause: str = "") -> None:
         # unconditionally: even a momentarily-quiescent finish may route more
         # reports later, and those must not follow hops through the dead place
         self._hops.clear()
-        super().notify_place_death(place)
+        super().notify_place_death(place, cause)
 
     def _hop(self, place: int) -> int:
         hop = self._hops.get(place)

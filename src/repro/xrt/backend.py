@@ -112,6 +112,13 @@ class BackendRun:
         return self.result.get("checksum")
 
 
+def ctl_by_pragma(metrics) -> dict:
+    """``finish.ctl_messages`` of one metrics registry, by pragma value: a
+    simulated run's, or the messages one place process sent."""
+    by = metrics.by_label("finish.ctl_messages", "pragma")
+    return {pragma: int(count) for pragma, count in sorted(by.items())}
+
+
 class SimBackend:
     """The discrete-event simulator: every place in one Python process."""
 
@@ -126,17 +133,15 @@ class SimBackend:
         t0 = time.perf_counter()
         result = rt.run(main)
         wall = time.perf_counter() - t0
-        snap = rt.obs.metrics.snapshot()
-        ctl = {k: int(v) for k, v in snap.by("finish.ctl_messages", "pragma").items()}
         return BackendRun(
             backend="sim",
             kernel=kernel,
             places=places,
             result=result,
             wall_time=wall,
-            ctl_by_pragma=ctl,
+            ctl_by_pragma=ctl_by_pragma(rt.obs.metrics),
             sim_time=rt.now,
-            metrics=snap,
+            metrics=rt.obs.metrics.snapshot(),
         )
 
 

@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Optional, Set, Union
 from repro.chaos.spec import ChaosSpec
 from repro.errors import PlaceError, ProcsError
 from repro.runtime.finish.pragmas import Pragma
-from repro.xrt.backend import BackendRun
+from repro.xrt.backend import BackendRun, ctl_by_pragma
 from repro.xrt.procs import wire
 from repro.xrt.procs.loop import PlaceLoop
 from repro.xrt.procs.runtime import ProcsRuntime
@@ -349,10 +349,10 @@ def run_procs_program(
         loop.run()
 
         result = main_process.done.value if main_process.done.fired else None
-        ctl: Dict[str, int] = dict(prt.ctl_by_pragma)
-        per_place = {0: {"ctl_by_pragma": dict(prt.ctl_by_pragma),
+        ctl = ctl_by_pragma(prt.obs.metrics)
+        per_place = {0: {"ctl_by_pragma": dict(ctl),
                          "activities_run": prt.place(0).activities_run}}
-        tolerated = prt.deaths_tolerated
+        tolerated = int(prt.obs.metrics.total("finish.deaths_tolerated"))
         for place, payload in done_reports.items():
             per_place[place] = payload
             tolerated += payload.get("deaths_tolerated", 0)
@@ -424,9 +424,9 @@ def _child_main(
 
     def on_exit(src: int, payload) -> None:
         conn.send_frame((wire.DONE, place, 0, {
-            "ctl_by_pragma": dict(prt.ctl_by_pragma),
+            "ctl_by_pragma": ctl_by_pragma(prt.obs.metrics),
             "activities_run": prt.place(place).activities_run,
-            "deaths_tolerated": prt.deaths_tolerated,
+            "deaths_tolerated": int(prt.obs.metrics.total("finish.deaths_tolerated")),
             "dropped": conn.dropped,
         }))
         loop.stop()

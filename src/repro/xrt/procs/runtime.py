@@ -17,6 +17,8 @@ What differs under the seam:
   genuinely private per-process heap.
 * A known place death poisons sends, spawns and blocking receives until it is
   acknowledged or revived; there is no RDMA and no race detector.
+* Finishes are the simulator's ``BaseFinish`` driven by FORK, JOIN and DEAD
+  frames (:mod:`~repro.xrt.procs.finishproc`); their counters land in ``obs``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.errors import ApgasError, DeadPlaceError, PlaceError, ProcsError
+from repro.obs import Observability
 from repro.runtime.activity import Activity, ActivityContext, _UngovernedFinish
 from repro.runtime.finish.pragmas import Pragma
 from repro.runtime.place import PlaceRuntime
@@ -42,6 +45,8 @@ class ProcsRuntime:
 
     #: no determinacy-race detector over real processes
     race = None
+    #: no in-process fault injector: real deaths arrive as DEAD notices
+    chaos = None
 
     def __init__(self, loop: PlaceLoop, place_id: int, n_places: int) -> None:
         #: the clock: a wall-clock loop where the simulator has its engine
@@ -51,9 +56,11 @@ class ProcsRuntime:
         #: the one place this process hosts: ``ctx.store`` (a genuinely
         #: private heap), its mailboxes and its atomic/when monitor
         self._place = PlaceRuntime(place_id)
+        #: this process's finish counters (tracing off), summed by the launcher
+        self.obs = Observability()
+        #: home finishes that may still receive a FORK or JOIN frame
         self.finishes: dict[Fid, HomeFinish] = {}
-        self.proxies: dict = {}
-        self._finish_seq = itertools.count()
+        self._finish_ids = itertools.count(1)
         self.activity_ids = itertools.count(1)
         self._ungoverned = _UngovernedFinish(self)
         self._reply_seq = itertools.count()
@@ -62,13 +69,9 @@ class ProcsRuntime:
         #: places this process knows to be dead and has neither acknowledged
         #: nor revived; poisons sends/spawns/blocking recvs
         self._dead: set = set()
-        self.deaths_tolerated = 0
         #: installed by the launcher at place 0 only: fork a fresh OS process
         #: for a dead place and re-register it with the router
         self.respawn_place: Optional[Callable[[int], None]] = None
-        #: finish control messages *sent from this process*, by pragma value;
-        #: the launcher sums these across places into the run report
-        self.ctl_by_pragma: dict[str, int] = {}
         #: installed by the launcher / child bootstrap: ``fn(frame)`` hands a
         #: frame to the transport (direct conn at children, routing at place 0)
         self.send_frame: Callable[[wire.Frame], None] = _unwired
@@ -96,7 +99,8 @@ class ProcsRuntime:
         return Timeout(0.0)
 
     def open_finish(self, home: int, pragma: Pragma, name: str = "") -> HomeFinish:
-        """A finish homed here (``home`` is ``ctx.here``: this process's place)."""
+        """A finish homed here (``home`` is ``ctx.here``: this process's place),
+        known to the frame handlers until it has been waited on and fired."""
         fin = HomeFinish(self, pragma, name)
         self.finishes[fin.fid] = fin
         return fin
@@ -215,7 +219,9 @@ class ProcsRuntime:
     def _on_fork(self, src: int, payload) -> None:
         fid, _pragma_value, dst = payload
         fin = self.finishes[fid]
-        fin.on_remote_fork(dst)
+        if fin.failed is not None:
+            return  # its waiters already hold the DeadPlaceError
+        fin.fork(src, dst)
         if dst in self._dead:
             # the notice raced the death: the spawn it covers was (or will be)
             # blackholed, so write it off / fail through the normal contract
@@ -223,7 +229,7 @@ class ProcsRuntime:
 
     def _on_join(self, src: int, payload) -> None:
         fid, _pragma_value = payload
-        self.finishes[fid].on_remote_join(src)
+        self.finishes[fid].join(src)
 
     def _on_eval(self, src: int, payload) -> None:
         fn, args, reply_id = payload

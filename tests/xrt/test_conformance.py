@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import PragmaError
 from repro.kernels.portable import PORTABLE_KERNELS
+from repro.runtime.finish.pragmas import Pragma
 from repro.xrt.conformance import assert_conformant, run_conformance
 from tests.xrt.test_procs_runtime import CTX_ROWS, ctx_outcomes
 
@@ -98,6 +100,35 @@ def test_uts_at_two_places_terminates_every_time():
 
 
 # -- one ctx, two runtimes: the table of tests/xrt/test_procs_runtime.py -----------
+
+
+def _second_async(ctx):
+    ctx.async_(_second_async_leaf)
+
+
+def _second_async_leaf(ctx):
+    return None
+
+
+def _finish_async_violated_from_place_1(ctx):
+    with ctx.finish(Pragma.FINISH_ASYNC) as f:
+        ctx.at_async(1, _second_async)
+    yield f.wait()
+    return {}
+
+
+def test_remote_fork_rule_violation_raises_the_simulators_error():
+    """A second activity under FINISH_ASYNC, spawned at place 1, reaches the
+    home finish as a FORK notice; it is refused with the simulator's text."""
+    from repro.runtime import ApgasRuntime
+    from repro.xrt.procs import run_procs_program
+
+    with pytest.raises(PragmaError) as sim:
+        ApgasRuntime(places=2).run(_finish_async_violated_from_place_1)
+    with pytest.raises(PragmaError) as procs:
+        run_procs_program(_finish_async_violated_from_place_1, places=2, deadline=20.0)
+    assert "governs a single activity" in str(sim.value)
+    assert str(procs.value) == str(sim.value)
 
 
 @pytest.mark.parametrize("where", ["remote", "here"])

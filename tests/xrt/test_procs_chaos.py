@@ -13,8 +13,8 @@ Also here: the heartbeat detector's false-positive regression (slow but
 alive is not dead), hung-but-connected detection (alive but silent *is*
 dead), and the no-orphans sweep against the live process table.
 
-These fork and kill real processes (``procs`` marker; run by the
-``procs-chaos`` CI job, or locally with ``pytest -m procs tests/xrt``).
+These fork and kill real processes (``procs`` marker; run by the kill-matrix
+step of the ``tests`` CI job, or locally with ``pytest -m procs tests/xrt``).
 """
 
 from __future__ import annotations

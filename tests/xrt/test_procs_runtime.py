@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import (
     DeadPlaceError,
+    FinishError,
     PlaceError,
     PragmaError,
     ProcsError,
@@ -22,7 +23,7 @@ from repro.errors import (
 from repro.runtime.activity import Activity, ActivityContext
 from repro.runtime.finish.pragmas import Pragma
 from repro.sim import Engine
-from repro.xrt.backend import BackendRun, Clock, WallClock, get_backend
+from repro.xrt.backend import BackendRun, Clock, WallClock, ctl_by_pragma, get_backend
 from repro.xrt.procs import run_procs_program
 from repro.xrt.procs.finishproc import HomeFinish, ProxyFinish, resolve_finish
 from repro.xrt.procs.loop import PlaceLoop
@@ -141,24 +142,24 @@ def _runtime(place_id: int = 0, n_places: int = 4) -> ProcsRuntime:
 
 def test_home_finish_counts_and_quiesces():
     prt = _runtime()
-    fin = HomeFinish(prt, Pragma.FINISH_SPMD)
+    fin = prt.open_finish(0, Pragma.FINISH_SPMD)
     for dst in range(4):
         fin.fork(0, dst)
     assert fin.pending == fin.total_forks == 4
-    assert fin.pending_by_place == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert fin._live_at == {0: 1, 1: 1, 2: 1, 3: 1}
     fin.join(0)  # home-local join: free
     for src in (1, 2, 3):
-        fin.on_remote_join(src)
+        prt._on_join(src, (fin.fid, "finish_spmd"))  # a JOIN frame from src
     assert fin.pending == 0
     assert fin.remote_joins == 3
-    assert all(n == 0 for n in fin.pending_by_place.values())
+    assert fin._live_at == {}
     assert fin.wait().fired
 
 
 def test_home_finish_registers_pragma_at_zero():
     prt = _runtime()
     HomeFinish(prt, Pragma.FINISH_DENSE)
-    assert prt.ctl_by_pragma == {"finish_dense": 0}
+    assert ctl_by_pragma(prt.obs.metrics) == {"finish_dense": 0}
 
 
 def test_home_finish_empty_wait_fires_immediately():
@@ -194,6 +195,7 @@ def test_finish_local_rejects_remote_spawn():
     "pragma, forks, rejection",
     [
         (Pragma.FINISH_ASYNC, [(0, 2), (0, 3)], "single activity"),
+        (Pragma.FINISH_ASYNC, [(0, 2), (2, 2)], "single activity"),
         (Pragma.FINISH_HERE, [(0, 2), (2, 0), (0, 1)], "round trip"),
         (Pragma.FINISH_HERE, [(0, 2), (2, 3)], "return to the home place 0, not 3"),
         (Pragma.FINISH_LOCAL, [(0, 0), (0, 1)], "remote activity"),
@@ -201,13 +203,15 @@ def test_finish_local_rejects_remote_spawn():
         (Pragma.FINISH_HERE, [(0, 2), (2, 0)], None),
         (Pragma.FINISH_LOCAL, [(0, 0), (0, 0)], None),
     ],
-    ids=["async-second", "here-third", "here-not-home", "local-remote",
-         "async-legal", "here-legal", "local-legal"],
+    ids=["async-second", "async-second-from-remote", "here-third", "here-not-home",
+         "local-remote", "async-legal", "here-legal", "local-legal"],
 )
 def test_fork_rulebook_is_one_for_sim_procs_and_replay(pragma, forks, rejection):
     """The simulator's finish, the procs home finish and the analyzer's replay
     enforce the same FORK_RULES entry: same verdict, same text after the
-    finish-name prefix, on the same fork of the sequence."""
+    finish-name prefix, on the same fork of the sequence.  On procs a leg
+    whose source is not home arrives as a FORK notice, so it goes through
+    the frame handler."""
     from repro.analyze.agreement import replay
     from repro.runtime import ApgasRuntime
     from repro.runtime.finish import make_finish
@@ -220,8 +224,17 @@ def test_fork_rulebook_is_one_for_sim_procs_and_replay(pragma, forks, rejection)
                 return n, str(exc).split(": ", 1)[1]
         return None
 
+    prt = _runtime()
+    fin = prt.open_finish(0, pragma)
+
+    def procs_fork(src, dst):
+        if src == fin.home:
+            fin.fork(src, dst)
+        else:
+            prt._on_fork(src, (fin.fid, pragma.value, dst))
+
     sim = drive(make_finish(ApgasRuntime(places=4), 0, pragma).fork)
-    procs = drive(HomeFinish(_runtime(), pragma).fork)
+    procs = drive(procs_fork)
     replayed = replay(pragma, 0, forks)
     assert sim == procs
     if rejection is None:
@@ -235,7 +248,7 @@ def test_more_joins_than_forks_is_a_protocol_error():
     fin = HomeFinish(_runtime(), Pragma.DEFAULT)
     fin.fork(0, 0)
     fin.join(0)
-    with pytest.raises(PragmaError, match="more joins"):
+    with pytest.raises(FinishError, match="join without a matching fork"):
         fin.join(0)
 
 
@@ -253,7 +266,7 @@ def test_proxy_finish_sends_fork_then_counted_join():
     # pending count to the place the activity actually runs at
     assert sent[0][3] == ((0, 5), "finish_dense", 3)
     # only the JOIN is a counted control message
-    assert prt.ctl_by_pragma == {"finish_dense": 1}
+    assert ctl_by_pragma(prt.obs.metrics) == {"finish_dense": 1}
 
 
 def test_proxy_finish_cannot_be_waited_on():
@@ -270,8 +283,39 @@ def test_resolve_finish_home_vs_proxy():
     remote = _runtime(place_id=3)
     proxy = resolve_finish(remote, fin.fid, "default", home=0)
     assert isinstance(proxy, ProxyFinish)
-    # resolving the same fid again reuses the proxy
-    assert resolve_finish(remote, fin.fid, "default", home=0) is proxy
+
+
+def _dense_waves(ctx, waves, sizes):
+    for _ in range(waves):
+        with ctx.finish(Pragma.FINISH_DENSE) as f:
+            for place in ctx.places():
+                ctx.at_async(place, _leaf)
+        yield f.wait()
+        sizes.append(len(ctx.rt.finishes))
+
+
+def test_waited_finishes_are_forgotten():
+    """A home finish leaves the frame handlers' table once it has been waited
+    on and fired: 1,000 waves keep the table at the root alone."""
+    from repro.xrt.procs import wire
+
+    loop = PlaceLoop(deadline=30.0)
+    prt = ProcsRuntime(loop, place_id=0, n_places=4)
+
+    def remote_places_join(frame):
+        kind, _src, dst, payload = frame
+        if kind == wire.SPAWN:
+            loop.post(0.0, loop.dispatch, (wire.JOIN, dst, 0, (payload[2], payload[3])))
+
+    prt.send_frame = remote_places_join
+    sizes = []
+    root = prt.open_finish(0, Pragma.DEFAULT, name="root")
+    prt.spawn_local(0, _dense_waves, (1000, sizes), root, name="main")
+    root.wait().add_callback(lambda _event: loop.stop())
+    loop.run()
+    assert len(sizes) == 1000 and set(sizes) == {1}
+    assert prt.finishes == {}
+    assert ctl_by_pragma(prt.obs.metrics) == {"default": 0, "finish_dense": 0}
 
 
 def test_finish_ids_never_collide():
@@ -295,18 +339,33 @@ def test_strict_finish_fails_with_dead_place_error_naming_the_place():
 
 def test_tolerant_finish_writes_off_exactly_the_dead_places_share():
     prt = _runtime()
-    fin = HomeFinish(prt, Pragma.FINISH_DENSE)
+    fin = prt.open_finish(0, Pragma.FINISH_DENSE)
     fin.tolerate_death = True
     for dst in (1, 2, 2, 3):
         fin.fork(0, dst)
     fin.notify_place_death(2)  # both of place 2's activities written off
     assert fin.pending == 2
-    assert fin.deaths_tolerated == 1
-    assert prt.deaths_tolerated == 1
-    fin.on_remote_join(1)
-    fin.on_remote_join(3)  # survivors still join normally
+    assert prt.obs.metrics.total("finish.deaths_tolerated") == 1
+    prt._on_join(1, (fin.fid, "finish_dense"))
+    prt._on_join(3, (fin.fid, "finish_dense"))  # survivors still join normally
     assert fin.wait().fired
     assert fin.wait().value is None  # fired cleanly, not failed
+
+
+def test_frames_after_a_strict_failure_are_absorbed():
+    """A strict-failed finish stays in the table: a survivor's JOIN and a
+    FORK notice still in flight find it, and neither raises."""
+    prt = _runtime()
+    fin = prt.open_finish(0, Pragma.FINISH_SPMD)
+    fin.fork(0, 2)
+    fin.fork(0, 3)
+    prt.on_place_dead(2, "test kill")
+    waited = fin.wait()
+    prt._on_fork(3, (fin.fid, "finish_spmd", 1))
+    prt._on_join(3, (fin.fid, "finish_spmd"))
+    assert prt.finishes == {fin.fid: fin}
+    with pytest.raises(DeadPlaceError, match="lost; test kill"):
+        waited.value
 
 
 def test_death_of_place_with_no_pending_work_is_a_noop():
@@ -314,7 +373,7 @@ def test_death_of_place_with_no_pending_work_is_a_noop():
     fin.fork(0, 1)
     fin.notify_place_death(3)  # nothing outstanding there
     assert fin.pending == 1
-    fin.on_remote_join(1)
+    fin.join(1)
     assert fin.wait().fired
 
 
@@ -373,7 +432,7 @@ def test_raced_fork_notice_for_a_dead_place_is_written_off():
     prt.on_place_dead(3, "test kill")
     prt._on_fork(1, (fin.fid, "finish_dense", 3))
     assert fin.pending == 0
-    assert fin.deaths_tolerated == 1
+    assert prt.obs.metrics.total("finish.deaths_tolerated") == 1
 
 
 def test_heal_revives_a_death_that_lands_mid_restore_wave():
@@ -568,6 +627,7 @@ def test_single_place_run_completes_in_process():
     assert report.messages_routed == 0  # no children, nothing on a wire
     # root DEFAULT finish and the nested LOCAL finish both registered, free
     assert report.ctl_by_pragma == {"default": 0, "finish_local": 0}
+    assert report.per_place[0]["ctl_by_pragma"] == report.ctl_by_pragma
 
 
 def test_single_place_kernel_by_name():
@@ -635,6 +695,31 @@ def _governed_async_and_messages(ctx):
     return (yield ctx.recv("diff:box"))
 
 
+def _log(ctx, name):
+    ctx.store.setdefault("diff:log", []).append(name)
+
+
+def _log_short(ctx, home):
+    yield ctx.at(home, _log, "short")
+
+
+def _log_long(ctx):
+    yield ctx.sleep(0.05)
+    _log(ctx, "long")
+
+
+def _wait_covers_a_late_async(ctx):
+    """``short`` (remote when there is a second place) has joined, and the
+    scope is momentarily quiescent, before ``long`` is forked; the wait must
+    still cover ``long``."""
+    with ctx.finish() as f:
+        ctx.at_async((ctx.here + 1) % ctx.n_places, _log_short, ctx.here)
+        yield ctx.sleep(0.01)
+        ctx.async_(_log_long)
+    yield f.wait()
+    return ctx.store.pop("diff:log", [])
+
+
 CTX_ROWS = [
     ("ungoverned-async-in-at", _ungoverned_async, {"raised": "ApgasError"}),
     ("compute-without-flop-rate", _compute_without_flop_rate, {"raised": "ApgasError"}),
@@ -644,6 +729,7 @@ CTX_ROWS = [
     ("at-body-raises-plain", _raise_plain, {"raised": "ValueError"}),
     ("at-body-raises-generator", _raise_generator, {"raised": "ValueError"}),
     ("governed-async-send-recv", _governed_async_and_messages, {"returned": 8}),
+    ("wait-covers-a-late-async", _wait_covers_a_late_async, {"returned": ["short", "long"]}),
 ]
 
 
