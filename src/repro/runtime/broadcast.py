@@ -85,8 +85,12 @@ def _tree_node(
     ``depth`` is this node's distance from the tree root; the tracer records
     it so the auditor can verify the ceil(log2 n) depth bound.
     """
-    obs = ctx.rt.obs
-    obs.metrics.counter("broadcast.tree_nodes").inc()
+    rt = ctx.rt
+    obs = rt.obs
+    counter = rt.c_tree_nodes
+    if counter is None:
+        counter = rt.c_tree_nodes = obs.metrics.counter("broadcast.tree_nodes")
+    counter.value += 1
     if obs.trace.enabled:
         obs.trace.instant(
             "broadcast.node", "broadcast", ctx.here, ctx.now, lo=lo, hi=hi, depth=depth

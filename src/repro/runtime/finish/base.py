@@ -18,10 +18,58 @@ from repro.runtime.finish.pragmas import FORK_RULES, Pragma
 from repro.sim.events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.metrics import Counter, MetricsRegistry
     from repro.runtime.runtime import ApgasRuntime
 
 #: envelope of a count-only termination message
 CTL_BYTES = 16
+
+
+class PragmaInstruments:
+    """What every finish of one pragma shares on one runtime.
+
+    Opening a finish is a hot path (HPL opens one per row swap), so what
+    depends only on the pragma is resolved once per runtime and held here:
+    its string, its fork rule and its ``finish.*`` counters.  A finish then
+    opens at counter cost.  The counters register on first use, so a runtime
+    carries only the series it touched: a procs place that only joins remote
+    finishes holds ``finish.ctl_messages`` and nothing else.
+    """
+
+    __slots__ = ("value", "fork_rule", "_metrics", "opened", "ctl_messages", "ctl_bytes")
+
+    def __init__(self, metrics: "MetricsRegistry", pragma: Pragma) -> None:
+        self.value = pragma.value
+        #: the pragma's legality rule, or None when it accepts any fork
+        self.fork_rule = FORK_RULES.get(pragma)
+        self._metrics = metrics
+        #: registered by the runtime's first open of the pragma
+        self.opened: Optional["Counter"] = None
+        self.ctl_messages: Optional["Counter"] = None
+        self.ctl_bytes: Optional["Counter"] = None
+
+    def register_open(self) -> None:
+        metrics, value = self._metrics, self.value
+        self.opened = metrics.counter("finish.opened", pragma=value)
+        self.ctl_counter()
+        self.ctl_bytes = metrics.counter("finish.ctl_bytes", pragma=value)
+
+    def ctl_counter(self) -> "Counter":
+        """``finish.ctl_messages`` alone, for a place that only joins."""
+        counter = self.ctl_messages
+        if counter is None:
+            counter = self.ctl_messages = self._metrics.counter(
+                "finish.ctl_messages", pragma=self.value
+            )
+        return counter
+
+
+def pragma_instruments(rt, pragma: Pragma) -> PragmaInstruments:
+    """``rt``'s entry for ``pragma`` in its ``finish_pragmas`` table, made on first use."""
+    held = rt.finish_pragmas.get(pragma)
+    if held is None:
+        held = rt.finish_pragmas[pragma] = PragmaInstruments(rt.obs.metrics, pragma)
+    return held
 
 
 class _CtlMsg:
@@ -53,12 +101,32 @@ class BaseFinish:
     #: turns this on so the surviving places can drain the remaining work)
     tolerate_death = False
 
+    #: virtual-dispatch guard, set per class: most protocols leave
+    #: :meth:`on_fork` as the base no-op, and the fork path is hot enough
+    #: that the call shows
+    _has_on_fork = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._has_on_fork = cls.on_fork is not BaseFinish.on_fork
+
     def __init__(self, rt: "ApgasRuntime", home: int, name: str = "") -> None:
         self.rt = rt
         self.home = home
         # ids are per-runtime so two identical runs export identical traces
         self.finish_id = next(rt._finish_ids)
-        self.name = name or f"{self.pragma.value}#{self.finish_id}"
+        #: an explicit name, or "" until :attr:`name` first derives one
+        self._name = name
+        held = rt.finish_pragmas.get(self.pragma)
+        if held is None or held.opened is None:
+            held = self._first_open(rt)
+        held.opened.value += 1
+        #: the pragma's string, read from the enum once per runtime
+        self.pragma_value = held.value
+        #: the pragma's legality rule, or None when it accepts any fork
+        self._fork_rule = held.fork_rule
+        self._c_ctl_messages = held.ctl_messages
+        self._c_ctl_bytes = held.ctl_bytes
         #: forks minus joins (exact oracle)
         self.pending = 0
         self.total_forks = 0
@@ -81,29 +149,35 @@ class BaseFinish:
         self.ctl_bytes = 0
         #: bytes of protocol state held at the home place (diagnostics)
         self.home_space_bytes = 0
-        metrics = rt.obs.metrics
         #: death accounting (tokens, live-activity census) only matters when
         #: fault injection can kill a place; without chaos it is pure overhead
         self._track_live = rt.chaos is not None
-        #: the pragma's legality rule, or None when it accepts any fork
-        self._fork_rule = FORK_RULES.get(self.pragma)
-        #: virtual-dispatch guard: most protocols leave this hook as the base
-        #: no-op, and the fork path is hot enough that the call shows
-        self._has_on_fork = type(self).on_fork is not BaseFinish.on_fork
-        metrics.counter("finish.opened", pragma=self.pragma.value).inc()
-        self._c_ctl_messages = metrics.counter("finish.ctl_messages", pragma=self.pragma.value)
-        self._c_ctl_bytes = metrics.counter("finish.ctl_bytes", pragma=self.pragma.value)
         self._tracer = rt.obs.trace
         self._trace_closed = False
         if self._tracer.enabled:
             self._tracer.span_begin(
                 self.name, "finish", home, rt.engine.now,
-                id=self.finish_id, pragma=self.pragma.value, home=home,
+                id=self.finish_id, pragma=self.pragma_value, home=home,
             )
         if self._track_live:
             # only a place death reads the table; without chaos it would just
             # keep every finish of the run alive
             rt.register_finish(self)
+
+    def _first_open(self, rt) -> PragmaInstruments:
+        """The runtime's first finish of this pragma registers its series."""
+        held = pragma_instruments(rt, self.pragma)
+        held.register_open()
+        return held
+
+    @property
+    def name(self) -> str:
+        """Display name, derived on first read: only error texts, traces and
+        the auditor read it, and most finishes never reach any of those."""
+        n = self._name
+        if not n:
+            n = self._name = f"{self.pragma_value}#{self.finish_id}"
+        return n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -216,7 +290,7 @@ class BaseFinish:
             tracer.instant(
                 "finish.quiesce", "finish", self.home, now,
                 id=self.finish_id,
-                pragma=self.pragma.value,
+                pragma=self.pragma_value,
                 home=self.home,
                 total_forks=self.total_forks,
                 remote_joins=self.remote_joins,
@@ -258,7 +332,7 @@ class BaseFinish:
         if tracer.enabled:
             tracer.instant(
                 "finish.ctl", "finish", src, self.rt.engine.now,
-                id=self.finish_id, src=src, dst=dst, nbytes=nbytes, pragma=self.pragma.value,
+                id=self.finish_id, src=src, dst=dst, nbytes=nbytes, pragma=self.pragma_value,
             )
         if self.rt.chaos is None:
             # reliable fabric: no message can be lost or written off, so the
@@ -343,30 +417,30 @@ class BaseFinish:
         self._live_at.pop(place, None)
         self.pending -= lost_live
         self._unreported -= lost_reports
-        self.rt.obs.metrics.counter("finish.forgiven", pragma=self.pragma.value).inc(
+        self.rt.obs.metrics.counter("finish.forgiven", pragma=self.pragma_value).inc(
             lost_live + lost_reports + len(lost_spawns)
         )
         # one adoption event per tolerated death (forgiven counts the pieces)
         self.rt.obs.metrics.counter(
-            "finish.deaths_tolerated", pragma=self.pragma.value
+            "finish.deaths_tolerated", pragma=self.pragma_value
         ).inc()
         if self._tracer.enabled:
             self._tracer.instant(
                 "finish.forgive", "finish", self.home, self.rt.engine.now,
-                id=self.finish_id, pragma=self.pragma.value, dead=place,
+                id=self.finish_id, pragma=self.pragma_value, dead=place,
                 live=lost_live, reports=lost_reports,
             )
         self._check()
 
     def _fail(self, exc: DeadPlaceError) -> None:
         self.failed = exc
-        self.rt.obs.metrics.counter("finish.failed", pragma=self.pragma.value).inc()
+        self.rt.obs.metrics.counter("finish.failed", pragma=self.pragma_value).inc()
         tracer = self._tracer
         if tracer.enabled:
             now = self.rt.engine.now
             tracer.instant(
                 "finish.dead_place", "finish", self.home, now,
-                id=self.finish_id, pragma=self.pragma.value, dead=exc.place,
+                id=self.finish_id, pragma=self.pragma_value, dead=exc.place,
                 detail=exc.detail,
             )
             if not self._trace_closed:

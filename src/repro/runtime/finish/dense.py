@@ -36,9 +36,15 @@ class FinishDense(BaseFinish):
         self._routers: dict[int, _Router] = {}
         topo = rt.topology
         self._home_master = topo.master_place_of(home)
-        self._c_rerouted = rt.obs.metrics.counter("finish.dense.rerouted")
         #: place -> next hop; valid until a place dies (routes avoid the dead)
         self._hops: dict[int, int] = {}
+
+    def _first_open(self, rt):
+        held = super()._first_open(rt)
+        # registered with the pragma's series; only a reroute around a dead
+        # octant master (a rare path) counts it
+        rt.obs.metrics.counter("finish.dense.rerouted")
+        return held
 
     # -- routing --------------------------------------------------------------
 
@@ -73,7 +79,7 @@ class FinishDense(BaseFinish):
         if place == master:
             return toward_home
         if dead(master):
-            self._c_rerouted.inc()
+            self.rt.obs.metrics.counter("finish.dense.rerouted").inc()
             return toward_home
         return master
 

@@ -122,6 +122,8 @@ class ApgasRuntime:
         #: per-runtime id stream (module-global ids would leak across runs and
         #: make otherwise-identical runs export different traces)
         self._finish_ids = itertools.count(1)
+        #: pragma -> PragmaInstruments, filled by each pragma's first open
+        self.finish_pragmas: dict = {}
         self.activity_ids = itertools.count(1)
         self._ungoverned = _UngovernedFinish(self)
         #: reply_id -> (event, evaluating place); the place lets a place death
@@ -135,6 +137,8 @@ class ApgasRuntime:
         self._c_activities = metrics.counter("runtime.activities_spawned")
         self._c_remote_spawns = metrics.counter("runtime.remote_spawns")
         self._c_remote_evals = metrics.counter("runtime.remote_evals")
+        #: ``broadcast.tree_nodes``, registered by the first broadcast tree node
+        self.c_tree_nodes = None
         #: the determinacy-race detector, or None (the zero-overhead default)
         self.race: Optional[racedetect.RaceDetector] = (
             racedetect.RaceDetector(self)

@@ -39,7 +39,8 @@ class _Slot:
         self.op = op
         self.values: list[Any] = [None] * n
         self.arrived = 0
-        self.events: list[SimEvent] = [SimEvent(name=f"team.{op.value}") for _ in range(n)]
+        name = f"team.{op.value}"
+        self.events: list[SimEvent] = [SimEvent(name=name) for _ in range(n)]
         self.meta: dict = {}
 
 
@@ -56,6 +57,8 @@ class Team:
         self._rank = {p: i for i, p in enumerate(self.members)}
         self._call_index = {p: 0 for p in self.members}
         self._slots: dict[int, _Slot] = {}
+        #: op -> its ``team.collectives`` counter, registered on the op's first use
+        self._c_collectives: dict = {}
         #: a member died: every current and future collective fails with this
         self._failed: Optional[DeadPlaceError] = None
         if getattr(rt, "chaos", None) is not None:
@@ -216,13 +219,19 @@ class Team:
         return event
 
     def _complete(self, index: int, slot: _Slot, finalize, nbytes: Optional[int]) -> None:
-        self.rt.obs.metrics.counter("team.collectives", op=slot.op.value).inc()
+        op = slot.op
+        counter = self._c_collectives.get(op)
+        if counter is None:
+            counter = self._c_collectives[op] = self.rt.obs.metrics.counter(
+                "team.collectives", op=op.value
+            )
+        counter.value += 1
         results = finalize(slot) if finalize is not None else [None] * self.size
         size = nbytes
         if size is None:
             size = max(estimate_nbytes(v) for v in slot.values)
         timing = self.rt.collectives.run(
-            slot.op,
+            op,
             self.members,
             nbytes=size,
             root=self.members[self._root_rank(slot)] if "root_rank" in slot.meta else None,

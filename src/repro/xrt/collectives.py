@@ -47,6 +47,8 @@ class Collectives:
         self.emulated = (not transport.supports_hw_collectives) if emulated is None else emulated
         #: number of collectives executed, by op (for tests/diagnostics)
         self.ops_run: dict[CollectiveOp, int] = {op: 0 for op in CollectiveOp}
+        #: (op, path) -> its ``collectives.ops`` counter, registered on first use
+        self._c_ops: dict = {}
         self._tracer = transport.obs.trace
         self._seq = 0
 
@@ -63,7 +65,12 @@ class Collectives:
             raise TransportError(f"root {root} is not a member of the collective")
         self.ops_run[op] += 1
         path = "hw" if (len(members) == 1 or not self.emulated) else "emulated"
-        self.transport.obs.metrics.counter("collectives.ops", op=op.value, path=path).inc()
+        counter = self._c_ops.get((op, path))
+        if counter is None:
+            counter = self._c_ops[op, path] = self.transport.obs.metrics.counter(
+                "collectives.ops", op=op.value, path=path
+            )
+        counter.value += 1
         if path == "hw":
             done = self._hw(op, members, nbytes)
         else:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Tuple
 
 from repro.errors import PragmaError
-from repro.runtime.finish.base import BaseFinish
+from repro.runtime.finish.base import BaseFinish, pragma_instruments
 from repro.runtime.finish.pragmas import Pragma
 from repro.sim.events import SimEvent
 from repro.xrt.procs import wire
@@ -40,7 +40,6 @@ class HomeFinish(BaseFinish):
 
     def __init__(self, rt: "ProcsRuntime", pragma: Pragma, name: str = "") -> None:
         self.pragma = pragma
-        self.pragma_value = pragma.value
         super().__init__(rt, rt.place_id, name)
         self.fid: Fid = (self.home, self.finish_id)
         # a real place can die under any finish, so the per-place census that
@@ -87,7 +86,7 @@ class ProxyFinish:
 
     def join(self, place: int) -> None:
         # the counted control message: one per remotely terminating activity
-        self.rt.obs.metrics.counter("finish.ctl_messages", pragma=self.pragma_value).inc()
+        pragma_instruments(self.rt, Pragma(self.pragma_value)).ctl_counter().value += 1
         self.rt.send_frame((wire.JOIN, place, self.home, (self.fid, self.pragma_value)))
 
     def wait(self) -> SimEvent:  # pragma: no cover - portable programs wait at home

@@ -61,6 +61,8 @@ class ProcsRuntime:
         #: home finishes that may still receive a FORK or JOIN frame
         self.finishes: dict[Fid, HomeFinish] = {}
         self._finish_ids = itertools.count(1)
+        #: pragma -> PragmaInstruments, shared by home finishes and proxies
+        self.finish_pragmas: dict = {}
         self.activity_ids = itertools.count(1)
         self._ungoverned = _UngovernedFinish(self)
         self._reply_seq = itertools.count()

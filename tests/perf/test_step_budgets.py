@@ -1,5 +1,6 @@
 """Step-count complexity regressions: engine events per finish/broadcast idiom,
-and interpreter calls per invocation of the shared numeric cores (at the end).
+and interpreter calls per invocation of the shared numeric cores and per
+finish open (at the end).
 
 ``Engine.events_executed`` counts every callback the loop dispatched, so it
 is a wall-clock-free complexity measure: if a refactor adds a per-message
@@ -206,3 +207,22 @@ def test_call_budgets_would_catch_the_loops_they_replaced():
     _, sequences = _sw_case()
     assert _calls_under(sw_score_reference, *sequences) > 4 * _CORE_BUDGETS["sw_score_64x448"][1]
     assert _calls_under(_drain_uts, process_oracle) > 1.8 * _CORE_BUDGETS["uts_process"][1]
+
+
+# -- opening a finish: held instruments, not registry lookups -------------------
+#
+# Everything a finish needs from its pragma (string, fork rule, counters) is
+# resolved once per runtime; a warm open is the id, one table lookup and one
+# counter increment.  Measured 10 calls when the budget was set; three
+# ``metrics.counter`` lookups per open made it 43.
+_OPEN_FINISH_BUDGET = 13
+
+
+def test_open_finish_call_budget():
+    rt = make_runtime(64)
+    rt.open_finish(3, Pragma.FINISH_ASYNC)  # the pragma's first open registers
+    calls = _calls_under(rt.open_finish, 3, Pragma.FINISH_ASYNC)
+    assert calls <= _OPEN_FINISH_BUDGET, (
+        f"open_finish: {calls} interpreter calls exceed the budget "
+        f"{_OPEN_FINISH_BUDGET} — a registry lookup or enum read is back on the open path"
+    )
