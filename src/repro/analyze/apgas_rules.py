@@ -370,8 +370,7 @@ def unbounded_glb_victims(ctx: RuleContext, info: RuleInfo) -> Iterator[Finding]
 
 #: referencing any of these names counts as wiring up checkpoint/restore
 _RESILIENT_MACHINERY = {
-    "CheckpointHooks",
-    "EpochCoordinator",
+    "run_resilient_epochs",
     "ResilientStore",
     "GlbResilience",
 }
@@ -431,7 +430,7 @@ def _names_used(node) -> set:
 def resilient_without_hooks(ctx: RuleContext, info: RuleInfo) -> Iterator[Finding]:
     """A kernel advertises a ``resilient`` switch but never touches the
     checkpoint machinery: under ``--resilient`` a place death still kills the
-    whole run because nothing was ever snapshotted to the replicated store.
+    whole run because nothing was ever checkpointed.
     References are followed through same-module helpers, so delegating the
     wiring to a ``_make_resilient_*`` factory stays clean."""
     for module in ctx.program.modules:
@@ -463,8 +462,8 @@ def resilient_without_hooks(ctx: RuleContext, info: RuleInfo) -> Iterator[Findin
                 module,
                 node.lineno,
                 f"'{node.name}' takes a 'resilient' parameter but registers no "
-                "checkpoint/restore hooks (CheckpointHooks / EpochCoordinator / "
-                "ResilientStore / GlbResilience): place deaths stay fatal",
+                "checkpoint/restore hooks (run_resilient_epochs / ResilientStore / "
+                "GlbResilience): place deaths stay fatal",
             )
 
 

@@ -32,6 +32,7 @@ from repro.harness.reporting import si
 from repro.harness.runner import KERNELS, simulate
 from repro.harness.tables import render_table1, render_table2, table1, table2
 from repro.obs import audit_trace
+from repro.resilient import RESILIENT_KERNELS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     resilient_help = (
         "checkpoint/restore + elastic recovery: kills under --chaos are healed "
         "by respawning the place and re-executing only the lost epoch "
-        "(on --backend procs: a freshly forked OS process)"
+        "(on --backend procs: a freshly forked OS process); kernels: "
+        + ", ".join(sorted(RESILIENT_KERNELS))
     )
 
     run = sub.add_parser("run", help="simulate one kernel at one scale")

@@ -12,6 +12,7 @@ from repro.glb.bag import TaskBag
 from repro.glb.config import GlbConfig
 from repro.glb.lifelines import GRAPHS
 from repro.glb.victims import victim_set
+from repro.resilient.glb import RESPAWN_DELAY
 from repro.runtime.broadcast import PlaceGroup
 from repro.runtime.runtime import ApgasRuntime
 from repro.sim.rng import RngStream
@@ -547,9 +548,7 @@ class Glb:
             self._res.note_death(
                 place, float(st.processed.value), float(st.cost.value)
             )
-            self.rt.engine.schedule(
-                self._res.respawn_delay, lambda p=place: self._respawn(p)
-            )
+            self.rt.engine.schedule(RESPAWN_DELAY, lambda p=place: self._respawn(p))
 
     def _repair_topology(self, rank: int, record: bool = True) -> None:
         """Splice a dead member (by group rank) out of the rank-space topology."""

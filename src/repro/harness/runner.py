@@ -15,6 +15,7 @@ from repro.glb import GlbConfig
 from repro.harness.results import KernelResult
 from repro.machine.config import MachineConfig
 from repro.obs import Observability
+from repro.resilient import require_resilient
 from repro.runtime.runtime import ApgasRuntime
 
 
@@ -41,10 +42,6 @@ def make_runtime(
     )
 
 
-#: kernels with a checkpoint/restore implementation (``--resilient``)
-RESILIENT_KERNELS = frozenset({"kmeans", "uts", "stream"})
-
-
 def simulate(
     kernel: str,
     places: int,
@@ -62,19 +59,15 @@ def simulate(
     ``chaos`` spec the run executes under deterministic fault injection; the
     injector rides in ``extra["chaos"]`` so callers can inspect dead places.
     ``resilient`` turns on checkpoint/restore and elastic recovery for the
-    kernels in :data:`RESILIENT_KERNELS`.  ``race=True`` runs under the
-    dynamic race detector; the detector rides in ``extra["race"]``.
+    kernels in :data:`repro.resilient.RESILIENT_KERNELS`.  ``race=True`` runs
+    under the dynamic race detector; the detector rides in ``extra["race"]``.
     """
     try:
         runner = _RUNNERS[kernel]
     except KeyError:
         raise KernelError(f"unknown kernel {kernel!r}; choose from {sorted(_RUNNERS)}") from None
     if resilient:
-        if kernel not in RESILIENT_KERNELS:
-            raise KernelError(
-                f"kernel {kernel!r} has no checkpoint/restore hooks; "
-                f"--resilient supports {sorted(RESILIENT_KERNELS)}"
-            )
+        require_resilient(kernel)
         kwargs["resilient"] = True
     rt = make_runtime(places, config, trace=trace, chaos=chaos, race=race)
     result = runner(rt, **kwargs)

@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import KernelError
 from repro.harness.results import KernelResult, checksum_bytes
 from repro.machine.memory import stream_bw_per_place
-from repro.resilient import CheckpointHooks, EpochCoordinator, ResilientStore
+from repro.resilient import run_resilient_epochs
 from repro.runtime import CongruentAllocator, PlaceGroup, broadcast_spawn
 from repro.runtime.runtime import ApgasRuntime
 
@@ -37,7 +37,6 @@ def build_stream(
     actual_elements: Optional[int] = None,
     verify: bool = True,
     resilient: bool = False,
-    respawn_delay: float = 2e-3,
     group: Optional[PlaceGroup] = None,
 ):
     """Build the Stream program over ``group`` (default: the whole machine).
@@ -56,8 +55,7 @@ def build_stream(
     With ``resilient`` each triad round is a checkpoint epoch.  The arrays
     are recomputable from their init formulas and the triad is idempotent,
     so recovery re-*initializes* a revived place's partition instead of
-    restoring bytes from replicas — only a tiny partition descriptor lives
-    in the store.
+    restoring bytes: an epoch's blob is only its number.
     """
     if elements_per_place < 1 or iterations < 1:
         raise KernelError("need at least one element and one iteration")
@@ -98,32 +96,21 @@ def build_stream(
                 failures.append(place)
 
     if resilient:
-        store = ResilientStore(rt, name="stream")
         if rt.chaos is not None:
             # a respawned place comes up with empty memory
             rt.chaos.subscribe_revive(lambda p: arrays.pop(p, None))
 
-        def checkpoint(ctx, epoch, st):
-            if epoch == 0:
-                # the partition is a formula, not data: persist only a
-                # descriptor proving the place participated
-                yield from st.put(
-                    ctx, f"part/{ctx.here}", (real_n, alpha), epoch, nbytes=64
-                )
-
-        def restore(ctx, epoch, st):
-            if epoch < 0 or ctx.here not in arrays:
+        def restore(ctx, committed_epoch, blob):
+            if committed_epoch < 0 or ctx.here not in arrays:
                 init_partition(ctx.here)
             # the triad is idempotent: surviving arrays need no rollback
 
-        hooks = CheckpointHooks(checkpoint=checkpoint, restore=restore)
-        coordinator = EpochCoordinator(rt, store, hooks, respawn_delay=respawn_delay)
-
-        def epoch_body(ctx, epoch):
+        def epoch_body(ctx, epoch, tag):
             yield from round_(ctx)
+            return epoch
 
         def main(ctx):
-            yield from coordinator.run(ctx, iterations, epoch_body)
+            yield from run_resilient_epochs(ctx, iterations, epoch_body, restore)
             for place in arrays:
                 check(place)
 

@@ -30,7 +30,6 @@ def build_uts(
     time_dilation: float = 1.0,
     calibration: Calibration = DEFAULT_CALIBRATION,
     resilient: bool = False,
-    respawn_delay: float = 2e-3,
     group: Optional[PlaceGroup] = None,
 ):
     """Build the UTS program over ``group``; returns ``(main, finalize)``.
@@ -57,9 +56,7 @@ def build_uts(
     if resilient:
         # bag fragments are snapshotted at every steal boundary; a killed
         # place is respawned and re-executes only its uncovered chunk
-        res = GlbResilience(
-            ResilientStore(rt, name="glb"), respawn_delay=respawn_delay
-        )
+        res = GlbResilience(ResilientStore(rt, name="glb"))
     glb = Glb(
         rt,
         root_bag=UtsBag.root(params, steal_all_intervals=steal_all_intervals),

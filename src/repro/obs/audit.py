@@ -348,7 +348,7 @@ def _check_epoch_consistency(events: list) -> AuditCheck:
     scope per GLB place): committed epochs never repeat; in the coordinator
     scope they are consecutive from 0 and every aborted epoch is eventually
     re-committed; every restore targets epoch -1 (initialize from scratch)
-    or an epoch the scope committed — never a torn, invalidated snapshot.
+    or an epoch the scope committed — never a torn one.
     """
     commits: dict[str, list] = {}
     aborts: dict[str, set] = {}

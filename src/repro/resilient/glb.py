@@ -39,6 +39,9 @@ import itertools
 
 from repro.resilient.store import ResilientStore
 
+#: simulated seconds between a GLB place's death and its respawn (rejoin latency)
+RESPAWN_DELAY = 2e-3
+
 
 class _LootEntry:
     __slots__ = ("victim", "thief", "bag", "state", "cover_version")
@@ -54,9 +57,8 @@ class _LootEntry:
 class GlbResilience:
     """Checkpoint/ledger bookkeeping attached to one :class:`~repro.glb.Glb`."""
 
-    def __init__(self, store: ResilientStore, respawn_delay: float = 2e-3) -> None:
+    def __init__(self, store: ResilientStore) -> None:
         self.store = store
-        self.respawn_delay = respawn_delay
         self.rt = store.rt
         #: items/cost a recovered place re-processed (subtracted by stats)
         self.reexecuted_items = 0.0
@@ -151,7 +153,7 @@ class GlbResilience:
         snapshot version (-1 if the place never checkpointed).
         """
         place = ctx.here
-        version, value = yield from self.store.get(ctx, f"glb/bag/{place}", latest=True)
+        version, value = yield from self.store.get(ctx, f"glb/bag/{place}")
         if value is not None:
             processed_at, cost_at, bag, merged = value
             st.bag.merge(bag)  # store.get returned a fresh copy

@@ -10,14 +10,11 @@ All data movement is real simulated traffic: a put is one remote evaluation
 per replica (payload = the modeled snapshot size), a get is a quorum read
 consulting every live replica and returning the newest version.  Replica
 tables live *at* their place — when the place dies the copies die with it
-(:meth:`_on_place_death` clears the table), and a torn epoch's entries are
-dropped by :meth:`invalidate_epoch` when the coordinator aborts.
+(:meth:`_on_place_death` clears the table).
 
-Writes are epoch-tagged and exactly-once: the transport already dedupes
+Writes are versioned and exactly-once: the transport already dedupes
 retried deliveries, and the store additionally skips a ``(key, version)``
-pair it has seen — a retried epoch re-executes deterministically, so a
-straggler write from the aborted attempt is byte-identical to the retry's
-and harmless either way.
+pair it has seen.
 """
 
 from __future__ import annotations
@@ -39,8 +36,6 @@ class ResilientStore:
         self.name = name
         #: replicas per key, capped so a tiny runtime still constructs
         self.k = min(replicas, max(1, rt.n_places - 1))
-        #: highest globally committed epoch (-1: nothing committed yet)
-        self.committed_epoch = -1
         #: per-place replica tables: place -> {key: {version: (value, nbytes)}}
         self._tables: list[dict] = [dict() for _ in range(rt.n_places)]
         #: key -> owner place (recorded at first put; keys are owner-scoped)
@@ -51,7 +46,6 @@ class ResilientStore:
         self._c_degraded_writes = metrics.counter("resilient.degraded_writes")
         self._c_reads = metrics.counter("resilient.quorum_reads")
         self._c_degraded_reads = metrics.counter("resilient.degraded_reads")
-        self._c_invalidated = metrics.counter("resilient.snapshots_invalidated")
         self._c_restored_bytes = metrics.counter("resilient.restored_bytes")
         self._tracer = rt.obs.trace
         if rt.chaos is not None:
@@ -115,24 +109,17 @@ class ResilientStore:
 
     # -- reads ----------------------------------------------------------------------
 
-    def get(self, ctx, key: str, max_version: Optional[int] = None,
-            latest: bool = False):
-        """Quorum-read the newest usable snapshot of ``key`` (generator).
+    def get(self, ctx, key: str):
+        """Quorum-read the newest snapshot of ``key`` (generator).
 
         Consults every live replica and returns ``(version, value)`` for the
-        highest version no newer than the cap — the global
-        :attr:`committed_epoch` by default, ``max_version`` when given, or
-        unbounded with ``latest=True`` (GLB's single-key-atomic fragments).
-        Returns ``(-1, None)`` when no replica holds a usable version, and
-        raises :class:`ResilientError` when *no* replica is even alive —
-        that is data loss, not a miss.
+        highest version any of them holds.  Returns ``(-1, None)`` when no
+        replica holds a version, and raises :class:`ResilientError` when *no*
+        replica is even alive — that is data loss, not a miss.
         """
         owner = self._owners.get(key)
         if owner is None:
             return (-1, None)
-        cap: Optional[int] = max_version
-        if cap is None and not latest:
-            cap = self.committed_epoch
         hits: list[Tuple[int, Any, int]] = []
         alive = 0
         for replica in self.replicas_of(owner):
@@ -140,7 +127,7 @@ class ResilientStore:
                 continue
             alive += 1
             try:
-                hit = yield ctx.at(replica, self._fetch, key, cap)
+                hit = yield ctx.at(replica, self._fetch, key)
             except DeadPlaceError:
                 alive -= 1
                 continue
@@ -160,45 +147,13 @@ class ResilientStore:
         self._c_restored_bytes.inc(size)
         return (version, copy.deepcopy(value))
 
-    def _fetch(self, rctx, key: str, cap: Optional[int]):
+    def _fetch(self, rctx, key: str):
         table = self._tables[rctx.here].get(key)
         if not table:
             return None
-        versions = [v for v in table if cap is None or v <= cap]
-        if not versions:
-            return None
-        version = max(versions)
+        version = max(table)
         value, size = table[version]
         return (version, value, size)
-
-    # -- epoch lifecycle --------------------------------------------------------------
-
-    def commit(self, epoch: int) -> None:
-        """Advance the committed frontier; snapshots at ``epoch`` become readable."""
-        if epoch != self.committed_epoch + 1:
-            raise ResilientError(
-                f"commit out of order: epoch {epoch} after {self.committed_epoch}"
-            )
-        self.committed_epoch = epoch
-
-    def invalidate_epoch(self, epoch: int) -> None:
-        """Drop every replica's entries at ``epoch``: the attempt was torn.
-
-        Called by the coordinator when a death aborts an epoch; the partial
-        snapshots some members managed to write must never satisfy a read.
-        """
-        dropped = 0
-        for table in self._tables:
-            for versions in table.values():
-                if versions.pop(epoch, None) is not None:
-                    dropped += 1
-        if dropped:
-            self._c_invalidated.inc(dropped)
-        if self._tracer.enabled:
-            self._tracer.instant(
-                "resilient.invalidate", "resilient", 0, self.rt.engine.now,
-                epoch=epoch, dropped=dropped,
-            )
 
     # -- place failure ----------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 ``resilient`` switch without ever touching the checkpoint machinery, plus
 clean variants (direct wiring, helper delegation, flag forwarding)."""
 
-from repro.resilient import CheckpointHooks, EpochCoordinator, ResilientStore
+from repro.resilient import ResilientStore, run_resilient_epochs
 
 
 def run_fake_kernel(rt, n, resilient=False):  # APG107 expected here
@@ -18,9 +18,7 @@ def run_other_kernel(rt, *, resilient: bool):  # APG107 expected here
 
 def run_wired_kernel(rt, n, resilient=False):
     if resilient:
-        store = ResilientStore(rt)
-        hooks = CheckpointHooks(checkpoint=None, restore=None)
-        return EpochCoordinator(rt, store, hooks)
+        return run_resilient_epochs
     return n
 
 

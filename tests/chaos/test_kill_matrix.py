@@ -9,7 +9,8 @@ state), and late (tail / termination detection) regardless of kernel timing.
 
 import pytest
 
-from repro.harness.runner import RESILIENT_KERNELS, simulate
+from repro.harness.runner import simulate
+from repro.resilient import RESILIENT_KERNELS
 
 PLACES = 8
 

@@ -1,10 +1,14 @@
-"""EpochCoordinator: commit/abort epochs, member healing, and the recovery
-guarantees (re-execute only the lost epoch, byte-identical retries)."""
+"""The epoch coordinator on the simulator: commit/abort epochs, member
+healing, and the recovery guarantees (re-execute only the lost epoch,
+byte-identical retries)."""
 
 import pytest
 
 from repro.errors import DeadPlaceError, ResilientError
-from repro.resilient import CheckpointHooks, EpochCoordinator, ResilientStore
+from repro.harness.runner import make_runtime
+from repro.kernels.portable.resilient import build_resilient_program
+from repro.resilient import run_resilient_epochs
+from repro.xrt.backend import get_backend
 
 from tests.chaos.conftest import STEP_CAP, counter_total, make_chaos_runtime
 
@@ -12,8 +16,9 @@ from tests.chaos.conftest import STEP_CAP, counter_total, make_chaos_runtime
 class Counting:
     """A tiny resilient 'kernel': every member accumulates epoch numbers.
 
-    State is one integer per place; checkpoint stores it, restore reloads
-    it, so after any number of kills the total equals the fault-free sum.
+    State is one integer per place; the body returns the running total as
+    its checkpoint blob and restore takes it back, so after any number of
+    kills the total equals the fault-free sum.
     """
 
     def __init__(self, rt, work_seconds=1e-4):
@@ -21,54 +26,49 @@ class Counting:
         self.work_seconds = work_seconds
         self.state = {}
         self.executions = []  # (place, epoch) of every body run, retries too
+        self.committed = {}
 
-    def body(self, ctx, epoch):
+    def body(self, ctx, epoch, tag):
         self.executions.append((ctx.here, epoch))
         yield ctx.compute(seconds=self.work_seconds)
-        self.state[ctx.here] = self.state.get(ctx.here, 0) + epoch + 1
+        self.state[ctx.here] += epoch + 1
+        return self.state[ctx.here]
 
-    def checkpoint(self, ctx, epoch, store):
-        yield from store.put(
-            ctx, f"acc/{ctx.here}", self.state[ctx.here], epoch, nbytes=8
-        )
-
-    def restore(self, ctx, epoch, store):
-        if epoch < 0:
-            self.state[ctx.here] = 0
-            return
-        _version, value = yield from store.get(ctx, f"acc/{ctx.here}")
-        self.state[ctx.here] = value
+    def restore(self, ctx, committed_epoch, blob):
+        self.state[ctx.here] = 0 if blob is None else blob
 
     def run(self, epochs, **coordinator_kw):
-        store = ResilientStore(self.rt)
-        hooks = CheckpointHooks(checkpoint=self.checkpoint, restore=self.restore)
-        coord = EpochCoordinator(self.rt, store, hooks, **coordinator_kw)
-
         def main(ctx):
-            yield from coord.run(ctx, epochs, self.body)
+            self.committed, _stats = yield from run_resilient_epochs(
+                ctx, epochs, self.body, self.restore, **coordinator_kw
+            )
 
         self.rt.run(main, max_events=STEP_CAP)
-        return coord
 
 
 def expected_total(places, epochs):
     return places * sum(e + 1 for e in range(epochs))
 
 
+# An epoch takes about 120 us of simulated time: 100 us of body plus its wave.
+# A kill at 200 us lands inside epoch 1's body; one at 550 us inside the body
+# of epoch 3 of a run that already retried epoch 1.
+
+
 def test_fault_free_run_commits_every_epoch():
     rt = make_chaos_runtime(8, chaos="seed=0")
     kernel = Counting(rt)
     kernel.run(epochs=4)
-    assert sum(kernel.state.values()) == expected_total(8, 4)
+    assert sum(kernel.committed.values()) == expected_total(8, 4)
     assert counter_total(rt, "resilient.epochs_committed") == 4
     assert counter_total(rt, "resilient.epochs_aborted") == 0
 
 
 def test_kill_mid_epoch_aborts_heals_and_converges_to_fault_free_result():
-    rt = make_chaos_runtime(8, chaos="seed=0,kill=3@2.5e-4")
+    rt = make_chaos_runtime(8, chaos="seed=0,kill=3@2e-4")
     kernel = Counting(rt)
     kernel.run(epochs=4)
-    assert sum(kernel.state.values()) == expected_total(8, 4)
+    assert sum(kernel.committed.values()) == expected_total(8, 4)
     assert counter_total(rt, "resilient.epochs_aborted") >= 1
     assert counter_total(rt, "resilient.recoveries") >= 1
     assert counter_total(rt, "chaos.place_revivals") == 1
@@ -76,7 +76,7 @@ def test_kill_mid_epoch_aborts_heals_and_converges_to_fault_free_result():
 
 
 def test_only_the_torn_epoch_is_reexecuted():
-    rt = make_chaos_runtime(4, chaos="seed=0,kill=2@2.5e-4")
+    rt = make_chaos_runtime(4, chaos="seed=0,kill=2@2e-4")
     kernel = Counting(rt)
     kernel.run(epochs=4)
     # epoch 0 committed before the kill; no member ever re-runs it
@@ -85,35 +85,54 @@ def test_only_the_torn_epoch_is_reexecuted():
         if kernel.executions.count((p, e)) > 1
     }
     assert reruns and all(e != 0 for _p, e in reruns)
-    assert sum(kernel.state.values()) == expected_total(4, 4)
+    assert sum(kernel.committed.values()) == expected_total(4, 4)
 
 
 def test_double_kill_at_different_epochs_recovers_twice():
-    rt = make_chaos_runtime(8, chaos="seed=0,kill=3@2.5e-4+5@9e-4")
+    rt = make_chaos_runtime(8, chaos="seed=0,kill=3@2e-4+5@5.5e-4")
     kernel = Counting(rt)
     kernel.run(epochs=5)
-    assert sum(kernel.state.values()) == expected_total(8, 5)
+    assert sum(kernel.committed.values()) == expected_total(8, 5)
     assert counter_total(rt, "chaos.place_revivals") == 2
+    assert counter_total(rt, "resilient.epochs_aborted") == 2
 
 
 def test_coordinator_place_death_stays_fatal():
     # place 0 hosts the coordinator: Resilient X10's distinguished place
-    rt = make_chaos_runtime(8, chaos="seed=0,kill=0@2.5e-4")
+    rt = make_chaos_runtime(8, chaos="seed=0,kill=0@2e-4")
     kernel = Counting(rt)
     with pytest.raises(DeadPlaceError):
         kernel.run(epochs=4)
 
 
 def test_unrecoverable_when_epoch_keeps_aborting():
-    rt = make_chaos_runtime(8, chaos="seed=0,kill=3@2.5e-4")
+    rt = make_chaos_runtime(8, chaos="seed=0,kill=3@2e-4")
     kernel = Counting(rt)
     with pytest.raises(ResilientError):
-        # respawn is so slow the same epoch aborts until max_attempts
+        # one attempt per epoch: the first abort gives up
         kernel.run(epochs=4, max_attempts=1)
 
 
 def test_deaths_tolerated_counter_counts_adoptions():
-    rt = make_chaos_runtime(8, chaos="seed=0,kill=3@2.5e-4")
+    rt = make_chaos_runtime(8, chaos="seed=0,kill=3@2e-4")
     kernel = Counting(rt)
     kernel.run(epochs=4)
     assert counter_total(rt, "finish.deaths_tolerated") >= 1
+
+
+# -- the portable programs on the simulator ----------------------------------------
+
+
+@pytest.mark.parametrize("kernel, params, checksum", [
+    ("kmeans", {}, "9769d0bec5dd5173"),
+    ("stream", {}, "7ba61c90206b31d5"),
+    ("uts", {"depth": 7}, "9b64184a1f128ce7"),
+], ids=["kmeans", "stream", "uts"])
+def test_portable_resilient_program_matches_the_plain_program(kernel, params, checksum):
+    # the coordinator the procs backend runs, here on an ApgasRuntime
+    assert get_backend("sim").run(kernel, 4, **params).checksum == checksum
+    rt = make_runtime(4)
+    result = rt.run(build_resilient_program(kernel, 4, **params))
+    assert result["checksum"] == checksum
+    assert result["_resilient"]["aborts"] == 0
+    assert counter_total(rt, "resilient.epochs_committed") == result["_resilient"]["commits"]

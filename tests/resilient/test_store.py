@@ -1,4 +1,4 @@
-"""ResilientStore: replica placement, quorum reads, epoch lifecycle, and
+"""ResilientStore: replica placement, quorum reads, write dedupe, and
 behaviour when replica hosts die."""
 
 import pytest
@@ -37,15 +37,12 @@ def test_replica_count_capped_by_runtime_size():
         ResilientStore(rt, replicas=0)
 
 
-def test_put_get_round_trip_respects_committed_frontier():
+def test_put_get_round_trip():
     rt = make_chaos_runtime(8, chaos="seed=0")
 
     def body(ctx, store):
         durable = yield from store.put(ctx, "x", {"v": 1}, 0, nbytes=128)
         assert durable
-        # not committed yet: the default read cap hides version 0
-        assert (yield from store.get(ctx, "x")) == (-1, None)
-        store.commit(0)
         version, value = yield from store.get(ctx, "x")
         return version, value
 
@@ -60,7 +57,6 @@ def test_get_returns_a_copy_not_the_replica_object():
         payload = {"inner": [1, 2]}
         yield from store.put(ctx, "x", payload, 0, nbytes=64)
         payload["inner"].append(3)  # post-put mutation must not leak in
-        store.commit(0)
         _v, value = yield from store.get(ctx, "x")
         value["inner"].append(99)  # nor must reader mutation corrupt it
         _v, again = yield from store.get(ctx, "x")
@@ -71,36 +67,16 @@ def test_get_returns_a_copy_not_the_replica_object():
     assert again["inner"] == [1, 2]
 
 
-def test_newest_version_under_cap_wins():
+def test_newest_version_wins():
     rt = make_chaos_runtime(8, chaos="seed=0")
 
     def body(ctx, store):
-        for epoch in range(3):
-            yield from store.put(ctx, "x", f"v{epoch}", epoch, nbytes=32)
-            store.commit(epoch)
-        capped = yield from store.get(ctx, "x", max_version=1)
-        newest = yield from store.get(ctx, "x")
-        return capped, newest
+        for version in range(3):
+            yield from store.put(ctx, "x", f"v{version}", version, nbytes=32)
+        return (yield from store.get(ctx, "x"))
 
-    _store, (capped, newest) = drive(rt, body)
-    assert capped == (1, "v1")
+    _store, newest = drive(rt, body)
     assert newest == (2, "v2")
-
-
-def test_invalidate_epoch_drops_torn_snapshots():
-    rt = make_chaos_runtime(8, chaos="seed=0")
-
-    def body(ctx, store):
-        yield from store.put(ctx, "x", "good", 0, nbytes=32)
-        store.commit(0)
-        yield from store.put(ctx, "x", "torn", 1, nbytes=32)
-        store.invalidate_epoch(1)
-        return (yield from store.get(ctx, "x", latest=True))
-
-    store, result = drive(rt, body)
-    assert result == (0, "good")
-    snap = rt.obs.metrics.snapshot()
-    assert snap.total("resilient.snapshots_invalidated") == store.k
 
 
 def test_duplicate_writes_are_idempotent():
@@ -109,7 +85,6 @@ def test_duplicate_writes_are_idempotent():
     def body(ctx, store):
         yield from store.put(ctx, "x", "a", 0, nbytes=32)
         yield from store.put(ctx, "x", "a", 0, nbytes=32)  # retry replay
-        store.commit(0)
         return (yield from store.get(ctx, "x"))
 
     _store, result = drive(rt, body)
@@ -134,7 +109,6 @@ def test_one_dead_replica_degrades_but_survives():
     def body(ctx, store):
         yield ctx.sleep(1e-4)  # let the kill land
         durable = yield from store.put(ctx, "x", "v", 0, nbytes=32)
-        store.commit(0)
         value = yield from store.get(ctx, "x")
         return durable, value
 
@@ -151,7 +125,6 @@ def test_all_replicas_dead_is_data_loss():
 
     def body(ctx, store):
         yield from store.put(ctx, "x", "v", 0, nbytes=32)
-        store.commit(0)
         yield ctx.sleep(1e-4)  # both replicas of place 0 die
         try:
             yield from store.get(ctx, "x")
@@ -167,7 +140,6 @@ def test_replica_tables_die_with_their_place():
 
     def body(ctx, store):
         yield from store.put(ctx, "x", "v", 0, nbytes=32)
-        store.commit(0)
         yield ctx.sleep(2e-3)  # place 1's copy is gone with it
         return (yield from store.get(ctx, "x"))
 

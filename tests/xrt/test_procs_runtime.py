@@ -444,7 +444,7 @@ def test_heal_revives_a_death_that_lands_mid_restore_wave():
     the place-0 member must not acknowledge it away, or ``_heal`` returns with
     place 1 dead and un-respawned and the next epoch's SPAWN is blackholed.
     """
-    from repro.kernels.portable.resilient import _heal
+    from repro.resilient.checkpoint import _heal
     from repro.xrt.procs import wire
 
     loop = PlaceLoop(deadline=10.0)
