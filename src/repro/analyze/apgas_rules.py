@@ -369,18 +369,14 @@ def unbounded_glb_victims(ctx: RuleContext, info: RuleInfo) -> Iterator[Finding]
 # -- APG107 ----------------------------------------------------------------------
 
 #: referencing any of these names counts as wiring up checkpoint/restore
-_RESILIENT_MACHINERY = {
-    "run_resilient_epochs",
-    "ResilientStore",
-    "GlbResilience",
-}
+_RESILIENT_MACHINERY = {"run_resilient_epochs"}
 
 
 def _has_resilient_switch(node) -> bool:
     """True when the function takes a boolean ``resilient`` toggle.
 
-    Parameters that *carry* resilience machinery (e.g. an Optional
-    GlbResilience) rather than switch it on are not the rule's target.
+    Parameters that *carry* resilience machinery (e.g. an Optional hook
+    object) rather than switch it on are not the rule's target.
     """
     args = node.args
     pos = list(args.posonlyargs) + list(args.args)
@@ -462,8 +458,8 @@ def resilient_without_hooks(ctx: RuleContext, info: RuleInfo) -> Iterator[Findin
                 module,
                 node.lineno,
                 f"'{node.name}' takes a 'resilient' parameter but registers no "
-                "checkpoint/restore hooks (run_resilient_epochs / ResilientStore / "
-                "GlbResilience): place deaths stay fatal",
+                "checkpoint/restore hooks (run_resilient_epochs): place deaths "
+                "stay fatal",
             )
 
 

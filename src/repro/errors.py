@@ -94,8 +94,7 @@ class DeadPlaceError(ApgasError):
 class ResilientError(ApgasError):
     """The checkpoint/restore layer could not guarantee recovery.
 
-    Raised when a quorum read finds no live replica, or when recovery
-    exceeds its retry budget.  Unlike
+    Raised when recovery exceeds its retry budget.  Unlike
     :class:`DeadPlaceError` this signals *data* loss, not place loss: the
     computation cannot be reconstructed bit-identically and must fail loudly
     rather than return a silently different answer.

@@ -5,21 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from typing import TYPE_CHECKING
-
 from repro.errors import DeadPlaceError, GlbError
 from repro.glb.bag import TaskBag
 from repro.glb.config import GlbConfig
 from repro.glb.lifelines import GRAPHS
 from repro.glb.victims import victim_set
-from repro.resilient.glb import RESPAWN_DELAY
 from repro.runtime.broadcast import PlaceGroup
 from repro.runtime.runtime import ApgasRuntime
 from repro.sim.rng import RngStream
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilient.glb import GlbResilience
-
 
 #: the per-place counters GLB reports into the metrics registry
 _PLACE_METRICS = (
@@ -81,12 +74,6 @@ class GlbStats:
     ctl_messages: int
     #: total cost units (== total_processed for unit-cost workloads)
     total_cost: float = 0.0
-    #: items a recovered place re-processed after a restore (resilient mode);
-    #: already subtracted from ``total_processed``, which stays the exact
-    #: workload size — ``processed_per_place`` remains the raw counts
-    reexecuted: int = 0
-    #: workers restored from the resilient store after a kill
-    workers_restored: int = 0
 
     def efficiency(self, rate: float) -> float:
         """Parallel efficiency against perfect static balance at ``rate``.
@@ -132,7 +119,6 @@ class Glb:
         make_empty_bag: Callable[[], TaskBag],
         process_rate: float,
         config: Optional[GlbConfig] = None,
-        resilient: Optional["GlbResilience"] = None,
         group: Optional[PlaceGroup] = None,
     ) -> None:
         if process_rate <= 0:
@@ -140,9 +126,7 @@ class Glb:
         self.rt = rt
         self.config = config or GlbConfig()
         self.root_bag = root_bag
-        self.make_empty_bag = make_empty_bag
         self.process_rate = process_rate
-        self._res = resilient
         try:
             graph = GRAPHS[self.config.lifeline_graph]
         except KeyError:
@@ -154,11 +138,6 @@ class Glb:
         for p in self.group:
             rt.place(p)  # validate membership against the machine
         self._rank_of = {p: i for i, p in enumerate(self.group)}
-        if resilient is not None and self.group != list(range(rt.n_places)):
-            raise GlbError(
-                "resilient GLB requires the whole-machine place group "
-                "(the store and loot ledger key state by absolute place)"
-            )
         n = len(self.group)
         metrics = rt.obs.metrics
         self._tracer = rt.obs.trace
@@ -179,18 +158,11 @@ class Glb:
             {name: getattr(st, name).value for name in _PLACE_METRICS} for st in self.state
         ]
         self._root_finish = None
-        self._graph = graph
         self._c_lifelines_rewired = metrics.counter("glb.lifelines_rewired")
         self._c_victims_repaired = metrics.counter("glb.victims_repaired")
         self._c_distribute_rerouted = metrics.counter("glb.distribute_rerouted")
-        self._c_workers_restored = metrics.counter("glb.workers_restored")
-        self._base_restored = self._c_workers_restored.value
         if rt.chaos is not None:
             rt.chaos.subscribe_death(self._on_place_death)
-            if self._res is not None:
-                rt.chaos.subscribe_revive(self._on_place_revive)
-        if self._res is not None:
-            self._res.attach(self)
 
     # -- public API ------------------------------------------------------------------
 
@@ -217,11 +189,9 @@ class Glb:
 
         n = len(self.group)
         per_place = [int(delta(p, "processed")) for p in range(n)]
-        reexecuted = int(self._res.reexecuted_items) if self._res is not None else 0
-        reexec_cost = self._res.reexecuted_cost if self._res is not None else 0.0
         return GlbStats(
             places=n,
-            total_processed=sum(per_place) - reexecuted,
+            total_processed=sum(per_place),
             makespan=self.rt.now,
             processed_per_place=per_place,
             steal_attempts=int(sum(delta(p, "steal_attempts") for p in range(n))),
@@ -229,9 +199,7 @@ class Glb:
             lifelines_sent=int(sum(delta(p, "lifelines_sent") for p in range(n))),
             resuscitations=int(sum(delta(p, "resuscitations") for p in range(n))),
             ctl_messages=self._root_finish.ctl_messages if self._root_finish else 0,
-            total_cost=sum(delta(p, "cost") for p in range(n)) - reexec_cost,
-            reexecuted=reexecuted,
-            workers_restored=int(self._c_workers_restored.value - self._base_restored),
+            total_cost=sum(delta(p, "cost") for p in range(n)),
         )
 
     # -- program structure ---------------------------------------------------------------
@@ -258,24 +226,13 @@ class Glb:
     def _rank_dead(self, rank: int) -> bool:
         return self.rt.is_dead(self.group[rank])
 
-    def _distribute(self, ctx, lo: int, hi: int, bag: TaskBag, loot_id=None):
+    def _distribute(self, ctx, lo: int, hi: int, bag: TaskBag):
         """Initial work distribution: one tree-shaped wave from the root worker.
 
         ``lo``/``hi`` are group *ranks*; the wave lands at ``group[rank]``.
         """
         step = 1
         st = self.state[self._rank(ctx.here)]
-        if self._res is not None:
-            # resilient mode: the arriving share becomes this place's durable
-            # state immediately, and every part leaving below is ledger loot
-            if bag is not None and loot_id is not None and not self._res.accept_loot(loot_id):
-                bag = None  # stale redelivery after a recovery re-merge
-            if bag is not None:
-                st.bag.merge(bag)
-                if loot_id is not None:
-                    self._res.note_merged(ctx.here, loot_id)
-            yield from self._res.checkpoint(ctx, st)
-            bag = st.bag  # split from the live bag below
         while lo + step < hi:
             child_lo = lo + step
             child_hi = min(lo + 2 * step, hi)
@@ -290,9 +247,6 @@ class Glb:
                 if cost:
                     yield ctx.compute(seconds=cost / self.process_rate)
                 part = bag.split()
-            if part is not None and self._res is not None:
-                # the post-split snapshot must be durable before the part ships
-                yield from self._res.checkpoint(ctx, st)
             if self._rank_dead(child_lo):
                 # re-root the wave around the dead child: its share goes to
                 # the subtree's first survivor as loot (the rest of the
@@ -302,38 +256,22 @@ class Glb:
                 )
                 if part is not None:
                     if target is None:
-                        if self._res is not None:
-                            # keep the work here, but through the ledger so a
-                            # restore from the post-split snapshot re-merges it
-                            lid = self._res.register_loot(ctx.here, ctx.here, part)
-                            bag.merge(part)
-                            self._res.note_merged(ctx.here, lid)
-                        else:
-                            bag.merge(part)  # whole subtree dead: keep the work here
+                        bag.merge(part)  # whole subtree dead: keep the work here
                     else:
                         self._c_distribute_rerouted.inc()
-                        payload = part
-                        if self._res is not None:
-                            lid = self._res.register_loot(
-                                ctx.here, self.group[target], part
-                            )
-                            payload = (lid, part)
                         ctx.at_async(
-                            self.group[target], self._receive_loot, payload,
+                            self.group[target], self._receive_loot, part,
                             nbytes=part.serialized_nbytes,
                         )
             elif part is not None:
-                lid = None
-                if self._res is not None:
-                    lid = self._res.register_loot(ctx.here, self.group[child_lo], part)
                 ctx.at_async(
-                    self.group[child_lo], self._distribute, child_lo, child_hi, part, lid,
+                    self.group[child_lo], self._distribute, child_lo, child_hi, part,
                     nbytes=part.serialized_nbytes,
                 )
             else:
                 ctx.at_async(self.group[child_lo], self._distribute, child_lo, child_hi, None)
             step *= 2
-        yield from self._worker(ctx, None if self._res is not None else bag)
+        yield from self._worker(ctx, bag)
 
     # -- the worker ---------------------------------------------------------------------------
 
@@ -407,19 +345,11 @@ class Glb:
                     thief=ctx.here, victim=self.group[victim], ok=loot is not None,
                 )
             if loot is not None:
-                if self._res is not None:
-                    lid, loot = loot
-                    if not self._res.accept_loot(lid):
-                        continue  # reassigned by a recovery while in flight
-                    st.steals_ok.inc()
-                    st.bag.merge(loot)
-                    self._res.note_merged(ctx.here, lid)
-                    ctx.async_(self._checkpoint_here)
-                    return True
                 st.steals_ok.inc()
                 st.bag.merge(loot)
                 return True
         return False
+
 
     # -- handlers running at other places -----------------------------------------------------
 
@@ -428,18 +358,7 @@ class Glb:
         st = self.state[self._rank(vctx.here)]
         if st.bag.is_empty():
             return None
-        if self._res is None:
-            return st.bag.split()
-        return self._try_steal_resilient(vctx, st, thief)
-
-    def _try_steal_resilient(self, vctx, st: _PlaceState, thief):
-        """Steal with durability: loot leaves only after the snapshot lands."""
-        loot = st.bag.split()
-        if loot is None:
-            return None
-        yield from self._res.checkpoint(vctx, st)
-        lid = self._res.register_loot(vctx.here, self.group[thief], loot)
-        return (lid, loot)
+        return st.bag.split()
 
     def _lifeline_request(self, vctx, thief: int):
         """A lifeline request (``thief`` is a rank): satisfy now, or remember."""
@@ -463,13 +382,6 @@ class Glb:
             self._ship(ctx, thief, loot)
 
     def _ship(self, ctx, thief: int, loot: TaskBag) -> None:
-        if self._res is not None:
-            # durability first: a helper activity checkpoints the post-split
-            # state, registers the loot, then ships — without turning the
-            # caller (a plain-function handler on the fast path) into a
-            # generator
-            ctx.async_(self._ship_resilient, thief, loot)
-            return
         if self._rank_dead(thief):
             # the thief is gone; keep the work
             self.state[self._rank(ctx.here)].bag.merge(loot)
@@ -483,37 +395,17 @@ class Glb:
             self.group[thief], self._receive_loot, loot, nbytes=loot.serialized_nbytes
         )
 
-    def _ship_resilient(self, ctx, thief: int, loot: TaskBag):
-        st = self.state[self._rank(ctx.here)]
-        yield from self._res.checkpoint(ctx, st)  # post-split state durable
-        lid = self._res.register_loot(ctx.here, self.group[thief], loot)
-        if self._rank_dead(thief):
-            # the thief died before (or while) we checkpointed: reclaim the
-            # loot; the ledger keeps it exactly-once across our own death
-            self._res.reclaim(lid, ctx.here)
+    def _receive_loot(self, tctx, loot):
+        st = self.state[self._rank(tctx.here)]
+        if st.alive:
             st.bag.merge(loot)
-            self._res.note_merged(ctx.here, lid)
-            yield from self._res.checkpoint(ctx, st)
-            if not st.alive:
-                # the owner went idle while we checkpointed: resuscitate, or
-                # the reclaimed work would strand in a bag nobody drains
-                st.alive = True
-                st.resuscitations.inc()
-                yield from self._work_loop(ctx, st)
             return
+        st.alive = True
+        st.resuscitations.inc()
         if self._tracer.enabled:
-            self._tracer.instant(
-                "glb.loot", "glb", ctx.here, ctx.now,
-                src=ctx.here, thief=self.group[thief], nbytes=loot.serialized_nbytes,
-            )
-        ctx.at_async(
-            self.group[thief], self._receive_loot, (lid, loot),
-            nbytes=loot.serialized_nbytes,
-        )
-
-    def _checkpoint_here(self, ctx):
-        """Helper activity: make the current bag durable (post-merge cover)."""
-        yield from self._res.checkpoint(ctx, self.state[self._rank(ctx.here)])
+            self._tracer.instant("glb.resuscitation", "glb", tctx.here, tctx.now)
+        st.bag.merge(loot)
+        yield from self._work_loop(tctx, st)
 
     # -- place failure ------------------------------------------------------------------------
 
@@ -534,23 +426,8 @@ class Glb:
         st.alive = False
         st.lifeline_requests.clear()
         self._repair_topology(rank)
-        if (
-            self._res is not None
-            and self._root_finish is not None
-            and self._root_finish.failed is None
-            and place != self._root_finish.home
-        ):
-            # elastic recovery: hold the root finish open across the respawn
-            # gap (a placeholder fork at home, released by _respawn), capture
-            # the counters for re-execution accounting, schedule the respawn
-            home = self._root_finish.home
-            self._root_finish.fork(home, home)
-            self._res.note_death(
-                place, float(st.processed.value), float(st.cost.value)
-            )
-            self.rt.engine.schedule(RESPAWN_DELAY, lambda p=place: self._respawn(p))
 
-    def _repair_topology(self, rank: int, record: bool = True) -> None:
+    def _repair_topology(self, rank: int) -> None:
         """Splice a dead member (by group rank) out of the rank-space topology."""
         dead = {
             self._rank_of[p] for p in self.rt.chaos.dead_places if p in self._rank_of
@@ -567,14 +444,13 @@ class Glb:
                     if candidate != r and candidate not in other.lifelines:
                         other.lifelines.append(candidate)
                         break
-                if record:
-                    self._c_lifelines_rewired.inc()
-                    if self._tracer.enabled:
-                        self._tracer.instant(
-                            "glb.rewire", "glb", self.group[r], self.rt.now,
-                            dead=self.group[rank],
-                            lifelines=[self.group[x] for x in other.lifelines],
-                        )
+                self._c_lifelines_rewired.inc()
+                if self._tracer.enabled:
+                    self._tracer.instant(
+                        "glb.rewire", "glb", self.group[r], self.rt.now,
+                        dead=self.group[rank],
+                        lifelines=[self.group[x] for x in other.lifelines],
+                    )
             mask = other.victims == rank
             if mask.any():
                 in_set = {int(v) for v in other.victims}
@@ -586,82 +462,6 @@ class Glb:
                     other.victims = other.victims[~mask]
                 else:
                     other.victims[mask] = repl
-                if record:
-                    self._c_victims_repaired.inc()
+                self._c_victims_repaired.inc()
             if rank in other.lifeline_requests:
                 other.lifeline_requests.remove(rank)
-
-    # -- elastic recovery (resilient mode) ----------------------------------------------------
-
-    def _respawn(self, place: int) -> None:
-        """Engine callback: revive the place and start its restored worker."""
-        f = self._root_finish
-        if f.failed is not None:
-            return  # home died meanwhile: the run is over
-        if self.rt.is_dead(place):
-            self.rt.revive_place(place)  # fires _on_place_revive (topology)
-            self.rt.spawn_remote(
-                f.home, place, self._restored_worker, (), f, nbytes=32
-            )
-        f.join(f.home)  # release the placeholder taken at death time
-
-    def _restored_worker(self, ctx):
-        """Runs at the revived place: reload state from replicas and rejoin."""
-        st = self.state[self._rank(ctx.here)]
-        st.bag = self.make_empty_bag()
-        st.lifeline_requests.clear()
-        yield from self._res.restore(ctx, st)
-        st.alive = True
-        self._c_workers_restored.inc()
-        if self._tracer.enabled:
-            self._tracer.instant("glb.restored", "glb", ctx.here, ctx.now)
-        # make the recovered state durable under a fresh version before work
-        yield from self._res.checkpoint(ctx, st)
-        yield from self._work_loop(ctx, st)
-
-    def _on_place_revive(self, place: int) -> None:
-        """Re-register a revived place in the balancing topology.
-
-        Every live place's lifelines and victim set are rebuilt from the
-        pristine graph, then the repairs for the places *still* dead are
-        replayed — the revived place is woven back in exactly where the
-        graph construction would have put it.  Revives of non-members are
-        ignored — they never touched this fabric's topology.
-        """
-        if place not in self._rank_of:
-            return
-        dead = {
-            self._rank_of[p] for p in self.rt.chaos.dead_places if p in self._rank_of
-        }
-        n = len(self.group)
-        for r in range(n):
-            if r in dead:
-                continue
-            st = self.state[r]
-            st.lifelines = list(self._graph(n, r))
-            st.victims = victim_set(n, r, self.config.max_victims, self.config.seed)
-        for d in sorted(dead):
-            self._repair_topology(d, record=False)
-
-    def _receive_loot(self, tctx, loot):
-        lid = None
-        if self._res is not None:
-            lid, loot = loot
-            if not self._res.accept_loot(lid):
-                return  # reassigned by a recovery while in flight: drop
-        st = self.state[self._rank(tctx.here)]
-        if st.alive:
-            st.bag.merge(loot)
-            if lid is not None:
-                self._res.note_merged(tctx.here, lid)
-                tctx.async_(self._checkpoint_here)
-            return
-        st.alive = True
-        st.resuscitations.inc()
-        if self._tracer.enabled:
-            self._tracer.instant("glb.resuscitation", "glb", tctx.here, tctx.now)
-        st.bag.merge(loot)
-        if lid is not None:
-            self._res.note_merged(tctx.here, lid)
-            yield from self._res.checkpoint(tctx, st)
-        yield from self._work_loop(tctx, st)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.errors import KernelError
 from repro.glb import Glb, GlbConfig, GlbStats
 from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.harness.results import KernelResult, checksum_bytes
 from repro.kernels.uts.tree import UtsBag, UtsParams
-from repro.resilient import GlbResilience, ResilientStore
+from repro.resilient import run_resilient_epochs
 from repro.runtime.broadcast import PlaceGroup
 from repro.runtime.runtime import ApgasRuntime
 
@@ -46,30 +47,55 @@ def build_uts(
     steal/lifeline event structure is unchanged, only stretched).  Reported
     rates are scaled back by k.  Used by the at-scale benchmarks and
     documented in EXPERIMENTS.md.
+
+    With ``resilient`` the traversal is a single checkpoint epoch, retried
+    from scratch: GLB's tolerant root finish lets the survivors drain past a
+    kill, the coordinator aborts the torn epoch, revives the dead place and
+    re-runs the whole traversal on the healed machine.  The node count does
+    not depend on how steals interleave, so the retry's count is exact.
     """
     params = UtsParams(b0=b0, depth=depth, seed=seed, rng_mode=rng_mode)
     config = glb_config or GlbConfig(chunk_items=4096)
     if time_dilation < 1.0:
         raise ValueError("time_dilation must be >= 1")
+    if resilient and group is not None and list(group) != list(range(rt.n_places)):
+        raise KernelError("resilient uts requires the whole-machine place group")
     effective_rate = calibration.uts_nodes_per_sec / time_dilation
-    res = None
+    latest: list[Glb] = []  # the balancer of the last (committed) traversal
+
+    def new_glb() -> Glb:
+        glb = Glb(
+            rt,
+            root_bag=UtsBag.root(params, steal_all_intervals=steal_all_intervals),
+            make_empty_bag=lambda: UtsBag(params, steal_all_intervals=steal_all_intervals),
+            process_rate=effective_rate,
+            config=config,
+            group=group,
+        )
+        latest[:] = [glb]
+        return glb
+
     if resilient:
-        # bag fragments are snapshotted at every steal boundary; a killed
-        # place is respawned and re-executes only its uncovered chunk
-        res = GlbResilience(ResilientStore(rt, name="glb"))
-    glb = Glb(
-        rt,
-        root_bag=UtsBag.root(params, steal_all_intervals=steal_all_intervals),
-        make_empty_bag=lambda: UtsBag(params, steal_all_intervals=steal_all_intervals),
-        process_rate=effective_rate,
-        config=config,
-        resilient=res,
-        group=group,
-    )
+
+        def restore(ctx, committed_epoch, blob):
+            return None  # nothing to roll back: every attempt starts afresh
+
+        def body(ctx, epoch, tag):
+            if ctx.here != 0:
+                return 0
+            glb = new_glb()
+            yield from glb.main(ctx)
+            return glb.stats().total_processed
+
+        def main(ctx):
+            yield from run_resilient_epochs(ctx, 1, body, restore)
+
+    else:
+        main = new_glb().main
 
     def finalize(elapsed: Optional[float] = None) -> KernelResult:
         t = rt.now if elapsed is None else elapsed
-        stats: GlbStats = glb.stats()
+        stats: GlbStats = latest[0].stats()
         rate = stats.total_processed / t * time_dilation if t > 0 else 0.0
         return KernelResult(
             kernel="uts",
@@ -89,7 +115,7 @@ def build_uts(
             },
         )
 
-    return glb.main, finalize
+    return main, finalize
 
 
 def run_uts(rt: ApgasRuntime, *args, **kwargs) -> KernelResult:

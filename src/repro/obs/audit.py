@@ -344,53 +344,45 @@ def _check_retry_recovery(events: list) -> AuditCheck:
 def _check_epoch_consistency(events: list) -> AuditCheck:
     """Checkpoint epochs commit in order and restores target committed state.
 
-    Per commit scope (the coordinator's ``epochs`` scope, or one ``glb/p``
-    scope per GLB place): committed epochs never repeat; in the coordinator
-    scope they are consecutive from 0 and every aborted epoch is eventually
-    re-committed; every restore targets epoch -1 (initialize from scratch)
-    or an epoch the scope committed — never a torn one.
+    The coordinator's one ``epochs`` sequence: committed epochs are
+    consecutive from the first and never repeat, every aborted epoch is
+    eventually re-committed, and every restore targets epoch -1 (initialize
+    from scratch) or a committed epoch — never a torn one.
     """
-    commits: dict[str, list] = {}
-    aborts: dict[str, set] = {}
+    commits: list = []
+    aborts: set = set()
     violations = []
     total = 0
     for e in events:
-        scope = e.args.get("scope")
         epoch = e.args.get("epoch")
         if e.name == "resilient.commit":
             total += 1
-            seen = commits.setdefault(scope, [])
-            if scope == "epochs" and seen and epoch != seen[-1] + 1:
-                violations.append(f"{scope}: commit {epoch} after {seen[-1]}")
-            elif epoch in seen:
-                violations.append(f"{scope}: epoch {epoch} committed twice")
-            seen.append(epoch)
+            if epoch in commits:
+                violations.append(f"epoch {epoch} committed twice")
+            elif commits and epoch != commits[-1] + 1:
+                violations.append(f"commit {epoch} after {commits[-1]}")
+            commits.append(epoch)
         elif e.name == "resilient.abort":
             total += 1
-            aborts.setdefault(scope, set()).add(epoch)
+            aborts.add(epoch)
         elif e.name == "resilient.restore":
             total += 1
-            committed = commits.get(scope, [])
-            if epoch != -1 and epoch not in committed:
-                violations.append(f"{scope}: restore to uncommitted epoch {epoch}")
+            if epoch != -1 and epoch not in commits:
+                violations.append(f"restore to uncommitted epoch {epoch}")
     if not total:
         return AuditCheck(
             name="resilient.epoch_consistency",
             passed=None,
             detail="no checkpoint epochs in trace",
         )
-    for scope, aborted in aborts.items():
-        never = aborted - set(commits.get(scope, []))
-        if never:
-            violations.append(
-                f"{scope}: aborted epoch(s) {sorted(never)} never re-committed"
-            )
+    never = aborts - set(commits)
+    if never:
+        violations.append(f"aborted epoch(s) {sorted(never)} never re-committed")
     return AuditCheck(
         name="resilient.epoch_consistency",
         passed=not violations,
         expected="ordered commits; restores only to committed epochs",
-        actual=f"{sum(len(v) for v in commits.values())} commits over "
-        f"{len(commits)} scopes conform"
+        actual=f"{len(commits)} commits conform"
         if not violations
         else f"{len(violations)} violation(s)",
         detail="; ".join(violations[:3]),

@@ -581,6 +581,11 @@ class ApgasRuntime:
     def send_item(
         self, src: int, dst: int, mailbox: str, item: Any, nbytes: Optional[int] = None
     ) -> None:
+        if dst == src:
+            # a self-send is a local put, as on procs: it lands before the
+            # sender's next step (a JOIN right after it cannot overtake it)
+            self.place(dst).mailbox(mailbox).put(item)
+            return
         size = nbytes if nbytes is not None else estimate_nbytes(item)
         self.transport.post_args(src, dst, "apgas-item", (mailbox, item), size)
 

@@ -2,7 +2,7 @@
 ``resilient`` switch without ever touching the checkpoint machinery, plus
 clean variants (direct wiring, helper delegation, flag forwarding)."""
 
-from repro.resilient import ResilientStore, run_resilient_epochs
+from repro.resilient import run_resilient_epochs
 
 
 def run_fake_kernel(rt, n, resilient=False):  # APG107 expected here
@@ -23,7 +23,7 @@ def run_wired_kernel(rt, n, resilient=False):
 
 
 def _make_resilient_main(rt):
-    return ResilientStore(rt)
+    return run_resilient_epochs
 
 
 def run_delegating_kernel(rt, resilient=False):

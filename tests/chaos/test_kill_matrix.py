@@ -17,7 +17,7 @@ PLACES = 8
 #: fractions of the fault-free makespan at which the victim dies
 PHASES = (0.25, 0.55, 0.9)
 
-#: a mid-ring victim: replica traffic and GLB lifelines both cross it
+#: a mid-machine victim: GLB steals and lifelines both cross it
 VICTIM = 3
 
 _baseline_cache = {}
@@ -56,6 +56,11 @@ def test_kill_at_phase_recovers_the_exact_result(kernel, phase):
     assert snap.total("chaos.place_failures") == 1
     assert snap.total("chaos.place_revivals") == 1
     assert not injector.dead_places
+    if kernel == "uts":
+        # one traversal epoch: the torn attempt aborts, the retry commits
+        assert snap.total("resilient.epochs_committed") == 1
+        assert snap.total("resilient.epochs_aborted") >= 1
+        assert snap.total("resilient.recoveries") >= 1
 
 
 def test_double_kill_still_recovers_exact_uts_count():

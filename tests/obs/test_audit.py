@@ -233,8 +233,8 @@ def test_pragma_shapes_skips_without_finish_events():
 # -- resilient epoch consistency ---------------------------------------------------
 
 
-def _epoch(tr, name, epoch, scope="epochs", ts=1.0):
-    tr.instant(name, "resilient", 0, ts, scope=scope, epoch=epoch)
+def _epoch(tr, name, epoch, ts=1.0):
+    tr.instant(name, "resilient", 0, ts, scope="epochs", epoch=epoch)
 
 
 def test_epoch_consistency_skips_without_resilient_events():
@@ -252,10 +252,6 @@ def test_epoch_consistency_passes_on_abort_then_recommit():
     _epoch(tr, "resilient.restore", 0)
     _epoch(tr, "resilient.commit", 1)
     _epoch(tr, "resilient.commit", 2)
-    # an independent GLB scope with its own version sequence
-    _epoch(tr, "resilient.commit", 1, scope="glb/3")
-    _epoch(tr, "resilient.commit", 2, scope="glb/3")
-    _epoch(tr, "resilient.restore", 2, scope="glb/3")
     report = audit_trace(tr, places=4)
     assert report.check("resilient.epoch_consistency").passed is True
 
@@ -290,10 +286,10 @@ def test_epoch_consistency_flags_abandoned_abort():
     assert "never re-committed" in check.detail
 
 
-def test_epoch_consistency_flags_duplicate_glb_version():
+def test_epoch_consistency_flags_duplicate_commit():
     tr = Tracer(enabled=True)
-    _epoch(tr, "resilient.commit", 1, scope="glb/0")
-    _epoch(tr, "resilient.commit", 1, scope="glb/0")
+    _epoch(tr, "resilient.commit", 0)
+    _epoch(tr, "resilient.commit", 0)
     report = audit_trace(tr, places=4)
     check = report.check("resilient.epoch_consistency")
     assert check.passed is False

@@ -234,6 +234,18 @@ def test_run_resilient_survives_kill_with_identical_checksum():
     assert checksum(text) == checksum(fault_free)
 
 
+def test_run_resilient_uts_retries_the_traversal_epoch():
+    code, text = run_cli(
+        "run", "uts", "--places", "8", "--resilient", "--chaos", "seed=0,kill=3@0.13"
+    )
+    assert code == 0
+    assert "checksum      : 58daa59fa3bb7387" in text
+    assert (
+        "resilient     : 1 epochs committed, 1 aborted, 1 recoveries, "
+        "1 places revived" in text
+    )
+
+
 def test_run_kill_without_resilient_still_fails():
     code, text = run_cli(
         "run", "stream", "--places", "4", "--chaos", "seed=0,kill=2@1e-4"

@@ -695,6 +695,11 @@ def _governed_async_and_messages(ctx):
     return (yield ctx.recv("diff:box"))
 
 
+def _self_send_lands_at_once(ctx):
+    ctx.send(ctx.here, "diff:self", 8)
+    return ctx.try_recv("diff:self")
+
+
 def _log(ctx, name):
     ctx.store.setdefault("diff:log", []).append(name)
 
@@ -729,6 +734,7 @@ CTX_ROWS = [
     ("at-body-raises-plain", _raise_plain, {"raised": "ValueError"}),
     ("at-body-raises-generator", _raise_generator, {"raised": "ValueError"}),
     ("governed-async-send-recv", _governed_async_and_messages, {"returned": 8}),
+    ("self-send-lands-at-once", _self_send_lands_at_once, {"returned": (True, 8)}),
     ("wait-covers-a-late-async", _wait_covers_a_late_async, {"returned": ["short", "long"]}),
 ]
 
