@@ -34,6 +34,20 @@ CROSS_OCTANT_PLACES = {
     "randomaccess": 64,
 }
 
+#: fault-injected runs on ``MachineConfig.small()``, keyed by golden name:
+#: (kernel, places, ``simulate`` keywords).  Faults hit only messages that
+#: leave an octant, so these pin the resilient transport's ack, retry and
+#: duplicate-suppression path leg by leg, and the resilient epoch protocol
+#: across a place kill
+CHAOS_CASES = {
+    "uts@64+chaos": (
+        "uts", 64, {"chaos": "seed=7,drop=0.05,dup=0.02,delay=0.1:2e-5,reorder=0.05:5e-5"},
+    ),
+    "uts@64+kill": (
+        "uts", 64, {"chaos": "seed=7,drop=0.05,dup=0.02,kill=9@0.02", "resilient": True},
+    ),
+}
+
 
 def canonical_digest(tracer) -> str:
     """SHA-256 over the tracer's canonical JSONL export (order-sensitive)."""
@@ -49,13 +63,14 @@ def canonical_digest(tracer) -> str:
 _CACHE: dict = {}
 
 
-def run_fingerprint(kernel: str, places: int, config=None) -> dict:
-    """Run ``kernel`` traced and reduce the run to comparable facts."""
-    key = (kernel, places, config)
+def run_fingerprint(kernel: str, places: int, config=None, **kwargs) -> dict:
+    """Run ``kernel`` traced and reduce the run to comparable facts;
+    ``kwargs`` go to :func:`simulate` (``chaos=``, ``resilient=``)."""
+    key = (kernel, places, config, tuple(sorted(kwargs.items())))
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
-    result = simulate(kernel, places, config=config, trace=True)
+    result = simulate(kernel, places, config=config, trace=True, **kwargs)
     metrics = result.extra["metrics"]
     fp = _CACHE[key] = {
         "kernel": kernel,
