@@ -125,6 +125,14 @@ class ChaosInjector:
                 "chaos.blackhole", "chaos", src, now, src=src, dst=dst, tag=tag
             )
 
+    def swallowed(self, place: int) -> bool:
+        """A delivery landing at ``place`` now: True, recorded as blackholed,
+        when the place died while it was in flight."""
+        if place in self._dead:
+            self.blackholed(place, place, self.engine.now, None)
+            return True
+        return False
+
     def degrade_factor(self, now: float) -> float:
         """Payload inflation applied to link transfers at time ``now``."""
         spec = self.spec

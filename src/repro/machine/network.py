@@ -24,30 +24,6 @@ class TransferKind(enum.Enum):
     GUPS = "gups"  # batched remote atomic updates (Torrent GUPS engine)
 
 
-class _DeliveryEvent(SimEvent):
-    """A delivery that may fire more than once under chaos duplication.
-
-    Normal :class:`SimEvent` semantics for the first delivery; a duplicated
-    transfer re-invokes every registered callback through :meth:`redeliver`.
-    Only the transport sees these events, and its idempotent-delivery table
-    is what keeps a duplicate from reaching the application handler twice.
-    """
-
-    __slots__ = ("_sticky",)
-
-    def __init__(self, name: str = "") -> None:
-        super().__init__(name)
-        self._sticky: list = []
-
-    def add_callback(self, callback) -> None:
-        self._sticky.append(callback)
-        super().add_callback(callback)
-
-    def redeliver(self) -> None:
-        for callback in list(self._sticky):
-            callback(self)
-
-
 class _RouteCache:
     """Per-octant LRU of recently used destination octants.
 
@@ -325,96 +301,91 @@ class Network:
         nbytes: float,
         kind: TransferKind = TransferKind.MSG,
         tlb_factor: float = 1.0,
-        tag: Optional[int] = None,
     ) -> SimEvent:
         """Start a transfer now; the returned event fires at delivery time.
 
-        ``tag`` is an opaque correlation id (the resilient transport's
-        sequence number) echoed into trace events so the auditor can pair a
-        dropped message with its eventual redelivery.  Under chaos a transfer
-        may be dropped (the event never fires), delayed, or duplicated (the
-        event fires twice — see :class:`_DeliveryEvent`); a dead endpoint
-        blackholes the transfer entirely.
+        Under chaos the transfer is one :meth:`chaos_leg`: it may be dropped
+        or blackholed (the event never fires) or delayed, and a delivery that
+        lands on a dead place is swallowed.  A duplicate still occupies the
+        wire, but a one-shot event has nothing to fire twice; the resilient
+        transport, which sees duplicates, drives its legs itself.
         """
+        self.check(src_place, dst_place, nbytes)
+        engine = self.engine
+        event = SimEvent(name=self._delivery_names[kind])
+        if self.chaos is not None:
+            times = self.chaos_leg(src_place, dst_place, nbytes, kind, tlb_factor, None)
+            if times is not None:
+                now = engine._now
+                t = times[0]
+                engine.post(t - now if t > now else 0.0, self._land, dst_place, event)
+            return event
+        if self._tracer.enabled:
+            self._trace_transfer(src_place, dst_place, nbytes, kind)
+        t = self._reserve_path(src_place, dst_place, nbytes, nbytes, kind, tlb_factor)
+        engine.post(max(0.0, t - engine.now), event.trigger)
+        return event
+
+    def check(self, src_place: int, dst_place: int, nbytes: float) -> None:
+        """Reject a negative size or a place outside the machine."""
         if nbytes < 0:
             raise TransportError(f"negative transfer size {nbytes!r}")
-        src_oct = self.topology.octant_of(src_place)
-        dst_oct = self.topology.octant_of(dst_place)
-        route = self._route(src_oct, dst_oct)
-        now = self.engine.now
+        self.topology.octant_of(src_place)
+        self.topology.octant_of(dst_place)
+
+    def chaos_leg(self, src_place: int, dst_place: int, nbytes: float, kind: TransferKind,
+                  tlb_factor: float, tag: Optional[int]) -> Optional[tuple]:
+        """One transfer through the chaos-afflicted fabric, started now.
+
+        Returns ``(landing time, duplicate's landing time or None)``, or None
+        when the leg is lost: blackholed because an endpoint is dead, or
+        dropped.  Drop, duplicate, delay and reorder apply to the
+        inter-octant software message path only, and degradation to the
+        links only; the wire and hub costs are paid either way (the loss
+        happens inside the fabric, not at the sender).  Puts nothing on the
+        clock: the caller posts the landings.
+        """
         chaos = self.chaos
-
-        if chaos is not None and (chaos.is_dead(src_place) or chaos.is_dead(dst_place)):
+        now = self.engine._now
+        if chaos.is_dead(src_place) or chaos.is_dead(dst_place):
             chaos.blackholed(src_place, dst_place, now, tag)
-            return SimEvent(name="chaos-blackhole")
-
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.instant(
-                "net.transfer",
-                "link",
-                src_place,
-                now,
-                src=src_place,
-                dst=dst_place,
-                kind=kind.value,
-                nbytes=int(nbytes),
-                link=route.link_class.value,
-                hops=route.hops,
-            )
-
-        # drop / duplicate / delay / reorder apply to the inter-octant
-        # software message path only, and degradation to the links only; the
-        # wire and hub costs are paid either way (the loss happens inside the
-        # fabric, not at the sender)
+            return None
+        if self._tracer.enabled:
+            self._trace_transfer(src_place, dst_place, nbytes, kind)
+        cpo = self._cpo
+        src_oct = src_place // cpo
+        dst_oct = dst_place // cpo
+        entry = self._paths.get((src_oct, dst_oct))
+        if entry is None:
+            entry = self._path_entry(src_oct, dst_oct)
         fate = None
         wire_nbytes = nbytes
-        if chaos is not None and route.link_class is not LinkClass.SHM:
+        if entry[4] is not None:  # a route cache: the leg leaves the octant
             if kind is TransferKind.MSG:
                 fate = chaos.fate(src_place, dst_place, now, tag)
             wire_nbytes = nbytes * chaos.degrade_factor(now)
-
         t = self._reserve_path(src_place, dst_place, nbytes, wire_nbytes, kind, tlb_factor)
+        if fate is None:
+            return t, None
+        if fate.drop:
+            return None
+        t += fate.extra_delay
+        if fate.dup_delay is None:
+            return t, None
+        # the duplicate consumed the wire too
+        self._msg_count[kind].inc()
+        self._msg_bytes[kind].inc(int(nbytes))
+        entry[0].inc()
+        return t, t + fate.dup_delay
 
-        if fate is not None:
-            if fate.drop:
-                return SimEvent(name="chaos-dropped")
-            t += fate.extra_delay
-            if fate.dup_delay is not None:
-                # the duplicate consumed the wire too
-                self._msg_count[kind].inc()
-                self._msg_bytes[kind].inc(int(nbytes))
-                self._link_count[route.link_class].inc()
-                return self._deliver_at(t, kind, dst_place, dup_time=t + fate.dup_delay)
-        return self._deliver_at(t, kind, dst_place)
+    def _land(self, dst_place: int, event: SimEvent) -> None:
+        """A chaos-mode delivery reaching ``dst_place``: fire unless it died."""
+        if not self.chaos.swallowed(dst_place):
+            event.trigger()
 
-    def _deliver_at(
-        self,
-        time: float,
-        kind: TransferKind,
-        dst_place: int,
-        dup_time: Optional[float] = None,
-    ) -> SimEvent:
-        chaos = self.chaos
-        if chaos is None:
-            event = SimEvent(name=self._delivery_names[kind])
-            self.engine.post(max(0.0, time - self.engine.now), event.trigger)
-            return event
-        # under chaos a delivery can race a place failure, and a duplicated
-        # transfer fires the same event a second time
-        event = _DeliveryEvent(name=f"{kind.value}-delivery")
-
-        def land(deliver):
-            if chaos.is_dead(dst_place):
-                chaos.blackholed(dst_place, dst_place, self.engine.now, None)
-                return
-            deliver()
-
-        self.engine.schedule(
-            max(0.0, time - self.engine.now), lambda: land(event.trigger)
+    def _trace_transfer(self, src_place, dst_place, nbytes, kind) -> None:
+        route = self._route(src_place // self._cpo, dst_place // self._cpo)
+        self._tracer.instant(
+            "net.transfer", "link", src_place, self.engine._now, src=src_place, dst=dst_place,
+            kind=kind.value, nbytes=int(nbytes), link=route.link_class.value, hops=route.hops,
         )
-        if dup_time is not None:
-            self.engine.schedule(
-                max(0.0, dup_time - self.engine.now), lambda: land(event.redeliver)
-            )
-        return event

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.errors import DeadPlaceError, TransportError
@@ -14,31 +14,58 @@ from repro.sim.engine import Engine
 from repro.sim.events import SimEvent
 
 
+class _Message:
+    """One logical message of the resilient transport, from send to ack.
+
+    Every leg, data or ack, original or duplicate, lands as one posted
+    ``(bound method, record)`` payload call, and each attempt arms one
+    cancellable retransmit timer: a message costs this record and a timer
+    per attempt, no event and no closure per leg.  ``fn(dst, body)`` runs at
+    ``dst`` on the first landing; ``done`` (the event
+    :meth:`Transport.reliable_transfer` returned, else None) fails when the
+    destination is declared dead; ``delivered`` turns later landings into
+    duplicates; ``live`` means the sender still waits for an ack.
+    """
+
+    __slots__ = (
+        "src", "dst", "nbytes", "seq", "fn", "body", "done",
+        "attempt", "rto", "timer", "delivered", "live",
+    )
+
+    def __init__(self, src, dst, nbytes, seq, fn, body, done, rto) -> None:
+        self.src, self.dst, self.nbytes, self.seq = src, dst, nbytes, seq
+        self.fn, self.body, self.done = fn, body, done
+        self.attempt, self.rto, self.timer = 0, rto, None
+        self.delivered, self.live = False, True
+
+
+def _fire(_dst: int, event: SimEvent) -> None:
+    event.trigger()
+
+
 class _Reliability:
     """Acks, timeout/exponential-backoff retries, and idempotent delivery.
 
-    Active under chaos: every logical transfer gets a sequence number, the
-    receiver acknowledges each arrival, the sender retransmits unacked
-    transfers on an exponential-backoff timer, and a delivery table keyed by
-    sequence number suppresses duplicates — so the application-visible
-    delivery is exactly-once even over a fabric that drops and duplicates.
-    A destination that stays silent through ``max_retries`` retransmissions
-    is declared dead through the chaos injector (failure-detector semantics),
-    which fails the finishes involving it instead of hanging the run.
+    Active under chaos: every logical message gets a sequence number and a
+    :class:`_Message` record, the receiver acknowledges each arrival, the
+    sender retransmits on an exponential-backoff timer until the ack lands,
+    and the record's ``delivered`` flag suppresses duplicates — so the
+    application-visible delivery is exactly-once even over a fabric that
+    drops and duplicates.  A destination that stays silent through
+    ``max_retries`` retransmissions is declared dead through the chaos
+    injector (failure-detector semantics), which fails the finishes
+    involving it instead of hanging the run.
     """
 
     def __init__(self, transport: "Transport", chaos) -> None:
-        self.transport = transport
+        self.engine = transport.engine
+        self.network = transport.network
         self.chaos = chaos
         spec = chaos.spec
         self.rto = spec.rto
         self.max_retries = spec.max_retries
         self.ack_bytes = spec.ack_bytes
-        self._seq = itertools.count(1)
-        #: sequence numbers whose payload already reached the application
-        self._delivered: set[int] = set()
-        #: per-seq sender state for unacked transfers
-        self._pending: dict[int, dict] = {}
+        self._seq = 0
         metrics = transport.obs.metrics
         self._c_retries = metrics.counter("transport.retry.count")
         self._c_exhausted = metrics.counter("transport.retry.exhausted")
@@ -47,112 +74,113 @@ class _Reliability:
         self._c_delivered = metrics.counter("transport.delivered")
         self._tracer = transport.obs.trace
 
-    def transfer(self, src: int, dst: int, nbytes: float) -> SimEvent:
-        """Ship ``nbytes`` src -> dst; the event fires on the first delivery
-        (exactly once), however many attempts and duplicates it takes — or
-        fails with :class:`~repro.errors.DeadPlaceError` when the destination
-        is (or becomes) dead, so senders never hang on a dead peer."""
-        seq = next(self._seq)
-        done = SimEvent(name=f"rel:{seq}")
+    def send(self, src: int, dst: int, nbytes: float, fn, body, done=None) -> None:
+        """Ship ``nbytes`` src -> dst and run ``fn(dst, body)`` there exactly
+        once, however many attempts and duplicates it takes.  ``done``, if
+        given, fails with :class:`~repro.errors.DeadPlaceError` when the
+        destination is (or becomes) dead, so senders never hang on a dead
+        peer."""
+        self.network.check(src, dst, nbytes)
+        self._seq = seq = self._seq + 1
         if self.chaos.is_dead(dst):
-            done.fail(DeadPlaceError(dst, detected_by=f"transfer@{src}",
-                                     detail="destination already dead at send time"))
-            return done
-        self._pending[seq] = {"acked": False, "attempt": 0, "rto": self.rto}
-        self._attempt(src, dst, nbytes, seq, done)
+            if done is not None:
+                done.fail(DeadPlaceError(dst, detected_by=f"transfer@{src}",
+                                         detail="destination already dead at send time"))
+            return
+        self._attempt(_Message(src, dst, nbytes, seq, fn, body, done, self.rto))
+
+    def transfer(self, src: int, dst: int, nbytes: float) -> SimEvent:
+        """:meth:`send` with no payload; the event fires on first delivery."""
+        done = SimEvent(name=f"rel:{self._seq + 1}")
+        self.send(src, dst, nbytes, _fire, done, done)
         return done
 
     # -- sender side -------------------------------------------------------------
 
-    def _attempt(self, src: int, dst: int, nbytes: float, seq: int, done: SimEvent) -> None:
-        if self.chaos.is_dead(src):
-            self._pending.pop(seq, None)  # a dead sender stops retrying
+    def _attempt(self, msg: _Message) -> None:
+        if self.chaos.is_dead(msg.src):
+            msg.live = False  # a dead sender stops retrying
             return
-        event = self.transport.network.transfer(src, dst, nbytes, TransferKind.MSG, tag=seq)
-        event.add_callback(lambda _e: self._on_data(src, dst, seq, done))
-        state = self._pending.get(seq)
-        if state is None:
-            return
+        times = self.network.chaos_leg(msg.src, msg.dst, msg.nbytes, TransferKind.MSG, 1.0, msg.seq)
+        if times is not None:
+            self._post_landings(times, self._on_data, msg)
         # almost every timer is cancelled by its ack; the engine's lazy
         # deletion with compaction keeps the dead entries bounded
-        state["handle"] = self.transport.engine.schedule(
-            state["rto"], lambda: self._on_timeout(src, dst, nbytes, seq, done)
-        )
+        msg.timer = self.engine.schedule(msg.rto, partial(self._on_timeout, msg))
 
-    def _on_timeout(self, src: int, dst: int, nbytes: float, seq: int, done: SimEvent) -> None:
-        state = self._pending.get(seq)
-        if state is None or state["acked"]:
+    def _post_landings(self, times, fn, msg: _Message) -> None:
+        """Put a leg's landing, and its duplicate's, on the clock as ``fn(msg)``."""
+        engine = self.engine
+        now = engine._now
+        t, dup = times
+        engine.post(t - now if t > now else 0.0, fn, msg)
+        if dup is not None:
+            engine.post(dup - now if dup > now else 0.0, fn, msg)
+
+    def _on_timeout(self, msg: _Message) -> None:
+        chaos = self.chaos
+        src, dst = msg.src, msg.dst
+        if chaos.is_dead(src):
+            msg.live = False  # the sender itself died; nobody is waiting
             return
-        if self.chaos.is_dead(src):
-            self._pending.pop(seq, None)  # the sender itself died; nobody is waiting
-            return
-        if self.chaos.is_dead(dst):
+        if chaos.is_dead(dst):
             # the peer died mid-flight: surface the failure at the next timer
             # tick instead of retrying into a black hole (or hanging forever)
-            self._pending.pop(seq, None)
-            if not done.fired:
-                done.fail(DeadPlaceError(dst, detected_by=f"transfer@{src}",
-                                         detail="destination died before acknowledging"))
+            self._fail(msg, "destination died before acknowledging")
             return
-        if state["attempt"] >= self.max_retries:
-            self._pending.pop(seq, None)
+        attempt = msg.attempt
+        if attempt >= self.max_retries:
             self._c_exhausted.inc()
             if self._tracer.enabled:
-                self._tracer.instant(
-                    "transport.unreachable", "transport", src, self.transport.engine.now,
-                    seq=seq, src=src, dst=dst, attempts=state["attempt"],
-                )
-            self.chaos.declare_dead(dst, reason=f"unreachable after {state['attempt']} retries")
-            if not done.fired:
-                done.fail(DeadPlaceError(dst, detected_by=f"transfer@{src}",
-                                         detail=f"unreachable after {state['attempt']} retries"))
+                self._trace("transport.unreachable", src, msg, attempts=attempt)
+            chaos.declare_dead(dst, reason=f"unreachable after {attempt} retries")
+            self._fail(msg, f"unreachable after {attempt} retries")
             return
-        state["attempt"] += 1
-        state["rto"] *= 2
+        msg.attempt = attempt = attempt + 1
+        msg.rto *= 2
         self._c_retries.inc()
         if self._tracer.enabled:
-            self._tracer.instant(
-                "transport.retry", "transport", src, self.transport.engine.now,
-                seq=seq, src=src, dst=dst, attempt=state["attempt"],
-            )
-        self._attempt(src, dst, nbytes, seq, done)
+            self._trace("transport.retry", src, msg, attempt=attempt)
+        self._attempt(msg)
+
+    def _fail(self, msg: _Message, detail: str) -> None:
+        msg.live = False
+        done = msg.done
+        if done is not None and not done.fired:
+            done.fail(DeadPlaceError(msg.dst, detected_by=f"transfer@{msg.src}", detail=detail))
+
+    def _trace(self, name: str, place: int, msg: _Message, **extra) -> None:
+        self._tracer.instant(
+            name, "transport", place, self.engine.now, seq=msg.seq, src=msg.src, dst=msg.dst, **extra
+        )
 
     # -- receiver side -----------------------------------------------------------
 
-    def _on_data(self, src: int, dst: int, seq: int, done: SimEvent) -> None:
-        if self.chaos.is_dead(dst):
+    def _on_data(self, msg: _Message) -> None:
+        dst = msg.dst
+        if self.chaos.swallowed(dst):
             return
-        if seq in self._delivered:
+        if msg.delivered:
             self._c_dup_suppressed.inc()
             if self._tracer.enabled:
-                self._tracer.instant(
-                    "transport.dup", "transport", dst, self.transport.engine.now,
-                    seq=seq, src=src, dst=dst,
-                )
+                self._trace("transport.dup", dst, msg)
         else:
-            self._delivered.add(seq)
+            msg.delivered = True
             self._c_delivered.inc()
             if self._tracer.enabled:
-                self._tracer.instant(
-                    "transport.deliver", "transport", dst, self.transport.engine.now,
-                    seq=seq, src=src, dst=dst,
-                )
-            done.trigger()
+                self._trace("transport.deliver", dst, msg)
+            msg.fn(dst, msg.body)
         # (re-)acknowledge; acks are tagged -seq so traces can tell the legs apart
-        ack = self.transport.network.transfer(
-            dst, src, self.ack_bytes, TransferKind.MSG, tag=-seq
-        )
-        ack.add_callback(lambda _e: self._on_ack(seq))
+        times = self.network.chaos_leg(dst, msg.src, self.ack_bytes, TransferKind.MSG, 1.0, -msg.seq)
+        if times is not None:
+            self._post_landings(times, self._on_ack, msg)
 
-    def _on_ack(self, seq: int) -> None:
-        state = self._pending.pop(seq, None)
-        if state is None:
-            return  # duplicate ack, or the transfer was already resolved
-        state["acked"] = True
+    def _on_ack(self, msg: _Message) -> None:
+        if self.chaos.swallowed(msg.src) or not msg.live:
+            return  # lost at a dead sender, a duplicate ack, or already resolved
+        msg.live = False
         self._c_acks.inc()
-        handle = state.get("handle")
-        if handle is not None:
-            handle.cancel()
+        msg.timer.cancel()
 
 
 class Transport:
@@ -186,7 +214,6 @@ class Transport:
         topology: Topology,
         obs: Optional[Observability] = None,
         chaos=None,
-        reliable: Optional[bool] = None,
     ) -> None:
         if self.software_latency_extra or self.software_overhead_factor != 1.0:
             config = config.with_(
@@ -203,11 +230,7 @@ class Transport:
         self.network = Network(engine, config, topology, obs=self.obs, chaos=chaos)
         self._handlers: dict[str, Callable[[int, Any], None]] = {}
         self._send_counters: dict[str, Any] = {}
-        if reliable is None:
-            reliable = chaos is not None
-        if reliable and chaos is None:
-            raise TransportError("reliable transport needs a chaos injector (rto/retry spec)")
-        self._reliability = _Reliability(self, chaos) if reliable else None
+        self._reliability = _Reliability(self, chaos) if chaos is not None else None
 
     @property
     def reliable(self) -> bool:
@@ -231,9 +254,10 @@ class Transport:
         message (the finish layer detects the loss through its own
         accounting, not through the transport).  ``nbytes`` is scaled by the
         transport's ``software_overhead_factor``: software-heavy transports
-        behave as if each message were bigger.  On a reliable fabric with
-        tracing off, delivery is a single scheduled payload call: no
-        SimEvent, no closure.
+        behave as if each message were bigger.  Delivery is a single posted
+        payload call, no SimEvent and no closure, on a reliable fabric with
+        tracing off (:meth:`Network.transfer_call`) and under chaos (one
+        :class:`_Message` record per message, however many legs it takes).
         """
         fn = self._handlers.get(handler)
         if fn is None:
@@ -256,18 +280,11 @@ class Transport:
                 nbytes=nbytes,
             )
         wire = nbytes * self.software_overhead_factor
-        if self._reliability is None:
-            if self.network.transfer_call(src, dst, wire, fn, dst, body):
-                return
+        if self._reliability is not None:
+            self._reliability.send(src, dst, wire, fn, body)
+        elif not self.network.transfer_call(src, dst, wire, fn, dst, body):
             delivered = self.network.transfer(src, dst, wire, kind=TransferKind.MSG)
-        else:
-            delivered = self._reliability.transfer(src, dst, wire)
-
-        def on_delivery(event):
-            if event._exc is None:
-                fn(dst, body)
-
-        delivered.add_callback(on_delivery)
+            delivered.add_callback(lambda _event: fn(dst, body))
 
     def reliable_transfer(self, src: int, dst: int, nbytes: float) -> SimEvent:
         """An exactly-once message transfer: retried/deduplicated in resilient
