@@ -267,32 +267,24 @@ class Network:
         inj = max(cfg.rdma_injection_overhead, stream_occ)
         return inj, ej
 
-    def transfer_call(self, src_place: int, dst_place: int, nbytes: float, fn, a, b) -> bool:
-        """MSG transfer that posts ``fn(a, b)`` directly at the delivery time:
-        no :class:`SimEvent`, no closure.
+    def transfer_call(self, src_place: int, dst_place: int, nbytes: float, fn, a, b) -> None:
+        """The reliable fabric's MSG transfer: posts ``fn(a, b)`` directly at
+        the delivery time, no :class:`SimEvent` and no closure.
 
-        The hottest send path in the simulator: active-message posts go
-        through here so that a message in flight costs no per-message
-        objects beyond the engine's argument tuple.  Returns False (doing
-        nothing) under chaos or tracing or for an out-of-range place; the
-        caller must then fall back to :meth:`transfer`.  Both go through
-        :meth:`_reserve_path` and consume one posted engine entry, so they
-        differ only in how the delivery is put on the clock.
+        The hottest send path in the simulator: every active message on a
+        reliable fabric goes through here, traced or not, so a message in
+        flight costs nothing beyond the engine's argument tuple.  (Under
+        chaos the resilient transport drives :meth:`chaos_leg` instead.)
         """
-        if (
-            self.chaos is not None
-            or self._tracer.enabled
-            or not 0 <= src_place < self._n_places
-            or not 0 <= dst_place < self._n_places
-        ):
-            return False
-        if nbytes < 0:
-            raise TransportError(f"negative transfer size {nbytes!r}")
+        n = self._n_places
+        if nbytes < 0 or not 0 <= src_place < n or not 0 <= dst_place < n:
+            self.check(src_place, dst_place, nbytes)
+        if self._tracer.enabled:
+            self._trace_transfer(src_place, dst_place, nbytes, TransferKind.MSG)
         t = self._reserve_path(src_place, dst_place, nbytes, nbytes, TransferKind.MSG, 1.0)
         engine = self.engine
         now = engine._now
         engine.post(t - now if t > now else 0.0, fn, a, b)
-        return True
 
     def transfer(
         self,

@@ -131,8 +131,6 @@ class ApgasRuntime:
         self._replies: dict[int, tuple[SimEvent, int]] = {}
         #: live processes by hosting place, killed wholesale on place failure
         self._procs_at: dict[int, set[Process]] = {}
-        #: function object -> is-generator-function (spawn fast-path dispatch)
-        self._genfunc_cache: dict = {}
         metrics = self.obs.metrics
         self._c_activities = metrics.counter("runtime.activities_spawned")
         self._c_remote_spawns = metrics.counter("runtime.remote_spawns")
@@ -268,13 +266,6 @@ class ApgasRuntime:
         # may run right here rather than through one more zero-delay hop.
         self._start_activity(dst, fn, args, finish, name, inline=True, clock=clock)
 
-    def _is_genfunc(self, fn: Callable) -> bool:
-        key = getattr(fn, "__func__", fn)
-        flag = self._genfunc_cache.get(key)
-        if flag is None:
-            flag = self._genfunc_cache[key] = inspect.isgeneratorfunction(fn)
-        return flag
-
     def _start_activity(
         self,
         place: int,
@@ -288,64 +279,65 @@ class ApgasRuntime:
         """Start ``fn`` at ``place`` under ``finish``.
 
         ``inline`` callers (message delivery) already sit inside a scheduled
-        event, the asynchrony the spawn requires, so the first step may run
-        right here; synchronous callers (``spawn_local``) defer one step or
-        the child would run inside its parent's frame.
+        event, the asynchrony the spawn requires, so the body starts right
+        there (:meth:`_run_plain`); synchronous callers (``spawn_local``)
+        defer one step or the child would run inside its parent's frame.
         """
         activity = Activity(place, fn, args, finish, name)
         if clock is not None and self.race is not None:
             # a remotely-shipped fork snapshot: install before the body can
-            # run (the inline plain path below executes it immediately)
+            # run (an inline start executes it immediately)
             self.race.adopt(activity, clock)
         self._c_activities.value += 1
         self.place(place).activities_run += 1
-        if (
-            inline
-            and self.chaos is None
-            and not self.obs.trace.enabled
-            and not self._is_genfunc(fn)
-        ):
-            # Plain-function body on a reliable fabric with tracing off: skip
-            # the generator/Process machinery entirely.
+        if inline:
             self._run_plain(activity)
             return activity
-        # Delivery-driven starts on a reliable fabric run their first step
-        # inside the delivery event, mirroring the plain path so traced and
-        # untraced runs execute the same number of engine events.
-        activity.process = Process(
-            self.engine, self._drive(activity), name=activity.name,
-            immediate=inline and self.chaos is None,
-        )
+        activity.process = Process(self.engine, self._drive(activity), name=activity.name)
         self._track_process(place, activity.process)
         return activity
 
     def _run_plain(self, activity: Activity) -> None:
-        """Run a plain-function activity to completion (no chaos, no trace)."""
+        """Start an activity inside the landing event that delivered it.
+
+        ``fn`` is called here.  A generator body goes on as a process whose
+        first step runs here too; a plain body has already finished, so the
+        activity joins at once, with the span and the structured death
+        delivery of :meth:`_drive`.
+        """
+        tracer = self.obs.trace
+        if tracer.enabled:
+            tracer.span_begin(
+                activity.name, "activity", activity.place, self.engine.now,
+                id=activity.id, finish=activity.governing_finish.name,
+            )
         try:
             result = activity.fn(ActivityContext(self, activity), *activity.args)
+        except DeadPlaceError as exc:
+            finish = activity.governing_finish
+            if finish.failed is None:
+                finish._fail(exc)
+            result = None
         except BaseException:
             self._join_activity(activity)
             raise
         if inspect.isgenerator(result):
-            # a non-generator callable handed back a generator body after
-            # all; fall back to driving it as a process
             activity.process = Process(
-                self.engine, self._drive(activity, result), name=activity.name
+                self.engine, self._drive(activity, result), name=activity.name, immediate=True
             )
+            self._track_process(activity.place, activity.process)
             return
         self._join_activity(activity)
 
     def _drive(self, activity: Activity, body=None):
         """The process body of an activity: trace span, the body itself,
-        structured death delivery, epilogue.  ``body`` is the generator a
-        plain start already obtained from ``fn``; otherwise ``fn`` is called
-        here."""
-        place = activity.place
+        structured death delivery, epilogue.  ``body`` is the generator
+        :meth:`_run_plain` already obtained from ``fn`` (its span is open);
+        otherwise ``fn`` is called here."""
         finish = activity.governing_finish
-        tracer = self.obs.trace
-        if tracer.enabled:
-            tracer.span_begin(
-                activity.name, "activity", place, self.engine.now,
+        if body is None and self.obs.trace.enabled:
+            self.obs.trace.span_begin(
+                activity.name, "activity", activity.place, self.engine.now,
                 id=activity.id, finish=finish.name,
             )
         vanished = False
@@ -375,14 +367,16 @@ class ApgasRuntime:
                 finish._fail(exc)
         finally:
             if not vanished:
-                if tracer.enabled:
-                    tracer.span_end(
-                        activity.name, "activity", place, self.engine.now, id=activity.id
-                    )
                 self._join_activity(activity)
 
     def _join_activity(self, activity: Activity) -> None:
-        """The activity epilogue: scope check, race join edge, finish join."""
+        """The activity epilogue: span end, scope check, race join edge,
+        finish join."""
+        tracer = self.obs.trace
+        if tracer.enabled:
+            tracer.span_end(
+                activity.name, "activity", activity.place, self.engine.now, id=activity.id
+            )
         if len(activity.finish_stack) != 1:
             raise ApgasError(
                 f"activity {activity.name} terminated inside an open finish scope"
@@ -436,17 +430,10 @@ class ApgasRuntime:
         return result_event
 
     def _on_eval(self, dst: int, body) -> None:
+        # the landing event we are inside (it already checked that ``dst``
+        # is alive) provides the shift to ``dst``, so evaluate now
         fn, args, reply_to, reply_id, clock = body
-
-        def ship_home(payload, is_error):
-            self._send_reply(dst, reply_to, reply_id, payload, is_error)
-
-        if self.chaos is None:
-            # reliable fabric: the delivery event we are already inside
-            # provides the shift to ``dst``, so evaluate now
-            self._evaluate(dst, fn, args, clock, ship_home)
-        else:
-            self.engine.post(0.0, self._evaluate, dst, fn, args, clock, ship_home)
+        self._evaluate(dst, fn, args, clock, partial(self._send_reply, dst, reply_to, reply_id))
 
     def _evaluate(self, place: int, fn: Callable, args: tuple, clock, deliver) -> None:
         """Evaluate an ``at`` body at ``place``, then ``deliver(payload,

@@ -171,8 +171,3 @@ class Process:
             self._throw(exc)
             return
         self._step(value)
-
-
-def spawn(engine: Engine, body: Generator, name: str = "") -> Process:
-    """Convenience constructor mirroring ``Process(engine, body, name)``."""
-    return Process(engine, body, name)

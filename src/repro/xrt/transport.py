@@ -255,9 +255,10 @@ class Transport:
         accounting, not through the transport).  ``nbytes`` is scaled by the
         transport's ``software_overhead_factor``: software-heavy transports
         behave as if each message were bigger.  Delivery is a single posted
-        payload call, no SimEvent and no closure, on a reliable fabric with
-        tracing off (:meth:`Network.transfer_call`) and under chaos (one
-        :class:`_Message` record per message, however many legs it takes).
+        payload call, no SimEvent and no closure, traced or not: one
+        :meth:`Network.transfer_call` on a reliable fabric, one
+        :class:`_Message` record per message (however many legs it takes)
+        under chaos.
         """
         fn = self._handlers.get(handler)
         if fn is None:
@@ -282,9 +283,8 @@ class Transport:
         wire = nbytes * self.software_overhead_factor
         if self._reliability is not None:
             self._reliability.send(src, dst, wire, fn, body)
-        elif not self.network.transfer_call(src, dst, wire, fn, dst, body):
-            delivered = self.network.transfer(src, dst, wire, kind=TransferKind.MSG)
-            delivered.add_callback(lambda _event: fn(dst, body))
+        else:
+            self.network.transfer_call(src, dst, wire, fn, dst, body)
 
     def reliable_transfer(self, src: int, dst: int, nbytes: float) -> SimEvent:
         """An exactly-once message transfer: retried/deduplicated in resilient

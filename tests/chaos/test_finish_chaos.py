@@ -109,3 +109,33 @@ def test_spawn_into_failed_finish_is_rejected():
 
     rt.run(main, max_events=STEP_CAP)
     assert checked == [True]
+
+
+def test_plain_remote_body_runs_and_fails_in_its_landing_event():
+    """A delivered plain body starts inside the landing event under chaos
+    too, and a place-death error it raises fails its finish there: no
+    zero-delay hop through a process."""
+    rt = make_chaos_runtime(8, chaos="seed=0,kill=6@0.0")
+    seen = []
+
+    def never_runs(ctx):
+        raise AssertionError("place 6 is dead")
+
+    def forward(ctx):
+        ctx.at_async(6, never_runs)
+
+    def main(ctx):
+        yield ctx.compute(seconds=1e-5)
+        with ctx.finish() as f:
+            ctx.at_async(5, forward)
+        try:
+            yield f.wait()
+        except DeadPlaceError as exc:
+            seen.append((str(exc), ctx.rt.now))
+
+    rt.run(main, max_events=STEP_CAP)
+    assert seen == [(
+        "place 6 is dead (detected by spawn@5): async to a dead place",
+        1.9850666666666666e-05,
+    )]
+    assert rt.engine.events_executed == 5

@@ -18,10 +18,10 @@ from repro.sim.events import SimEvent
 def _drop_nth_transfer(n):
     """Patched Network entry points that swallow the nth transfer entirely.
 
-    Both message paths are covered: the event-returning :meth:`transfer`
-    and the closure-free :meth:`transfer_call` payload path share one
-    counter, so "the nth message" means the nth logical send regardless of
-    route.
+    Both entry points are covered: the event-returning :meth:`transfer`
+    (RDMA, GUPS) and :meth:`transfer_call`, the one active-message path,
+    share one counter, so "the nth message" means the nth logical send
+    regardless of route.
     """
     from repro.machine.network import TransferKind
 
@@ -38,8 +38,8 @@ def _drop_nth_transfer(n):
     def patched_call(net, src, dst, nbytes, fn, a, b):
         state["count"] += 1
         if state["count"] == n:
-            return True  # claimed but never scheduled: the message is lost
-        return original_call(net, src, dst, nbytes, fn, a, b)
+            return  # never scheduled: the message is lost
+        original_call(net, src, dst, nbytes, fn, a, b)
 
     patches = (patched, patched_call)
     originals = (original, original_call)
