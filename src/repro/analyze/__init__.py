@@ -7,7 +7,7 @@ Three layers:
 - :mod:`repro.analyze.infer` — interprocedural finish-pragma inference (the
   whole-program upgrade of the paper's prototype compiler analysis).
 - :mod:`repro.analyze.rules` / :mod:`repro.analyze.apgas_rules` — the lint
-  framework and the APGAS anti-pattern catalogue (APG101..APG110).
+  framework and the APGAS anti-pattern catalogue (APG101..APG106, APG108..APG110).
 - :mod:`repro.analyze.effects` / :mod:`repro.analyze.mhp` — read/write
   effect extraction and the may-happen-in-parallel decomposition behind the
   determinacy-race rules (APG108..APG110).
@@ -25,20 +25,12 @@ from repro.analyze.effects import Access, EffectIndex
 from repro.analyze.infer import Inference, SiteClassification, classify_program
 from repro.analyze.mhp import MhpAnalysis
 from repro.analyze.race_agreement import RaceAgreement, check_race_agreement
-from repro.analyze.rules import (
-    REGISTRY,
-    Baseline,
-    Finding,
-    Severity,
-    rule,
-    run_rules,
-)
+from repro.analyze.rules import REGISTRY, Finding, Severity, rule, run_rules
 from repro.analyze.sourcemodel import Program, iter_python_files
 
 __all__ = [
     "Access",
     "AnalyzeResult",
-    "Baseline",
     "EffectIndex",
     "Finding",
     "Inference",

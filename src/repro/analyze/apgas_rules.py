@@ -1,4 +1,4 @@
-"""The APGAS anti-pattern rule catalogue (APG101..APG110).
+"""The APGAS anti-pattern rule catalogue (APG101..APG106, APG108..APG110).
 
 Each rule targets a failure mode the runtime or the paper calls out:
 
@@ -10,8 +10,6 @@ APG103    blocking-call-in-activity   a real blocking call inside a simulated ac
 APG104    mutable-capture             remote body mutates a captured local (race hazard)
 APG105    default-finish-in-hot-loop  unannotated finish per loop iteration (paper 3.1)
 APG106    unbounded-glb-victims       GLB configured with an unbounded victim set
-APG107    resilient-without-hooks     resilient-capable kernel registers no
-                                      checkpoint/restore hooks
 APG108    concurrent-store-write      MHP tasks write the same store key at a
                                       provably identical place
 APG109    captured-mutable-race       sibling local activities race on a captured
@@ -328,6 +326,15 @@ def _is_glbconfig(expr: ast.expr) -> bool:
     )
 
 
+def _builds_glbconfig(func: ast.expr) -> bool:
+    """``GlbConfig(...)``, ``GlbConfig.refined(...)`` or ``GlbConfig.original(...)``."""
+    return _is_glbconfig(func) or (
+        isinstance(func, ast.Attribute)
+        and func.attr in ("refined", "original")
+        and _is_glbconfig(func.value)
+    )
+
+
 @rule("APG106", "unbounded-glb-victims", Severity.WARNING)
 def unbounded_glb_victims(ctx: RuleContext, info: RuleInfo) -> Iterator[Finding]:
     """GLB configured with an unbounded victim set: at scale every idle
@@ -335,7 +342,7 @@ def unbounded_glb_victims(ctx: RuleContext, info: RuleInfo) -> Iterator[Finding]
     bounded-victims optimization exists to prevent."""
     for module in ctx.program.modules:
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+            if not isinstance(node, ast.Call) or not _builds_glbconfig(node.func):
                 continue
             for kw in node.keywords:
                 if (
@@ -350,12 +357,8 @@ def unbounded_glb_victims(ctx: RuleContext, info: RuleInfo) -> Iterator[Finding]
                         "explicit max_victims=None configures an unbounded "
                         "victim set (all-to-all steals at scale)",
                     )
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "original"
-                and _is_glbconfig(func.value)
-                and not any(kw.arg == "max_victims" for kw in node.keywords)
+            if getattr(node.func, "attr", None) == "original" and not any(
+                kw.arg == "max_victims" for kw in node.keywords
             ):
                 yield ctx.finding(
                     info,
@@ -364,103 +367,6 @@ def unbounded_glb_victims(ctx: RuleContext, info: RuleInfo) -> Iterator[Finding]
                     "GlbConfig.original() disables the victim bound "
                     "(max_victims=None): unbounded steal fan-out at scale",
                 )
-
-
-# -- APG107 ----------------------------------------------------------------------
-
-#: referencing any of these names counts as wiring up checkpoint/restore
-_RESILIENT_MACHINERY = {"run_resilient_epochs"}
-
-
-def _has_resilient_switch(node) -> bool:
-    """True when the function takes a boolean ``resilient`` toggle.
-
-    Parameters that *carry* resilience machinery (e.g. an Optional hook
-    object) rather than switch it on are not the rule's target.
-    """
-    args = node.args
-    pos = list(args.posonlyargs) + list(args.args)
-    defaults = [None] * (len(pos) - len(args.defaults)) + list(args.defaults)
-    pairs = list(zip(pos, defaults)) + list(zip(args.kwonlyargs, args.kw_defaults))
-    for a, default in pairs:
-        if a.arg != "resilient":
-            continue
-        if isinstance(a.annotation, ast.Name) and a.annotation.id == "bool":
-            return True
-        if isinstance(default, ast.Constant) and isinstance(default.value, bool):
-            return True
-    return False
-
-
-def _forwards_resilient(node) -> bool:
-    """The body hands its ``resilient`` flag to someone else (a dispatcher)."""
-    for stmt in node.body:
-        for n in ast.walk(stmt):
-            if isinstance(n, ast.Call) and any(
-                kw.arg == "resilient" for kw in n.keywords
-            ):
-                return True
-            if isinstance(n, ast.Assign):
-                for t in n.targets:
-                    if (
-                        isinstance(t, ast.Subscript)
-                        and isinstance(t.slice, ast.Constant)
-                        and t.slice.value == "resilient"
-                    ):
-                        return True
-    return False
-
-
-def _names_used(node) -> set:
-    used = set()
-    for stmt in node.body:
-        for n in ast.walk(stmt):
-            if isinstance(n, ast.Name):
-                used.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                used.add(n.attr)
-    return used
-
-
-@rule("APG107", "resilient-without-hooks", Severity.WARNING)
-def resilient_without_hooks(ctx: RuleContext, info: RuleInfo) -> Iterator[Finding]:
-    """A kernel advertises a ``resilient`` switch but never touches the
-    checkpoint machinery: under ``--resilient`` a place death still kills the
-    whole run because nothing was ever checkpointed.
-    References are followed through same-module helpers, so delegating the
-    wiring to a ``_make_resilient_*`` factory stays clean."""
-    for module in ctx.program.modules:
-        toplevel = {
-            n.name: n
-            for n in module.tree.body
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not _has_resilient_switch(node) or _forwards_resilient(node):
-                continue
-            # transitive closure over same-module helpers the body references
-            used = set()
-            frontier = [node]
-            visited = {node.name}
-            while frontier:
-                for name in _names_used(frontier.pop()):
-                    used.add(name)
-                    helper = toplevel.get(name)
-                    if helper is not None and name not in visited:
-                        visited.add(name)
-                        frontier.append(helper)
-            if used & _RESILIENT_MACHINERY:
-                continue
-            yield ctx.finding(
-                info,
-                module,
-                node.lineno,
-                f"'{node.name}' takes a 'resilient' parameter but registers no "
-                "checkpoint/restore hooks (run_resilient_epochs): place deaths "
-                "stay fatal",
-            )
 
 
 # -- APG108..APG110: determinacy-race rules over the MHP analysis ----------------

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.analyze.infer import classify_program
-from repro.analyze.rules import Baseline, Finding, Severity, run_rules
+from repro.analyze.rules import run_rules
 from repro.analyze.sourcemodel import Program
 
 
@@ -16,20 +16,10 @@ class AnalyzeResult:
 
     program: Program
     sites: list  # SiteClassification, grouped by file in source order
-    findings: list = field(default_factory=list)  # all surviving findings
-    new_findings: list = field(default_factory=list)  # not in the baseline
-
-    @property
-    def gating(self) -> list:
-        """New findings that should fail a CI gate (warning or worse)."""
-        return [f for f in self.new_findings if f.severity >= Severity.WARNING]
+    findings: list  # every finding not suppressed by `# noqa`; each one gates
 
 
-def analyze_paths(
-    paths: Iterable[str],
-    baseline: Optional[Baseline] = None,
-    codes: Optional[Iterable[str]] = None,
-) -> AnalyzeResult:
+def analyze_paths(paths: Iterable[str]) -> AnalyzeResult:
     """Analyze files/directories and return sites + findings.
 
     Raises :class:`~repro.errors.AnalyzeError` on a missing path or
@@ -37,6 +27,4 @@ def analyze_paths(
     """
     program = Program.from_paths(paths)
     sites = classify_program(program)
-    findings: list[Finding] = run_rules(program, sites, codes=codes)
-    new = baseline.new_findings(findings) if baseline is not None else list(findings)
-    return AnalyzeResult(program=program, sites=sites, findings=findings, new_findings=new)
+    return AnalyzeResult(program, sites, run_rules(program, sites))

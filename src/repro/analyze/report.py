@@ -6,7 +6,7 @@ import json
 import os
 from typing import TextIO
 
-from repro.analyze.rules import REGISTRY, Severity
+from repro.analyze.rules import REGISTRY
 
 
 def _rel(path: str) -> str:
@@ -33,23 +33,18 @@ def render_text(result, out: TextIO, show_sites: bool = False) -> None:
         render_sites(result, out)
         if result.sites:
             out.write("\n")
-    for f in result.new_findings:
+    for f in result.findings:
         info = REGISTRY.get(f.rule)
         name = f" [{info.name}]" if info else ""
         out.write(
             f"{_rel(f.path)}:{f.lineno}: {f.rule} {f.severity.label}: "
             f"{f.message}{name}\n"
         )
-    baselined = len(result.findings) - len(result.new_findings)
-    gating = [f for f in result.new_findings if f.severity >= Severity.WARNING]
-    summary = (
+    out.write(
         f"{len(result.sites)} finish site(s) analyzed, "
-        f"{len(result.new_findings)} finding(s)"
+        f"{len(result.findings)} finding(s)\n"
     )
-    if baselined:
-        summary += f" ({baselined} baselined)"
-    out.write(summary + "\n")
-    if not gating:
+    if not result.findings:
         out.write("analyze: clean\n")
 
 
@@ -71,10 +66,7 @@ def render_json(result) -> dict:
             }
             for c in result.sites
         ],
-        "findings": [
-            dict(f.to_dict(), new=(f in result.new_findings))
-            for f in result.findings
-        ],
+        "findings": [f.to_dict() for f in result.findings],
     }
 
 

@@ -1,34 +1,27 @@
-"""The lint-rule framework: registry, severities, suppression, baseline.
+"""The lint-rule framework: registry, severities, suppression.
 
 Rules are small functions registered with the :func:`rule` decorator.  Each
 receives a :class:`RuleContext` (the analyzed :class:`Program` plus every
 finish-site classification) and yields :class:`Finding` objects.  The driver
 then applies per-line suppression comments (``# noqa`` or ``# noqa:
-APG104``) and the findings baseline — a committed JSON file of fingerprints
-for findings that are acknowledged but not yet fixed, so CI gates only on
-*new* findings.
-
-Fingerprints are line-number independent (rule code + file + stripped source
-text), so unrelated edits above a baselined finding do not resurrect it.
+APG104``), the one way to silence a finding; every other finding gates.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import os
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.analyze.sourcemodel import Program, SourceModule
 from repro.errors import AnalyzeError
 
 
 class Severity(enum.IntEnum):
-    """Finding severity; only WARNING and above affect the exit code."""
+    """Finding severity; both levels gate."""
 
-    NOTE = 10
     WARNING = 20
     ERROR = 30
 
@@ -48,11 +41,6 @@ class Finding:
     message: str
     source: str  # the offending source line, stripped
 
-    @property
-    def fingerprint(self) -> str:
-        path = os.path.relpath(self.path).replace(os.sep, "/")
-        return f"{self.rule}::{path}::{self.source}"
-
     def to_dict(self) -> dict:
         return {
             "rule": self.rule,
@@ -61,7 +49,6 @@ class Finding:
             "line": self.lineno,
             "message": self.message,
             "source": self.source,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -145,20 +132,15 @@ def is_suppressed(finding: Finding, module: SourceModule) -> bool:
     return finding.rule.upper() in wanted
 
 
-def run_rules(
-    program: Program, classifications: list, codes: Optional[Iterable[str]] = None
-) -> list:
-    """Run every registered rule (or the subset ``codes``) and return the
-    surviving findings, suppressions applied, sorted by location."""
+def run_rules(program: Program, classifications: list) -> list:
+    """Run every registered rule and return the surviving findings,
+    suppressions applied, sorted by location."""
     # rule modules register themselves on import
     import repro.analyze.apgas_rules  # noqa: F401
 
     ctx = RuleContext(program, classifications)
-    selected = set(codes) if codes is not None else None
     findings: list[Finding] = []
     for code in sorted(REGISTRY):
-        if selected is not None and code not in selected:
-            continue
         info = REGISTRY[code]
         findings.extend(info.fn(ctx, info))
     out = []
@@ -170,39 +152,3 @@ def run_rules(
     out.sort(key=lambda f: (f.path, f.lineno, f.rule))
     return out
 
-
-# -- baseline --------------------------------------------------------------------
-
-
-@dataclass
-class Baseline:
-    """The committed set of acknowledged finding fingerprints."""
-
-    fingerprints: set = field(default_factory=set)
-    path: Optional[str] = None
-
-    @classmethod
-    def load(cls, path: str) -> "Baseline":
-        if not os.path.exists(path):
-            return cls(set(), path)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise AnalyzeError(f"cannot read baseline {path}: {exc}") from None
-        if not isinstance(doc, dict) or not isinstance(doc.get("findings"), list):
-            raise AnalyzeError(f"malformed baseline {path}: expected a findings list")
-        return cls({str(f) for f in doc["findings"]}, path)
-
-    def write(self, path: str, findings: list) -> None:
-        doc = {
-            "comment": "acknowledged repro-analyze findings; regenerate with "
-            "`repro analyze ... --write-baseline`",
-            "findings": sorted({f.fingerprint for f in findings}),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def new_findings(self, findings: list) -> list:
-        return [f for f in findings if f.fingerprint not in self.fingerprints]

@@ -154,17 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sites", action="store_true", help="also list every classified finish site"
     )
     analyze.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="findings baseline: known findings listed there do not gate",
-    )
-    analyze.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to --baseline and exit 0",
-    )
-    analyze.add_argument(
         "--mhp",
         action="store_true",
         help="also dump every may-happen-in-parallel statement pair the "
@@ -493,30 +482,18 @@ def _cmd_serve(args, out) -> int:
 def _cmd_analyze(args, out) -> int:
     """Run the static analyzer over files/directories.
 
-    Exit codes: 0 — clean (no new findings at warning severity or above);
-    1 — findings; 2 — usage error (missing path, unparsable source, bad
-    baseline).
+    Exit codes: 0 — clean (every finding fixed or `# noqa`-suppressed);
+    1 — findings; 2 — usage error (missing path, unparsable source).
     """
-    from repro.analyze import Baseline, analyze_paths
+    from repro.analyze import analyze_paths
     from repro.analyze.report import render_text, write_json
     from repro.errors import AnalyzeError
 
-    if args.write_baseline and not args.baseline:
-        print("error: --write-baseline requires --baseline PATH", file=out)
-        return 2
     try:
-        baseline = Baseline.load(args.baseline) if args.baseline else None
-        result = analyze_paths(args.paths, baseline=baseline)
+        result = analyze_paths(args.paths)
     except AnalyzeError as exc:
         print(f"error: {exc}", file=out)
         return 2
-    if args.write_baseline:
-        Baseline(path=args.baseline).write(args.baseline, result.findings)
-        print(
-            f"wrote {len(result.findings)} finding fingerprint(s) to {args.baseline}",
-            file=out,
-        )
-        return 0
     if args.json:
         write_json(result, out)
     else:
@@ -529,7 +506,7 @@ def _cmd_analyze(args, out) -> int:
         print(f"-- may-happen-in-parallel: {len(lines)} pair(s) --", file=out)
         for line in lines:
             print(line, file=out)
-    return 1 if result.gating else 0
+    return 1 if result.findings else 0
 
 
 def _cmd_race(args, out) -> int:
@@ -540,7 +517,8 @@ def _cmd_race(args, out) -> int:
     which is executed with detection forced on every runtime it builds.
 
     Exit codes: 0 — every target race-free; 1 — at least one race detected
-    (each is printed); 2 — usage error (unknown target, missing script).
+    (each is printed); 2 — usage error (unknown target, missing script or
+    a directory).
     """
     import os
 
@@ -549,7 +527,7 @@ def _cmd_race(args, out) -> int:
     total = 0
     for target in args.targets:
         if target.endswith(".py") or os.sep in target:
-            if not os.path.exists(target):
+            if not os.path.isfile(target):
                 print(f"error: no such script: {target}", file=out)
                 return 2
             races = [

@@ -63,26 +63,26 @@ def program_defaults(kernel: str) -> dict:
         ) from None
 
 
-def build_program(kernel: str, places: int, **params: Any) -> Callable:
-    """The portable ``main(ctx)`` for ``kernel`` with ``params`` overrides."""
-    try:
-        main, defaults = _PROGRAMS[kernel]
-    except KeyError:
-        raise KernelError(
-            f"no portable program for kernel {kernel!r}; "
-            f"choose from {PORTABLE_KERNELS}"
-        ) from None
-    kwargs = dict(defaults)
-    unknown = set(params) - set(defaults)
+def program_params(kernel: str, params: dict) -> dict:
+    """``kernel``'s defaults with ``params`` applied (KernelError if the
+    kernel or a parameter is unknown)."""
+    p = program_defaults(kernel)
+    unknown = set(params) - set(p)
     if unknown:
         raise KernelError(
             f"unknown parameter(s) {sorted(unknown)} for portable kernel "
-            f"{kernel!r}; accepted: {sorted(defaults)}"
+            f"{kernel!r}; accepted: {sorted(p)}"
         )
-    kwargs.update(params)
-    bound = functools.partial(main, **kwargs)
+    p.update(params)
+    return p
+
+
+def build_program(kernel: str, places: int, **params: Any) -> Callable:
+    """The portable ``main(ctx)`` for ``kernel`` with ``params`` overrides."""
+    kwargs = program_params(kernel, params)  # validates the kernel name first
+    bound = functools.partial(_PROGRAMS[kernel][0], **kwargs)
     bound.__name__ = f"portable:{kernel}"  # type: ignore[attr-defined]
     return bound
 
 
-__all__ = ["PORTABLE_KERNELS", "build_program", "program_defaults", "spmd"]
+__all__ = ["PORTABLE_KERNELS", "build_program", "program_defaults", "program_params", "spmd"]

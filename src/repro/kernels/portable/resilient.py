@@ -14,7 +14,7 @@ import functools
 from typing import Any, Callable, Dict
 
 from repro.errors import KernelError
-from repro.kernels.portable import program_defaults
+from repro.kernels.portable import program_params
 from repro.kernels.portable.programs import (
     _digest,
     _rank_checksum,
@@ -138,14 +138,7 @@ def build_resilient_program(
     """The resilient ``main(ctx)`` for ``kernel``: checkpointed epochs that
     survive place kills and finish with the fault-free checksum."""
     require_resilient(kernel)
-    p = program_defaults(kernel)
-    unknown = set(params) - set(p)
-    if unknown:
-        raise KernelError(
-            f"unknown parameter(s) {sorted(unknown)} for portable kernel "
-            f"{kernel!r}; accepted: {sorted(p)}"
-        )
-    p.update(params)
+    p = program_params(kernel, params)
     restore_fn, body_fn, finalize, epochs_of = _HOOKS[kernel]
     epochs = epochs_of(p)
     if epochs < 1:

@@ -8,7 +8,7 @@ from repro.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-KERNELS = os.path.join(REPO, "src", "repro", "kernels")
+SRC = os.path.join(REPO, "src", "repro")
 EXAMPLES = os.path.join(REPO, "examples")
 
 
@@ -19,8 +19,11 @@ def run_cli(*argv):
 
 
 def test_clean_tree_exits_zero():
-    code, text = run_cli("analyze", KERNELS, EXAMPLES)
+    # the whole package and the examples, with no suppression file: every
+    # finding the rules raise here gates
+    code, text = run_cli("analyze", SRC, EXAMPLES)
     assert code == 0
+    assert "20 finish site(s) analyzed, 0 finding(s)" in text
     assert "analyze: clean" in text
 
 
@@ -54,8 +57,7 @@ def test_json_output_shape():
     rules = sorted(f["rule"] for f in payload["findings"])
     assert rules == ["APG106", "APG106"]
     for finding in payload["findings"]:
-        assert {"rule", "severity", "path", "line", "message", "new"} <= set(finding)
-        assert finding["new"] is True
+        assert set(finding) == {"rule", "severity", "path", "line", "message", "source"}
 
 
 def test_sites_listing():
@@ -65,30 +67,12 @@ def test_sites_listing():
     assert "[annotated: finish_here]" in text
 
 
-def test_write_baseline_then_gated_rerun_exits_zero(tmp_path):
-    baseline = str(tmp_path / "baseline.json")
-    code, _ = run_cli("analyze", FIXTURES, "--baseline", baseline, "--write-baseline")
-    assert code == 0
-    with open(baseline) as fh:
-        assert len(json.load(fh)["findings"]) == 15
-
-    code, text = run_cli("analyze", FIXTURES, "--baseline", baseline)
-    assert code == 0
-    assert "baselined" in text
-
-
-def test_write_baseline_requires_baseline_path():
-    code, text = run_cli("analyze", FIXTURES, "--write-baseline")
-    assert code == 2
-    assert "--baseline" in text
-
-
-def test_malformed_baseline_exits_two(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("{not json")
-    code, text = run_cli("analyze", FIXTURES, "--baseline", str(baseline))
-    assert code == 2
-    assert text.startswith("error:")
+def test_warning_findings_gate():
+    # both severities fail the run: a file with only warnings exits 1
+    path = os.path.join(FIXTURES, "viol_apg106.py")
+    code, text = run_cli("analyze", path)
+    assert code == 1
+    assert "APG106 warning" in text and "analyze: clean" not in text
 
 
 def test_mhp_dump_lists_parallel_pairs():

@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import KernelError
 from repro.kernels.portable import PORTABLE_KERNELS, build_program
+from repro.kernels.portable.resilient import build_resilient_program
 from repro.sim.rng import RngStream
 from repro.xrt.backend import get_backend
 
@@ -35,8 +36,13 @@ def test_registry_covers_all_eight_kernels():
 def test_build_program_rejects_unknown_kernel_and_params():
     with pytest.raises(KernelError, match="choose from"):
         build_program("linpack", 4)
-    with pytest.raises(KernelError):
+    with pytest.raises(KernelError, match="unknown parameter"):
         build_program("stream", 4, warp_factor=9)
+
+
+def test_build_resilient_program_rejects_unknown_params():
+    with pytest.raises(KernelError, match=r"unknown parameter\(s\) \['warp_factor'\]"):
+        build_resilient_program("kmeans", 4, warp_factor=9)
 
 
 @pytest.mark.parametrize("kernel", PORTABLE_KERNELS)

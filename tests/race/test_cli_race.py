@@ -59,3 +59,10 @@ def test_missing_script_is_usage_error():
     code, out = run_cli("race", "/nope/missing.py")
     assert code == 2
     assert "no such script" in out
+
+
+def test_directory_target_is_usage_error():
+    # a directory is no script: a usage error (2), not a detected race (1)
+    code, out = run_cli("race", FIXTURES + os.sep)
+    assert code == 2
+    assert out.startswith("error:") and "Traceback" not in out
