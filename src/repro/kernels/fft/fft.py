@@ -51,17 +51,15 @@ def run_fft(
     seed: int = 0,
     modeled_elements_per_place: Optional[int] = None,
     calibration: Calibration = DEFAULT_CALIBRATION,
-    group: Optional[PlaceGroup] = None,
 ) -> KernelResult:
-    """Distributed 1D FFT of N = n1*n2 complex values over ``group``.
+    """Distributed 1D FFT of N = n1*n2 complex values over every place.
 
-    ``n1`` and ``n2`` must be divisible by the group width.  The real math
+    ``n1`` and ``n2`` must be divisible by the place count.  The real math
     runs on the (n1, n2) problem; ``modeled_elements_per_place`` charges
     compute and wire time for the paper-scale problem instead (2 GB/place).
     """
-    pg = PlaceGroup.world(rt) if group is None else group
+    pg = PlaceGroup.world(rt)
     places = list(pg)
-    rank_of = {pl: i for i, pl in enumerate(places)}
     p = len(places)
     if n1 % p or n2 % p:
         raise KernelError(f"n1={n1} and n2={n2} must be divisible by places={p}")
@@ -91,7 +89,7 @@ def run_fft(
         return out
 
     def body(ctx):
-        place = rank_of[ctx.here]
+        place = ctx.here
         local = x.reshape(n1, n2)[place * rpp1 : (place + 1) * rpp1].copy()
         # phase 1: global transpose -> rows are original columns
         local = yield from transpose(ctx, local, rpp2, n1)

@@ -41,12 +41,10 @@ def run_hpl(
     modeled_N: Optional[int] = None,
     modeled_NB: int = 360,
     calibration: Calibration = DEFAULT_CALIBRATION,
-    group: Optional[PlaceGroup] = None,
 ) -> KernelResult:
-    """Factor a random N x N system over ``group``; returns flop/s.
+    """Factor a random N x N system over every place; returns flop/s.
 
-    The process grid is laid out over group *ranks* and mapped to absolute
-    places at every communication boundary.
+    The process grid is laid out over the places, rank ``r`` at place ``r``.
 
     ``N`` must be a multiple of ``NB``; an even block-cyclic layout is not
     required — trailing counts just become uneven, as in real HPL.
@@ -58,12 +56,11 @@ def run_hpl(
     ``modeled_NB`` (default 360), since each simulated step stands for
     ``s*NB/modeled_NB`` paper panels.
     """
-    pg = PlaceGroup.world(rt) if group is None else group
-    members = list(pg)
-    rank_of = {pl: i for i, pl in enumerate(members)}
-    grid = grid or default_grid(len(members))
-    if grid.places != len(members):
-        raise KernelError(f"grid {grid.P}x{grid.Q} does not match {len(members)} places")
+    pg = PlaceGroup.world(rt)
+    n_places = len(pg)
+    grid = grid or default_grid(n_places)
+    if grid.places != n_places:
+        raise KernelError(f"grid {grid.P}x{grid.Q} does not match {n_places} places")
     if N % NB:
         raise KernelError("N must be a multiple of NB")
     nblk = N // NB
@@ -82,14 +79,14 @@ def run_hpl(
     all_swaps: list = []
     step_swaps: dict[int, list] = {}
 
-    world = Team(rt, members)
+    world = Team(rt, list(pg))
     row_teams = (
-        {pi: Team(rt, [members[r] for r in grid.row_places(pi)]) for pi in range(grid.P)}
+        {pi: Team(rt, grid.row_places(pi)) for pi in range(grid.P)}
         if grid.Q > 1
         else {}
     )
     col_teams = (
-        {pj: Team(rt, [members[r] for r in grid.col_places(pj)]) for pj in range(grid.Q)}
+        {pj: Team(rt, grid.col_places(pj)) for pj in range(grid.Q)}
         if grid.P > 1
         else {}
     )
@@ -118,15 +115,14 @@ def run_hpl(
         return None  # the row data lands in local storage; no compute
 
     def body(ctx):
-        me = rank_of[ctx.here]
-        pi, pj = grid.coords_of(me)
+        pi, pj = grid.coords_of(ctx.here)
         rate = dgemm_rate_for(ctx.here)
         rteam = row_teams.get(pi)
         cteam = col_teams.get(pj)
         for k in range(nblk):
             k0 = k * NB
             rows_below = N - k0
-            diag = members[grid.owner_of_block(k, k)]
+            diag = grid.owner_of_block(k, k)
             panel_share = int(bscale * rows_below * NB * 8) // grid.P  # one place's slice
 
             # -- panel: gather to the diagonal owner, recursive factorization,
@@ -141,7 +137,7 @@ def run_hpl(
 
             # -- broadcast panel + pivots along process rows -------------------
             if rteam is not None:
-                row_root = members[grid.place_of(pi, k % grid.Q)]
+                row_root = grid.place_of(pi, k % grid.Q)
                 swaps = yield rteam.broadcast(ctx, swaps, root=row_root, nbytes=panel_share)
             elif swaps is None:
                 swaps = step_swaps[k]
@@ -156,7 +152,7 @@ def run_hpl(
                             mem_bytes=2 * row_bytes, mem_bw=rt.config.place_stream_bandwidth
                         )
                 elif pi in (pr1, pr2):
-                    partner = members[grid.place_of(pr2 if pi == pr1 else pr1, pj)]
+                    partner = grid.place_of(pr2 if pi == pr1 else pr1, pj)
                     with ctx.finish(Pragma.FINISH_ASYNC) as f:
                         ctx.at_async(partner, swap_recv, nbytes=row_bytes)
                     yield f.wait()
@@ -171,7 +167,7 @@ def run_hpl(
             if cteam is not None:
                 u_share = int(bscale * max(1, (N - k0 - NB) // grid.Q) * NB * 8)
                 yield cteam.broadcast(
-                    ctx, None, root=members[grid.place_of(k % grid.P, pj)], nbytes=u_share
+                    ctx, None, root=grid.place_of(k % grid.P, pj), nbytes=u_share
                 )
 
             # -- trailing rank-NB update (local DGEMMs) --------------------------
@@ -193,11 +189,11 @@ def run_hpl(
     rate = flops / rt.now
     return KernelResult(
         kernel="hpl",
-        places=len(members),
+        places=n_places,
         sim_time=rt.now,
         value=rate,
         unit="flop/s",
-        per_core=rate / len(members),
+        per_core=rate / n_places,
         verified=bool(residual < 1e-12),
         extra={"residual": residual, "grid": (grid.P, grid.Q), "N": N, "NB": NB},
     )

@@ -4,10 +4,14 @@ Points are partitioned across places.  In parallel at each place we classify
 the points by nearest centroid and compute the average positions of the
 per-place points in each cluster; two All-Reduce collectives then compute the
 global sums and counts, providing updated centroids for the next iteration.
+
+One program on every backend: :func:`kmeans_main` (``build_program``) and the
+simulator's :func:`build_kmeans` both run :func:`kmeans_body` at every member.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -15,8 +19,7 @@ import numpy as np
 from repro.errors import KernelError
 from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.harness.results import KernelResult, checksum_bytes
-from repro.resilient import run_resilient_epochs
-from repro.runtime import PlaceGroup, Team, broadcast_spawn
+from repro.runtime.broadcast import PlaceGroup, broadcast_spawn
 from repro.runtime.runtime import ApgasRuntime
 from repro.sim.rng import RngStream
 
@@ -68,6 +71,65 @@ def kmeans_reference(points: np.ndarray, centroids: np.ndarray, iterations: int)
     return c
 
 
+#: the program's parameters and defaults (a small conformance-scale problem):
+#: ``n_per_place`` points per place and ``k`` centroids are computed on;
+#: ``modeled_points`` and ``modeled_k`` (None: the real sizes) are charged
+PROGRAM_DEFAULTS = {
+    "n_per_place": 256, "k": 8, "dim": 4, "iterations": 5, "seed": 3,
+    "modeled_points": None, "modeled_k": None, "calibration": DEFAULT_CALIBRATION,
+}
+
+
+def kmeans_restore(ctx, committed_epoch: int, blob, p: dict, team) -> None:
+    """(Re)build a member's ``(points, centroids)``: the point block by team
+    rank, the centroids from ``blob`` (None: the initial ones)."""
+    points = generate_points(p["seed"], team.rank(ctx.here), p["n_per_place"], p["dim"])
+    centroids = initial_centroids(p["seed"], p["k"], p["dim"]) if blob is None else blob.copy()
+    ctx.store[("kmeans", team)] = (points, centroids)
+
+
+def kmeans_epoch(ctx, epoch: int, tag: str, p: dict, team):
+    """One Lloyd iteration at a member; returns the new centroids' copy (the
+    resilient checkpoint blob).  ``tag`` scopes the collectives' messages."""
+    points, centroids = ctx.store[("kmeans", team)]
+    sums, counts = assign_and_accumulate(points, centroids)
+    n = p["n_per_place"] if p["modeled_points"] is None else p["modeled_points"]
+    k = p["k"] if p["modeled_k"] is None else p["modeled_k"]
+    yield ctx.compute(
+        flops=n * k * p["dim"] * FLOPS_PER_PAIR_PER_DIM, flop_rate=p["calibration"].kmeans_flops
+    )
+    # two All-Reduce collectives compute the global averages
+    global_sums = yield team.allreduce(ctx, sums, tag=tag)
+    global_counts = yield team.allreduce(ctx, counts, tag=tag)
+    centroids = update_centroids(centroids, global_sums, global_counts)
+    ctx.store[("kmeans", team)] = (points, centroids)
+    return centroids.copy()
+
+
+def kmeans_body(ctx, p: dict, team):
+    """A member's whole run: every iteration on its point block."""
+    kmeans_restore(ctx, -1, None, p, team)
+    for epoch in range(p["iterations"]):
+        yield from kmeans_epoch(ctx, epoch, "", p, team)
+
+
+def kmeans_result(centroids: np.ndarray, p: dict) -> dict:
+    """The program result: the converged centroids and their checksum."""
+    return {
+        "checksum": checksum_bytes(np.ascontiguousarray(centroids)),
+        "centroids": centroids,
+        "k": p["k"],
+    }
+
+
+def kmeans_main(ctx, **p):
+    """The portable program over every place; runs at place 0 (member 0)."""
+    team = ctx.team(ctx.places())
+    body = functools.partial(kmeans_body, p=p, team=team)
+    yield from broadcast_spawn(ctx, PlaceGroup(team.members), body)
+    return kmeans_result(ctx.store.pop(("kmeans", team))[1], p)
+
+
 def build_kmeans(
     rt: ApgasRuntime,
     points_per_place: int,
@@ -96,61 +158,28 @@ def build_kmeans(
     """
     if min(points_per_place, k, dim, iterations) < 1:
         raise KernelError("kmeans parameters must be positive")
-    pg = PlaceGroup.world(rt) if group is None else group
-    places = list(pg)
-    rank_of = {p: i for i, p in enumerate(places)}
+    places = list(PlaceGroup.world(rt) if group is None else group)
     if resilient and places != list(range(rt.n_places)):
         raise KernelError("resilient kmeans requires the whole-machine place group")
-    real_n = min(points_per_place, 4096) if actual_points is None else actual_points
-    real_k = min(k, 64) if actual_k is None else actual_k
-    team = Team(rt, places)
-    final = {}
-    flops_per_iter = points_per_place * k * dim * FLOPS_PER_PAIR_PER_DIM
-
-    def iterate(ctx, points, centroids):
-        sums, counts = assign_and_accumulate(points, centroids)
-        yield ctx.compute(flops=flops_per_iter, flop_rate=calibration.kmeans_flops)
-        # two All-Reduce collectives compute the global averages
-        global_sums = yield team.allreduce(ctx, sums)
-        global_counts = yield team.allreduce(ctx, counts)
-        return update_centroids(centroids, global_sums, global_counts)
-
+    p = {
+        "n_per_place": min(points_per_place, 4096) if actual_points is None else actual_points,
+        "k": min(k, 64) if actual_k is None else actual_k,
+        "dim": dim, "iterations": iterations, "seed": seed,
+        "modeled_points": points_per_place, "modeled_k": k, "calibration": calibration,
+    }
+    team = rt.team(places)
     if resilient:
-        state: dict[int, tuple] = {}  # place -> (points, centroids)
+        from repro.kernels.portable.resilient import resilient_main
 
-        def restore(ctx, committed_epoch, blob):
-            points = generate_points(seed, ctx.here, real_n, dim)
-            centroids = initial_centroids(seed, real_k, dim) if blob is None else blob.copy()
-            state[ctx.here] = (points, centroids)
-
-        def epoch_body(ctx, epoch, tag):
-            points, centroids = state[ctx.here]
-            centroids = yield from iterate(ctx, points, centroids)
-            state[ctx.here] = (points, centroids)
-            return centroids.copy()
-
-        def main(ctx):
-            committed, _stats = yield from run_resilient_epochs(
-                ctx, iterations, epoch_body, restore
-            )
-            final.update(committed)
-
+        main = functools.partial(resilient_main, kernel="kmeans", p=p, team=team)
     else:
-
-        def body(ctx):
-            points = generate_points(seed, rank_of[ctx.here], real_n, dim)
-            centroids = initial_centroids(seed, real_k, dim)
-            for _ in range(iterations):
-                centroids = yield from iterate(ctx, points, centroids)
-            final[ctx.here] = centroids
-
-        def main(ctx):
-            yield from broadcast_spawn(ctx, pg, body)
+        body = functools.partial(kmeans_body, p=p, team=team)
+        main = functools.partial(broadcast_spawn, group=PlaceGroup(places), fn=body)
 
     def finalize(elapsed: Optional[float] = None) -> KernelResult:
         t = rt.now if elapsed is None else elapsed
-        centroids = final[places[0]]
-        agreement = all(np.array_equal(final[p], centroids) for p in final)
+        final = [rt.place(place).store.pop(("kmeans", team))[1] for place in places]
+        centroids = final[0]
         return KernelResult(
             kernel="kmeans",
             places=len(places),
@@ -158,11 +187,11 @@ def build_kmeans(
             value=t,
             unit="s",
             per_core=t,  # the paper reports run time; efficiency is time-based
-            verified=agreement,
+            verified=all(np.array_equal(c, centroids) for c in final),
             extra={
                 "centroids": centroids,
                 "iterations": iterations,
-                "checksum": checksum_bytes(np.ascontiguousarray(centroids)),
+                "checksum": kmeans_result(centroids, p)["checksum"],
             },
         )
 
@@ -174,4 +203,3 @@ def run_kmeans(rt: ApgasRuntime, *args, **kwargs) -> KernelResult:
     main, finalize = build_kmeans(rt, *args, **kwargs)
     rt.run(main)
     return finalize()
-

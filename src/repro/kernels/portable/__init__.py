@@ -25,11 +25,11 @@ import functools
 from typing import Any, Callable
 
 from repro.errors import KernelError
+from repro.kernels.bc import bc as _bc
+from repro.kernels.kmeans import kmeans as _kmeans
 from repro.kernels.portable.programs import (
-    bc_main,
     fft_main,
     hpl_main,
-    kmeans_main,
     ra_main,
     spmd,
     stream_main,
@@ -44,9 +44,9 @@ _PROGRAMS: dict[str, tuple[Callable, dict]] = {
     "fft": (fft_main, {"n1": 16, "n2": 16, "seed": 5}),
     "hpl": (hpl_main, {"n": 64, "nb": 8, "seed": 7}),
     "uts": (uts_main, {"depth": 9, "b0": 4.0, "seed": 19, "rng_mode": "splitmix"}),
-    "kmeans": (kmeans_main, {"n_per_place": 256, "dim": 4, "k": 8, "iterations": 5, "seed": 3}),
+    "kmeans": (_kmeans.kmeans_main, _kmeans.PROGRAM_DEFAULTS),
     "smithwaterman": (sw_main, {"target_len": 512, "query_len": 32, "seed": 13}),
-    "bc": (bc_main, {"scale": 7, "edge_factor": 8, "seed": 2}),
+    "bc": (_bc.bc_main, _bc.PROGRAM_DEFAULTS),
 }
 
 PORTABLE_KERNELS = sorted(_PROGRAMS)

@@ -86,17 +86,6 @@ def reduce(ctx, tag: str, value: Any, op: Callable[[Any, Any], Any], root: int =
     return value
 
 
-def allreduce(ctx, tag: str, value: Any, op: Callable[[Any, Any], Any]):
-    """Reduce to place 0, then broadcast the total back to every place."""
-    total = yield from reduce(ctx, tag + ":r", value, op)
-    return (yield from bcast(ctx, tag + ":b", total))
-
-
-def barrier(ctx, tag: str):
-    """All places reach this point before any proceeds."""
-    yield from allreduce(ctx, "bar:" + tag, 0, lambda a, b: 0)
-
-
 def gather(ctx, tag: str, value: Any, root: int = 0):
     """Collect every place's ``value`` at ``root``: returns ``{place: value}``
     there (None elsewhere), independent of arrival order."""

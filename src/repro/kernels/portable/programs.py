@@ -1,5 +1,6 @@
-"""Portable APGAS programs for seven of the eight kernels (UTS has its own
-module, :mod:`repro.kernels.portable.uts_program`).
+"""Portable APGAS programs for five of the eight kernels (UTS has its own
+module, :mod:`repro.kernels.portable.uts_program`; K-Means and BC are one
+program on both backends, beside their numeric cores).
 
 Every program here is *backend-blind*: it uses only the picklable ``ctx``
 subset (module-level worker functions, plain-data messages, ``ctx.store``)
@@ -21,7 +22,7 @@ import hashlib
 import numpy as np
 
 from repro.harness.results import checksum_bytes
-from repro.kernels.portable.lib import allreduce, bcast, gather, reduce
+from repro.kernels.portable.lib import bcast, gather, reduce
 from repro.runtime.finish.pragmas import Pragma
 from repro.sim.rng import RngStream
 
@@ -246,50 +247,6 @@ def hpl_main(ctx, **params):
     return (yield from spmd(ctx, hpl_worker, params))
 
 
-# -- KMeans ---------------------------------------------------------------------------
-
-
-def kmeans_iteration(ctx, points, centroids, tag: str):
-    """One assign/allreduce/update round; returns the new centroids.
-
-    Factored out of :func:`kmeans_worker` so the resilient epoch body (one
-    epoch = one iteration, :mod:`repro.kernels.portable.resilient`) shares
-    the exact message protocol and FP combination order — which is what
-    makes a recovered run's checksum bit-identical to the fault-free run.
-    """
-    from repro.kernels.kmeans.kmeans import assign_and_accumulate, update_centroids
-
-    yield ctx.compute(seconds=_TICK)
-    sums, counts = assign_and_accumulate(points, centroids)
-    sums, counts = yield from allreduce(ctx, tag, (sums, counts), _kmeans_add)
-    return update_centroids(centroids, sums, counts)
-
-
-def kmeans_worker(ctx, p: dict):
-    from repro.kernels.kmeans.kmeans import generate_points, initial_centroids
-
-    me = ctx.here
-    points = generate_points(p["seed"], me, p["n_per_place"], p["dim"])
-    seeds = initial_centroids(p["seed"], p["k"], p["dim"]) if me == 0 else None
-    centroids = yield from bcast(ctx, "km:init", seeds)
-    for it in range(p["iterations"]):
-        centroids = yield from kmeans_iteration(ctx, points, centroids, f"km:{it}")
-    if me == 0:
-        ctx.store["portable:result"] = {
-            "checksum": checksum_bytes(_digest(centroids)),
-            "centroids": centroids,
-            "k": p["k"],
-        }
-
-
-def _kmeans_add(x, y):
-    return x[0] + y[0], x[1] + y[1]
-
-
-def kmeans_main(ctx, **params):
-    return (yield from spmd(ctx, kmeans_worker, params))
-
-
 # -- Smith-Waterman -------------------------------------------------------------------
 
 
@@ -358,34 +315,3 @@ def sw_main(ctx, **params):
     result["query_digest"] = ctx.store.pop("sw:query_digest")
     result["probe_returned"] = ctx.store.pop("sw:probe_returned")
     return result
-
-
-# -- Betweenness centrality -----------------------------------------------------------
-
-
-def bc_worker(ctx, p: dict):
-    from repro.kernels.bc.brandes import brandes_betweenness
-    from repro.kernels.bc.rmat import rmat_graph
-
-    me, P = ctx.here, ctx.n_places
-    graph = rmat_graph(p["scale"], edge_factor=p["edge_factor"], seed=p["seed"])
-    lo, hi = graph.n * me // P, graph.n * (me + 1) // P
-    yield ctx.compute(seconds=_TICK)
-    partial = brandes_betweenness(graph, sources=range(lo, hi))
-    total = yield from reduce(ctx, "bc", partial, _bc_add)
-    if me == 0:
-        centrality = total / 2.0  # undirected halving, as in the full-source path
-        ctx.store["portable:result"] = {
-            "checksum": checksum_bytes(_digest(centrality)),
-            "centrality": centrality,
-            "n": graph.n,
-            "m": graph.m,
-        }
-
-
-def _bc_add(x, y):
-    return x + y
-
-
-def bc_main(ctx, **params):
-    return (yield from spmd(ctx, bc_worker, params))

@@ -3,9 +3,9 @@
 Each hook set plugs into :func:`repro.resilient.run_resilient_epochs`, the one
 epoch coordinator, and keeps its per-place state in ``ctx.store`` (a genuinely
 private heap per place process), so the same program runs on both backends.
-Kills are survived on real processes, where a place death fails a member
-blocked in ``ctx.recv``; the simulator does not wake such a member yet.
-:func:`build_resilient_program` wraps the coordinator into a program ``main``.
+A place death fails the survivors' blocked collectives on both: procs fails a
+member blocked in ``ctx.recv``, the simulator's ``Team`` fails its rendezvous.
+:func:`build_resilient_program` binds :func:`resilient_main` into a program.
 """
 
 from __future__ import annotations
@@ -14,13 +14,9 @@ import functools
 from typing import Any, Callable, Dict
 
 from repro.errors import KernelError
+from repro.kernels.kmeans.kmeans import kmeans_epoch, kmeans_restore, kmeans_result
 from repro.kernels.portable import program_params
-from repro.kernels.portable.programs import (
-    _digest,
-    _rank_checksum,
-    _TICK,
-    kmeans_iteration,
-)
+from repro.kernels.portable.programs import _digest, _rank_checksum, _TICK
 from repro.kernels.portable.uts_program import _result as _uts_result
 from repro.kernels.portable.uts_program import uts_loop
 from repro.resilient import require_resilient, run_resilient_epochs
@@ -30,44 +26,14 @@ from repro.sim.rng import RngStream
 
 # -- kernel hooks ---------------------------------------------------------------------
 #
-# Each kernel declares (restore, body, finalize, epochs):
+# Each kernel declares (restore, body, finalize, epochs, team):
 #   restore(ctx, committed_epoch, blob, p) -- (re)build this place's state in
 #       ctx.store; blob None means "before any epoch": initialize from scratch.
 #   body(ctx, epoch, tag, p)               -- one epoch on the state; returns
 #       the checkpoint blob (a *copy*: the blob must not alias live arrays).
 #   finalize(committed, p, n_places)       -- the program result, computed
 #       from the last committed blobs only.
-
-
-def _km_restore(ctx, committed_epoch: int, blob, p: dict):
-    from repro.kernels.kmeans.kmeans import generate_points, initial_centroids
-
-    points = generate_points(p["seed"], ctx.here, p["n_per_place"], p["dim"])
-    if blob is None:
-        # initial_centroids is a pure function of (seed, k, dim), so computing
-        # it locally is bit-identical to the plain program's place-0 broadcast
-        centroids = initial_centroids(p["seed"], p["k"], p["dim"])
-    else:
-        centroids = blob.copy()
-    ctx.store["resil:km"] = (points, centroids)
-
-
-def _km_body(ctx, epoch: int, tag: str, p: dict):
-    points, centroids = ctx.store["resil:km"]
-    centroids = yield from kmeans_iteration(ctx, points, centroids, f"km:{tag}")
-    ctx.store["resil:km"] = (points, centroids)
-    return centroids.copy()
-
-
-def _km_finalize(committed: Dict[int, Any], p: dict, n_places: int) -> dict:
-    from repro.harness.results import checksum_bytes
-
-    centroids = committed[0]  # identical at every place after the allreduce
-    return {
-        "checksum": checksum_bytes(_digest(centroids)),
-        "centroids": centroids,
-        "k": p["k"],
-    }
+# With ``team`` set, restore and body also take the run's ``team=``.
 
 
 def _stream_restore(ctx, committed_epoch: int, blob, p: dict):
@@ -122,11 +88,35 @@ def _uts_finalize(committed: Dict[int, Any], p: dict, n_places: int) -> dict:
 
 
 _HOOKS: Dict[str, tuple] = {
-    # kernel -> (restore, body, finalize, epochs_from_params)
-    "kmeans": (_km_restore, _km_body, _km_finalize, lambda p: p["iterations"]),
-    "stream": (_stream_restore, _stream_body, _stream_finalize, lambda p: p["iterations"]),
-    "uts": (_uts_restore, _uts_body, _uts_finalize, lambda p: 1),
+    # kernel -> (restore, body, finalize, epochs_from_params, team)
+    "kmeans": (
+        kmeans_restore, kmeans_epoch,
+        lambda committed, p, n_places: kmeans_result(committed[0], p),
+        lambda p: p["iterations"], True,
+    ),
+    "stream": (_stream_restore, _stream_body, _stream_finalize, lambda p: p["iterations"], False),
+    "uts": (_uts_restore, _uts_body, _uts_finalize, lambda p: 1, False),
 }
+
+
+def resilient_main(ctx, kernel: str, p: dict, max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+                   team=None):
+    """Checkpointed epochs of ``kernel`` that survive place kills and finish
+    with the fault-free result.  A kernel with collectives runs them on
+    ``team``, by default a fresh ``ctx.team`` over every place."""
+    restore_fn, body_fn, finalize, epochs_of, uses_team = _HOOKS[kernel]
+    hooks: Dict[str, Any] = {"p": p}
+    if uses_team:
+        hooks["team"] = ctx.team(ctx.places()) if team is None else team
+    committed, stats = yield from run_resilient_epochs(
+        ctx, epochs_of(p), functools.partial(body_fn, **hooks),
+        functools.partial(restore_fn, **hooks), max_attempts,
+    )
+    result = finalize(committed, p, ctx.n_places)
+    # underscore prefix: recovery counters are per-run diagnostics,
+    # excluded from conformance (fault schedules are backend-variant)
+    result["_resilient"] = stats
+    return result
 
 
 def build_resilient_program(
@@ -135,32 +125,19 @@ def build_resilient_program(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     **params: Any,
 ) -> Callable:
-    """The resilient ``main(ctx)`` for ``kernel``: checkpointed epochs that
-    survive place kills and finish with the fault-free checksum."""
+    """The resilient ``main(ctx)`` for ``kernel``: :func:`resilient_main`
+    with ``params`` over the kernel's defaults."""
     require_resilient(kernel)
     p = program_params(kernel, params)
-    restore_fn, body_fn, finalize, epochs_of = _HOOKS[kernel]
-    epochs = epochs_of(p)
+    epochs = _HOOKS[kernel][3](p)
     if epochs < 1:
         raise KernelError(
             f"resilient {kernel} needs at least one epoch (iterations >= 1), "
             f"got {epochs}"
         )
-    body = functools.partial(body_fn, p=p)
-    restore = functools.partial(restore_fn, p=p)
-
-    def main(ctx):
-        committed, stats = yield from run_resilient_epochs(
-            ctx, epochs, body, restore, max_attempts
-        )
-        result = finalize(committed, p, ctx.n_places)
-        # underscore prefix: recovery counters are per-run diagnostics,
-        # excluded from conformance (fault schedules are backend-variant)
-        result["_resilient"] = stats
-        return result
-
-    main.__name__ = f"resilient:{kernel}"
+    main = functools.partial(resilient_main, kernel=kernel, p=p, max_attempts=max_attempts)
+    main.__name__ = f"resilient:{kernel}"  # type: ignore[attr-defined]
     return main
 
 
-__all__ = ["build_resilient_program"]
+__all__ = ["build_resilient_program", "resilient_main"]

@@ -33,9 +33,8 @@ def run_randomaccess(
     materialize: bool = True,
     verify: bool = True,
     model_updates_factor: float = 1.0,
-    group: Optional[PlaceGroup] = None,
 ) -> KernelResult:
-    """Distributed GUPS over the places of ``group`` (default: all places).
+    """Distributed GUPS over every place.
 
     ``table_words_per_place`` must be a power of two (HPCC requirement);
     ``updates_per_place`` defaults to 4x the table size.  ``materialize=False``
@@ -51,10 +50,9 @@ def run_randomaccess(
     t = table_words_per_place
     if t < 1 or t & (t - 1):
         raise KernelError("table size per place must be a power of two")
-    pg = PlaceGroup.world(rt) if group is None else group
+    pg = PlaceGroup.world(rt)
     places = list(pg)
     n_places = len(places)
-    rank_of = {p: i for i, p in enumerate(places)}
     total_words = t * n_places
     n_updates = 4 * t if updates_per_place is None else updates_per_place
     if rt.rdma is None:
@@ -71,18 +69,15 @@ def run_randomaccess(
     )
     if materialize:
         for p, arr in regions.items():
-            r = rank_of[p]
-            arr.data[:] = np.arange(r * t, (r + 1) * t, dtype=np.uint64)
+            arr.data[:] = np.arange(p * t, (p + 1) * t, dtype=np.uint64)
     initial = {p: regions[p].data.copy() for p in regions} if verify else None
 
     mask = np.uint64(total_words - 1)
     shift = np.uint64(int(np.log2(t)))
     passes = 2 if verify else 1
-    # partition index -> owning place / owning octant (group-relative); the
-    # octant "master" is the group's first member there, which for the world
-    # group is exactly ``master_place_of_octant``
-    place_of_rank = np.array(places, dtype=np.int64)
-    octant_of_rank = np.array([rt.topology.octant_of(p) for p in places], dtype=np.int64)
+    # partition index (= owning place) -> owning octant; the octant "master"
+    # is its first place, exactly ``master_place_of_octant``
+    octant_of_place = np.array([rt.topology.octant_of(p) for p in places], dtype=np.int64)
     octant_master: dict[int, int] = {}
     for p in places:
         octant_master.setdefault(rt.topology.octant_of(p), p)
@@ -91,7 +86,7 @@ def run_randomaccess(
         me = ctx.here
         # the whole slice of the global update stream owned by this place,
         # generated once up front (HPCC_starts jump-ahead + vector advance)
-        pass_stream = stream_slice_fast(rank_of[me] * n_updates, n_updates)
+        pass_stream = stream_slice_fast(me * n_updates, n_updates)
         for _ in range(passes):
             done = 0
             in_flight = []
@@ -111,11 +106,11 @@ def run_randomaccess(
                         sel = dest == q
                         local = (indices[sel] & np.uint64(t - 1)).astype(np.int64)
                         np.bitwise_xor.at(
-                            regions[int(place_of_rank[q])].data, local, stream[sel]
+                            regions[int(q)].data, local, stream[sel]
                         )
                 # wire traffic: updates are aggregated per destination *octant*
                 # at the hub (the GUPS engine batches across a node's places)
-                dest_octant = octant_of_rank[dest]
+                dest_octant = octant_of_place[dest]
                 for o in np.unique(dest_octant):
                     count = int((dest_octant == o).sum() * model_updates_factor)
                     master = octant_master[int(o)]

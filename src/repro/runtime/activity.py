@@ -44,6 +44,8 @@ the runtime seam                                               serves
 ``async_copy(here, src, dst, finish, nbytes)``                 ``ctx.async_copy`` (RDMA only)
 ``dead_places()``, ``acknowledge_deaths()``                    the ``ctx`` calls of those names
 ``revive_place(p)``                                            ``ctx.revive(p)``
+``is_dead(p)``                                                 ``broadcast_spawn`` re-rooting
+``team(places)``                                               ``ctx.team``
 =============================================================  ==============================
 
 ``spawn_remote`` and ``remote_eval`` also take ``clock=``, the race detector's
@@ -312,6 +314,16 @@ class ActivityContext:
     def revive(self, place: int) -> None:
         """Bring a dead place back as a fresh, empty host under the same id."""
         self.rt.revive_place(place)
+
+    # -- collectives --------------------------------------------------------------------
+
+    def team(self, places):
+        """X10's ``Team`` over ``places``, for one program run: create it at
+        the root, pass it to the members, and ``yield team.allreduce(ctx, v)``
+        there.  It shares no state with other runs, so it also names the run
+        (a ``ctx.store`` key).  The modelled ``Team`` here, a ``TreeTeam`` on
+        procs; both fold in rank order."""
+        return self.rt.team(list(places))
 
     # -- atomic / when ----------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from repro.runtime import racedetect
 from repro.runtime.activity import Activity, ActivityContext, _UngovernedFinish
 from repro.runtime.finish import BaseFinish, Pragma, make_finish
 from repro.runtime.place import PlaceRuntime
+from repro.runtime.team import Team
 from repro.sim import make_engine
 from repro.sim.events import SimEvent
 from repro.sim.process import Process, Timeout
@@ -187,6 +188,10 @@ class ApgasRuntime:
 
     def acknowledge_deaths(self) -> None:
         """Nothing to lift: the simulator keeps no poison set (``is_dead``)."""
+
+    def team(self, places: list) -> Team:
+        """``ctx.team``: the modelled collectives of :mod:`repro.runtime.team`."""
+        return Team(self, places)
 
     def live_activities(self, place: int) -> int:
         """Activities currently hosted at ``place``.

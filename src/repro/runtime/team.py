@@ -123,12 +123,16 @@ class Team:
         )
 
     def allreduce(
-        self, ctx, value: Any, op: Callable = np.add, nbytes: Optional[int] = None
+        self, ctx, value: Any, op: Callable = np.add, nbytes: Optional[int] = None,
+        tag: str = "",
     ) -> SimEvent:
         """Every member receives the reduction of all members' values.
 
         ``nbytes`` overrides the modeled payload size (used when the real
-        value is a scaled-down stand-in for a bigger modeled array).
+        value is a scaled-down stand-in for a bigger modeled array).  ``tag``
+        names the call's messages where ``ctx.team`` is a message tree; this
+        rendezvous matches calls by index (a revive restarts the count) and
+        ignores it.
         """
 
         def finalize(slot):
@@ -289,7 +293,10 @@ class Team:
 
 
 def _reduce_values(values: list, op: Callable):
-    """Elementwise reduction preserving the first value's type."""
+    """Elementwise reduction preserving the first value's type.
+
+    The values fold left in rank order: the one floating-point combination
+    order of every ``ctx.team`` reduction, on either runtime."""
     total = values[0]
     if isinstance(total, np.ndarray):
         total = total.copy()

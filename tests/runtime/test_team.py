@@ -1,10 +1,12 @@
 """Tests for Team collectives (x10.util.Team)."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.errors import ApgasError
-from repro.runtime import Pragma, Team
+from repro.runtime import ApgasRuntime, PlaceGroup, Pragma, Team, broadcast_spawn
 
 from tests.runtime.conftest import make_runtime
 
@@ -211,3 +213,32 @@ def test_hw_collectives_faster_than_emulated():
         return rt.now
 
     assert run_with(False) < run_with(True)
+
+
+# -- ctx.team: one fold order on both runtimes --------------------------------------
+
+#: a rank-order fold gives ((1e16 + 1) - 1e16) + 1 = 1.0, where a binomial
+#: tree would give (1e16 + 1) + (-1e16 + 1) = 0.0
+ORDER_SENSITIVE = (1e16, 1.0, -1e16, 1.0)
+
+
+def _contribute(ctx, team):
+    total = yield team.allreduce(ctx, ORDER_SENSITIVE[team.rank(ctx.here)])
+    ctx.send(0, "team:totals", float(total))
+
+
+def order_sensitive_allreduce_main(ctx):
+    """Every member's allreduce total of :data:`ORDER_SENSITIVE`, at place 0."""
+    team = ctx.team(ctx.places())
+    group = PlaceGroup(ctx.places())
+    yield from broadcast_spawn(ctx, group, functools.partial(_contribute, team=team))
+    totals = []
+    for _ in group:
+        totals.append((yield ctx.recv("team:totals")))
+    return {"totals": totals}
+
+
+def test_ctx_team_folds_in_rank_order_on_the_simulator():
+    # the procs side of this check is in tests/xrt/test_conformance.py
+    result = ApgasRuntime(places=len(ORDER_SENSITIVE)).run(order_sensitive_allreduce_main)
+    assert result == {"totals": [1.0] * len(ORDER_SENSITIVE)}

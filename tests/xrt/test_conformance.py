@@ -32,9 +32,12 @@ _SMALL = {
 }
 
 
-#: every kernel at PLACES, and uts at 2: with two places each steals only
-#: from the other, the shape that once livelocked over the last piece
-_ROWS = [(kernel, PLACES) for kernel in PORTABLE_KERNELS] + [("uts", 2)]
+#: every kernel at PLACES; uts at 2: with two places each steals only from
+#: the other, the shape that once livelocked over the last piece; kmeans and
+#: bc at 3: an uneven spawning tree and an uneven broadcast tree
+_ROWS = [(kernel, PLACES) for kernel in PORTABLE_KERNELS] + [
+    ("uts", 2), ("kmeans", 3), ("bc", 3),
+]
 
 
 @pytest.mark.parametrize("kernel,places", _ROWS, ids=[f"{k}@{p}" for k, p in _ROWS])
@@ -47,6 +50,18 @@ def test_kernel_conformant_sim_vs_procs(kernel, places):
     assert sim.checksum  # a kernel without a checksum would vacuously pass
     # the procs run really crossed process boundaries
     assert procs.messages_routed > 0
+
+
+def test_ctx_team_allreduce_is_bit_identical_on_both_runtimes():
+    """The message tree folds in the simulator Team's rank order: values
+    whose sum depends on the order agree bit for bit."""
+    from repro.runtime import ApgasRuntime
+    from repro.xrt.procs import run_procs_program
+    from tests.runtime.test_team import order_sensitive_allreduce_main
+
+    sim = ApgasRuntime(places=PLACES).run(order_sensitive_allreduce_main)
+    procs = run_procs_program(order_sensitive_allreduce_main, places=PLACES, deadline=DEADLINE)
+    assert sim == procs.result == {"totals": [1.0] * PLACES}
 
 
 def test_conformance_covers_every_finish_pragma():

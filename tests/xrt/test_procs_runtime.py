@@ -13,6 +13,7 @@ import functools
 import pytest
 
 from repro.errors import (
+    ApgasError,
     DeadPlaceError,
     FinishError,
     PlaceError,
@@ -522,6 +523,15 @@ def test_dead_places_and_revive_on_the_simulator():
         return "checked"
 
     assert ApgasRuntime(places=3, chaos="seed=0,kill=2@1e-3").run(main) == "checked"
+
+
+def test_procs_team_spans_every_place_and_names_its_run():
+    prt = _runtime(n_places=3)
+    first, second = prt.team([0, 1, 2]), prt.team([0, 1, 2])
+    assert (first.members, first.size, first.rank(2)) == ((0, 1, 2), 3, 2)
+    assert first != second  # two runs never share mailboxes
+    with pytest.raises(ApgasError, match="spans every place"):
+        prt.team([0, 2])
 
 
 def _context_of(prt: ProcsRuntime) -> ActivityContext:
