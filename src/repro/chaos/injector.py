@@ -47,7 +47,16 @@ class ChaosInjector:
         self.engine = engine
         self.obs = obs if obs is not None else Observability()
         self.rng = RngStream(spec.seed, "chaos/fate")
-        self._dead: set[int] = set()
+        # ``fate`` draws straight from the generator's bound C methods: per
+        # 64-bit output ``random()`` is the double ``uniform(0.0, 1.0)``
+        # returns, so the stream and every draw are those of the wrapper
+        generator = self.rng.generator
+        self._random = generator.random
+        self._exponential = generator.exponential
+        self._dup_mean = max(spec.delay_mean, 1e-9)
+        #: the places dead now; the live set, so the transport and the
+        #: network test membership without a call (only kill/revive write it)
+        self.dead: set[int] = set()
         self._death_listeners: list[Callable[[int], None]] = []
         self._revive_listeners: list[Callable[[int], None]] = []
         metrics = self.obs.metrics
@@ -66,11 +75,11 @@ class ChaosInjector:
     # -- place failure ----------------------------------------------------------
 
     def is_dead(self, place: int) -> bool:
-        return place in self._dead
+        return place in self.dead
 
     @property
     def dead_places(self) -> frozenset:
-        return frozenset(self._dead)
+        return frozenset(self.dead)
 
     def subscribe_death(self, listener: Callable[[int], None]) -> None:
         """``listener(place)`` runs at kill time, after the place is marked dead."""
@@ -78,9 +87,9 @@ class ChaosInjector:
 
     def kill(self, place: int, reason: str = "scheduled") -> None:
         """Fail ``place`` now: mark dead, record, notify listeners in order."""
-        if place in self._dead:
+        if place in self.dead:
             return
-        self._dead.add(place)
+        self.dead.add(place)
         self._c_kills.inc()
         if self._tracer.enabled:
             self._tracer.instant(
@@ -106,9 +115,9 @@ class ChaosInjector:
         in their structures.  The place is marked live *before* listeners run
         so they may immediately message it.
         """
-        if place not in self._dead:
+        if place not in self.dead:
             raise ChaosError(f"cannot revive place {place}: it is not dead")
-        self._dead.discard(place)
+        self.dead.discard(place)
         self._c_revivals.inc()
         if self._tracer.enabled:
             self._tracer.instant("chaos.revive", "chaos", place, self.engine.now)
@@ -128,7 +137,7 @@ class ChaosInjector:
     def swallowed(self, place: int) -> bool:
         """A delivery landing at ``place`` now: True, recorded as blackholed,
         when the place died while it was in flight."""
-        if place in self._dead:
+        if place in self.dead:
             self.blackholed(place, place, self.engine.now, None)
             return True
         return False
@@ -149,33 +158,37 @@ class ChaosInjector:
         pure function of the seed and the transfer sequence.
         """
         spec = self.spec
-        rng = self.rng
+        random = self._random
         tracer = self._tracer
-        if spec.drop and rng.uniform() < spec.drop:
-            self._c_drops.inc()
+        p = spec.drop
+        if p and random() < p:
+            self._c_drops.value += 1
             if tracer.enabled:
                 tracer.instant("chaos.drop", "chaos", src, now, src=src, dst=dst, tag=tag)
             return Fate(drop=True)
         dup_delay = None
-        if spec.dup and rng.uniform() < spec.dup:
-            self._c_dups.inc()
-            dup_delay = float(rng.exponential(max(spec.delay_mean, 1e-9)))
+        p = spec.dup
+        if p and random() < p:
+            self._c_dups.value += 1
+            dup_delay = self._exponential(self._dup_mean)
             if tracer.enabled:
                 tracer.instant(
                     "chaos.dup", "chaos", src, now, src=src, dst=dst, tag=tag,
                     dup_delay=dup_delay,
                 )
         extra = 0.0
-        if spec.delay_p and rng.uniform() < spec.delay_p:
-            self._c_delays.inc()
-            extra += float(rng.exponential(spec.delay_mean))
+        p = spec.delay_p
+        if p and random() < p:
+            self._c_delays.value += 1
+            extra += self._exponential(spec.delay_mean)
             if tracer.enabled:
                 tracer.instant(
                     "chaos.delay", "chaos", src, now, src=src, dst=dst, tag=tag, extra=extra
                 )
-        if spec.reorder_p and rng.uniform() < spec.reorder_p:
-            self._c_reorders.inc()
-            hold = float(rng.uniform(0.0, spec.reorder_window))
+        p = spec.reorder_p
+        if p and random() < p:
+            self._c_reorders.value += 1
+            hold = spec.reorder_window * random()  # uniform(0.0, window), same double
             extra += hold
             if tracer.enabled:
                 tracer.instant(

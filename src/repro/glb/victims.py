@@ -22,12 +22,12 @@ def victim_set(n_places: int, place: int, max_victims: int, seed: int = 0) -> np
     others = n_places - 1
     if others <= 0:
         return np.empty(0, dtype=np.int64)
-    rng = RngStream(seed, f"glb/victims/{place}")
     if max_victims is None or max_victims >= others:
         victims = np.arange(n_places, dtype=np.int64)
         victims = victims[victims != place]
         return victims
     # sample without replacement from [0, n) \ {place}
+    rng = RngStream(seed, f"glb/victims/{place}")
     raw = rng.choice(others, size=max_victims, replace=False)
     victims = np.where(raw >= place, raw + 1, raw).astype(np.int64)
     return victims

@@ -48,8 +48,11 @@ def assign_and_accumulate(points: np.ndarray, centroids: np.ndarray):
     cross += np.einsum("kd,kd->k", centroids, centroids)
     labels = np.argmin(cross, axis=1)
     k, d = centroids.shape
-    sums = np.zeros((k, d))
-    np.add.at(sums, labels, points)
+    # one weighted bincount over the (cluster, dim) cells: each cell sums its
+    # points in point order from 0.0, the same adds as ``np.add.at``
+    sums = np.bincount(
+        (labels[:, None] * d + np.arange(d)).ravel(), weights=points.ravel(), minlength=k * d
+    ).reshape(k, d)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     return sums, counts
 

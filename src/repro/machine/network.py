@@ -63,6 +63,8 @@ class Network:
         self.obs = obs if obs is not None else Observability()
         #: optional :class:`~repro.chaos.ChaosInjector`; None = reliable fabric
         self.chaos = chaos
+        #: the spec slows links down at some point (else a leg skips the call)
+        self._degrades = chaos is not None and chaos.spec.degrade_factor > 1.0
         metrics = self.obs.metrics
         self._tracer = self.obs.trace
         self._msg_count = {k: metrics.counter("net.messages", kind=k.value) for k in TransferKind}
@@ -339,7 +341,8 @@ class Network:
         """
         chaos = self.chaos
         now = self.engine._now
-        if chaos.is_dead(src_place) or chaos.is_dead(dst_place):
+        dead = chaos.dead
+        if src_place in dead or dst_place in dead:
             chaos.blackholed(src_place, dst_place, now, tag)
             return None
         if self._tracer.enabled:
@@ -355,7 +358,8 @@ class Network:
         if entry[4] is not None:  # a route cache: the leg leaves the octant
             if kind is TransferKind.MSG:
                 fate = chaos.fate(src_place, dst_place, now, tag)
-            wire_nbytes = nbytes * chaos.degrade_factor(now)
+            if self._degrades:
+                wire_nbytes = nbytes * chaos.degrade_factor(now)
         t = self._reserve_path(src_place, dst_place, nbytes, wire_nbytes, kind, tlb_factor)
         if fate is None:
             return t, None
@@ -364,10 +368,10 @@ class Network:
         t += fate.extra_delay
         if fate.dup_delay is None:
             return t, None
-        # the duplicate consumed the wire too
-        self._msg_count[kind].inc()
-        self._msg_bytes[kind].inc(int(nbytes))
-        entry[0].inc()
+        # the duplicate consumed the wire too (fates are drawn for MSG legs only)
+        self._c_msg_n.value += 1
+        self._c_msg_b.value += int(nbytes)
+        entry[0].value += 1
         return t, t + fate.dup_delay
 
     def _land(self, dst_place: int, event: SimEvent) -> None:

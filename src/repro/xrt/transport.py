@@ -60,7 +60,10 @@ class _Reliability:
     def __init__(self, transport: "Transport", chaos) -> None:
         self.engine = transport.engine
         self.network = transport.network
+        self._n_places = transport.topology.places
         self.chaos = chaos
+        #: the injector's live set of dead places, read without a call
+        self._dead = chaos.dead
         spec = chaos.spec
         self.rto = spec.rto
         self.max_retries = spec.max_retries
@@ -80,9 +83,11 @@ class _Reliability:
         given, fails with :class:`~repro.errors.DeadPlaceError` when the
         destination is (or becomes) dead, so senders never hang on a dead
         peer."""
-        self.network.check(src, dst, nbytes)
+        n = self._n_places
+        if nbytes < 0 or not 0 <= src < n or not 0 <= dst < n:
+            self.network.check(src, dst, nbytes)
         self._seq = seq = self._seq + 1
-        if self.chaos.is_dead(dst):
+        if dst in self._dead:
             if done is not None:
                 done.fail(DeadPlaceError(dst, detected_by=f"transfer@{src}",
                                          detail="destination already dead at send time"))
@@ -98,7 +103,7 @@ class _Reliability:
     # -- sender side -------------------------------------------------------------
 
     def _attempt(self, msg: _Message) -> None:
-        if self.chaos.is_dead(msg.src):
+        if msg.src in self._dead:
             msg.live = False  # a dead sender stops retrying
             return
         times = self.network.chaos_leg(msg.src, msg.dst, msg.nbytes, TransferKind.MSG, 1.0, msg.seq)
@@ -118,27 +123,27 @@ class _Reliability:
             engine.post(dup - now if dup > now else 0.0, fn, msg)
 
     def _on_timeout(self, msg: _Message) -> None:
-        chaos = self.chaos
         src, dst = msg.src, msg.dst
-        if chaos.is_dead(src):
+        dead = self._dead
+        if src in dead:
             msg.live = False  # the sender itself died; nobody is waiting
             return
-        if chaos.is_dead(dst):
+        if dst in dead:
             # the peer died mid-flight: surface the failure at the next timer
             # tick instead of retrying into a black hole (or hanging forever)
             self._fail(msg, "destination died before acknowledging")
             return
         attempt = msg.attempt
         if attempt >= self.max_retries:
-            self._c_exhausted.inc()
+            self._c_exhausted.value += 1
             if self._tracer.enabled:
                 self._trace("transport.unreachable", src, msg, attempts=attempt)
-            chaos.declare_dead(dst, reason=f"unreachable after {attempt} retries")
+            self.chaos.declare_dead(dst, reason=f"unreachable after {attempt} retries")
             self._fail(msg, f"unreachable after {attempt} retries")
             return
         msg.attempt = attempt = attempt + 1
         msg.rto *= 2
-        self._c_retries.inc()
+        self._c_retries.value += 1
         if self._tracer.enabled:
             self._trace("transport.retry", src, msg, attempt=attempt)
         self._attempt(msg)
@@ -158,15 +163,15 @@ class _Reliability:
 
     def _on_data(self, msg: _Message) -> None:
         dst = msg.dst
-        if self.chaos.swallowed(dst):
+        if dst in self._dead and self.chaos.swallowed(dst):
             return
         if msg.delivered:
-            self._c_dup_suppressed.inc()
+            self._c_dup_suppressed.value += 1
             if self._tracer.enabled:
                 self._trace("transport.dup", dst, msg)
         else:
             msg.delivered = True
-            self._c_delivered.inc()
+            self._c_delivered.value += 1
             if self._tracer.enabled:
                 self._trace("transport.deliver", dst, msg)
             msg.fn(dst, msg.body)
@@ -176,10 +181,10 @@ class _Reliability:
             self._post_landings(times, self._on_ack, msg)
 
     def _on_ack(self, msg: _Message) -> None:
-        if self.chaos.swallowed(msg.src) or not msg.live:
+        if (msg.src in self._dead and self.chaos.swallowed(msg.src)) or not msg.live:
             return  # lost at a dead sender, a duplicate ack, or already resolved
         msg.live = False
-        self._c_acks.inc()
+        self._c_acks.value += 1
         msg.timer.cancel()
 
 

@@ -25,25 +25,47 @@ def test_assign_and_accumulate_counts_points():
     np.testing.assert_allclose(sums[1], [1.0, 1.0])
 
 
-def test_assign_and_accumulate_is_bit_equal_to_the_textbook_formula():
-    """The in-place distance matrix picks the same labels, and the per-point
-    ``np.add.at`` adds the same terms in the same order, as the out-of-place
-    ``c_sq - 2 x.c`` form: sums and counts are equal, not close."""
-    for seed in range(5):
-        points = generate_points(seed, 0, 500, 7)
-        centroids = initial_centroids(seed, 9, 7)
+def _accumulate_case(shape, seed):
+    """(points, centroids, indices of clusters no point can pick)."""
+    if shape == "base":
+        points, centroids = generate_points(seed, 0, 500, 7), initial_centroids(seed, 9, 7)
         centroids[4] = 50.0  # far from every point: an empty cluster
-        cross = points @ centroids.T
-        c_sq = np.einsum("kd,kd->k", centroids, centroids)
-        labels = np.argmin(c_sq[None, :] - 2.0 * cross, axis=1)
-        want_sums = np.zeros_like(centroids)
-        np.add.at(want_sums, labels, points)
-        want_counts = np.bincount(labels, minlength=9).astype(np.float64)
-        before = (points.copy(), centroids.copy())
-        sums, counts = assign_and_accumulate(points, centroids)
-        assert np.array_equal(sums, want_sums) and np.array_equal(counts, want_counts)
-        assert counts[4] == 0 and not sums[4].any()
-        assert np.array_equal(points, before[0]) and np.array_equal(centroids, before[1])
+        return points, centroids, [4]
+    if shape == "d=1":
+        return generate_points(seed, 0, 300, 1), initial_centroids(seed, 6, 1), []
+    if shape == "k>n":
+        return generate_points(seed, 0, 5, 3), initial_centroids(seed, 17, 3), []
+    if shape == "many-empty":
+        points, centroids = generate_points(seed, 0, 400, 4), initial_centroids(seed, 12, 4)
+        centroids[1::2] = 50.0 + np.arange(6)[:, None]
+        return points, centroids, list(range(1, 12, 2))
+    points = generate_points(seed, 0, 900, 10)[::3, 1:8]  # rows and columns strided
+    assert not points.flags.c_contiguous
+    return points, initial_centroids(seed, 9, 7), []
+
+
+def test_assign_and_accumulate_is_bit_equal_to_the_textbook_formula():
+    """The in-place distance matrix picks the same labels, and the weighted
+    ``bincount`` adds the same terms in the same order, as the out-of-place
+    ``c_sq - 2 x.c`` form with a sequential ``np.add.at``: sums and counts
+    are equal, not close, also for one dimension, more clusters than points,
+    many empty clusters and a non-contiguous slice of points."""
+    for shape in ("base", "d=1", "k>n", "many-empty", "strided"):
+        for seed in range(5):
+            points, centroids, empty = _accumulate_case(shape, seed)
+            k = len(centroids)
+            cross = points @ centroids.T
+            c_sq = np.einsum("kd,kd->k", centroids, centroids)
+            labels = np.argmin(c_sq[None, :] - 2.0 * cross, axis=1)
+            want_sums = np.zeros_like(centroids)
+            np.add.at(want_sums, labels, points)
+            want_counts = np.bincount(labels, minlength=k).astype(np.float64)
+            before = (points.copy(), centroids.copy())
+            sums, counts = assign_and_accumulate(points, centroids)
+            assert np.array_equal(sums, want_sums) and np.array_equal(counts, want_counts)
+            assert not counts[empty].any() and not sums[empty].any()
+            assert (counts == 0).sum() >= k - len(points)
+            assert np.array_equal(points, before[0]) and np.array_equal(centroids, before[1])
 
 
 def test_empty_cluster_keeps_centroid():

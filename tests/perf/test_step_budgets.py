@@ -1,6 +1,6 @@
 """Step-count complexity regressions: engine events per finish/broadcast idiom,
-and interpreter calls per invocation of the shared numeric cores and per
-finish open (at the end).
+and interpreter calls per invocation of the shared numeric cores, per finish
+open and per chaos leg (at the end).
 
 ``Engine.events_executed`` counts every callback the loop dispatched, so it
 is a wall-clock-free complexity measure: if a refactor adds a per-message
@@ -15,15 +15,18 @@ import sys
 
 import pytest
 
+from repro.chaos import ChaosInjector
 from repro.harness.runner import make_runtime
 from repro.kernels.bc import rmat_graph, single_source_dependencies
 from repro.kernels.randomaccess.hpcc_rng import stream_slice, stream_slice_fast
 from repro.kernels.smithwaterman.sw import random_sequence, sw_score, sw_score_reference
 from repro.kernels.uts import UtsBag, UtsParams
 from repro.machine.config import MachineConfig
+from repro.machine.network import TransferKind
 from repro.runtime import Pragma
 from repro.runtime.broadcast import PlaceGroup, broadcast_spawn
 
+from tests.chaos.fate_oracle import fate_reference
 from tests.kernels.brandes_oracle import single_source_dependencies_per_vertex
 from tests.kernels.uts_oracle import process_oracle
 
@@ -226,3 +229,42 @@ def test_open_finish_call_budget():
         f"open_finish: {calls} interpreter calls exceed the budget "
         f"{_OPEN_FINISH_BUDGET} — a registry lookup or enum read is back on the open path"
     )
+
+
+# -- one chaos leg: C draws and set tests, not wrapper and method calls ----------
+#
+# A fate test is one bound ``Generator.random()`` draw and a dead-endpoint test
+# is a set membership, so a leg costs its path reservation and its posts.  The
+# spec takes every fate branch but the drop, the most a delivered leg can
+# cost.  Measured 30 calls for one ``chaos_leg`` plus one ``send`` when the
+# budget was set; 77 with the ``RngStream.uniform`` wrapper per test, an
+# ``is_dead`` call per endpoint and a ``check`` per send.
+_CHAOS_LEG_SPEC = "seed=3,dup=1.0,delay=1.0:2e-5,reorder=1.0:5e-5"
+_CHAOS_LEG_BUDGET = 39
+
+
+def _chaos_leg_and_send():
+    rt = make_runtime(8, MachineConfig.small(), chaos=_CHAOS_LEG_SPEC)
+    network, reliability = rt.transport.network, rt.transport._reliability
+    network.chaos_leg(1, 6, 16, TransferKind.MSG, 1.0, 1)  # fills the path table
+
+    def one():
+        network.chaos_leg(1, 6, 16, TransferKind.MSG, 1.0, 2)
+        reliability.send(2, 5, 16, _leaf, None)
+
+    return one
+
+
+def test_chaos_leg_call_budget():
+    calls = _calls_under(_chaos_leg_and_send())
+    assert calls <= _CHAOS_LEG_BUDGET, (
+        f"chaos leg + send: {calls} interpreter calls exceed the budget "
+        f"{_CHAOS_LEG_BUDGET} — a wrapped draw, a liveness call or a validation "
+        f"call is back on the chaos delivery path"
+    )
+
+
+def test_chaos_leg_budget_would_catch_the_wrapped_draws(monkeypatch):
+    """Only the fate body swapped back to scalar ``uniform()`` draws trips it."""
+    monkeypatch.setattr(ChaosInjector, "fate", fate_reference)
+    assert _calls_under(_chaos_leg_and_send()) > _CHAOS_LEG_BUDGET
