@@ -32,6 +32,32 @@ from repro.runtime.runtime import ApgasRuntime
 from repro.sim.rng import RngStream
 
 
+def swap_plan(swaps: list, nb: int, P: int) -> dict:
+    """Each process row's part in one step's row swaps, in swap order.
+
+    ``{process row: [partner process row, or None for a local swap, ...]}``:
+    a swap between rows ``r1`` and ``r2`` (owned by process rows
+    ``(r // nb) % P``) is a local memory swap at their common owner, or one
+    message exchange that both owners take part in.  Process rows with no
+    part in any swap are absent.
+    """
+    plan: dict = {}
+    for r1, r2 in swaps:
+        pr1, pr2 = (r1 // nb) % P, (r2 // nb) % P
+        if pr1 == pr2:
+            plan.setdefault(pr1, []).append(None)
+        else:
+            plan.setdefault(pr1, []).append(pr2)
+            plan.setdefault(pr2, []).append(pr1)
+    return plan
+
+
+def owned_blocks_after(k: int, nblk: int, mod: int, mine: int) -> int:
+    """Block indices in (k, nblk) owned by coordinate ``mine`` (mod P/Q): the
+    first is the least index above ``k`` congruent to ``mine``."""
+    return len(range(k + 1 + (mine - k - 1) % mod, nblk, mod))
+
+
 def run_hpl(
     rt: ApgasRuntime,
     N: int,
@@ -61,6 +87,7 @@ def run_hpl(
     grid = grid or default_grid(n_places)
     if grid.places != n_places:
         raise KernelError(f"grid {grid.P}x{grid.Q} does not match {n_places} places")
+    P, Q = grid.P, grid.Q
     if N % NB:
         raise KernelError("N must be a multiple of NB")
     nblk = N // NB
@@ -77,7 +104,6 @@ def run_hpl(
     A = rng.uniform(-0.5, 0.5, size=(N, N))
     A0 = A.copy()
     all_swaps: list = []
-    step_swaps: dict[int, list] = {}
 
     world = Team(rt, list(pg))
     row_teams = (
@@ -96,83 +122,77 @@ def run_hpl(
         crowd = len(rt.topology.places_on_octant(octant))
         return calibration.dgemm_rate(rt.config, crowd)
 
-    def owned_blocks_after(k: int, mod: int, mine: int) -> int:
-        """Block indices in (k, nblk) owned by coordinate ``mine`` (mod P/Q)."""
-        return sum(1 for b in range(k + 1, nblk) if b % mod == mine)
-
-    def step_math(k: int) -> list:
-        """The actual numerics of step k, executed once by the diagonal owner."""
-        if k not in step_swaps:
-            k0 = k * NB
-            swaps = panel_factor(A, k0, NB)
-            update_u_row(A, k0, NB)
-            update_trailing(A, k0, NB)
-            step_swaps[k] = swaps
-            all_swaps.extend(swaps)
-        return step_swaps[k]
+    def step_math(k: int) -> dict:
+        """The actual numerics of step k, executed once by the diagonal owner;
+        returns the step's swap plan, which the panel broadcasts carry."""
+        k0 = k * NB
+        swaps = panel_factor(A, k0, NB)
+        update_u_row(A, k0, NB)
+        update_trailing(A, k0, NB)
+        all_swaps.extend(swaps)
+        return swap_plan(swaps, NB, P)
 
     def swap_recv(ctx):
         return None  # the row data lands in local storage; no compute
 
+    # a row's width does not depend on the step
+    row_bytes = int(bscale * max(1, (N - NB) // Q) * 8)
+
     def body(ctx):
-        pi, pj = grid.coords_of(ctx.here)
-        rate = dgemm_rate_for(ctx.here)
+        here = ctx.here
+        pi, pj = grid.coords_of(here)
+        rate = dgemm_rate_for(here)
         rteam = row_teams.get(pi)
         cteam = col_teams.get(pj)
+        mem_bw = rt.config.place_stream_bandwidth
         for k in range(nblk):
             k0 = k * NB
             rows_below = N - k0
-            diag = grid.owner_of_block(k, k)
-            panel_share = int(bscale * rows_below * NB * 8) // grid.P  # one place's slice
+            # step k's panel lives in process column kq, its U block row in
+            # process row kp, and the diagonal block at their crossing
+            kp, kq = k % P, k % Q
+            diag = kp * Q + kq
+            panel_share = int(bscale * rows_below * NB * 8) // P  # one place's slice
 
             # -- panel: gather to the diagonal owner, recursive factorization,
-            #    pivot search over all rows below, redistribution -------------
-            swaps = None
-            if pj == k % grid.Q:
-                if ctx.here == diag:
-                    swaps = step_math(k)
+            #    pivot search over all rows below, redistribution of the
+            #    panel and its swap plan ---------------------------------------
+            plan = None
+            if pj == kq:
+                if here == diag:
+                    plan = step_math(k)
                     yield ctx.compute(flops=pscale * NB * rows_below, flop_rate=rate)
                 if cteam is not None:
-                    swaps = yield cteam.broadcast(ctx, swaps, root=diag, nbytes=panel_share)
+                    plan = yield cteam.broadcast(ctx, plan, root=diag, nbytes=panel_share)
 
-            # -- broadcast panel + pivots along process rows -------------------
+            # -- broadcast panel + pivots along process rows (with Q = 1 every
+            #    place is in the panel's column and already holds the plan) ----
             if rteam is not None:
-                row_root = grid.place_of(pi, k % grid.Q)
-                swaps = yield rteam.broadcast(ctx, swaps, root=row_root, nbytes=panel_share)
-            elif swaps is None:
-                swaps = step_swaps[k]
+                plan = yield rteam.broadcast(ctx, plan, root=pi * Q + kq, nbytes=panel_share)
 
             # -- apply row swaps: message exchange between owning process rows --
-            row_bytes = int(bscale * max(1, (N - NB) // grid.Q) * 8)
-            for r1, r2 in swaps:
-                pr1, pr2 = (r1 // NB) % grid.P, (r2 // NB) % grid.P
-                if pr1 == pr2:
-                    if pi == pr1:  # local swap: memory traffic only
-                        yield ctx.compute(
-                            mem_bytes=2 * row_bytes, mem_bw=rt.config.place_stream_bandwidth
-                        )
-                elif pi in (pr1, pr2):
-                    partner = grid.place_of(pr2 if pi == pr1 else pr1, pj)
+            for partner in plan.get(pi, ()):
+                if partner is None:  # local swap: memory traffic only
+                    yield ctx.compute(mem_bytes=2 * row_bytes, mem_bw=mem_bw)
+                else:
                     with ctx.finish(Pragma.FINISH_ASYNC) as f:
-                        ctx.at_async(partner, swap_recv, nbytes=row_bytes)
+                        ctx.at_async(partner * Q + pj, swap_recv, nbytes=row_bytes)
                     yield f.wait()
 
             # -- U block row: triangular solves at the owning process row -------
-            if pi == k % grid.P:
-                u_blocks = owned_blocks_after(k, grid.Q, pj)
+            if pi == kp:
+                u_blocks = owned_blocks_after(k, nblk, Q, pj)
                 if u_blocks:
                     yield ctx.compute(flops=pscale * u_blocks * NB**2, flop_rate=rate)
 
             # -- broadcast U down the columns -----------------------------------
             if cteam is not None:
-                u_share = int(bscale * max(1, (N - k0 - NB) // grid.Q) * NB * 8)
-                yield cteam.broadcast(
-                    ctx, None, root=grid.place_of(k % grid.P, pj), nbytes=u_share
-                )
+                u_share = int(bscale * max(1, (N - k0 - NB) // Q) * NB * 8)
+                yield cteam.broadcast(ctx, None, root=kp * Q + pj, nbytes=u_share)
 
             # -- trailing rank-NB update (local DGEMMs) --------------------------
-            my_rows = owned_blocks_after(k, grid.P, pi)
-            my_cols = owned_blocks_after(k, grid.Q, pj)
+            my_rows = owned_blocks_after(k, nblk, P, pi)
+            my_cols = owned_blocks_after(k, nblk, Q, pj)
             if my_rows and my_cols:
                 yield ctx.compute(
                     flops=fscale * 2.0 * NB**3 * my_rows * my_cols, flop_rate=rate

@@ -34,7 +34,7 @@ Resilient X10's distinguished-place semantics.
 
 from __future__ import annotations
 
-import inspect
+from types import GeneratorType
 from typing import Any, Callable, Dict
 
 from repro.errors import DeadPlaceError, ResilientError
@@ -49,7 +49,7 @@ DEFAULT_MAX_ATTEMPTS = 8
 
 def drive_hook(result):
     """Run a hook that may be a generator or a plain function."""
-    if inspect.isgenerator(result):
+    if type(result) is GeneratorType:
         return (yield from result)
     return result
 

@@ -134,12 +134,14 @@ class FinishScope:
         self._finish: Optional[BaseFinish] = None
 
     def __enter__(self) -> BaseFinish:
-        self._finish = self._ctx.rt.open_finish(self._ctx.here, self._pragma, self._name)
-        race = self._ctx.rt.race
+        ctx = self._ctx
+        activity, rt = ctx.activity, ctx.rt
+        finish = self._finish = rt.open_finish(activity.place, self._pragma, self._name)
+        race = rt.race
         if race is not None:
-            race.on_finish_open(self._finish, self._ctx.activity)
-        self._ctx.activity.finish_stack.append(self._finish)
-        return self._finish
+            race.on_finish_open(finish, activity)
+        activity.finish_stack.append(finish)
+        return finish
 
     def __exit__(self, exc_type, exc, tb) -> None:
         popped = self._ctx.activity.finish_stack.pop()
@@ -243,10 +245,11 @@ class ActivityContext:
         self, place: int, fn: Callable, *args: Any, nbytes: Optional[int] = None, name: str = ""
     ) -> None:
         """``at(p) async S``: an active message — non-blocking remote spawn."""
+        activity = self.activity
         race = self.rt.race
-        clock = race.fork_snapshot(self.activity) if race is not None else None
+        clock = race.fork_snapshot(activity) if race is not None else None
         self.rt.spawn_remote(
-            self.here, place, fn, args, self.activity.current_finish, nbytes, name,
+            activity.place, place, fn, args, activity.finish_stack[-1], nbytes, name,
             clock=clock,
         )
 

@@ -8,7 +8,7 @@ overhead, with completion detected by nested FINISH_SPMD blocks.
 
 from __future__ import annotations
 
-import inspect
+from types import GeneratorType
 from typing import Callable, Sequence
 
 from repro.errors import ApgasError
@@ -118,7 +118,7 @@ def _tree_node(
                 )
             step *= 2
         result = fn(ctx, *args)
-        if inspect.isgenerator(result):
+        if type(result) is GeneratorType:
             yield from result
     yield f.wait()
 

@@ -227,7 +227,7 @@ class BaseFinish:
         event = SimEvent(name=f"{self.name}.wait")
         if self.failed is not None:
             event.fail(self.failed)
-        elif self.quiescent:
+        elif self.pending == 0 and self._unreported == 0:
             event.trigger()
         else:
             self._waiters.append(event)
@@ -265,7 +265,7 @@ class BaseFinish:
         """
         if place == self.home:
             return
-        self.report_pending()
+        self._unreported += 1
         self.send_ctl(place, self.home, CTL_BYTES, self.report_arrived)
 
     def holds_state_at(self, place: int) -> int:
@@ -281,7 +281,7 @@ class BaseFinish:
     # -- shared plumbing ------------------------------------------------------------
 
     def _check(self) -> None:
-        if not self.quiescent:
+        if self.failed is not None or self.pending != 0 or self._unreported != 0:
             return
         tracer = self._tracer
         if tracer.enabled:
@@ -337,7 +337,7 @@ class BaseFinish:
         if self.rt.chaos is None:
             # reliable fabric: no message can be lost or written off, so the
             # in-flight token and its arrival wrapper are pure overhead
-            self.rt.send_finish_ctl(self, src, dst, nbytes, on_arrival)
+            self.rt.transport.post_args(src, dst, "apgas-finish", on_arrival, nbytes)
             return
         token = _CtlMsg(src, dst, reports)
         self._ctl_inflight.add(token)
@@ -348,28 +348,24 @@ class BaseFinish:
             self._ctl_inflight.discard(token)
             on_arrival()
 
-        self.rt.send_finish_ctl(self, src, dst, nbytes, arrived)
+        self.rt.transport.post_args(src, dst, "apgas-finish", arrived, nbytes)
 
-    def spawn_departed(self, src: int, dst: int) -> Optional[_CtlMsg]:
+    def spawn_departed(self, src: int, dst: int) -> _CtlMsg:
         """A remote spawn left ``src``; the token rides in the message.
 
-        On a reliable fabric no spawn can be written off, so no token is
-        tracked at all (``None`` rides in the message instead).
+        Called only under fault injection: on a reliable fabric no spawn can
+        be written off, so no token is tracked at all (``None`` rides in the
+        message instead).
         """
-        if self.rt.chaos is None:
-            return None
         token = _CtlMsg(src, dst, 1)
         self._spawn_inflight.add(token)
         return token
 
-    def spawn_landed(self, token: Optional[_CtlMsg]) -> bool:
-        """The spawn message arrived.  False means it was written off when a
-        place died (or the finish failed) — the activity must not start,
-        because its fork has already been settled."""
-        if self.failed is not None:
-            return False
-        if token is None:
-            return True
+    def spawn_landed(self, token: _CtlMsg) -> bool:
+        """The spawn message carrying ``token`` arrived (fault injection
+        only, as :meth:`spawn_departed`).  False means it was written off
+        when a place died — the activity must not start, because its fork
+        has already been settled.  The caller has checked :attr:`failed`."""
         if token not in self._spawn_inflight:
             return False
         self._spawn_inflight.discard(token)

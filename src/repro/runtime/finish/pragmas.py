@@ -40,6 +40,11 @@ class Pragma(enum.Enum):
     #: places and coalesced
     FINISH_DENSE = "finish_dense"
 
+    #: members are singletons compared by identity, so the identity hash is
+    #: exact; ``Enum.__hash__`` is a Python call on every table lookup, and
+    #: opening a finish makes two
+    __hash__ = object.__hash__
+
 
 # -- the legality rulebook -----------------------------------------------------
 #

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from functools import partial
+from types import GeneratorType
 from typing import Any, Callable, Optional
 
 from repro.chaos import ChaosInjector, ChaosSpec
@@ -15,7 +15,7 @@ from repro.machine.topology import Topology
 from repro.obs import Observability
 from repro.runtime import racedetect
 from repro.runtime.activity import Activity, ActivityContext, _UngovernedFinish
-from repro.runtime.finish import BaseFinish, Pragma, make_finish
+from repro.runtime.finish import _IMPLEMENTATIONS, BaseFinish, Pragma
 from repro.runtime.place import PlaceRuntime
 from repro.runtime.team import Team
 from repro.sim import make_engine
@@ -174,7 +174,7 @@ class ApgasRuntime:
         return Timeout(self.place(place).worker.reserve(now, dt) - now)
 
     def open_finish(self, home: int, pragma: Pragma, name: str = "") -> BaseFinish:
-        return make_finish(self, home, pragma, name)
+        return _IMPLEMENTATIONS[pragma](self, home, name)
 
     def recv(self, place: int, mailbox: str):
         return self.place(place).mailbox(mailbox).get()
@@ -250,13 +250,15 @@ class ApgasRuntime:
         name: str = "",
         clock: Optional[dict] = None,
     ) -> None:
-        self.place(dst)
-        if self.is_dead(dst):
+        if not 0 <= dst < len(self._places):
+            self.place(dst)  # raises the PlaceError
+        chaos = self.chaos
+        if chaos is not None and chaos.is_dead(dst):
             raise DeadPlaceError(dst, detected_by=f"spawn@{src}", detail="async to a dead place")
         finish.fork(src, dst)
         self._c_remote_spawns.value += 1
         size = nbytes if nbytes is not None else estimate_nbytes(args)
-        token = finish.spawn_departed(src, dst)
+        token = finish.spawn_departed(src, dst) if chaos is not None else None
         # ``clock`` (the race detector's fork snapshot) rides in the message
         # but never in ``size``: detector-on runs keep detector-off traffic.
         self.transport.post_args(
@@ -265,8 +267,10 @@ class ApgasRuntime:
 
     def _on_spawn(self, dst: int, body) -> None:
         fn, args, finish, name, token, clock = body
-        if not finish.spawn_landed(token):
-            return  # written off by a place death; its fork is already settled
+        if finish.failed is not None or (token is not None and not finish.spawn_landed(token)):
+            # the finish failed, or a place death wrote the spawn off: its
+            # fork is already settled
+            return
         # The delivery event *is* the asynchrony of ``at (p) async``: the body
         # may run right here rather than through one more zero-delay hop.
         self._start_activity(dst, fn, args, finish, name, inline=True, clock=clock)
@@ -294,7 +298,7 @@ class ApgasRuntime:
             # run (an inline start executes it immediately)
             self.race.adopt(activity, clock)
         self._c_activities.value += 1
-        self.place(place).activities_run += 1
+        self._places[place].activities_run += 1
         if inline:
             self._run_plain(activity)
             return activity
@@ -326,7 +330,7 @@ class ApgasRuntime:
         except BaseException:
             self._join_activity(activity)
             raise
-        if inspect.isgenerator(result):
+        if type(result) is GeneratorType:
             activity.process = Process(
                 self.engine, self._drive(activity, result), name=activity.name, immediate=True
             )
@@ -349,7 +353,7 @@ class ApgasRuntime:
         try:
             if body is None:
                 body = activity.fn(ActivityContext(self, activity), *activity.args)
-            if inspect.isgenerator(body):
+            if type(body) is GeneratorType:
                 body = yield from body
             return body
         except GeneratorExit:
@@ -413,10 +417,12 @@ class ApgasRuntime:
         clock: Optional[object] = None,
     ) -> SimEvent:
         """The activity shifts to ``dst``, evaluates, and the result ships back."""
-        self.place(dst)
+        if not 0 <= dst < len(self._places):
+            self.place(dst)  # raises the PlaceError
         self._c_remote_evals.value += 1
         result_event = SimEvent(name=f"at({dst})")
-        if self.is_dead(dst):
+        chaos = self.chaos
+        if chaos is not None and chaos.is_dead(dst):
             result_event.fail(
                 DeadPlaceError(dst, detected_by=f"at@{src}", detail="evaluation at a dead place")
             )
@@ -456,7 +462,7 @@ class ApgasRuntime:
         except BaseException as exc:
             deliver(exc, True)
             return
-        if not inspect.isgenerator(result):
+        if type(result) is not GeneratorType:
             deliver(result, False)
             return
 
@@ -559,11 +565,6 @@ class ApgasRuntime:
 
     def register_finish(self, finish: BaseFinish) -> None:
         self._finishes[finish.finish_id] = finish
-
-    def send_finish_ctl(
-        self, finish: BaseFinish, src: int, dst: int, nbytes: int, on_arrival: Callable[[], None]
-    ) -> None:
-        self.transport.post_args(src, dst, "apgas-finish", on_arrival, nbytes)
 
     def _on_finish_ctl(self, dst: int, body) -> None:
         body()

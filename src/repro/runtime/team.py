@@ -54,6 +54,8 @@ class Team:
             raise ApgasError("team needs at least one member")
         self.rt = rt
         self.members = list(members)
+        #: the member count, read by every rendezvous
+        self.size = len(self.members)
         self._rank = {p: i for i, p in enumerate(self.members)}
         self._call_index = {p: 0 for p in self.members}
         self._slots: dict[int, _Slot] = {}
@@ -64,10 +66,6 @@ class Team:
         if getattr(rt, "chaos", None) is not None:
             rt.chaos.subscribe_death(self._on_place_death)
             rt.chaos.subscribe_revive(self._on_place_revive)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
     def rank(self, place: int) -> int:
         try:
@@ -101,13 +99,13 @@ class Team:
 
         ``nbytes`` overrides the modeled payload size.
         """
-
-        def finalize(slot):
-            return [slot.values[self._root_rank(slot)]] * self.size
-
         return self._collective(
-            ctx, CollectiveOp.BROADCAST, value, root=root, finalize=finalize, nbytes=nbytes
+            ctx, CollectiveOp.BROADCAST, value, root=root, finalize=self._broadcast_values,
+            nbytes=nbytes,
         )
+
+    def _broadcast_values(self, slot: _Slot) -> list:
+        return [slot.values[self._root_rank(slot)]] * self.size
 
     def reduce(
         self, ctx, value: Any, root: int = 0, op: Callable = np.add, nbytes: Optional[int] = None
@@ -196,14 +194,19 @@ class Team:
         finalize: Optional[Callable] = None,
         nbytes: Optional[int] = None,
     ) -> SimEvent:
-        rank = self.rank(ctx.here)
+        here = ctx.here
+        try:
+            rank = self._rank[here]
+        except KeyError:
+            rank = self.rank(here)  # raises: not a member
         if self._failed is not None:
             # a member is dead: the rendezvous can never complete
             event = SimEvent(name=f"team.{op.value}")
             event.fail(self._failed)
             return event
-        index = self._call_index[ctx.here]
-        self._call_index[ctx.here] += 1
+        call_index = self._call_index
+        index = call_index[here]
+        call_index[here] = index + 1
 
         slot = self._slots.get(index)
         if slot is None:
@@ -213,7 +216,10 @@ class Team:
                 f"team collective mismatch at call {index}: {slot.op.value} vs {op.value}"
             )
         if root is not None:
-            slot.meta["root_rank"] = self.rank(root)
+            try:
+                slot.meta["root_rank"] = self._rank[root]
+            except KeyError:
+                self.rank(root)  # raises: not a member
         slot.values[rank] = value
         slot.arrived += 1
         event = slot.events[rank]

@@ -118,7 +118,8 @@ class Engine:
         self.events_executed = 0
         #: total heap rebuilds (diagnostics; the compaction tests read it)
         self.compactions = 0
-        #: processes currently blocked on an effect; used for deadlock reports
+        #: live processes, from creation until their body ends; when the
+        #: queues drain every one left is blocked: the deadlock report
         self._blocked: dict[int, Any] = {}
 
     # -- slot management ----------------------------------------------------------
@@ -258,7 +259,7 @@ class Engine:
         self._rc = 0
         self.compactions += 1
 
-    # -- blocked-process registry (populated by Process) --------------------------
+    # -- process registry (a Process enters at creation, leaves at its end) -------
 
     def _note_blocked(self, process: Any) -> None:
         self._blocked[id(process)] = process

@@ -40,6 +40,11 @@ class Process:
 
     Uncaught exceptions in the body propagate out of :meth:`Engine.run` after
     being recorded on :attr:`done`, so protocol bugs fail loudly.
+
+    A process is in its engine's registry (``_note_blocked``) from creation
+    until its body returns, raises or is killed (``_note_unblocked``).  Once
+    the queues drain, every process still there is blocked, so the registry
+    is the deadlock report.
     """
 
     __slots__ = ("engine", "name", "_body", "_killed", "bookkeeping_callbacks", "done")
@@ -60,6 +65,7 @@ class Process:
         self.bookkeeping_callbacks = 0
         #: fires with the body's return value when the process terminates
         self.done = SimEvent(name=f"{self.name}.done")
+        engine._note_blocked(self)
         if immediate:
             # The creator is itself inside a scheduled event (e.g. a message
             # delivery) that already provides the asynchrony, so the first
@@ -103,10 +109,10 @@ class Process:
     def _step(self, send_value: Any) -> None:
         if self._killed:
             return
-        self.engine._note_unblocked(self)
         try:
             effect = self._body.send(send_value)
         except StopIteration as stop:
+            self.engine._note_unblocked(self)
             self.done.trigger(stop.value)
             return
         except BaseException as exc:
@@ -117,10 +123,10 @@ class Process:
     def _throw(self, exc: BaseException) -> None:
         if self._killed:
             return
-        self.engine._note_unblocked(self)
         try:
             effect = self._body.throw(exc)
         except StopIteration as stop:
+            self.engine._note_unblocked(self)
             self.done.trigger(stop.value)
             return
         except BaseException as raised:
@@ -132,12 +138,20 @@ class Process:
         # If someone is waiting on .done the exception is delivered there
         # (remote-eval semantics); an orphan crash aborts the whole run.
         # Pure bookkeeping callbacks (process tracking) don't count as waiters.
+        self.engine._note_unblocked(self)
         had_waiters = len(self.done._callbacks) > self.bookkeeping_callbacks
         self.done.fail(exc)
         if not had_waiters:
             raise exc
 
     def _dispatch(self, effect: Any) -> None:
+        if type(effect) is SimEvent:
+            # ``add_callback``, inlined: nearly every wait comes through here
+            if effect._fired:
+                self._on_event(effect)
+            else:
+                effect._callbacks.append(self._on_event)
+            return
         if effect is None:
             self.engine.post(0.0, self._resume)
             return
@@ -151,13 +165,11 @@ class Process:
         if isinstance(effect, Process):
             effect = effect.done
         if isinstance(effect, SimEvent):
-            self.engine._note_blocked(self)
             effect.add_callback(self._on_event)
             return
         # Store.get() returns a _Get object with an `event` attribute.
         event = getattr(effect, "event", None)
         if isinstance(event, SimEvent):
-            self.engine._note_blocked(self)
             event.add_callback(self._on_event)
             return
         raise SimulationError(
@@ -165,9 +177,8 @@ class Process:
         )
 
     def _on_event(self, event: SimEvent) -> None:
-        try:
-            value = event.value
-        except BaseException as exc:
+        exc = event._exc
+        if exc is not None:
             self._throw(exc)
             return
-        self._step(value)
+        self._step(event._value)

@@ -12,8 +12,9 @@ execution through a narrow scheduling interface:
                           queued work
 ``post(dt, fn, *args)``   fire-and-forget ``fn(*args)`` after ``dt`` seconds:
                           no cancellation handle, no closure for the arguments
-``_note_blocked`` /       blocked-process registry (deadlock / idleness report)
-``_note_unblocked``
+``_note_blocked`` /       process registry (deadlock / idleness report): a
+``_note_unblocked``       process enters when created and leaves when its body
+                          returns, raises or is killed, not around each wait
 ========================  ======================================================
 
 :class:`Clock` names that interface.  The discrete-event

@@ -25,10 +25,10 @@ What differs under the seam:
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from dataclasses import dataclass
 from functools import partial
+from types import GeneratorType
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -160,7 +160,7 @@ class ProcsRuntime:
         none: it never terminated, it moved).
         """
         result = activity.fn(ActivityContext(self, activity), *activity.args)
-        if inspect.isgenerator(result):
+        if type(result) is GeneratorType:
             result = yield from result
         else:
             yield Timeout(0.0)

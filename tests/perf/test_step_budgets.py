@@ -1,6 +1,6 @@
 """Step-count complexity regressions: engine events per finish/broadcast idiom,
 and interpreter calls per invocation of the shared numeric cores, per finish
-open and per chaos leg (at the end).
+open, per chaos leg and per FINISH_ASYNC put (at the end).
 
 ``Engine.events_executed`` counts every callback the loop dispatched, so it
 is a wall-clock-free complexity measure: if a refactor adds a per-message
@@ -268,3 +268,37 @@ def test_chaos_leg_budget_would_catch_the_wrapped_draws(monkeypatch):
     """Only the fate body swapped back to scalar ``uniform()`` draws trips it."""
     monkeypatch.setattr(ChaosInjector, "fate", fate_reference)
     assert _calls_under(_chaos_leg_and_send()) > _CHAOS_LEG_BUDGET
+
+
+# -- one put: a FINISH_ASYNC scope around one remote async ------------------------
+#
+# HPL's row swap.  A warm put is the open, ``at_async``, ``wait``, the landing,
+# the plain body, its join, the one control message and the wake; every check
+# on that path tests something the caller has not already tested.  Averaged
+# over ``_PUTS`` puts in one ``rt.run`` (the difference from a run making
+# one): measured 71 calls per put when the budget was set, 100 with a
+# ``place()`` and an ``is_dead()`` call per spawn, ``inspect.isgenerator`` per
+# body, a ``quiescent`` property per test, ``Enum.__hash__`` per pragma table
+# lookup and a registry dict operation pair per process step.
+_PUT_BUDGET = 90
+_PUTS = 50
+
+
+def _puts(ctx, n):
+    for _ in range(n):
+        with ctx.finish(Pragma.FINISH_ASYNC) as f:
+            ctx.at_async(5, _leaf)
+        yield f.wait()
+
+
+def _run_calls(n):
+    rt = make_runtime(64, MachineConfig.small())
+    return _calls_under(rt.run, _puts, n)
+
+
+def test_finish_async_put_call_budget():
+    per_put = (_run_calls(1 + _PUTS) - _run_calls(1)) / _PUTS
+    assert per_put <= _PUT_BUDGET, (
+        f"FINISH_ASYNC put: {per_put:.1f} interpreter calls exceed the budget "
+        f"{_PUT_BUDGET} — a call that checks nothing new is back on the put path"
+    )
