@@ -77,8 +77,10 @@ class _RouterLoop(PlaceLoop):
         self.conn_for: Dict[int, wire.Conn] = {}
         #: places declared dead and not (yet) revived
         self.dead: Set[int] = set()
-        #: wall time (this loop's clock) a frame last arrived from each place
+        #: wall time (this loop's clock) a frame last arrived from each place,
+        #: kept only while ``heartbeats`` are armed
         self.last_seen: Dict[int, float] = {}
+        self.heartbeats = False
         #: frames to/from dead places the router blackholed (counted, not lost)
         self.blackholed = 0
 
@@ -96,7 +98,8 @@ class _RouterLoop(PlaceLoop):
         if conn.peer in self.dead:
             self.blackholed += 1
             return
-        self.last_seen[conn.peer] = self.now
+        if self.heartbeats:
+            self.last_seen[conn.peer] = self.now
         if frame[2] == 0:
             self.dispatch(frame)
         else:
@@ -298,6 +301,7 @@ def run_procs_program(
 
         if fault_tolerant:
             prt.respawn_place = respawn_place
+            loop.heartbeats = True
 
             def _hb_tick() -> None:
                 if loop.stopped or state["draining"]:

@@ -6,8 +6,8 @@ as the discrete-event :class:`~repro.sim.engine.Engine` — ``now``,
 :class:`~repro.sim.process.Process`, :class:`~repro.sim.store.Store`, and
 :class:`~repro.sim.events.SimEvent` run on it unmodified.  On top of that it
 pumps this place's socket(s): readable frames are dispatched to registered
-handlers, and every connection with queued frames is written once per tick,
-before the poll.
+handlers (a delivered activity starts inside its frame's dispatch), and every
+connection with queued frames is written once per tick, before the poll.
 
 The loop interleaves callback batches with socket polls so a program that
 spins on cooperative yields (``yield None`` / zero timeouts) cannot starve
@@ -17,7 +17,7 @@ message delivery, and a message storm cannot starve timers.
 from __future__ import annotations
 
 import heapq
-import selectors
+import select
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
@@ -32,7 +32,8 @@ _BATCH = 128
 #: longest sleep when fully idle; bounds deadline-check latency
 _IDLE_WAIT = 0.05
 
-_READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
+_READ = select.POLLIN
+_READ_WRITE = select.POLLIN | select.POLLOUT
 
 
 class _TimerHandle:
@@ -57,7 +58,9 @@ class PlaceLoop:
         self._ready: deque[Callable[[], None]] = deque()
         self._timers: list = []  # heap of (due, seq, handle, callback)
         self._timer_seq = 0
-        self._selector = selectors.DefaultSelector()
+        #: one poll object; ``fd -> Conn`` resolves what it reports
+        self._poller = select.poll()
+        self._by_fd: Dict[int, Conn] = {}
         self._conns: List[Conn] = []
         self._handlers: Dict[str, Callable[[int, object], None]] = {}
         self._blocked: set = set()
@@ -103,24 +106,28 @@ class PlaceLoop:
 
     def add_conn(self, conn: Conn) -> None:
         self._conns.append(conn)
-        self._selector.register(conn.sock, selectors.EVENT_READ, conn)
-        conn.armed = selectors.EVENT_READ
+        self._by_fd[conn.fileno()] = conn
+        self._poller.register(conn.fileno(), _READ)
+        conn.armed = _READ
+
+    def _forget(self, conn: Conn) -> None:
+        """Stop polling ``conn``, so a new connection may reuse its fd."""
+        if conn.armed:
+            del self._by_fd[conn.fileno()]
+            self._poller.unregister(conn.fileno())
+            conn.armed = 0
 
     def drop_conn(self, conn: Conn) -> None:
         """Retire a connection mid-run (peer declared dead by the router).
 
-        Safe whether or not the connection already hit EOF: the selector
-        unregister tolerates both orders, and marking ``eof`` makes any
-        later ``send_frame`` count into ``dropped`` instead of buffering
-        bytes for a peer that will never read them.
+        Safe whether or not the connection already hit EOF (``_drain``
+        forgot it then), and marking ``eof`` makes any later ``send_frame``
+        count into ``dropped`` instead of buffering bytes for a peer that
+        will never read them.
         """
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
+        self._forget(conn)
         if conn in self._conns:
             self._conns.remove(conn)
-        conn.armed = 0
         conn.eof = True
         conn.close()
 
@@ -131,9 +138,10 @@ class PlaceLoop:
     def dispatch(self, frame: Frame) -> None:
         """Deliver one frame addressed to this place."""
         kind, src, _dst, payload = frame
-        handler = self._handlers.get(kind)
-        if handler is None:
-            raise RuntimeError(f"no handler for frame kind {kind!r}")
+        try:
+            handler = self._handlers[kind]
+        except KeyError:
+            raise RuntimeError(f"no handler for frame kind {kind!r}") from None
         handler(src, payload)
 
     # -- running ----------------------------------------------------------------
@@ -145,26 +153,27 @@ class PlaceLoop:
     def stopped(self) -> bool:
         return self._stopped
 
-    def _poll(self, timeout: float) -> None:
+    def _poll(self, timeout_ms: float) -> None:
         # one write per connection per tick: everything the last callback batch
         # queued leaves now, in queue order, and writability is awaited only
         # for what the socket refused
         for conn in tuple(self._conns):  # _drain may retire a connection
-            if conn.wants_write:
+            if conn._out:
                 conn.pump_write()
             if conn.eof:
                 if conn.armed:  # a write (here or in send_frame) hit EPIPE
                     self._drain(conn)
                 continue
-            events = _READ_WRITE if conn.wants_write else selectors.EVENT_READ
+            events = _READ_WRITE if conn._out else _READ
             if events != conn.armed:
-                self._selector.modify(conn.sock, events, conn)
+                self._poller.modify(conn.fileno(), events)
                 conn.armed = events
-        for key, mask in self._selector.select(timeout):
-            conn: Conn = key.data
-            if mask & selectors.EVENT_WRITE:
+        by_fd = self._by_fd
+        for fd, mask in self._poller.poll(timeout_ms):
+            conn = by_fd[fd]
+            if mask & select.POLLOUT:
                 conn.pump_write()
-            if (mask & selectors.EVENT_READ) or conn.eof:
+            if mask & ~select.POLLOUT or conn.eof:  # readable, hang-up or error
                 self._drain(conn)
 
     def _drain(self, conn: Conn) -> None:
@@ -177,11 +186,7 @@ class PlaceLoop:
         for frame in conn.pump_read():
             self.on_frame(conn, frame)
         if conn.eof:
-            try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError):  # pragma: no cover
-                pass
-            conn.armed = 0
+            self._forget(conn)
             if self.on_eof is not None:
                 self.on_eof(conn)
 
@@ -189,41 +194,39 @@ class PlaceLoop:
         """Route or dispatch one decoded frame (overridden by the router)."""
         self.dispatch(frame)
 
-    def _fire_due_timers(self) -> None:
-        now = self.now
-        while self._timers and self._timers[0][0] <= now:
-            _due, _seq, handle, callback = heapq.heappop(self._timers)
-            if handle is not None and handle.cancelled:
-                continue
-            self._ready.append(callback)
+    def _fire_due_timers(self, now: float) -> None:
+        timers = self._timers
+        while timers and timers[0][0] <= now:
+            _due, _seq, handle, callback = heapq.heappop(timers)
+            if handle is None or not handle.cancelled:
+                self._ready.append(callback)
 
     def run(self) -> None:
         """Run until :meth:`stop`; raises on deadline or a crashed activity."""
+        ready, timers = self._ready, self._timers
         while not self._stopped:
-            self._fire_due_timers()
             # a bounded batch so ready-queue churn cannot starve the sockets
-            for _ in range(min(len(self._ready), _BATCH)):
-                self._ready.popleft()()
+            for _ in range(min(len(ready), _BATCH)):
+                ready.popleft()()
                 if self._stopped:
                     return
-            if self._deadline is not None and self.now > self._deadline:
+            now = self._clock.now  # the tick's one read: deadline, timers, poll timeout
+            if self._deadline is not None and now > self._deadline:
                 raise ProcsTimeoutError(
                     f"place loop exceeded its {self._deadline:.1f}s deadline "
                     f"({len(self._blocked)} process(es) blocked)"
                 )
-            if self._ready:
+            if timers and timers[0][0] <= now:
+                self._fire_due_timers(now)
+            if ready:
                 timeout = 0.0
-            elif self._timers:
-                timeout = min(max(0.0, self._timers[0][0] - self.now), _IDLE_WAIT)
+            elif timers:
+                timeout = min(timers[0][0] - now, _IDLE_WAIT)
             else:
                 timeout = _IDLE_WAIT
-            self._poll(timeout)
+            self._poll(1e3 * timeout)
 
     def close(self) -> None:
         for conn in self._conns:
-            try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError):
-                pass
+            self._forget(conn)
             conn.close()
-        self._selector.close()

@@ -4,8 +4,8 @@ There is one APGAS surface (:class:`~repro.runtime.activity.ActivityContext`)
 and one activity type.  :class:`ProcsRuntime` answers the seam tabled in
 :mod:`repro.runtime.activity` for the single place this OS process hosts, as
 :class:`~repro.runtime.runtime.ApgasRuntime` does for every simulated place;
-activities are the same generator :class:`~repro.sim.process.Process`
-machinery, scheduled by the wall-clock
+an activity starts where its message is delivered and blocks as the same
+generator :class:`~repro.sim.process.Process`, scheduled by the wall-clock
 :class:`~repro.xrt.procs.loop.PlaceLoop` instead of the virtual-time engine.
 
 What differs under the seam:
@@ -38,6 +38,7 @@ from repro.obs import Observability
 from repro.runtime.activity import Activity, ActivityContext, _UngovernedFinish
 from repro.runtime.finish.pragmas import Pragma
 from repro.runtime.place import PlaceRuntime
+from repro.runtime.runtime import _settle
 from repro.runtime.team import _reduce_values
 from repro.sim.events import SimEvent
 from repro.sim.process import Process, Timeout
@@ -129,7 +130,11 @@ class ProcsRuntime:
 
     def spawn_local(self, place: int, fn: Callable, args: tuple, finish, name: str = "") -> Activity:
         finish.fork(place, place)
-        return self._start_activity(fn, args, finish, name)
+        activity = Activity(self.place_id, fn, args, finish, name)
+        self._place.activities_run += 1
+        # a synchronous caller: the body starts one loop step later, not in its frame
+        activity.process = Process(self.engine, self._drive(activity), name=activity.name)
+        return activity
 
     def spawn_remote(
         self, src: int, dst: int, fn: Callable, args: tuple, finish,
@@ -146,29 +151,50 @@ class ProcsRuntime:
             (wire.SPAWN, src, dst, (fn, args, finish.fid, finish.pragma_value, finish.home, name))
         )
 
-    def _start_activity(self, fn: Callable, args: tuple, finish, name: str = "") -> Activity:
-        activity = Activity(self.place_id, fn, args, finish, name)
-        self._place.activities_run += 1
-        activity.process = Process(self.engine, self._body(activity), name=activity.name)
-        return activity
-
-    def _body(self, activity: Activity):
-        """The process body of every activity here, spawned or ``at``-shifted.
-
-        A plain function still takes one loop turn before it terminates; a
-        spawned activity then joins its governing finish (a shifted one has
-        none: it never terminated, it moved).
-        """
-        result = activity.fn(ActivityContext(self, activity), *activity.args)
+    def _run(self, activity: Activity, deliver: Optional[Callable] = None) -> None:
+        """Start a delivered activity inside its frame's dispatch, as the
+        simulator's ``_run_plain`` does: a plain body has joined, or handed
+        an ``at`` outcome to ``deliver(value, is_error)``, before this
+        returns; a generator body goes on as a process whose first step runs
+        here.  What an ``at`` body raises is delivered, not a place crash."""
+        try:
+            result = activity.fn(ActivityContext(self, activity), *activity.args)
+        except Exception as exc:
+            if deliver is None:
+                raise
+            deliver(exc, True)
+            return
         if type(result) is GeneratorType:
-            result = yield from result
+            Process(self.engine, self._drive(activity, result, deliver), name=activity.name,
+                    immediate=True)
+        elif deliver is None:
+            self._join(activity)
         else:
-            yield Timeout(0.0)
-        if activity.governing_finish is not self._ungoverned:
-            if len(activity.finish_stack) != 1:
-                raise ApgasError(f"activity {activity.name} terminated inside an open finish scope")
-            activity.governing_finish.join(activity.place)
-        return result
+            deliver(result, False)
+
+    def _drive(self, activity: Activity, body=None, deliver: Optional[Callable] = None):
+        """An activity's process; ``fn`` is called here, one loop step after
+        :meth:`spawn_local`, unless :meth:`_run` passes the generator."""
+        try:
+            if body is None:
+                body = activity.fn(ActivityContext(self, activity), *activity.args)
+            if type(body) is GeneratorType:
+                body = yield from body
+        except Exception as exc:
+            if deliver is None:
+                raise
+            deliver(exc, True)
+            return
+        if deliver is None:
+            self._join(activity)
+        else:
+            deliver(body, False)
+        return body
+
+    def _join(self, activity: Activity) -> None:
+        if len(activity.finish_stack) != 1:
+            raise ApgasError(f"activity {activity.name} terminated inside an open finish scope")
+        activity.governing_finish.join(activity.place)
 
     # -- remote evaluation (ctx.at) ----------------------------------------------
 
@@ -177,22 +203,16 @@ class ProcsRuntime:
         nbytes: Optional[int] = None, clock=None,
     ) -> SimEvent:
         self._check_place(dst)
-        if dst == src:
-            return self._evaluate(fn, args, _caller_holds)
-        reply_id = next(self._reply_seq)
         event = SimEvent(name=f"at({dst}).reply")
+        if dst == src:
+            # the caller is synchronous code: evaluate one loop step later
+            shifted = Activity(src, fn, args, self._ungoverned, name=f"at-eval@{src}")
+            self.engine.post(0.0, self._run, shifted, partial(_settle, event))
+            return event
+        reply_id = next(self._reply_seq)
         self._replies[reply_id] = (event, dst)
         self.send_frame((wire.EVAL, src, dst, (fn, args, reply_id)))
         return event
-
-    def _evaluate(self, fn: Callable, args: tuple, deliver: Callable[[SimEvent], None]) -> SimEvent:
-        """Run an ``at`` body here as a shifted activity; return its outcome
-        event.  ``deliver(done)`` consumes the outcome, so a raising body
-        reaches the caller of ``ctx.at`` instead of crashing this place."""
-        shifted = Activity(self.place_id, fn, args, self._ungoverned, name=f"at-eval@{self.place_id}")
-        done = Process(self.engine, self._body(shifted), name=shifted.name).done
-        done.add_callback(deliver)
-        return done
 
     def async_copy(self, here: int, src, dst, finish, nbytes: Optional[int] = None) -> None:
         raise ApgasError(
@@ -225,7 +245,8 @@ class ProcsRuntime:
 
     def _on_spawn(self, src: int, payload) -> None:
         fn, args, fid, pragma_value, home, name = payload
-        self._start_activity(fn, args, resolve_finish(self, fid, pragma_value, home), name)
+        self._place.activities_run += 1
+        self._run(Activity(self.place_id, fn, args, resolve_finish(self, fid, pragma_value, home), name))
 
     def _on_fork(self, src: int, payload) -> None:
         fid, _pragma_value, dst = payload
@@ -244,13 +265,10 @@ class ProcsRuntime:
 
     def _on_eval(self, src: int, payload) -> None:
         fn, args, reply_id = payload
-        self._evaluate(fn, args, partial(self._send_reply, src, reply_id))
+        shifted = Activity(self.place_id, fn, args, self._ungoverned, name=f"at-eval@{self.place_id}")
+        self._run(shifted, partial(self._send_reply, src, reply_id))
 
-    def _send_reply(self, dst: int, reply_id: int, event: SimEvent) -> None:
-        try:
-            value, is_error = event.value, False
-        except BaseException as exc:  # noqa: BLE001 - shipped back to the caller
-            value, is_error = exc, True
+    def _send_reply(self, dst: int, reply_id: int, value, is_error: bool) -> None:
         try:
             self.send_frame((wire.REPLY, self.place_id, dst, (reply_id, value, is_error)))
         except Exception:
@@ -260,11 +278,7 @@ class ProcsRuntime:
 
     def _on_reply(self, src: int, payload) -> None:
         reply_id, value, is_error = payload
-        event, _eval_place = self._replies.pop(reply_id)
-        if is_error:
-            event.fail(value)
-        else:
-            event.trigger(value)
+        _settle(self._replies.pop(reply_id)[0], value, is_error)
 
     def _on_item(self, src: int, payload) -> None:
         mailbox, item = payload
@@ -376,6 +390,3 @@ class TreeTeam:
 def _unwired(frame) -> None:
     raise ProcsError("runtime not wired to a transport (send_frame unset)")
 
-
-def _caller_holds(done: SimEvent) -> None:
-    """``at (here)``: the caller yields ``done`` itself and re-raises from it."""

@@ -71,7 +71,7 @@ class Conn:
     partial frames are handled in exactly one place and a large body is
     received straight into the memory its arrays will own.  Writes queue the
     parts of :func:`encode_frame_parts` and leave through ``sendmsg``: the
-    owning loop flushes each connection once per tick, before it selects, and
+    owning loop flushes each connection once per tick, before it polls, and
     waits for writability only for what the socket refused.  Neither side can
     deadlock the pair: a frame is never written with a blocking call.
 
@@ -109,7 +109,7 @@ class Conn:
         #: coalescing ratio
         self.writes = 0
         self.reads = 0
-        #: selector event mask the owning loop has registered (the loop's
+        #: poll event mask the owning loop has registered (the loop's
         #: field; 0 once the loop has seen this connection's EOF)
         self.armed = 0
 

@@ -1,6 +1,7 @@
 """Step-count complexity regressions: engine events per finish/broadcast idiom,
 and interpreter calls per invocation of the shared numeric cores, per finish
-open, per chaos leg and per FINISH_ASYNC put (at the end).
+open, per chaos leg, per FINISH_ASYNC put and per frame a procs place serves
+(at the end).
 
 ``Engine.events_executed`` counts every callback the loop dispatched, so it
 is a wall-clock-free complexity measure: if a refactor adds a per-message
@@ -25,6 +26,9 @@ from repro.machine.config import MachineConfig
 from repro.machine.network import TransferKind
 from repro.runtime import Pragma
 from repro.runtime.broadcast import PlaceGroup, broadcast_spawn
+from repro.xrt.procs import wire
+from repro.xrt.procs.loop import PlaceLoop
+from repro.xrt.procs.runtime import ProcsRuntime
 
 from tests.chaos.fate_oracle import fate_reference
 from tests.kernels.brandes_oracle import single_source_dependencies_per_vertex
@@ -301,4 +305,53 @@ def test_finish_async_put_call_budget():
     assert per_put <= _PUT_BUDGET, (
         f"FINISH_ASYNC put: {per_put:.1f} interpreter calls exceed the budget "
         f"{_PUT_BUDGET} — a call that checks nothing new is back on the put path"
+    )
+
+
+# -- one served frame on the procs backend: a start inside the dispatch ---------
+#
+# A place process serving ``ctx.at`` and ``ctx.at_async`` frames: an EVAL of a
+# plain body ends in its REPLY and a SPAWN of ``_leaf`` under a proxy finish
+# in its JOIN.  The count covers dispatch, the body, the epilogue and the
+# frame it sends, averaged over ``_SERVED`` frames of each kind (the
+# difference from a run serving one of each).  Measured 15.5 calls per served
+# frame when the budget was set; 44.0 when every delivered body was a
+# ``Process`` with a ``SimEvent``, a zero ``Timeout`` turn and its loop ticks.
+_SERVED_FRAME_BUDGET = 20
+_SERVED = 50
+
+
+def _double(ctx, x):
+    return 2 * x
+
+
+def _served_calls(n):
+    loop = PlaceLoop()
+    prt = ProcsRuntime(loop, place_id=1, n_places=3)
+    sent = []
+
+    def send_frame(frame):
+        sent.append(frame)
+        if len(sent) == 2 * n:
+            loop.stop()
+
+    prt.send_frame = send_frame
+    frames = [(wire.EVAL, 0, 1, (_double, (i,), i)) for i in range(n)]
+    frames += [(wire.SPAWN, 2, 1, (_leaf, (), (0, 7), "default", 0, "")) for _ in range(n)]
+
+    def serve():
+        for frame in frames:
+            loop.dispatch(frame)
+        loop.run()
+
+    calls = _calls_under(serve)
+    assert [frame[0] for frame in sent] == [wire.REPLY] * n + [wire.JOIN] * n
+    return calls
+
+
+def test_procs_served_frame_call_budget():
+    per_frame = (_served_calls(1 + _SERVED) - _served_calls(1)) / (2 * _SERVED)
+    assert per_frame <= _SERVED_FRAME_BUDGET, (
+        f"procs served frame: {per_frame:.1f} interpreter calls exceed the budget "
+        f"{_SERVED_FRAME_BUDGET} — a delivered body is deferred through the loop again"
     )

@@ -37,14 +37,16 @@ DEADLINE = 60.0
 #: land mid-run on these small problem sizes — kmeans/stream epochs take
 #: single-digit milliseconds, UTS a few tens — so each entry has been
 #: verified to actually produce a death (the conformance differ *fails* a
-#: run whose kill never landed, keeping this matrix honest).
+#: run whose kill never landed, keeping this matrix honest).  A UTS traversal
+#: can commit within ~15 ms of the fork, and a kill after the commit costs no
+#: revival, so the UTS kills stay at or below 10 ms.
 KILL_MATRIX = [
     ("kmeans", {}, "seed=1,kill=2@0.002"),
     ("kmeans", {}, "seed=2,kill=3@0.005"),
     ("stream", {}, "seed=1,kill=2@0.002"),
     ("stream", {}, "seed=3,kill=1@0.004"),
     ("uts", {"depth": 7}, "seed=1,kill=2@0.01"),
-    ("uts", {"depth": 7}, "seed=4,kill=3@0.015"),
+    ("uts", {"depth": 7}, "seed=4,kill=3@0.008"),
     # a kill racing the very first restore wave: the death can land after the
     # wave's spawns, when only place 0's death set still says "revive me"
     ("kmeans", {}, "seed=5,kill=1@0.0"),

@@ -9,6 +9,7 @@ that forked children cannot report.
 from __future__ import annotations
 
 import functools
+import socket
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.runtime.activity import Activity, ActivityContext
 from repro.runtime.finish.pragmas import Pragma
 from repro.sim import Engine
 from repro.xrt.backend import BackendRun, Clock, WallClock, ctl_by_pragma, get_backend
-from repro.xrt.procs import run_procs_program
+from repro.xrt.procs import run_procs_program, wire
 from repro.xrt.procs.finishproc import HomeFinish, ProxyFinish, resolve_finish
 from repro.xrt.procs.loop import PlaceLoop
 from repro.xrt.procs.runtime import ProcsRuntime
@@ -793,3 +794,102 @@ def test_activity_ending_inside_an_open_finish_scope_is_refused_on_both():
         ApgasRuntime(places=1).run(_leaves_a_finish_open)
     with pytest.raises(ApgasError, match="inside an open finish scope"):
         run_procs_program(_leaves_a_finish_open, places=1, deadline=10.0)
+
+
+# -- a delivered activity starts inside its frame's dispatch ------------------------
+
+
+def _serving():
+    """Place 1 of three, whose outgoing frames land in a list."""
+    prt = _runtime(place_id=1, n_places=3)
+    sent = []
+    prt.send_frame = sent.append
+    return prt, sent
+
+
+def _spawn_frame(fn):
+    """A SPAWN from place 2 to place 1 under a DEFAULT finish homed at place 0."""
+    return (wire.SPAWN, 2, 1, (fn, (), (0, 7), "default", 0, ""))
+
+
+def _raise_before_first_yield(ctx):
+    raise ValueError("boom")
+    yield  # pragma: no cover - makes this a generator function
+
+
+def _await_item(ctx):
+    ctx.store["got"] = yield ctx.recv("start:box")
+
+
+def test_plain_spawn_has_joined_when_its_dispatch_returns():
+    prt, sent = _serving()
+    prt.engine.dispatch(_spawn_frame(_leaf))
+    assert sent == [(wire.JOIN, 1, 0, ((0, 7), "default"))]
+    assert not prt.engine._ready and not prt.engine._blocked
+    assert prt.place(1).activities_run == 1
+
+
+@pytest.mark.parametrize("body", [_raise_plain, _raise_before_first_yield],
+                         ids=["plain", "generator-before-first-yield"])
+def test_raising_at_body_comes_back_as_one_error_reply(body):
+    prt, sent = _serving()
+    prt.engine.dispatch((wire.EVAL, 0, 1, (body, (), 4)))
+    assert len(sent) == 1
+    kind, src, dst, (reply_id, error, is_error) = sent[0]
+    assert (kind, src, dst, reply_id, is_error) == (wire.REPLY, 1, 0, 4, True)
+    assert isinstance(error, ValueError)
+    assert not prt.engine._ready and not prt.engine._blocked
+    # the place keeps serving
+    prt.engine.dispatch((wire.EVAL, 0, 1, (_single_place_eval, (5,), 5)))
+    assert sent[1] == (wire.REPLY, 1, 0, (5, 10, False))
+
+
+def test_blocked_generator_spawn_joins_once_when_its_item_arrives():
+    prt, sent = _serving()
+    prt.engine.dispatch(_spawn_frame(_await_item))
+    assert sent == [] and len(prt.engine._blocked) == 1
+    prt.engine.dispatch((wire.ITEM, 0, 1, ("start:box", 42)))
+    prt.engine.post(0.0, prt.engine.stop)
+    prt.engine.run()
+    assert sent == [(wire.JOIN, 1, 0, ((0, 7), "default"))]
+    assert prt.place(1).store["got"] == 42
+    assert not prt.engine._blocked
+
+
+# -- the poll map: a retired connection's fd is free for the next one --------------
+
+
+@pytest.mark.parametrize("retire", ["drop_conn", "eof"])
+def test_a_new_conn_reusing_a_retired_fd_receives_frames(retire):
+    loop = PlaceLoop(deadline=10.0)
+    got = []
+    loop.register_handler(wire.ITEM, lambda src, payload: (got.append(payload), loop.stop()))
+    eofs = []
+    loop.on_eof = eofs.append
+    mine, theirs = socket.socketpair()
+    old = wire.Conn(mine, peer=1)
+    loop.add_conn(old)
+    fd = old.fileno()
+    if retire == "drop_conn":
+        loop.drop_conn(old)
+    else:
+        theirs.close()
+        loop._poll(1e3)  # one tick's poll drains the EOF and reports it
+        assert eofs == [old]
+        old.close()
+    theirs.close()  # both ends closed: the next socketpair reuses their fds
+    assert fd not in loop._by_fd
+    with pytest.raises(KeyError):
+        loop._poller.unregister(fd)  # already unregistered
+
+    mine, theirs = socket.socketpair()
+    new = wire.Conn(mine, peer=2)
+    assert new.fileno() == fd  # the lowest free descriptor is reused
+    loop.add_conn(new)
+    sender = wire.Conn(theirs, peer=0)
+    sender.send_frame((wire.ITEM, 2, 0, ("box", "after reuse")))
+    sender.pump_write()
+    loop.run()
+    assert got == [("box", "after reuse")]
+    loop.close()
+    sender.close()
