@@ -118,9 +118,7 @@ def run_hpl(
     )
 
     def dgemm_rate_for(place: int) -> float:
-        octant = rt.topology.octant_of(place)
-        crowd = len(rt.topology.places_on_octant(octant))
-        return calibration.dgemm_rate(rt.config, crowd)
+        return calibration.dgemm_rate(rt.config, rt.topology.crowd(place))
 
     def step_math(k: int) -> dict:
         """The actual numerics of step k, executed once by the diagonal owner;

@@ -159,17 +159,17 @@ def build_kmeans(
     so a chaos kill costs one re-executed iteration and the final centroids
     are bit-identical to the fault-free run.
     """
-    if min(points_per_place, k, dim, iterations) < 1:
-        raise KernelError("kmeans parameters must be positive")
-    places = list(PlaceGroup.world(rt) if group is None else group)
-    if resilient and places != list(range(rt.n_places)):
-        raise KernelError("resilient kmeans requires the whole-machine place group")
     p = {
         "n_per_place": min(points_per_place, 4096) if actual_points is None else actual_points,
         "k": min(k, 64) if actual_k is None else actual_k,
         "dim": dim, "iterations": iterations, "seed": seed,
         "modeled_points": points_per_place, "modeled_k": k, "calibration": calibration,
     }
+    if min(points_per_place, k, dim, iterations, p["n_per_place"], p["k"]) < 1:
+        raise KernelError("kmeans parameters must be positive")
+    places = list(PlaceGroup.world(rt) if group is None else group)
+    if resilient and places != list(range(rt.n_places)):
+        raise KernelError("resilient kmeans requires the whole-machine place group")
     team = rt.team(places)
     if resilient:
         from repro.kernels.portable.resilient import resilient_main

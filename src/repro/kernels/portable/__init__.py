@@ -27,15 +27,9 @@ from typing import Any, Callable
 from repro.errors import KernelError
 from repro.kernels.bc import bc as _bc
 from repro.kernels.kmeans import kmeans as _kmeans
-from repro.kernels.portable.programs import (
-    fft_main,
-    hpl_main,
-    ra_main,
-    spmd,
-    stream_main,
-    sw_main,
-)
+from repro.kernels.portable.programs import fft_main, hpl_main, ra_main, spmd, stream_main
 from repro.kernels.portable.uts_program import uts_main
+from repro.kernels.smithwaterman import sw as _sw
 
 #: per-kernel (main, small-scale defaults)
 _PROGRAMS: dict[str, tuple[Callable, dict]] = {
@@ -45,7 +39,7 @@ _PROGRAMS: dict[str, tuple[Callable, dict]] = {
     "hpl": (hpl_main, {"n": 64, "nb": 8, "seed": 7}),
     "uts": (uts_main, {"depth": 9, "b0": 4.0, "seed": 19, "rng_mode": "splitmix"}),
     "kmeans": (_kmeans.kmeans_main, _kmeans.PROGRAM_DEFAULTS),
-    "smithwaterman": (sw_main, {"target_len": 512, "query_len": 32, "seed": 13}),
+    "smithwaterman": (_sw.sw_main, {"target_len": 512, "query_len": 32, "seed": 13}),
     "bc": (_bc.bc_main, _bc.PROGRAM_DEFAULTS),
 }
 

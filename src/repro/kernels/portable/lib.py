@@ -12,16 +12,13 @@ Determinism rules (the conformance suite checks results bit-for-bit):
   so repeated collectives never cross wires (all places must execute the
   same collectives in the same order — the SPMD discipline);
 * messages are tagged with the sender, and receivers pull specific senders
-  out of a reorder buffer, so arrival order (which differs between backends)
-  never reaches program state;
-* reductions combine in binomial-tree order — fixed by rank arithmetic, not
-  by message timing — so floating-point results are bit-identical on every
-  backend.
+  out of a reorder buffer or key them by sender, so arrival order (which
+  differs between backends) never reaches program state.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 
 def _seq(ctx, tag: str) -> int:
@@ -61,27 +58,6 @@ def bcast(ctx, tag: str, value: Any = None, root: int = 0):
     while mask < P:
         if rel < mask and rel + mask < P:
             ctx.send((rel + mask + root) % P, box, (rel, value))
-        mask <<= 1
-    return value
-
-
-def reduce(ctx, tag: str, value: Any, op: Callable[[Any, Any], Any], root: int = 0):
-    """Binomial-tree reduction to ``root``; returns the total there, None elsewhere.
-
-    ``op`` combines in tree order — a pure function of ranks — so the result
-    is reproducible bit-for-bit.  Use as ``yield from reduce(...)``.
-    """
-    P, me = ctx.n_places, ctx.here
-    box = f"rd:{tag}:{_seq(ctx, 'rd:' + tag)}"
-    rel = (me - root) % P
-    mask = 1
-    while mask < P:
-        if rel & mask:
-            ctx.send((rel - mask + root) % P, box, (rel, value))
-            return None
-        if rel + mask < P:
-            child = yield from recv_from(ctx, box, rel + mask)
-            value = op(value, child)
         mask <<= 1
     return value
 

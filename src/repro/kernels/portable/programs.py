@@ -1,6 +1,6 @@
-"""Portable APGAS programs for five of the eight kernels (UTS has its own
-module, :mod:`repro.kernels.portable.uts_program`; K-Means and BC are one
-program on both backends, beside their numeric cores).
+"""Portable APGAS programs for four of the eight kernels (UTS has its own
+module, :mod:`repro.kernels.portable.uts_program`; K-Means, BC and
+Smith-Waterman are one program on both backends, beside their numeric cores).
 
 Every program here is *backend-blind*: it uses only the picklable ``ctx``
 subset (module-level worker functions, plain-data messages, ``ctx.store``)
@@ -11,8 +11,8 @@ the physics is shared, only the orchestration is rewritten portably.
 
 Determinism contract (what the conformance suite asserts): for a fixed seed
 and place count, the returned result — including every floating-point bit of
-the checksum — is identical on every backend.  See ``lib`` for how reductions
-keep FP combination order fixed.
+the checksum — is identical on every backend.  Results are combined at the
+root in rank order, never in arrival order (see ``lib``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import hashlib
 import numpy as np
 
 from repro.harness.results import checksum_bytes
-from repro.kernels.portable.lib import bcast, gather, reduce
+from repro.kernels.portable.lib import bcast, gather
 from repro.runtime.finish.pragmas import Pragma
 from repro.sim.rng import RngStream
 
@@ -245,73 +245,3 @@ def hpl_worker(ctx, p: dict):
 
 def hpl_main(ctx, **params):
     return (yield from spmd(ctx, hpl_worker, params))
-
-
-# -- Smith-Waterman -------------------------------------------------------------------
-
-
-def sw_worker(ctx, p: dict):
-    from repro.kernels.smithwaterman.sw import random_sequence, safe_overlap, sw_score
-
-    me, P = ctx.here, ctx.n_places
-    target = random_sequence(p["seed"], "target", p["target_len"])
-    query = random_sequence(p["seed"], "query", p["query_len"])
-    overlap = safe_overlap(len(query))
-    lo = len(target) * me // P
-    hi = min(len(target), len(target) * (me + 1) // P + overlap)
-    yield ctx.compute(seconds=_TICK)
-    local_best = int(sw_score(query, target[lo:hi]))
-    best = yield from reduce(ctx, "sw", local_best, max)
-    if me == 0:
-        ctx.store["portable:result"] = {
-            "checksum": checksum_bytes(str(best).encode()),
-            "score": best,
-        }
-
-
-def _sw_local_check(ctx, p: dict):
-    """FINISH_LOCAL leg: hash the query at home (no remote activity)."""
-    from repro.kernels.smithwaterman.sw import random_sequence
-
-    yield ctx.compute(seconds=_TICK)
-    query = random_sequence(p["seed"], "query", p["query_len"])
-    ctx.store["sw:query_digest"] = _digest(query).hex()
-
-
-def _sw_notify(ctx, home: int):
-    """FINISH_ASYNC leg: a single remote activity, acked via mailbox."""
-    yield ctx.compute(seconds=_TICK)
-    ctx.send(home, "sw:ack", ("ok", ctx.here))
-
-
-def _sw_probe(ctx, home: int):
-    """FINISH_HERE first leg: runs remotely, spawns the return leg home."""
-    yield ctx.compute(seconds=_TICK)
-    ctx.at_async(home, _sw_probe_return)
-
-
-def _sw_probe_return(ctx):
-    """FINISH_HERE second leg: terminates at home (its join costs no message)."""
-    yield ctx.compute(seconds=_TICK)
-    ctx.store["sw:probe_returned"] = True
-
-
-def sw_main(ctx, **params):
-    result = yield from spmd(ctx, sw_worker, params)
-    # exercise the remaining pragmas so the conformance suite covers every
-    # finish protocol: LOCAL (zero messages), ASYNC (one remote join),
-    # HERE (a round trip whose home leg joins for free)
-    far = ctx.n_places - 1
-    with ctx.finish(Pragma.FINISH_LOCAL) as f:
-        ctx.async_(_sw_local_check, params)
-    yield f.wait()
-    with ctx.finish(Pragma.FINISH_ASYNC) as f:
-        ctx.at_async(far, _sw_notify, ctx.here)
-    yield f.wait()
-    yield ctx.recv("sw:ack")
-    with ctx.finish(Pragma.FINISH_HERE) as f:
-        ctx.at_async(far, _sw_probe, ctx.here)
-    yield f.wait()
-    result["query_digest"] = ctx.store.pop("sw:query_digest")
-    result["probe_returned"] = ctx.store.pop("sw:probe_returned")
-    return result

@@ -6,18 +6,25 @@ The computation is parallelized by splitting the long sequence into
 short sequence against each fragment; the best overall match is the best of
 the best matches.  The overlap is sized so that any alignment with a positive
 score lies entirely within some fragment, making the decomposition exact.
+
+One program on every backend: :func:`sw_main` (``build_program``) and the
+simulator's :func:`build_smith_waterman` both run :func:`sw_body` at every
+member.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import KernelError
 from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
-from repro.harness.results import KernelResult
-from repro.runtime import PlaceGroup, Team, broadcast_spawn
+from repro.harness.results import KernelResult, checksum_bytes
+from repro.runtime.broadcast import PlaceGroup, broadcast_spawn
+from repro.runtime.finish.pragmas import Pragma
 from repro.runtime.runtime import ApgasRuntime
 from repro.sim.rng import RngStream
 
@@ -92,6 +99,90 @@ def safe_overlap(short_len: int, match: int = MATCH, gap: int = GAP) -> int:
     return short_len + (short_len * match) // max(1, gap)
 
 
+def sw_params(
+    seed: int, short_len: int, long_len: int, iterations: int,
+    modeled_short: int, modeled_long: int, calibration: Calibration = DEFAULT_CALIBRATION,
+) -> dict:
+    """The body's parameters, every size checked here, once: a ``short_len``
+    sequence is aligned against a ``long_len`` one cut into one fragment per
+    member, and each of the ``iterations`` charges ``modeled_short *
+    modeled_long`` cells (the calibrated rate folds the fragment overlap in)."""
+    if min(short_len, long_len, iterations, modeled_short, modeled_long) < 1:
+        raise KernelError("sequence lengths and iterations must be positive")
+    return {
+        "seed": seed, "short_len": short_len, "long_len": long_len, "iterations": iterations,
+        "cells": modeled_short * modeled_long, "calibration": calibration,
+    }
+
+
+def sw_body(ctx, p: dict, team):
+    """A member's whole run: score its fragment, charge every iteration, then
+    All-Reduce(max) the best into ``ctx.store[("sw", team)]``."""
+    rank, L = team.rank(ctx.here), p["long_len"]
+    short = random_sequence(p["seed"], "short", p["short_len"])
+    lo = max(0, L * rank // team.size - safe_overlap(p["short_len"]))
+    fragment = random_sequence(p["seed"], "long", L)[lo : L * (rank + 1) // team.size]
+    best = sw_score(short, fragment)
+    topology = ctx.rt.topology
+    rate = p["calibration"].sw_rate(topology.config, topology.crowd(ctx.here))
+    for _ in range(p["iterations"]):
+        yield ctx.compute(seconds=p["cells"] / rate)
+    ctx.store[("sw", team)] = yield team.allreduce(ctx, best, op=max)
+
+
+def _local_check(ctx, p: dict):
+    """FINISH_LOCAL leg: hash the short sequence at home (no remote activity)."""
+    short = random_sequence(p["seed"], "short", p["short_len"])
+    ctx.store["sw:query_digest"] = hashlib.sha256(short).hexdigest()
+
+
+def _notify(ctx, home: int):
+    """FINISH_ASYNC leg: a single remote activity, acked via mailbox."""
+    ctx.send(home, "sw:ack", ("ok", ctx.here))
+
+
+def _probe(ctx, home: int):
+    """FINISH_HERE first leg: runs remotely, spawns the return leg home."""
+    ctx.at_async(home, _probe_return)
+
+
+def _probe_return(ctx):
+    """FINISH_HERE second leg: terminates at home (its join costs no message)."""
+    ctx.store["sw:probe_returned"] = True
+
+
+def sw_main(ctx, target_len: int, query_len: int, seed: int):
+    """The portable program over every place; runs at place 0 (member 0).
+
+    After the alignment it tours the remaining finish pragmas, so the
+    conformance suite covers every finish protocol: LOCAL (zero messages),
+    ASYNC (one remote join), HERE (a round trip whose home leg joins free).
+    """
+    team = ctx.team(ctx.places())
+    share = -(-target_len // team.size)
+    p = sw_params(seed, query_len, target_len, 1, query_len, share)
+    body = functools.partial(sw_body, p=p, team=team)
+    yield from broadcast_spawn(ctx, PlaceGroup(team.members), body)
+    best = ctx.store.pop(("sw", team))
+    far = ctx.n_places - 1
+    with ctx.finish(Pragma.FINISH_LOCAL) as f:
+        ctx.async_(_local_check, p)
+    yield f.wait()
+    with ctx.finish(Pragma.FINISH_ASYNC) as f:
+        ctx.at_async(far, _notify, ctx.here)
+    yield f.wait()
+    yield ctx.recv("sw:ack")
+    with ctx.finish(Pragma.FINISH_HERE) as f:
+        ctx.at_async(far, _probe, ctx.here)
+    yield f.wait()
+    return {
+        "checksum": checksum_bytes(str(best).encode()),
+        "score": best,
+        "query_digest": ctx.store.pop("sw:query_digest"),
+        "probe_returned": ctx.store.pop("sw:probe_returned"),
+    }
+
+
 def build_smith_waterman(
     rt: ApgasRuntime,
     short_len: int = 4000,
@@ -105,59 +196,38 @@ def build_smith_waterman(
 ):
     """Build the Smith-Waterman program over ``group``; ``(main, finalize)``.
 
-    Fragments are sliced by group *rank* and the long sequence is sized by
+    Fragments are sliced by team *rank* and the long sequence is sized by
     the group width, so the best score depends only on the parameters and
     the width.  The paper's sizes are the defaults; the *actual* sequence
     lengths bound the real DP at scale while time is charged for the modeled
     sizes.
     """
-    if min(short_len, long_per_place, iterations) < 1:
-        raise KernelError("sequence lengths and iterations must be positive")
+    places = list(PlaceGroup.world(rt) if group is None else group)
     m = min(short_len, 64) if actual_short is None else actual_short
     frag = min(long_per_place, 256) if actual_long is None else actual_long
-    overlap = safe_overlap(m)
-    pg = PlaceGroup.world(rt) if group is None else group
-    places = list(pg)
-    n_places = len(places)
-    rank_of = {p: i for i, p in enumerate(places)}
-    short = random_sequence(seed, "short", m)
-    long_seq = random_sequence(seed, "long", frag * n_places)
-    team = Team(rt, places)
-    bests = {}
-    # the calibrated cell rate was derived from the paper's run times with
-    # cells = short * long (its modest fragment overlap is folded into the
-    # rate), so the time model charges the same convention
-    cells_modeled = short_len * long_per_place
-
-    def body(ctx):
-        rank = rank_of[ctx.here]
-        octant = rt.topology.octant_of(ctx.here)
-        crowd = len(rt.topology.places_on_octant(octant))
-        rate = calibration.sw_rate(rt.config, crowd)
-        lo = max(0, rank * frag - overlap)
-        fragment = long_seq[lo : (rank + 1) * frag]
-        best = 0
-        for _ in range(iterations):
-            best = sw_score(short, fragment)
-            yield ctx.compute(seconds=cells_modeled / rate)
-        global_best = yield team.allreduce(ctx, best, op=max)
-        bests[rank] = global_best
-
-    def main(ctx):
-        yield from broadcast_spawn(ctx, pg, body)
+    p = sw_params(
+        seed, m, frag * len(places), iterations, short_len, long_per_place, calibration
+    )
+    team = rt.team(places)
+    body = functools.partial(sw_body, p=p, team=team)
+    main = functools.partial(broadcast_spawn, group=PlaceGroup(places), fn=body)
 
     def finalize(elapsed: Optional[float] = None) -> KernelResult:
         t = rt.now if elapsed is None else elapsed
-        global_best = bests[0]
+        bests = [rt.place(place).store.pop(("sw", team)) for place in places]
         return KernelResult(
             kernel="smithwaterman",
-            places=n_places,
+            places=len(places),
             sim_time=t,
             value=t,
             unit="s",
             per_core=t,
-            verified=all(b == global_best for b in bests.values()),
-            extra={"best_score": global_best, "short": short, "long": long_seq},
+            verified=all(b == bests[0] for b in bests),
+            extra={
+                "best_score": bests[0],
+                "short": random_sequence(seed, "short", p["short_len"]),
+                "long": random_sequence(seed, "long", p["long_len"]),
+            },
         )
 
     return main, finalize

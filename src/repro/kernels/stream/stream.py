@@ -72,9 +72,7 @@ def build_stream(
     arrays: dict[int, tuple] = {}
 
     def init_partition(place):
-        octant = rt.topology.octant_of(place)
-        crowd = len(rt.topology.places_on_octant(octant))
-        bw = stream_bw_per_place(cfg, crowd)
+        bw = stream_bw_per_place(cfg, rt.topology.crowd(place))
         # allocate and initialize the local arrays (huge pages)
         a = alloc.alloc(place, shape=(real_n,))
         b = alloc.alloc(place, shape=(real_n,))

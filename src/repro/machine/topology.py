@@ -54,6 +54,10 @@ class Topology:
         per = self.config.cores_per_octant
         return range(octant * per, min((octant + 1) * per, self.places))
 
+    def crowd(self, place: int) -> int:
+        """How many places share ``place``'s octant, and so its memory bus."""
+        return len(self.places_on_octant(self.octant_of(place)))
+
     def master_place_of_octant(self, octant: int) -> int:
         """The lowest-numbered place on an octant (FINISH_DENSE router)."""
         return self.places_on_octant(octant)[0]

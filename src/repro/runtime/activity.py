@@ -35,6 +35,7 @@ the runtime seam                                               serves
 ``activity_ids``                                               an iterator: ``Activity.id``
 ``place(p) -> PlaceRuntime``                                   ``store try_recv atomic when``
 ``charge(place, dt) -> Timeout``                               ``ctx.compute`` (procs: a yield)
+``topology``                                                   contention: ``crowd(p)``, ``config``
 ``open_finish(home, pragma, name)``                            ``with ctx.finish(...)``
 ``spawn_local(place, fn, args, finish, name) -> Activity``     ``ctx.async_``
 ``spawn_remote(src, dst, fn, args, finish, nbytes, name)``     ``ctx.at_async``

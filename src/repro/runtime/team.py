@@ -73,20 +73,6 @@ class Team:
         except KeyError:
             raise ApgasError(f"place {place} is not a member of this team") from None
 
-    def split(self, color_of) -> dict:
-        """X10's ``Team.split``: partition into sub-teams by color.
-
-        ``color_of`` maps each member place to a hashable color; returns
-        ``{color: Team}`` with members in this team's rank order.  HPL's
-        process-row and process-column teams are the canonical use::
-
-            rows = world.split(lambda p: grid.coords_of(p)[0])
-        """
-        groups: dict = {}
-        for place in self.members:
-            groups.setdefault(color_of(place), []).append(place)
-        return {color: Team(self.rt, members) for color, members in groups.items()}
-
     # -- the collective operations (each returns an event to yield) -----------------
 
     def barrier(self, ctx) -> SimEvent:
@@ -106,19 +92,6 @@ class Team:
 
     def _broadcast_values(self, slot: _Slot) -> list:
         return [slot.values[self._root_rank(slot)]] * self.size
-
-    def reduce(
-        self, ctx, value: Any, root: int = 0, op: Callable = np.add, nbytes: Optional[int] = None
-    ) -> SimEvent:
-        """Root receives the reduction; others receive None."""
-
-        def finalize(slot):
-            total = _reduce_values(slot.values, op)
-            return [total if i == self._root_rank(slot) else None for i in range(self.size)]
-
-        return self._collective(
-            ctx, CollectiveOp.REDUCE, value, root=root, finalize=finalize, nbytes=nbytes
-        )
 
     def allreduce(
         self, ctx, value: Any, op: Callable = np.add, nbytes: Optional[int] = None,
@@ -140,26 +113,6 @@ class Team:
         return self._collective(
             ctx, CollectiveOp.ALLREDUCE, value, finalize=finalize, nbytes=nbytes
         )
-
-    def allgather(self, ctx, value: Any) -> SimEvent:
-        """Every member receives the list of all members' values, in rank order."""
-
-        def finalize(slot):
-            gathered = list(slot.values)
-            return [gathered] * self.size
-
-        return self._collective(ctx, CollectiveOp.ALLGATHER, value, finalize=finalize)
-
-    def scatter(self, ctx, values: Optional[Sequence] = None, root: int = 0) -> SimEvent:
-        """Root supplies one value per member; each member receives its own."""
-        if ctx.here == root and (values is None or len(values) != self.size):
-            raise ApgasError("scatter root must supply exactly one value per member")
-
-        def finalize(slot):
-            vals = slot.values[self._root_rank(slot)]
-            return list(vals)
-
-        return self._collective(ctx, CollectiveOp.SCATTER, values, root=root, finalize=finalize)
 
     def alltoall(self, ctx, values: Sequence, nbytes_per_pair: Optional[int] = None) -> SimEvent:
         """Member i's ``values[j]`` is delivered to member j; each member

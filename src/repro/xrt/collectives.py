@@ -28,10 +28,7 @@ from repro.xrt.transport import Transport
 class CollectiveOp(enum.Enum):
     BARRIER = "barrier"
     BROADCAST = "broadcast"
-    REDUCE = "reduce"
     ALLREDUCE = "allreduce"
-    ALLGATHER = "allgather"
-    SCATTER = "scatter"
     ALLTOALL = "alltoall"
 
 
@@ -99,9 +96,9 @@ class Collectives:
         n = len(members)
         if op is CollectiveOp.BARRIER:
             t = bandwidth.barrier_time(cfg, n)
-        elif op in (CollectiveOp.BROADCAST, CollectiveOp.REDUCE, CollectiveOp.SCATTER):
+        elif op is CollectiveOp.BROADCAST:
             t = bandwidth.broadcast_time(cfg, n, nbytes)
-        elif op in (CollectiveOp.ALLREDUCE, CollectiveOp.ALLGATHER):
+        elif op is CollectiveOp.ALLREDUCE:
             t = bandwidth.allreduce_time(cfg, n, nbytes)
         else:  # ALLTOALL: nbytes is per member pair
             t = bandwidth.alltoall_time(cfg, n, nbytes)
@@ -157,22 +154,13 @@ class Collectives:
                 [(members[i], members[(i + (1 << r)) % n], 8) for i in range(n)]
                 for r in range(log_n)
             ]
-        if op in (CollectiveOp.BROADCAST, CollectiveOp.SCATTER):
-            # binomial tree from the root; scatter ships halved payloads but we
-            # conservatively charge the full payload per stage
+        if op is CollectiveOp.BROADCAST:
+            # binomial tree from the root
             rounds = []
             for r in range(log_n):
                 stride = 1 << r
                 rounds.append(
                     [(rel(i), rel(i + stride), nbytes) for i in range(stride) if i + stride < n]
-                )
-            return rounds
-        if op is CollectiveOp.REDUCE:
-            rounds = []
-            for r in reversed(range(log_n)):
-                stride = 1 << r
-                rounds.append(
-                    [(rel(i + stride), rel(i), nbytes) for i in range(stride) if i + stride < n]
                 )
             return rounds
         if op is CollectiveOp.ALLREDUCE:
@@ -185,18 +173,6 @@ class Collectives:
                     j = i ^ stride
                     if j < n:
                         pairs.append((members[i], members[j], nbytes))
-                rounds.append(pairs)
-            return rounds
-        if op is CollectiveOp.ALLGATHER:
-            # recursive doubling with doubling payloads
-            rounds = []
-            for r in range(log_n):
-                stride = 1 << r
-                pairs = []
-                for i in range(n):
-                    j = i ^ stride
-                    if j < n:
-                        pairs.append((members[i], members[j], nbytes * stride))
                 rounds.append(pairs)
             return rounds
         # ALLTOALL: pairwise exchange, n-1 rounds

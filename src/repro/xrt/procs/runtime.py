@@ -11,7 +11,8 @@ generator :class:`~repro.sim.process.Process`, scheduled by the wall-clock
 What differs under the seam:
 
 * ``charge`` takes no wall time (the real CPU cost *is* the compute): it is a
-  cooperative yield point.  ``ctx.sleep`` sleeps real seconds.
+  cooperative yield point.  ``ctx.sleep`` sleeps real seconds.  ``topology``
+  is the simulator's default machine, so a program computes the same charge.
 * Remote operations pickle their function (by module reference) and arguments:
   a program is portable exactly when its arguments pickle.  ``ctx.store`` is a
   genuinely private per-process heap.
@@ -34,6 +35,8 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.errors import ApgasError, DeadPlaceError, PlaceError, ProcsError
+from repro.machine.config import MachineConfig
+from repro.machine.topology import Topology
 from repro.obs import Observability
 from repro.runtime.activity import Activity, ActivityContext, _UngovernedFinish
 from repro.runtime.finish.pragmas import Pragma
@@ -60,6 +63,9 @@ class ProcsRuntime:
         self.engine = loop
         self.place_id = place_id
         self.n_places = n_places
+        #: the simulator's default machine: charges here are yields, so the
+        #: model only lets one program text compute them
+        self.topology = Topology(MachineConfig(), n_places)
         #: the one place this process hosts: ``ctx.store`` (a genuinely
         #: private heap), its mailboxes and its atomic/when monitor
         self._place = PlaceRuntime(place_id)

@@ -167,10 +167,26 @@ def test_smithwaterman_matches_full_sequence_reference():
     from repro.kernels.smithwaterman.sw import random_sequence, sw_score_reference
 
     run = _run("smithwaterman")
-    target = random_sequence(13, "target", 512)
-    query = random_sequence(13, "query", 32)
-    assert run.result["score"] == sw_score_reference(query, target)
+    long_seq = random_sequence(13, "long", 512)
+    short = random_sequence(13, "short", 32)
+    assert run.result["score"] == sw_score_reference(short, long_seq)
     assert run.result["probe_returned"] is True
+
+
+def test_smithwaterman_program_and_driver_agree():
+    """One program: the portable entry and the simulator driver, at matching
+    real sizes, score the same sequences the same way."""
+    from repro.kernels.smithwaterman import run_smith_waterman
+    from repro.runtime import ApgasRuntime
+
+    main = build_program("smithwaterman", PLACES, target_len=4 * 96, query_len=24, seed=5)
+    portable = ApgasRuntime(places=PLACES).run(main)
+    driver = run_smith_waterman(
+        ApgasRuntime(places=PLACES), short_len=24, long_per_place=96, iterations=1,
+        seed=5, actual_short=24, actual_long=96,
+    )
+    assert driver.verified
+    assert portable["score"] == driver.extra["best_score"] > 0
 
 
 def test_smithwaterman_score_invariant_across_place_counts():

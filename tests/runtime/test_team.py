@@ -108,37 +108,6 @@ def test_broadcast_from_root():
     assert run_team_program(rt, members, body) == ["payload"] * 3
 
 
-def test_reduce_only_root_receives():
-    rt = make_runtime()
-    members = [0, 1, 2, 3]
-
-    def body(ctx, team):
-        return (yield team.reduce(ctx, 1, root=2))
-
-    assert run_team_program(rt, members, body) == [None, None, 4, None]
-
-
-def test_allgather_in_rank_order():
-    rt = make_runtime()
-    members = [4, 0, 9]
-
-    def body(ctx, team):
-        return (yield team.allgather(ctx, ctx.here))
-
-    assert run_team_program(rt, members, body) == [[4, 0, 9]] * 3
-
-
-def test_scatter():
-    rt = make_runtime()
-    members = [0, 1, 2]
-
-    def body(ctx, team):
-        values = ["a", "b", "c"] if ctx.here == 0 else None
-        return (yield team.scatter(ctx, values, root=0))
-
-    assert run_team_program(rt, members, body) == ["a", "b", "c"]
-
-
 def test_alltoall_transpose_semantics():
     rt = make_runtime()
     members = [0, 1, 2]
@@ -151,6 +120,26 @@ def test_alltoall_transpose_semantics():
     results = run_team_program(rt, members, body)
     assert results[0] == ["0->0", "1->0", "2->0"]
     assert results[2] == ["0->2", "1->2", "2->2"]
+
+
+def test_disjoint_teams_allreduce_concurrently():
+    """HPL's idiom: one team per process row, reducing at the same time."""
+    rt = make_runtime()
+    rows = [Team(rt, list(range(4))), Team(rt, list(range(4, 8)))]
+    results = {}
+
+    def main(ctx):
+        with ctx.finish(Pragma.FINISH_SPMD) as f:
+            for p in range(8):
+                ctx.at_async(p, member)
+        yield f.wait()
+
+    def member(ctx):
+        results[ctx.here] = yield rows[ctx.here // 4].allreduce(ctx, ctx.here)
+
+    rt.run(main)
+    assert all(results[p] == 0 + 1 + 2 + 3 for p in range(4))
+    assert all(results[p] == 4 + 5 + 6 + 7 for p in range(4, 8))
 
 
 def test_successive_collectives_keep_order():

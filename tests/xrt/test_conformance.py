@@ -33,10 +33,10 @@ _SMALL = {
 
 
 #: every kernel at PLACES; uts at 2: with two places each steals only from
-#: the other, the shape that once livelocked over the last piece; kmeans and
-#: bc at 3: an uneven spawning tree and an uneven broadcast tree
+#: the other, the shape that once livelocked over the last piece; kmeans, bc
+#: and smithwaterman at 3: an uneven spawning tree and an uneven broadcast tree
 _ROWS = [(kernel, PLACES) for kernel in PORTABLE_KERNELS] + [
-    ("uts", 2), ("kmeans", 3), ("bc", 3),
+    ("uts", 2), ("kmeans", 3), ("bc", 3), ("smithwaterman", 3),
 ]
 
 

@@ -64,6 +64,22 @@ def _drain(loop):
     loop.run()
 
 
+def test_procs_topology_is_the_simulators_machine():
+    """A program's modelled charge reads ``rt.topology``: both runtimes
+    answer it with the same default machine, octant crowds included."""
+    from repro.machine.config import MachineConfig
+    from repro.runtime import ApgasRuntime
+    from repro.xrt.procs.runtime import ProcsRuntime
+
+    places = 40  # one full 32-core octant and a partial one
+    procs = ProcsRuntime(PlaceLoop(), place_id=0, n_places=places).topology
+    sim = ApgasRuntime(places=places, config=MachineConfig()).topology
+    crowds = [procs.crowd(p) for p in range(places)]
+    assert crowds == [sim.crowd(p) for p in range(places)]
+    assert crowds == [32] * 32 + [8] * 8
+    assert procs.config == sim.config
+
+
 def test_loop_call_soon_runs_in_order():
     loop = PlaceLoop()
     seen = []
