@@ -4,6 +4,8 @@ Paper Section 3.3: when the runtime is configured for networks with hardware
 multi-way communication support, team operations map directly to the hardware
 implementations, "offering performance that cannot be matched by
 point-to-point messages"; otherwise the emulation layer kicks in.
+``rt.team`` returns the rendezvous ``Team`` on the hardware path and the
+point-to-point message program (``MessageTeam``) on the emulated one.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from repro.harness.reporting import render_table
 from repro.machine import MachineConfig
-from repro.runtime import ApgasRuntime, PlaceGroup, Team, broadcast_spawn
+from repro.runtime import ApgasRuntime, PlaceGroup, broadcast_spawn
 
 from benchmarks._util import run_once
 
@@ -21,7 +23,7 @@ ROUNDS = 5
 
 def _run(emulated):
     rt = ApgasRuntime(places=PLACES, config=MachineConfig(), collectives_emulated=emulated)
-    team = Team(rt, list(range(PLACES)))
+    team = rt.team(list(range(PLACES)))
 
     def body(ctx):
         value = np.ones(4096)

@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import KernelError
 from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.harness.results import KernelResult
-from repro.runtime import PlaceGroup, Team, broadcast_spawn
+from repro.runtime import PlaceGroup, broadcast_spawn
 from repro.runtime.runtime import ApgasRuntime
 from repro.sim.rng import RngStream
 
@@ -66,7 +66,7 @@ def run_fft(
     N = n1 * n2
     rpp1, rpp2 = n1 // p, n2 // p
     elems = N // p if modeled_elements_per_place is None else modeled_elements_per_place
-    team = Team(rt, places)
+    team = rt.team(places)
     rng = RngStream(seed, "fft/input")
     x = (rng.uniform(-1, 1, size=N) + 1j * rng.uniform(-1, 1, size=N)).astype(np.complex128)
     outputs = {}

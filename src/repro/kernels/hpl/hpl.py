@@ -27,7 +27,7 @@ from repro.kernels.hpl.lu import (
     update_trailing,
     update_u_row,
 )
-from repro.runtime import PlaceGroup, Pragma, Team, broadcast_spawn
+from repro.runtime import PlaceGroup, Pragma, broadcast_spawn
 from repro.runtime.runtime import ApgasRuntime
 from repro.sim.rng import RngStream
 
@@ -105,14 +105,14 @@ def run_hpl(
     A0 = A.copy()
     all_swaps: list = []
 
-    world = Team(rt, list(pg))
+    world = rt.team(list(pg))
     row_teams = (
-        {pi: Team(rt, grid.row_places(pi)) for pi in range(grid.P)}
+        {pi: rt.team(grid.row_places(pi)) for pi in range(grid.P)}
         if grid.Q > 1
         else {}
     )
     col_teams = (
-        {pj: Team(rt, grid.col_places(pj)) for pj in range(grid.Q)}
+        {pj: rt.team(grid.col_places(pj)) for pj in range(grid.Q)}
         if grid.P > 1
         else {}
     )

@@ -4,15 +4,15 @@ Smith-Waterman are one program on both backends, beside their numeric cores).
 
 Every program here is *backend-blind*: it uses only the picklable ``ctx``
 subset (module-level worker functions, plain-data messages, ``ctx.store``)
-plus the collectives of :mod:`repro.kernels.portable.lib`, so the identical
-program text runs on the discrete-event simulator and on real OS processes.
+plus ``ctx.team``, so the identical program text runs on the discrete-event
+simulator and on real OS processes.
 The numerical cores are imported from the corresponding simulator kernels —
 the physics is shared, only the orchestration is rewritten portably.
 
 Determinism contract (what the conformance suite asserts): for a fixed seed
 and place count, the returned result — including every floating-point bit of
 the checksum — is identical on every backend.  Results are combined at the
-root in rank order, never in arrival order (see ``lib``).
+root in rank order, never in arrival order (see :func:`_gather`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import hashlib
 import numpy as np
 
 from repro.harness.results import checksum_bytes
-from repro.kernels.portable.lib import bcast, gather
 from repro.runtime.finish.pragmas import Pragma
 from repro.sim.rng import RngStream
 
@@ -59,6 +58,20 @@ def spmd(ctx, worker, params: dict, pragma: Pragma = Pragma.FINISH_SPMD):
     return ctx.store.pop("portable:result")
 
 
+def _gather(ctx, tag: str, value):
+    """Collect every place's ``value`` at place 0: returns ``{place: value}``
+    there (None elsewhere), independent of arrival order."""
+    box = f"ga:{tag}"
+    if ctx.here != 0:
+        ctx.send(0, box, (ctx.here, value))
+        return None
+    out = {0: value}
+    for _ in range(ctx.n_places - 1):
+        sender, item = yield ctx.recv(box)
+        out[sender] = item
+    return out
+
+
 # -- STREAM ---------------------------------------------------------------------------
 
 
@@ -74,7 +87,7 @@ def stream_worker(ctx, p: dict):
         yield ctx.compute(seconds=_TICK)
         triad(a, b, c, p["alpha"])
         a, c = c, a  # ping-pong so every iteration changes the inputs
-    digests = yield from gather(ctx, "stream", _digest(a, b, c))
+    digests = yield from _gather(ctx, "stream", _digest(a, b, c))
     if ctx.here == 0:
         ctx.store["portable:result"] = {
             "checksum": _rank_checksum(digests),
@@ -93,7 +106,7 @@ def stream_main(ctx, **params):
 def ra_worker(ctx, p: dict):
     from repro.kernels.randomaccess.hpcc_rng import stream_slice_fast
 
-    me, P = ctx.here, ctx.n_places
+    me, P, team = ctx.here, ctx.n_places, p["team"]
     size = 1 << p["log2_table"]
     lo, hi = size * me // P, size * (me + 1) // P
     table = np.arange(lo, hi, dtype=np.uint64)
@@ -102,21 +115,11 @@ def ra_worker(ctx, p: dict):
     values = stream_slice_fast(me * updates, updates)
     index = (values & np.uint64(size - 1)).astype(np.int64)
     owner = index * P // size
-    # one bulk exchange: everyone sends one (possibly empty) batch to every
-    # other place, so receive counts are deterministic; XOR commutes, so
-    # arrival order cannot leak into the table bits
-    for q in range(P):
-        mask = owner == q
-        batch = (index[mask], values[mask])
-        if q == me:
-            mine = batch
-        else:
-            ctx.send(q, "ra:upd", batch)
-    np.bitwise_xor.at(table, mine[0] - lo, mine[1])  # .at: duplicate indices all land
-    for _ in range(P - 1):
-        idx, val = yield ctx.recv("ra:upd")
-        np.bitwise_xor.at(table, idx - lo, val)
-    digests = yield from gather(ctx, "ra", _digest(table))
+    # one bulk exchange: a (possibly empty) batch for every place
+    batches = [(index[owner == q], values[owner == q]) for q in range(P)]
+    for idx, val in (yield team.alltoall(ctx, batches)):
+        np.bitwise_xor.at(table, idx - lo, val)  # .at: duplicate indices all land
+    digests = yield from _gather(ctx, "ra", _digest(table))
     if me == 0:
         ctx.store["portable:result"] = {
             "checksum": _rank_checksum(digests),
@@ -127,6 +130,7 @@ def ra_worker(ctx, p: dict):
 
 def ra_main(ctx, **params):
     # the paper's pragma for RandomAccess: an irregular communication graph
+    params["team"] = ctx.team(ctx.places())
     return (yield from spmd(ctx, ra_worker, params, pragma=Pragma.FINISH_DENSE))
 
 
@@ -134,7 +138,7 @@ def ra_main(ctx, **params):
 
 
 def fft_worker(ctx, p: dict):
-    me, P = ctx.here, ctx.n_places
+    me, P, team = ctx.here, ctx.n_places, p["team"]
     n1, n2 = p["n1"], p["n2"]
     N = n1 * n2
     rng = RngStream(p["seed"], "portable/fft")
@@ -149,22 +153,15 @@ def fft_worker(ctx, p: dict):
     B *= np.exp(-2j * np.pi * (k2 * j1) / N)
     # step 3: the distributed transpose — a genuine all-to-all
     d0, d1 = n1 * me // P, n1 * (me + 1) // P
-    for q in range(P):
-        q0, q1 = n1 * q // P, n1 * (q + 1) // P
-        if q == me:
-            own = B[:, q0:q1]
-        else:
-            ctx.send(q, "fft:a2a", (me, B[:, q0:q1]))
+    blocks = [B[:, n1 * q // P : n1 * (q + 1) // P] for q in range(P)]
+    received = yield team.alltoall(ctx, blocks)
     D = np.empty((d1 - d0, n2), dtype=np.complex128)
-    D[:, r0:r1] = own.T
-    for _ in range(P - 1):
-        sender, block = yield ctx.recv("fft:a2a")
-        s0, s1 = n2 * sender // P, n2 * (sender + 1) // P
-        D[:, s0:s1] = block.T
+    for sender, block in enumerate(received):
+        D[:, n2 * sender // P : n2 * (sender + 1) // P] = block.T
     # step 4: row FFTs of D; the result rows ARE the transform (column-major)
     yield ctx.compute(seconds=_TICK)
     D = np.fft.fft(D, axis=1)
-    blocks = yield from gather(ctx, "fft", (d0, D))
+    blocks = yield from _gather(ctx, "fft", (d0, D))
     if me == 0:
         full = np.vstack([blocks[q][1] for q in sorted(blocks)])
         X = full.T.reshape(-1)  # X[j2*n1 + j1] = D[j1, j2]
@@ -177,6 +174,7 @@ def fft_worker(ctx, p: dict):
 
 def fft_main(ctx, **params):
     # all-to-all transpose traffic: the dense-communication pragma
+    params["team"] = ctx.team(ctx.places())
     return (yield from spmd(ctx, fft_worker, params, pragma=Pragma.FINISH_DENSE))
 
 
@@ -193,7 +191,7 @@ def hpl_worker(ctx, p: dict):
 
     from repro.kernels.hpl.lu import panel_factor
 
-    me, P = ctx.here, ctx.n_places
+    me, P, team = ctx.here, ctx.n_places, p["team"]
     n, nb = p["n"], p["nb"]
     A = _hpl_matrix(p["seed"], n)
     nblocks = n // nb
@@ -208,7 +206,7 @@ def hpl_worker(ctx, p: dict):
             payload = (swaps, A[k0:, k0 : k0 + nb].copy())
         else:
             payload = None
-        swaps, panel = yield from bcast(ctx, f"lu{bk}", payload, root=owner)
+        swaps, panel = yield team.broadcast(ctx, payload, root=owner)
         all_swaps.extend(swaps)
         if me != owner:
             # replay the pivot swaps on this place's columns, then install
@@ -227,7 +225,7 @@ def hpl_worker(ctx, p: dict):
             )
             A[k0 + nb :, c0:c1] -= A[k0 + nb :, k0 : k0 + nb] @ A[k0 : k0 + nb, c0:c1]
     mine = {bk: A[:, bk * nb : (bk + 1) * nb] for bk in owned}
-    blocks = yield from gather(ctx, "hpl", mine)
+    blocks = yield from _gather(ctx, "hpl", mine)
     if me == 0:
         LU = np.empty((n, n))
         for place_blocks in blocks.values():
@@ -244,4 +242,5 @@ def hpl_worker(ctx, p: dict):
 
 
 def hpl_main(ctx, **params):
+    params["team"] = ctx.team(ctx.places())
     return (yield from spmd(ctx, hpl_worker, params))

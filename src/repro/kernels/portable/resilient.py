@@ -3,8 +3,9 @@
 Each hook set plugs into :func:`repro.resilient.run_resilient_epochs`, the one
 epoch coordinator, and keeps its per-place state in ``ctx.store`` (a genuinely
 private heap per place process), so the same program runs on both backends.
-A place death fails the survivors' blocked collectives on both: procs fails a
-member blocked in ``ctx.recv``, the simulator's ``Team`` fails its rendezvous.
+A place death fails the survivors' blocked collectives on both: each runtime
+fails a member blocked in ``ctx.recv`` (a message-program team), and the
+simulator's rendezvous ``Team`` fails its rendezvous.
 :func:`build_resilient_program` binds :func:`resilient_main` into a program.
 """
 

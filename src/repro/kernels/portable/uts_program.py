@@ -29,7 +29,9 @@ from __future__ import annotations
 
 from repro.errors import DeadPlaceError
 from repro.harness.results import checksum_bytes
+from repro.kernels.portable.programs import _gather, spmd
 from repro.kernels.uts.tree import UtsBag, UtsParams
+from repro.runtime.finish.pragmas import Pragma
 
 #: nodes visited between mailbox polls (also the cooperative-yield grain)
 CHUNK = 512
@@ -153,27 +155,10 @@ def uts_loop(ctx, p: dict, ctl_box: str = "uts:ctl", abort_on_death: bool = Fals
 
 
 def uts_worker(ctx, p: dict):
-    me, P = ctx.here, ctx.n_places
     processed = yield from uts_loop(ctx, p)
-    if P == 1:
-        ctx.store["portable:result"] = _result(processed)
-        return
-    counts = yield from _gather_counts(ctx, processed)
-    if me == 0:
-        total = sum(counts.values())
-        ctx.store["portable:result"] = _result(total, per_place=counts)
-
-
-def _gather_counts(ctx, processed: int):
-    me, P = ctx.here, ctx.n_places
-    if me != 0:
-        ctx.send(0, "uts:counts", (me, processed))
-        return None
-    counts = {0: processed}
-    for _ in range(P - 1):
-        place, n = yield ctx.recv("uts:counts")
-        counts[place] = n
-    return counts
+    counts = yield from _gather(ctx, "uts", processed)
+    if ctx.here == 0:
+        ctx.store["portable:result"] = _result(sum(counts.values()), per_place=counts)
 
 
 def _result(total: int, per_place=None) -> dict:
@@ -187,8 +172,5 @@ def _result(total: int, per_place=None) -> dict:
 
 
 def uts_main(ctx, **params):
-    from repro.kernels.portable.programs import spmd
-    from repro.runtime.finish.pragmas import Pragma
-
     # the paper's refined configuration runs UTS under FINISH_DENSE
     return (yield from spmd(ctx, uts_worker, params, pragma=Pragma.FINISH_DENSE))

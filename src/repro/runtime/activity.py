@@ -51,6 +51,14 @@ the runtime seam                                               serves
 
 ``spawn_remote`` and ``remote_eval`` also take ``clock=``, the race detector's
 vector-clock snapshot.
+
+A place death reads the same on both runtimes.  Every ``recv`` blocked when
+it happens raises :class:`~repro.errors.DeadPlaceError` naming the place, and
+later ``recv`` calls raise too, until ``acknowledge_deaths`` lifts the poison
+or ``revive_place`` forgets that death.  ``dead_places`` names the deaths not
+yet revived (on procs, not yet acknowledged either).  ``team`` returns a
+:class:`~repro.runtime.team.MessageTeam` wherever collectives are emulated,
+so a death mid-collective fails it through those receives.
 """
 
 from __future__ import annotations
@@ -325,8 +333,8 @@ class ActivityContext:
         """X10's ``Team`` over ``places``, for one program run: create it at
         the root, pass it to the members, and ``yield team.allreduce(ctx, v)``
         there.  It shares no state with other runs, so it also names the run
-        (a ``ctx.store`` key).  The modelled ``Team`` here, a ``TreeTeam`` on
-        procs; both fold in rank order."""
+        (a ``ctx.store`` key).  See :mod:`repro.runtime.team` for its two
+        classes; both fold in rank order."""
         return self.rt.team(list(places))
 
     # -- atomic / when ----------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.runtime import racedetect
 from repro.runtime.activity import Activity, ActivityContext, _UngovernedFinish
 from repro.runtime.finish import _IMPLEMENTATIONS, BaseFinish, Pragma
 from repro.runtime.place import PlaceRuntime
-from repro.runtime.team import Team
+from repro.runtime.team import MessageTeam, Team
 from repro.sim import make_engine
 from repro.sim.events import SimEvent
 from repro.sim.process import Process, Timeout
@@ -112,7 +112,15 @@ class ApgasRuntime:
                 self.engine, self.config, self.topology, obs=self.obs, chaos=self.chaos
             )
         self.network = self.transport.network
-        self.collectives = Collectives(self.transport, emulated=collectives_emulated)
+        self.collectives = Collectives(self.transport)
+        #: ``team`` runs the point-to-point message program, not the
+        #: hardware collectives; by default where the fabric has none
+        self.collectives_emulated = (
+            not self.transport.supports_hw_collectives
+            if collectives_emulated is None
+            else collectives_emulated
+        )
+        self._team_ids = itertools.count()
         self.registry = MemoryRegistry()
         self.rdma = (
             RdmaEngine(self.transport, self.registry) if self.transport.supports_rdma else None
@@ -132,6 +140,8 @@ class ApgasRuntime:
         self._replies: dict[int, tuple[SimEvent, int]] = {}
         #: live processes by hosting place, killed wholesale on place failure
         self._procs_at: dict[int, set[Process]] = {}
+        #: deaths neither acknowledged nor revived: they poison ``recv``
+        self._poison: set = set()
         metrics = self.obs.metrics
         self._c_activities = metrics.counter("runtime.activities_spawned")
         self._c_remote_spawns = metrics.counter("runtime.remote_spawns")
@@ -177,6 +187,13 @@ class ApgasRuntime:
         return _IMPLEMENTATIONS[pragma](self, home, name)
 
     def recv(self, place: int, mailbox: str):
+        if self._poison:
+            # the item this activity would wait for may only ever come from
+            # the dead place
+            raise DeadPlaceError(
+                min(self._poison), detected_by=f"place {place} recv({mailbox!r})",
+                detail="unacknowledged place death poisons blocking receives",
+            )
         return self.place(place).mailbox(mailbox).get()
 
     def is_dead(self, place: int) -> bool:
@@ -187,11 +204,15 @@ class ApgasRuntime:
         return tuple(sorted(self.chaos.dead_places)) if self.chaos is not None else ()
 
     def acknowledge_deaths(self) -> None:
-        """Nothing to lift: the simulator keeps no poison set (``is_dead``)."""
+        """Lift the poison of every known death: ``recv`` blocks again."""
+        self._poison.clear()
 
-    def team(self, places: list) -> Team:
-        """``ctx.team``: the modelled collectives of :mod:`repro.runtime.team`."""
-        return Team(self, places)
+    def team(self, places: list):
+        """``ctx.team``: the rendezvous :class:`Team` over the hardware
+        collectives, or the emulation layer's :class:`MessageTeam`."""
+        if len(places) == 1 or not self.collectives_emulated:
+            return Team(self, places)
+        return MessageTeam(tuple(places), str(next(self._team_ids)))
 
     def live_activities(self, place: int) -> int:
         """Activities currently hosted at ``place``.
@@ -528,8 +549,10 @@ class ApgasRuntime:
 
     def _on_place_death(self, place: int) -> None:
         """Chaos killed ``place``: its processes stop mid-instruction, the
-        finishes it participated in fail (or forgive), and remote evaluations
-        it was computing fail with a structured :class:`DeadPlaceError`."""
+        finishes it participated in fail (or forgive), remote evaluations
+        it was computing and every blocked receive fail with a structured
+        :class:`DeadPlaceError`, and ``recv`` is poisoned until the death
+        is acknowledged or revived."""
         for process in list(self._procs_at.get(place, ())):
             process.kill()
         self._procs_at.pop(place, None)
@@ -540,6 +563,15 @@ class ApgasRuntime:
                 del self._replies[reply_id]
                 event.fail(DeadPlaceError(
                     place, detected_by=f"at({place})", detail="evaluating place failed"
+                ))
+        self._poison.add(place)
+        # the dead place's getters too: a collective process blocked there
+        # outlives its killed member and must end
+        for host in self._places:
+            for box in list(host.mailboxes.values()):
+                box.fail_getters(DeadPlaceError(
+                    place, detected_by=f"place {host.id} mailbox {box.name!r}",
+                    detail="it died while a receive was blocked",
                 ))
 
     def revive_place(self, place: int) -> None:
@@ -559,6 +591,7 @@ class ApgasRuntime:
         self.place(place)  # validate the id
         self._procs_at.pop(place, None)
         self._places[place] = PlaceRuntime(place, workers=self.workers_per_place)
+        self._poison.discard(place)
         self.chaos.revive(place)
 
     # -- finish control traffic -------------------------------------------------------------

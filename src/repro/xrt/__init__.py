@@ -5,7 +5,9 @@ structure: the X10 Runtime Transport (X10RT) API provides a common interface
 to transports such as IBM's PAMI, MPI, and TCP/IP sockets.  An implementation
 is only *required* to provide basic point-to-point primitives; an emulation
 layer handles the advanced APIs (collectives, RDMA) when not natively
-supported.
+supported.  The collectives' emulation layer is a program over those
+primitives, :class:`repro.runtime.team.MessageTeam`, which runs on both
+backends; a place death fails its blocked receives on both.
 
 This package mirrors that structure:
 
@@ -19,8 +21,7 @@ This package mirrors that structure:
 * :class:`~repro.xrt.rdma.RdmaEngine` — RDMA put/get and the GUPS remote
   atomic update, including the TLB/large-page model;
 * :class:`~repro.xrt.collectives.Collectives` — barrier/bcast/allreduce/
-  alltoall with a hardware path (analytic Torrent model) and an emulated
-  path (real point-to-point message rounds).
+  alltoall on the hardware path (analytic Torrent model).
 """
 
 from repro.xrt.serialization import estimate_nbytes

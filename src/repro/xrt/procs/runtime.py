@@ -16,10 +16,11 @@ What differs under the seam:
 * Remote operations pickle their function (by module reference) and arguments:
   a program is portable exactly when its arguments pickle.  ``ctx.store`` is a
   genuinely private per-process heap.
-* A known place death poisons sends, spawns and blocking receives until it is
-  acknowledged or revived; there is no RDMA and no race detector.
-* ``ctx.team`` is a message tree (:class:`TreeTeam`), not the modelled ``Team``;
-  both fold in rank order.
+* A known place death poisons sends and spawns too, not only blocking
+  receives; there is no RDMA and no race detector.
+* ``ctx.team`` is always the emulation layer's message program
+  (:class:`~repro.runtime.team.MessageTeam`): real processes have no
+  hardware collectives.
 * Finishes are the simulator's ``BaseFinish`` driven by FORK, JOIN and DEAD
   frames (:mod:`~repro.xrt.procs.finishproc`); their counters land in ``obs``.
 """
@@ -27,12 +28,9 @@ What differs under the seam:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from types import GeneratorType
 from typing import Any, Callable, Optional
-
-import numpy as np
 
 from repro.errors import ApgasError, DeadPlaceError, PlaceError, ProcsError
 from repro.machine.config import MachineConfig
@@ -42,7 +40,7 @@ from repro.runtime.activity import Activity, ActivityContext, _UngovernedFinish
 from repro.runtime.finish.pragmas import Pragma
 from repro.runtime.place import PlaceRuntime
 from repro.runtime.runtime import _settle
-from repro.runtime.team import _reduce_values
+from repro.runtime.team import MessageTeam
 from repro.sim.events import SimEvent
 from repro.sim.process import Process, Timeout
 from repro.xrt.procs import wire
@@ -333,11 +331,10 @@ class ProcsRuntime:
         """Places this process currently knows to be dead (sorted)."""
         return tuple(sorted(self._dead))
 
-    def team(self, places: list) -> "TreeTeam":
-        """``ctx.team``: a message tree named by this place and a counter."""
-        if places != list(range(self.n_places)):
-            raise ApgasError("a procs team spans every place")
-        return TreeTeam(tuple(places), f"{self.place_id}.{next(self._team_ids)}")
+    def team(self, places: list) -> MessageTeam:
+        """``ctx.team``: the message program, its run named by this place
+        and a counter."""
+        return MessageTeam(tuple(places), f"{self.place_id}.{next(self._team_ids)}")
 
     def acknowledge_deaths(self) -> None:
         """Forget every known death: lift the poison so messaging resumes.
@@ -360,37 +357,6 @@ class ProcsRuntime:
             )
         self.respawn_place(place)
         self._dead.discard(place)
-
-
-@dataclass(frozen=True)
-class TreeTeam:
-    """``ctx.team`` over real processes: a plain-data handle pickled to every
-    member; ``run`` names its mailboxes, so two runs never share one."""
-
-    members: tuple
-    run: str
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def rank(self, place: int) -> int:
-        return self.members.index(place)
-
-    def allreduce(self, ctx, value: Any, op: Callable = np.add, tag: str = "") -> Process:
-        """Gather to place 0, fold in rank order, broadcast back;
-        yield the returned process.  ``tag`` scopes the mailbox names: a
-        retried epoch's attempt tag, on which a respawned place and the
-        survivors agree."""
-        return Process(ctx.rt.engine, self._allreduce(ctx, value, op, tag), name="team.allreduce")
-
-    def _allreduce(self, ctx, value: Any, op: Callable, tag: str):
-        from repro.kernels.portable.lib import bcast, gather
-
-        name = f"team{self.run}:{tag}"
-        values = yield from gather(ctx, name, value)
-        total = None if values is None else _reduce_values([values[p] for p in self.members], op)
-        return (yield from bcast(ctx, name, total))
 
 
 def _unwired(frame) -> None:

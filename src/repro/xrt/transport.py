@@ -5,13 +5,12 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Optional
 
-from repro.errors import DeadPlaceError, TransportError
+from repro.errors import TransportError
 from repro.machine.config import MachineConfig
 from repro.machine.network import Network, TransferKind
 from repro.machine.topology import Topology
 from repro.obs import Observability
 from repro.sim.engine import Engine
-from repro.sim.events import SimEvent
 
 
 class _Message:
@@ -21,26 +20,20 @@ class _Message:
     ``(bound method, record)`` payload call, and each attempt arms one
     cancellable retransmit timer: a message costs this record and a timer
     per attempt, no event and no closure per leg.  ``fn(dst, body)`` runs at
-    ``dst`` on the first landing; ``done`` (the event
-    :meth:`Transport.reliable_transfer` returned, else None) fails when the
-    destination is declared dead; ``delivered`` turns later landings into
+    ``dst`` on the first landing; ``delivered`` turns later landings into
     duplicates; ``live`` means the sender still waits for an ack.
     """
 
     __slots__ = (
-        "src", "dst", "nbytes", "seq", "fn", "body", "done",
+        "src", "dst", "nbytes", "seq", "fn", "body",
         "attempt", "rto", "timer", "delivered", "live",
     )
 
-    def __init__(self, src, dst, nbytes, seq, fn, body, done, rto) -> None:
+    def __init__(self, src, dst, nbytes, seq, fn, body, rto) -> None:
         self.src, self.dst, self.nbytes, self.seq = src, dst, nbytes, seq
-        self.fn, self.body, self.done = fn, body, done
+        self.fn, self.body = fn, body
         self.attempt, self.rto, self.timer = 0, rto, None
         self.delivered, self.live = False, True
-
-
-def _fire(_dst: int, event: SimEvent) -> None:
-    event.trigger()
 
 
 class _Reliability:
@@ -77,28 +70,17 @@ class _Reliability:
         self._c_delivered = metrics.counter("transport.delivered")
         self._tracer = transport.obs.trace
 
-    def send(self, src: int, dst: int, nbytes: float, fn, body, done=None) -> None:
+    def send(self, src: int, dst: int, nbytes: float, fn, body) -> None:
         """Ship ``nbytes`` src -> dst and run ``fn(dst, body)`` there exactly
-        once, however many attempts and duplicates it takes.  ``done``, if
-        given, fails with :class:`~repro.errors.DeadPlaceError` when the
-        destination is (or becomes) dead, so senders never hang on a dead
-        peer."""
+        once, however many attempts and duplicates it takes; a dead
+        destination swallows it."""
         n = self._n_places
         if nbytes < 0 or not 0 <= src < n or not 0 <= dst < n:
             self.network.check(src, dst, nbytes)
         self._seq = seq = self._seq + 1
         if dst in self._dead:
-            if done is not None:
-                done.fail(DeadPlaceError(dst, detected_by=f"transfer@{src}",
-                                         detail="destination already dead at send time"))
             return
-        self._attempt(_Message(src, dst, nbytes, seq, fn, body, done, self.rto))
-
-    def transfer(self, src: int, dst: int, nbytes: float) -> SimEvent:
-        """:meth:`send` with no payload; the event fires on first delivery."""
-        done = SimEvent(name=f"rel:{self._seq + 1}")
-        self.send(src, dst, nbytes, _fire, done, done)
-        return done
+        self._attempt(_Message(src, dst, nbytes, seq, fn, body, self.rto))
 
     # -- sender side -------------------------------------------------------------
 
@@ -129,9 +111,9 @@ class _Reliability:
             msg.live = False  # the sender itself died; nobody is waiting
             return
         if dst in dead:
-            # the peer died mid-flight: surface the failure at the next timer
-            # tick instead of retrying into a black hole (or hanging forever)
-            self._fail(msg, "destination died before acknowledging")
+            # the peer died mid-flight: stop instead of retrying into a black
+            # hole; the receivers blocked on it learn of the death itself
+            msg.live = False
             return
         attempt = msg.attempt
         if attempt >= self.max_retries:
@@ -139,7 +121,7 @@ class _Reliability:
             if self._tracer.enabled:
                 self._trace("transport.unreachable", src, msg, attempts=attempt)
             self.chaos.declare_dead(dst, reason=f"unreachable after {attempt} retries")
-            self._fail(msg, f"unreachable after {attempt} retries")
+            msg.live = False
             return
         msg.attempt = attempt = attempt + 1
         msg.rto *= 2
@@ -147,12 +129,6 @@ class _Reliability:
         if self._tracer.enabled:
             self._trace("transport.retry", src, msg, attempt=attempt)
         self._attempt(msg)
-
-    def _fail(self, msg: _Message, detail: str) -> None:
-        msg.live = False
-        done = msg.done
-        if done is not None and not done.fired:
-            done.fail(DeadPlaceError(msg.dst, detected_by=f"transfer@{msg.src}", detail=detail))
 
     def _trace(self, name: str, place: int, msg: _Message, **extra) -> None:
         self._tracer.instant(
@@ -290,11 +266,3 @@ class Transport:
             self._reliability.send(src, dst, wire, fn, body)
         else:
             self.network.transfer_call(src, dst, wire, fn, dst, body)
-
-    def reliable_transfer(self, src: int, dst: int, nbytes: float) -> SimEvent:
-        """An exactly-once message transfer: retried/deduplicated in resilient
-        mode, a plain network transfer otherwise.  The emulated collectives
-        build their rounds on this so they too survive lossy fabrics."""
-        if self._reliability is not None:
-            return self._reliability.transfer(src, dst, nbytes)
-        return self.network.transfer(src, dst, nbytes, kind=TransferKind.MSG)

@@ -72,26 +72,27 @@ def test_send_to_dead_place_fails_fast():
 
 
 def test_transfer_event_fails_when_destination_dies_midflight():
-    """A sender blocked on a transfer to a place that dies mid-flight is woken
-    with a structured error at the next retry timer, never left hanging.
+    """A sender waiting on a peer that dies mid-flight is woken with a
+    structured error at the death, never left hanging.
 
-    The kill at 5 us lands before the 4 KiB transfer does (about 10 us), so
-    the data leg is swallowed at the dead place, no ack comes back, and the
-    first retransmit timer (rto = 100 us) fails the event instead of
-    retrying."""
+    The kill at 5 us lands before the 4 KiB item does (about 10 us), so the
+    data leg is swallowed at the dead place, and the first retransmit timer
+    (rto = 100 us) gives the message up instead of retrying it."""
     rt = make_chaos_runtime(8, chaos="seed=0,drop=0,rto=1e-4,kill=6@5e-6")
     outcome = {}
 
     def main(ctx):
-        event = rt.transport.reliable_transfer(0, 6, 4096)
+        ctx.send(6, "request", bytes(4096))
         try:
-            yield event
+            yield ctx.recv("reply")
             outcome["result"] = "delivered"
         except DeadPlaceError as exc:
-            outcome["result"] = (exc.place, exc.detail, rt.engine.now)
+            outcome["result"] = (exc.place, rt.engine.now)
 
     rt.run(main)
-    assert outcome["result"] == (6, "destination died before acknowledging", 1e-4)
+    assert outcome["result"] == (6, 5e-6)
+    assert counter_total(rt, "transport.delivered") == 0
+    assert counter_total(rt, "transport.retry.count") == 0
 
 
 def test_messages_sent_counts_logical_sends_not_retransmissions():

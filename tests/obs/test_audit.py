@@ -12,7 +12,7 @@ import pytest
 from repro.glb import GlbConfig
 from repro.machine import MachineConfig
 from repro.obs import AuditReport, Observability, Tracer, audit_trace, expected_ctl_bounds
-from repro.runtime import ApgasRuntime, PlaceGroup, Pragma, Team, broadcast_spawn
+from repro.runtime import ApgasRuntime, PlaceGroup, Pragma, broadcast_spawn
 
 PLACES = (4, 8, 32)
 
@@ -122,7 +122,7 @@ def test_audit_passes_on_uts_trace():
 def test_audit_passes_on_team_collective_trace():
     rt = traced_runtime(8, collectives_emulated=True)
     members = list(range(8))
-    team = Team(rt, members)
+    team = rt.team(members)
 
     def main(ctx):
         with ctx.finish(Pragma.FINISH_SPMD) as f:

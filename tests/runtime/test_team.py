@@ -13,7 +13,7 @@ from tests.runtime.conftest import make_runtime
 
 def run_team_program(rt, members, body):
     """Launch one activity per member running body(ctx, team); returns results by rank."""
-    team = Team(rt, members)
+    team = rt.team(members)
     results = {}
 
     def main(ctx):
@@ -231,3 +231,51 @@ def test_ctx_team_folds_in_rank_order_on_the_simulator():
     # the procs side of this check is in tests/xrt/test_conformance.py
     result = ApgasRuntime(places=len(ORDER_SENSITIVE)).run(order_sensitive_allreduce_main)
     assert result == {"totals": [1.0] * len(ORDER_SENSITIVE)}
+
+
+# -- every op, on a sub-team, on both paths --------------------------------------------
+
+#: a 3-member sub-team of 4 places whose rank order is not place order
+SUB_TEAM = (3, 1, 2)
+#: a rank-order fold gives (1 + 1e16) - 1e16 = 0.0, where folding the last two
+#: values first would give 1.0
+SUB_TEAM_VALUES = (1.0, 1e16, -1e16)
+
+
+def _every_op(ctx, team):
+    rank = team.rank(ctx.here)
+    total = yield team.allreduce(ctx, np.array([SUB_TEAM_VALUES[rank], float(rank)]))
+    root = team.members[2]
+    value = yield team.broadcast(ctx, ("from", ctx.here) if ctx.here == root else None, root=root)
+    yield team.barrier(ctx)
+    received = yield team.alltoall(ctx, [(rank, dst) for dst in range(team.size)])
+    ctx.send(0, "team:ops", (rank, total.tolist(), value, received))
+
+
+def team_ops_main(ctx):
+    """Every member's result of allreduce, broadcast (root rank 2), barrier
+    and alltoall on :data:`SUB_TEAM`, collected at place 0 (not a member)."""
+    team = ctx.team(SUB_TEAM)
+    yield from broadcast_spawn(ctx, PlaceGroup(list(SUB_TEAM)), functools.partial(_every_op, team=team))
+    results = {}
+    for _ in SUB_TEAM:
+        rank, *result = yield ctx.recv("team:ops")
+        results[rank] = result
+    with pytest.raises(ApgasError, match="not a member"):
+        team.rank(ctx.here)
+    return {"results": [results[rank] for rank in range(len(SUB_TEAM))]}
+
+
+#: what every path must return
+TEAM_OPS_EXPECTED = {
+    "results": [
+        [[0.0, 3.0], ("from", 2), [(src, rank) for src in range(3)]] for rank in range(3)
+    ]
+}
+
+
+@pytest.mark.parametrize("emulated", [False, True], ids=["hw", "emulated"])
+def test_every_team_op_on_a_sub_team_on_the_simulator(emulated):
+    # the procs side of this check is in tests/xrt/test_conformance.py
+    rt = ApgasRuntime(places=4, collectives_emulated=emulated)
+    assert rt.run(team_ops_main) == TEAM_OPS_EXPECTED

@@ -52,16 +52,19 @@ def test_kernel_conformant_sim_vs_procs(kernel, places):
     assert procs.messages_routed > 0
 
 
-def test_ctx_team_allreduce_is_bit_identical_on_both_runtimes():
-    """The message tree folds in the simulator Team's rank order: values
-    whose sum depends on the order agree bit for bit."""
+def test_ctx_team_ops_are_bit_identical_on_both_runtimes():
+    """All four ops on a 3-member sub-team of 4 places, broadcast from rank 2:
+    the simulator's hardware path, its message program and procs' message
+    program return the same values, bit for bit (the allreduce values fold
+    differently in any other order)."""
     from repro.runtime import ApgasRuntime
     from repro.xrt.procs import run_procs_program
-    from tests.runtime.test_team import order_sensitive_allreduce_main
+    from tests.runtime.test_team import TEAM_OPS_EXPECTED, team_ops_main
 
-    sim = ApgasRuntime(places=PLACES).run(order_sensitive_allreduce_main)
-    procs = run_procs_program(order_sensitive_allreduce_main, places=PLACES, deadline=DEADLINE)
-    assert sim == procs.result == {"totals": [1.0] * PLACES}
+    hw = ApgasRuntime(places=PLACES).run(team_ops_main)
+    emulated = ApgasRuntime(places=PLACES, collectives_emulated=True).run(team_ops_main)
+    procs = run_procs_program(team_ops_main, places=PLACES, deadline=DEADLINE)
+    assert hw == emulated == procs.result == TEAM_OPS_EXPECTED
 
 
 def test_conformance_covers_every_finish_pragma():

@@ -19,6 +19,7 @@ step of the ``tests`` CI job, or locally with ``pytest -m procs tests/xrt``).
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -142,6 +143,22 @@ def test_strict_kill_fails_fast_naming_the_dead_place(kernel, params, chaos):
     elapsed = time.monotonic() - t0
     assert elapsed < DEADLINE / 2, f"death took {elapsed:.1f}s to surface"
     assert f"place {killed}" in str(excinfo.value)
+    _assert_no_orphans(before)
+
+
+def test_kill_mid_message_program_allreduce_fails_fast():
+    """Survivors blocked in a team allreduce on the killed place fail with a
+    structured error naming it, never ride out the deadline (the simulator's
+    side: tests/chaos/test_blocked_recv.py)."""
+    from tests.chaos.test_blocked_recv import allreduce_loop_main
+
+    before = _live_children()
+    t0 = time.monotonic()
+    with pytest.raises((DeadPlaceError, ProcsError)) as excinfo:
+        run_procs_program(functools.partial(allreduce_loop_main, rounds=10**6), PLACES,
+                          deadline=DEADLINE, chaos="seed=1,kill=2@0.05")
+    assert time.monotonic() - t0 < DEADLINE / 2
+    assert "place 2" in str(excinfo.value)
     _assert_no_orphans(before)
 
 
