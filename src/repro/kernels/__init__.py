@@ -7,8 +7,9 @@ HPC Class 2 Challenge benchmarks (Section 5): :mod:`~repro.kernels.hpl`,
 :mod:`~repro.kernels.kmeans`, :mod:`~repro.kernels.smithwaterman`,
 :mod:`~repro.kernels.bc`.
 
-Every kernel follows the same convention: a pure local-math core validated
-against an independent reference (SciPy/NumPy/NetworkX/plain DP), and a
+Every kernel follows the same convention: a pure local-math core (NumPy)
+validated against an independent reference (SciPy/NumPy/NetworkX/plain DP;
+SciPy and NetworkX are test oracles only, never imported here), and a
 ``run_*`` driver that executes the distributed algorithm on an
 :class:`~repro.runtime.ApgasRuntime` — real protocol traffic, real (scaled)
 data, calibrated compute charges — returning a

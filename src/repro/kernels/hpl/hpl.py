@@ -10,18 +10,25 @@ Like the paper's implementation — and unlike the reference HPL — there is no
 configurable look-ahead: phases alternate synchronously.  The panel is
 gathered to and factored at the diagonal block's owner (the recursive panel
 factorization), then redistributed via the column team.
+
+What is modelled and what runs for real: every message, collective and
+compute charge above is the paper's algorithm on the simulated machine, the
+panel charged as the paper's recursive panel factorization.  The host
+numerics behind it are the NumPy core of :mod:`repro.kernels.hpl.lu`,
+run once per step at the diagonal owner; their pivots drive the swap plan
+and their residual is the ``verified`` check.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-
 from repro.errors import KernelError
 from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.harness.results import KernelResult
 from repro.kernels.hpl.grid import ProcessGrid, default_grid
 from repro.kernels.hpl.lu import (
+    check_sizes,
     panel_factor,
     reconstruction_residual,
     update_trailing,
@@ -72,7 +79,7 @@ def run_hpl(
 
     The process grid is laid out over the places, rank ``r`` at place ``r``.
 
-    ``N`` must be a multiple of ``NB``; an even block-cyclic layout is not
+    ``N`` and ``NB`` must be positive, ``N`` a multiple of ``NB``; an even block-cyclic layout is not
     required — trailing counts just become uneven, as in real HPL.
 
     ``modeled_N`` charges time for the paper-scale problem while the real
@@ -88,8 +95,7 @@ def run_hpl(
     if grid.places != n_places:
         raise KernelError(f"grid {grid.P}x{grid.Q} does not match {n_places} places")
     P, Q = grid.P, grid.Q
-    if N % NB:
-        raise KernelError("N must be a multiple of NB")
+    check_sizes(N, NB)
     nblk = N // NB
     s = 1.0 if modeled_N is None else modeled_N / N
     fscale, bscale = s**3, s**2

@@ -5,50 +5,76 @@ factorization with pivoting over all rows below the diagonal, row swaps across
 the full matrix, triangular solve for the U block row, rank-NB trailing
 update); :mod:`repro.kernels.hpl.hpl` replays these steps on the simulated
 machine, charging each piece to its owning place.
+
+The host numerics are plain NumPy.  The panel is eliminated column by column
+and picks LAPACK getrf's pivots (the first row of largest magnitude; a zero
+column is left unswapped and unscaled), so the swap sequence is the one a
+LAPACK factorization of the same panel would produce.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from repro.errors import KernelError
 
 
+def check_sizes(n: int, nb: int) -> None:
+    """KernelError unless the order ``n`` and block ``nb`` are positive and
+    ``n`` is a multiple of ``nb`` — the one size check of every HPL entry."""
+    if n < 1 or nb < 1 or n % nb:
+        raise KernelError(
+            f"HPL needs a positive size that is a multiple of a positive block; "
+            f"got N={n}, NB={nb}"
+        )
+
+
 def panel_factor(A: np.ndarray, k0: int, nb: int) -> list[tuple[int, int]]:
-    """Factor the panel ``A[k0:, k0:k0+nb]`` in place (recursive panel
-    factorization via LAPACK getrf) and apply its row swaps to the *whole*
-    matrix rows.  Returns the global swap list [(r1, r2), ...] in order."""
-    panel = A[k0:, k0 : k0 + nb]
-    lu, piv = scipy.linalg.lu_factor(panel, check_finite=False)
+    """Factor the panel ``A[k0:, k0:k0+nb]`` in place by right-looking
+    elimination with partial pivoting, swapping *whole* matrix rows (left of
+    the panel keeps the already-computed L; right of it is the trailing
+    matrix).  Returns the global swap list [(r1, r2), ...] in order."""
     swaps = []
-    # apply the same swaps to the rest of the matrix (left of the panel keeps
-    # the already-computed L; right of it is the trailing matrix)
-    for local_row, pivot_row in enumerate(piv[:nb]):
-        r1, r2 = k0 + local_row, k0 + int(pivot_row)
-        if r1 != r2:
+    # eliminate in a transposed copy: a panel column is then one contiguous
+    # row, and the rank-1 updates stream along rows instead of striding
+    T = A[k0:, k0 : k0 + nb].T.copy()
+    for c in range(nb):
+        col = T[c, c:]
+        i = c + int(np.abs(col).argmax())  # the first of the largest |a|
+        pivot = col[i - c]
+        if pivot == 0.0:  # getrf: a zero column is neither swapped nor scaled
+            continue
+        if i != c:
+            r1, r2 = k0 + c, k0 + i
             swaps.append((r1, r2))
-            _swap_rows_outside_panel(A, r1, r2, k0, nb)
-    panel[:, :] = lu
+            row = A[r1].copy()  # its stale panel part is overwritten below
+            A[r1] = A[r2]
+            A[r2] = row
+            t = T[:, c].copy()
+            T[:, c] = T[:, i]
+            T[:, i] = t
+        below = col[1:]
+        below /= pivot
+        T[c + 1 :, c + 1 :] -= np.multiply.outer(T[c + 1 :, c], below)
+    A[k0:, k0 : k0 + nb] = T.T
     return swaps
 
 
-def _swap_rows_outside_panel(A: np.ndarray, r1: int, r2: int, k0: int, nb: int) -> None:
-    left = A[:, :k0]
-    right = A[:, k0 + nb :]
-    left[[r1, r2]] = left[[r2, r1]]
-    right[[r1, r2]] = right[[r2, r1]]
+def solve_unit_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``X`` with ``tril(L, -1) + I`` times ``X`` equal to ``B`` (forward
+    substitution; the diagonal and upper triangle of ``L`` are not read)."""
+    X = np.array(B, dtype=np.float64)
+    for i in range(1, L.shape[0]):
+        X[i] -= L[i, :i] @ X[:i]
+    return X
 
 
 def update_u_row(A: np.ndarray, k0: int, nb: int) -> None:
     """U block row: ``A[k0:k0+nb, k0+nb:] = L_kk^{-1} @ A[k0:k0+nb, k0+nb:]``."""
     if k0 + nb >= A.shape[1]:
         return
-    L_kk = A[k0 : k0 + nb, k0 : k0 + nb]
     rhs = A[k0 : k0 + nb, k0 + nb :]
-    rhs[:, :] = scipy.linalg.solve_triangular(
-        L_kk, rhs, lower=True, unit_diagonal=True, check_finite=False
-    )
+    rhs[:, :] = solve_unit_lower(A[k0 : k0 + nb, k0 : k0 + nb], rhs)
 
 
 def update_trailing(A: np.ndarray, k0: int, nb: int) -> None:
@@ -65,8 +91,7 @@ def blocked_lu_inplace(A: np.ndarray, nb: int) -> list[tuple[int, int]]:
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise KernelError("matrix must be square")
-    if n % nb:
-        raise KernelError(f"N={n} must be a multiple of the block size {nb}")
+    check_sizes(n, nb)
     swaps: list[tuple[int, int]] = []
     for k0 in range(0, n, nb):
         swaps.extend(panel_factor(A, k0, nb))

@@ -26,6 +26,7 @@ from typing import Any, Callable
 
 from repro.errors import KernelError
 from repro.kernels.bc import bc as _bc
+from repro.kernels.hpl.lu import check_sizes as _check_hpl_sizes
 from repro.kernels.kmeans import kmeans as _kmeans
 from repro.kernels.portable.programs import fft_main, hpl_main, ra_main, spmd, stream_main
 from repro.kernels.portable.uts_program import uts_main
@@ -59,7 +60,8 @@ def program_defaults(kernel: str) -> dict:
 
 def program_params(kernel: str, params: dict) -> dict:
     """``kernel``'s defaults with ``params`` applied (KernelError if the
-    kernel or a parameter is unknown)."""
+    kernel or a parameter is unknown, or HPL's sizes are bad — checked here
+    so a bad run fails before any place starts)."""
     p = program_defaults(kernel)
     unknown = set(params) - set(p)
     if unknown:
@@ -68,6 +70,8 @@ def program_params(kernel: str, params: dict) -> dict:
             f"{kernel!r}; accepted: {sorted(p)}"
         )
     p.update(params)
+    if kernel == "hpl":
+        _check_hpl_sizes(p["n"], p["nb"])
     return p
 
 

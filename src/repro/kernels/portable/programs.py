@@ -22,6 +22,7 @@ import hashlib
 import numpy as np
 
 from repro.harness.results import checksum_bytes
+from repro.kernels.hpl.lu import panel_factor, reconstruction_residual, solve_unit_lower
 from repro.runtime.finish.pragmas import Pragma
 from repro.sim.rng import RngStream
 
@@ -187,10 +188,6 @@ def _hpl_matrix(seed: int, n: int) -> np.ndarray:
 
 
 def hpl_worker(ctx, p: dict):
-    from scipy.linalg import solve_triangular
-
-    from repro.kernels.hpl.lu import panel_factor
-
     me, P, team = ctx.here, ctx.n_places, p["team"]
     n, nb = p["n"], p["nb"]
     A = _hpl_matrix(p["seed"], n)
@@ -220,9 +217,7 @@ def hpl_worker(ctx, p: dict):
             yield ctx.compute(seconds=_TICK)
         for bj in trailing:
             c0, c1 = bj * nb, (bj + 1) * nb
-            A[k0 : k0 + nb, c0:c1] = solve_triangular(
-                L11, A[k0 : k0 + nb, c0:c1], lower=True, unit_diagonal=True
-            )
+            A[k0 : k0 + nb, c0:c1] = solve_unit_lower(L11, A[k0 : k0 + nb, c0:c1])
             A[k0 + nb :, c0:c1] -= A[k0 + nb :, k0 : k0 + nb] @ A[k0 : k0 + nb, c0:c1]
     mine = {bk: A[:, bk * nb : (bk + 1) * nb] for bk in owned}
     blocks = yield from _gather(ctx, "hpl", mine)
@@ -231,8 +226,6 @@ def hpl_worker(ctx, p: dict):
         for place_blocks in blocks.values():
             for bk, cols in place_blocks.items():
                 LU[:, bk * nb : (bk + 1) * nb] = cols
-        from repro.kernels.hpl.lu import reconstruction_residual
-
         residual = reconstruction_residual(_hpl_matrix(p["seed"], n), LU, all_swaps)
         ctx.store["portable:result"] = {
             "checksum": checksum_bytes(_digest(LU), repr(all_swaps).encode()),

@@ -1,10 +1,13 @@
 """Tests for HPL: grids, the LU core, and the distributed driver."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from repro.errors import KernelError
+from repro.harness.runner import simulate
 from repro.kernels.hpl import (
     ProcessGrid,
     blocked_lu_inplace,
@@ -12,6 +15,8 @@ from repro.kernels.hpl import (
     reconstruction_residual,
     run_hpl,
 )
+from repro.kernels.hpl.lu import panel_factor, solve_unit_lower
+from repro.sim.rng import RngStream
 
 from tests.kernels.conftest import make_rt
 
@@ -90,6 +95,101 @@ def test_blocked_lu_validation():
         blocked_lu_inplace(np.zeros((10, 10)), 4)
 
 
+# -- the NumPy core against LAPACK -----------------------------------------------------
+
+
+def lapack_blocked_lu(A: np.ndarray, nb: int) -> list:
+    """The same blocked LU with each panel factored by LAPACK getrf
+    (``scipy.linalg.lu_factor``), its swaps applied to whole rows and the
+    panel then overwritten by the factors; the U block row by trsm.  The
+    oracle for the pivots."""
+    n = A.shape[0]
+    swaps = []
+    for k0 in range(0, n, nb):
+        k1 = k0 + nb
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)  # singular panels
+            lu, piv = scipy.linalg.lu_factor(A[k0:, k0:k1], check_finite=False)
+        for i, p in enumerate(piv):
+            r1, r2 = k0 + i, k0 + int(p)
+            if r1 != r2:
+                swaps.append((r1, r2))
+                A[[r1, r2]] = A[[r2, r1]]
+        A[k0:, k0:k1] = lu
+        A[k0:k1, k1:] = scipy.linalg.solve_triangular(
+            A[k0:k1, k0:k1], A[k0:k1, k1:], lower=True, unit_diagonal=True
+        )
+        A[k1:, k1:] -= A[k1:, k0:k1] @ A[k0:k1, k1:]
+    return swaps
+
+
+def _assert_matches_lapack(A0: np.ndarray, nb: int) -> None:
+    A, want = A0.copy(), A0.copy()
+    swaps = blocked_lu_inplace(A, nb)
+    assert swaps == lapack_blocked_lu(want, nb)
+    np.testing.assert_allclose(A, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pivots_match_lapack_on_the_benchmark_matrices(seed):
+    """simulate("hpl", 256, N=640, seed=s) factors exactly this matrix."""
+    A0 = RngStream(seed, "hpl/matrix").uniform(-0.5, 0.5, size=(640, 640))
+    _assert_matches_lapack(A0, 16)
+
+
+@pytest.mark.parametrize(
+    "n,nb", [(16, 4), (32, 8), (64, 16), (24, 8), (64, 8), (96, 8), (128, 16), (256, 32)]
+)
+def test_pivots_match_lapack(n, nb):
+    for seed in range(3):
+        _assert_matches_lapack(np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, n)), nb)
+
+
+def _factor_quietly(A: np.ndarray, k0: int, nb: int) -> list:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a 0/0 or x/0 would raise here
+        return panel_factor(A, k0, nb)
+
+
+def test_zero_panel_is_neither_swapped_nor_scaled():
+    A = np.random.default_rng(1).uniform(-0.5, 0.5, size=(12, 12))
+    A[4:, 4:8] = 0.0
+    before = A.copy()
+    assert _factor_quietly(A, 4, 4) == []
+    np.testing.assert_array_equal(A, before)
+
+
+def test_zero_column_is_skipped_like_getrf():
+    A0 = np.random.default_rng(2).uniform(-0.5, 0.5, size=(12, 12))
+    A0[:, 5] = 0.0  # the panel's second column stays zero through elimination
+    A = A0.copy()
+    swaps = _factor_quietly(A, 4, 4)
+    assert all(r1 != 5 for r1, _ in swaps)
+    assert np.isfinite(A).all()
+    want = A0.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(want[4:, 4:8])
+    assert swaps == [(4 + i, 4 + int(p)) for i, p in enumerate(piv) if p != i]
+    np.testing.assert_allclose(A[4:, 4:8], lu, rtol=0, atol=1e-12)
+    # and the full factorization of the singular matrix still reconstructs it
+    A = A0.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        swaps = blocked_lu_inplace(A, 4)
+    assert reconstruction_residual(A0, A, swaps) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 34))
+def test_solve_unit_lower_matches_trsm(n):
+    rng = np.random.default_rng(n)
+    # a pivoted LU's factor: its diagonal and upper triangle must be ignored
+    lu, _ = scipy.linalg.lu_factor(rng.uniform(-1.0, 1.0, size=(n, n)))
+    for B in (rng.uniform(-1.0, 1.0, size=(n, n)), rng.uniform(-1.0, 1.0, size=n)):
+        want = scipy.linalg.solve_triangular(lu, B, lower=True, unit_diagonal=True)
+        np.testing.assert_allclose(solve_unit_lower(lu, B), want, rtol=0, atol=1e-12)
+
+
 # -- the distributed kernel ----------------------------------------------------------
 
 
@@ -118,6 +218,12 @@ def test_n_not_multiple_of_nb_rejected():
     rt = make_rt(places=4)
     with pytest.raises(KernelError, match="multiple"):
         run_hpl(rt, N=30, NB=8)
+
+
+@pytest.mark.parametrize("N,NB", [(64, 0), (0, 16), (-64, 16), (64, -8)])
+def test_simulate_rejects_bad_sizes(N, NB):
+    with pytest.raises(KernelError, match="positive size that is a multiple of a positive block"):
+        simulate("hpl", 4, N=N, NB=NB)
 
 
 def test_single_place_rate_approaches_dgemm_rate():

@@ -208,6 +208,12 @@ def test_hpl_reconstruction_residual_is_tiny():
     assert run.result["residual"] < 1e-10
 
 
+@pytest.mark.parametrize("n,nb", [(50, 16), (64, 0), (0, 8), (-64, 8), (64, -8)])
+def test_hpl_program_rejects_bad_sizes(n, nb):
+    with pytest.raises(KernelError, match="positive size that is a multiple of a positive block"):
+        _run("hpl", 2, n=n, nb=nb)
+
+
 def test_bc_matches_full_source_brandes():
     from repro.kernels.bc.brandes import brandes_betweenness
     from repro.kernels.bc.rmat import rmat_graph

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import PragmaError
+from repro.errors import KernelError, PragmaError
 from repro.kernels.portable import PORTABLE_KERNELS
 from repro.runtime.finish.pragmas import Pragma
 from repro.xrt.conformance import assert_conformant, run_conformance
@@ -126,6 +126,20 @@ def _second_async(ctx):
 
 def _second_async_leaf(ctx):
     return None
+
+
+@pytest.mark.parametrize("n,nb", [(50, 16), (64, 0), (0, 8), (-64, 8), (64, -8)])
+def test_bad_hpl_sizes_fail_before_any_place_is_forked(n, nb, monkeypatch):
+    """Bad sizes once ran to a wrong answer that both backends agreed on (or
+    crashed inside every place); now the program build refuses them."""
+    from repro.xrt.procs import launcher, run_procs_program
+
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a place process was forked")
+
+    monkeypatch.setattr(launcher.multiprocessing, "get_context", no_fork)
+    with pytest.raises(KernelError, match="positive size that is a multiple of a positive block"):
+        run_procs_program("hpl", 2, params={"n": n, "nb": nb}, deadline=DEADLINE)
 
 
 def _finish_async_violated_from_place_1(ctx):
