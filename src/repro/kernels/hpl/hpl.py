@@ -59,6 +59,11 @@ def swap_plan(swaps: list, nb: int, P: int) -> dict:
     return plan
 
 
+def _matrix(seed: int, N: int):
+    """The run's N x N matrix; the same bits on every draw for a seed."""
+    return RngStream(seed, "hpl/matrix").uniform(-0.5, 0.5, size=(N, N))
+
+
 def owned_blocks_after(k: int, nblk: int, mod: int, mine: int) -> int:
     """Block indices in (k, nblk) owned by coordinate ``mine`` (mod P/Q): the
     first is the least index above ``k`` congruent to ``mine``."""
@@ -106,9 +111,7 @@ def run_hpl(
         # continuous 2/3*N^3; rescale so the charged DGEMM total is exact
         # charged = 2*NB^3 * sum(j^2) ; target = (2/3) * (nblk*NB)^3
         fscale *= 2.0 * nblk**3 / ((nblk - 1) * nblk * (2 * nblk - 1))
-    rng = RngStream(seed, "hpl/matrix")
-    A = rng.uniform(-0.5, 0.5, size=(N, N))
-    A0 = A.copy()
+    A = _matrix(seed, N)
     all_swaps: list = []
 
     world = rt.team(list(pg))
@@ -207,7 +210,8 @@ def run_hpl(
         yield from broadcast_spawn(ctx, pg, body)
 
     rt.run(main)
-    residual = reconstruction_residual(A0, A, all_swaps)
+    # the original is drawn again rather than held as a copy through the run
+    residual = reconstruction_residual(_matrix(seed, N), A, all_swaps)
     n_eff = N if modeled_N is None else modeled_N
     flops = 2.0 / 3.0 * n_eff**3 + 2.0 * n_eff**2
     rate = flops / rt.now

@@ -118,6 +118,7 @@ def ra_worker(ctx, p: dict):
     owner = index * P // size
     # one bulk exchange: a (possibly empty) batch for every place
     batches = [(index[owner == q], values[owner == q]) for q in range(P)]
+    del values, index, owner  # the batches are copies: free these across the exchange
     for idx, val in (yield team.alltoall(ctx, batches)):
         np.bitwise_xor.at(table, idx - lo, val)  # .at: duplicate indices all land
     digests = yield from _gather(ctx, "ra", _digest(table))
@@ -147,6 +148,7 @@ def fft_worker(ctx, p: dict):
     # step 1+2: this place's rows of B = x.reshape(n1,n2).T, FFT'd + twiddled
     r0, r1 = n2 * me // P, n2 * (me + 1) // P
     B = x.reshape(n1, n2).T[r0:r1].copy()
+    del x  # the full-length input: only this place's rows live on
     yield ctx.compute(seconds=_TICK)
     B = np.fft.fft(B, axis=1)
     k2 = np.arange(r0, r1)[:, None]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import KernelError
 from repro.kernels.fft import fft_six_step_reference, run_fft
+from repro.kernels.fft.fft import within_allclose
 
 from tests.kernels.conftest import make_rt
 
@@ -63,3 +64,26 @@ def test_result_metadata():
     assert result.kernel == "fft"
     assert result.unit == "flop/s"
     assert result.value > 0
+
+
+def test_single_pass_check_is_np_allclose():
+    """``run_fft`` verifies from one ``|result - expected|`` array; inside, at
+    and just past the tolerance it agrees with ``np.allclose``."""
+    rng = np.random.default_rng(3)
+    expected = np.concatenate([np.zeros(4, complex), rng.normal(size=60) + 1j * rng.normal(size=60)])
+    atol = 1e-6
+    bound = atol + 1e-5 * np.abs(expected)
+    verdicts, at_tolerance = set(), 0
+    for e, b in zip(expected, bound):
+        for offset in (0.5 * b, np.nextafter(b, 0), b, np.nextafter(b, np.inf), 2 * b):
+            for r in (e + offset, e + 1j * offset, e - offset):
+                err = np.abs(np.array([r - e]))
+                at_tolerance += int(err[0] == b)
+                got = within_allclose(err, np.abs(np.array([e])), atol)
+                assert got == np.allclose([r], [e], atol=atol)
+                verdicts.add(got)
+    assert verdicts == {True, False} and at_tolerance > 0
+    result = expected + bound * rng.uniform(0.0, 1.0, size=expected.shape)
+    for r in (result, result + bound):
+        got = within_allclose(np.abs(r - expected), np.abs(expected), atol)
+        assert got == np.allclose(r, expected, atol=atol)

@@ -1,7 +1,7 @@
 """Step-count complexity regressions: engine events per finish/broadcast idiom,
 and interpreter calls per invocation of the shared numeric cores, per finish
-open, per chaos leg, per FINISH_ASYNC put and per frame a procs place serves
-(at the end).
+open, per chaos leg, per FINISH_ASYNC put and per frame a procs place serves;
+and, at the end, the traced memory peak of HPL's residual check and run.
 
 ``Engine.events_executed`` counts every callback the loop dispatched, so it
 is a wall-clock-free complexity measure: if a refactor adds a per-message
@@ -13,12 +13,15 @@ a reason in the diff.
 """
 
 import sys
+import tracemalloc
 
 import pytest
 
+import repro.kernels.hpl.hpl as hpl_driver
 from repro.chaos import ChaosInjector
-from repro.harness.runner import make_runtime
+from repro.harness.runner import make_runtime, simulate
 from repro.kernels.bc import rmat_graph, single_source_dependencies
+from repro.kernels.hpl.lu import blocked_lu_inplace, reconstruction_residual
 from repro.kernels.randomaccess.hpcc_rng import stream_slice, stream_slice_fast
 from repro.kernels.smithwaterman.sw import random_sequence, sw_score, sw_score_reference
 from repro.kernels.uts import UtsBag, UtsParams
@@ -26,12 +29,14 @@ from repro.machine.config import MachineConfig
 from repro.machine.network import TransferKind
 from repro.runtime import Pragma
 from repro.runtime.broadcast import PlaceGroup, broadcast_spawn
+from repro.sim.rng import RngStream
 from repro.xrt.procs import wire
 from repro.xrt.procs.loop import PlaceLoop
 from repro.xrt.procs.runtime import ProcsRuntime
 
 from tests.chaos.fate_oracle import fate_reference
 from tests.kernels.brandes_oracle import single_source_dependencies_per_vertex
+from tests.kernels.hpl_residual_oracle import reconstruction_residual_full
 from tests.kernels.uts_oracle import process_oracle
 
 
@@ -355,3 +360,62 @@ def test_procs_served_frame_call_budget():
         f"procs served frame: {per_frame:.1f} interpreter calls exceed the budget "
         f"{_SERVED_FRAME_BUDGET} — a delivered body is deferred through the loop again"
     )
+
+
+# -- HPL at its working set: traced peaks, not whole-matrix temporaries ---------
+#
+# ``tracemalloc`` sees every NumPy buffer.  Measured when the budgets were set
+# (NumPy 2.4, N=640, a 3.1 MiB matrix): the residual check 1.52 MiB, two
+# ``N x 128`` strips and two tiles (15.6 MiB for the whole-matrix check it
+# replaced); ``simulate("hpl", 16, N=640)`` 7.87 MiB, the factored matrix,
+# its redraw for the check and the check's strips (22.0 MiB while the driver
+# held a copy of the matrix for the whole run and checked it whole, 9.40 MiB
+# with the copy held and the blockwise check).  The run's budget has less
+# headroom than the rest so that a copy held through the run overruns it.
+_MIB = 1 << 20
+_RESIDUAL_PEAK_BUDGET = 2 * _MIB
+_HPL_RUN_PEAK_BUDGET = 9 * _MIB
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _factored_benchmark_matrix():
+    A0 = RngStream(0, "hpl/matrix").uniform(-0.5, 0.5, size=(640, 640))
+    LU = A0.copy()
+    return A0, LU, blocked_lu_inplace(LU, 16)
+
+
+def _hpl_run_peak():
+    simulate("hpl", 16, N=32)  # imports and first-use caches are not the run's
+    return _traced_peak(simulate, "hpl", 16, N=640)
+
+
+def test_hpl_residual_memory_budget():
+    peak = _traced_peak(reconstruction_residual, *_factored_benchmark_matrix())
+    assert peak <= _RESIDUAL_PEAK_BUDGET, (
+        f"HPL residual at N=640: traced peak {peak / _MIB:.2f} MiB exceeds the budget "
+        f"{_RESIDUAL_PEAK_BUDGET / _MIB:.0f} MiB — a whole-matrix temporary is back in the check"
+    )
+
+
+def test_hpl_run_memory_budget():
+    peak = _hpl_run_peak()
+    assert peak <= _HPL_RUN_PEAK_BUDGET, (
+        f"simulate(hpl, 16, N=640): traced peak {peak / _MIB:.2f} MiB exceeds the budget "
+        f"{_HPL_RUN_PEAK_BUDGET / _MIB:.0f} MiB — a second matrix is held through the run"
+    )
+
+
+def test_memory_budgets_would_catch_the_check_they_replaced(monkeypatch):
+    """The meter is only a guard if the whole-matrix oracle trips it."""
+    case = _factored_benchmark_matrix()
+    assert _traced_peak(reconstruction_residual_full, *case) > 4 * _RESIDUAL_PEAK_BUDGET
+    monkeypatch.setattr(hpl_driver, "reconstruction_residual", reconstruction_residual_full)
+    assert _hpl_run_peak() > 2 * _HPL_RUN_PEAK_BUDGET
