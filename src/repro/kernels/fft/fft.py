@@ -12,10 +12,15 @@ Index algebra (N = n1*n2, input index k = k1*n2 + k2, output j = j2*n1 + j1)::
 
 so the pipeline is: transpose (n1 x n2 -> n2 x n1), row FFTs of length n1,
 twiddle by w_N^{j1 k2}, transpose, row FFTs of length n2, transpose.
+
+One program on every backend: :func:`fft_main` (``build_program``) and
+:func:`run_fft` run :func:`fft_body` at every member; member ``q`` of ``P``
+holds rows ``n*q//P`` up to ``n*(q+1)//P`` of each ``n``-row matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -23,8 +28,8 @@ import numpy as np
 
 from repro.errors import KernelError
 from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
-from repro.harness.results import KernelResult
-from repro.runtime import PlaceGroup, broadcast_spawn
+from repro.harness.results import KernelResult, checksum_bytes
+from repro.runtime.broadcast import PlaceGroup, broadcast_spawn, gather_at
 from repro.runtime.runtime import ApgasRuntime
 from repro.sim.rng import RngStream
 
@@ -51,6 +56,100 @@ def within_allclose(err: np.ndarray, magnitude: np.ndarray, atol: float) -> bool
     return bool(np.all(err <= atol + 1e-5 * magnitude))
 
 
+def check_sizes(n1: int, n2: int) -> None:
+    """Refuse a transform that is not ``n1 x n2`` with both positive."""
+    if n1 < 1 or n2 < 1:
+        raise KernelError(f"FFT dimensions must be positive, got n1={n1}, n2={n2}")
+
+
+def _cuts(n: int, places: int) -> list:
+    """Member ``q`` holds rows ``cuts[q]:cuts[q + 1]`` of an ``n``-row matrix."""
+    return [n * q // places for q in range(places + 1)]
+
+
+def fft_input(seed: int, n1: int, n2: int, rank: int = 0, places: int = 1) -> np.ndarray:
+    """Member ``rank``'s rows of the ``(n1, n2)`` complex input (the defaults:
+    all of it), real and imaginary parts uniform in [-1, 1).  The input is one
+    stream keyed by ``seed``, parts interleaved, and a member jumps straight
+    to its rows: no member draws the whole input."""
+    cuts = _cuts(n1, places)
+    start = 2 * n2 * cuts[rank]
+    rng = RngStream(seed, "fft/input")
+    rng.generator.bit_generator.advance(start // 4)  # one Philox counter step is four draws
+    rng.generator.random(start % 4)
+    draws = rng.uniform(-1, 1, size=(cuts[rank + 1] - cuts[rank], 2 * n2))
+    return draws.view(np.complex128)
+
+
+def fft_params(n1: int, n2: int, seed: int, places: int,
+               modeled_elements_per_place: Optional[int] = None,
+               calibration: Calibration = DEFAULT_CALIBRATION) -> dict:
+    """The body's parameters: the real ``(n1, n2)`` problem, and the wire and
+    compute charges of the modeled one (default: the real one)."""
+    check_sizes(n1, n2)
+    elems = n1 * n2 // places if modeled_elements_per_place is None else modeled_elements_per_place
+    log_len = math.log2(max(4, elems * places))  # of the modeled total transform length
+    return {
+        "n1": n1, "n2": n2, "seed": seed, "flop_rate": calibration.fft_flops,
+        "wire_per_pair": max(1, (16 * elems) // places),  # a transpose moves all local data
+        "flops": 0.5 * 5.0 * elems * log_len,  # per FFT phase
+        "total_flops": 5.0 * (elems * places) * log_len,
+    }
+
+
+def _transpose(ctx, team, local: np.ndarray, rows: int, cuts: list, nbytes_per_pair: int):
+    """Global transpose of the distributed ``rows``-row matrix: ``local``'s
+    columns cut at ``cuts``, one block per member, go All-To-All, and the
+    received blocks are laid side by side, transposed."""
+    blocks = [local[:, cuts[q] : cuts[q + 1]] for q in range(team.size)]
+    received = yield team.alltoall(ctx, blocks, nbytes_per_pair=nbytes_per_pair)
+    rank = team.rank(ctx.here)
+    out = np.empty((cuts[rank + 1] - cuts[rank], rows), dtype=np.complex128)
+    # out[:, sender's rows] = received[sender].T, every sender in one copy
+    np.concatenate(received, axis=0, out=out.T)
+    return out
+
+
+def fft_body(ctx, p: dict, team):
+    """A member's whole run, from its input rows to its rows of the spectrum
+    in ``ctx.store[("fft", team)]``."""
+    rank, n1, n2 = team.rank(ctx.here), p["n1"], p["n2"]
+    cuts1, cuts2 = _cuts(n1, team.size), _cuts(n2, team.size)
+    wire = p["wire_per_pair"]
+    local = fft_input(p["seed"], n1, n2, rank, team.size)
+    # phase 1: global transpose -> rows are original columns
+    local = yield from _transpose(ctx, team, local, n1, cuts2, wire)
+    # phase 2: per-row FFTs of length n1
+    local = np.fft.fft(local, axis=1)
+    yield ctx.compute(flops=p["flops"], flop_rate=p["flop_rate"])
+    # phase 3: twiddle factors w_N^{j1 k2}
+    k2 = np.arange(cuts2[rank], cuts2[rank + 1])[:, None]
+    j1 = np.arange(n1)[None, :]
+    local = local * np.exp(-2j * np.pi * (k2 * j1) / (n1 * n2))
+    # phase 4: global transpose back
+    local = yield from _transpose(ctx, team, local, n2, cuts1, wire)
+    # phase 5: per-row FFTs of length n2
+    local = np.fft.fft(local, axis=1)
+    yield ctx.compute(flops=p["flops"], flop_rate=p["flop_rate"])
+    # phase 6: final global transpose into natural output order
+    ctx.store[("fft", team)] = yield from _transpose(ctx, team, local, n1, cuts2, wire)
+
+
+def _rows(ctx, team) -> np.ndarray:
+    return ctx.store.pop(("fft", team))
+
+
+def fft_main(ctx, n1: int, n2: int, seed: int):
+    """The portable program over every place; runs at place 0 (member 0) and
+    collects the members' rows of the spectrum after the broadcast."""
+    team = ctx.team(ctx.places())
+    p = fft_params(n1, n2, seed, team.size)
+    body = functools.partial(fft_body, p=p, team=team)
+    yield from broadcast_spawn(ctx, PlaceGroup(team.members), body)
+    spectrum = np.concatenate((yield from gather_at(ctx, team.members, _rows, team))).reshape(-1)
+    return {"checksum": checksum_bytes(spectrum), "n": n1 * n2, "spectrum": spectrum}
+
+
 def run_fft(
     rt: ApgasRuntime,
     n1: int,
@@ -61,71 +160,21 @@ def run_fft(
 ) -> KernelResult:
     """Distributed 1D FFT of N = n1*n2 complex values over every place.
 
-    ``n1`` and ``n2`` must be divisible by the place count.  The real math
-    runs on the (n1, n2) problem; ``modeled_elements_per_place`` charges
-    compute and wire time for the paper-scale problem instead (2 GB/place).
+    The real math runs on the (n1, n2) problem, at any place count;
+    ``modeled_elements_per_place`` charges compute and wire time for the
+    paper-scale problem instead (2 GB/place).
     """
-    pg = PlaceGroup.world(rt)
-    places = list(pg)
-    p = len(places)
-    if n1 % p or n2 % p:
-        raise KernelError(f"n1={n1} and n2={n2} must be divisible by places={p}")
-    N = n1 * n2
-    rpp1, rpp2 = n1 // p, n2 // p
-    elems = N // p if modeled_elements_per_place is None else modeled_elements_per_place
-    team = rt.team(places)
-    rng = RngStream(seed, "fft/input")
-    x = rng.uniform(-1, 1, size=N) + 1j * rng.uniform(-1, 1, size=N)
-    outputs = {}
-
-    # modeled sizes: each transpose moves all local data, split evenly by pair
-    wire_per_pair = max(1, (16 * elems) // p)
-    modeled_len = max(4, elems * p)  # modeled total transform length
-    fft_charge = 0.5 * 5.0 * elems * math.log2(modeled_len)  # per FFT phase
-
-    def transpose(ctx, local, rows_out, cols_out):
-        """Global transpose of the distributed matrix (local shuffle +
-        All-To-All + local shuffle)."""
-        rows_in = local.shape[0]
-        # block q = columns [q*rows_out, (q+1)*rows_out): one copy makes all p contiguous
-        blocks = np.ascontiguousarray(local.reshape(rows_in, p, rows_out).transpose(1, 0, 2))
-        received = yield team.alltoall(ctx, list(blocks), nbytes_per_pair=wire_per_pair)
-        out = np.empty((rows_out, cols_out), dtype=np.complex128)
-        # out[:, q*rows_in:(q+1)*rows_in] = received[q].T, all q in one copy
-        np.concatenate(received, axis=0, out=out.T)
-        return out
-
-    def body(ctx):
-        place = ctx.here
-        local = x.reshape(n1, n2)[place * rpp1 : (place + 1) * rpp1].copy()
-        # phase 1: global transpose -> rows are original columns
-        local = yield from transpose(ctx, local, rpp2, n1)
-        # phase 2: per-row FFTs of length n1
-        local = np.fft.fft(local, axis=1)
-        yield ctx.compute(flops=fft_charge, flop_rate=calibration.fft_flops)
-        # phase 3: twiddle factors w_N^{j1 k2}
-        k2 = (place * rpp2 + np.arange(rpp2))[:, None]
-        j1 = np.arange(n1)[None, :]
-        local = local * np.exp(-2j * np.pi * (k2 * j1) / N)
-        # phase 4: global transpose back
-        local = yield from transpose(ctx, local, rpp1, n2)
-        # phase 5: per-row FFTs of length n2
-        local = np.fft.fft(local, axis=1)
-        yield ctx.compute(flops=fft_charge, flop_rate=calibration.fft_flops)
-        # phase 6: final global transpose into natural output order
-        local = yield from transpose(ctx, local, rpp2, n1)
-        outputs[place] = local.reshape(-1)
-
-    def main(ctx):
-        yield from broadcast_spawn(ctx, pg, body)
-
-    rt.run(main)
-    result = np.concatenate([outputs[q] for q in range(p)])
-    expected = np.fft.fft(x)
+    group = PlaceGroup.world(rt)
+    p = len(group)
+    params = fft_params(n1, n2, seed, p, modeled_elements_per_place, calibration)
+    team = rt.team(list(group))
+    body = functools.partial(fft_body, p=params, team=team)
+    rt.run(functools.partial(broadcast_spawn, group=group, fn=body))
+    result = np.concatenate([rt.place(q).store.pop(("fft", team)) for q in group]).reshape(-1)
+    expected = np.fft.fft(fft_input(seed, n1, n2).reshape(-1))
     err, magnitude = np.abs(result - expected), np.abs(expected)
     verified = within_allclose(err, magnitude, atol=1e-6 * max(1, magnitude.max()))
-    total_flops = 5.0 * (elems * p) * math.log2(modeled_len)
-    rate = total_flops / rt.now
+    rate = params["total_flops"] / rt.now
     return KernelResult(
         kernel="fft",
         places=p,
@@ -134,5 +183,8 @@ def run_fft(
         unit="flop/s",
         per_core=rate / p,
         verified=verified,
-        extra={"n1": n1, "n2": n2, "max_err": float(err.max())},
+        extra={
+            "n1": n1, "n2": n2, "max_err": float(err.max()),
+            "checksum": checksum_bytes(result),
+        },
     )

@@ -1,17 +1,18 @@
 """Portable kernel programs: one program text, any execution backend.
 
-The simulator's full kernels pass live objects (finish objects, closures,
-GLB fabric) through the in-process transport, which no real wire can carry.
 There is one ``ctx`` (:class:`~repro.runtime.activity.ActivityContext`) on
 both backends; *portable* only means that what a program hands it pickles —
 module-level activity functions, plain-data arguments, mailbox messages,
-state in ``ctx.store``.  The programs here therefore run unmodified on the
-discrete-event simulator
-(:class:`~repro.xrt.backend.SimBackend`) and on one-OS-process-per-place
-(:class:`~repro.xrt.backend.ProcsBackend`).  They reuse the simulator
-kernels' numerical cores, and their results are deterministic bit-for-bit
-for a fixed (kernel, places, params) — the property the differential
-conformance suite (:mod:`repro.xrt.conformance`) is built on.
+state in ``ctx.store``.  The programs therefore run unmodified on the
+discrete-event simulator (:class:`~repro.xrt.backend.SimBackend`) and on
+one-OS-process-per-place (:class:`~repro.xrt.backend.ProcsBackend`), and
+their results are deterministic bit-for-bit for a fixed (kernel, places,
+params) — the property the differential conformance suite
+(:mod:`repro.xrt.conformance`) is built on.  Stream, FFT, K-Means, BC and
+Smith-Waterman run their simulator kernel's own member body; RandomAccess,
+HPL (:mod:`.programs`) and UTS (:mod:`.uts_program`) keep a portable copy
+beside drivers that pass live objects (finish objects, closures, GLB
+fabric) no real wire can carry.
 
 ``build_program(kernel, places, **params)`` returns the ``main`` activity
 for any of the eight kernels; parameters default to small conformance-scale
@@ -26,17 +27,19 @@ from typing import Any, Callable
 
 from repro.errors import KernelError
 from repro.kernels.bc import bc as _bc
+from repro.kernels.fft import fft as _fft
 from repro.kernels.hpl.lu import check_sizes as _check_hpl_sizes
 from repro.kernels.kmeans import kmeans as _kmeans
-from repro.kernels.portable.programs import fft_main, hpl_main, ra_main, spmd, stream_main
+from repro.kernels.portable.programs import hpl_main, ra_main, spmd
 from repro.kernels.portable.uts_program import uts_main
 from repro.kernels.smithwaterman import sw as _sw
+from repro.kernels.stream import stream as _stream
 
 #: per-kernel (main, small-scale defaults)
 _PROGRAMS: dict[str, tuple[Callable, dict]] = {
-    "stream": (stream_main, {"n_per_place": 4096, "iterations": 4, "alpha": 3.0, "seed": 11}),
+    "stream": (_stream.stream_main, {"n_per_place": 4096, "iterations": 4, "alpha": 3.0}),
     "randomaccess": (ra_main, {"log2_table": 12, "updates_per_place": 2048}),
-    "fft": (fft_main, {"n1": 16, "n2": 16, "seed": 5}),
+    "fft": (_fft.fft_main, {"n1": 16, "n2": 16, "seed": 5}),
     "hpl": (hpl_main, {"n": 64, "nb": 8, "seed": 7}),
     "uts": (uts_main, {"depth": 9, "b0": 4.0, "seed": 19, "rng_mode": "splitmix"}),
     "kmeans": (_kmeans.kmeans_main, _kmeans.PROGRAM_DEFAULTS),
@@ -60,8 +63,8 @@ def program_defaults(kernel: str) -> dict:
 
 def program_params(kernel: str, params: dict) -> dict:
     """``kernel``'s defaults with ``params`` applied (KernelError if the
-    kernel or a parameter is unknown, or HPL's sizes are bad — checked here
-    so a bad run fails before any place starts)."""
+    kernel or a parameter is unknown, or HPL's or FFT's sizes are bad —
+    checked here so a bad run fails before any place starts)."""
     p = program_defaults(kernel)
     unknown = set(params) - set(p)
     if unknown:
@@ -72,6 +75,8 @@ def program_params(kernel: str, params: dict) -> dict:
     p.update(params)
     if kernel == "hpl":
         _check_hpl_sizes(p["n"], p["nb"])
+    elif kernel == "fft":
+        _fft.check_sizes(p["n1"], p["n2"])
     return p
 
 

@@ -1,5 +1,5 @@
-"""Portable APGAS programs for four of the eight kernels (UTS has its own
-module, :mod:`repro.kernels.portable.uts_program`; K-Means, BC and
+"""Portable copies of RandomAccess and HPL (UTS has its own module,
+:mod:`repro.kernels.portable.uts_program`; Stream, FFT, K-Means, BC and
 Smith-Waterman are one program on both backends, beside their numeric cores).
 
 Every program here is *backend-blind*: it uses only the picklable ``ctx``
@@ -38,11 +38,6 @@ def _digest(*arrays) -> bytes:
     return h.digest()
 
 
-def _rank_checksum(digests: dict) -> str:
-    """Combine per-place digests in rank order into one stable checksum."""
-    return checksum_bytes(*(digests[place] for place in sorted(digests)))
-
-
 def spmd(ctx, worker, params: dict, pragma: Pragma = Pragma.FINISH_SPMD):
     """Run ``worker(ctx, params)`` once at every place under ``pragma``.
 
@@ -73,34 +68,6 @@ def _gather(ctx, tag: str, value):
     return out
 
 
-# -- STREAM ---------------------------------------------------------------------------
-
-
-def stream_worker(ctx, p: dict):
-    rng = RngStream(p["seed"], f"portable/stream/{ctx.here}")
-    n = p["n_per_place"]
-    a = rng.uniform(0.0, 1.0, size=n)
-    b = rng.uniform(0.0, 1.0, size=n)
-    c = rng.uniform(0.0, 1.0, size=n)
-    from repro.kernels.stream.stream import triad
-
-    for _ in range(p["iterations"]):
-        yield ctx.compute(seconds=_TICK)
-        triad(a, b, c, p["alpha"])
-        a, c = c, a  # ping-pong so every iteration changes the inputs
-    digests = yield from _gather(ctx, "stream", _digest(a, b, c))
-    if ctx.here == 0:
-        ctx.store["portable:result"] = {
-            "checksum": _rank_checksum(digests),
-            "n_total": n * ctx.n_places,
-            "iterations": p["iterations"],
-        }
-
-
-def stream_main(ctx, **params):
-    return (yield from spmd(ctx, stream_worker, params))
-
-
 # -- RandomAccess ---------------------------------------------------------------------
 
 
@@ -124,7 +91,7 @@ def ra_worker(ctx, p: dict):
     digests = yield from _gather(ctx, "ra", _digest(table))
     if me == 0:
         ctx.store["portable:result"] = {
-            "checksum": _rank_checksum(digests),
+            "checksum": checksum_bytes(*(digests[place] for place in sorted(digests))),
             "table_size": size,
             "updates": updates * P,
         }
@@ -134,51 +101,6 @@ def ra_main(ctx, **params):
     # the paper's pragma for RandomAccess: an irregular communication graph
     params["team"] = ctx.team(ctx.places())
     return (yield from spmd(ctx, ra_worker, params, pragma=Pragma.FINISH_DENSE))
-
-
-# -- FFT (six-step with a real all-to-all transpose) ----------------------------------
-
-
-def fft_worker(ctx, p: dict):
-    me, P, team = ctx.here, ctx.n_places, p["team"]
-    n1, n2 = p["n1"], p["n2"]
-    N = n1 * n2
-    rng = RngStream(p["seed"], "portable/fft")
-    x = rng.uniform(-1.0, 1.0, size=N) + 1j * rng.uniform(-1.0, 1.0, size=N)
-    # step 1+2: this place's rows of B = x.reshape(n1,n2).T, FFT'd + twiddled
-    r0, r1 = n2 * me // P, n2 * (me + 1) // P
-    B = x.reshape(n1, n2).T[r0:r1].copy()
-    del x  # the full-length input: only this place's rows live on
-    yield ctx.compute(seconds=_TICK)
-    B = np.fft.fft(B, axis=1)
-    k2 = np.arange(r0, r1)[:, None]
-    j1 = np.arange(n1)[None, :]
-    B *= np.exp(-2j * np.pi * (k2 * j1) / N)
-    # step 3: the distributed transpose — a genuine all-to-all
-    d0, d1 = n1 * me // P, n1 * (me + 1) // P
-    blocks = [B[:, n1 * q // P : n1 * (q + 1) // P] for q in range(P)]
-    received = yield team.alltoall(ctx, blocks)
-    D = np.empty((d1 - d0, n2), dtype=np.complex128)
-    for sender, block in enumerate(received):
-        D[:, n2 * sender // P : n2 * (sender + 1) // P] = block.T
-    # step 4: row FFTs of D; the result rows ARE the transform (column-major)
-    yield ctx.compute(seconds=_TICK)
-    D = np.fft.fft(D, axis=1)
-    blocks = yield from _gather(ctx, "fft", (d0, D))
-    if me == 0:
-        full = np.vstack([blocks[q][1] for q in sorted(blocks)])
-        X = full.T.reshape(-1)  # X[j2*n1 + j1] = D[j1, j2]
-        ctx.store["portable:result"] = {
-            "checksum": checksum_bytes(_digest(X)),
-            "n": N,
-            "spectrum": X,
-        }
-
-
-def fft_main(ctx, **params):
-    # all-to-all transpose traffic: the dense-communication pragma
-    params["team"] = ctx.team(ctx.places())
-    return (yield from spmd(ctx, fft_worker, params, pragma=Pragma.FINISH_DENSE))
 
 
 # -- HPL (block-cyclic right-looking LU) ----------------------------------------------

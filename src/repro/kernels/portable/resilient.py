@@ -1,4 +1,5 @@
-"""Resilient portable programs: the three kernels' checkpoint/restore hooks.
+"""Resilient portable programs: the three kernels' checkpoint/restore hooks
+(K-Means' and Stream's live beside their member bodies).
 
 Each hook set plugs into :func:`repro.resilient.run_resilient_epochs`, the one
 epoch coordinator, and keeps its per-place state in ``ctx.store`` (a genuinely
@@ -17,12 +18,11 @@ from typing import Any, Callable, Dict
 from repro.errors import KernelError
 from repro.kernels.kmeans.kmeans import kmeans_epoch, kmeans_restore, kmeans_result
 from repro.kernels.portable import program_params
-from repro.kernels.portable.programs import _digest, _rank_checksum, _TICK
 from repro.kernels.portable.uts_program import _result as _uts_result
 from repro.kernels.portable.uts_program import uts_loop
+from repro.kernels.stream.stream import stream_epoch, stream_params, stream_restore, stream_result
 from repro.resilient import require_resilient, run_resilient_epochs
 from repro.resilient.checkpoint import DEFAULT_MAX_ATTEMPTS
-from repro.sim.rng import RngStream
 
 
 # -- kernel hooks ---------------------------------------------------------------------
@@ -35,38 +35,6 @@ from repro.sim.rng import RngStream
 #   finalize(committed, p, n_places)       -- the program result, computed
 #       from the last committed blobs only.
 # With ``team`` set, restore and body also take the run's ``team=``.
-
-
-def _stream_restore(ctx, committed_epoch: int, blob, p: dict):
-    if blob is None:
-        rng = RngStream(p["seed"], f"portable/stream/{ctx.here}")
-        n = p["n_per_place"]
-        a = rng.uniform(0.0, 1.0, size=n)
-        b = rng.uniform(0.0, 1.0, size=n)
-        c = rng.uniform(0.0, 1.0, size=n)
-    else:
-        a, b, c = (arr.copy() for arr in blob)
-    ctx.store["resil:stream"] = (a, b, c)
-
-
-def _stream_body(ctx, epoch: int, tag: str, p: dict):
-    from repro.kernels.stream.stream import triad
-
-    a, b, c = ctx.store["resil:stream"]
-    yield ctx.compute(seconds=_TICK)
-    triad(a, b, c, p["alpha"])
-    a, c = c, a  # the plain worker's ping-pong, one epoch per iteration
-    ctx.store["resil:stream"] = (a, b, c)
-    return (a.copy(), b.copy(), c.copy())
-
-
-def _stream_finalize(committed: Dict[int, Any], p: dict, n_places: int) -> dict:
-    digests = {place: _digest(*committed[place]) for place in committed}
-    return {
-        "checksum": _rank_checksum(digests),
-        "n_total": p["n_per_place"] * n_places,
-        "iterations": p["iterations"],
-    }
 
 
 def _uts_restore(ctx, committed_epoch: int, blob, p: dict):
@@ -95,7 +63,11 @@ _HOOKS: Dict[str, tuple] = {
         lambda committed, p, n_places: kmeans_result(committed[0], p),
         lambda p: p["iterations"], True,
     ),
-    "stream": (_stream_restore, _stream_body, _stream_finalize, lambda p: p["iterations"], False),
+    "stream": (
+        stream_restore, stream_epoch,
+        lambda committed, p, n_places: stream_result([committed[q] for q in sorted(committed)], p),
+        lambda p: p["iterations"], True,
+    ),
     "uts": (_uts_restore, _uts_body, _uts_finalize, lambda p: 1, False),
 }
 
@@ -103,8 +75,9 @@ _HOOKS: Dict[str, tuple] = {
 def resilient_main(ctx, kernel: str, p: dict, max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                    team=None):
     """Checkpointed epochs of ``kernel`` that survive place kills and finish
-    with the fault-free result.  A kernel with collectives runs them on
-    ``team``, by default a fresh ``ctx.team`` over every place."""
+    with the fault-free result.  A kernel with a team (for its collectives,
+    or to name the run's state) gets ``team``, by default a fresh
+    ``ctx.team`` over every place."""
     restore_fn, body_fn, finalize, epochs_of, uses_team = _HOOKS[kernel]
     hooks: Dict[str, Any] = {"p": p}
     if uses_team:
@@ -130,6 +103,8 @@ def build_resilient_program(
     with ``params`` over the kernel's defaults."""
     require_resilient(kernel)
     p = program_params(kernel, params)
+    if kernel == "stream":
+        p = stream_params(**p)  # the body's parameters from the program's
     epochs = _HOOKS[kernel][3](p)
     if epochs < 1:
         raise KernelError(

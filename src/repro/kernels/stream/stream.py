@@ -2,12 +2,18 @@
 
 A straightforward SPMD code: the main activity launches an activity at every
 place using a PlaceGroup broadcast; these allocate and initialize the local
-arrays, perform the computation, and verify the results.  Backing storage uses
-huge pages (congruent allocator) for efficient TLB usage.
+arrays, perform the computation, and verify the results.
+
+One program on every backend: :func:`stream_main` (``build_program``) and
+:func:`build_stream` run :func:`stream_body` at every member, its arrays in
+``ctx.store[("stream", team)]``; resilient runs drive the same state through
+:func:`stream_restore` and :func:`stream_epoch`.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from typing import Optional
 
 import numpy as np
@@ -15,8 +21,7 @@ import numpy as np
 from repro.errors import KernelError
 from repro.harness.results import KernelResult, checksum_bytes
 from repro.machine.memory import stream_bw_per_place
-from repro.resilient import run_resilient_epochs
-from repro.runtime import CongruentAllocator, PlaceGroup, broadcast_spawn
+from repro.runtime.broadcast import PlaceGroup, broadcast_spawn, gather_at
 from repro.runtime.runtime import ApgasRuntime
 
 #: triad traffic per element: read b, read c, write a
@@ -29,13 +34,85 @@ def triad(a: np.ndarray, b: np.ndarray, c: np.ndarray, alpha: float) -> None:
     np.add(a, b, out=a)
 
 
+def stream_params(n_per_place: int, iterations: int, alpha: float,
+                  modeled_per_place: Optional[int] = None) -> dict:
+    """The body's parameters, every size checked here, once: ``n_per_place``
+    real elements per member, each round charged for ``modeled_per_place``."""
+    modeled = n_per_place if modeled_per_place is None else modeled_per_place
+    if min(n_per_place, modeled, iterations) < 1:
+        raise KernelError("need at least one element and one iteration")
+    return {"n": n_per_place, "iterations": iterations, "alpha": alpha,
+            "mem_bytes": BYTES_PER_ELEMENT * modeled}
+
+
+def stream_restore(ctx, committed_epoch: int, blob, p: dict, team) -> None:
+    """Initialize a member's arrays by team rank, unless it still has them:
+    the triad is idempotent, so a survivor rolls nothing back."""
+    key = ("stream", team)
+    if committed_epoch < 0 or key not in ctx.store:
+        n, topology = p["n"], ctx.rt.topology
+        bw = stream_bw_per_place(topology.config, topology.crowd(ctx.here))
+        b = np.full(n, 1.0 + team.rank(ctx.here))
+        ctx.store[key] = (np.zeros(n), b, np.full(n, 2.0), bw)
+
+
+def _round(ctx, p: dict, team):
+    """One triad on the member's arrays; returns its memory-bus charge to yield."""
+    a, b, c, bw = ctx.store[("stream", team)]
+    triad(a, b, c, p["alpha"])
+    return ctx.compute(mem_bytes=p["mem_bytes"], mem_bw=bw)
+
+
+def stream_body(ctx, p: dict, team):
+    """A member's whole run: initialize its arrays, then every triad round."""
+    stream_restore(ctx, -1, None, p, team)
+    for _ in range(p["iterations"]):
+        yield _round(ctx, p, team)
+
+
+def stream_epoch(ctx, epoch: int, tag: str, p: dict, team):
+    """One triad round at a member; its check is the checkpoint blob."""
+    yield _round(ctx, p, team)
+    return verdict(ctx.store[("stream", team)], p["alpha"])
+
+
+def verdict(state: tuple, alpha: float) -> tuple:
+    """A member's check: does ``a`` hold ``b + alpha * c`` exactly; and ``a``'s digest."""
+    a, b, c, _bw = state
+    return bool(np.array_equal(a, b + alpha * c)), hashlib.sha256(a).digest()
+
+
+def _release(ctx, team, alpha: float) -> tuple:
+    return verdict(ctx.store.pop(("stream", team)), alpha)
+
+
+def stream_result(verdicts: list, p: dict) -> dict:
+    """The program result from the members' verdicts in rank order."""
+    return {
+        "checksum": checksum_bytes(*(digest for _ok, digest in verdicts)),
+        "verified": all(ok for ok, _digest in verdicts),
+        "n_total": p["n"] * len(verdicts),
+        "iterations": p["iterations"],
+    }
+
+
+def stream_main(ctx, **params):
+    """The portable program over every place; runs at place 0 (member 0) and
+    collects the members' verdicts after the broadcast."""
+    team = ctx.team(ctx.places())
+    p = stream_params(**params)
+    body = functools.partial(stream_body, p=p, team=team)
+    yield from broadcast_spawn(ctx, PlaceGroup(team.members), body)
+    verdicts = yield from gather_at(ctx, team.members, _release, team, p["alpha"])
+    return stream_result(verdicts, p)
+
+
 def build_stream(
     rt: ApgasRuntime,
     elements_per_place: int,
     iterations: int = 10,
     alpha: float = 3.0,
     actual_elements: Optional[int] = None,
-    verify: bool = True,
     resilient: bool = False,
     group: Optional[PlaceGroup] = None,
 ):
@@ -43,102 +120,51 @@ def build_stream(
 
     Returns ``(main, finalize)``: ``main`` is an embeddable activity body
     (the serving layer spawns many of these inside one engine drain) and
-    ``finalize()`` computes the :class:`KernelResult` once it has run.
-    Arrays are initialized by group *rank*, so the result depends only on
-    the parameters and the group width — not on which places ran it.
+    ``finalize()`` checks every member's arrays and computes the
+    :class:`KernelResult`.  Arrays are initialized by group *rank*, so the
+    result depends only on the parameters and the group width.
 
     ``elements_per_place`` sizes the *modeled* arrays (time charges);
     ``actual_elements`` (default: capped at 65,536) sizes the real arrays the
     kernel actually computes on and verifies — so at-scale runs do not
     allocate terabytes.
 
-    With ``resilient`` each triad round is a checkpoint epoch.  The arrays
-    are recomputable from their init formulas and the triad is idempotent,
-    so recovery re-*initializes* a revived place's partition instead of
-    restoring bytes: an epoch's blob is only its number.
+    With ``resilient`` each triad round is a checkpoint epoch whose blob is
+    the member's verdict: recovery re-*initializes* a revived place's
+    arrays instead of restoring bytes.
     """
-    if elements_per_place < 1 or iterations < 1:
-        raise KernelError("need at least one element and one iteration")
-    pg = PlaceGroup.world(rt) if group is None else group
-    places = list(pg)
-    n_places = len(places)
-    rank_of = {p: i for i, p in enumerate(places)}
+    real_n = min(elements_per_place, 65_536) if actual_elements is None else actual_elements
+    p = stream_params(real_n, iterations, alpha, modeled_per_place=elements_per_place)
+    places = list(PlaceGroup.world(rt) if group is None else group)
     if resilient and places != list(range(rt.n_places)):
         raise KernelError("resilient stream requires the whole-machine place group")
-    real_n = min(elements_per_place, 65_536) if actual_elements is None else actual_elements
-    cfg = rt.config
-    alloc = CongruentAllocator(rt, large_pages=True)
-    failures: list[int] = []
-    arrays: dict[int, tuple] = {}
-
-    def init_partition(place):
-        bw = stream_bw_per_place(cfg, rt.topology.crowd(place))
-        # allocate and initialize the local arrays (huge pages)
-        a = alloc.alloc(place, shape=(real_n,))
-        b = alloc.alloc(place, shape=(real_n,))
-        c = alloc.alloc(place, shape=(real_n,))
-        b.data[:] = 1.0 + rank_of[place]
-        c.data[:] = 2.0
-        arrays[place] = (a, b, c, bw)
-
-    def round_(ctx):
-        a, b, c, bw = arrays[ctx.here]
-        triad(a.data, b.data, c.data, alpha)
-        yield ctx.compute(mem_bytes=BYTES_PER_ELEMENT * elements_per_place, mem_bw=bw)
-
-    def check(place):
-        a, b, c, _bw = arrays[place]
-        if verify:
-            expected = b.data + alpha * c.data
-            if not np.array_equal(a.data, expected):
-                failures.append(place)
-
+    team = rt.team(places)
     if resilient:
-        if rt.chaos is not None:
-            # a respawned place comes up with empty memory
-            rt.chaos.subscribe_revive(lambda p: arrays.pop(p, None))
+        from repro.kernels.portable.resilient import resilient_main
 
-        def restore(ctx, committed_epoch, blob):
-            if committed_epoch < 0 or ctx.here not in arrays:
-                init_partition(ctx.here)
-            # the triad is idempotent: surviving arrays need no rollback
-
-        def epoch_body(ctx, epoch, tag):
-            yield from round_(ctx)
-            return epoch
-
-        def main(ctx):
-            yield from run_resilient_epochs(ctx, iterations, epoch_body, restore)
-            for place in arrays:
-                check(place)
-
+        main = functools.partial(resilient_main, kernel="stream", p=p, team=team)
     else:
-
-        def body(ctx):
-            init_partition(ctx.here)
-            for _ in range(iterations):
-                yield from round_(ctx)
-            check(ctx.here)
-
-        def main(ctx):
-            yield from broadcast_spawn(ctx, pg, body)
+        body = functools.partial(stream_body, p=p, team=team)
+        main = functools.partial(broadcast_spawn, group=PlaceGroup(places), fn=body)
 
     def finalize(elapsed: Optional[float] = None) -> KernelResult:
         t = rt.now if elapsed is None else elapsed
-        total_bytes = BYTES_PER_ELEMENT * elements_per_place * iterations * n_places
-        rate = total_bytes / t if t > 0 else 0.0
-        checksum = checksum_bytes(
-            *(np.ascontiguousarray(arrays[p][0].data) for p in places if p in arrays)
-        )
+        verdicts = [verdict(rt.place(place).store.pop(("stream", team)), alpha) for place in places]
+        result = stream_result(verdicts, p)
+        rate = p["mem_bytes"] * iterations * len(places) / t if t > 0 else 0.0
         return KernelResult(
             kernel="stream",
-            places=n_places,
+            places=len(places),
             sim_time=t,
             value=rate,
             unit="B/s",
-            per_core=rate / n_places,
-            verified=(not failures) if verify else None,
-            extra={"failures": failures, "iterations": iterations, "checksum": checksum},
+            per_core=rate / len(places),
+            verified=result["verified"],
+            extra={
+                "failures": [place for place, (ok, _) in zip(places, verdicts) if not ok],
+                "iterations": iterations,
+                "checksum": result["checksum"],
+            },
         )
 
     return main, finalize

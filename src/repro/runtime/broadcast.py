@@ -123,6 +123,18 @@ def _tree_node(
     yield f.wait()
 
 
+def gather_at(ctx, places: Sequence[int], fn: Callable, *args):
+    """``[at(p) fn(ctx, *args) for p in places]``, one after another (here
+    without a message); use as ``values = yield from gather_at(...)``."""
+    values = []
+    for place in places:
+        if place == ctx.here:
+            values.append(fn(ctx, *args))
+        else:
+            values.append((yield ctx.at(place, fn, *args)))
+    return values
+
+
 def sequential_spawn(ctx, group: PlaceGroup, fn: Callable, *args):
     """The naive Section 2 idiom: the root loops over places one at a time.
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import KernelError
-from repro.kernels.fft import fft_six_step_reference, run_fft
+from repro.kernels.fft import fft_input, fft_six_step_reference, run_fft
 from repro.kernels.fft.fft import within_allclose
 
 from tests.kernels.conftest import make_rt
@@ -23,8 +23,9 @@ def test_six_step_shape_mismatch_rejected():
         fft_six_step_reference(np.zeros(8, dtype=complex), 4, 4)
 
 
-@pytest.mark.parametrize("places", [1, 2, 4, 8])
+@pytest.mark.parametrize("places", [1, 2, 3, 4, 8])
 def test_distributed_fft_correct(places):
+    # at 3 places the rows split 5/5/6 and 10/11/11: the split is n*q//P
     rt = make_rt(places=places)
     result = run_fft(rt, n1=16, n2=32, seed=2)
     assert result.verified, f"max err {result.extra['max_err']}"
@@ -34,12 +35,6 @@ def test_distributed_fft_rectangular():
     rt = make_rt(places=4)
     result = run_fft(rt, n1=64, n2=8)
     assert result.verified
-
-
-def test_indivisible_dimensions_rejected():
-    rt = make_rt(places=8)
-    with pytest.raises(KernelError, match="divisible"):
-        run_fft(rt, n1=12, n2=8)
 
 
 def test_single_place_rate_matches_calibration():
@@ -56,6 +51,16 @@ def test_alltoall_dominates_at_multi_octant_scale():
     solo = run_fft(make_rt(places=1), n1=64, n2=64, modeled_elements_per_place=1 << 22)
     multi = run_fft(make_rt(places=16), n1=64, n2=64, modeled_elements_per_place=1 << 22)
     assert multi.per_core < solo.per_core
+
+
+@pytest.mark.parametrize("n1,places", [(16, 3), (12, 8), (5, 4), (3, 5)])
+def test_members_draw_rows_of_one_input(n1, places):
+    """A member jumps to its rows of the one seeded input: the blocks of any
+    place count stack up to the whole input, empty blocks included."""
+    whole = fft_input(7, n1, 5)  # an odd row length: a member starts mid counter step
+    blocks = [fft_input(7, n1, 5, rank, places) for rank in range(places)]
+    assert sum(len(block) for block in blocks) == n1
+    np.testing.assert_array_equal(np.concatenate(blocks), whole)
 
 
 def test_result_metadata():

@@ -14,7 +14,6 @@ import pytest
 from repro.errors import KernelError
 from repro.kernels.portable import PORTABLE_KERNELS, build_program
 from repro.kernels.portable.resilient import build_resilient_program
-from repro.sim.rng import RngStream
 from repro.xrt.backend import get_backend
 
 PLACES = 4
@@ -195,11 +194,34 @@ def test_smithwaterman_score_invariant_across_place_counts():
 
 
 def test_fft_matches_numpy_spectrum():
+    from repro.kernels.fft import fft_input
+
     run = _run("fft")
-    rng = RngStream(5, "portable/fft")
-    n = 16 * 16
-    x = rng.uniform(-1.0, 1.0, size=n) + 1j * rng.uniform(-1.0, 1.0, size=n)
+    x = fft_input(5, 16, 16).reshape(-1)
     np.testing.assert_allclose(run.result["spectrum"], np.fft.fft(x), rtol=1e-9, atol=1e-9)
+
+
+def test_fft_program_and_driver_agree():
+    """One program: the portable entry and the simulator driver transform the
+    same input to the same spectrum bits, at an uneven row split too."""
+    from repro.kernels.fft import run_fft
+    from repro.runtime import ApgasRuntime
+
+    for places in (PLACES, 3):
+        run = _run("fft", places, n1=16, n2=32, seed=8)
+        driver = run_fft(ApgasRuntime(places=places), n1=16, n2=32, seed=8)
+        assert driver.verified
+        assert run.checksum == driver.extra["checksum"]
+
+
+@pytest.mark.parametrize("n1,n2", [(0, 16), (16, 0), (-16, 16)])
+def test_fft_program_rejects_bad_sizes(n1, n2):
+    from repro.harness.runner import simulate
+
+    with pytest.raises(KernelError, match="FFT dimensions must be positive"):
+        _run("fft", 2, n1=n1, n2=n2)
+    with pytest.raises(KernelError, match="FFT dimensions must be positive"):
+        simulate("fft", 2, n1=n1, n2=n2)
 
 
 def test_hpl_reconstruction_residual_is_tiny():
@@ -243,7 +265,21 @@ def test_randomaccess_matches_direct_xor_replay():
 def test_stream_is_deterministic_for_a_fixed_seed():
     a, b = _run("stream"), _run("stream")
     assert a.checksum == b.checksum
-    assert _run("stream", seed=99).checksum != a.checksum
+
+
+def test_stream_program_and_driver_agree():
+    """One program: the portable entry and the simulator driver, at matching
+    real sizes, leave the same arrays at every member."""
+    from repro.kernels.stream import run_stream
+    from repro.runtime import ApgasRuntime
+
+    for places in (PLACES, 3):
+        run = _run("stream", places, n_per_place=1000, iterations=3, alpha=2.5)
+        driver = run_stream(
+            ApgasRuntime(places=places), elements_per_place=1000, iterations=3, alpha=2.5
+        )
+        assert driver.verified and run.result["verified"]
+        assert run.checksum == driver.extra["checksum"]
 
 
 # -- finish-pragma accounting on the simulator -------------------------------------

@@ -125,7 +125,7 @@ def test_deaths_tolerated_counter_counts_adoptions():
 
 @pytest.mark.parametrize("kernel, params, checksum", [
     ("kmeans", {}, "af4cb8dee2ac2cdd"),
-    ("stream", {}, "7ba61c90206b31d5"),
+    ("stream", {}, "f61fd7627f38bb2a"),
     ("uts", {"depth": 7}, "9b64184a1f128ce7"),
 ], ids=["kmeans", "stream", "uts"])
 def test_portable_resilient_program_matches_the_plain_program(kernel, params, checksum):

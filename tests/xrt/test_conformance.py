@@ -33,10 +33,11 @@ _SMALL = {
 
 
 #: every kernel at PLACES; uts at 2: with two places each steals only from
-#: the other, the shape that once livelocked over the last piece; kmeans, bc
-#: and smithwaterman at 3: an uneven spawning tree and an uneven broadcast tree
+#: the other, the shape that once livelocked over the last piece; kmeans, bc,
+#: smithwaterman and stream at 3: an uneven spawning tree and an uneven
+#: broadcast tree; fft at 3: an uneven row split in every transpose
 _ROWS = [(kernel, PLACES) for kernel in PORTABLE_KERNELS] + [
-    ("uts", 2), ("kmeans", 3), ("bc", 3), ("smithwaterman", 3),
+    ("uts", 2), ("kmeans", 3), ("bc", 3), ("smithwaterman", 3), ("stream", 3), ("fft", 3),
 ]
 
 
@@ -80,13 +81,13 @@ def test_conformance_covers_every_finish_pragma():
 
 def test_conformance_detects_divergence():
     """The differ itself must not be vacuous: different params must FAIL."""
-    report = run_conformance("stream", PLACES, backends=("sim",), seed=11)
-    other = run_conformance("stream", PLACES, backends=("sim",), seed=12)
+    report = run_conformance("stream", PLACES, backends=("sim",), alpha=3.0)
+    other = run_conformance("stream", PLACES, backends=("sim",), alpha=2.5)
     report.runs.append(other.runs[0])
     from repro.xrt.conformance import ConformanceReport, deep_equal
 
     diffs = deep_equal(report.runs[0].result, report.runs[1].result)
-    assert diffs  # the two seeds genuinely differ...
+    assert diffs  # the two triads genuinely differ...
     rebuilt = ConformanceReport("stream", PLACES, report.runs, diffs)
     assert not rebuilt.conformant
     assert "FAIL" in rebuilt.render()
@@ -140,6 +141,18 @@ def test_bad_hpl_sizes_fail_before_any_place_is_forked(n, nb, monkeypatch):
     monkeypatch.setattr(launcher.multiprocessing, "get_context", no_fork)
     with pytest.raises(KernelError, match="positive size that is a multiple of a positive block"):
         run_procs_program("hpl", 2, params={"n": n, "nb": nb}, deadline=DEADLINE)
+
+
+@pytest.mark.parametrize("n1,n2", [(0, 16), (16, -16)])
+def test_bad_fft_sizes_fail_before_any_place_is_forked(n1, n2, monkeypatch):
+    from repro.xrt.procs import launcher, run_procs_program
+
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a place process was forked")
+
+    monkeypatch.setattr(launcher.multiprocessing, "get_context", no_fork)
+    with pytest.raises(KernelError, match="FFT dimensions must be positive"):
+        run_procs_program("fft", 2, params={"n1": n1, "n2": n2}, deadline=DEADLINE)
 
 
 def _finish_async_violated_from_place_1(ctx):
