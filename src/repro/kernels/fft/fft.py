@@ -110,6 +110,19 @@ def _transpose(ctx, team, local: np.ndarray, rows: int, cuts: list, nbytes_per_p
     return out
 
 
+def twiddle(local: np.ndarray, k2_start: int, n1: int, n2: int) -> np.ndarray:
+    """``local`` (rows ``k2_start...`` of the ``n2 x n1`` matrix) times the
+    twiddle factors ``w_N^{j1 k2}``, as ``local * tw`` in that operand order,
+    in one block-sized buffer.  Written out because ``local * np.exp(...)``
+    leaves the order to NumPy: from 256 KiB it elides the temporary into
+    ``tw *= local``, whose complex products round differently."""
+    k2 = np.arange(k2_start, k2_start + local.shape[0])[:, None]
+    tw = -2j * np.pi * (k2 * np.arange(n1)[None, :])
+    tw /= n1 * n2
+    np.exp(tw, out=tw)
+    return np.multiply(local, tw, out=tw)
+
+
 def fft_body(ctx, p: dict, team):
     """A member's whole run, from its input rows to its rows of the spectrum
     in ``ctx.store[("fft", team)]``."""
@@ -123,9 +136,7 @@ def fft_body(ctx, p: dict, team):
     local = np.fft.fft(local, axis=1)
     yield ctx.compute(flops=p["flops"], flop_rate=p["flop_rate"])
     # phase 3: twiddle factors w_N^{j1 k2}
-    k2 = np.arange(cuts2[rank], cuts2[rank + 1])[:, None]
-    j1 = np.arange(n1)[None, :]
-    local = local * np.exp(-2j * np.pi * (k2 * j1) / (n1 * n2))
+    local = twiddle(local, cuts2[rank], n1, n2)
     # phase 4: global transpose back
     local = yield from _transpose(ctx, team, local, n2, cuts1, wire)
     # phase 5: per-row FFTs of length n2

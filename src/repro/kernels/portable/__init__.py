@@ -30,7 +30,7 @@ from repro.kernels.bc import bc as _bc
 from repro.kernels.fft import fft as _fft
 from repro.kernels.hpl.lu import check_sizes as _check_hpl_sizes
 from repro.kernels.kmeans import kmeans as _kmeans
-from repro.kernels.portable.programs import hpl_main, ra_main, spmd
+from repro.kernels.portable.programs import hpl_main, ra_check_sizes, ra_main, spmd
 from repro.kernels.portable.uts_program import uts_main
 from repro.kernels.smithwaterman import sw as _sw
 from repro.kernels.stream import stream as _stream
@@ -63,8 +63,8 @@ def program_defaults(kernel: str) -> dict:
 
 def program_params(kernel: str, params: dict) -> dict:
     """``kernel``'s defaults with ``params`` applied (KernelError if the
-    kernel or a parameter is unknown, or HPL's or FFT's sizes are bad —
-    checked here so a bad run fails before any place starts)."""
+    kernel or a parameter is unknown, or HPL's, FFT's or RandomAccess's sizes
+    are bad — checked here so a bad run fails before any place starts)."""
     p = program_defaults(kernel)
     unknown = set(params) - set(p)
     if unknown:
@@ -77,6 +77,8 @@ def program_params(kernel: str, params: dict) -> dict:
         _check_hpl_sizes(p["n"], p["nb"])
     elif kernel == "fft":
         _fft.check_sizes(p["n1"], p["n2"])
+    elif kernel == "randomaccess":
+        ra_check_sizes(p["log2_table"], p["updates_per_place"])
     return p
 
 

@@ -21,6 +21,7 @@ import hashlib
 
 import numpy as np
 
+from repro.errors import KernelError
 from repro.harness.results import checksum_bytes
 from repro.kernels.hpl.lu import panel_factor, reconstruction_residual, solve_unit_lower
 from repro.runtime.finish.pragmas import Pragma
@@ -71,23 +72,39 @@ def _gather(ctx, tag: str, value):
 # -- RandomAccess ---------------------------------------------------------------------
 
 
+def ra_check_sizes(log2_table: int, updates_per_place: int) -> None:
+    """Refuse a RandomAccess run whose table or update stream cannot exist: a
+    slot is the low ``log2_table`` bits of a 64-bit update value."""
+    if not 0 <= log2_table <= 64 or updates_per_place < 0:
+        raise KernelError(
+            f"RandomAccess needs 0 <= log2_table <= 64 and updates_per_place >= 0, "
+            f"got log2_table={log2_table}, updates_per_place={updates_per_place}"
+        )
+
+
 def ra_worker(ctx, p: dict):
+    """HPCC's update stream: an update is one 64-bit value, its table slot the
+    value's low bits, and member ``q`` owns slots ``size*q//P`` up to
+    ``size*(q+1)//P``; so the exchange ships values only, 8 bytes an update."""
     from repro.kernels.randomaccess.hpcc_rng import stream_slice_fast
 
     me, P, team = ctx.here, ctx.n_places, p["team"]
     size = 1 << p["log2_table"]
-    lo, hi = size * me // P, size * (me + 1) // P
-    table = np.arange(lo, hi, dtype=np.uint64)
+    mask = np.uint64(size - 1)
+    bounds = [size * q // P for q in range(P + 1)]
+    lo = bounds[me]
+    table = np.arange(lo, bounds[me + 1], dtype=np.uint64)
     updates = p["updates_per_place"]
     yield ctx.compute(seconds=_TICK)
     values = stream_slice_fast(me * updates, updates)
-    index = (values & np.uint64(size - 1)).astype(np.int64)
-    owner = index * P // size
-    # one bulk exchange: a (possibly empty) batch for every place
-    batches = [(index[owner == q], values[owner == q]) for q in range(P)]
-    del values, index, owner  # the batches are copies: free these across the exchange
-    for idx, val in (yield team.alltoall(ctx, batches)):
-        np.bitwise_xor.at(table, idx - lo, val)  # .at: duplicate indices all land
+    slot = values & mask
+    # one bulk exchange: a (possibly empty) batch of values for every member
+    batches = [values[(slot >= bounds[q]) & (slot < bounds[q + 1])] for q in range(P)]
+    del values, slot  # the batches are copies: free these across the exchange
+    for val in (yield team.alltoall(ctx, batches)):
+        index = val & mask
+        index -= np.uint64(lo)
+        np.bitwise_xor.at(table, index.view(np.int64), val)  # .at: duplicate slots all land
     digests = yield from _gather(ctx, "ra", _digest(table))
     if me == 0:
         ctx.store["portable:result"] = {

@@ -281,6 +281,10 @@ class ServeScheduler:
                 # elastic recovery: respawn the failed place as a fresh host
                 # before the pool offers it to the next tenant
                 self.rt.revive_place(p)
+            elif job.status == "aborted":
+                # its members never reached the pops that end a run; no other
+                # job runs here, so whatever the place holds is this job's
+                self.rt.place(p).store.clear()
             self._pool.append(p)
         self._pool.sort()
         if job.status == "ok":

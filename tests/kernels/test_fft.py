@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import KernelError
 from repro.kernels.fft import fft_input, fft_six_step_reference, run_fft
-from repro.kernels.fft.fft import within_allclose
+from repro.kernels.fft.fft import twiddle, within_allclose
 
 from tests.kernels.conftest import make_rt
 
@@ -92,3 +92,17 @@ def test_single_pass_check_is_np_allclose():
     for r in (result, result + bound):
         got = within_allclose(np.abs(r - expected), np.abs(expected), atol)
         assert got == np.allclose(r, expected, atol=atol)
+
+
+@pytest.mark.parametrize("rows,n1,n2", [(32, 128, 64), (128, 512, 256)])
+def test_twiddle_is_local_times_factors_in_that_order(rows, n1, n2):
+    """A 64 KiB and a 1 MiB block: the phase's bits are those of the explicit
+    out-of-place ``np.multiply(local, tw)`` on both sides of NumPy's 256 KiB
+    temporary-elision threshold, above which ``local * np.exp(...)`` became
+    ``tw *= local``."""
+    local = fft_input(3, rows, n1)
+    k2 = np.arange(rows, 2 * rows)[:, None]
+    tw = np.exp(-2j * np.pi * (k2 * np.arange(n1)[None, :]) / (n1 * n2))
+    expected = np.multiply(local, tw)
+    got = twiddle(local, rows, n1, n2)
+    assert got.tobytes() == expected.tobytes()

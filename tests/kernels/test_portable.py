@@ -246,20 +246,54 @@ def test_bc_matches_full_source_brandes():
     np.testing.assert_allclose(run.result["centrality"], expected, rtol=1e-10, atol=1e-12)
 
 
-def test_randomaccess_matches_direct_xor_replay():
-    from repro.kernels.randomaccess.hpcc_rng import stream_slice_fast
-
-    run = _run("randomaccess", places=1)
-    size, updates = 1 << 12, 2048
-    table = np.arange(size, dtype=np.uint64)
-    values = stream_slice_fast(0, updates)
-    np.bitwise_xor.at(table, (values & np.uint64(size - 1)).astype(np.int64), values)
+def _ra_replay_checksum(places: int, log2_table: int, updates: int) -> str:
+    """The whole update stream XORed into one table by ``bitwise_xor.at``,
+    digested member by member over the table bounds ``size*q//places``."""
     import hashlib
 
     from repro.harness.results import checksum_bytes
+    from repro.kernels.randomaccess.hpcc_rng import stream_slice_fast
 
-    digest = hashlib.sha256(np.ascontiguousarray(table).tobytes()).digest()
-    assert run.checksum == checksum_bytes(digest)
+    size = 1 << log2_table
+    table = np.arange(size, dtype=np.uint64)
+    values = stream_slice_fast(0, updates * places)
+    np.bitwise_xor.at(table, (values & np.uint64(size - 1)).astype(np.int64), values)
+    bounds = [size * q // places for q in range(places + 1)]
+    return checksum_bytes(
+        *(hashlib.sha256(table[bounds[q] : bounds[q + 1]]).digest() for q in range(places))
+    )
+
+
+def test_randomaccess_matches_direct_xor_replay():
+    """At every place count, tables smaller than the place count included
+    (log2_table=2): a slot on a member's lower bound ``size*q//P`` once went
+    to the member below and raised IndexError there."""
+    for places in (1, 2, 3, 5, 6, 7):
+        for log2_table in (2, 12):
+            run = _run("randomaccess", places, log2_table=log2_table, updates_per_place=512)
+            assert run.checksum == _ra_replay_checksum(places, log2_table, 512), (places, log2_table)
+
+
+def test_randomaccess_ships_one_word_per_update():
+    """The exchange carries each update as its 8-byte value: on the message
+    program of the collectives, the modelled bytes grow by 8 per update that
+    leaves its member ((P-1)/P of them, the per-pair charge is the mean)."""
+    from repro.runtime import ApgasRuntime
+
+    def net_bytes(places, updates):
+        rt = ApgasRuntime(places=places, collectives_emulated=True)
+        rt.run(build_program("randomaccess", places, updates_per_place=updates))
+        return rt.obs.metrics.snapshot().total("net.bytes")
+
+    for places in (2, 4):
+        shipped = (places - 1) * 4096
+        assert net_bytes(places, 4096) - net_bytes(places, 0) == 8 * shipped
+
+
+@pytest.mark.parametrize("params", [{"log2_table": -1}, {"log2_table": 65}, {"updates_per_place": -5}])
+def test_randomaccess_program_rejects_bad_sizes(params):
+    with pytest.raises(KernelError, match="RandomAccess needs 0 <= log2_table <= 64"):
+        _run("randomaccess", 2, **params)
 
 
 def test_stream_is_deterministic_for_a_fixed_seed():

@@ -1,7 +1,8 @@
 """Step-count complexity regressions: engine events per finish/broadcast idiom,
 and interpreter calls per invocation of the shared numeric cores, per finish
 open, per chaos leg, per FINISH_ASYNC put and per frame a procs place serves;
-and, at the end, the traced memory peak of HPL's residual check and run.
+and, at the end, the traced memory peaks of HPL's residual check and run and
+of the portable RandomAccess.
 
 ``Engine.events_executed`` counts every callback the loop dispatched, so it
 is a wall-clock-free complexity measure: if a refactor adds a per-message
@@ -18,6 +19,7 @@ import tracemalloc
 import pytest
 
 import repro.kernels.hpl.hpl as hpl_driver
+import repro.kernels.portable.programs as portable_programs
 from repro.chaos import ChaosInjector
 from repro.harness.runner import make_runtime, simulate
 from repro.kernels.bc import rmat_graph, single_source_dependencies
@@ -30,6 +32,7 @@ from repro.machine.network import TransferKind
 from repro.runtime import Pragma
 from repro.runtime.broadcast import PlaceGroup, broadcast_spawn
 from repro.sim.rng import RngStream
+from repro.xrt.backend import get_backend
 from repro.xrt.procs import wire
 from repro.xrt.procs.loop import PlaceLoop
 from repro.xrt.procs.runtime import ProcsRuntime
@@ -37,6 +40,7 @@ from repro.xrt.procs.runtime import ProcsRuntime
 from tests.chaos.fate_oracle import fate_reference
 from tests.kernels.brandes_oracle import single_source_dependencies_per_vertex
 from tests.kernels.hpl_residual_oracle import reconstruction_residual_full
+from tests.kernels.ra_partition_oracle import ra_worker_pairs
 from tests.kernels.uts_oracle import process_oracle
 
 
@@ -419,3 +423,33 @@ def test_memory_budgets_would_catch_the_check_they_replaced(monkeypatch):
     assert _traced_peak(reconstruction_residual_full, *case) > 4 * _RESIDUAL_PEAK_BUDGET
     monkeypatch.setattr(hpl_driver, "reconstruction_residual", reconstruction_residual_full)
     assert _hpl_run_peak() > 2 * _HPL_RUN_PEAK_BUDGET
+
+
+# -- RandomAccess at the HPCC wire format: one 8-byte value per update -----------
+#
+# The portable RandomAccess at 2 places, ``log2_table=20`` and 2^18 updates a
+# place, on the simulator (both members in this process): the two 4 MiB
+# tables, the first member's batches held across the exchange, and the
+# second member's values, slots and batches, 16.3 MiB when the budget was set.
+# Pairs of ``(int64 index, uint64 value)`` and the owner temporaries beside
+# them peaked at 22.3 MiB.
+_RA_PEAK_BUDGET = 18 * _MIB
+
+
+def _ra_run_peak():
+    sim = get_backend("sim")
+    sim.run("randomaccess", 2)  # imports and first-use caches are not the run's
+    return _traced_peak(sim.run, "randomaccess", 2, log2_table=20, updates_per_place=1 << 18)
+
+
+def test_randomaccess_memory_budget():
+    peak = _ra_run_peak()
+    assert peak <= _RA_PEAK_BUDGET, (
+        f"portable randomaccess at 2 places, 2^20 slots: traced peak {peak / _MIB:.2f} MiB "
+        f"exceeds the budget {_RA_PEAK_BUDGET / _MIB:.0f} MiB — an update is more than its value again"
+    )
+
+
+def test_randomaccess_budget_would_catch_the_pairs_it_replaced(monkeypatch):
+    monkeypatch.setattr(portable_programs, "ra_worker", ra_worker_pairs)
+    assert _ra_run_peak() > _RA_PEAK_BUDGET

@@ -84,3 +84,19 @@ def test_chaos_replay_is_deterministic():
     assert [(j.job_id, j.status) for j in o1.jobs] == [
         (j.job_id, j.status) for j in o2.jobs
     ]
+
+
+def test_aborted_job_leaves_no_state_at_its_places():
+    """An aborted job's members never pop their ``ctx.store`` entries; the
+    release clears them, so the arrays do not outlive the job."""
+    _r, out, rt = run_scenario(scenario(chaos=KILL))
+    victim = out.by_status("aborted")[0]
+    assert victim.kernel == "kmeans"
+    held = {
+        p: key
+        for p in range(BASE["places"])
+        if not rt.is_dead(p)
+        for key in rt.place(p).store
+        if isinstance(key, tuple) and key[0] == victim.kernel
+    }
+    assert held == {}

@@ -32,20 +32,29 @@ _SMALL = {
 }
 
 
+#: per-row overrides: randomaccess at 3 places on a 256-slot table, whose
+#: member bounds 85 and 170 are slots the owner rule ``index*P//size`` once
+#: sent to the member below (an IndexError there, on both backends)
+_AT = {
+    ("randomaccess", 3): {"log2_table": 8},
+}
+
+
 #: every kernel at PLACES; uts at 2: with two places each steals only from
 #: the other, the shape that once livelocked over the last piece; kmeans, bc,
 #: smithwaterman and stream at 3: an uneven spawning tree and an uneven
-#: broadcast tree; fft at 3: an uneven row split in every transpose
+#: broadcast tree; fft and randomaccess at 3: an uneven split of the rows or
+#: of the table
 _ROWS = [(kernel, PLACES) for kernel in PORTABLE_KERNELS] + [
     ("uts", 2), ("kmeans", 3), ("bc", 3), ("smithwaterman", 3), ("stream", 3), ("fft", 3),
+    ("randomaccess", 3),
 ]
 
 
 @pytest.mark.parametrize("kernel,places", _ROWS, ids=[f"{k}@{p}" for k, p in _ROWS])
 def test_kernel_conformant_sim_vs_procs(kernel, places):
-    report = assert_conformant(
-        kernel, places, deadline=DEADLINE, **_SMALL.get(kernel, {})
-    )
+    params = _AT.get((kernel, places), _SMALL.get(kernel, {}))
+    report = assert_conformant(kernel, places, deadline=DEADLINE, **params)
     sim, procs = report.runs
     assert sim.backend == "sim" and procs.backend == "procs"
     assert sim.checksum  # a kernel without a checksum would vacuously pass
@@ -153,6 +162,35 @@ def test_bad_fft_sizes_fail_before_any_place_is_forked(n1, n2, monkeypatch):
     monkeypatch.setattr(launcher.multiprocessing, "get_context", no_fork)
     with pytest.raises(KernelError, match="FFT dimensions must be positive"):
         run_procs_program("fft", 2, params={"n1": n1, "n2": n2}, deadline=DEADLINE)
+
+
+@pytest.mark.parametrize("params", [{"log2_table": -1}, {"updates_per_place": -5}])
+def test_bad_randomaccess_sizes_fail_before_any_place_is_forked(params, monkeypatch):
+    """``log2_table=-1`` once raised ``negative shift count`` inside a place,
+    and ``updates_per_place=-5`` ran to a checksum."""
+    from repro.xrt.procs import launcher, run_procs_program
+
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a place process was forked")
+
+    monkeypatch.setattr(launcher.multiprocessing, "get_context", no_fork)
+    with pytest.raises(KernelError, match="RandomAccess needs 0 <= log2_table <= 64"):
+        run_procs_program("randomaccess", 2, params=params, deadline=DEADLINE)
+
+
+def test_randomaccess_routes_one_word_per_update():
+    """At 2 places every update bound for the other member crosses place 0's
+    sockets once, as its 8-byte value: about half of each member's stream,
+    so ``bytes_routed`` stays under 8 bytes per update a place plus the
+    frames' envelopes (an index beside each value doubled it)."""
+    from repro.xrt.procs import run_procs_program
+
+    updates = 1 << 16
+    run = run_procs_program(
+        "randomaccess", 2, params={"log2_table": 16, "updates_per_place": updates},
+        deadline=DEADLINE,
+    )
+    assert run.bytes_routed < 8 * updates + (16 << 10)
 
 
 def _finish_async_violated_from_place_1(ctx):
