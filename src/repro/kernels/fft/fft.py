@@ -73,10 +73,7 @@ def fft_input(seed: int, n1: int, n2: int, rank: int = 0, places: int = 1) -> np
     stream keyed by ``seed``, parts interleaved, and a member jumps straight
     to its rows: no member draws the whole input."""
     cuts = _cuts(n1, places)
-    start = 2 * n2 * cuts[rank]
-    rng = RngStream(seed, "fft/input")
-    rng.generator.bit_generator.advance(start // 4)  # one Philox counter step is four draws
-    rng.generator.random(start % 4)
+    rng = RngStream(seed, "fft/input").skip(2 * n2 * cuts[rank])
     draws = rng.uniform(-1, 1, size=(cuts[rank + 1] - cuts[rank], 2 * n2))
     return draws.view(np.complex128)
 

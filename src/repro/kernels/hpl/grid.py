@@ -34,11 +34,11 @@ class ProcessGrid:
         return self.place_of(bi % self.P, bj % self.Q)
 
     def row_places(self, pi: int) -> list[int]:
-        """Places in process row ``pi`` (panel broadcast peers)."""
+        """Places in process row ``pi`` (the panel's row broadcast peers)."""
         return [self.place_of(pi, pj) for pj in range(self.Q)]
 
     def col_places(self, pj: int) -> list[int]:
-        """Places in process column ``pj`` (pivot search peers)."""
+        """Places in process column ``pj`` (panel and U broadcast peers)."""
         return [self.place_of(pi, pj) for pi in range(self.P)]
 
 

@@ -2,39 +2,45 @@
 
 A two-dimensional block-cyclic data distribution and a right-looking LU
 factorization with row-partial pivoting and a recursive panel factorization.
-The communication idioms follow the paper: teams for the pivot search and the
-row/column broadcasts, and FINISH_ASYNC-pragma'd message exchanges for row
-swaps ("a row swap is a simple message exchange").
+The communication idioms follow the paper: team broadcasts of the factored
+panel along its process column and the process rows and of the U block row
+down the process columns, and FINISH_ASYNC-pragma'd message exchanges for row
+swaps ("a row swap is a simple message exchange").  Like the paper's
+implementation — and unlike the reference HPL — there is no configurable
+look-ahead: phases alternate synchronously.
 
-Like the paper's implementation — and unlike the reference HPL — there is no
-configurable look-ahead: phases alternate synchronously.  The panel is
-gathered to and factored at the diagonal block's owner (the recursive panel
-factorization), then redistributed via the column team.
-
-What is modelled and what runs for real: every message, collective and
-compute charge above is the paper's algorithm on the simulated machine, the
-panel charged as the paper's recursive panel factorization.  The host
-numerics behind it are the NumPy core of :mod:`repro.kernels.hpl.lu`,
-run once per step at the diagonal owner; their pivots drive the swap plan
-and their residual is the ``verified`` check.
+One program on every backend: :func:`hpl_main` (``build_program``) and
+:func:`run_hpl` run :func:`hpl_body` at every place.  Every message,
+collective and compute charge is the paper's algorithm on the simulated
+machine; the host numerics (:mod:`repro.kernels.hpl.lu`) ride those messages.
+Block column ``bj`` (all ``N`` rows) lives at its diagonal owner
+``grid.owner_of_block(bj, bj)``, which draws it; the panel broadcasts carry
+``(swap plan, row moves, factored panel)``, each owner updates its own
+columns, and the residual of the assembled factors is the ``verified`` check.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import bisect
+import functools
+import hashlib
+from typing import Callable, Optional
+
+import numpy as np
 
 from repro.errors import KernelError
 from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
-from repro.harness.results import KernelResult
+from repro.harness.results import KernelResult, checksum_bytes
 from repro.kernels.hpl.grid import ProcessGrid, default_grid
 from repro.kernels.hpl.lu import (
+    apply_panel,
     check_sizes,
-    panel_factor,
+    factor_panel,
     reconstruction_residual,
-    update_trailing,
-    update_u_row,
+    row_moves,
 )
 from repro.runtime import PlaceGroup, Pragma, broadcast_spawn
+from repro.runtime.broadcast import gather_at
 from repro.runtime.runtime import ApgasRuntime
 from repro.sim.rng import RngStream
 
@@ -59,15 +65,170 @@ def swap_plan(swaps: list, nb: int, P: int) -> dict:
     return plan
 
 
-def _matrix(seed: int, N: int):
-    """The run's N x N matrix; the same bits on every draw for a seed."""
-    return RngStream(seed, "hpl/matrix").uniform(-0.5, 0.5, size=(N, N))
+def matrix_columns(seed: int, N: int, c0: int, c1: int) -> np.ndarray:
+    """Columns ``c0`` up to ``c1`` of the run's N x N matrix, an ``(N, c1 - c0)``
+    array in Fortran order (``c0=0, c1=N`` is the whole matrix).  The matrix is
+    one stream keyed by ``seed``, drawn column by column as HPL stores it, and
+    a caller jumps straight to its first column: an owner draws only its own."""
+    rng = RngStream(seed, "hpl/matrix").skip(N * c0)
+    return rng.uniform(-0.5, 0.5, size=(c1 - c0, N)).T
 
 
 def owned_blocks_after(k: int, nblk: int, mod: int, mine: int) -> int:
     """Block indices in (k, nblk) owned by coordinate ``mine`` (mod P/Q): the
     first is the least index above ``k`` congruent to ``mine``."""
     return len(range(k + 1 + (mine - k - 1) % mod, nblk, mod))
+
+
+def hpl_params(N: int, NB: int, seed: int, grid: ProcessGrid, modeled_N: Optional[int] = None,
+               modeled_NB: int = 360, calibration: Calibration = DEFAULT_CALIBRATION) -> dict:
+    """The body's parameters: the real N x N problem on ``grid``, and the
+    compute and wire scales of the modelled one (see :func:`run_hpl`)."""
+    check_sizes(N, NB)
+    nblk = N // NB
+    s = 1.0 if modeled_N is None else modeled_N / N
+    fscale = s**3
+    if modeled_N is not None and nblk > 1:
+        # coarse blocking sums 2*NB^3*j^2 over j<nblk, which undercounts the
+        # continuous 2/3*N^3; rescale so the charged DGEMM total is exact
+        # charged = 2*NB^3 * sum(j^2) ; target = (2/3) * (nblk*NB)^3
+        fscale *= 2.0 * nblk**3 / ((nblk - 1) * nblk * (2 * nblk - 1))
+    pnb = NB if modeled_N is None else modeled_NB  # blocking-sensitive phases
+    return {
+        "N": N, "NB": NB, "seed": seed, "grid": grid,
+        "fscale": fscale, "bscale": s**2, "pscale": pnb * s * s, "calibration": calibration,
+    }
+
+
+def hpl_program(team: Callable, p: dict) -> tuple:
+    """``(world, body)``: the run's teams, made by ``rt.team`` or ``ctx.team``
+    at the root, bound into the member body."""
+    grid = p["grid"]
+    world = team(list(range(grid.places)))
+    rows = {pi: team(grid.row_places(pi)) for pi in range(grid.P)} if grid.Q > 1 else {}
+    cols = {pj: team(grid.col_places(pj)) for pj in range(grid.Q)} if grid.P > 1 else {}
+    return world, functools.partial(hpl_body, p=p, world=world, row_teams=rows, col_teams=cols)
+
+
+def swap_recv(ctx):
+    return None  # the row data lands in local storage; no compute
+
+
+def hpl_body(ctx, p: dict, world, row_teams: dict, col_teams: dict):
+    """A place's whole run: draw its block columns, then every step of the
+    factorization, leaving ``(blocks, columns, {step: swaps})`` in
+    ``ctx.store[("hpl", world)]`` (no blocks at most places of a big grid)."""
+    N, NB, grid = p["N"], p["NB"], p["grid"]
+    P, Q = grid.P, grid.Q
+    bscale, pscale, fscale = p["bscale"], p["pscale"], p["fscale"]
+    nblk = N // NB
+    here = ctx.here
+    pi, pj = grid.coords_of(here)
+    topology = ctx.rt.topology
+    rate = p["calibration"].dgemm_rate(topology.config, topology.crowd(here))
+    mem_bw = topology.config.place_stream_bandwidth
+    rteam, cteam = row_teams.get(pi), col_teams.get(pj)
+    # a row's width does not depend on the step
+    row_bytes = int(bscale * max(1, (N - NB) // Q) * 8)
+
+    # the block columns whose diagonal block is here, and their steps' swaps
+    blocks = [bj for bj in range(pi, nblk, P) if bj % Q == pj]
+    local, steps = np.empty((N, NB * len(blocks))), {}
+    for j, bj in enumerate(blocks):
+        local[:, j * NB : (j + 1) * NB] = matrix_columns(p["seed"], N, bj * NB, (bj + 1) * NB)
+    ctx.store[("hpl", world)] = (blocks, local, steps)
+
+    for k in range(nblk):
+        k0 = k * NB
+        rows_below = N - k0
+        # step k's panel lives in process column kq, its U block row in
+        # process row kp, and the diagonal block at their crossing
+        kp, kq = k % P, k % Q
+        diag = kp * Q + kq
+        panel_share = int(bscale * rows_below * NB * 8) // P  # one place's slice
+
+        # -- panel: recursive factorization at the diagonal owner, then the
+        #    panel, its swap plan and row moves down its process column -------
+        step = None
+        if pj == kq:
+            if here == diag:  # factor a copy of the panel; only here are its swaps kept
+                j = NB * blocks.index(k)
+                panel = np.array(local[k0:, j : j + NB], order="F")
+                swaps = steps[k] = factor_panel(panel, k0)
+                step = swap_plan(swaps, NB, P), row_moves(swaps), panel
+                yield ctx.compute(flops=pscale * NB * rows_below, flop_rate=rate)
+            if cteam is not None:
+                step = yield cteam.broadcast(ctx, step, root=diag, nbytes=panel_share)
+
+        # -- broadcast them along process rows (with Q = 1 every place is in
+        #    the panel's column and already holds them) -----------------------
+        if rteam is not None:
+            step = yield rteam.broadcast(ctx, step, root=pi * Q + kq, nbytes=panel_share)
+        plan, moves, panel = step
+
+        # -- apply row swaps: message exchange between owning process rows --
+        for partner in plan.get(pi, ()):
+            if partner is None:  # local swap: memory traffic only
+                yield ctx.compute(mem_bytes=2 * row_bytes, mem_bw=mem_bw)
+            else:
+                with ctx.finish(Pragma.FINISH_ASYNC) as f:
+                    ctx.at_async(partner * Q + pj, swap_recv, nbytes=row_bytes)
+                yield f.wait()
+
+        # -- U block row: triangular solves at the owning process row -------
+        if pi == kp:
+            u_blocks = owned_blocks_after(k, nblk, Q, pj)
+            if u_blocks:
+                yield ctx.compute(flops=pscale * u_blocks * NB**2, flop_rate=rate)
+
+        # -- broadcast U down the columns -----------------------------------
+        if cteam is not None:
+            u_share = int(bscale * max(1, (N - k0 - NB) // Q) * NB * 8)
+            yield cteam.broadcast(ctx, None, root=kp * Q + pj, nbytes=u_share)
+
+        # -- trailing rank-NB update (local DGEMMs) --------------------------
+        if blocks:
+            jk = NB * blocks.index(k) if k in blocks else None
+            apply_panel(local, k0, moves, panel, jk, NB * bisect.bisect_right(blocks, k))
+        my_rows = owned_blocks_after(k, nblk, P, pi)
+        my_cols = owned_blocks_after(k, nblk, Q, pj)
+        if my_rows and my_cols:
+            yield ctx.compute(
+                flops=fscale * 2.0 * NB**3 * my_rows * my_cols, flop_rate=rate
+            )
+    yield world.barrier(ctx)
+
+
+def _take(ctx, world) -> tuple:
+    return ctx.store.pop(("hpl", world))
+
+
+def check_factors(p: dict, stores) -> tuple:
+    """``(residual, checksum)`` of the factors assembled from the places'
+    stores, each let go once copied; the original is drawn again for the
+    residual rather than held through the run."""
+    N, NB = p["N"], p["NB"]
+    LU = np.empty((N, N))
+    steps: dict = {}
+    for blocks, local, mine in stores:
+        for j, bj in enumerate(blocks):
+            LU[:, bj * NB : (bj + 1) * NB] = local[:, j * NB : (j + 1) * NB]
+        steps.update(mine)
+    del local  # the last store's columns are not held through the check
+    swaps = [swap for k in sorted(steps) for swap in steps[k]]
+    residual = reconstruction_residual(matrix_columns(p["seed"], N, 0, N), LU, swaps)
+    return residual, checksum_bytes(hashlib.sha256(LU).digest(), repr(swaps).encode())
+
+
+def hpl_main(ctx, n: int, nb: int, seed: int):
+    """The portable program over every place; runs at place 0 and collects
+    the places' block columns after the broadcast."""
+    p = hpl_params(n, nb, seed, default_grid(ctx.n_places))
+    world, body = hpl_program(ctx.team, p)
+    yield from broadcast_spawn(ctx, PlaceGroup(world.members), body)
+    stores = yield from gather_at(ctx, world.members, _take, world)
+    residual, checksum = check_factors(p, stores)
+    return {"checksum": checksum, "residual": residual, "n": n}
 
 
 def run_hpl(
@@ -99,119 +260,10 @@ def run_hpl(
     grid = grid or default_grid(n_places)
     if grid.places != n_places:
         raise KernelError(f"grid {grid.P}x{grid.Q} does not match {n_places} places")
-    P, Q = grid.P, grid.Q
-    check_sizes(N, NB)
-    nblk = N // NB
-    s = 1.0 if modeled_N is None else modeled_N / N
-    fscale, bscale = s**3, s**2
-    pnb = NB if modeled_N is None else modeled_NB  # blocking-sensitive phases
-    pscale = pnb * s * s
-    if modeled_N is not None and nblk > 1:
-        # coarse blocking sums 2*NB^3*j^2 over j<nblk, which undercounts the
-        # continuous 2/3*N^3; rescale so the charged DGEMM total is exact
-        # charged = 2*NB^3 * sum(j^2) ; target = (2/3) * (nblk*NB)^3
-        fscale *= 2.0 * nblk**3 / ((nblk - 1) * nblk * (2 * nblk - 1))
-    A = _matrix(seed, N)
-    all_swaps: list = []
-
-    world = rt.team(list(pg))
-    row_teams = (
-        {pi: rt.team(grid.row_places(pi)) for pi in range(grid.P)}
-        if grid.Q > 1
-        else {}
-    )
-    col_teams = (
-        {pj: rt.team(grid.col_places(pj)) for pj in range(grid.Q)}
-        if grid.P > 1
-        else {}
-    )
-
-    def dgemm_rate_for(place: int) -> float:
-        return calibration.dgemm_rate(rt.config, rt.topology.crowd(place))
-
-    def step_math(k: int) -> dict:
-        """The actual numerics of step k, executed once by the diagonal owner;
-        returns the step's swap plan, which the panel broadcasts carry."""
-        k0 = k * NB
-        swaps = panel_factor(A, k0, NB)
-        update_u_row(A, k0, NB)
-        update_trailing(A, k0, NB)
-        all_swaps.extend(swaps)
-        return swap_plan(swaps, NB, P)
-
-    def swap_recv(ctx):
-        return None  # the row data lands in local storage; no compute
-
-    # a row's width does not depend on the step
-    row_bytes = int(bscale * max(1, (N - NB) // Q) * 8)
-
-    def body(ctx):
-        here = ctx.here
-        pi, pj = grid.coords_of(here)
-        rate = dgemm_rate_for(here)
-        rteam = row_teams.get(pi)
-        cteam = col_teams.get(pj)
-        mem_bw = rt.config.place_stream_bandwidth
-        for k in range(nblk):
-            k0 = k * NB
-            rows_below = N - k0
-            # step k's panel lives in process column kq, its U block row in
-            # process row kp, and the diagonal block at their crossing
-            kp, kq = k % P, k % Q
-            diag = kp * Q + kq
-            panel_share = int(bscale * rows_below * NB * 8) // P  # one place's slice
-
-            # -- panel: gather to the diagonal owner, recursive factorization,
-            #    pivot search over all rows below, redistribution of the
-            #    panel and its swap plan ---------------------------------------
-            plan = None
-            if pj == kq:
-                if here == diag:
-                    plan = step_math(k)
-                    yield ctx.compute(flops=pscale * NB * rows_below, flop_rate=rate)
-                if cteam is not None:
-                    plan = yield cteam.broadcast(ctx, plan, root=diag, nbytes=panel_share)
-
-            # -- broadcast panel + pivots along process rows (with Q = 1 every
-            #    place is in the panel's column and already holds the plan) ----
-            if rteam is not None:
-                plan = yield rteam.broadcast(ctx, plan, root=pi * Q + kq, nbytes=panel_share)
-
-            # -- apply row swaps: message exchange between owning process rows --
-            for partner in plan.get(pi, ()):
-                if partner is None:  # local swap: memory traffic only
-                    yield ctx.compute(mem_bytes=2 * row_bytes, mem_bw=mem_bw)
-                else:
-                    with ctx.finish(Pragma.FINISH_ASYNC) as f:
-                        ctx.at_async(partner * Q + pj, swap_recv, nbytes=row_bytes)
-                    yield f.wait()
-
-            # -- U block row: triangular solves at the owning process row -------
-            if pi == kp:
-                u_blocks = owned_blocks_after(k, nblk, Q, pj)
-                if u_blocks:
-                    yield ctx.compute(flops=pscale * u_blocks * NB**2, flop_rate=rate)
-
-            # -- broadcast U down the columns -----------------------------------
-            if cteam is not None:
-                u_share = int(bscale * max(1, (N - k0 - NB) // Q) * NB * 8)
-                yield cteam.broadcast(ctx, None, root=kp * Q + pj, nbytes=u_share)
-
-            # -- trailing rank-NB update (local DGEMMs) --------------------------
-            my_rows = owned_blocks_after(k, nblk, P, pi)
-            my_cols = owned_blocks_after(k, nblk, Q, pj)
-            if my_rows and my_cols:
-                yield ctx.compute(
-                    flops=fscale * 2.0 * NB**3 * my_rows * my_cols, flop_rate=rate
-                )
-        yield world.barrier(ctx)
-
-    def main(ctx):
-        yield from broadcast_spawn(ctx, pg, body)
-
-    rt.run(main)
-    # the original is drawn again rather than held as a copy through the run
-    residual = reconstruction_residual(_matrix(seed, N), A, all_swaps)
+    p = hpl_params(N, NB, seed, grid, modeled_N, modeled_NB, calibration)
+    world, body = hpl_program(rt.team, p)
+    rt.run(functools.partial(broadcast_spawn, group=pg, fn=body))
+    residual, checksum = check_factors(p, (rt.place(q).store.pop(("hpl", world)) for q in pg))
     n_eff = N if modeled_N is None else modeled_N
     flops = 2.0 / 3.0 * n_eff**3 + 2.0 * n_eff**2
     rate = flops / rt.now
@@ -223,5 +275,8 @@ def run_hpl(
         unit="flop/s",
         per_core=rate / n_places,
         verified=bool(residual < 1e-12),
-        extra={"residual": residual, "grid": (grid.P, grid.Q), "N": N, "NB": NB},
+        extra={
+            "residual": residual, "grid": (grid.P, grid.Q), "N": N, "NB": NB,
+            "checksum": checksum,
+        },
     )

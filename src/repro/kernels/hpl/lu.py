@@ -3,8 +3,9 @@
 The factorization is organized exactly like the distributed algorithm (panel
 factorization with pivoting over all rows below the diagonal, row swaps across
 the full matrix, triangular solve for the U block row, rank-NB trailing
-update); :mod:`repro.kernels.hpl.hpl` replays these steps on the simulated
-machine, charging each piece to its owning place.
+update); :mod:`repro.kernels.hpl.hpl` runs these steps with each block
+column at its owning place, and :func:`blocked_lu_inplace` runs them with
+every column at one, the tests' oracle.
 
 The host numerics are plain NumPy.  The panel is eliminated column by column
 and picks LAPACK getrf's pivots (the first row of largest magnitude; a zero
@@ -29,15 +30,17 @@ def check_sizes(n: int, nb: int) -> None:
         )
 
 
-def panel_factor(A: np.ndarray, k0: int, nb: int) -> list[tuple[int, int]]:
-    """Factor the panel ``A[k0:, k0:k0+nb]`` in place by right-looking
-    elimination with partial pivoting, swapping *whole* matrix rows (left of
-    the panel keeps the already-computed L; right of it is the trailing
-    matrix).  Returns the global swap list [(r1, r2), ...] in order."""
+def factor_panel(panel: np.ndarray, k0: int) -> list[tuple[int, int]]:
+    """Factor ``panel``, the rows ``k0`` and below of one block column, in
+    place by right-looking elimination with partial pivoting; returns the
+    pivot swaps as global row pairs [(r1, r2), ...] in order.  Only the
+    panel's rows are swapped; the rest of each row is the caller's (see
+    :func:`row_moves`)."""
     swaps = []
-    # eliminate in a transposed copy: a panel column is then one contiguous
-    # row, and the rank-1 updates stream along rows instead of striding
-    T = A[k0:, k0 : k0 + nb].T.copy()
+    # a panel column is a row of T, contiguous for a Fortran-ordered panel,
+    # so the rank-1 updates stream along rows instead of striding
+    T = panel.T
+    nb = T.shape[0]
     for c in range(nb):
         col = T[c, c:]
         i = c + int(np.abs(col).argmax())  # the first of the largest |a|
@@ -45,45 +48,49 @@ def panel_factor(A: np.ndarray, k0: int, nb: int) -> list[tuple[int, int]]:
         if pivot == 0.0:  # getrf: a zero column is neither swapped nor scaled
             continue
         if i != c:
-            r1, r2 = k0 + c, k0 + i
-            swaps.append((r1, r2))
-            row = A[r1].copy()  # its stale panel part is overwritten below
-            A[r1] = A[r2]
-            A[r2] = row
+            swaps.append((k0 + c, k0 + i))
             t = T[:, c].copy()
             T[:, c] = T[:, i]
             T[:, i] = t
         below = col[1:]
         below /= pivot
         T[c + 1 :, c + 1 :] -= np.multiply.outer(T[c + 1 :, c], below)
-    A[k0:, k0 : k0 + nb] = T.T
     return swaps
 
 
+def row_moves(swaps) -> tuple[np.ndarray, np.ndarray]:
+    """The swaps in order as one row move ``(dst, src)``: ``A[dst] = A[src]``
+    leaves every row of ``A`` where applying the swaps one by one would."""
+    perm: dict = {}
+    for r1, r2 in swaps:
+        perm[r1], perm[r2] = perm.get(r2, r2), perm.get(r1, r1)
+    moved = sorted(r for r, s in perm.items() if r != s)
+    return np.array(moved, dtype=np.intp), np.array([perm[r] for r in moved], dtype=np.intp)
+
+
 def solve_unit_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``X`` with ``tril(L, -1) + I`` times ``X`` equal to ``B`` (forward
-    substitution; the diagonal and upper triangle of ``L`` are not read)."""
-    X = np.array(B, dtype=np.float64)
+    """Overwrite ``B`` with ``X``, where ``tril(L, -1) + I`` times ``X`` equals
+    ``B`` (forward substitution in place; the diagonal and upper triangle of
+    ``L`` are not read); returns ``B``."""
     for i in range(1, L.shape[0]):
-        X[i] -= L[i, :i] @ X[:i]
-    return X
+        row = B[i : i + 1]  # ``B[i] -= L[i, :i] @ B[:i]``'s bits, at 3/5 of its call cost
+        np.subtract(row, np.dot(L[i, :i], B[:i]), out=row)
+    return B
 
 
-def update_u_row(A: np.ndarray, k0: int, nb: int) -> None:
-    """U block row: ``A[k0:k0+nb, k0+nb:] = L_kk^{-1} @ A[k0:k0+nb, k0+nb:]``."""
-    if k0 + nb >= A.shape[1]:
-        return
-    rhs = A[k0 : k0 + nb, k0 + nb :]
-    rhs[:, :] = solve_unit_lower(A[k0 : k0 + nb, k0 : k0 + nb], rhs)
-
-
-def update_trailing(A: np.ndarray, k0: int, nb: int) -> None:
-    """Rank-nb update: ``A[k0+nb:, k0+nb:] -= L_panel @ U_row``."""
-    if k0 + nb >= A.shape[0]:
-        return
-    L_panel = A[k0 + nb :, k0 : k0 + nb]
-    U_row = A[k0 : k0 + nb, k0 + nb :]
-    A[k0 + nb :, k0 + nb :] -= L_panel @ U_row
+def apply_panel(A: np.ndarray, k0: int, moves: tuple, panel: np.ndarray, jk, j0: int) -> None:
+    """Step ``k0``'s update of the columns ``A`` holds (all ``n`` rows of
+    each): the step's row ``moves`` in every column, the factored ``panel``
+    written to columns ``jk`` on (``None``: ``A`` holds none of it), then the
+    U block solve and the rank-nb update of columns ``j0`` on."""
+    nb = panel.shape[1]
+    dst, src = moves
+    A[dst] = A[src]
+    if jk is not None:
+        A[k0:, jk : jk + nb] = panel
+    if j0 < A.shape[1]:
+        U = solve_unit_lower(np.ascontiguousarray(panel[:nb]), A[k0 : k0 + nb, j0:])
+        A[k0 + nb :, j0:] -= panel[nb:] @ U
 
 
 def blocked_lu_inplace(A: np.ndarray, nb: int) -> list[tuple[int, int]]:
@@ -94,9 +101,11 @@ def blocked_lu_inplace(A: np.ndarray, nb: int) -> list[tuple[int, int]]:
     check_sizes(n, nb)
     swaps: list[tuple[int, int]] = []
     for k0 in range(0, n, nb):
-        swaps.extend(panel_factor(A, k0, nb))
-        update_u_row(A, k0, nb)
-        update_trailing(A, k0, nb)
+        # factor a copy of the panel, move the whole rows, write the panel back
+        panel = np.array(A[k0:, k0 : k0 + nb], order="F")
+        step = factor_panel(panel, k0)
+        apply_panel(A, k0, row_moves(step), panel, k0, k0 + nb)
+        swaps.extend(step)
     return swaps
 
 

@@ -8,11 +8,11 @@ discrete-event simulator (:class:`~repro.xrt.backend.SimBackend`) and on
 one-OS-process-per-place (:class:`~repro.xrt.backend.ProcsBackend`), and
 their results are deterministic bit-for-bit for a fixed (kernel, places,
 params) — the property the differential conformance suite
-(:mod:`repro.xrt.conformance`) is built on.  Stream, FFT, K-Means, BC and
-Smith-Waterman run their simulator kernel's own member body; RandomAccess,
-HPL (:mod:`.programs`) and UTS (:mod:`.uts_program`) keep a portable copy
-beside drivers that pass live objects (finish objects, closures, GLB
-fabric) no real wire can carry.
+(:mod:`repro.xrt.conformance`) is built on.  Stream, FFT, HPL, K-Means, BC
+and Smith-Waterman run their simulator kernel's own member body;
+RandomAccess (:mod:`.programs`) and UTS (:mod:`.uts_program`) keep a
+portable copy beside drivers that pass live objects (finish objects,
+closures, GLB fabric) no real wire can carry.
 
 ``build_program(kernel, places, **params)`` returns the ``main`` activity
 for any of the eight kernels; parameters default to small conformance-scale
@@ -28,9 +28,9 @@ from typing import Any, Callable
 from repro.errors import KernelError
 from repro.kernels.bc import bc as _bc
 from repro.kernels.fft import fft as _fft
-from repro.kernels.hpl.lu import check_sizes as _check_hpl_sizes
+from repro.kernels.hpl import hpl as _hpl
 from repro.kernels.kmeans import kmeans as _kmeans
-from repro.kernels.portable.programs import hpl_main, ra_check_sizes, ra_main, spmd
+from repro.kernels.portable.programs import ra_check_sizes, ra_main, spmd
 from repro.kernels.portable.uts_program import uts_main
 from repro.kernels.smithwaterman import sw as _sw
 from repro.kernels.stream import stream as _stream
@@ -40,7 +40,7 @@ _PROGRAMS: dict[str, tuple[Callable, dict]] = {
     "stream": (_stream.stream_main, {"n_per_place": 4096, "iterations": 4, "alpha": 3.0}),
     "randomaccess": (ra_main, {"log2_table": 12, "updates_per_place": 2048}),
     "fft": (_fft.fft_main, {"n1": 16, "n2": 16, "seed": 5}),
-    "hpl": (hpl_main, {"n": 64, "nb": 8, "seed": 7}),
+    "hpl": (_hpl.hpl_main, {"n": 64, "nb": 8, "seed": 7}),
     "uts": (uts_main, {"depth": 9, "b0": 4.0, "seed": 19, "rng_mode": "splitmix"}),
     "kmeans": (_kmeans.kmeans_main, _kmeans.PROGRAM_DEFAULTS),
     "smithwaterman": (_sw.sw_main, {"target_len": 512, "query_len": 32, "seed": 13}),
@@ -74,7 +74,7 @@ def program_params(kernel: str, params: dict) -> dict:
         )
     p.update(params)
     if kernel == "hpl":
-        _check_hpl_sizes(p["n"], p["nb"])
+        _hpl.check_sizes(p["n"], p["nb"])
     elif kernel == "fft":
         _fft.check_sizes(p["n1"], p["n2"])
     elif kernel == "randomaccess":

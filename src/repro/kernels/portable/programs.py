@@ -1,5 +1,5 @@
-"""Portable copies of RandomAccess and HPL (UTS has its own module,
-:mod:`repro.kernels.portable.uts_program`; Stream, FFT, K-Means, BC and
+"""The portable copy of RandomAccess (UTS has its own module,
+:mod:`repro.kernels.portable.uts_program`; Stream, FFT, HPL, K-Means, BC and
 Smith-Waterman are one program on both backends, beside their numeric cores).
 
 Every program here is *backend-blind*: it uses only the picklable ``ctx``
@@ -23,20 +23,11 @@ import numpy as np
 
 from repro.errors import KernelError
 from repro.harness.results import checksum_bytes
-from repro.kernels.hpl.lu import panel_factor, reconstruction_residual, solve_unit_lower
 from repro.runtime.finish.pragmas import Pragma
-from repro.sim.rng import RngStream
 
 #: nominal per-chunk compute charge for the simulator backend (the procs
 #: backend ignores it: there, the real CPU time is the real cost)
 _TICK = 1e-6
-
-
-def _digest(*arrays) -> bytes:
-    h = hashlib.sha256()
-    for arr in arrays:
-        h.update(np.ascontiguousarray(arr))  # hashed in place, no copy
-    return h.digest()
 
 
 def spmd(ctx, worker, params: dict, pragma: Pragma = Pragma.FINISH_SPMD):
@@ -105,7 +96,7 @@ def ra_worker(ctx, p: dict):
         index = val & mask
         index -= np.uint64(lo)
         np.bitwise_xor.at(table, index.view(np.int64), val)  # .at: duplicate slots all land
-    digests = yield from _gather(ctx, "ra", _digest(table))
+    digests = yield from _gather(ctx, "ra", hashlib.sha256(table).digest())
     if me == 0:
         ctx.store["portable:result"] = {
             "checksum": checksum_bytes(*(digests[place] for place in sorted(digests))),
@@ -118,63 +109,3 @@ def ra_main(ctx, **params):
     # the paper's pragma for RandomAccess: an irregular communication graph
     params["team"] = ctx.team(ctx.places())
     return (yield from spmd(ctx, ra_worker, params, pragma=Pragma.FINISH_DENSE))
-
-
-# -- HPL (block-cyclic right-looking LU) ----------------------------------------------
-
-
-def _hpl_matrix(seed: int, n: int) -> np.ndarray:
-    rng = RngStream(seed, "portable/hpl")
-    return rng.uniform(-0.5, 0.5, size=(n, n))
-
-
-def hpl_worker(ctx, p: dict):
-    me, P, team = ctx.here, ctx.n_places, p["team"]
-    n, nb = p["n"], p["nb"]
-    A = _hpl_matrix(p["seed"], n)
-    nblocks = n // nb
-    owned = [bk for bk in range(nblocks) if bk % P == me]
-    all_swaps = []
-    for bk in range(nblocks):
-        k0 = bk * nb
-        owner = bk % P
-        if me == owner:
-            yield ctx.compute(seconds=_TICK)
-            swaps = panel_factor(A, k0, nb)
-            payload = (swaps, A[k0:, k0 : k0 + nb].copy())
-        else:
-            payload = None
-        swaps, panel = yield team.broadcast(ctx, payload, root=owner)
-        all_swaps.extend(swaps)
-        if me != owner:
-            # replay the pivot swaps on this place's columns, then install
-            # the factored panel (its own columns of it were stale anyway)
-            for r1, r2 in swaps:
-                A[[r1, r2]] = A[[r2, r1]]
-            A[k0:, k0 : k0 + nb] = panel
-        L11 = A[k0 : k0 + nb, k0 : k0 + nb]
-        trailing = [bj for bj in owned if bj > bk]
-        if trailing:
-            yield ctx.compute(seconds=_TICK)
-        for bj in trailing:
-            c0, c1 = bj * nb, (bj + 1) * nb
-            A[k0 : k0 + nb, c0:c1] = solve_unit_lower(L11, A[k0 : k0 + nb, c0:c1])
-            A[k0 + nb :, c0:c1] -= A[k0 + nb :, k0 : k0 + nb] @ A[k0 : k0 + nb, c0:c1]
-    mine = {bk: A[:, bk * nb : (bk + 1) * nb] for bk in owned}
-    blocks = yield from _gather(ctx, "hpl", mine)
-    if me == 0:
-        LU = np.empty((n, n))
-        for place_blocks in blocks.values():
-            for bk, cols in place_blocks.items():
-                LU[:, bk * nb : (bk + 1) * nb] = cols
-        residual = reconstruction_residual(_hpl_matrix(p["seed"], n), LU, all_swaps)
-        ctx.store["portable:result"] = {
-            "checksum": checksum_bytes(_digest(LU), repr(all_swaps).encode()),
-            "residual": residual,
-            "n": n,
-        }
-
-
-def hpl_main(ctx, **params):
-    params["team"] = ctx.team(ctx.places())
-    return (yield from spmd(ctx, hpl_worker, params))

@@ -36,6 +36,13 @@ class RngStream:
         """Derive a sub-stream with a hierarchical name."""
         return RngStream(self.seed, f"{self.name}/{name}")
 
+    def skip(self, draws: int) -> "RngStream":
+        """Jump past the next ``draws`` 64-bit outputs (one per ``uniform``
+        double) without making them; returns the stream."""
+        self.generator.bit_generator.advance(draws // 4)  # one Philox counter step is four draws
+        self.generator.random(draws % 4)
+        return self
+
     # Thin pass-throughs for the draws the simulator uses most.
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):

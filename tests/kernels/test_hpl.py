@@ -1,5 +1,6 @@
 """Tests for HPL: grids, the LU core, and the distributed driver."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -15,8 +16,10 @@ from repro.kernels.hpl import (
     reconstruction_residual,
     run_hpl,
 )
-from repro.kernels.hpl.lu import panel_factor, solve_unit_lower
-from repro.sim.rng import RngStream
+from repro.harness.results import checksum_bytes
+from repro.kernels.hpl.hpl import matrix_columns
+from repro.kernels.hpl.lu import factor_panel, row_moves, solve_unit_lower
+from repro.xrt.backend import get_backend
 
 from tests.kernels.conftest import make_rt
 
@@ -133,7 +136,7 @@ def _assert_matches_lapack(A0: np.ndarray, nb: int) -> None:
 @pytest.mark.parametrize("seed", range(12))
 def test_pivots_match_lapack_on_the_benchmark_matrices(seed):
     """simulate("hpl", 256, N=640, seed=s) factors exactly this matrix."""
-    A0 = RngStream(seed, "hpl/matrix").uniform(-0.5, 0.5, size=(640, 640))
+    A0 = matrix_columns(seed, 640, 0, 640)
     _assert_matches_lapack(A0, 16)
 
 
@@ -146,9 +149,41 @@ def test_pivots_match_lapack(n, nb):
 
 
 def _factor_quietly(A: np.ndarray, k0: int, nb: int) -> list:
+    """One panel step of ``blocked_lu_inplace``: factor a copy of the panel,
+    move the whole rows, write the panel back."""
+    panel = np.array(A[k0:, k0 : k0 + nb], order="F")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a 0/0 or x/0 would raise here
-        return panel_factor(A, k0, nb)
+        swaps = factor_panel(panel, k0)
+    dst, src = row_moves(swaps)
+    A[dst] = A[src]
+    A[k0:, k0 : k0 + nb] = panel
+    return swaps
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_factor_panel_in_any_layout_equals_the_fortran_one(order):
+    """Elimination is elementwise, so the layout only changes the strides:
+    the same bits and swaps either way."""
+    A = np.random.default_rng(7).uniform(-0.5, 0.5, size=(40, 8))
+    want = np.array(A, order="F")
+    swaps = factor_panel(want, 16)
+    got = np.array(A, order=order)
+    assert factor_panel(got, 16) == swaps and swaps
+    assert all(r1 >= 16 and r2 >= 16 for r1, r2 in swaps)  # global row numbers
+    np.testing.assert_array_equal(got, want)
+
+
+def test_row_moves_apply_the_swaps_in_order():
+    swaps = [(0, 3), (1, 3), (2, 2), (3, 5), (4, 5)]
+    A = np.arange(6.0)[:, None] * np.ones((1, 3))
+    want = A.copy()
+    for r1, r2 in swaps:
+        want[[r1, r2]] = want[[r2, r1]]
+    dst, src = row_moves(swaps)
+    A[dst] = A[src]
+    np.testing.assert_array_equal(A, want)
+    assert list(dst) == sorted(set(dst)) and 2 not in dst  # moved rows only, once each
 
 
 def test_zero_panel_is_neither_swapped_nor_scaled():
@@ -191,6 +226,28 @@ def test_solve_unit_lower_matches_trsm(n):
 
 
 # -- the distributed kernel ----------------------------------------------------------
+
+
+# grids 1x1, 1x2, 1x3, 2x2, 2x3, 2x4 and 4x4
+@pytest.mark.parametrize("places", [1, 2, 3, 4, 6, 8, 16])
+def test_program_factors_equal_the_blocked_oracle(places):
+    """Block columns held at their diagonal owners, factored step by step,
+    assemble to ``blocked_lu_inplace``'s factors and swap list, bit for bit
+    (the checksum hashes both).  The oracle's matrix is in C order, as the
+    owners hold their columns: the BLAS rounds another layout otherwise."""
+    N, NB, seed = 96, 8, 3
+    A = np.ascontiguousarray(matrix_columns(seed, N, 0, N))
+    swaps = blocked_lu_inplace(A, NB)
+    want = checksum_bytes(hashlib.sha256(A).digest(), repr(swaps).encode())
+    assert simulate("hpl", places, N=N, NB=NB, seed=seed).extra["checksum"] == want
+
+
+@pytest.mark.parametrize("places", [1, 3, 4, 6])
+def test_simulate_and_the_program_report_one_checksum(places):
+    n, nb, seed = 64, 8, 7
+    sim = simulate("hpl", places, N=n, NB=nb, seed=seed)
+    program = get_backend("sim").run("hpl", places, n=n, nb=nb, seed=seed)
+    assert sim.extra["checksum"] == program.checksum == "8723182285b9df7c"
 
 
 @pytest.mark.parametrize("places", [1, 2, 4, 8])

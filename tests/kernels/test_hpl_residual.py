@@ -9,8 +9,8 @@ import pytest
 
 import repro.kernels.hpl.hpl as hpl_driver
 from repro.harness.runner import simulate
+from repro.kernels.hpl.hpl import matrix_columns
 from repro.kernels.hpl.lu import blocked_lu_inplace, reconstruction_residual
-from repro.sim.rng import RngStream
 
 from tests.kernels.hpl_residual_oracle import reconstruction_residual_full
 
@@ -68,21 +68,23 @@ def test_a_nan_anywhere_makes_the_residual_nan():
 # -- sim_hpl_256: simulate("hpl", 256, N=640, seed=s) --------------------------------
 #
 # residual and sim_time as float.hex(); the first 16 hex digits of the SHA-256
-# of repr(swap list) and of metrics.render().  Recorded before the residual
-# went blockwise and the driver stopped copying its matrix.
+# of repr(swap list) and of metrics.render().  Recorded when the matrix was
+# first drawn column by column, from a ``run_hpl`` that still factored one
+# whole matrix; the program that holds each block column at its owner
+# reproduces every value.
 _PINNED = {
-    0: ("0x1.90008baf91c39p-55", "0x1.33aad364f4e18p+12", "62745f0c1eaeff36", "f35c894cf01325f2"),
-    1: ("0x1.d6669a0bbbc51p-55", "0x1.33a725b58777ap+12", "e30099f5700c41b4", "39e908db0e0dcb1b"),
-    2: ("0x1.ccccd7acb6513p-55", "0x1.339fe13634b12p+12", "1c79b2305a956264", "caf6ecd98dadb35c"),
-    3: ("0x1.9000173fcff23p-55", "0x1.3398843553949p+12", "7f1f8262ca670a92", "d3efde2d5aa63fd5"),
-    4: ("0x1.4b3343929d70ep-54", "0x1.33a512faee335p+12", "bf8275e68d3662a3", "d1a4f0e249395c3b"),
-    5: ("0x1.799a53e0cb353p-55", "0x1.339c127e92a63p+12", "15aea875a20e3fcd", "13508f5a25c9f31e"),
-    6: ("0x1.a999e6c2b2d19p-55", "0x1.3398d52ec57c3p+12", "8da58d3e15530b5a", "a551d7e1709ca82c"),
-    7: ("0x1.8999a2685bd92p-55", "0x1.33a1fc48f38b0p+12", "7d69b1f2954cb5cd", "5e67e500d109fd94"),
-    8: ("0x1.833363db7c3e0p-55", "0x1.339a4911e5fcbp+12", "6a26073a7e6f7170", "ac937918af0846f4"),
-    9: ("0x1.7999a07d9d281p-55", "0x1.339f4b1edfab9p+12", "f428bfd69ef9011c", "b8b958894e24a896"),
-    10: ("0x1.83335a80fda9fp-55", "0x1.3398555c4915fp+12", "b2a75ed46473d755", "12cc1aabf2b88cc0"),
-    11: ("0x1.7ccd066918628p-55", "0x1.339a6647318c0p+12", "7ba0101677f7ca36", "4c5707302d410be5"),
+    0: ("0x1.f333e18724816p-55", "0x1.33ac928eb2b59p+12", "197069ea7776505c", "ce85508380893c7f"),
+    1: ("0x1.d00032f1738e2p-55", "0x1.339efb791fa17p+12", "2564f73380afa251", "cd57864dbc06a947"),
+    2: ("0x1.a3333d17c969ep-55", "0x1.33a3245edc658p+12", "78c313ff45585d2b", "c236c2415c7522d0"),
+    3: ("0x1.70001563aad49p-55", "0x1.33a070e40ba02p+12", "e99bb4863a1bd4a1", "c07285b9127e7a31"),
+    4: ("0x1.a000149094488p-55", "0x1.33a48d8ef643ep+12", "6ac0802ca5d92bc3", "8946b6be8bb46e16"),
+    5: ("0x1.b000d51d61f9ap-55", "0x1.3398fa370d13cp+12", "1518a4dbd8e06d5d", "1174d6575e555b0b"),
+    6: ("0x1.90004884f1349p-55", "0x1.339fc27a306cdp+12", "8b547e24f8d1995c", "c10a1d3fd1731bdb"),
+    7: ("0x1.e3333e033cb96p-55", "0x1.33a0fb846a20dp+12", "b7b169c7e19aa69b", "8d380e2c9c66a00b"),
+    8: ("0x1.033353c5b47e2p-54", "0x1.33968808c69fdp+12", "99c52806b4a07930", "e6c4c729ef81e565"),
+    9: ("0x1.080004d150969p-54", "0x1.3398d71f2ef17p+12", "5e5cd521c6b1a9df", "9f21073ec58919a0"),
+    10: ("0x1.a0002a3a30445p-55", "0x1.339843a20b38fp+12", "625b57a7c5a98907", "ec4af37326d7bdf4"),
+    11: ("0x1.accd0dac1fc2dp-55", "0x1.33a683d0d3558p+12", "926118239b567cea", "45ad502700d22782"),
 }
 
 
@@ -95,15 +97,19 @@ def test_benchmark_runs_keep_their_bits(seed, monkeypatch):
     """Each run's residual, time, swaps and metrics, and on the very factors
     the run produced, the blockwise residual equals the oracle's."""
     factored, swaps = [], []
-    panel_factor = hpl_driver.panel_factor
+    factor_panel, residual = hpl_driver.factor_panel, hpl_driver.reconstruction_residual
 
-    def recording_panel_factor(A, k0, nb):
-        factored[:] = [A]
-        step = panel_factor(A, k0, nb)
+    def recording_factor_panel(panel, k0):
+        step = factor_panel(panel, k0)
         swaps.extend(step)
         return step
 
-    monkeypatch.setattr(hpl_driver, "panel_factor", recording_panel_factor)
+    def recording_residual(A0, LU, run_swaps):
+        factored[:] = [LU, run_swaps]
+        return residual(A0, LU, run_swaps)
+
+    monkeypatch.setattr(hpl_driver, "factor_panel", recording_factor_panel)
+    monkeypatch.setattr(hpl_driver, "reconstruction_residual", recording_residual)
     r = simulate("hpl", 256, N=640, seed=seed)
     got = (
         r.extra["residual"].hex(),
@@ -112,5 +118,7 @@ def test_benchmark_runs_keep_their_bits(seed, monkeypatch):
         _digest(r.extra["metrics"].render()),
     )
     assert got == _PINNED[seed]
-    A0 = RngStream(seed, "hpl/matrix").uniform(-0.5, 0.5, size=(640, 640))
-    assert _assert_equals_oracle(A0, factored[0], swaps).hex() == _PINNED[seed][0]
+    LU, run_swaps = factored
+    assert run_swaps == swaps  # the assembled list is the steps' swaps in order
+    A0 = matrix_columns(seed, 640, 0, 640)
+    assert _assert_equals_oracle(A0, LU, swaps).hex() == _PINNED[seed][0]

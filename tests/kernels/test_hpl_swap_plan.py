@@ -33,7 +33,7 @@ def walk_oracle(swaps: list, nb: int, P: int) -> dict:
 
 
 def _random_swaps(rng: random.Random, n: int, count: int) -> list:
-    """Pivot swaps as ``panel_factor`` makes them: row ``r1`` with a row at
+    """Pivot swaps as ``factor_panel`` makes them: row ``r1`` with a row at
     or below it, the row itself included (a same-row swap)."""
     swaps = []
     for _ in range(count):

@@ -44,10 +44,11 @@ _AT = {
 #: the other, the shape that once livelocked over the last piece; kmeans, bc,
 #: smithwaterman and stream at 3: an uneven spawning tree and an uneven
 #: broadcast tree; fft and randomaccess at 3: an uneven split of the rows or
-#: of the table
+#: of the table; hpl at 3 (a 1x3 grid: every row swap is local) and at 6 (a
+#: 2x3 grid: P != Q)
 _ROWS = [(kernel, PLACES) for kernel in PORTABLE_KERNELS] + [
     ("uts", 2), ("kmeans", 3), ("bc", 3), ("smithwaterman", 3), ("stream", 3), ("fft", 3),
-    ("randomaccess", 3),
+    ("randomaccess", 3), ("hpl", 3), ("hpl", 6),
 ]
 
 
