@@ -12,8 +12,8 @@ import pytest
 from repro.glb import GlbConfig
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.harness.reporting import render_table
-from repro.harness.runner import make_runtime
-from repro.kernels.bc import run_bc, run_bc_glb
+from repro.harness.runner import make_runtime, simulate
+from repro.kernels.bc import run_bc_glb
 
 from benchmarks._util import run_once
 
@@ -27,8 +27,9 @@ DILATED = dataclasses.replace(
 
 def bench_bc_static_vs_glb(benchmark):
     def run_both():
-        rt_static = make_runtime(PLACES)
-        static = run_bc(rt_static, scale=SCALE, seed=2, calibration=DILATED)
+        static = simulate(
+            "bc", PLACES, scale=SCALE, seed=2, modeled_scale=None, calibration=DILATED
+        )
         rt_glb = make_runtime(PLACES)
         dynamic = run_bc_glb(
             rt_glb, scale=SCALE, seed=2,

@@ -9,13 +9,8 @@ Run:  python examples/kmeans_clustering.py
 
 import numpy as np
 
-from repro.harness.runner import make_runtime
-from repro.kernels.kmeans import (
-    generate_points,
-    initial_centroids,
-    kmeans_reference,
-    run_kmeans,
-)
+from repro.harness.runner import simulate
+from repro.kernels.kmeans import generate_points, initial_centroids, kmeans_reference
 
 PLACES = 32
 POINTS_PER_PLACE = 500
@@ -26,9 +21,9 @@ SEED = 42
 
 
 def main() -> None:
-    rt = make_runtime(PLACES)
-    result = run_kmeans(
-        rt,
+    result = simulate(
+        "kmeans",
+        PLACES,
         points_per_place=POINTS_PER_PLACE,
         k=K,
         dim=DIM,

@@ -163,10 +163,10 @@ def check_kernel(kernel: str, places: int = 4, index: Optional[_SiteIndex] = Non
 
 def check_agreement(kernels: Optional[list] = None, places: int = 4) -> list:
     """Agreement records for every shipped kernel (the acceptance check)."""
-    from repro.harness.runner import KERNELS
+    from repro.harness.runner import PORTABLE_KERNELS
 
     index = _SiteIndex()
     out: list[AgreementRecord] = []
-    for kernel in kernels if kernels is not None else list(KERNELS):
+    for kernel in kernels if kernels is not None else list(PORTABLE_KERNELS):
         out.extend(check_kernel(kernel, places=places, index=index))
     return out

@@ -110,10 +110,10 @@ def _kernels_dir() -> str:
 def check_race_agreement(kernels=None, fixtures=None, places: int = 4) -> list:
     """Agreement records for the shipped kernels plus any fixture scripts —
     the acceptance gate of the race-detection tentpole."""
-    from repro.harness.runner import KERNELS
+    from repro.harness.runner import PORTABLE_KERNELS
 
     out: list[RaceAgreement] = []
-    for kernel in kernels if kernels is not None else list(KERNELS):
+    for kernel in kernels if kernels is not None else list(PORTABLE_KERNELS):
         out.append(check_kernel(kernel, places=places))
     for path in fixtures or ():
         out.append(check_script(path))

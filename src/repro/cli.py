@@ -29,7 +29,7 @@ from repro.errors import (
 )
 from repro.harness.figures import figure1_panel, render_panel
 from repro.harness.reporting import si
-from repro.harness.runner import KERNELS, simulate
+from repro.harness.runner import PORTABLE_KERNELS, simulate
 from repro.harness.tables import render_table1, render_table2, table1, table2
 from repro.obs import audit_trace
 from repro.resilient import RESILIENT_KERNELS
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="simulate one kernel at one scale")
-    run.add_argument("kernel", choices=KERNELS)
+    run.add_argument("kernel", choices=PORTABLE_KERNELS)
     run.add_argument("--places", type=int, default=32)
     run.add_argument(
         "--stats", action="store_true", help="print the metrics snapshot after the result"
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential conformance: run one portable kernel on the simulator "
         "and on real processes, and require identical results",
     )
-    conform.add_argument("kernel", choices=KERNELS)
+    conform.add_argument("kernel", choices=PORTABLE_KERNELS)
     conform.add_argument("--places", type=int, default=4)
     conform.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trace = sub.add_parser("trace", help="run one kernel with event tracing and audit the trace")
-    trace.add_argument("kernel", choices=KERNELS)
+    trace.add_argument("kernel", choices=PORTABLE_KERNELS)
     trace.add_argument("--places", type=int, default=32)
     trace.add_argument("--chaos", default=None, metavar="SPEC", help=chaos_help)
     trace.add_argument("--resilient", action="store_true", help=resilient_help)
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fig = sub.add_parser("figure", help="regenerate one Figure 1 panel")
-    fig.add_argument("kernel", choices=KERNELS)
+    fig.add_argument("kernel", choices=PORTABLE_KERNELS)
     fig.add_argument("--no-sim", action="store_true", help="model rows only (fast)")
 
     sub.add_parser("tables", help="regenerate Tables 1 and 2")
@@ -186,7 +186,7 @@ def main(argv=None, out=sys.stdout) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "kernels":
-        for k in KERNELS:
+        for k in PORTABLE_KERNELS:
             print(k, file=out)
         return 0
 
@@ -536,7 +536,7 @@ def _cmd_race(args, out) -> int:
                 for race in det.races
             ]
             label = target
-        elif target in KERNELS:
+        elif target in PORTABLE_KERNELS:
             label = f"{target}@{args.places}"
             try:
                 if args.full_sim:

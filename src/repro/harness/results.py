@@ -35,6 +35,17 @@ class KernelResult:
     verified: Optional[bool] = None
     extra: dict = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, kernel: str, result: dict, places: int, sim_time: float, value: float,
+           unit: str, per_core: Optional[float] = None, verified: Optional[bool] = None,
+           **extra) -> "KernelResult":
+        """A program ``result``'s report: its checksum and (unless given) its
+        ``verified``; ``per_core`` defaults to the value per place."""
+        return cls(kernel, places, sim_time, value, unit,
+                   value / places if per_core is None else per_core,
+                   result.get("verified") if verified is None else verified,
+                   {**extra, "checksum": result["checksum"]})
+
 
 @dataclass
 class ScalingSeries:

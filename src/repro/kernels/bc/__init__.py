@@ -2,7 +2,7 @@
 
 from repro.kernels.bc.rmat import Graph, rmat_graph
 from repro.kernels.bc.brandes import brandes_betweenness, single_source_dependencies
-from repro.kernels.bc.bc import run_bc
+from repro.kernels.bc.bc import bc_main
 from repro.kernels.bc.bc_glb import BcBag, run_bc_glb
 
 __all__ = [
@@ -11,6 +11,6 @@ __all__ = [
     "rmat_graph",
     "brandes_betweenness",
     "single_source_dependencies",
-    "run_bc",
+    "bc_main",
     "run_bc_glb",
 ]

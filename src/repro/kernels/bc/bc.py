@@ -8,13 +8,12 @@ reduction combines them.  Randomizing the partition mitigates the variable
 per-vertex cost, but only to a degree: the smaller the parts, the higher the
 imbalance, which is the paper's explanation for BC's 45% efficiency at scale.
 
-One program on every backend: :func:`bc_main` (``build_program``) and the
-simulator's :func:`run_bc` both run :func:`bc_body` at every member.
+One entry point, :func:`bc_main`, runs :func:`bc_body` at every member.
 """
 
 from __future__ import annotations
 
-import functools
+import hashlib
 from typing import Optional
 
 import numpy as np
@@ -24,8 +23,7 @@ from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.harness.results import KernelResult, checksum_bytes
 from repro.kernels.bc.brandes import brandes_betweenness
 from repro.kernels.bc.rmat import rmat_graph
-from repro.runtime.broadcast import PlaceGroup, broadcast_spawn
-from repro.runtime.runtime import ApgasRuntime
+from repro.runtime.broadcast import broadcast_gather
 from repro.sim.rng import RngStream
 
 #: the program's parameters and defaults (a small conformance-scale graph);
@@ -36,9 +34,11 @@ PROGRAM_DEFAULTS = {
 }
 
 
-def bc_body(ctx, p: dict, team) -> None:
+def bc_body(ctx, p: dict, team):
     """A member's share: the sources of its slice of a random vertex
-    permutation, then the allreduce of the partial centralities."""
+    permutation, then the allreduce of the partial centralities; returns
+    ``(centrality, work, m)``, the centrality only at rank 0, elsewhere its
+    digest."""
     graph = rmat_graph(p["scale"], p["edge_factor"], p["seed"])
     # random vertex partition, identical at every place
     perm = RngStream(p["seed"], "bc/partition").permutation(graph.n)
@@ -53,55 +53,38 @@ def bc_body(ctx, p: dict, team) -> None:
     yield ctx.compute(seconds=work / p["calibration"].bc_edges_per_sec)
     total = yield team.allreduce(ctx, local)
     # undirected: each pair counted twice
-    ctx.store[("bc", team)] = (total / 2.0, work, graph.m)
+    centrality = total / 2.0
+    if team.rank(ctx.here) > 0:
+        centrality = hashlib.sha256(centrality).digest()
+    return centrality, work, graph.m
 
 
-def bc_main(ctx, **p):
-    """The portable program over every place; runs at place 0 (member 0)."""
-    team = ctx.team(ctx.places())
-    body = functools.partial(bc_body, p=p, team=team)
-    yield from broadcast_spawn(ctx, PlaceGroup(team.members), body)
-    centrality, _work, m = ctx.store.pop(("bc", team))
-    return {
-        "checksum": checksum_bytes(np.ascontiguousarray(centrality)),
-        "centrality": centrality,
-        "n": len(centrality),
-        "m": m,
-    }
-
-
-def run_bc(
-    rt: ApgasRuntime,
-    scale: int,
-    edge_factor: int = 8,
-    seed: int = 0,
-    modeled_scale: Optional[int] = None,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-) -> KernelResult:
-    """BC on a replicated R-MAT graph, vertices randomly partitioned.
-
-    ``modeled_scale`` charges compute for a larger graph than the one
-    actually traversed (the at-scale benchmarks model the paper's 2^18/2^20
-    graphs); the math always runs on the real ``scale`` graph.
-    """
-    if scale < 2:
+def bc_main(ctx, group=None, **p):
+    """BC on a replicated R-MAT graph, vertices randomly partitioned over
+    ``group`` (default: every place), run at place 0, a member or not;
+    ``modeled_scale`` charges compute for a larger graph than the real one."""
+    if p["scale"] < 2:
         raise KernelError("scale must be at least 2")
-    p = {"scale": scale, "edge_factor": edge_factor, "seed": seed,
-         "modeled_scale": modeled_scale, "calibration": calibration}
-    group = PlaceGroup.world(rt)
-    team = rt.team(group)
-    body = functools.partial(bc_body, p=p, team=team)
-    rt.run(functools.partial(broadcast_spawn, group=group, fn=body))
-    shares = [rt.place(place).store.pop(("bc", team)) for place in group]
+    team = ctx.team(group or ctx.places())
+    shares = yield from broadcast_gather(ctx, team, bc_body, p, team)
     centrality, _work, m = shares[0]
-    edges_per_sec = sum(share[1] for share in shares) / rt.now
-    return KernelResult(
-        kernel="bc",
-        places=len(group),
-        sim_time=rt.now,
-        value=edges_per_sec,
-        unit="edges/s",
-        per_core=edges_per_sec / len(group),
-        verified=all(np.array_equal(share[0], centrality) for share in shares),
-        extra={"centrality": centrality, "graph_n": len(centrality), "graph_m": m},
-    )
+    digest = hashlib.sha256(centrality).digest()
+    return {"checksum": checksum_bytes(np.ascontiguousarray(centrality)),
+            "centrality": centrality, "n": len(centrality), "m": m,
+            "work": sum(share[1] for share in shares),
+            "verified": all(share[0] == digest for share in shares[1:])}
+
+
+def bc_modelled(places: int, config, scale: int = 10, edge_factor: int = 8, seed: int = 0,
+                modeled_scale: Optional[int] = 18, calibration: Calibration = DEFAULT_CALIBRATION) -> dict:
+    """``simulate``'s keywords: a 2^10-vertex graph charged as the paper's
+    2^18 by default."""
+    return {"scale": scale, "edge_factor": edge_factor, "seed": seed,
+            "modeled_scale": modeled_scale, "calibration": calibration}
+
+
+def bc_report(result: dict, params: dict, places: int, sim_time: float) -> KernelResult:
+    """BC in traversed edges per second."""
+    return KernelResult.of("bc", result, places, sim_time, result["work"] / sim_time,
+                           "edges/s", centrality=result["centrality"],
+                           graph_n=result["n"], graph_m=result["m"])

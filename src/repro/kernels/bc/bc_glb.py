@@ -76,7 +76,8 @@ def run_bc_glb(
     calibration: Calibration = DEFAULT_CALIBRATION,
     group: Optional[PlaceGroup] = None,
 ) -> KernelResult:
-    """Dynamically balanced BC; the result is identical to :func:`run_bc`."""
+    """Dynamically balanced BC; the result is identical to the static
+    :func:`~repro.kernels.bc.bc.bc_main`'s."""
     if scale < 2:
         raise KernelError("scale must be at least 2")
     graph = rmat_graph(scale, edge_factor, seed)

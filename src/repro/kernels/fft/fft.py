@@ -13,14 +13,13 @@ Index algebra (N = n1*n2, input index k = k1*n2 + k2, output j = j2*n1 + j1)::
 so the pipeline is: transpose (n1 x n2 -> n2 x n1), row FFTs of length n1,
 twiddle by w_N^{j1 k2}, transpose, row FFTs of length n2, transpose.
 
-One program on every backend: :func:`fft_main` (``build_program``) and
-:func:`run_fft` run :func:`fft_body` at every member; member ``q`` of ``P``
-holds rows ``n*q//P`` up to ``n*(q+1)//P`` of each ``n``-row matrix.
+One entry point, :func:`fft_main`, runs :func:`fft_body` at every member;
+member ``q`` of ``P`` holds rows ``n*q//P`` up to ``n*(q+1)//P`` of each
+``n``-row matrix.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Optional
 
@@ -29,8 +28,7 @@ import numpy as np
 from repro.errors import KernelError
 from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.harness.results import KernelResult, checksum_bytes
-from repro.runtime.broadcast import PlaceGroup, broadcast_spawn, gather_at
-from repro.runtime.runtime import ApgasRuntime
+from repro.runtime.broadcast import broadcast_gather
 from repro.sim.rng import RngStream
 
 
@@ -121,8 +119,8 @@ def twiddle(local: np.ndarray, k2_start: int, n1: int, n2: int) -> np.ndarray:
 
 
 def fft_body(ctx, p: dict, team):
-    """A member's whole run, from its input rows to its rows of the spectrum
-    in ``ctx.store[("fft", team)]``."""
+    """A member's whole run, from its input rows to its rows of the spectrum,
+    which it returns."""
     rank, n1, n2 = team.rank(ctx.here), p["n1"], p["n2"]
     cuts1, cuts2 = _cuts(n1, team.size), _cuts(n2, team.size)
     wire = p["wire_per_pair"]
@@ -140,59 +138,41 @@ def fft_body(ctx, p: dict, team):
     local = np.fft.fft(local, axis=1)
     yield ctx.compute(flops=p["flops"], flop_rate=p["flop_rate"])
     # phase 6: final global transpose into natural output order
-    ctx.store[("fft", team)] = yield from _transpose(ctx, team, local, n1, cuts2, wire)
+    return (yield from _transpose(ctx, team, local, n1, cuts2, wire))
 
 
-def _rows(ctx, team) -> np.ndarray:
-    return ctx.store.pop(("fft", team))
-
-
-def fft_main(ctx, n1: int, n2: int, seed: int):
-    """The portable program over every place; runs at place 0 (member 0) and
-    collects the members' rows of the spectrum after the broadcast."""
-    team = ctx.team(ctx.places())
-    p = fft_params(n1, n2, seed, team.size)
-    body = functools.partial(fft_body, p=p, team=team)
-    yield from broadcast_spawn(ctx, PlaceGroup(team.members), body)
-    spectrum = np.concatenate((yield from gather_at(ctx, team.members, _rows, team))).reshape(-1)
+def fft_main(ctx, group=None, *, n1: int, n2: int, seed: int,
+             modeled_elements_per_place: Optional[int] = None,
+             calibration: Calibration = DEFAULT_CALIBRATION):
+    """1D FFT of the (n1, n2) problem over ``group`` (default: every
+    place), run at place 0, a member or not, which collects the members'
+    rows of the spectrum; ``modeled_elements_per_place`` charges compute and
+    wire time for a paper-scale problem instead (2 GB/place)."""
+    team = ctx.team(group or ctx.places())
+    p = fft_params(n1, n2, seed, team.size, modeled_elements_per_place, calibration)
+    spectrum = np.concatenate((yield from broadcast_gather(ctx, team, fft_body, p, team))).reshape(-1)
     return {"checksum": checksum_bytes(spectrum), "n": n1 * n2, "spectrum": spectrum}
 
 
-def run_fft(
-    rt: ApgasRuntime,
-    n1: int,
-    n2: int,
-    seed: int = 0,
-    modeled_elements_per_place: Optional[int] = None,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-) -> KernelResult:
-    """Distributed 1D FFT of N = n1*n2 complex values over every place.
+def fft_modelled(places: int, config, n1: Optional[int] = None, n2: Optional[int] = None,
+                 seed: int = 0, modeled_elements_per_place: int = 1 << 27,
+                 calibration: Calibration = DEFAULT_CALIBRATION) -> dict:
+    """``simulate``'s keywords: an ``8P x 8P`` transform by default, charged
+    for 2 GB of complex values a place."""
+    return {"n1": 8 * places if n1 is None else n1, "n2": 8 * places if n2 is None else n2,
+            "seed": seed, "modeled_elements_per_place": modeled_elements_per_place,
+            "calibration": calibration}
 
-    The real math runs on the (n1, n2) problem, at any place count;
-    ``modeled_elements_per_place`` charges compute and wire time for the
-    paper-scale problem instead (2 GB/place).
-    """
-    group = PlaceGroup.world(rt)
-    p = len(group)
-    params = fft_params(n1, n2, seed, p, modeled_elements_per_place, calibration)
-    team = rt.team(list(group))
-    body = functools.partial(fft_body, p=params, team=team)
-    rt.run(functools.partial(broadcast_spawn, group=group, fn=body))
-    result = np.concatenate([rt.place(q).store.pop(("fft", team)) for q in group]).reshape(-1)
-    expected = np.fft.fft(fft_input(seed, n1, n2).reshape(-1))
-    err, magnitude = np.abs(result - expected), np.abs(expected)
+
+def fft_report(result: dict, params: dict, places: int, sim_time: float) -> KernelResult:
+    """Global FFT in flop/s, verified against ``np.fft.fft`` of the whole
+    input (a host-side check, kept out of the program for its cost)."""
+    n1, n2 = params["n1"], params["n2"]
+    spectrum = result["spectrum"]
+    expected = np.fft.fft(fft_input(params["seed"], n1, n2).reshape(-1))
+    err, magnitude = np.abs(spectrum - expected), np.abs(expected)
     verified = within_allclose(err, magnitude, atol=1e-6 * max(1, magnitude.max()))
-    rate = params["total_flops"] / rt.now
-    return KernelResult(
-        kernel="fft",
-        places=p,
-        sim_time=rt.now,
-        value=rate,
-        unit="flop/s",
-        per_core=rate / p,
-        verified=verified,
-        extra={
-            "n1": n1, "n2": n2, "max_err": float(err.max()),
-            "checksum": checksum_bytes(result),
-        },
-    )
+    total = fft_params(n1, n2, params["seed"], places, params["modeled_elements_per_place"],
+                       params["calibration"])["total_flops"]
+    return KernelResult.of("fft", result, places, sim_time, total / sim_time, "flop/s",
+                           verified=verified, n1=n1, n2=n2, max_err=float(err.max()))

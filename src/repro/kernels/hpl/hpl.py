@@ -9,8 +9,8 @@ swaps ("a row swap is a simple message exchange").  Like the paper's
 implementation — and unlike the reference HPL — there is no configurable
 look-ahead: phases alternate synchronously.
 
-One program on every backend: :func:`hpl_main` (``build_program``) and
-:func:`run_hpl` run :func:`hpl_body` at every place.  Every message,
+One entry point, :func:`hpl_main`, runs :func:`hpl_body` at every member,
+process-grid rank ``r`` at the ``r``-th member.  Every message,
 collective and compute charge is the paper's algorithm on the simulated
 machine; the host numerics (:mod:`repro.kernels.hpl.lu`) ride those messages.
 Block column ``bj`` (all ``N`` rows) lives at its diagonal owner
@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
-from typing import Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -39,9 +39,8 @@ from repro.kernels.hpl.lu import (
     reconstruction_residual,
     row_moves,
 )
-from repro.runtime import PlaceGroup, Pragma, broadcast_spawn
-from repro.runtime.broadcast import gather_at
-from repro.runtime.runtime import ApgasRuntime
+from repro.runtime import Pragma
+from repro.runtime.broadcast import broadcast_gather
 from repro.sim.rng import RngStream
 
 
@@ -83,7 +82,7 @@ def owned_blocks_after(k: int, nblk: int, mod: int, mine: int) -> int:
 def hpl_params(N: int, NB: int, seed: int, grid: ProcessGrid, modeled_N: Optional[int] = None,
                modeled_NB: int = 360, calibration: Calibration = DEFAULT_CALIBRATION) -> dict:
     """The body's parameters: the real N x N problem on ``grid``, and the
-    compute and wire scales of the modelled one (see :func:`run_hpl`)."""
+    compute and wire scales of the modelled one (see :func:`hpl_main`)."""
     check_sizes(N, NB)
     nblk = N // NB
     s = 1.0 if modeled_N is None else modeled_N / N
@@ -100,32 +99,23 @@ def hpl_params(N: int, NB: int, seed: int, grid: ProcessGrid, modeled_N: Optiona
     }
 
 
-def hpl_program(team: Callable, p: dict) -> tuple:
-    """``(world, body)``: the run's teams, made by ``rt.team`` or ``ctx.team``
-    at the root, bound into the member body."""
-    grid = p["grid"]
-    world = team(list(range(grid.places)))
-    rows = {pi: team(grid.row_places(pi)) for pi in range(grid.P)} if grid.Q > 1 else {}
-    cols = {pj: team(grid.col_places(pj)) for pj in range(grid.Q)} if grid.P > 1 else {}
-    return world, functools.partial(hpl_body, p=p, world=world, row_teams=rows, col_teams=cols)
-
-
 def swap_recv(ctx):
     return None  # the row data lands in local storage; no compute
 
 
 def hpl_body(ctx, p: dict, world, row_teams: dict, col_teams: dict):
     """A place's whole run: draw its block columns, then every step of the
-    factorization, leaving ``(blocks, columns, {step: swaps})`` in
-    ``ctx.store[("hpl", world)]`` (no blocks at most places of a big grid)."""
+    factorization; returns ``(blocks, columns, {step: swaps})`` (no blocks
+    at most places of a big grid)."""
     N, NB, grid = p["N"], p["NB"], p["grid"]
     P, Q = grid.P, grid.Q
     bscale, pscale, fscale = p["bscale"], p["pscale"], p["fscale"]
     nblk = N // NB
-    here = ctx.here
-    pi, pj = grid.coords_of(here)
+    at = world.members  # grid rank -> place
+    rank = world.rank(ctx.here)
+    pi, pj = grid.coords_of(rank)
     topology = ctx.rt.topology
-    rate = p["calibration"].dgemm_rate(topology.config, topology.crowd(here))
+    rate = p["calibration"].dgemm_rate(topology.config, topology.crowd(ctx.here))
     mem_bw = topology.config.place_stream_bandwidth
     rteam, cteam = row_teams.get(pi), col_teams.get(pj)
     # a row's width does not depend on the step
@@ -136,7 +126,6 @@ def hpl_body(ctx, p: dict, world, row_teams: dict, col_teams: dict):
     local, steps = np.empty((N, NB * len(blocks))), {}
     for j, bj in enumerate(blocks):
         local[:, j * NB : (j + 1) * NB] = matrix_columns(p["seed"], N, bj * NB, (bj + 1) * NB)
-    ctx.store[("hpl", world)] = (blocks, local, steps)
 
     for k in range(nblk):
         k0 = k * NB
@@ -151,19 +140,19 @@ def hpl_body(ctx, p: dict, world, row_teams: dict, col_teams: dict):
         #    panel, its swap plan and row moves down its process column -------
         step = None
         if pj == kq:
-            if here == diag:  # factor a copy of the panel; only here are its swaps kept
+            if rank == diag:  # factor a copy of the panel; only here are its swaps kept
                 j = NB * blocks.index(k)
                 panel = np.array(local[k0:, j : j + NB], order="F")
                 swaps = steps[k] = factor_panel(panel, k0)
                 step = swap_plan(swaps, NB, P), row_moves(swaps), panel
                 yield ctx.compute(flops=pscale * NB * rows_below, flop_rate=rate)
             if cteam is not None:
-                step = yield cteam.broadcast(ctx, step, root=diag, nbytes=panel_share)
+                step = yield cteam.broadcast(ctx, step, root=at[diag], nbytes=panel_share)
 
         # -- broadcast them along process rows (with Q = 1 every place is in
         #    the panel's column and already holds them) -----------------------
         if rteam is not None:
-            step = yield rteam.broadcast(ctx, step, root=pi * Q + kq, nbytes=panel_share)
+            step = yield rteam.broadcast(ctx, step, root=at[pi * Q + kq], nbytes=panel_share)
         plan, moves, panel = step
 
         # -- apply row swaps: message exchange between owning process rows --
@@ -172,7 +161,7 @@ def hpl_body(ctx, p: dict, world, row_teams: dict, col_teams: dict):
                 yield ctx.compute(mem_bytes=2 * row_bytes, mem_bw=mem_bw)
             else:
                 with ctx.finish(Pragma.FINISH_ASYNC) as f:
-                    ctx.at_async(partner * Q + pj, swap_recv, nbytes=row_bytes)
+                    ctx.at_async(at[partner * Q + pj], swap_recv, nbytes=row_bytes)
                 yield f.wait()
 
         # -- U block row: triangular solves at the owning process row -------
@@ -184,7 +173,7 @@ def hpl_body(ctx, p: dict, world, row_teams: dict, col_teams: dict):
         # -- broadcast U down the columns -----------------------------------
         if cteam is not None:
             u_share = int(bscale * max(1, (N - k0 - NB) // Q) * NB * 8)
-            yield cteam.broadcast(ctx, None, root=kp * Q + pj, nbytes=u_share)
+            yield cteam.broadcast(ctx, None, root=at[kp * Q + pj], nbytes=u_share)
 
         # -- trailing rank-NB update (local DGEMMs) --------------------------
         if blocks:
@@ -197,20 +186,18 @@ def hpl_body(ctx, p: dict, world, row_teams: dict, col_teams: dict):
                 flops=fscale * 2.0 * NB**3 * my_rows * my_cols, flop_rate=rate
             )
     yield world.barrier(ctx)
+    return blocks, local, steps
 
 
-def _take(ctx, world) -> tuple:
-    return ctx.store.pop(("hpl", world))
-
-
-def check_factors(p: dict, stores) -> tuple:
-    """``(residual, checksum)`` of the factors assembled from the places'
-    stores, each let go once copied; the original is drawn again for the
-    residual rather than held through the run."""
+def check_factors(p: dict, stores: list) -> tuple:
+    """``(residual, checksum)`` of the factors assembled from the members'
+    returns, emptying ``stores`` so each is let go once copied; the original
+    is drawn again for the residual rather than held through the run."""
     N, NB = p["N"], p["NB"]
     LU = np.empty((N, N))
     steps: dict = {}
-    for blocks, local, mine in stores:
+    while stores:
+        blocks, local, mine = stores.pop()
         for j, bj in enumerate(blocks):
             LU[:, bj * NB : (bj + 1) * NB] = local[:, j * NB : (j + 1) * NB]
         steps.update(mine)
@@ -220,63 +207,60 @@ def check_factors(p: dict, stores) -> tuple:
     return residual, checksum_bytes(hashlib.sha256(LU).digest(), repr(swaps).encode())
 
 
-def hpl_main(ctx, n: int, nb: int, seed: int):
-    """The portable program over every place; runs at place 0 and collects
-    the places' block columns after the broadcast."""
-    p = hpl_params(n, nb, seed, default_grid(ctx.n_places))
-    world, body = hpl_program(ctx.team, p)
-    yield from broadcast_spawn(ctx, PlaceGroup(world.members), body)
-    stores = yield from gather_at(ctx, world.members, _take, world)
-    residual, checksum = check_factors(p, stores)
-    return {"checksum": checksum, "residual": residual, "n": n}
+def hpl_main(ctx, group=None, *, n: int, nb: int, seed: int,
+             grid: Optional[ProcessGrid] = None, modeled_n: Optional[int] = None,
+             modeled_nb: int = 360, calibration: Calibration = DEFAULT_CALIBRATION):
+    """Factor a random n x n system (``n`` a multiple of ``nb``) over
+    ``group`` (default: every place), grid rank ``r`` at its ``r``-th member
+    (``grid``: by default :func:`default_grid` of the width); runs at place
+    0, a member or not, and collects the members' block columns.  The result
+    is ``verified`` when the residual of the factors is below 1e-12.
 
-
-def run_hpl(
-    rt: ApgasRuntime,
-    N: int,
-    NB: int,
-    grid: Optional[ProcessGrid] = None,
-    seed: int = 0,
-    modeled_N: Optional[int] = None,
-    modeled_NB: int = 360,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-) -> KernelResult:
-    """Factor a random N x N system over every place; returns flop/s.
-
-    The process grid is laid out over the places, rank ``r`` at place ``r``.
-
-    ``N`` and ``NB`` must be positive, ``N`` a multiple of ``NB``; an even block-cyclic layout is not
-    required — trailing counts just become uneven, as in real HPL.
-
-    ``modeled_N`` charges time for the paper-scale problem while the real
-    N x N numerics run: trailing updates scale by ``s^3`` (s = modeled_N/N,
-    blocking-independent), wire volumes by ``s^2``, and the blocking-sensitive
-    panel/triangular-solve phases are charged at the paper's block size
-    ``modeled_NB`` (default 360), since each simulated step stands for
-    ``s*NB/modeled_NB`` paper panels.
+    ``modeled_n`` charges time for the paper-scale problem while the real
+    numerics run: trailing updates scale by ``s^3`` (s = modeled_n/n), wire
+    volumes by ``s^2``, and the blocking-sensitive panel and triangular-solve
+    phases are charged at the paper's block size ``modeled_nb``.
     """
-    pg = PlaceGroup.world(rt)
-    n_places = len(pg)
-    grid = grid or default_grid(n_places)
-    if grid.places != n_places:
-        raise KernelError(f"grid {grid.P}x{grid.Q} does not match {n_places} places")
-    p = hpl_params(N, NB, seed, grid, modeled_N, modeled_NB, calibration)
-    world, body = hpl_program(rt.team, p)
-    rt.run(functools.partial(broadcast_spawn, group=pg, fn=body))
-    residual, checksum = check_factors(p, (rt.place(q).store.pop(("hpl", world)) for q in pg))
-    n_eff = N if modeled_N is None else modeled_N
-    flops = 2.0 / 3.0 * n_eff**3 + 2.0 * n_eff**2
-    rate = flops / rt.now
-    return KernelResult(
-        kernel="hpl",
-        places=n_places,
-        sim_time=rt.now,
-        value=rate,
-        unit="flop/s",
-        per_core=rate / n_places,
-        verified=bool(residual < 1e-12),
-        extra={
-            "residual": residual, "grid": (grid.P, grid.Q), "N": N, "NB": NB,
-            "checksum": checksum,
-        },
-    )
+    members = list(group or ctx.places())
+    grid = grid or default_grid(len(members))
+    if grid.places != len(members):
+        raise KernelError(f"grid {grid.P}x{grid.Q} does not match {len(members)} places")
+    p = hpl_params(n, nb, seed, grid, modeled_n, modeled_nb, calibration)
+    world, team = ctx.team(members), ctx.team
+    rows = ({pi: team([members[r] for r in grid.row_places(pi)]) for pi in range(grid.P)}
+            if grid.Q > 1 else {})
+    cols = ({pj: team([members[r] for r in grid.col_places(pj)]) for pj in range(grid.Q)}
+            if grid.P > 1 else {})
+    body = functools.partial(hpl_body, p=p, world=world, row_teams=rows, col_teams=cols)
+    stores = yield from broadcast_gather(ctx, world, body)
+    residual, checksum = check_factors(p, stores)
+    return {"checksum": checksum, "residual": residual, "n": n,
+            "verified": bool(residual < 1e-12), "grid": (grid.P, grid.Q)}
+
+
+#: ``modeled_N`` not given: :func:`hpl_modelled` sizes it as the paper did
+_PAPER_SIZING = object()
+
+
+def hpl_modelled(places: int, config, N: Optional[int] = None, NB: int = 16,
+                 grid: Optional[ProcessGrid] = None, seed: int = 0,
+                 modeled_N: Any = _PAPER_SIZING, modeled_NB: int = 360,
+                 calibration: Calibration = DEFAULT_CALIBRATION) -> dict:
+    """``simulate``'s keywords: ``N`` defaults to ``max(128, 128 sqrt(P))``,
+    ``modeled_N`` (None: the real size) to a matrix filling ~55% of the
+    hosts' memory, the paper's sizing."""
+    if modeled_N is _PAPER_SIZING:
+        hosts = -(-places // config.cores_per_octant)
+        modeled_N = int((0.55 * config.octant_memory_bytes * hosts / 8) ** 0.5)
+    return {"n": max(128, 16 * 8 * int(places**0.5)) if N is None else N, "nb": NB,
+            "seed": seed, "grid": grid, "modeled_n": modeled_N, "modeled_nb": modeled_NB,
+            "calibration": calibration}
+
+
+def hpl_report(result: dict, params: dict, places: int, sim_time: float) -> KernelResult:
+    """Global HPL in flop/s of the (modelled) problem."""
+    n = params["n"] if params["modeled_n"] is None else params["modeled_n"]
+    rate = (2.0 / 3.0 * n**3 + 2.0 * n**2) / sim_time
+    return KernelResult.of("hpl", result, places, sim_time, rate, "flop/s",
+                           residual=result["residual"], grid=result["grid"],
+                           N=params["n"], NB=params["nb"])

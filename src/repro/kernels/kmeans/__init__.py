@@ -2,18 +2,16 @@
 
 from repro.kernels.kmeans.kmeans import (
     assign_and_accumulate,
-    build_kmeans,
     generate_points,
     initial_centroids,
+    kmeans_main,
     kmeans_reference,
-    run_kmeans,
 )
 
 __all__ = [
     "assign_and_accumulate",
-    "build_kmeans",
     "generate_points",
     "initial_centroids",
+    "kmeans_main",
     "kmeans_reference",
-    "run_kmeans",
 ]

@@ -5,13 +5,16 @@ the points by nearest centroid and compute the average positions of the
 per-place points in each cluster; two All-Reduce collectives then compute the
 global sums and counts, providing updated centroids for the next iteration.
 
-One program on every backend: :func:`kmeans_main` (``build_program``) and the
-simulator's :func:`build_kmeans` both run :func:`kmeans_body` at every member.
+One entry point, :func:`kmeans_main`, runs :func:`kmeans_body` at every
+member; with ``resilient`` every iteration is a checkpoint epoch
+(:func:`kmeans_restore`, :func:`kmeans_epoch`) whose blob is a place's
+centroids, so a chaos kill costs one re-executed iteration and the final
+centroids are bit-identical to the fault-free run.
 """
 
 from __future__ import annotations
 
-import functools
+import hashlib
 from typing import Optional
 
 import numpy as np
@@ -19,8 +22,7 @@ import numpy as np
 from repro.errors import KernelError
 from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.harness.results import KernelResult, checksum_bytes
-from repro.runtime.broadcast import PlaceGroup, broadcast_spawn
-from repro.runtime.runtime import ApgasRuntime
+from repro.runtime.broadcast import broadcast_gather
 from repro.sim.rng import RngStream
 
 #: flops per point-centroid pair in the classify step (sub, mul, add per dim)
@@ -110,99 +112,54 @@ def kmeans_epoch(ctx, epoch: int, tag: str, p: dict, team):
 
 
 def kmeans_body(ctx, p: dict, team):
-    """A member's whole run: every iteration on its point block."""
+    """A member's whole run: every iteration on its point block, then it lets
+    its state go; returns its centroids at rank 0, elsewhere only their digest."""
     kmeans_restore(ctx, -1, None, p, team)
     for epoch in range(p["iterations"]):
         yield from kmeans_epoch(ctx, epoch, "", p, team)
+    centroids = ctx.store.pop(("kmeans", team))[1]
+    return centroids if team.rank(ctx.here) == 0 else hashlib.sha256(centroids).digest()
 
 
-def kmeans_result(centroids: np.ndarray, p: dict) -> dict:
-    """The program result: the converged centroids and their checksum."""
-    return {
-        "checksum": checksum_bytes(np.ascontiguousarray(centroids)),
-        "centroids": centroids,
-        "k": p["k"],
-    }
-
-
-def kmeans_main(ctx, **p):
-    """The portable program over every place; runs at place 0 (member 0)."""
-    team = ctx.team(ctx.places())
-    body = functools.partial(kmeans_body, p=p, team=team)
-    yield from broadcast_spawn(ctx, PlaceGroup(team.members), body)
-    return kmeans_result(ctx.store.pop(("kmeans", team))[1], p)
-
-
-def build_kmeans(
-    rt: ApgasRuntime,
-    points_per_place: int,
-    k: int = 4096,
-    dim: int = 12,
-    iterations: int = 5,
-    seed: int = 0,
-    actual_points: Optional[int] = None,
-    actual_k: Optional[int] = None,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    resilient: bool = False,
-    group: Optional[PlaceGroup] = None,
-):
-    """Build the K-Means program over ``group``; returns ``(main, finalize)``.
-
-    Point blocks are generated by group *rank*, so the converged centroids
-    depend only on the parameters and the group width.  Paper parameters are
-    the defaults; ``actual_points`` / ``actual_k`` bound the real math at
-    scale while time is charged for the modeled ``points_per_place`` x ``k``
-    problem.
-
-    With ``resilient`` every iteration is a checkpoint epoch whose blob is a
-    place's centroids; a restore regenerates the point block from its seed,
-    so a chaos kill costs one re-executed iteration and the final centroids
-    are bit-identical to the fault-free run.
-    """
-    p = {
-        "n_per_place": min(points_per_place, 4096) if actual_points is None else actual_points,
-        "k": min(k, 64) if actual_k is None else actual_k,
-        "dim": dim, "iterations": iterations, "seed": seed,
-        "modeled_points": points_per_place, "modeled_k": k, "calibration": calibration,
-    }
-    if min(points_per_place, k, dim, iterations, p["n_per_place"], p["k"]) < 1:
+def kmeans_params(**p) -> dict:
+    """The program's parameters, every size checked here, once."""
+    sizes = [p[key] for key in ("n_per_place", "k", "dim", "iterations", "modeled_points", "modeled_k")]
+    if min(size for size in sizes if size is not None) < 1:
         raise KernelError("kmeans parameters must be positive")
-    places = list(PlaceGroup.world(rt) if group is None else group)
-    if resilient and places != list(range(rt.n_places)):
-        raise KernelError("resilient kmeans requires the whole-machine place group")
-    team = rt.team(places)
-    if resilient:
-        from repro.kernels.portable.resilient import resilient_main
-
-        main = functools.partial(resilient_main, kernel="kmeans", p=p, team=team)
-    else:
-        body = functools.partial(kmeans_body, p=p, team=team)
-        main = functools.partial(broadcast_spawn, group=PlaceGroup(places), fn=body)
-
-    def finalize(elapsed: Optional[float] = None) -> KernelResult:
-        t = rt.now if elapsed is None else elapsed
-        final = [rt.place(place).store.pop(("kmeans", team))[1] for place in places]
-        centroids = final[0]
-        return KernelResult(
-            kernel="kmeans",
-            places=len(places),
-            sim_time=t,
-            value=t,
-            unit="s",
-            per_core=t,  # the paper reports run time; efficiency is time-based
-            verified=all(np.array_equal(c, centroids) for c in final),
-            extra={
-                "centroids": centroids,
-                "iterations": iterations,
-                "checksum": kmeans_result(centroids, p)["checksum"],
-            },
-        )
-
-    return main, finalize
+    return p
 
 
-def run_kmeans(rt: ApgasRuntime, *args, **kwargs) -> KernelResult:
-    """Weak-scaling distributed K-Means: build with :func:`build_kmeans`, run, finalize."""
-    main, finalize = build_kmeans(rt, *args, **kwargs)
-    rt.run(main)
-    return finalize()
+def kmeans_result(centroids: np.ndarray, digests: list, p: dict) -> dict:
+    """The program result: the centroids, ``verified`` if every other
+    member's digest is theirs."""
+    digest = hashlib.sha256(centroids).digest()
+    return {"checksum": checksum_bytes(np.ascontiguousarray(centroids)), "centroids": centroids,
+            "k": p["k"], "verified": all(d == digest for d in digests)}
+
+
+def kmeans_main(ctx, group=None, **params):
+    """The program over ``group`` (default: every place), run at place 0, a
+    member or not; point blocks are generated by team *rank*."""
+    team = ctx.team(group or ctx.places())
+    p = kmeans_params(**params)
+    final = yield from broadcast_gather(ctx, team, kmeans_body, p, team)
+    return kmeans_result(final[0], final[1:], p)
+
+
+def kmeans_modelled(places: int, config, points_per_place: int = 40_000, k: int = 4096,
+                    dim: int = 12, iterations: int = 5, seed: int = 0,
+                    actual_points: Optional[int] = None, actual_k: Optional[int] = None,
+                    calibration: Calibration = DEFAULT_CALIBRATION) -> dict:
+    """``simulate``'s keywords: the paper's sizes, charged, while
+    ``actual_points`` / ``actual_k`` (default: at most 4,096 and 64) bound
+    the real math."""
+    return {"n_per_place": min(points_per_place, 4096) if actual_points is None else actual_points,
+            "k": min(k, 64) if actual_k is None else actual_k, "dim": dim,
+            "iterations": iterations, "seed": seed, "modeled_points": points_per_place,
+            "modeled_k": k, "calibration": calibration}
+
+
+def kmeans_report(result: dict, params: dict, places: int, sim_time: float) -> KernelResult:
+    """Weak-scaling K-Means: the paper reports run time, so efficiency is time-based."""
+    return KernelResult.of("kmeans", result, places, sim_time, sim_time, "s", sim_time,
+                           centroids=result["centroids"], iterations=params["iterations"])

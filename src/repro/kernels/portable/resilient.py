@@ -1,4 +1,4 @@
-"""Resilient portable programs: the three kernels' checkpoint/restore hooks
+"""Resilient programs: the three kernels' checkpoint/restore hooks
 (K-Means' and Stream's live beside their member bodies).
 
 Each hook set plugs into :func:`repro.resilient.run_resilient_epochs`, the one
@@ -7,34 +7,34 @@ private heap per place process), so the same program runs on both backends.
 A place death fails the survivors' blocked collectives on both: each runtime
 fails a member blocked in ``ctx.recv`` (a message-program team), and the
 simulator's rendezvous ``Team`` fails its rendezvous.
-:func:`build_resilient_program` binds :func:`resilient_main` into a program.
+:func:`build_resilient_program` binds :func:`resilient_main` into a program;
+``simulate(..., resilient=True)`` runs the same one.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 from typing import Any, Callable, Dict
 
-from repro.errors import KernelError
-from repro.kernels.kmeans.kmeans import kmeans_epoch, kmeans_restore, kmeans_result
+from repro.kernels.kmeans.kmeans import kmeans_epoch, kmeans_params, kmeans_restore, kmeans_result
 from repro.kernels.portable import program_params
 from repro.kernels.portable.uts_program import _result as _uts_result
 from repro.kernels.portable.uts_program import uts_loop
 from repro.kernels.stream.stream import stream_epoch, stream_params, stream_restore, stream_result
 from repro.resilient import require_resilient, run_resilient_epochs
-from repro.resilient.checkpoint import DEFAULT_MAX_ATTEMPTS
+from repro.resilient.checkpoint import DEFAULT_MAX_ATTEMPTS, release_members
 
 
 # -- kernel hooks ---------------------------------------------------------------------
 #
-# Each kernel declares (restore, body, finalize, epochs, team):
-#   restore(ctx, committed_epoch, blob, p) -- (re)build this place's state in
-#       ctx.store; blob None means "before any epoch": initialize from scratch.
-#   body(ctx, epoch, tag, p)               -- one epoch on the state; returns
-#       the checkpoint blob (a *copy*: the blob must not alias live arrays).
-#   finalize(committed, p, n_places)       -- the program result, computed
-#       from the last committed blobs only.
-# With ``team`` set, restore and body also take the run's ``team=``.
+# K-Means and Stream declare (restore, body, parameters, result) over the
+# run's team: restore(ctx, committed_epoch, blob, p, team) (re)builds this
+# place's state (blob None: initialize); body(ctx, epoch, tag, p, team) runs
+# one iteration and returns the checkpoint blob (a copy); parameters(**params)
+# is the body's p; result(committed, p) is the program result from the last
+# committed blobs only, the same one the kernel's main returns.  UTS is one
+# retry-from-scratch epoch whose result is the committed counts.
 
 
 def _uts_restore(ctx, committed_epoch: int, blob, p: dict):
@@ -51,42 +51,47 @@ def _uts_body(ctx, epoch: int, tag: str, p: dict):
     return processed
 
 
-def _uts_finalize(committed: Dict[int, Any], p: dict, n_places: int) -> dict:
-    total = sum(committed.values())
-    return _uts_result(total, per_place=dict(committed))
+def _kmeans_result(committed: Dict[int, Any], p: dict) -> dict:
+    others = [hashlib.sha256(committed[q]).digest() for q in sorted(committed)[1:]]
+    return kmeans_result(committed[0], others, p)
+
+
+def _stream_result(committed: Dict[int, Any], p: dict) -> dict:
+    places = sorted(committed)
+    return stream_result(places, [committed[q] for q in places], p)
+
+
+def _drop(ctx, key) -> None:
+    ctx.store.pop(key, None)
 
 
 _HOOKS: Dict[str, tuple] = {
-    # kernel -> (restore, body, finalize, epochs_from_params, team)
-    "kmeans": (
-        kmeans_restore, kmeans_epoch,
-        lambda committed, p, n_places: kmeans_result(committed[0], p),
-        lambda p: p["iterations"], True,
-    ),
-    "stream": (
-        stream_restore, stream_epoch,
-        lambda committed, p, n_places: stream_result([committed[q] for q in sorted(committed)], p),
-        lambda p: p["iterations"], True,
-    ),
-    "uts": (_uts_restore, _uts_body, _uts_finalize, lambda p: 1, False),
+    "kmeans": (kmeans_restore, kmeans_epoch, kmeans_params, _kmeans_result),
+    "stream": (stream_restore, stream_epoch, stream_params, _stream_result),
 }
 
 
-def resilient_main(ctx, kernel: str, p: dict, max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                   team=None):
-    """Checkpointed epochs of ``kernel`` that survive place kills and finish
-    with the fault-free result.  A kernel with a team (for its collectives,
-    or to name the run's state) gets ``team``, by default a fresh
-    ``ctx.team`` over every place."""
-    restore_fn, body_fn, finalize, epochs_of, uses_team = _HOOKS[kernel]
-    hooks: Dict[str, Any] = {"p": p}
-    if uses_team:
-        hooks["team"] = ctx.team(ctx.places()) if team is None else team
-    committed, stats = yield from run_resilient_epochs(
-        ctx, epochs_of(p), functools.partial(body_fn, **hooks),
-        functools.partial(restore_fn, **hooks), max_attempts,
-    )
-    result = finalize(committed, p, ctx.n_places)
+def resilient_main(ctx, kernel: str, max_attempts: int = DEFAULT_MAX_ATTEMPTS, **params):
+    """Checkpointed epochs of ``kernel`` over every place that survive place
+    kills and finish with the fault-free result.  ``params`` are the
+    program's (see :func:`build_resilient_program`)."""
+    if kernel == "uts":
+        committed, stats = yield from run_resilient_epochs(
+            ctx, 1, functools.partial(_uts_body, p=params),
+            functools.partial(_uts_restore, p=params), max_attempts,
+        )
+        result = _uts_result(sum(committed.values()), per_place=dict(committed))
+    else:
+        restore_fn, body_fn, parameters, result_of = _HOOKS[kernel]
+        p = parameters(**params)
+        team = ctx.team(ctx.places())
+        hooks = {"p": p, "team": team}
+        committed, stats = yield from run_resilient_epochs(
+            ctx, p["iterations"], functools.partial(body_fn, **hooks),
+            functools.partial(restore_fn, **hooks), max_attempts,
+        )
+        result = result_of(committed, p)
+        yield from release_members(ctx, _drop, (kernel, team))
     # underscore prefix: recovery counters are per-run diagnostics,
     # excluded from conformance (fault schedules are backend-variant)
     result["_resilient"] = stats
@@ -103,15 +108,9 @@ def build_resilient_program(
     with ``params`` over the kernel's defaults."""
     require_resilient(kernel)
     p = program_params(kernel, params)
-    if kernel == "stream":
-        p = stream_params(**p)  # the body's parameters from the program's
-    epochs = _HOOKS[kernel][3](p)
-    if epochs < 1:
-        raise KernelError(
-            f"resilient {kernel} needs at least one epoch (iterations >= 1), "
-            f"got {epochs}"
-        )
-    main = functools.partial(resilient_main, kernel=kernel, p=p, max_attempts=max_attempts)
+    if kernel in _HOOKS:
+        _HOOKS[kernel][2](**p)  # the sizes, checked before any place starts
+    main = functools.partial(resilient_main, kernel=kernel, max_attempts=max_attempts, **p)
     main.__name__ = f"resilient:{kernel}"  # type: ignore[attr-defined]
     return main
 

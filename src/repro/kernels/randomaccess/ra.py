@@ -142,3 +142,13 @@ def run_randomaccess(
         verified=(errors == 0) if verify else None,
         extra={"errors": errors, "updates": total_updates, "hosts": hosts},
     )
+
+
+def ra_modelled(places: int, config, **kw) -> dict:
+    """``simulate``'s keywords: a 2 GB table a place; each update of a
+    sampled slice models its share of the full 4x-table stream."""
+    kw.setdefault("table_words_per_place", 1 << 28)
+    kw.setdefault("updates_per_place", 8192)
+    kw.setdefault("materialize", False)
+    kw.setdefault("model_updates_factor", 4 * kw["table_words_per_place"] / kw["updates_per_place"])
+    return kw

@@ -1,17 +1,15 @@
 """Smith-Waterman local sequence alignment."""
 
 from repro.kernels.smithwaterman.sw import (
-    build_smith_waterman,
     random_sequence,
-    run_smith_waterman,
+    sw_main,
     sw_score,
     sw_score_reference,
 )
 
 __all__ = [
-    "build_smith_waterman",
     "random_sequence",
-    "run_smith_waterman",
+    "sw_main",
     "sw_score",
     "sw_score_reference",
 ]

@@ -7,14 +7,11 @@ short sequence against each fragment; the best overall match is the best of
 the best matches.  The overlap is sized so that any alignment with a positive
 score lies entirely within some fragment, making the decomposition exact.
 
-One program on every backend: :func:`sw_main` (``build_program``) and the
-simulator's :func:`build_smith_waterman` both run :func:`sw_body` at every
-member.
+One entry point, :func:`sw_main`, runs :func:`sw_body` at every member.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from typing import Optional
 
@@ -23,9 +20,8 @@ import numpy as np
 from repro.errors import KernelError
 from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.harness.results import KernelResult, checksum_bytes
-from repro.runtime.broadcast import PlaceGroup, broadcast_spawn
+from repro.runtime.broadcast import broadcast_gather
 from repro.runtime.finish.pragmas import Pragma
-from repro.runtime.runtime import ApgasRuntime
 from repro.sim.rng import RngStream
 
 MATCH = 2
@@ -117,7 +113,7 @@ def sw_params(
 
 def sw_body(ctx, p: dict, team):
     """A member's whole run: score its fragment, charge every iteration, then
-    All-Reduce(max) the best into ``ctx.store[("sw", team)]``."""
+    All-Reduce(max) the best, which it returns."""
     rank, L = team.rank(ctx.here), p["long_len"]
     short = random_sequence(p["seed"], "short", p["short_len"])
     lo = max(0, L * rank // team.size - safe_overlap(p["short_len"]))
@@ -127,13 +123,13 @@ def sw_body(ctx, p: dict, team):
     rate = p["calibration"].sw_rate(topology.config, topology.crowd(ctx.here))
     for _ in range(p["iterations"]):
         yield ctx.compute(seconds=p["cells"] / rate)
-    ctx.store[("sw", team)] = yield team.allreduce(ctx, best, op=max)
+    return (yield team.allreduce(ctx, best, op=max))
 
 
-def _local_check(ctx, p: dict):
+def _local_check(ctx, p: dict, team):
     """FINISH_LOCAL leg: hash the short sequence at home (no remote activity)."""
     short = random_sequence(p["seed"], "short", p["short_len"])
-    ctx.store["sw:query_digest"] = hashlib.sha256(short).hexdigest()
+    ctx.store[("sw:query_digest", team)] = hashlib.sha256(short).hexdigest()
 
 
 def _notify(ctx, home: int):
@@ -141,100 +137,70 @@ def _notify(ctx, home: int):
     ctx.send(home, "sw:ack", ("ok", ctx.here))
 
 
-def _probe(ctx, home: int):
+def _probe(ctx, home: int, team):
     """FINISH_HERE first leg: runs remotely, spawns the return leg home."""
-    ctx.at_async(home, _probe_return)
+    ctx.at_async(home, _probe_return, team)
 
 
-def _probe_return(ctx):
+def _probe_return(ctx, team):
     """FINISH_HERE second leg: terminates at home (its join costs no message)."""
-    ctx.store["sw:probe_returned"] = True
+    ctx.store[("sw:probe_returned", team)] = True
 
 
-def sw_main(ctx, target_len: int, query_len: int, seed: int):
-    """The portable program over every place; runs at place 0 (member 0).
-
-    After the alignment it tours the remaining finish pragmas, so the
-    conformance suite covers every finish protocol: LOCAL (zero messages),
-    ASYNC (one remote join), HERE (a round trip whose home leg joins free).
+def sw_main(ctx, group=None, *, target_len: int, query_len: int, seed: int, iterations: int = 1,
+            modeled_query: Optional[int] = None, modeled_share: Optional[int] = None,
+            calibration: Calibration = DEFAULT_CALIBRATION):
+    """The program over ``group`` (default: every place), run at place 0, a
+    member or not: a ``query_len`` sequence against a ``target_len`` one cut
+    by team rank, each of the ``iterations`` charging ``modeled_query`` x
+    ``modeled_share`` cells a member (default: the real sizes).  Then it
+    tours the other finish pragmas at the last member, so the conformance
+    suite covers every protocol: LOCAL (zero messages), ASYNC (one remote
+    join), HERE (a round trip whose home leg joins free).
     """
-    team = ctx.team(ctx.places())
+    team = ctx.team(group or ctx.places())
     share = -(-target_len // team.size)
-    p = sw_params(seed, query_len, target_len, 1, query_len, share)
-    body = functools.partial(sw_body, p=p, team=team)
-    yield from broadcast_spawn(ctx, PlaceGroup(team.members), body)
-    best = ctx.store.pop(("sw", team))
-    far = ctx.n_places - 1
+    p = sw_params(seed, query_len, target_len, iterations,
+                  query_len if modeled_query is None else modeled_query,
+                  share if modeled_share is None else modeled_share, calibration)
+    bests = yield from broadcast_gather(ctx, team, sw_body, p, team)
+    far = team.members[-1]
     with ctx.finish(Pragma.FINISH_LOCAL) as f:
-        ctx.async_(_local_check, p)
+        ctx.async_(_local_check, p, team)
     yield f.wait()
     with ctx.finish(Pragma.FINISH_ASYNC) as f:
         ctx.at_async(far, _notify, ctx.here)
     yield f.wait()
     yield ctx.recv("sw:ack")
     with ctx.finish(Pragma.FINISH_HERE) as f:
-        ctx.at_async(far, _probe, ctx.here)
+        ctx.at_async(far, _probe, ctx.here, team)
     yield f.wait()
+    return {"checksum": checksum_bytes(str(bests[0]).encode()), "score": bests[0],
+            "verified": all(best == bests[0] for best in bests),
+            "query_digest": ctx.store.pop(("sw:query_digest", team)),
+            "probe_returned": ctx.store.pop(("sw:probe_returned", team))}
+
+
+def sw_modelled(places: int, config, short_len: int = 4000, long_per_place: int = 40_000,
+                iterations: int = 5, seed: int = 0, actual_short: Optional[int] = None,
+                actual_long: Optional[int] = None,
+                calibration: Calibration = DEFAULT_CALIBRATION) -> dict:
+    """``simulate``'s keywords: the paper's sizes, charged, while the
+    *actual* lengths (default: at most 64 and 256 a place) bound the DP."""
+    fragment = min(long_per_place, 256) if actual_long is None else actual_long
     return {
-        "checksum": checksum_bytes(str(best).encode()),
-        "score": best,
-        "query_digest": ctx.store.pop("sw:query_digest"),
-        "probe_returned": ctx.store.pop("sw:probe_returned"),
+        "target_len": fragment * places,
+        "query_len": min(short_len, 64) if actual_short is None else actual_short,
+        "seed": seed, "iterations": iterations,
+        "modeled_query": short_len, "modeled_share": long_per_place, "calibration": calibration,
     }
 
 
-def build_smith_waterman(
-    rt: ApgasRuntime,
-    short_len: int = 4000,
-    long_per_place: int = 40_000,
-    iterations: int = 5,
-    seed: int = 0,
-    actual_short: Optional[int] = None,
-    actual_long: Optional[int] = None,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    group: Optional[PlaceGroup] = None,
-):
-    """Build the Smith-Waterman program over ``group``; ``(main, finalize)``.
-
-    Fragments are sliced by team *rank* and the long sequence is sized by
-    the group width, so the best score depends only on the parameters and
-    the width.  The paper's sizes are the defaults; the *actual* sequence
-    lengths bound the real DP at scale while time is charged for the modeled
-    sizes.
-    """
-    places = list(PlaceGroup.world(rt) if group is None else group)
-    m = min(short_len, 64) if actual_short is None else actual_short
-    frag = min(long_per_place, 256) if actual_long is None else actual_long
-    p = sw_params(
-        seed, m, frag * len(places), iterations, short_len, long_per_place, calibration
+def sw_report(result: dict, params: dict, places: int, sim_time: float) -> KernelResult:
+    """Weak-scaling Smith-Waterman: the paper reports run time."""
+    seed = params["seed"]
+    return KernelResult.of(
+        "smithwaterman", result, places, sim_time, sim_time, "s", sim_time,
+        best_score=result["score"], short=random_sequence(seed, "short", params["query_len"]),
+        long=random_sequence(seed, "long", params["target_len"]),
     )
-    team = rt.team(places)
-    body = functools.partial(sw_body, p=p, team=team)
-    main = functools.partial(broadcast_spawn, group=PlaceGroup(places), fn=body)
-
-    def finalize(elapsed: Optional[float] = None) -> KernelResult:
-        t = rt.now if elapsed is None else elapsed
-        bests = [rt.place(place).store.pop(("sw", team)) for place in places]
-        return KernelResult(
-            kernel="smithwaterman",
-            places=len(places),
-            sim_time=t,
-            value=t,
-            unit="s",
-            per_core=t,
-            verified=all(b == bests[0] for b in bests),
-            extra={
-                "best_score": bests[0],
-                "short": random_sequence(seed, "short", p["short_len"]),
-                "long": random_sequence(seed, "long", p["long_len"]),
-            },
-        )
-
-    return main, finalize
-
-
-def run_smith_waterman(rt: ApgasRuntime, *args, **kwargs) -> KernelResult:
-    """Weak-scaling Smith-Waterman: build with :func:`build_smith_waterman`, run, finalize."""
-    main, finalize = build_smith_waterman(rt, *args, **kwargs)
-    rt.run(main)
-    return finalize()

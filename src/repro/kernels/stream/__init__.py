@@ -1,5 +1,5 @@
 """EP Stream (Triad): sustainable local memory bandwidth."""
 
-from repro.kernels.stream.stream import build_stream, run_stream, triad
+from repro.kernels.stream.stream import stream_main, triad
 
-__all__ = ["build_stream", "run_stream", "triad"]
+__all__ = ["stream_main", "triad"]

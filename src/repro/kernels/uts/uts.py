@@ -123,3 +123,11 @@ def run_uts(rt: ApgasRuntime, *args, **kwargs) -> KernelResult:
     main, finalize = build_uts(rt, *args, **kwargs)
     rt.run(main)
     return finalize()
+
+
+def uts_modelled(places: int, config, **kw) -> dict:
+    """``simulate``'s keywords: a depth-9 tree, each node charged 100 times."""
+    kw.setdefault("depth", 9)
+    kw.setdefault("time_dilation", 100.0)
+    kw.setdefault("glb_config", GlbConfig(chunk_items=64))
+    return kw

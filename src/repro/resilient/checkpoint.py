@@ -153,6 +153,14 @@ def _heal(ctx, restore: Callable, committed_epoch: int, committed: Dict[int, Any
     raise ResilientError("recovery did not converge: members keep dying")
 
 
+def release_members(ctx, fn: Callable, *args):
+    """After the last commit, one tolerant wave of ``fn(ctx, *args)`` at every
+    live place to free the members' state.  The result is already built from
+    the committed blobs, so a place that dies meanwhile costs nothing: it
+    has no state left to free."""
+    yield from _wave(ctx, fn, {place: args for place in ctx.places()}, name="resil-release")
+
+
 def run_resilient_epochs(ctx, epochs: int, body: Callable, restore: Callable,
                          max_attempts: int = DEFAULT_MAX_ATTEMPTS):
     """Drive ``epochs`` commit/abort rounds of ``body`` across every place.

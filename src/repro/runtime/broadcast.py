@@ -8,6 +8,7 @@ overhead, with completion detected by nested FINISH_SPMD blocks.
 
 from __future__ import annotations
 
+import functools
 from types import GeneratorType
 from typing import Callable, Sequence
 
@@ -123,16 +124,33 @@ def _tree_node(
     yield f.wait()
 
 
-def gather_at(ctx, places: Sequence[int], fn: Callable, *args):
-    """``[at(p) fn(ctx, *args) for p in places]``, one after another (here
-    without a message); use as ``values = yield from gather_at(...)``."""
-    values = []
-    for place in places:
-        if place == ctx.here:
-            values.append(fn(ctx, *args))
-        else:
-            values.append((yield ctx.at(place, fn, *args)))
+def broadcast_gather(ctx, team, fn: Callable, *args, name: str = "bcast"):
+    """:func:`broadcast_spawn` of ``fn(ctx, *args)`` over ``team``'s members
+    that returns what ``fn`` returned at each, in rank order, at the calling
+    place, a member or not; use as ``values = yield from broadcast_gather(...)``.
+
+    A member sends its value home before its JOIN: one message a member,
+    and no member waits on another's round trip.
+    """
+    box = ("gather", team)
+    member = functools.partial(_send_home, home=ctx.here, box=box, team=team, fn=fn, args=args)
+    yield from broadcast_spawn(ctx, PlaceGroup(team.members), member, name=name)
+    values = [None] * team.size
+    for _ in range(team.size):
+        # take what already arrived without a yield: a get that is already
+        # satisfied resumes in place, a stack frame per value
+        arrived, item = ctx.try_recv(box)
+        rank, value = item if arrived else (yield ctx.recv(box))
+        values[rank] = value
+    ctx.rt.place(ctx.here).mailboxes.pop(box, None)
     return values
+
+
+def _send_home(ctx, home: int, box: tuple, team, fn: Callable, args: tuple):
+    value = fn(ctx, *args)
+    if type(value) is GeneratorType:
+        value = yield from value
+    ctx.send(home, box, (team.rank(ctx.here), value))
 
 
 def sequential_spawn(ctx, group: PlaceGroup, fn: Callable, *args):

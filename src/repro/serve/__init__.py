@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.serve.jobs import KERNEL_PROFILES, SERVABLE_KERNELS, build_job
+from repro.serve.jobs import KERNEL_PROFILES, SERVABLE_KERNELS
 from repro.serve.scenario import (
     ScenarioSpec,
     TenantSpec,
@@ -65,7 +65,6 @@ __all__ = [
     "ServeScheduler",
     "SloReport",
     "TenantSpec",
-    "build_job",
     "build_report",
     "digest",
     "generate_traffic",

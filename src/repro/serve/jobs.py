@@ -1,25 +1,20 @@
 """The serving layer's kernel catalog.
 
-Every entry adapts one kernel's ``build_*`` builder — ``(main, finalize)``
-where ``main(ctx)`` is an embeddable activity body — to the scheduler's
-dispatch seam: given a :class:`~repro.serve.traffic.JobRequest` and the
-:class:`~repro.runtime.broadcast.PlaceGroup` the scheduler carved out, return
-the program to run on it.  Default parameters are sized for serving (many
-jobs per run, each milliseconds of simulated time), and every kernel keys its
-data by group *rank*, so a job's result depends only on its parameters and
-its width — not on which places the scheduler happened to hand it.
+A job runs its kernel's entry point from :data:`repro.kernels.portable.KERNELS`
+over the places the scheduler carved out, from the control place: the row's
+``modelled`` turns the job's parameters, in ``simulate``'s vocabulary, into
+the program's, and its ``report`` builds the result.  The defaults are sized
+for serving (each job milliseconds of simulated time), and every kernel keys
+its data by team *rank*, so a job's result depends only on its parameters
+and its width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
 
-from repro.errors import ServeError
 from repro.glb import GlbConfig
-from repro.kernels.kmeans import build_kmeans
-from repro.kernels.smithwaterman import build_smith_waterman
-from repro.kernels.stream import build_stream
+from repro.kernels.portable import KERNELS
 from repro.kernels.uts import build_uts
 from repro.runtime.broadcast import PlaceGroup
 from repro.runtime.runtime import ApgasRuntime
@@ -27,7 +22,7 @@ from repro.runtime.runtime import ApgasRuntime
 
 @dataclass(frozen=True)
 class KernelProfile:
-    """Serving defaults for one kernel: width range and builder parameters."""
+    """Serving defaults for one kernel: width range and program parameters."""
 
     kernel: str
     places_min: int
@@ -40,66 +35,34 @@ class KernelProfile:
         return out
 
 
-def _build_stream(rt: ApgasRuntime, group: PlaceGroup, seed: int, params: dict):
-    params.setdefault("elements_per_place", 1_000_000)
-    params.setdefault("iterations", 2)
-    params.setdefault("actual_elements", 2048)
-    return build_stream(rt, group=group, **params)
-
-
-def _build_kmeans(rt: ApgasRuntime, group: PlaceGroup, seed: int, params: dict):
-    params.setdefault("points_per_place", 10_000)
-    params.setdefault("k", 256)
-    params.setdefault("dim", 4)
-    params.setdefault("iterations", 2)
-    params.setdefault("actual_points", 256)
-    params.setdefault("actual_k", 8)
-    params.setdefault("seed", seed)
-    return build_kmeans(rt, group=group, **params)
-
-
-def _build_sw(rt: ApgasRuntime, group: PlaceGroup, seed: int, params: dict):
-    params.setdefault("short_len", 2000)
-    params.setdefault("long_per_place", 10_000)
-    params.setdefault("iterations", 2)
-    params.setdefault("actual_short", 32)
-    params.setdefault("actual_long", 128)
-    params.setdefault("seed", seed)
-    return build_smith_waterman(rt, group=group, **params)
-
-
-def _build_uts(rt: ApgasRuntime, group: PlaceGroup, seed: int, params: dict):
-    params.setdefault("depth", 5)
-    params.setdefault("b0", 4.0)
-    params.setdefault("glb_config", GlbConfig(chunk_items=256))
-    return build_uts(rt, group=group, **params)
-
-
-_BUILDERS: dict[str, Callable] = {
-    "stream": _build_stream,
-    "kmeans": _build_kmeans,
-    "smithwaterman": _build_sw,
-    "uts": _build_uts,
-}
-
 #: kernels the serving layer can schedule, with their default footprints
 KERNEL_PROFILES: dict[str, KernelProfile] = {
-    "stream": KernelProfile("stream", places_min=2, places_max=4),
-    "kmeans": KernelProfile("kmeans", places_min=2, places_max=4),
-    "smithwaterman": KernelProfile("smithwaterman", places_min=2, places_max=4),
-    "uts": KernelProfile("uts", places_min=2, places_max=4),
+    "stream": KernelProfile("stream", 2, 4, {
+        "elements_per_place": 1_000_000, "iterations": 2, "actual_elements": 2048}),
+    "kmeans": KernelProfile("kmeans", 2, 4, {
+        "points_per_place": 10_000, "k": 256, "dim": 4, "iterations": 2,
+        "actual_points": 256, "actual_k": 8}),
+    "smithwaterman": KernelProfile("smithwaterman", 2, 4, {
+        "short_len": 2000, "long_per_place": 10_000, "iterations": 2,
+        "actual_short": 32, "actual_long": 128}),
+    "uts": KernelProfile("uts", 2, 4, {
+        "depth": 5, "b0": 4.0, "glb_config": GlbConfig(chunk_items=256)}),
 }
 
-SERVABLE_KERNELS = tuple(sorted(_BUILDERS))
+SERVABLE_KERNELS = tuple(sorted(KERNEL_PROFILES))
 
 
-def build_job(rt: ApgasRuntime, request, group: PlaceGroup) -> Tuple[Callable, Callable]:
-    """Instantiate ``request``'s kernel over ``group``; returns ``(main, finalize)``."""
-    try:
-        builder = _BUILDERS[request.kernel]
-    except KeyError:
-        raise ServeError(
-            f"job {request.job_id}: unknown kernel {request.kernel!r}; "
-            f"servable kernels are {list(SERVABLE_KERNELS)}"
-        ) from None
-    return builder(rt, group, request.seed, dict(request.params))
+def run_job(ctx, rt: ApgasRuntime, request, places: tuple, t_start: float):
+    """``result = yield from run_job(...)``: ``request``'s kernel over ``places``,
+    timed from ``t_start``; the job's seed seeds a kernel that takes one."""
+    if request.kernel == "uts":  # its GLB driver, until UTS runs its program's body
+        main, finalize = build_uts(rt, group=PlaceGroup(places), **request.params)
+        yield from main(ctx)
+        return finalize(elapsed=ctx.now - t_start)
+    row = KERNELS[request.kernel]
+    kw = dict(request.params)
+    if "seed" in row.defaults:
+        kw.setdefault("seed", request.seed)
+    params = row.modelled(len(places), rt.config, **kw)
+    result = yield from row.main(ctx, group=places, **params)
+    return row.report(result, params, len(places), ctx.now - t_start)

@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import DeadPlaceError, KernelError, ResilientError, ServeError
-from repro.runtime.broadcast import PlaceGroup
 from repro.runtime.finish.pragmas import Pragma
 from repro.runtime.runtime import ApgasRuntime
-from repro.serve.jobs import build_job
+from repro.serve.jobs import run_job
 from repro.serve.scenario import ScenarioSpec
 from repro.serve.traffic import JobRequest, generate_traffic
 
@@ -248,9 +247,7 @@ class ServeScheduler:
 
     def _runner(self, ctx, job: Job):
         try:
-            main, finalize = build_job(self.rt, job.request, PlaceGroup(job.places))
-            yield from main(ctx)
-            job.result = finalize(elapsed=ctx.now - job.t_start)
+            job.result = yield from run_job(ctx, self.rt, job.request, job.places, job.t_start)
             job.status = "ok"
         except (DeadPlaceError, ResilientError, KernelError) as exc:
             job.status = "aborted"

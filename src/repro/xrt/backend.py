@@ -124,13 +124,11 @@ class SimBackend:
     """The discrete-event simulator: every place in one Python process."""
 
     def run(self, kernel: str, places: int, **params: Any) -> BackendRun:
+        from repro.harness.runner import make_runtime
         from repro.kernels.portable import build_program
-        from repro.machine.config import MachineConfig
-        from repro.obs import Observability
-        from repro.runtime.runtime import ApgasRuntime
 
         main = build_program(kernel, places, **params)
-        rt = ApgasRuntime(places=places, config=MachineConfig(), obs=Observability())
+        rt = make_runtime(places)
         t0 = time.perf_counter()
         result = rt.run(main)
         wall = time.perf_counter() - t0

@@ -4,7 +4,7 @@ runtime's PragmaError validation on recorded fork sequences."""
 import pytest
 
 from repro.analyze import check_agreement, replay
-from repro.harness.runner import KERNELS
+from repro.harness.runner import PORTABLE_KERNELS
 from repro.runtime.finish.pragmas import Pragma
 
 P = Pragma
@@ -39,7 +39,7 @@ class TestKernelAgreement:
         return check_agreement(places=4)
 
     def test_covers_every_kernel(self, records):
-        assert {r.kernel for r in records} == set(KERNELS)
+        assert {r.kernel for r in records} == set(PORTABLE_KERNELS)
 
     def test_every_suggestion_survives_runtime_replay(self, records):
         bad = [r for r in records if not r.ok]

@@ -45,11 +45,13 @@ def test_uts_result_bit_identical_when_all_faults_recovered():
 def test_kmeans_result_bit_identical_when_all_faults_recovered():
     import numpy as np
 
-    from repro.kernels.kmeans.kmeans import run_kmeans
+    from repro.harness.runner import simulate
+    from repro.machine import MachineConfig
 
     def run(chaos):
-        rt = make_chaos_runtime(16, chaos=chaos)
-        r = run_kmeans(rt, points_per_place=2000, k=16, dim=4, iterations=3)
+        # the small machine of make_chaos_runtime, so faults actually fire
+        r = simulate("kmeans", 16, config=MachineConfig.small(), chaos=chaos,
+                     points_per_place=2000, k=16, dim=4, iterations=3)
         assert r.verified is not False
         return r.extra["centroids"]
 

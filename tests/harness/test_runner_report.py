@@ -5,15 +5,15 @@ import io
 import pytest
 
 from repro.harness.report import PANEL_ORDER, generate
-from repro.harness.runner import KERNELS, make_runtime, simulate
+from repro.harness.runner import PORTABLE_KERNELS, make_runtime, simulate
 from repro.machine import MachineConfig
 
 
 def test_kernel_registry_is_complete():
-    assert KERNELS == sorted(
+    assert PORTABLE_KERNELS == sorted(
         ["stream", "randomaccess", "fft", "hpl", "uts", "kmeans", "smithwaterman", "bc"]
     )
-    assert PANEL_ORDER and set(PANEL_ORDER) == set(KERNELS)
+    assert PANEL_ORDER and set(PANEL_ORDER) == set(PORTABLE_KERNELS)
 
 
 def test_make_runtime_applies_overrides():

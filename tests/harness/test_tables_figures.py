@@ -5,13 +5,13 @@ import pytest
 from repro.harness import paper_data
 from repro.harness.figures import MODEL_PLACES, SIM_PLACES, figure1_panel, render_panel
 from repro.harness.reporting import render_table, si
-from repro.harness.runner import KERNELS, simulate
+from repro.harness.runner import PORTABLE_KERNELS, simulate
 from repro.harness.tables import render_table1, render_table2, table1, table2
 
 
 def test_all_eight_kernels_have_figure_definitions():
-    assert set(SIM_PLACES) == set(MODEL_PLACES) == set(KERNELS)
-    assert set(paper_data.FIGURE1) == set(KERNELS)
+    assert set(SIM_PLACES) == set(MODEL_PLACES) == set(PORTABLE_KERNELS)
+    assert set(paper_data.FIGURE1) == set(PORTABLE_KERNELS)
 
 
 def test_table1_matches_paper_within_tolerance():

@@ -7,9 +7,9 @@ built on a common network stack and run unchanged off the Power 775).
 
 import numpy as np
 
-from repro.kernels.kmeans import run_kmeans
-from repro.kernels.smithwaterman import run_smith_waterman
-from repro.kernels.stream import run_stream
+import functools
+
+from repro.kernels.portable import KERNELS
 from repro.machine import MachineConfig
 from repro.runtime import ApgasRuntime
 from repro.xrt import MpiTransport, PamiTransport, SocketsTransport
@@ -23,12 +23,20 @@ def make_rt(transport_cls, places=8):
     )
 
 
+def run_kernel(kernel, transport_cls, places=8, **kw):
+    """``simulate``'s run of ``kernel`` (its row of the kernel table), on a
+    runtime over ``transport_cls``."""
+    rt = make_rt(transport_cls, places)
+    row = KERNELS[kernel]
+    params = row.modelled(places, rt.config, **kw)
+    return row.report(rt.run(functools.partial(row.main, **params)), params, places, rt.now)
+
+
 def test_kmeans_results_identical_across_transports():
     centroids = {}
     for cls in TRANSPORTS:
-        rt = make_rt(cls)
-        result = run_kmeans(
-            rt, points_per_place=50, k=8, dim=3, iterations=3,
+        result = run_kernel(
+            "kmeans", cls, points_per_place=50, k=8, dim=3, iterations=3,
             actual_points=50, actual_k=8,
         )
         assert result.verified
@@ -40,9 +48,8 @@ def test_kmeans_results_identical_across_transports():
 def test_smith_waterman_score_identical_across_transports():
     scores = set()
     for cls in TRANSPORTS:
-        rt = make_rt(cls)
-        result = run_smith_waterman(
-            rt, short_len=12, long_per_place=50, iterations=1,
+        result = run_kernel(
+            "smithwaterman", cls, short_len=12, long_per_place=50, iterations=1,
             actual_short=12, actual_long=50,
         )
         assert result.verified
@@ -52,8 +59,7 @@ def test_smith_waterman_score_identical_across_transports():
 
 def test_stream_verifies_on_all_transports():
     for cls in TRANSPORTS:
-        rt = make_rt(cls)
-        result = run_stream(rt, elements_per_place=4096, iterations=2)
+        result = run_kernel("stream", cls, elements_per_place=4096, iterations=2)
         assert result.verified, cls.name
 
 

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KernelError
-from repro.kernels.bc import brandes_betweenness, rmat_graph, run_bc, single_source_dependencies
+from repro.kernels.bc import brandes_betweenness, rmat_graph, single_source_dependencies
 from repro.kernels.bc.rmat import graph_from_edges
 
 from tests.kernels.brandes_oracle import single_source_dependencies_per_vertex
-from tests.kernels.conftest import make_rt
+from tests.kernels.conftest import run_small
 
 
 # -- R-MAT -----------------------------------------------------------------------
@@ -157,16 +157,14 @@ def test_whole_level_sweep_is_bit_equal_on_random_graphs(seed):
 
 
 def test_distributed_matches_single_node():
-    rt = make_rt(places=8)
-    result = run_bc(rt, scale=6, edge_factor=4, seed=11)
+    result = run_small("bc", 8, scale=6, edge_factor=4, seed=11, modeled_scale=None)
     assert result.verified
     g = rmat_graph(scale=6, edge_factor=4, seed=11)
     np.testing.assert_allclose(result.extra["centrality"], brandes_betweenness(g), atol=1e-9)
 
 
 def test_distributed_bc_single_place():
-    rt = make_rt(places=1)
-    result = run_bc(rt, scale=5, edge_factor=4, seed=1)
+    result = run_small("bc", 1, scale=5, edge_factor=4, seed=1, modeled_scale=None)
     assert result.verified
 
 
@@ -175,8 +173,7 @@ def test_imbalance_grows_with_places():
     at scale before GLB)."""
 
     def per_core(places):
-        rt = make_rt(places=places)
-        return run_bc(rt, scale=8, edge_factor=8, seed=2).per_core
+        return run_small("bc", places, scale=8, edge_factor=8, seed=2, modeled_scale=None).per_core
 
     few = per_core(2)
     many = per_core(32)
@@ -185,4 +182,4 @@ def test_imbalance_grows_with_places():
 
 def test_invalid_scale_rejected():
     with pytest.raises(KernelError):
-        run_bc(make_rt(), scale=1)
+        run_small("bc", 8, scale=1, modeled_scale=None)

@@ -3,11 +3,11 @@
 import numpy as np
 
 from repro.glb import GlbConfig
-from repro.kernels.bc import brandes_betweenness, rmat_graph, run_bc, run_bc_glb
+from repro.kernels.bc import brandes_betweenness, rmat_graph, run_bc_glb
 from repro.kernels.bc.bc_glb import BcBag
 from repro.kernels.bc.rmat import graph_from_edges
 
-from tests.kernels.conftest import make_rt
+from tests.kernels.conftest import make_rt, run_small
 
 
 def test_bag_processes_sources_and_reports_cost():
@@ -36,8 +36,7 @@ def test_bag_single_source_not_splittable():
 
 def test_glb_bc_matches_static_bc_exactly():
     scale, ef, seed = 7, 4, 3
-    rt1 = make_rt(places=8)
-    static = run_bc(rt1, scale=scale, edge_factor=ef, seed=seed)
+    static = run_small("bc", 8, scale=scale, edge_factor=ef, seed=seed, modeled_scale=None)
     rt2 = make_rt(places=8)
     dynamic = run_bc_glb(rt2, scale=scale, edge_factor=ef, seed=seed)
     assert dynamic.verified
@@ -75,8 +74,10 @@ def test_glb_improves_bc_efficiency():
         DEFAULT_CALIBRATION, bc_edges_per_sec=DEFAULT_CALIBRATION.bc_edges_per_sec / 50
     )
 
-    rt_static = make_rt(places=places)
-    static = run_bc(rt_static, scale=scale, edge_factor=ef, seed=seed, calibration=dilated)
+    static = run_small(
+        "bc", places, scale=scale, edge_factor=ef, seed=seed, calibration=dilated,
+        modeled_scale=None,
+    )
     rt_glb = make_rt(places=places)
     dynamic = run_bc_glb(
         rt_glb, scale=scale, edge_factor=ef, seed=seed,

@@ -2,45 +2,36 @@
 
 
 from repro.glb import GlbConfig
-from repro.kernels.fft import run_fft
-from repro.kernels.hpl import run_hpl
-from repro.kernels.kmeans import run_kmeans
 from repro.kernels.randomaccess import run_randomaccess
-from repro.kernels.smithwaterman import run_smith_waterman
-from repro.kernels.stream import run_stream
 from repro.kernels.uts import UtsParams, run_uts, sequential_count
 
-from tests.kernels.conftest import make_rt
+from tests.kernels.conftest import make_rt, run_small
 
 
 def test_hpl_single_block_matrix():
-    rt = make_rt(places=1)
-    result = run_hpl(rt, N=8, NB=8)  # one panel, no trailing update
+    result = run_small("hpl", 1, N=8, NB=8, modeled_N=None)  # one panel, no trailing update
     assert result.verified
 
 
 def test_hpl_more_blocks_than_grid():
-    rt = make_rt(places=4)
-    result = run_hpl(rt, N=96, NB=8)  # 12x12 blocks over a 2x2 grid
+    result = run_small("hpl", 4, N=96, NB=8, modeled_N=None)  # 12x12 blocks over a 2x2 grid
     assert result.verified
 
 
 def test_fft_minimum_rows_per_place():
-    rt = make_rt(places=4)
-    result = run_fft(rt, n1=4, n2=4)  # exactly one row per place per phase
+    # exactly one row per place per phase
+    result = run_small("fft", 4, n1=4, n2=4, modeled_elements_per_place=None)
     assert result.verified
 
 
 def test_fft_single_element_rows():
-    rt = make_rt(places=1)
-    result = run_fft(rt, n1=2, n2=2)
+    result = run_small("fft", 1, n1=2, n2=2, modeled_elements_per_place=None)
     assert result.verified
 
 
 def test_kmeans_single_cluster():
-    rt = make_rt(places=4)
-    result = run_kmeans(
-        rt, points_per_place=20, k=1, dim=2, iterations=2, actual_points=20, actual_k=1
+    result = run_small(
+        "kmeans", 4, points_per_place=20, k=1, dim=2, iterations=2, actual_points=20, actual_k=1
     )
     assert result.verified
     # the single centroid is the global mean after one step
@@ -48,25 +39,23 @@ def test_kmeans_single_cluster():
 
 
 def test_kmeans_more_clusters_than_points():
-    rt = make_rt(places=2)
-    result = run_kmeans(
-        rt, points_per_place=3, k=32, dim=2, iterations=2, actual_points=3, actual_k=32
+    result = run_small(
+        "kmeans", 2, points_per_place=3, k=32, dim=2, iterations=2, actual_points=3, actual_k=32
     )
     assert result.verified  # empty clusters keep their centroids
 
 
 def test_smith_waterman_single_character_query():
-    rt = make_rt(places=2)
-    result = run_smith_waterman(
-        rt, short_len=1, long_per_place=10, iterations=1, actual_short=1, actual_long=10
+    result = run_small(
+        "smithwaterman", 2, short_len=1, long_per_place=10, iterations=1,
+        actual_short=1, actual_long=10,
     )
     assert result.verified
     assert result.extra["best_score"] in (0, 2)
 
 
 def test_stream_single_element():
-    rt = make_rt(places=1)
-    result = run_stream(rt, elements_per_place=1, iterations=1)
+    result = run_small("stream", 1, elements_per_place=1, iterations=1)
     assert result.verified
 
 

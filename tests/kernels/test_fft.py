@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import KernelError
-from repro.kernels.fft import fft_input, fft_six_step_reference, run_fft
+from repro.kernels.fft import fft_input, fft_six_step_reference
 from repro.kernels.fft.fft import twiddle, within_allclose
 
-from tests.kernels.conftest import make_rt
+from tests.kernels.conftest import run_small
 
 
 @pytest.mark.parametrize("n1,n2", [(4, 4), (8, 4), (4, 8), (16, 16), (8, 32)])
@@ -26,30 +26,27 @@ def test_six_step_shape_mismatch_rejected():
 @pytest.mark.parametrize("places", [1, 2, 3, 4, 8])
 def test_distributed_fft_correct(places):
     # at 3 places the rows split 5/5/6 and 10/11/11: the split is n*q//P
-    rt = make_rt(places=places)
-    result = run_fft(rt, n1=16, n2=32, seed=2)
+    result = run_small("fft", places, n1=16, n2=32, seed=2, modeled_elements_per_place=None)
     assert result.verified, f"max err {result.extra['max_err']}"
 
 
 def test_distributed_fft_rectangular():
-    rt = make_rt(places=4)
-    result = run_fft(rt, n1=64, n2=8)
+    result = run_small("fft", 4, n1=64, n2=8, modeled_elements_per_place=None)
     assert result.verified
 
 
 def test_single_place_rate_matches_calibration():
     from repro.harness.calibration import DEFAULT_CALIBRATION
 
-    rt = make_rt(places=1)
-    result = run_fft(rt, n1=64, n2=64, modeled_elements_per_place=1 << 24)
+    result = run_small("fft", 1, n1=64, n2=64, modeled_elements_per_place=1 << 24)
     # with one place there is no communication: rate ~= the calibrated rate
     assert result.per_core == pytest.approx(DEFAULT_CALIBRATION.fft_flops, rel=0.05)
 
 
 def test_alltoall_dominates_at_multi_octant_scale():
     """Per-core FFT rate drops when the transposes cross the network."""
-    solo = run_fft(make_rt(places=1), n1=64, n2=64, modeled_elements_per_place=1 << 22)
-    multi = run_fft(make_rt(places=16), n1=64, n2=64, modeled_elements_per_place=1 << 22)
+    solo = run_small("fft", 1, n1=64, n2=64, modeled_elements_per_place=1 << 22)
+    multi = run_small("fft", 16, n1=64, n2=64, modeled_elements_per_place=1 << 22)
     assert multi.per_core < solo.per_core
 
 
@@ -64,15 +61,14 @@ def test_members_draw_rows_of_one_input(n1, places):
 
 
 def test_result_metadata():
-    rt = make_rt(places=2)
-    result = run_fft(rt, n1=8, n2=8)
+    result = run_small("fft", 2, n1=8, n2=8, modeled_elements_per_place=None)
     assert result.kernel == "fft"
     assert result.unit == "flop/s"
     assert result.value > 0
 
 
 def test_single_pass_check_is_np_allclose():
-    """``run_fft`` verifies from one ``|result - expected|`` array; inside, at
+    """``fft_report`` verifies from one ``|result - expected|`` array; inside, at
     and just past the tolerance it agrees with ``np.allclose``."""
     rng = np.random.default_rng(3)
     expected = np.concatenate([np.zeros(4, complex), rng.normal(size=60) + 1j * rng.normal(size=60)])

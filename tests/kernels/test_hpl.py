@@ -14,14 +14,13 @@ from repro.kernels.hpl import (
     blocked_lu_inplace,
     default_grid,
     reconstruction_residual,
-    run_hpl,
 )
 from repro.harness.results import checksum_bytes
 from repro.kernels.hpl.hpl import matrix_columns
 from repro.kernels.hpl.lu import factor_panel, row_moves, solve_unit_lower
 from repro.xrt.backend import get_backend
 
-from tests.kernels.conftest import make_rt
+from tests.kernels.conftest import run_small
 
 
 # -- grids -------------------------------------------------------------------------
@@ -252,29 +251,25 @@ def test_simulate_and_the_program_report_one_checksum(places):
 
 @pytest.mark.parametrize("places", [1, 2, 4, 8])
 def test_distributed_hpl_correct(places):
-    rt = make_rt(places=places)
-    result = run_hpl(rt, N=64, NB=8, seed=1)
+    result = run_small("hpl", places, N=64, NB=8, seed=1, modeled_N=None)
     assert result.verified, f"residual {result.extra['residual']}"
 
 
 def test_distributed_hpl_rectangular_grid():
-    rt = make_rt(places=8)
     from repro.kernels.hpl import ProcessGrid
 
-    result = run_hpl(rt, N=64, NB=8, grid=ProcessGrid(2, 4))
+    result = run_small("hpl", 8, N=64, NB=8, grid=ProcessGrid(2, 4), modeled_N=None)
     assert result.verified
 
 
 def test_grid_place_mismatch_rejected():
-    rt = make_rt(places=4)
     with pytest.raises(KernelError, match="does not match"):
-        run_hpl(rt, N=32, NB=8, grid=ProcessGrid(2, 4))
+        run_small("hpl", 4, N=32, NB=8, grid=ProcessGrid(2, 4), modeled_N=None)
 
 
 def test_n_not_multiple_of_nb_rejected():
-    rt = make_rt(places=4)
     with pytest.raises(KernelError, match="multiple"):
-        run_hpl(rt, N=30, NB=8)
+        run_small("hpl", 4, N=30, NB=8, modeled_N=None)
 
 
 @pytest.mark.parametrize("N,NB", [(64, 0), (0, 16), (-64, 16), (64, -8)])
@@ -286,14 +281,13 @@ def test_simulate_rejects_bad_sizes(N, NB):
 def test_single_place_rate_approaches_dgemm_rate():
     from repro.harness.calibration import DEFAULT_CALIBRATION
 
-    rt = make_rt(places=1)
-    result = run_hpl(rt, N=256, NB=32)
+    result = run_small("hpl", 1, N=256, NB=32, modeled_N=None)
     solo = DEFAULT_CALIBRATION.dgemm_flops_solo
     # panel and trsm overheads keep it below, but in the right neighborhood
     assert 0.4 * solo < result.per_core < solo
 
 
 def test_per_core_rate_drops_with_scale_out():
-    solo = run_hpl(make_rt(places=1), N=128, NB=16).per_core
-    scaled = run_hpl(make_rt(places=16), N=256, NB=16).per_core
+    solo = run_small("hpl", 1, N=128, NB=16, modeled_N=None).per_core
+    scaled = run_small("hpl", 16, N=256, NB=16, modeled_N=None).per_core
     assert scaled < solo

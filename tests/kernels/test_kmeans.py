@@ -9,11 +9,10 @@ from repro.kernels.kmeans import (
     generate_points,
     initial_centroids,
     kmeans_reference,
-    run_kmeans,
 )
 from repro.kernels.kmeans.kmeans import update_centroids
 
-from tests.kernels.conftest import make_rt
+from tests.kernels.conftest import run_small
 
 
 def test_assign_and_accumulate_counts_points():
@@ -91,9 +90,8 @@ def test_distributed_matches_reference_exactly():
     """The distributed algorithm with All-Reduce must be bitwise-equivalent in
     cluster assignment to single-node Lloyd's on the concatenated points."""
     places, n, k, dim, iters, seed = 4, 50, 8, 3, 4, 7
-    rt = make_rt(places=places)
-    result = run_kmeans(
-        rt, points_per_place=n, k=k, dim=dim, iterations=iters, seed=seed,
+    result = run_small(
+        "kmeans", places, points_per_place=n, k=k, dim=dim, iterations=iters, seed=seed,
         actual_points=n, actual_k=k,
     )
     assert result.verified
@@ -103,8 +101,9 @@ def test_distributed_matches_reference_exactly():
 
 
 def test_all_places_agree_on_centroids():
-    rt = make_rt(places=8)
-    result = run_kmeans(rt, points_per_place=40, k=4, dim=2, iterations=3, actual_points=40, actual_k=4)
+    result = run_small(
+        "kmeans", 8, points_per_place=40, k=4, dim=2, iterations=3, actual_points=40, actual_k=4
+    )
     assert result.verified
 
 
@@ -112,8 +111,7 @@ def test_weak_scaling_run_time_nearly_flat():
     """Paper: 6.13 s at 1 place -> 6.27 s at 47,040 (>= 97% efficiency)."""
 
     def run_at(places):
-        rt = make_rt(places=places)
-        return run_kmeans(rt, points_per_place=40_000, k=512, dim=12, iterations=3).value
+        return run_small("kmeans", places, points_per_place=40_000, k=512, dim=12, iterations=3).value
 
     t1 = run_at(1)
     t64 = run_at(64)
@@ -121,6 +119,5 @@ def test_weak_scaling_run_time_nearly_flat():
 
 
 def test_invalid_parameters_rejected():
-    rt = make_rt()
     with pytest.raises(KernelError):
-        run_kmeans(rt, points_per_place=0)
+        run_small("kmeans", 8, points_per_place=0)

@@ -173,15 +173,15 @@ def test_smithwaterman_matches_full_sequence_reference():
 
 
 def test_smithwaterman_program_and_driver_agree():
-    """One program: the portable entry and the simulator driver, at matching
-    real sizes, score the same sequences the same way."""
-    from repro.kernels.smithwaterman import run_smith_waterman
+    """One program: the program at its defaults and ``simulate`` at matching
+    real sizes score the same sequences the same way."""
+    from repro.harness.runner import simulate
     from repro.runtime import ApgasRuntime
 
     main = build_program("smithwaterman", PLACES, target_len=4 * 96, query_len=24, seed=5)
     portable = ApgasRuntime(places=PLACES).run(main)
-    driver = run_smith_waterman(
-        ApgasRuntime(places=PLACES), short_len=24, long_per_place=96, iterations=1,
+    driver = simulate(
+        "smithwaterman", PLACES, short_len=24, long_per_place=96, iterations=1,
         seed=5, actual_short=24, actual_long=96,
     )
     assert driver.verified
@@ -202,14 +202,13 @@ def test_fft_matches_numpy_spectrum():
 
 
 def test_fft_program_and_driver_agree():
-    """One program: the portable entry and the simulator driver transform the
+    """One program: the program at its defaults and ``simulate`` transform the
     same input to the same spectrum bits, at an uneven row split too."""
-    from repro.kernels.fft import run_fft
-    from repro.runtime import ApgasRuntime
+    from repro.harness.runner import simulate
 
     for places in (PLACES, 3):
         run = _run("fft", places, n1=16, n2=32, seed=8)
-        driver = run_fft(ApgasRuntime(places=places), n1=16, n2=32, seed=8)
+        driver = simulate("fft", places, n1=16, n2=32, seed=8, modeled_elements_per_place=None)
         assert driver.verified
         assert run.checksum == driver.extra["checksum"]
 
@@ -302,16 +301,13 @@ def test_stream_is_deterministic_for_a_fixed_seed():
 
 
 def test_stream_program_and_driver_agree():
-    """One program: the portable entry and the simulator driver, at matching
-    real sizes, leave the same arrays at every member."""
-    from repro.kernels.stream import run_stream
-    from repro.runtime import ApgasRuntime
+    """One program: the program at its defaults and ``simulate`` at matching
+    real sizes leave the same arrays at every member."""
+    from repro.harness.runner import simulate
 
     for places in (PLACES, 3):
         run = _run("stream", places, n_per_place=1000, iterations=3, alpha=2.5)
-        driver = run_stream(
-            ApgasRuntime(places=places), elements_per_place=1000, iterations=3, alpha=2.5
-        )
+        driver = simulate("stream", places, elements_per_place=1000, iterations=3, alpha=2.5)
         assert driver.verified and run.result["verified"]
         assert run.checksum == driver.extra["checksum"]
 

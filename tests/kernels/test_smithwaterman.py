@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from repro.errors import KernelError
 from repro.kernels.smithwaterman import (
-    run_smith_waterman,
     sw_score,
     sw_score_reference,
 )
 from repro.kernels.smithwaterman.sw import safe_overlap
 
-from tests.kernels.conftest import make_rt
+from tests.kernels.conftest import run_small
 
 seq = st.lists(st.integers(0, 3), min_size=0, max_size=40).map(
     lambda xs: np.array(xs, dtype=np.int8)
@@ -87,9 +86,8 @@ def test_symmetry(a, b):
 
 def test_distributed_matches_whole_sequence_dp():
     places, m, frag = 4, 12, 60
-    rt = make_rt(places=places)
-    result = run_smith_waterman(
-        rt, short_len=m, long_per_place=frag, iterations=1,
+    result = run_small(
+        "smithwaterman", places, short_len=m, long_per_place=frag, iterations=1,
         actual_short=m, actual_long=frag, seed=3,
     )
     assert result.verified
@@ -101,9 +99,8 @@ def test_distributed_matches_whole_sequence_dp():
 @pytest.mark.parametrize("seed", [0, 1, 2, 5])
 def test_fragment_decomposition_exact_across_seeds(seed):
     places = 8
-    rt = make_rt(places=places)
-    result = run_smith_waterman(
-        rt, short_len=10, long_per_place=40, iterations=1,
+    result = run_small(
+        "smithwaterman", places, short_len=10, long_per_place=40, iterations=1,
         actual_short=10, actual_long=40, seed=seed,
     )
     assert result.extra["best_score"] == sw_score(result.extra["short"], result.extra["long"])
@@ -116,18 +113,18 @@ def test_safe_overlap_formula():
 
 def test_run_time_increases_from_one_place_to_full_octant():
     """Paper: 8.61 s at one place vs 12.68 s with 32 places (bus contention)."""
-    t1 = run_smith_waterman(make_rt(places=1), iterations=1).value
-    t4 = run_smith_waterman(make_rt(places=4), iterations=1).value  # full small octant
+    t1 = run_small("smithwaterman", 1, iterations=1).value
+    t4 = run_small("smithwaterman", 4, iterations=1).value  # full small octant
     assert t4 > t1 * 1.2
 
 
 def test_scaling_out_loses_little():
     """Paper: 12.68 s at one host -> 12.87 s at 1,470 hosts (2% loss)."""
-    t_host = run_smith_waterman(make_rt(places=4), iterations=1).value
-    t_many = run_smith_waterman(make_rt(places=64), iterations=1).value
+    t_host = run_small("smithwaterman", 4, iterations=1).value
+    t_many = run_small("smithwaterman", 64, iterations=1).value
     assert t_many / t_host < 1.1
 
 
 def test_invalid_parameters_rejected():
     with pytest.raises(KernelError):
-        run_smith_waterman(make_rt(), short_len=0)
+        run_small("smithwaterman", 8, short_len=0)

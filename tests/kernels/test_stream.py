@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import KernelError
-from repro.kernels.stream import run_stream, triad
+from repro.kernels.stream import triad
 from repro.machine.memory import stream_bw_per_place
 
-from tests.kernels.conftest import make_rt
+from tests.kernels.conftest import make_rt, run_small
 
 
 def test_triad_math():
@@ -19,8 +19,7 @@ def test_triad_math():
 
 
 def test_run_verifies_everywhere():
-    rt = make_rt(places=8)
-    result = run_stream(rt, elements_per_place=10_000, iterations=3)
+    result = run_small("stream", 8, elements_per_place=10_000, iterations=3)
     assert result.verified
     assert result.extra["failures"] == []
 
@@ -28,15 +27,14 @@ def test_run_verifies_everywhere():
 def test_bandwidth_close_to_memory_model():
     rt = make_rt(places=4)  # one octant in the small machine
     n = 50_000_000  # large modeled arrays so spawn overhead vanishes
-    result = run_stream(rt, elements_per_place=n, iterations=4)
+    result = run_small("stream", 4, elements_per_place=n, iterations=4)
     expected = 4 * stream_bw_per_place(rt.config, 4)
     assert result.value == pytest.approx(expected, rel=0.02)
 
 
 def test_weak_scaling_efficiency_high():
     def per_core(places):
-        rt = make_rt(places=places)
-        return run_stream(rt, elements_per_place=20_000_000, iterations=4).per_core
+        return run_small("stream", places, elements_per_place=20_000_000, iterations=4).per_core
 
     solo = per_core(4)
     scaled = per_core(64)
@@ -44,22 +42,19 @@ def test_weak_scaling_efficiency_high():
 
 
 def test_contention_reduces_per_place_bandwidth():
-    rt1 = make_rt(places=1)
-    solo = run_stream(rt1, elements_per_place=20_000_000, iterations=4).per_core
-    rt2 = make_rt(places=4)  # full octant in the small machine
-    loaded = run_stream(rt2, elements_per_place=20_000_000, iterations=4).per_core
+    solo = run_small("stream", 1, elements_per_place=20_000_000, iterations=4).per_core
+    # a full octant in the small machine
+    loaded = run_small("stream", 4, elements_per_place=20_000_000, iterations=4).per_core
     assert loaded < solo
 
 
 def test_invalid_parameters_rejected():
-    rt = make_rt()
     with pytest.raises(KernelError):
-        run_stream(rt, elements_per_place=0)
+        run_small("stream", 8, elements_per_place=0)
 
 
 def test_result_metadata():
-    rt = make_rt(places=2)
-    result = run_stream(rt, elements_per_place=1000, iterations=2)
+    result = run_small("stream", 2, elements_per_place=1000, iterations=2)
     assert result.kernel == "stream"
     assert result.unit == "B/s"
     assert result.places == 2

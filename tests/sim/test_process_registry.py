@@ -9,13 +9,13 @@ import pytest
 
 from repro.errors import DeadlockError, DeadPlaceError
 from repro.harness import runner
-from repro.harness.runner import KERNELS, simulate
+from repro.harness.runner import PORTABLE_KERNELS, simulate
 from repro.machine.config import MachineConfig
 from repro.runtime import ApgasRuntime
 from repro.sim import Engine, Process, SimEvent, Timeout
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", PORTABLE_KERNELS)
 def test_registry_is_empty_after_every_kernel(kernel, monkeypatch):
     made = []
 

@@ -74,14 +74,19 @@ def test_glb_exports():
 
 
 def test_kernel_run_functions_exist():
-    from repro.kernels.bc import run_bc, run_bc_glb  # noqa: F401
-    from repro.kernels.fft import run_fft  # noqa: F401
-    from repro.kernels.hpl import run_hpl  # noqa: F401
-    from repro.kernels.kmeans import run_kmeans  # noqa: F401
+    from repro.kernels.bc import bc_main, run_bc_glb  # noqa: F401
+    from repro.kernels.fft import fft_main  # noqa: F401
+    from repro.kernels.hpl import hpl_main  # noqa: F401
+    from repro.kernels.kmeans import kmeans_main  # noqa: F401
+    from repro.kernels.portable import KERNELS
     from repro.kernels.randomaccess import run_randomaccess  # noqa: F401
-    from repro.kernels.smithwaterman import run_smith_waterman  # noqa: F401
-    from repro.kernels.stream import run_stream  # noqa: F401
+    from repro.kernels.smithwaterman import sw_main  # noqa: F401
+    from repro.kernels.stream import stream_main  # noqa: F401
     from repro.kernels.uts import run_uts  # noqa: F401
+
+    assert sorted(KERNELS) == sorted(
+        ["stream", "randomaccess", "fft", "hpl", "uts", "kmeans", "smithwaterman", "bc"]
+    )
 
 
 def test_error_hierarchy_roots_at_repro_error():
