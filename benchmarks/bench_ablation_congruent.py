@@ -4,11 +4,8 @@ Paper Section 3.3: the Torrent is very sensitive to TLB misses, so registered
 segments must be backed by large pages — essential for RandomAccess.
 """
 
-import pytest
-
 from repro.harness.reporting import render_table
-from repro.harness.runner import make_runtime
-from repro.kernels.randomaccess import run_randomaccess
+from repro.harness.runner import simulate
 
 from benchmarks._util import run_once
 
@@ -16,16 +13,14 @@ PLACES = 128
 
 
 def _run(large_pages):
-    rt = make_runtime(PLACES)
-    result = run_randomaccess(
-        rt,
+    return simulate(
+        "randomaccess",
+        PLACES,
         table_words_per_place=1 << 28,  # 2 GB per place
         updates_per_place=4096,
-        materialize=False,
         large_pages=large_pages,
         model_updates_factor=(4 << 28) / 4096,
     )
-    return result
 
 
 def bench_large_pages_for_randomaccess(benchmark):

@@ -2,7 +2,8 @@
 
 The builder recognizes the spawning constructs of
 :class:`~repro.runtime.activity.ActivityContext` — ``ctx.at_async(p, fn,
-...)``, ``ctx.async_(fn, ...)`` and ``ctx.async_copy(...)`` — plus plain
+...)``, ``ctx.async_(fn, ...)``, ``ctx.async_copy(...)`` and ``ctx.gups(...)``
+(remote operations without a body, like a copy) — plus plain
 calls to functions the :class:`~repro.analyze.sourcemodel.Program` can
 resolve, so pragma inference can follow activity bodies across function
 boundaries.  Spawns are partitioned by the innermost ``finish`` scope that
@@ -22,7 +23,7 @@ from repro.analyze.sourcemodel import Program, Scope
 from repro.runtime.finish.pragmas import Pragma
 
 #: ActivityContext spawning methods and the fork kind each one creates
-SPAWN_METHODS = {"at_async": "remote", "async_": "local", "async_copy": "copy"}
+SPAWN_METHODS = {"at_async": "remote", "async_": "local", "async_copy": "copy", "gups": "copy"}
 
 
 @dataclass
@@ -328,7 +329,8 @@ class _EventWalker(ast.NodeVisitor):
                     callee_expr=callee_expr,
                     callee=callee,
                     call_args=call_args,
-                    loop_depth=self.loop_depth,
+                    # a GUPS batch reaches every owner of its values: a place loop of its own
+                    loop_depth=self.loop_depth + (func.attr == "gups"),
                     line=node.lineno,
                     guarded=self.guard_depth > 0,
                 )

@@ -9,9 +9,9 @@ over a job's group, and ``build_program`` with the small ``defaults`` on
 either backend (:class:`~repro.xrt.backend.SimBackend`, one OS process per
 place).  *Portable* only means that what a program hands ``ctx`` pickles,
 so results are bit-identical across backends, the property the conformance
-suite (:mod:`repro.xrt.conformance`) is built on.  RandomAccess
-(:mod:`.programs`) and UTS (:mod:`.uts_program`) keep a portable copy
-beside simulator drivers that pass live objects no wire can carry.
+suite (:mod:`repro.xrt.conformance`) is built on.  UTS alone keeps a
+portable copy (:mod:`.uts_program`) beside a simulator driver whose GLB
+fabric passes live objects no wire can carry.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.kernels.bc import bc as _bc
 from repro.kernels.fft import fft as _fft
 from repro.kernels.hpl import hpl as _hpl
 from repro.kernels.kmeans import kmeans as _kmeans
-from repro.kernels.portable.programs import ra_check_sizes, ra_main, spmd
 from repro.kernels.portable.uts_program import uts_main
 from repro.kernels.randomaccess import ra as _ra
 from repro.kernels.smithwaterman import sw as _sw
@@ -37,8 +36,8 @@ class Kernel(NamedTuple):
     """A row of :data:`KERNELS`: ``main(ctx, group=None, **params)``, its small
     ``defaults``, ``modelled(places, config, **kw)`` (``simulate``'s keywords as
     parameters) and ``report(result, params, places, sim_time)`` (its
-    :class:`~repro.harness.results.KernelResult`); or, for RandomAccess and
-    UTS, the simulator ``driver(rt, **modelled)`` that ``simulate`` runs."""
+    :class:`~repro.harness.results.KernelResult`); or, for UTS, the
+    simulator ``driver(rt, **modelled)`` that ``simulate`` runs."""
 
     main: Callable
     defaults: dict
@@ -58,8 +57,7 @@ KERNELS: dict[str, Kernel] = {
                                   "modeled_nb": 360, **_CAL}, _hpl.hpl_modelled, _hpl.hpl_report),
     "kmeans": Kernel(_kmeans.kmeans_main, _kmeans.PROGRAM_DEFAULTS, _kmeans.kmeans_modelled,
                      _kmeans.kmeans_report),
-    "randomaccess": Kernel(ra_main, {"log2_table": 12, "updates_per_place": 2048},
-                           _ra.ra_modelled, driver=_ra.run_randomaccess),
+    "randomaccess": Kernel(_ra.ra_main, _ra.PROGRAM_DEFAULTS, _ra.ra_modelled, _ra.ra_report),
     "smithwaterman": Kernel(_sw.sw_main, {"target_len": 512, "query_len": 32, "seed": 13,
                                           "iterations": 1, "modeled_query": None,
                                           "modeled_share": None, **_CAL},
@@ -102,7 +100,7 @@ def program_params(kernel: str, params: dict) -> dict:
     elif kernel == "fft":
         _fft.check_sizes(p["n1"], p["n2"])
     elif kernel == "randomaccess":
-        ra_check_sizes(p["log2_table"], p["updates_per_place"])
+        _ra.check_sizes(p["log2_table"], p["updates_per_place"], p["batch"])
     return p
 
 
@@ -116,5 +114,5 @@ def build_program(kernel: str, places: int, **params: Any) -> Callable:
 
 __all__ = [
     "KERNELS", "PORTABLE_KERNELS", "Kernel", "build_program", "program_defaults",
-    "program_params", "spmd",
+    "program_params",
 ]

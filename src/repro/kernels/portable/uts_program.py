@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from repro.errors import DeadPlaceError
 from repro.harness.results import checksum_bytes
-from repro.kernels.portable.programs import _gather, spmd
 from repro.kernels.uts.tree import UtsBag, UtsParams
 from repro.runtime.finish.pragmas import Pragma
 
@@ -39,6 +38,36 @@ CHUNK = 512
 #: idle backoff between steal rounds: virtual on the simulator, real
 #: (sub-millisecond) on procs — keeps an idle place from hammering the wires
 _IDLE_BACKOFF = 5e-4
+
+
+def spmd(ctx, worker, params: dict, pragma: Pragma = Pragma.FINISH_SPMD):
+    """Run ``worker(ctx, params)`` once at every place under ``pragma``.
+
+    The paper's dominant pattern: one remote activity per place, no stray
+    subactivities outside nested finishes.  Use ``yield from spmd(...)``.
+    """
+    with ctx.finish(pragma) as f:
+        for place in ctx.places():
+            if place == ctx.here:
+                ctx.async_(worker, params)
+            else:
+                ctx.at_async(place, worker, params)
+    yield f.wait()
+    return ctx.store.pop("portable:result")
+
+
+def _gather(ctx, tag: str, value):
+    """Collect every place's ``value`` at place 0: returns ``{place: value}``
+    there (None elsewhere), independent of arrival order."""
+    box = f"ga:{tag}"
+    if ctx.here != 0:
+        ctx.send(0, box, (ctx.here, value))
+        return None
+    out = {0: value}
+    for _ in range(ctx.n_places - 1):
+        sender, item = yield ctx.recv(box)
+        out[sender] = item
+    return out
 
 
 def uts_loop(ctx, p: dict, ctl_box: str = "uts:ctl", abort_on_death: bool = False):

@@ -43,6 +43,8 @@ the runtime seam                                               serves
 ``send_item(src, dst, mailbox, item, nbytes)``                 ``ctx.send``
 ``recv(place, mailbox)``                                       ``ctx.recv``
 ``async_copy(here, src, dst, finish, nbytes)``                 ``ctx.async_copy`` (RDMA only)
+``congruent(place, words, large_pages, materialize)``          ``ctx.congruent``
+``gups(here, key, members, bounds, values, scale, finish)``    ``ctx.gups``
 ``dead_places()``, ``acknowledge_deaths()``                    the ``ctx`` calls of those names
 ``revive_place(p)``                                            ``ctx.revive(p)``
 ``is_dead(p)``                                                 ``broadcast_spawn`` re-rooting
@@ -297,6 +299,29 @@ class ActivityContext:
         occupies either place's worker.
         """
         self.rt.async_copy(self.here, src, dst, self.activity.current_finish, nbytes)
+
+    # -- symmetric tables and remote XOR (paper Section 3.3) ----------------------------
+
+    def congruent(self, key, words: int, large_pages: bool = True, materialize: bool = True):
+        """Allocate this member's part of a *symmetric* table, ``words``
+        ``uint64`` slots kept as ``ctx.store[key]``: every member allocates
+        under the same key, the table's congruent address.  Returns the
+        :class:`~repro.runtime.congruent.CongruentArray`.  On the simulator
+        it is registered memory on ``large_pages`` or small ones, and
+        ``materialize=False`` models it without backing data."""
+        table = self.store[key] = self.rt.congruent(self.here, words, large_pages, materialize)
+        return table
+
+    def gups(self, key, members, bounds, values, scale: float = 1.0) -> None:
+        """The Torrent's remote XOR, fire-and-forget under the current finish:
+        every ``uint64`` value of ``values`` is XORed into its slot (its low
+        bits) of the symmetric table ``key``, whose slots ``bounds[r]`` up to
+        ``bounds[r + 1]`` ``members[r]`` holds.  The simulator charges one
+        GUPS batch a destination octant, ``scale`` modelled updates a value;
+        procs evaluates the XOR at each owner.  A batch joins the finish
+        here once it has landed, as RDMA completion is reported to its
+        initiator, so it sends no finish control message."""
+        self.rt.gups(self.here, key, members, bounds, values, scale, self.activity.current_finish)
 
     # -- messaging (library-level protocols such as GLB) -----------------------------
 

@@ -7,6 +7,13 @@ backed by registered segments (outside the garbage collector's control); when
 every place performs the same allocation sequence, *symmetric* mode returns
 the same sequence of addresses everywhere.  Segments are backed by large pages
 when enabled, minimizing hub TLB entries — essential for RandomAccess.
+
+The remote XOR of ``ctx.gups`` targets a *symmetric table*: one ``uint64``
+segment a member, all kept under the same ``ctx.store`` key (the congruent
+address), member ``r`` holding the slots ``bounds[r]`` up to
+``bounds[r + 1]`` of one global table.  :func:`sort_by_owner` groups a
+batch of update values by owner and :func:`xor_into` applies one owner's
+share; both runtimes use them, so an update lands in the same slot on either.
 """
 
 from __future__ import annotations
@@ -131,3 +138,43 @@ class CongruentAllocator:
         address = self._next_address.get(place, _BASE_ADDRESS)
         self._next_address[place] = address + aligned
         return address
+
+
+def sort_by_owner(bounds: Sequence[int], values: np.ndarray) -> tuple:
+    """``(ordered, cuts)``: ``values`` grouped by owner, a fresh array, whose
+    ``ordered[cuts[r]:cuts[r + 1]]`` member ``r`` owns.  A value's slot is its
+    low bits: ``bounds[-1]``, the table size, is a power of two."""
+    members = len(bounds) - 1
+    slots = values & np.uint64(bounds[-1] - 1)
+    rank = np.searchsorted(np.asarray(bounds, dtype=np.uint64), slots, side="right")
+    del slots
+    rank -= 1
+    # the narrowest type: NumPy sorts 8- and 16-bit keys by radix
+    rank = rank.astype(np.min_scalar_type(members))
+    cuts = np.zeros(members + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rank, minlength=members), out=cuts[1:])
+    return values[np.argsort(rank, kind="stable")], cuts
+
+
+def xor_into(table: np.ndarray, lo: int, mask: int, values: np.ndarray) -> None:
+    """XOR each value into its slot (``value & mask``) of ``table``, whose
+    first slot is ``lo``; every duplicate slot lands (``bitwise_xor.at``)."""
+    index = values & np.uint64(mask)
+    index -= np.uint64(lo)
+    np.bitwise_xor.at(table, index.view(np.int64), values)
+
+
+def join_when_done(finish, place: int, event) -> None:
+    """``event``'s callback: one remote XOR batch is done, ``finish`` joins
+    at ``place``; a batch that failed raises here."""
+    if event._exc is not None:
+        raise event._exc
+    finish.join(place)
+
+
+def gups_xor(ctx, key, lo: int, mask: int, values: np.ndarray) -> None:
+    """The remote XOR as an ``at`` body: ``values`` into the symmetric table
+    ``ctx.store[key]`` here (procs' ``ctx.gups``)."""
+    table = ctx.store[key]
+    if table.materialized:
+        xor_into(table.data, lo, mask, values)

@@ -7,14 +7,19 @@ from functools import partial
 from types import GeneratorType
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from repro.chaos import ChaosInjector, ChaosSpec
-from repro.errors import ApgasError, DeadPlaceError, PlaceError
+from repro.errors import ApgasError, DeadPlaceError, KernelError, PlaceError
 from repro.machine.config import MachineConfig
 from repro.machine.noise import JitterModel
 from repro.machine.topology import Topology
 from repro.obs import Observability
 from repro.runtime import racedetect
 from repro.runtime.activity import Activity, ActivityContext, _UngovernedFinish
+from repro.runtime.congruent import (
+    CongruentAllocator, CongruentArray, join_when_done, sort_by_owner, xor_into,
+)
 from repro.runtime.finish import _IMPLEMENTATIONS, BaseFinish, Pragma
 from repro.runtime.place import PlaceRuntime
 from repro.runtime.team import MessageTeam, Team
@@ -125,6 +130,8 @@ class ApgasRuntime:
         self.rdma = (
             RdmaEngine(self.transport, self.registry) if self.transport.supports_rdma else None
         )
+        #: ``large_pages`` -> the allocator of ``ctx.congruent`` tables
+        self._allocators: dict[bool, CongruentAllocator] = {}
         self.jitter = JitterModel(self.config, places)
         self._places = [PlaceRuntime(i, workers=workers_per_place) for i in range(places)]
         self._finishes: dict[int, BaseFinish] = {}
@@ -544,6 +551,47 @@ class ApgasRuntime:
             done.add_callback(land)
         else:
             done.add_callback(lambda _event: finish.join(dst.place))
+
+    # -- symmetric tables and remote XOR (the GUPS engine) ---------------------------------
+
+    def congruent(self, place: int, words: int, large_pages: bool = True,
+                  materialize: bool = True) -> CongruentArray:
+        """``ctx.congruent``: a registered ``uint64`` segment at ``place``.
+        One allocator per page size, so members that allocate the same
+        sequence get the same address."""
+        allocator = self._allocators.get(large_pages)
+        if allocator is None:
+            allocator = self._allocators[large_pages] = CongruentAllocator(self, large_pages)
+        return allocator.alloc(place, (words,), np.uint64, materialize=materialize)
+
+    def gups(self, here: int, key, members, bounds, values, scale: float, finish) -> None:
+        """``ctx.gups``: one GUPS batch a destination octant, charged ``scale``
+        updates a value against the table of its first owner there.  The
+        values are copied now and XORed in at landing, which the hardware
+        reports to ``here``: each batch joins ``finish`` there."""
+        if self.rdma is None:
+            raise KernelError(
+                f"remote XOR needs an RDMA-capable transport; {self.transport.name!r} has none"
+            )
+        ordered, cuts = sort_by_owner(bounds, values)
+        counts = np.diff(cuts)
+        # ``topology.octant_of`` of every member at once
+        octants = np.asarray(members) // self.config.cores_per_octant
+        per_octant = np.bincount(octants, weights=counts)
+        for octant in np.flatnonzero(per_octant):
+            ranks = np.flatnonzero((octants == octant) & (counts > 0))
+            target = self._places[members[ranks[0]]].store[key]
+            finish.fork(here, here)
+            done = self.rdma.gups(here, target.region, int(per_octant[octant] * scale))
+            if target.materialized:
+                done.add_callback(partial(
+                    self._gups_landed, key, [(members[r], bounds[r], ordered[cuts[r]:cuts[r + 1]])
+                                             for r in ranks], bounds[-1] - 1))
+            done.add_callback(partial(join_when_done, finish, here))
+
+    def _gups_landed(self, key, owners: list, mask: int, _event) -> None:
+        for place, lo, part in owners:
+            xor_into(self._places[place].store[key].data, lo, mask, part)
 
     # -- place failure ----------------------------------------------------------------------
 

@@ -11,6 +11,7 @@ and its width.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 from repro.glb import GlbConfig
@@ -50,6 +51,14 @@ KERNEL_PROFILES: dict[str, KernelProfile] = {
 }
 
 SERVABLE_KERNELS = tuple(sorted(KERNEL_PROFILES))
+
+
+def accepted_params(kernel: str) -> list:
+    """The parameters a job of ``kernel`` takes: ``simulate``'s keywords for
+    it (``build_uts``'s for uts), sorted."""
+    fn, skip = (build_uts, {"rt", "group"}) if kernel == "uts" else (
+        KERNELS[kernel].modelled, {"places", "config"})
+    return sorted(name for name in inspect.signature(fn).parameters if name not in skip)
 
 
 def run_job(ctx, rt: ApgasRuntime, request, places: tuple, t_start: float):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ServeError
-from repro.serve.jobs import KERNEL_PROFILES, SERVABLE_KERNELS
+from repro.serve.jobs import KERNEL_PROFILES, SERVABLE_KERNELS, accepted_params
 
 
 @dataclass(frozen=True)
@@ -170,9 +170,17 @@ def parse_scenario(d: dict, name: str = "scenario") -> ScenarioSpec:
             isinstance(override, dict),
             f"scenario: kernels[{kernel!r}] must be an object",
         )
+        params = override.get("params", {})
         _require(
-            isinstance(override.get("params", {}), dict),
+            isinstance(params, dict),
             f"scenario: kernels[{kernel!r}]['params'] must be an object",
+        )
+        accepted = accepted_params(kernel)
+        unknown = sorted(set(params) - set(accepted))
+        _require(
+            not unknown,
+            f"scenario: unknown parameter(s) {unknown} in kernels[{kernel!r}]['params']; "
+            f"accepted: {accepted}",
         )
     chaos = d.get("chaos")
     _require(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
@@ -106,33 +106,31 @@ class Process:
         """Zero-argument trampoline for the dominant ``send(None)`` resume."""
         self._step(None)
 
-    def _step(self, send_value: Any) -> None:
-        if self._killed:
-            return
-        try:
-            effect = self._body.send(send_value)
-        except StopIteration as stop:
-            self.engine._note_unblocked(self)
-            self.done.trigger(stop.value)
-            return
-        except BaseException as exc:
-            self._crash(exc)
-            return
-        self._dispatch(effect)
-
-    def _throw(self, exc: BaseException) -> None:
-        if self._killed:
-            return
-        try:
-            effect = self._body.throw(exc)
-        except StopIteration as stop:
-            self.engine._note_unblocked(self)
-            self.done.trigger(stop.value)
-            return
-        except BaseException as raised:
-            self._crash(raised)
-            return
-        self._dispatch(effect)
+    def _step(self, value: Any, exc: Optional[BaseException] = None) -> None:
+        """Send ``value`` into the body (throw ``exc``, if given) and go on
+        while the effect it yields has already fired: in this loop, not in a
+        nested call, so a run of ready events costs no stack depth."""
+        body = self._body
+        while not self._killed:
+            try:
+                effect = body.send(value) if exc is None else body.throw(exc)
+            except StopIteration as stop:
+                self.engine._note_unblocked(self)
+                self.done.trigger(stop.value)
+                return
+            except BaseException as raised:
+                self._crash(raised)
+                return
+            if type(effect) is SimEvent:
+                # the dominant wait, ahead of :meth:`_ready`'s dispatch
+                if not effect._fired:
+                    effect._callbacks.append(self._on_event)
+                    return
+            else:
+                effect = self._ready(effect)
+                if effect is None:
+                    return
+            value, exc = effect._value, effect._exc
 
     def _crash(self, exc: BaseException) -> None:
         # If someone is waiting on .done the exception is delivered there
@@ -144,41 +142,33 @@ class Process:
         if not had_waiters:
             raise exc
 
-    def _dispatch(self, effect: Any) -> None:
-        if type(effect) is SimEvent:
-            # ``add_callback``, inlined: nearly every wait comes through here
-            if effect._fired:
-                self._on_event(effect)
-            else:
-                effect._callbacks.append(self._on_event)
-            return
+    def _ready(self, effect: Any) -> Optional[SimEvent]:
+        """Arrange to resume on ``effect``, or return its event if it has
+        already fired (the caller resumes at once)."""
         if effect is None:
             self.engine.post(0.0, self._resume)
-            return
+            return None
         if isinstance(effect, Timeout):
             value = effect.value
             if value is None:
                 self.engine.post(effect.delay, self._resume)
             else:
                 self.engine.post(effect.delay, self._step, value)
-            return
+            return None
         if isinstance(effect, Process):
             effect = effect.done
-        if isinstance(effect, SimEvent):
-            effect.add_callback(self._on_event)
-            return
-        # Store.get() returns a _Get object with an `event` attribute.
-        event = getattr(effect, "event", None)
-        if isinstance(event, SimEvent):
-            event.add_callback(self._on_event)
-            return
-        raise SimulationError(
-            f"process {self.name!r} yielded an unknown effect: {effect!r}"
-        )
+        elif not isinstance(effect, SimEvent):
+            # Store.get() returns a _Get object with an `event` attribute.
+            event = getattr(effect, "event", None)
+            if not isinstance(event, SimEvent):
+                raise SimulationError(
+                    f"process {self.name!r} yielded an unknown effect: {effect!r}"
+                )
+            effect = event
+        if effect._fired:
+            return effect
+        effect._callbacks.append(self._on_event)
+        return None
 
     def _on_event(self, event: SimEvent) -> None:
-        exc = event._exc
-        if exc is not None:
-            self._throw(exc)
-            return
-        self._step(event._value)
+        self._step(event._value, event._exc)

@@ -32,11 +32,14 @@ from functools import partial
 from types import GeneratorType
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from repro.errors import ApgasError, DeadPlaceError, PlaceError, ProcsError
 from repro.machine.config import MachineConfig
 from repro.machine.topology import Topology
 from repro.obs import Observability
 from repro.runtime.activity import Activity, ActivityContext, _UngovernedFinish
+from repro.runtime.congruent import CongruentArray, gups_xor, join_when_done, sort_by_owner
 from repro.runtime.finish.pragmas import Pragma
 from repro.runtime.place import PlaceRuntime
 from repro.runtime.runtime import _settle
@@ -46,6 +49,7 @@ from repro.sim.process import Process, Timeout
 from repro.xrt.procs import wire
 from repro.xrt.procs.finishproc import Fid, HomeFinish, resolve_finish
 from repro.xrt.procs.loop import PlaceLoop
+from repro.xrt.rdma import MemRegion
 
 
 class ProcsRuntime:
@@ -223,6 +227,27 @@ class ProcsRuntime:
             "transport 'procs' has no RDMA; asyncCopy falls back to plain "
             "messages only on RDMA-capable fabrics"
         )
+
+    # -- symmetric tables and remote XOR ------------------------------------------
+
+    def congruent(self, place: int, words: int, large_pages: bool = True,
+                  materialize: bool = True) -> CongruentArray:
+        """A private array: nothing to register and no address to model here."""
+        config = self.topology.config
+        data = np.zeros(words, dtype=np.uint64) if materialize else None
+        page = config.large_page_bytes if large_pages else config.small_page_bytes
+        return CongruentArray(MemRegion(place, 8 * words, page, data=data), data)
+
+    def gups(self, here: int, key, members, bounds, values, scale: float, finish) -> None:
+        """A remote evaluation of :func:`~repro.runtime.congruent.gups_xor` an
+        owner, each joining ``finish`` here when its reply lands, as the
+        simulator's GUPS engine reports a batch; ``scale`` models nothing here."""
+        ordered, cuts = sort_by_owner(bounds, values)
+        for rank in np.flatnonzero(np.diff(cuts)):
+            part = ordered[cuts[rank]:cuts[rank + 1]]
+            finish.fork(here, here)
+            done = self.remote_eval(here, members[rank], gups_xor, (key, bounds[rank], bounds[-1] - 1, part))
+            done.add_callback(partial(join_when_done, finish, here))
 
     # -- messaging ----------------------------------------------------------------
 

@@ -72,9 +72,7 @@ def _estimate(obj, nested: bool = True) -> int:
     envelope = _NESTED_OVERHEAD if nested else 0
     if obj is None:
         return 0
-    custom = getattr(obj, "serialized_nbytes", None)
-    if custom is not None:
-        return int(custom)
+    # the common leaves first: none of them defines ``serialized_nbytes``
     if isinstance(obj, np.ndarray):
         return obj.nbytes
     if isinstance(obj, (bool, int, float, complex, np.generic)):
@@ -83,6 +81,9 @@ def _estimate(obj, nested: bool = True) -> int:
         return len(obj)
     if isinstance(obj, str):
         return len(obj.encode("utf-8"))
+    custom = getattr(obj, "serialized_nbytes", None)
+    if custom is not None:
+        return int(custom)
     if isinstance(obj, dict):
         return envelope + sum(_estimate(k) + _estimate(v) for k, v in obj.items())
     if isinstance(obj, (list, tuple, set, frozenset)):

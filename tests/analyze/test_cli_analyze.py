@@ -23,7 +23,7 @@ def test_clean_tree_exits_zero():
     # finding the rules raise here gates
     code, text = run_cli("analyze", SRC, EXAMPLES)
     assert code == 0
-    assert "20 finish site(s) analyzed, 0 finding(s)" in text
+    assert "21 finish site(s) analyzed, 0 finding(s)" in text
     assert "analyze: clean" in text
 
 

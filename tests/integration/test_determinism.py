@@ -53,12 +53,12 @@ def test_uts_steal_schedule_varies_with_seed_but_count_does_not():
 
 
 def test_randomaccess_table_deterministic():
-    from repro.kernels.randomaccess import run_randomaccess
-    from repro.runtime import ApgasRuntime
+    from repro.harness.runner import simulate
 
     def run():
-        rt = ApgasRuntime(places=4, config=MachineConfig.small())
-        return run_randomaccess(rt, table_words_per_place=128, updates_per_place=256)
+        return simulate("randomaccess", 4, config=MachineConfig.small(),
+                        table_words_per_place=128, updates_per_place=256, materialize=True,
+                        model_updates_factor=1.0)
 
     a, b = run(), run()
     assert a.sim_time == b.sim_time

@@ -1,5 +1,6 @@
-"""The RandomAccess member body that ``programs.ra_worker`` replaced — kept
-verbatim as the memory oracle for the values-only exchange.
+"""The RandomAccess member body that shipped pairs through one
+``team.alltoall`` — kept as the memory oracle for
+:func:`repro.kernels.randomaccess.ra.ra_body`, which sends values only.
 
 It ships an ``(int64 index, uint64 value)`` pair per update, so every batch
 and the exchange are twice the size, and it builds three full-length
@@ -13,31 +14,20 @@ import hashlib
 
 import numpy as np
 
-from repro.harness.results import checksum_bytes
-from repro.kernels.portable.programs import _TICK, _gather
+from repro.kernels.randomaccess.hpcc_rng import stream_slice_fast
 
 
-def ra_worker_pairs(ctx, p: dict):
-    from repro.kernels.randomaccess.hpcc_rng import stream_slice_fast
-
-    me, P, team = ctx.here, ctx.n_places, p["team"]
-    size = 1 << p["log2_table"]
-    lo, hi = size * me // P, size * (me + 1) // P
+def ra_body_pairs(ctx, p: dict, team):
+    rank, P, size = team.rank(ctx.here), team.size, p["size"]
+    lo, hi = p["bounds"][rank], p["bounds"][rank + 1]
     table = np.arange(lo, hi, dtype=np.uint64)
-    updates = p["updates_per_place"]
-    yield ctx.compute(seconds=_TICK)
-    values = stream_slice_fast(me * updates, updates)
+    updates = p["updates"]
+    values = stream_slice_fast(rank * updates, updates)
     index = (values & np.uint64(size - 1)).astype(np.int64)
     owner = index * P // size
-    # one bulk exchange: a (possibly empty) batch for every place
+    # one bulk exchange: a (possibly empty) batch for every member
     batches = [(index[owner == q], values[owner == q]) for q in range(P)]
     del values, index, owner  # the batches are copies: free these across the exchange
     for idx, val in (yield team.alltoall(ctx, batches)):
         np.bitwise_xor.at(table, idx - lo, val)  # .at: duplicate indices all land
-    digests = yield from _gather(ctx, "ra", hashlib.sha256(table).digest())
-    if me == 0:
-        ctx.store["portable:result"] = {
-            "checksum": checksum_bytes(*(digests[place] for place in sorted(digests))),
-            "table_size": size,
-            "updates": updates * P,
-        }
+    return hashlib.sha256(table).digest(), None

@@ -2,7 +2,6 @@
 
 
 from repro.glb import GlbConfig
-from repro.kernels.randomaccess import run_randomaccess
 from repro.kernels.uts import UtsParams, run_uts, sequential_count
 
 from tests.kernels.conftest import make_rt, run_small
@@ -60,8 +59,8 @@ def test_stream_single_element():
 
 
 def test_randomaccess_minimal_table():
-    rt = make_rt(places=2)
-    result = run_randomaccess(rt, table_words_per_place=1, updates_per_place=8)
+    result = run_small("randomaccess", 2, table_words_per_place=1, updates_per_place=8,
+                       materialize=True, model_updates_factor=1.0)
     assert result.verified
 
 

@@ -273,20 +273,19 @@ def test_randomaccess_matches_direct_xor_replay():
             assert run.checksum == _ra_replay_checksum(places, log2_table, 512), (places, log2_table)
 
 
-def test_randomaccess_ships_one_word_per_update():
-    """The exchange carries each update as its 8-byte value: on the message
-    program of the collectives, the modelled bytes grow by 8 per update that
-    leaves its member ((P-1)/P of them, the per-pair charge is the mean)."""
+def test_randomaccess_charges_the_gups_engine_per_update():
+    """On the simulator every update, a member's own too, is one 16-byte
+    update (index and operand) of the GUPS engine, in one batch a destination
+    octant: at 2 and 4 places, one octant, one batch a member.  The wire
+    carries only the 8-byte value (procs: ``test_randomaccess_routes_one_word_per_update``)."""
     from repro.runtime import ApgasRuntime
 
-    def net_bytes(places, updates):
-        rt = ApgasRuntime(places=places, collectives_emulated=True)
-        rt.run(build_program("randomaccess", places, updates_per_place=updates))
-        return rt.obs.metrics.snapshot().total("net.bytes")
-
     for places in (2, 4):
-        shipped = (places - 1) * 4096
-        assert net_bytes(places, 4096) - net_bytes(places, 0) == 8 * shipped
+        rt = ApgasRuntime(places=places)
+        rt.run(build_program("randomaccess", places, updates_per_place=4096))
+        metrics = rt.obs.metrics.snapshot()
+        assert metrics.get("net.messages", kind="gups") == places
+        assert metrics.get("net.bytes", kind="gups") == 16 * 4096 * places
 
 
 @pytest.mark.parametrize("params", [{"log2_table": -1}, {"log2_table": 65}, {"updates_per_place": -5}])

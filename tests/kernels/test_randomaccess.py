@@ -1,15 +1,20 @@
 """Tests for RandomAccess and the HPCC random stream."""
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KernelError
-from repro.kernels.randomaccess import hpcc_advance, hpcc_starts, run_randomaccess
+from repro.harness.results import checksum_bytes
+from repro.kernels.randomaccess import hpcc_advance, hpcc_starts, ra_main
 from repro.kernels.randomaccess.hpcc_rng import _PERIOD, _step, stream_slice, stream_slice_fast
+from repro.kernels.randomaccess.ra import ra_modelled
 
-from tests.kernels.conftest import make_rt
+from tests.kernels.conftest import run_small
 
 
 # -- the HPCC stream ------------------------------------------------------------
@@ -83,29 +88,62 @@ def test_stream_slices_are_contiguous():
 
 
 # -- the kernel --------------------------------------------------------------------
+#
+# ``simulate``'s defaults model a table; these runs materialize small ones and
+# charge one modelled update a value (``model_updates_factor=1.0``).
+
+
+def _run(places, **kwargs):
+    return run_small("randomaccess", places, **{"model_updates_factor": 1.0, **kwargs})
 
 
 def test_double_run_returns_table_to_initial():
     """HPCC verification: XOR-ing the same stream twice is the identity."""
-    rt = make_rt(places=4)
-    result = run_randomaccess(rt, table_words_per_place=256, updates_per_place=512)
+    result = _run(4, table_words_per_place=256, updates_per_place=512, materialize=True)
     assert result.verified
     assert result.extra["errors"] == 0
 
 
 def test_updates_touch_remote_places():
-    rt = make_rt(places=8)
-    run_randomaccess(rt, table_words_per_place=128, updates_per_place=256, verify=False)
-    metrics = rt.obs.metrics
-    assert metrics.value("net.messages", kind="gups") > 0
+    result = _run(8, table_words_per_place=128, updates_per_place=256, materialize=True,
+                  verify=False)
+    metrics = result.extra["metrics"]
+    assert metrics.get("net.messages", kind="gups") > 0
     # half of the table sits on the other octant
-    assert metrics.total("net.link_messages") > metrics.value("net.link_messages", link="shm")
+    assert metrics.total("net.link_messages") > metrics.get("net.link_messages", link="shm")
+
+
+def _replay_parts(places, log2_table, updates):
+    """Every member's part of the table after a direct XOR of the whole
+    stream, and its part before: HPCC's slots and owners."""
+    size = 1 << log2_table
+    table = np.arange(size, dtype=np.uint64)
+    values = stream_slice_fast(0, updates * places)
+    np.bitwise_xor.at(table, (values & np.uint64(size - 1)).astype(np.int64), values)
+    bounds = [size * q // places for q in range(places + 1)]
+    return [(table[lo:hi], np.arange(lo, hi, dtype=np.uint64))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("places", [6, 24])
+def test_every_place_receives_updates_off_powers_of_two(places):
+    """Off a power of two, ``table_words_per_place * places`` words map to the
+    largest power of two of slots at most that, and every member's part gets
+    updated: a ``t * P - 1`` mask, not a mask there, once left places 2-3 of
+    6 and 8-15 of 24 untouched."""
+    t, updates = 64, 512
+    result = _run(places, table_words_per_place=t, updates_per_place=updates,
+                  materialize=True, verify=False)
+    parts = _replay_parts(places, (t * places).bit_length() - 1, updates)
+    assert all(not np.array_equal(final, start) for final, start in parts)
+    assert result.extra["checksum"] == checksum_bytes(
+        *(hashlib.sha256(final).digest() for final, _ in parts)
+    )
 
 
 def test_non_power_of_two_table_rejected():
-    rt = make_rt()
     with pytest.raises(KernelError, match="power of two"):
-        run_randomaccess(rt, table_words_per_place=100)
+        _run(8, table_words_per_place=100)
 
 
 def test_sockets_transport_rejected():
@@ -114,15 +152,13 @@ def test_sockets_transport_rejected():
     from repro.xrt import SocketsTransport
 
     rt = ApgasRuntime(places=4, config=MachineConfig.small(), transport_cls=SocketsTransport)
+    params = ra_modelled(4, rt.config, table_words_per_place=64)
     with pytest.raises(KernelError, match="RDMA"):
-        run_randomaccess(rt, table_words_per_place=64)
+        rt.run(functools.partial(ra_main, **params))
 
 
 def test_model_only_mode_skips_verification():
-    rt = make_rt(places=4)
-    result = run_randomaccess(
-        rt, table_words_per_place=1 << 20, updates_per_place=4096, materialize=False
-    )
+    result = _run(4, table_words_per_place=1 << 20, updates_per_place=4096)
     assert result.verified is None
     assert result.value > 0
 
@@ -131,12 +167,10 @@ def test_small_pages_much_slower():
     """Paper: large pages are essential for RandomAccess."""
 
     def gups(large_pages):
-        rt = make_rt(places=16)  # four octants: most updates cross the network
-        r = run_randomaccess(
-            rt,
+        r = _run(
+            16,  # four octants: most updates cross the network
             table_words_per_place=1 << 25,  # 256 MB: far more 64 KB pages than TLB entries
             updates_per_place=4096,
-            materialize=False,
             large_pages=large_pages,
         )
         return r.value
@@ -145,7 +179,8 @@ def test_small_pages_much_slower():
 
 
 def test_gups_per_host_reported():
-    rt = make_rt(places=8)  # two octants in the small machine
-    result = run_randomaccess(rt, table_words_per_place=128, updates_per_place=512, verify=False)
+    # two octants in the small machine
+    result = _run(8, table_words_per_place=128, updates_per_place=512, materialize=True,
+                  verify=False)
     assert result.extra["hosts"] == 2
     assert result.per_core == pytest.approx(result.value / 2)

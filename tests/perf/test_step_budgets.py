@@ -19,7 +19,7 @@ import tracemalloc
 import pytest
 
 import repro.kernels.hpl.hpl as hpl_driver
-import repro.kernels.portable.programs as portable_programs
+import repro.kernels.randomaccess.ra as ra_kernel
 from repro.chaos import ChaosInjector
 from repro.harness.runner import make_runtime, simulate
 from repro.kernels.bc import rmat_graph, single_source_dependencies
@@ -40,7 +40,7 @@ from repro.xrt.procs.runtime import ProcsRuntime
 from tests.chaos.fate_oracle import fate_reference
 from tests.kernels.brandes_oracle import single_source_dependencies_per_vertex
 from tests.kernels.hpl_residual_oracle import reconstruction_residual_full
-from tests.kernels.ra_partition_oracle import ra_worker_pairs
+from tests.kernels.ra_partition_oracle import ra_body_pairs
 from tests.kernels.uts_oracle import process_oracle
 
 
@@ -427,12 +427,12 @@ def test_memory_budgets_would_catch_the_check_they_replaced(monkeypatch):
 
 # -- RandomAccess at the HPCC wire format: one 8-byte value per update -----------
 #
-# The portable RandomAccess at 2 places, ``log2_table=20`` and 2^18 updates a
-# place, on the simulator (both members in this process): the two 4 MiB
-# tables, the first member's batches held across the exchange, and the
-# second member's values, slots and batches, 16.3 MiB when the budget was set.
-# Pairs of ``(int64 index, uint64 value)`` and the owner temporaries beside
-# them peaked at 22.3 MiB.
+# RandomAccess at 2 places, ``log2_table=20`` and 2^18 updates a place, on the
+# simulator (both members in this process): the two 4 MiB tables, the first
+# member's values in flight to their owners, and the second member's stream,
+# its sort order and sorted copy, 16.3 MiB when the budget was set (16.1 MiB
+# since the remote XOR replaced the alltoall).  Pairs of ``(int64 index,
+# uint64 value)`` and the owner temporaries beside them peak at 22.3 MiB.
 _RA_PEAK_BUDGET = 18 * _MIB
 
 
@@ -451,5 +451,5 @@ def test_randomaccess_memory_budget():
 
 
 def test_randomaccess_budget_would_catch_the_pairs_it_replaced(monkeypatch):
-    monkeypatch.setattr(portable_programs, "ra_worker", ra_worker_pairs)
+    monkeypatch.setattr(ra_kernel, "ra_body", ra_body_pairs)
     assert _ra_run_peak() > _RA_PEAK_BUDGET

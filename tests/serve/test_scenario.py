@@ -84,6 +84,24 @@ def test_malformed_scenarios_raise(mutate):
         parse_scenario(d)
 
 
+@pytest.mark.parametrize("kernel, accepted_key", [("stream", "iterations"), ("uts", "depth")])
+def test_unknown_kernel_param_rejected_at_parse_time(kernel, accepted_key):
+    """An unknown parameter is a ServeError naming the accepted ones, not a
+    TypeError from the kernel once a job of it runs."""
+    d = json.loads(json.dumps(MINIMAL))
+    d["kernels"] = {kernel: {"params": {"bogus": 3}}}
+    with pytest.raises(ServeError, match=r"unknown parameter\(s\) \['bogus'\]") as err:
+        parse_scenario(d)
+    assert f"'{accepted_key}'" in str(err.value)
+
+
+def test_every_profile_parameter_is_accepted():
+    from repro.serve.jobs import KERNEL_PROFILES, accepted_params
+
+    for kernel, profile in KERNEL_PROFILES.items():
+        assert set(profile.params) <= set(accepted_params(kernel)), kernel
+
+
 def test_non_object_scenario_raises():
     with pytest.raises(ServeError):
         parse_scenario([1, 2, 3])

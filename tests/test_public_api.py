@@ -79,7 +79,7 @@ def test_kernel_run_functions_exist():
     from repro.kernels.hpl import hpl_main  # noqa: F401
     from repro.kernels.kmeans import kmeans_main  # noqa: F401
     from repro.kernels.portable import KERNELS
-    from repro.kernels.randomaccess import run_randomaccess  # noqa: F401
+    from repro.kernels.randomaccess import ra_main  # noqa: F401
     from repro.kernels.smithwaterman import sw_main  # noqa: F401
     from repro.kernels.stream import stream_main  # noqa: F401
     from repro.kernels.uts import run_uts  # noqa: F401
