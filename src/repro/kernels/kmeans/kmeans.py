@@ -44,9 +44,9 @@ def initial_centroids(seed: int, k: int, dim: int) -> np.ndarray:
 def assign_and_accumulate(points: np.ndarray, centroids: np.ndarray):
     """Classify points by nearest centroid; returns (sums k x d, counts k)."""
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; the x^2 term is constant per
-    # point, and the rest is formed in place in the n x k product
-    cross = points @ centroids.T
-    cross *= -2.0
+    # point, and the rest is formed in place in the n x k product, the -2
+    # folded into the k x d operand (a power of two: the product's bits stay)
+    cross = points @ (centroids * -2.0).T
     cross += np.einsum("kd,kd->k", centroids, centroids)
     labels = np.argmin(cross, axis=1)
     k, d = centroids.shape

@@ -123,7 +123,12 @@ def ra_modelled(places: int, config, table_words_per_place: int = 1 << 28,
     t = table_words_per_place
     if t < 1 or t & (t - 1):
         raise KernelError("table size per place must be a power of two")
-    factor = 4 * t / updates_per_place if model_updates_factor is None else model_updates_factor
+    factor = model_updates_factor
+    if factor is None:
+        if updates_per_place < 1:
+            raise KernelError(f"updates_per_place={updates_per_place} leaves no sample to scale "
+                              "to the 4x-table stream; pass model_updates_factor")
+        factor = 4 * t / updates_per_place
     return {"log2_table": (t * places).bit_length() - 1, "updates_per_place": updates_per_place,
             "batch": batch, "large_pages": large_pages, "materialize": materialize,
             "verify": verify and materialize, "model_updates_factor": factor}

@@ -7,6 +7,13 @@ arrays, perform the computation, and verify the results.
 One entry point, :func:`stream_main`, runs :func:`stream_body` at every
 member, its arrays in ``ctx.store[("stream", team)]``; resilient runs drive
 the same state through :func:`stream_restore` and :func:`stream_epoch`.
+
+A member whose rounds exchange nothing computes in the step it starts and
+frees its buffers before its first charge: :func:`stream_body` runs every
+triad and its check on the host at once, then yields the rounds' modelled
+memory-bus charges.  The simulated times are those of a round-by-round run,
+and on the simulator, where every member shares one host process, no member
+holds its arrays while the others wait out their charges.
 """
 
 from __future__ import annotations
@@ -61,12 +68,18 @@ def _round(ctx, p: dict, team):
 
 
 def stream_body(ctx, p: dict, team):
-    """A member's whole run: initialize its arrays, every triad round, then
-    let them go; returns the member's :func:`verdict`."""
+    """A member's whole run: initialize its arrays, every triad round and the
+    check, all in the step it starts, and let the arrays go; then one charge
+    per round, each built as it is yielded.  Returns the member's :func:`verdict`."""
     stream_restore(ctx, -1, None, p, team)
+    state = ctx.store.pop(("stream", team))
     for _ in range(p["iterations"]):
-        yield _round(ctx, p, team)
-    return verdict(ctx.store.pop(("stream", team)), p["alpha"])
+        triad(*state[:3], p["alpha"])
+    result, bw = verdict(state, p["alpha"]), state[3]
+    del state  # else this generator's frame holds the arrays through the charges
+    for _ in range(p["iterations"]):
+        yield ctx.compute(mem_bytes=p["mem_bytes"], mem_bw=bw)
+    return result
 
 
 def stream_epoch(ctx, epoch: int, tag: str, p: dict, team):

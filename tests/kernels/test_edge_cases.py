@@ -1,6 +1,8 @@
 """Degenerate-size edge cases for every kernel."""
 
+import pytest
 
+from repro.errors import KernelError
 from repro.glb import GlbConfig
 from repro.kernels.uts import UtsParams, run_uts, sequential_count
 
@@ -62,6 +64,13 @@ def test_randomaccess_minimal_table():
     result = run_small("randomaccess", 2, table_words_per_place=1, updates_per_place=8,
                        materialize=True, model_updates_factor=1.0)
     assert result.verified
+
+
+def test_randomaccess_no_updates_names_the_parameter():
+    # the modelled factor scales each sampled update to the 4x-table stream;
+    # with no sample it cannot be derived (a ZeroDivisionError before)
+    with pytest.raises(KernelError, match="updates_per_place"):
+        run_small("randomaccess", 4, updates_per_place=0)
 
 
 def test_uts_depth_one_tree():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import KernelError
+from repro.harness.runner import simulate
 from repro.kernels.fft import fft_input, fft_six_step_reference
-from repro.kernels.fft.fft import twiddle, within_allclose
+from repro.kernels.fft.fft import fft_modelled, fft_report, twiddle, within_allclose
 
 from tests.kernels.conftest import run_small
 
@@ -102,3 +103,35 @@ def test_twiddle_is_local_times_factors_in_that_order(rows, n1, n2):
     expected = np.multiply(local, tw)
     got = twiddle(local, rows, n1, n2)
     assert got.tobytes() == expected.tobytes()
+
+
+# ``simulate("fft", 96, seed=s)``: (verified, max_err) of the out-of-place check
+_PINNED_CHECKS = {
+    0: (True, 1.2824459841656876e-12),
+    1: (True, 1.2762107111897745e-12),
+    2: (True, 1.3830600733622801e-12),
+    3: (True, 1.4380373887290168e-12),
+    4: (True, 1.4062285205060312e-12),
+    5: (True, 1.3642420526593924e-12),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_CHECKS))
+def test_in_place_check_keeps_the_verdict_and_error(seed):
+    result = simulate("fft", 96, seed=seed)
+    assert (result.verified, result.extra["max_err"]) == _PINNED_CHECKS[seed]
+
+
+@pytest.mark.parametrize("places", [1, 3, 8, 24, 96])
+def test_in_place_reference_has_the_bits_of_np_fft(places):
+    """Handed the out-of-place ``np.fft.fft`` of the whole input as its
+    spectrum, the check finds no error at all, and one ulp off in one
+    element it finds that ulp: its in-place reference has the same bits."""
+    params = fft_modelled(places, None)
+    n = params["n1"]
+    spectrum = np.fft.fft(fft_input(params["seed"], n, n).reshape(-1))
+    report = fft_report({"checksum": "", "spectrum": spectrum}, params, places, 1.0)
+    assert report.verified and report.extra["max_err"] == 0.0
+    spectrum[n] = np.nextafter(spectrum[n].real, np.inf) + 1j * spectrum[n].imag
+    report = fft_report({"checksum": "", "spectrum": spectrum}, params, places, 1.0)
+    assert report.verified and 0.0 < report.extra["max_err"] <= 2 * np.spacing(abs(spectrum[n].real))

@@ -34,6 +34,8 @@ def _accumulate_case(shape, seed):
         return generate_points(seed, 0, 300, 1), initial_centroids(seed, 6, 1), []
     if shape == "k>n":
         return generate_points(seed, 0, 5, 3), initial_centroids(seed, 17, 3), []
+    if shape == "benchmark":  # sim_math_6's K-Means block: 4096 x 12 points, k = 64
+        return generate_points(seed, 0, 4096, 12), initial_centroids(seed, 64, 12), []
     if shape == "many-empty":
         points, centroids = generate_points(seed, 0, 400, 4), initial_centroids(seed, 12, 4)
         centroids[1::2] = 50.0 + np.arange(6)[:, None]
@@ -65,6 +67,32 @@ def test_assign_and_accumulate_is_bit_equal_to_the_textbook_formula():
             assert not counts[empty].any() and not sums[empty].any()
             assert (counts == 0).sum() >= k - len(points)
             assert np.array_equal(points, before[0]) and np.array_equal(centroids, before[1])
+
+
+def _assign_and_accumulate_scaled_after(points, centroids):
+    """``assign_and_accumulate`` as it was: the ``-2`` applied to the ``n x k``
+    product after it is formed, not folded into the centroids."""
+    cross = points @ centroids.T
+    cross *= -2.0
+    cross += np.einsum("kd,kd->k", centroids, centroids)
+    labels = np.argmin(cross, axis=1)
+    k, d = centroids.shape
+    sums = np.bincount(
+        (labels[:, None] * d + np.arange(d)).ravel(), weights=points.ravel(), minlength=k * d
+    ).reshape(k, d)
+    return sums, np.bincount(labels, minlength=k).astype(np.float64)
+
+
+@pytest.mark.parametrize("shape", ["base", "d=1", "k>n", "many-empty", "strided", "benchmark"])
+def test_folded_minus_two_keeps_the_bits(shape):
+    """Scaling the ``k x d`` operand by -2 scales every product and partial sum
+    by a power of two, which rounds nothing: sums and counts equal the
+    scaled-after form's, also at the benchmark's 4096 x 12 points, k = 64."""
+    for seed in range(4):
+        points, centroids, _ = _accumulate_case(shape, seed)
+        sums, counts = assign_and_accumulate(points, centroids)
+        want_sums, want_counts = _assign_and_accumulate_scaled_after(points, centroids)
+        assert np.array_equal(sums, want_sums) and np.array_equal(counts, want_counts)
 
 
 def test_empty_cluster_keeps_centroid():

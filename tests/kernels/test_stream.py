@@ -1,9 +1,12 @@
 """Tests for EP Stream Triad."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import KernelError
+from repro.harness.runner import simulate
 from repro.kernels.stream import triad
 from repro.machine.memory import stream_bw_per_place
 
@@ -59,3 +62,25 @@ def test_result_metadata():
     assert result.unit == "B/s"
     assert result.places == 2
     assert result.sim_time > 0
+
+
+# (sim_time, checksum, sha256 of metrics.render() to 16 hex digits) of
+# ``simulate("stream", P)`` while each member still ran a triad between charges
+_PINNED = {
+    1: (0.4761907780238095, "f28cf0979cf114a4", "beffbe848721be98"),
+    3: (0.4761913828571429, "5838201f856e47fe", "ca914cd091a97076"),
+    8: (0.47619259085714294, "62216d8ad92cc3fd", "42fe9e421289be69"),
+    64: (0.829432062941326, "b1a3791b0dd7f89b", "8f6048c9f38bb8f3"),
+}
+
+
+@pytest.mark.parametrize("places", sorted(_PINNED))
+def test_host_math_before_the_charges_keeps_every_number(places):
+    """A member runs its rounds and check in the step it starts, then yields
+    the charges: simulated time, checksum and every metric are those of the
+    round-by-round run."""
+    result = simulate("stream", places)
+    text = result.extra["metrics"].render()
+    got = (result.sim_time, result.extra["checksum"], hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert got == _PINNED[places]
+    assert result.verified

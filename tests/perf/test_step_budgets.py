@@ -1,8 +1,8 @@
 """Step-count complexity regressions: engine events per finish/broadcast idiom,
 and interpreter calls per invocation of the shared numeric cores, per finish
 open, per chaos leg, per FINISH_ASYNC put and per frame a procs place serves;
-and, at the end, the traced memory peaks of HPL's residual check and run and
-of the portable RandomAccess.
+and, at the end, the traced memory peaks of HPL's residual check and run, of
+the portable RandomAccess and of Stream and FFT's host check at scale.
 
 ``Engine.events_executed`` counts every callback the loop dispatched, so it
 is a wall-clock-free complexity measure: if a refactor adds a per-message
@@ -20,10 +20,12 @@ import pytest
 
 import repro.kernels.hpl.hpl as hpl_driver
 import repro.kernels.randomaccess.ra as ra_kernel
+import repro.kernels.stream.stream as stream_kernel
 from repro.chaos import ChaosInjector
 from repro.harness.runner import make_runtime, simulate
 from repro.kernels.bc import rmat_graph, single_source_dependencies
 from repro.kernels.hpl.lu import blocked_lu_inplace, reconstruction_residual
+from repro.kernels.portable import KERNELS
 from repro.kernels.randomaccess.hpcc_rng import stream_slice, stream_slice_fast
 from repro.kernels.smithwaterman.sw import random_sequence, sw_score, sw_score_reference
 from repro.kernels.uts import UtsBag, UtsParams
@@ -39,6 +41,7 @@ from repro.xrt.procs.runtime import ProcsRuntime
 
 from tests.chaos.fate_oracle import fate_reference
 from tests.kernels.brandes_oracle import single_source_dependencies_per_vertex
+from tests.kernels.host_math_oracle import fft_report_out_of_place, stream_body_round_by_round
 from tests.kernels.hpl_residual_oracle import reconstruction_residual_full
 from tests.kernels.ra_partition_oracle import ra_body_pairs
 from tests.kernels.uts_oracle import process_oracle
@@ -453,3 +456,48 @@ def test_randomaccess_memory_budget():
 def test_randomaccess_budget_would_catch_the_pairs_it_replaced(monkeypatch):
     monkeypatch.setattr(ra_kernel, "ra_body", ra_body_pairs)
     assert _ra_run_peak() > _RA_PEAK_BUDGET
+
+
+# -- Stream and the FFT check at their working sets --------------------------------
+#
+# ``simulate("stream", 64)``: 64 members, each three 512 KiB arrays.  A member
+# runs its rounds and its check on the host in the step it starts and frees its
+# arrays before its first charge: 2.4 MiB when the budget was set, 96.9 MiB
+# while every member held its arrays through its four charges.
+# ``simulate("fft", 96)``, a 768 x 768 transform: the gathered spectrum, one
+# complex buffer for the check's input, reference and difference, and two real
+# arrays, 27.7 MiB; 36.1 MiB with an out-of-place reference, difference and
+# tolerance bound.
+_STREAM_PEAK_BUDGET = 6 * _MIB
+_FFT_PEAK_BUDGET = 31 * _MIB
+
+
+def _simulate_peak(kernel, places):
+    simulate(kernel, 4)  # imports and first-use caches are not the run's
+    return _traced_peak(simulate, kernel, places)
+
+
+def test_stream_memory_budget():
+    peak = _simulate_peak("stream", 64)
+    assert peak <= _STREAM_PEAK_BUDGET, (
+        f"simulate(stream, 64): traced peak {peak / _MIB:.2f} MiB exceeds the budget "
+        f"{_STREAM_PEAK_BUDGET / _MIB:.0f} MiB — members hold their arrays through their charges again"
+    )
+
+
+def test_stream_budget_would_catch_the_body_it_replaced(monkeypatch):
+    monkeypatch.setattr(stream_kernel, "stream_body", stream_body_round_by_round)
+    assert _simulate_peak("stream", 64) > 4 * _STREAM_PEAK_BUDGET
+
+
+def test_fft_memory_budget():
+    peak = _simulate_peak("fft", 96)
+    assert peak <= _FFT_PEAK_BUDGET, (
+        f"simulate(fft, 96): traced peak {peak / _MIB:.2f} MiB exceeds the budget "
+        f"{_FFT_PEAK_BUDGET / _MIB:.0f} MiB — the host check holds a second full-size buffer again"
+    )
+
+
+def test_fft_budget_would_catch_the_check_it_replaced(monkeypatch):
+    monkeypatch.setitem(KERNELS, "fft", KERNELS["fft"]._replace(report=fft_report_out_of_place))
+    assert _simulate_peak("fft", 96) > _FFT_PEAK_BUDGET
