@@ -28,6 +28,10 @@ from repro.sim.rng import RngStream
 #: flops per point-centroid pair in the classify step (sub, mul, add per dim)
 FLOPS_PER_PAIR_PER_DIM = 3
 
+#: points classified at a time: their distances to every centroid are one
+#: ``ASSIGN_ROWS x k`` block, reused for the next points
+ASSIGN_ROWS = 512
+
 
 def generate_points(seed: int, place: int, n: int, dim: int) -> np.ndarray:
     """The point block owned by ``place`` (deterministic in (seed, place))."""
@@ -44,12 +48,19 @@ def initial_centroids(seed: int, k: int, dim: int) -> np.ndarray:
 def assign_and_accumulate(points: np.ndarray, centroids: np.ndarray):
     """Classify points by nearest centroid; returns (sums k x d, counts k)."""
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; the x^2 term is constant per
-    # point, and the rest is formed in place in the n x k product, the -2
-    # folded into the k x d operand (a power of two: the product's bits stay)
-    cross = points @ (centroids * -2.0).T
-    cross += np.einsum("kd,kd->k", centroids, centroids)
-    labels = np.argmin(cross, axis=1)
-    k, d = centroids.shape
+    # point, and the rest is formed in place in a block of the n x k product,
+    # the -2 folded into the k x d operand (a power of two: the product's bits
+    # stay); a point's row of the product is the same whatever block holds it
+    scaled = (centroids * -2.0).T
+    c_sq = np.einsum("kd,kd->k", centroids, centroids)
+    n, (k, d) = len(points), centroids.shape
+    labels = np.empty(n, dtype=np.intp)
+    block = np.empty((min(n, ASSIGN_ROWS), k))
+    for lo in range(0, n, ASSIGN_ROWS):
+        hi = min(lo + ASSIGN_ROWS, n)
+        cross = np.matmul(points[lo:hi], scaled, out=block[: hi - lo])
+        cross += c_sq
+        np.argmin(cross, axis=1, out=labels[lo:hi])
     # one weighted bincount over the (cluster, dim) cells: each cell sums its
     # points in point order from 0.0, the same adds as ``np.add.at``
     sums = np.bincount(

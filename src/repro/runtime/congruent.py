@@ -3,10 +3,11 @@
 RDMA and hardware collectives require memory segments registered with the
 network hardware, and the initiating task must know the effective address of
 both source and destination segments.  The congruent allocator returns arrays
-backed by registered segments (outside the garbage collector's control); when
-every place performs the same allocation sequence, *symmetric* mode returns
-the same sequence of addresses everywhere.  Segments are backed by large pages
-when enabled, minimizing hub TLB entries — essential for RandomAccess.
+backed by registered segments (outside the garbage collector's control); one
+bump cursor a place, so places that perform the same allocation sequence get
+the same sequence of addresses (``ctx.congruent``'s symmetric tables).
+Segments are backed by large pages when enabled, minimizing hub TLB entries —
+essential for RandomAccess.
 
 The remote XOR of ``ctx.gups`` targets a *symmetric table*: one ``uint64``
 segment a member, all kept under the same ``ctx.store`` key (the congruent
@@ -68,7 +69,7 @@ class CongruentArray:
 
 
 class CongruentAllocator:
-    """Bump allocator of registered, optionally symmetric, segments."""
+    """Bump allocator of registered segments, one cursor a place."""
 
     def __init__(self, rt, large_pages: bool = True) -> None:
         self.rt = rt
@@ -108,30 +109,6 @@ class CongruentAllocator:
         )
         self.rt.registry.register(region)
         return CongruentArray(region, data)
-
-    def alloc_symmetric(
-        self,
-        places: Sequence[int],
-        shape=None,
-        dtype=np.float64,
-        nbytes: Optional[int] = None,
-        materialize: bool = True,
-    ) -> dict[int, CongruentArray]:
-        """One identically-addressed segment per place.
-
-        Requires the allocation sequences of all places to be aligned — the
-        paper's "same allocation sequence in every place" contract.
-        """
-        cursors = {self._next_address.get(p, _BASE_ADDRESS) for p in places}
-        if len(cursors) != 1:
-            raise ApgasError(
-                "symmetric allocation requires identical allocation sequences "
-                f"across places, but cursors diverged: {sorted(cursors)}"
-            )
-        arrays = {p: self.alloc(p, shape, dtype, nbytes, materialize) for p in places}
-        addresses = {a.address for a in arrays.values()}
-        assert len(addresses) == 1, "bump allocator must keep symmetric addresses equal"
-        return arrays
 
     def _bump(self, place: int, size: int) -> int:
         aligned = -(-size // self.page_bytes) * self.page_bytes

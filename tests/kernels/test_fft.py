@@ -1,14 +1,19 @@
 """Tests for the distributed six-step FFT."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.errors import KernelError
+from repro.harness.results import checksum_bytes
 from repro.harness.runner import simulate
-from repro.kernels.fft import fft_input, fft_six_step_reference
+from repro.kernels.fft import fft_input, fft_main, fft_six_step_reference
 from repro.kernels.fft.fft import fft_modelled, fft_report, twiddle, within_allclose
+from repro.runtime import ApgasRuntime
 
 from tests.kernels.conftest import run_small
+from tests.kernels.host_math_oracle import fft_main_concatenated
 
 
 @pytest.mark.parametrize("n1,n2", [(4, 4), (8, 4), (4, 8), (16, 16), (8, 32)])
@@ -122,16 +127,69 @@ def test_in_place_check_keeps_the_verdict_and_error(seed):
     assert (result.verified, result.extra["max_err"]) == _PINNED_CHECKS[seed]
 
 
+def _row_blocks(spectrum: np.ndarray, n1: int, n2: int, places: int) -> list:
+    """``spectrum`` as ``fft_main`` hands it on: member ``q``'s rows
+    ``n2*q//P`` up to ``n2*(q+1)//P`` of the ``n2 x n1`` output, views."""
+    rows = spectrum.reshape(n2, n1)
+    return [rows[n2 * q // places : n2 * (q + 1) // places] for q in range(places)]
+
+
 @pytest.mark.parametrize("places", [1, 3, 8, 24, 96])
 def test_in_place_reference_has_the_bits_of_np_fft(places):
     """Handed the out-of-place ``np.fft.fft`` of the whole input as its
-    spectrum, the check finds no error at all, and one ulp off in one
-    element it finds that ulp: its in-place reference has the same bits."""
+    members' row blocks, the check finds no error at all, and one ulp off in
+    one element it finds that ulp: its in-place reference has the same bits."""
     params = fft_modelled(places, None)
     n = params["n1"]
     spectrum = np.fft.fft(fft_input(params["seed"], n, n).reshape(-1))
-    report = fft_report({"checksum": "", "spectrum": spectrum}, params, places, 1.0)
+    result = {"checksum": "", "spectrum_rows": _row_blocks(spectrum, n, n, places)}
+    report = fft_report(result, params, places, 1.0)
     assert report.verified and report.extra["max_err"] == 0.0
     spectrum[n] = np.nextafter(spectrum[n].real, np.inf) + 1j * spectrum[n].imag
-    report = fft_report({"checksum": "", "spectrum": spectrum}, params, places, 1.0)
+    report = fft_report(result, params, places, 1.0)
     assert report.verified and 0.0 < report.extra["max_err"] <= 2 * np.spacing(abs(spectrum[n].real))
+
+
+def _fft_main_result(main, places: int) -> dict:
+    return ApgasRuntime(places=places).run(functools.partial(main, n1=12, n2=20, seed=4))
+
+
+@pytest.mark.parametrize("places", [3, 5, 7])
+def test_block_digest_is_the_concatenated_spectrum_digest(places):
+    """The digest of the row blocks in rank order is the digest of the whole
+    spectrum, as the concatenating collection took it, at uneven splits."""
+    blocks = _fft_main_result(fft_main, places)["spectrum_rows"]
+    assert len(blocks) == places
+    whole = np.concatenate(blocks)
+    assert checksum_bytes(*blocks) == checksum_bytes(whole)
+    assert _fft_main_result(fft_main_concatenated, places)["checksum"] == checksum_bytes(whole)
+
+
+def test_member_without_rows_verifies():
+    """At 5 places a 4 x 4 transform leaves member 0 no rows at all."""
+    result = simulate("fft", 5, n1=4, n2=4, seed=1, modeled_elements_per_place=None)
+    assert result.verified and result.extra["checksum"] == "f02b3f1c34a2d797"
+
+
+def _exact_blocks(places: int = 5):
+    """The out-of-place transform of a 20 x 15 input in ``places`` row blocks."""
+    params = fft_modelled(places, None, n1=20, n2=15, modeled_elements_per_place=None)
+    spectrum = np.fft.fft(fft_input(params["seed"], 20, 15).reshape(-1))
+    return _row_blocks(spectrum, 20, 15, places), params
+
+
+def test_one_ulp_off_in_the_last_block_is_found():
+    blocks, params = _exact_blocks()
+    last = blocks[-1].reshape(-1)
+    last[-1] = np.nextafter(last[-1].real, np.inf) + 1j * last[-1].imag
+    report = fft_report({"checksum": "", "spectrum_rows": blocks}, params, 5, 1.0)
+    assert report.verified and 0.0 < report.extra["max_err"] <= 2 * np.spacing(abs(last[-1].real))
+
+
+def test_nan_in_a_middle_block_fails_the_check():
+    """A NaN is no error below tolerance: the verdict is False and the maximum
+    error NaN, as ``err.max()`` over the whole spectrum gave."""
+    blocks, params = _exact_blocks()
+    blocks[2][0, 3] = complex(np.nan, 0.0)
+    report = fft_report({"checksum": "", "spectrum_rows": blocks}, params, 5, 1.0)
+    assert not report.verified and np.isnan(report.extra["max_err"])

@@ -10,7 +10,7 @@ from repro.kernels.kmeans import (
     initial_centroids,
     kmeans_reference,
 )
-from repro.kernels.kmeans.kmeans import update_centroids
+from repro.kernels.kmeans.kmeans import ASSIGN_ROWS, update_centroids
 
 from tests.kernels.conftest import run_small
 
@@ -81,6 +81,42 @@ def _assign_and_accumulate_scaled_after(points, centroids):
         (labels[:, None] * d + np.arange(d)).ravel(), weights=points.ravel(), minlength=k * d
     ).reshape(k, d)
     return sums, np.bincount(labels, minlength=k).astype(np.float64)
+
+
+def _assign_and_accumulate_whole(points, centroids):
+    """``assign_and_accumulate`` as it was before the product was formed
+    ``ASSIGN_ROWS`` points at a time: the whole ``n x k`` product at once."""
+    cross = points @ (centroids * -2.0).T
+    cross += np.einsum("kd,kd->k", centroids, centroids)
+    labels = np.argmin(cross, axis=1)
+    k, d = centroids.shape
+    sums = np.bincount(
+        (labels[:, None] * d + np.arange(d)).ravel(), weights=points.ravel(), minlength=k * d
+    ).reshape(k, d)
+    return sums, np.bincount(labels, minlength=k).astype(np.float64)
+
+
+@pytest.mark.parametrize("n", [ASSIGN_ROWS - 1, ASSIGN_ROWS, 2 * ASSIGN_ROWS + 3])
+def test_blocked_assignment_keeps_the_bits_of_the_whole_product(n):
+    """Below, at and past one block, with a ragged last block: sums and
+    counts equal the whole product's."""
+    for seed in range(4):
+        points, centroids = generate_points(seed, 1, n, 5), initial_centroids(seed, 11, 5)
+        sums, counts = assign_and_accumulate(points, centroids)
+        want_sums, want_counts = _assign_and_accumulate_whole(points, centroids)
+        assert np.array_equal(sums, want_sums) and np.array_equal(counts, want_counts)
+
+
+def test_blocked_assignment_on_the_benchmark_point_blocks():
+    """sim_math_6's K-Means: 32 places' 4096 x 12 point blocks, k = 64, on
+    four seeds, each equal to the whole product's sums and counts."""
+    for seed in range(4):
+        centroids = initial_centroids(seed, 64, 12)
+        for place in range(32):
+            points = generate_points(seed, place, 4096, 12)
+            sums, counts = assign_and_accumulate(points, centroids)
+            want_sums, want_counts = _assign_and_accumulate_whole(points, centroids)
+            assert np.array_equal(sums, want_sums) and np.array_equal(counts, want_counts)
 
 
 @pytest.mark.parametrize("shape", ["base", "d=1", "k>n", "many-empty", "strided", "benchmark"])

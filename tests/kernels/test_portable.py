@@ -198,7 +198,8 @@ def test_fft_matches_numpy_spectrum():
 
     run = _run("fft")
     x = fft_input(5, 16, 16).reshape(-1)
-    np.testing.assert_allclose(run.result["spectrum"], np.fft.fft(x), rtol=1e-9, atol=1e-9)
+    spectrum = np.concatenate(run.result["spectrum_rows"]).reshape(-1)
+    np.testing.assert_allclose(spectrum, np.fft.fft(x), rtol=1e-9, atol=1e-9)
 
 
 def test_fft_program_and_driver_agree():

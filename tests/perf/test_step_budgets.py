@@ -41,7 +41,9 @@ from repro.xrt.procs.runtime import ProcsRuntime
 
 from tests.chaos.fate_oracle import fate_reference
 from tests.kernels.brandes_oracle import single_source_dependencies_per_vertex
-from tests.kernels.host_math_oracle import fft_report_out_of_place, stream_body_round_by_round
+from tests.kernels.host_math_oracle import (
+    fft_main_concatenated, fft_report_out_of_place, stream_body_round_by_round,
+)
 from tests.kernels.hpl_residual_oracle import reconstruction_residual_full
 from tests.kernels.ra_partition_oracle import ra_body_pairs
 from tests.kernels.uts_oracle import process_oracle
@@ -464,12 +466,14 @@ def test_randomaccess_budget_would_catch_the_pairs_it_replaced(monkeypatch):
 # runs its rounds and its check on the host in the step it starts and frees its
 # arrays before its first charge: 2.4 MiB when the budget was set, 96.9 MiB
 # while every member held its arrays through its four charges.
-# ``simulate("fft", 96)``, a 768 x 768 transform: the gathered spectrum, one
-# complex buffer for the check's input, reference and difference, and two real
-# arrays, 27.7 MiB; 36.1 MiB with an out-of-place reference, difference and
-# tolerance bound.
+# ``simulate("fft", 96)``, a 768 x 768 transform: the members' row blocks of
+# the spectrum, one complex buffer for the check's input, reference and
+# difference, and two real arrays a block, 20.4 MiB; 27.7 MiB with the blocks
+# concatenated into one spectrum and spectrum-sized real arrays; 45.1 MiB with
+# a check that concatenates them itself and forms an out-of-place reference,
+# difference and tolerance bound.
 _STREAM_PEAK_BUDGET = 6 * _MIB
-_FFT_PEAK_BUDGET = 31 * _MIB
+_FFT_PEAK_BUDGET = 23 * _MIB
 
 
 def _simulate_peak(kernel, places):
@@ -500,4 +504,9 @@ def test_fft_memory_budget():
 
 def test_fft_budget_would_catch_the_check_it_replaced(monkeypatch):
     monkeypatch.setitem(KERNELS, "fft", KERNELS["fft"]._replace(report=fft_report_out_of_place))
+    assert _simulate_peak("fft", 96) > _FFT_PEAK_BUDGET
+
+
+def test_fft_budget_would_catch_the_concatenated_spectrum(monkeypatch):
+    monkeypatch.setitem(KERNELS, "fft", KERNELS["fft"]._replace(main=fft_main_concatenated))
     assert _simulate_peak("fft", 96) > _FFT_PEAK_BUDGET

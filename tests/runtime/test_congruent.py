@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ApgasError
 from repro.runtime import CongruentAllocator
+from repro.runtime.broadcast import broadcast_gather
 from repro.xrt.rdma import tlb_factor
 
 from tests.runtime.conftest import make_runtime
@@ -38,30 +39,28 @@ def test_registry_does_not_keep_a_dropped_array_alive():
     rt.registry.check(kept.region, 1)
 
 
-def test_symmetric_allocation_same_addresses():
-    rt = make_runtime()
-    alloc = CongruentAllocator(rt)
-    arrays = alloc.alloc_symmetric([0, 4, 8], shape=(64,))
-    addresses = {a.address for a in arrays.values()}
-    assert len(addresses) == 1
+def _two_tables(ctx, team, words):
+    """A member's share of two symmetric tables: ``words[rank]`` slots of
+    ``"t"``, then 16 of ``"u"``; their addresses."""
+    first = ctx.congruent("t", words[team.rank(ctx.here)])
+    second = ctx.congruent("u", 16)
+    return first.address, second.address
 
 
-def test_symmetric_allocation_sequence_must_align():
-    rt = make_runtime()
-    alloc = CongruentAllocator(rt)
-    alloc.alloc(0, shape=(1000,))  # place 0's cursor moves ahead
-    with pytest.raises(ApgasError, match="diverged"):
-        alloc.alloc_symmetric([0, 1], shape=(10,))
+def test_members_tables_of_one_key_share_an_address():
+    """``ctx.congruent`` is the symmetric allocation programs run: members
+    that allocate the same sequence get one address a key, uneven shares
+    (341 and 342 slots of a 1,024-slot table) included, and the next key
+    the next page."""
+    def main(ctx):
+        team = ctx.team(ctx.places())
+        return (yield from broadcast_gather(ctx, team, _two_tables, team, [341, 341, 342]))
 
-
-def test_successive_symmetric_allocations_stay_congruent():
-    rt = make_runtime()
-    alloc = CongruentAllocator(rt)
-    first = alloc.alloc_symmetric([0, 1], shape=(10,))
-    second = alloc.alloc_symmetric([0, 1], shape=(20,))
-    assert first[0].address == first[1].address
-    assert second[0].address == second[1].address
-    assert second[0].address > first[0].address
+    rt = make_runtime(places=3)
+    addresses = rt.run(main)
+    assert len(set(addresses)) == 1
+    first, second = addresses[0]
+    assert second - first == rt.config.large_page_bytes
 
 
 def test_addresses_are_page_aligned():

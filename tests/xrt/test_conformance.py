@@ -34,9 +34,11 @@ _SMALL = {
 
 #: per-row overrides: randomaccess at 3 places on a 256-slot table, whose
 #: member bounds 85 and 170 are slots the owner rule ``index*P//size`` once
-#: sent to the member below (an IndexError there, on both backends)
+#: sent to the member below (an IndexError there, on both backends); fft at 5
+#: places on a 4 x 4 transform, where member 0 holds no rows of the spectrum
 _AT = {
     ("randomaccess", 3): {"log2_table": 8},
+    ("fft", 5): {"n1": 4, "n2": 4, "seed": 1},
 }
 
 
@@ -44,11 +46,11 @@ _AT = {
 #: the other, the shape that once livelocked over the last piece; kmeans, bc,
 #: smithwaterman and stream at 3: an uneven spawning tree and an uneven
 #: broadcast tree; fft and randomaccess at 3: an uneven split of the rows or
-#: of the table; hpl at 3 (a 1x3 grid: every row swap is local) and at 6 (a
-#: 2x3 grid: P != Q)
+#: of the table; fft at 5 with an empty row block; hpl at 3 (a 1x3 grid:
+#: every row swap is local) and at 6 (a 2x3 grid: P != Q)
 _ROWS = [(kernel, PLACES) for kernel in PORTABLE_KERNELS] + [
     ("uts", 2), ("kmeans", 3), ("bc", 3), ("smithwaterman", 3), ("stream", 3), ("fft", 3),
-    ("randomaccess", 3), ("hpl", 3), ("hpl", 6),
+    ("fft", 5), ("randomaccess", 3), ("hpl", 3), ("hpl", 6),
 ]
 
 
